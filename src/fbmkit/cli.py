@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
         if what in ("cov", "decay"):
             arg(gp, "--n", type=int, default=30, help="largest lag")
         if what == "modulus":
-            arg(gp, "--t", default="0.015625,0.03125,0.0625,0.125,0.25,0.5,1.0,2.0,4.0",
+            arg(gp, "--t", default="0.015625,0.03125,0.0625,0.125,0.25,0.5,1.0",
                 help="comma-separated window lengths")
         if what == "regbound":
             arg(gp, "--i", type=int, default=0, help="ladder index")

@@ -24,10 +24,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate as _sci_integrate
 from scipy.special import gamma as _gamma
 
-from .errors import AccuracyError, ValidationError
+from .errors import ValidationError
 
 __all__ = ["pow0", "xi", "HurstContext", "make_context"]
 
@@ -97,7 +96,8 @@ class HurstContext:
     c1:
         Normalization of the moving-average representation: the process
         ``c1 * integral ((t - s)_+**eta - (-s)_+**eta) dW_s`` has variance
-        ``t**(2 H)``.
+        ``t**(2 H)``; in closed form
+        ``c1 = sqrt(2 H sin(pi H) Gamma(2 H)) / Gamma(H + 1/2)``.
     c_h:
         ``1 / (Pi(eta) * Pi(-eta))`` with ``Pi(x) = Gamma(x + 1)``; appears
         in the inverse representation recovering the driving noise.
@@ -109,45 +109,19 @@ class HurstContext:
     c_h: float
 
 
-def _c1_squared_integral(eta: float) -> float:
-    """``integral_0^inf ((1 + s)**eta - s**eta)**2 ds`` by adaptive quadrature.
-
-    The far tail is mapped onto ``(0, 1]`` by ``s -> 1/u`` (the integrand
-    becomes ``u**(-2 eta - 2) * ((1 + u)**eta - 1)**2``), which keeps both
-    pieces on finite intervals with integrable endpoint behavior.
-    """
-
-    def head_f(s: float) -> float:
-        return ((1.0 + s) ** eta - s ** eta) ** 2
-
-    def tail_f(u: float) -> float:
-        if u <= 0.0:
-            return 0.0
-        return u ** (-2.0 * eta - 2.0) * ((1.0 + u) ** eta - 1.0) ** 2
-
-    total = 0.0
-    for f in (head_f, tail_f):
-        res = _sci_integrate.quad(
-            f, 0.0, 1.0, epsabs=1.0e-14, epsrel=1.0e-13, limit=400, full_output=1
-        )
-        value, abserr = res[0], res[1]
-        if abserr > 1.0e-10 * max(abs(value), 1.0):
-            raise AccuracyError(
-                "normalization integral did not converge",
-                estimate=abserr,
-                budget=1.0e-10 * max(abs(value), 1.0),
-            )
-        total += value
-    return total
-
-
 @lru_cache(maxsize=128)
 def _make_context_cached(hurst: float) -> HurstContext:
     eta = hurst - 0.5
     if eta == 0.0:
         # Ordinary Brownian motion: the kernel difference vanishes.
         return HurstContext(hurst=hurst, eta=0.0, c1=1.0, c_h=1.0)
-    c1 = (1.0 / (2.0 * hurst) + _c1_squared_integral(eta)) ** -0.5
+    # Mandelbrot & Van Ness (1968), SIAM Rev. 10.  sin(pi H) is taken at
+    # min(H, 1 - H), where 1 - H is exact in floats, so c1 keeps full
+    # relative precision as H -> 1 and sin(pi H) -> 0.
+    c1 = float(
+        np.sqrt(2.0 * hurst * np.sin(np.pi * min(hurst, 1.0 - hurst)) * _gamma(2.0 * hurst))
+        / _gamma(hurst + 0.5)
+    )
     c_h = 1.0 / (float(_gamma(eta + 1.0)) * float(_gamma(1.0 - eta)))
     return HurstContext(hurst=hurst, eta=eta, c1=c1, c_h=c_h)
 

@@ -14,7 +14,8 @@ representation recovering the driving Brownian motion:
   ``J(v, u, s) = 1_{s > u} xi_{eta-1}(s - u, v) xi_{-eta-1}(-s, s - u)
   - xi_{eta-1}(-u, v) xi_{-eta-1}(-s, -u)``,
 
-  where ``c_h = 1 / (Pi(eta) Pi(-eta))`` and ``xi_r(a, b) = (a+b)^r - a^r``.
+  where ``c_h = 1 / (Pi(eta) Pi(-eta)) = sin(pi eta) / (pi eta)`` and
+  ``xi_r(a, b) = (a+b)^r - a^r``.
 
 * :func:`drift_from_obm` — the same functional expressed through the
   *driving* Brownian motion:
@@ -33,25 +34,24 @@ representation recovering the driving Brownian motion:
   ``W_t * c1 / c_h = eta * integral_{-inf}^t xi_{-eta-1}(t-s, -t) (Z_s - Z_t) ds
   + eta * integral_t^0 (-s)^{-eta-1} Z_s ds + (-t)^{-eta} Z_t``.
 
-Kernel quadrature notes
------------------------
-The inner ``s``-integral of ``K`` is split at ``u`` and ``u/2``:
+The kernel in closed form
+-------------------------
+The printed ``K`` is elementary (Gripenberg & Norros 1996, J. Appl. Prob.
+33:400-410):
 
-* on ``(-inf, u)`` the indicator vanishes and the integral has the closed
-  form ``-xi_{eta-1}(-u, v) * xi_{-eta}(-u, -u) / eta`` (antiderivative
-  ``d/ds xi_{-eta}(-s, -u) = eta xi_{-eta-1}(-s, -u)``) — no truncation at
-  all is incurred there;
-* on ``[u, u/2]`` the printed grouping of ``J`` is stable (each factor is
-  well-conditioned; the product behaves like ``(s-u)^eta``);
-* on ``[u/2, 0]``, using the exact identity
-  ``xi_{-eta-1}(-s, s-u) = (-u)^{-eta-1} - (-s)^{-eta-1}``, ``J`` is
-  regrouped into
+  ``K(u, v) = -eta c_h (v / (-u))^{eta+1} / (v - u)``.
 
-  ``J = xi_{eta-1}(s-u, v) (-u)^{-eta-1} - xi_{eta-1}(-u, v) (-s-u)^{-eta-1}
-  + (-s)^{-eta-1} (xi_{eta-1}(-u, s) - xi_{eta-1}(v-u, s))``,
+With ``a = -u``, ``K = -d/du g_v(u)`` for the Gripenberg-Norros weight
+``g_v(u) = eta c_h a^{-eta} integral_0^v x^eta / (x + a) dx``, so
 
-  whose last bracket vanishes linearly at ``s = 0``, cancelling the
-  ``(-s)^{-eta-1}`` blow-up analytically instead of numerically.
+  ``K = -eta c_h a^{-eta-1} integral_0^v (eta x^eta / (x + a)
+  + x^eta a / (x + a)^2) dx``.
+
+Integrating the second term by parts with ``a / (x + a)^2 = d/dx [x / (x + a)]``
+gives ``v^{eta+1} / (v + a) - eta integral_0^v x^eta / (x + a) dx``, which
+cancels the first term and leaves ``K`` above.  It is a product of positive
+factors, so it keeps full relative precision for every ``v / (-u)``, and
+``K(lambda u, lambda v) = K(u, v) / lambda``.
 """
 
 from __future__ import annotations
@@ -61,16 +61,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .context import HurstContext, pow0, xi
+from .context import HurstContext, xi
 from .errors import AccuracyError, ValidationError
-from .fbm import fbm_cov, fbm_cov_matrix, levy_cov_matrix
+from .fbm import fbm_cov, fbm_cov_matrix
 from .gaussian import cholesky_with_jitter
 from .grids import GridPath, SampledPath
 from .quadrature import (
     DEFAULT_QUAD,
     QuadratureSpec,
     aligned_breaks,
-    graded_breaks,
     panel_nodes,
 )
 
@@ -119,99 +118,42 @@ def _as_past(path) -> SampledPath:
 # The prediction kernel K(u, v)
 # ---------------------------------------------------------------------------
 
-def _kernel_s_integral(
-    kspec: DriftKernelSpec, u: float, v: np.ndarray
-) -> np.ndarray:
-    """``integral_{-inf}^0 J(v, u, s) ds`` for one ``u < 0`` and a vector ``v > 0``."""
-    ctx, quad = kspec.ctx, kspec.quad
-    eta = ctx.eta
-    xi_uv = xi(eta - 1.0, -u, v)                      # (nv,)
+def drift_kernel_value(kspec: DriftKernelSpec, u, v) -> np.ndarray:
+    """The prediction kernel ``K(u, v)`` for ``u < 0`` and ``v > 0``, in closed form.
 
-    # s < u: closed form, no truncation.
-    below = -xi_uv * xi(-eta, -u, -u) / eta
-
-    # s in [u, u/2]: printed grouping, graded toward the singularity at u.
-    b1 = graded_breaks(
-        u, 0.5 * u, toward="left",
-        ratio=quad.grading_ratio, levels=quad.grading_levels,
-    )
-    s1, w1 = panel_nodes(b1, quad.nodes_per_panel)
-    j1 = (
-        xi(eta - 1.0, (s1 - u)[:, None], v[None, :])
-        * xi(-eta - 1.0, -s1, s1 - u)[:, None]
-        - xi_uv[None, :] * xi(-eta - 1.0, -s1, -u)[:, None]
-    )
-    mid_low = w1 @ j1
-
-    # s in [u/2, 0]: regrouped form, graded toward the singularity at 0.
-    b2 = graded_breaks(
-        0.5 * u, 0.0, toward="right",
-        ratio=quad.grading_ratio, levels=quad.grading_levels,
-    )
-    s2, w2 = panel_nodes(b2, quad.nodes_per_panel)
-    bracket = (
-        xi(eta - 1.0, -u, s2)[:, None]
-        - xi(eta - 1.0, v[None, :] - u, s2[:, None])
-    )
-    j2 = (
-        xi(eta - 1.0, (s2 - u)[:, None], v[None, :])
-        * pow0(-u, -eta - 1.0)
-        - xi_uv[None, :] * pow0(-s2 - u, -eta - 1.0)[:, None]
-        + pow0(-s2, -eta - 1.0)[:, None] * bracket
-    )
-    mid_high = w2 @ j2
-
-    return below + mid_low + mid_high
-
-
-def drift_kernel_value(kspec: DriftKernelSpec, u: float, v) -> np.ndarray:
-    """The prediction kernel ``K(u, v)`` for one ``u < 0`` and ``v > 0`` (vectorized in v)."""
+    ``u`` and ``v`` broadcast against each other; the result is at least 1-d.
+    See the module docstring for the formula and its derivation.
+    """
+    u = np.asarray(u, dtype=float)
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    if not (u < 0):
-        raise ValidationError(f"u must be negative, got {u}")
+    if not np.all(u < 0):
+        raise ValidationError(f"u must be negative, got {u.max()}")
     if np.any(v <= 0):
         raise ValidationError("v must be positive")
     ctx = kspec.ctx
     eta = ctx.eta
     if eta == 0.0:
-        return np.zeros_like(v)
-    s_int = _kernel_s_integral(kspec, u, v)
-    boundary = v * (v - u) ** (eta - 1.0) * (-u) ** (-eta - 1.0)
-    return eta * ctx.c_h * (eta * s_int - boundary)
+        return np.zeros(np.broadcast(u, v).shape)
+    return -eta * ctx.c_h * (v / -u) ** (eta + 1.0) / (v - u)
 
 
 # ---------------------------------------------------------------------------
 # The drift operator
 # ---------------------------------------------------------------------------
 
-_weights_cache: dict = {}
-
-
 def _drift_quadrature(kspec: DriftKernelSpec, times: np.ndarray, v_grid: np.ndarray):
     """(nodes, K-weighted quadrature matrix) for the operator on sampled data.
 
     Panels are aligned with the observation intervals so the rule is
     spectrally accurate on the piecewise-linear interpolant; the matrix ``M``
-    satisfies ``(D X)(v_i) ~= sum_j M[i, j] X(u_j)``.  Cached on
-    (Hurst, quadrature spec, observation grid, evaluation grid).
+    satisfies ``(D X)(v_i) ~= sum_j M[i, j] X(u_j)``.
     """
     quad = kspec.quad
-    key = (
-        kspec.ctx.hurst, quad.grading_ratio, quad.grading_levels,
-        quad.nodes_per_panel, times.tobytes(), v_grid.tobytes(),
-    )
-    hit = _weights_cache.get(key)
-    if hit is not None:
-        return hit
     breaks = aligned_breaks(
         times, ratio=quad.grading_ratio, levels=quad.grading_levels
     )
     nodes, weights = panel_nodes(breaks, quad.nodes_per_panel)
-    matrix = np.empty((v_grid.size, nodes.size))
-    for j, u in enumerate(nodes):
-        matrix[:, j] = weights[j] * drift_kernel_value(kspec, u, v_grid)
-    _weights_cache[key] = (nodes, matrix)
-    return nodes, matrix
+    return nodes, weights * drift_kernel_value(kspec, nodes, v_grid[:, None])
 
 
 def drift_tail_sd(kspec: DriftKernelSpec, v: float, u_max: float) -> float:

@@ -124,7 +124,11 @@ def _zero_to(f, length, sing_power, quad, *, anchors=(), scale=None):
     else:
         def g(w, _f=f, _p=p):
             w = np.asarray(w, dtype=float)
-            return _f(w**_p) * _p * w ** (_p - 1.0)
+            # For H near 0 or 1, p is large and w**p underflows at the
+            # innermost graded nodes; the inf/nan this yields fails
+            # integrate_checked.
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                return _f(w**_p) * _p * w ** (_p - 1.0)
 
     w_end = length ** (1.0 / p)
     w_anchors = [a ** (1.0 / p) for a in anchors if 0.0 < a < length * (1.0 - 1.0e-12)]

@@ -171,7 +171,8 @@ def integrate_checked(
     Raises
     ------
     AccuracyError
-        If the total error estimate exceeds the budget.
+        If the total error estimate exceeds the budget, or the integral or
+        its error estimate is not finite.
     """
     coarse = integrate(f, breaks, spec.nodes_per_panel)
     fine = integrate(f, breaks, 2 * spec.nodes_per_panel)
@@ -179,7 +180,9 @@ def integrate_checked(
     if budget is None:
         ref = max(abs(fine), scale if scale is not None else 0.0)
         budget = spec.rel_tol * ref if ref > 0 else spec.rel_tol
-    if err > budget:
+    # NaN compares False to everything, so a non-finite integral or error
+    # estimate is rejected explicitly rather than returned as a value.
+    if not (np.isfinite(fine) and err <= budget):
         raise AccuracyError(
             f"quadrature error estimate {err:.3e} exceeds budget {budget:.3e}",
             estimate=err,

@@ -2,6 +2,8 @@
 
 The frozen c1 literals were produced by an independent 40-digit tanh-sinh
 evaluation (mpmath) of 1 / sqrt(1/(2H) + integral_0^inf ((1+s)^eta - s^eta)^2 ds).
+The same definition is evaluated in mpmath at H near 0 and 1, and the
+Mandelbrot-Van Ness closed form in mpmath across the whole range of H.
 
 The oracle for ``xi`` is its defining formula ``(a + b)**r - a**r`` evaluated
 in mpmath from the same float inputs.  Float subtraction cannot serve as the
@@ -31,7 +33,53 @@ C1_FROZEN = {
 @pytest.mark.parametrize("hurst,expected", sorted(C1_FROZEN.items()))
 def test_c1_matches_high_precision_oracle(hurst, expected):
     ctx = make_context(hurst)
-    assert ctx.c1 == pytest.approx(expected, rel=1.0e-9)
+    assert ctx.c1 == pytest.approx(expected, rel=1.0e-14)
+
+
+def _c1_definition_mpmath(hurst):
+    """``1 / sqrt(1/(2H) + integral_0^inf ((1+s)^eta - s^eta)^2 ds)`` in mpmath.
+
+    ``s = y**q`` on ``[0, 1]`` (``q = 1/(1 + 2 eta)`` for ``eta < 0``) and
+    ``s = y**-p`` on ``[1, inf)`` (``p = 1/(1 - 2 eta)`` for ``eta > 0``) make
+    both integrands bounded at ``y = 0``.  As ``H -> 1`` the tail reaches
+    ``s ~ 1e150``, so ``(1 + 1/s)**eta - 1`` goes through ``expm1``/``log1p``.
+    """
+    mp = mpmath.mp
+    with mpmath.workdps(30):
+        h = mp.mpf(hurst)
+        eta = h - mp.mpf(0.5)
+        q = 1 / (1 + 2 * eta) if eta < 0 else 1
+        p = 1 / (1 - 2 * eta) if eta > 0 else 1
+        head = mp.quad(
+            lambda y: ((1 + y**q) ** eta - y ** (q * eta)) ** 2 * q * y ** (q - 1),
+            [0, 1],
+        )
+        tail = mp.quad(
+            lambda y: y ** (-p * (2 * eta + 2))
+            * mp.expm1(eta * mp.log1p(y**p)) ** 2
+            * p * y ** (p - 1),
+            [0, 1],
+        )
+        return float(1 / mp.sqrt(1 / (2 * h) + head + tail))
+
+
+@pytest.mark.parametrize("hurst", [0.005, 0.05, 0.885, 0.9, 0.95, 0.99, 0.995])
+def test_c1_matches_its_definition_near_the_ends(hurst):
+    assert make_context(hurst).c1 == pytest.approx(
+        _c1_definition_mpmath(hurst), rel=1.0e-14, abs=0.0
+    )
+
+
+def test_c1_matches_closed_form_across_the_hurst_range():
+    # c1 = sqrt(2 H sin(pi H) Gamma(2 H)) / Gamma(H + 1/2), in 40 digits, on
+    # a 0.005 grid (which includes 0.885-0.995) plus points next to 0 and 1.
+    mp = mpmath.mp
+    grid = np.concatenate([[1e-6, 1e-3], np.arange(1, 200) * 0.005, [1 - 1e-3, 1 - 1e-6]])
+    for hurst in grid:
+        with mpmath.workdps(40):
+            h = mp.mpf(float(hurst))
+            ref = mp.sqrt(2 * h * mp.sinpi(h) * mp.gamma(2 * h)) / mp.gamma(h + mp.mpf(0.5))
+        assert make_context(hurst).c1 == pytest.approx(float(ref), rel=1.0e-14, abs=0.0), hurst
 
 
 def test_brownian_case_is_exact():

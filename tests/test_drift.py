@@ -1,15 +1,20 @@
 """Conditional-prediction routes: kernel, driver, regression, inversion.
 
 The finite-dimensional Gaussian regression is the brute-force oracle for
-both integral routes; the kernel's inner integral is checked against
-adaptive quadrature of its printed integrand.
+both integral routes.  The closed-form kernel is checked against its printed
+``J``-definition three ways: 50-digit mpmath, scipy's adaptive quadrature,
+and the graded three-piece s-quadrature that the library used before the
+closed form.
 """
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate as scipy_integrate
 
-from fbmkit.context import make_context, xi
+from fbmkit.context import make_context, pow0, xi
 from fbmkit.drift import (
     DriftKernelSpec,
     conditional_future_cov,
@@ -26,6 +31,7 @@ from fbmkit.errors import AccuracyError, ValidationError
 from fbmkit.fbm import fbm_cov, fbm_cov_matrix, joint_wz_cov, levy_cov_matrix
 from fbmkit.gaussian import cholesky_with_jitter
 from fbmkit.grids import SampledPath
+from fbmkit.quadrature import DEFAULT_QUAD, graded_breaks, panel_nodes
 from fbmkit.rng import make_rng
 
 
@@ -46,6 +52,82 @@ def sample_fbm_past(hurst, times, rng, paths):
 
 def rel_l2(a, b):
     return float(np.sqrt(np.mean((a - b) ** 2) / np.mean(b**2)))
+
+
+def kernel_printed_mpmath(hurst, u, v):
+    """``K(u, v)`` from its printed ``J``-definition in 50-digit mpmath.
+
+    ``K = eta c_h (eta integral_{-inf}^0 J ds - v (v - u)^{eta-1} (-u)^{-eta-1})``
+    with ``J`` written literally; the float inputs are taken exactly.  The
+    digits beyond double precision absorb the cancellation between the two
+    ``(-s)^{-eta-1}`` terms of ``J`` at the tanh-sinh nodes next to ``s = 0``.
+    """
+    mp = mpmath.mp
+    with mpmath.workdps(50):
+        eta = mp.mpf(hurst) - mp.mpf(0.5)
+        u, v = mp.mpf(u), mp.mpf(v)
+        c_h = 1 / (mp.gamma(eta + 1) * mp.gamma(1 - eta))
+        xi_uv = (v - u) ** (eta - 1) - (-u) ** (eta - 1)
+
+        def j(s):
+            out = -xi_uv * ((-s - u) ** (-eta - 1) - (-s) ** (-eta - 1))
+            if s > u:
+                out += ((s - u + v) ** (eta - 1) - (s - u) ** (eta - 1)) * (
+                    (-u) ** (-eta - 1) - (-s) ** (-eta - 1)
+                )
+            return out
+
+        s_int = mp.quad(j, [-mp.inf, u, u / 2, 0])
+        boundary = v * (v - u) ** (eta - 1) * (-u) ** (-eta - 1)
+        return float(eta * c_h * (eta * s_int - boundary))
+
+
+def kernel_three_piece(ctx, u, v):
+    """``K(u, v)`` with its inner ``s``-integral by graded Gauss-Legendre.
+
+    The library's route before the closed form, kept as a second oracle.
+    The ``s``-integral is split at ``u`` and ``u/2``:
+
+    * on ``(-inf, u)`` the indicator vanishes and the integral has the
+      closed form ``-xi_{eta-1}(-u, v) xi_{-eta}(-u, -u) / eta``;
+    * on ``[u, u/2]`` the printed grouping of ``J``, graded toward ``u``;
+    * on ``[u/2, 0]``, with ``xi_{-eta-1}(-s, s-u) = (-u)^{-eta-1} - (-s)^{-eta-1}``,
+      ``J`` is regrouped so that the ``(-s)^{-eta-1}`` blow-up multiplies a
+      bracket vanishing linearly at ``s = 0``, graded toward 0.
+
+    Its graded meshes stop resolving the integrand when ``u`` is far from
+    the scale of ``v`` (off by 1e-4 relative at ``u = -1e7``, H = 0.02), so
+    it serves as an oracle for moderate ``u`` only.
+    """
+    eta, quad = ctx.eta, DEFAULT_QUAD
+    v = np.asarray(v, dtype=float)
+    xi_uv = xi(eta - 1.0, -u, v)
+    below = -xi_uv * xi(-eta, -u, -u) / eta
+
+    b1 = graded_breaks(u, 0.5 * u, toward="left",
+                       ratio=quad.grading_ratio, levels=quad.grading_levels)
+    s1, w1 = panel_nodes(b1, quad.nodes_per_panel)
+    j1 = (
+        xi(eta - 1.0, (s1 - u)[:, None], v[None, :])
+        * xi(-eta - 1.0, -s1, s1 - u)[:, None]
+        - xi_uv[None, :] * xi(-eta - 1.0, -s1, -u)[:, None]
+    )
+
+    b2 = graded_breaks(0.5 * u, 0.0, toward="right",
+                       ratio=quad.grading_ratio, levels=quad.grading_levels)
+    s2, w2 = panel_nodes(b2, quad.nodes_per_panel)
+    bracket = (
+        xi(eta - 1.0, -u, s2)[:, None]
+        - xi(eta - 1.0, v[None, :] - u, s2[:, None])
+    )
+    j2 = (
+        xi(eta - 1.0, (s2 - u)[:, None], v[None, :]) * pow0(-u, -eta - 1.0)
+        - xi_uv[None, :] * pow0(-s2 - u, -eta - 1.0)[:, None]
+        + pow0(-s2, -eta - 1.0)[:, None] * bracket
+    )
+    s_int = below + w1 @ j1 + w2 @ j2
+    boundary = v * (v - u) ** (eta - 1.0) * (-u) ** (-eta - 1.0)
+    return eta * ctx.c_h * (eta * s_int - boundary)
 
 
 class TestKernelValue:
@@ -84,6 +166,63 @@ class TestKernelValue:
                 )
                 got = float(drift_kernel_value(kspec, u, np.array([v]))[0])
                 assert got == pytest.approx(brute, rel=1e-6)
+
+    @pytest.mark.parametrize("hurst", [0.02, 0.05, 0.1, 0.25, 0.75, 0.95])
+    def test_against_mpmath_at_extreme_nodes(self, hurst):
+        # The deepest past node of the default CLI grid, a mid-range node and
+        # the innermost graded node, where v / (-u) reaches 1.2e21.
+        kspec = DriftKernelSpec(ctx=make_context(hurst))
+        for u, v in ((-1.0e7, 0.125), (-1.0e-3, 1.0), (-1.7e-21, 2.0)):
+            got = float(drift_kernel_value(kspec, u, v)[0])
+            assert got == pytest.approx(
+                kernel_printed_mpmath(hurst, u, v), rel=1e-12, abs=0.0
+            ), (u, v)
+
+    @pytest.mark.parametrize("hurst", [0.1, 0.25, 0.6, 0.75, 0.9])
+    def test_against_three_piece_quadrature(self, hurst):
+        ctx = make_context(hurst)
+        kspec = DriftKernelSpec(ctx=ctx)
+        v = np.array([0.125, 0.5, 1.0, 2.0])
+        for u in (-100.0, -1.0, -0.01):
+            assert np.allclose(
+                drift_kernel_value(kspec, u, v),
+                kernel_three_piece(ctx, u, v),
+                rtol=1e-7, atol=0.0,
+            ), u
+
+    @given(
+        hurst=st.floats(0.01, 0.99).filter(lambda h: h != 0.5),
+        log_u=st.floats(-8.0, 8.0),
+        log_v=st.floats(-8.0, 8.0),
+        log_lam=st.floats(-3.0, 3.0),
+    )
+    def test_self_similarity(self, hurst, log_u, log_v, log_lam):
+        # K(lambda u, lambda v) = K(u, v) / lambda.
+        kspec = DriftKernelSpec(ctx=make_context(hurst))
+        u, v, lam = -(10.0**log_u), 10.0**log_v, 10.0**log_lam
+        scaled = float(drift_kernel_value(kspec, lam * u, lam * v)[0])
+        base = float(drift_kernel_value(kspec, u, v)[0])
+        assert scaled == pytest.approx(base / lam, rel=1e-12, abs=0.0)
+
+    def test_broadcasts_over_u_and_v(self):
+        kspec = DriftKernelSpec(ctx=make_context(0.3))
+        u = -np.geomspace(1e-6, 1e3, 7)
+        v = np.array([0.25, 1.0, 4.0])
+        grid = drift_kernel_value(kspec, u, v[:, None])
+        assert grid.shape == (3, 7)
+        for j, uj in enumerate(u):
+            assert np.array_equal(grid[:, j], drift_kernel_value(kspec, uj, v))
+        zero = drift_kernel_value(DriftKernelSpec(ctx=make_context(0.5)), u, v[:, None])
+        assert zero.shape == (3, 7) and not zero.any()
+
+    def test_validation(self):
+        kspec = DriftKernelSpec(ctx=make_context(0.75))
+        with pytest.raises(ValidationError):
+            drift_kernel_value(kspec, 0.0, 1.0)
+        with pytest.raises(ValidationError):
+            drift_kernel_value(kspec, np.array([-1.0, 0.5]), 1.0)
+        with pytest.raises(ValidationError):
+            drift_kernel_value(kspec, -1.0, np.array([1.0, 0.0]))
 
 
 class TestRegression:

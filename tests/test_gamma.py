@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fbmkit.context import make_context
-from fbmkit.errors import ValidationError
+from fbmkit.errors import AccuracyError, ValidationError
 from fbmkit.gamma import (
     GammaConfig,
     c_e,
@@ -87,6 +87,21 @@ class TestGammaCov:
             assert gamma_cov_direct(cfg, i, j) == pytest.approx(
                 lag_route, rel=1e-9
             )
+
+    def test_near_the_ends_returns_finite_values_or_raises(self):
+        # Near H = 0 and H = 1 the half-line quadrature stops resolving its
+        # integrand (inf at H = 0.02, NaN at H = 0.98); it must raise
+        # AccuracyError there, never return a non-finite value.  Where it
+        # succeeds, the variance matches the route through c1.
+        grid = np.concatenate([np.arange(1, 10) * 0.005, np.arange(177, 200) * 0.005])
+        for hurst in np.round(grid, 3):
+            cfg = cfg_for(float(hurst), 0.1)
+            try:
+                values = [gamma_cov(cfg, 0, d) for d in range(4)]
+            except AccuracyError:
+                continue
+            assert np.all(np.isfinite(values)), hurst
+            assert values[0] == pytest.approx(sigma2_reference(cfg.ctx), rel=1e-12), hurst
 
     def test_brownian_field_vanishes(self):
         cfg = cfg_for(0.5, 0.5)

@@ -64,6 +64,15 @@ def test_integrate_checked_raises_on_unresolved_singularity():
         )
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_integrate_checked_rejects_non_finite_integrands(bad):
+    # NaN compares False with the budget; it must still raise, not be returned.
+    with pytest.raises(AccuracyError):
+        integrate_checked(
+            lambda x: np.where(x < 0.5, bad, 1.0), np.array([0.0, 1.0])
+        )
+
+
 def test_integrate_checked_budget_includes_extra_error():
     with pytest.raises(AccuracyError):
         integrate_checked(
