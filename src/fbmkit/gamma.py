@@ -39,7 +39,6 @@ from .context import HurstContext, xi
 from .errors import ValidationError
 from .gaussian import CovMatrix
 from .quadrature import (
-    DEFAULT_QUAD,
     QuadratureSpec,
     geometric_breaks,
     graded_breaks,
@@ -72,10 +71,10 @@ __all__ = [
     "sample_gammahat_path",
 ]
 
-# Far field is handled by the 1/x substitution (no truncation), so u_max is
-# irrelevant here; the higher panel order keeps the refinement check inside
-# its budget even for Hurst values near the integrability edge.
-GAMMA_QUAD = DEFAULT_QUAD.with_updates(nodes_per_panel=12)
+# Far field is handled by the 1/x substitution (no truncation); the higher
+# panel order keeps the refinement check inside its budget even for Hurst
+# values near the integrability edge.
+GAMMA_QUAD = QuadratureSpec(nodes_per_panel=12)
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,14 @@ power-law tails:
   instead of silently wrong numbers.
 
 Truncating an infinite domain is handled by the *caller* supplying an
-analytic bound for the discarded tail (see ``power_tail_bound``); the bound
-is treated as an error contribution, never added back as a correction.
+analytic bound for the discarded tail as ``integrate_checked``'s
+``extra_error``; the bound is treated as an error contribution, never added
+back as a correction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -38,8 +39,6 @@ __all__ = [
     "graded_breaks",
     "geometric_breaks",
     "aligned_breaks",
-    "mesh_with_singularities",
-    "power_tail_bound",
 ]
 
 
@@ -49,8 +48,6 @@ class QuadratureSpec:
 
     Attributes
     ----------
-    u_max:
-        Truncation horizon for integrals over unbounded past ``(-inf, 0]``.
     grading_ratio:
         Successive panel-width ratio of graded meshes (in ``(0, 1)``).
     grading_levels:
@@ -67,7 +64,6 @@ class QuadratureSpec:
         perturbs the *law* of the result, not just its value).
     """
 
-    u_max: float = 1.0e3
     grading_ratio: float = 0.5
     grading_levels: int = 40
     nodes_per_panel: int = 8
@@ -76,8 +72,6 @@ class QuadratureSpec:
     path_tol: float = 0.05
 
     def __post_init__(self) -> None:
-        if not (self.u_max > 0):
-            raise ValidationError(f"u_max must be positive, got {self.u_max}")
         if not (0.0 < self.grading_ratio < 1.0):
             raise ValidationError(
                 f"grading_ratio must lie in (0, 1), got {self.grading_ratio}"
@@ -98,10 +92,6 @@ class QuadratureSpec:
             raise ValidationError(f"rel_tol must be positive, got {self.rel_tol}")
         if not (self.path_tol > 0):
             raise ValidationError(f"path_tol must be positive, got {self.path_tol}")
-
-    def with_updates(self, **kwargs) -> "QuadratureSpec":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **kwargs)
 
 
 DEFAULT_QUAD = QuadratureSpec()
@@ -285,63 +275,3 @@ def geometric_breaks(
         width *= growth
     pts.append(end)
     return np.asarray(pts, dtype=float)
-
-
-def mesh_with_singularities(
-    a: float,
-    b: float,
-    sing: tuple[float, ...],
-    spec: QuadratureSpec = DEFAULT_QUAD,
-) -> np.ndarray:
-    """Partition ``[a, b]`` graded toward each singular point in ``sing``.
-
-    Singular points must be endpoints or interior points of ``[a, b]``;
-    interior singularities split the interval and each side is graded
-    toward the singularity.
-    """
-    if not (b > a):
-        raise ValidationError(f"need b > a, got a={a}, b={b}")
-    tol = 1.0e-12 * max(abs(a), abs(b), 1.0)
-    interior = sorted(s for s in sing if a + tol < s < b - tol)
-    grade_left = any(abs(s - a) <= tol for s in sing)
-    grade_right = any(abs(s - b) <= tol for s in sing)
-    anchors = [a, *interior, b]
-    pieces: list[np.ndarray] = []
-    for lo, hi in zip(anchors[:-1], anchors[1:]):
-        toward_lo = grade_left if lo == a else True
-        toward_hi = grade_right if hi == b else True
-        if toward_lo and toward_hi:
-            toward = "both"
-        elif toward_lo:
-            toward = "left"
-        elif toward_hi:
-            toward = "right"
-        else:
-            pieces.append(np.asarray([lo, hi]))
-            continue
-        pieces.append(
-            graded_breaks(
-                lo, hi, toward=toward,
-                ratio=spec.grading_ratio, levels=spec.grading_levels,
-            )
-        )
-    out = pieces[0]
-    for piece in pieces[1:]:
-        out = np.concatenate([out, piece[1:]])
-    return out
-
-
-def power_tail_bound(u_max: float, exponent: float, coefficient: float = 1.0) -> float:
-    """Bound ``coefficient * integral_{u_max}^{inf} u**exponent du`` for ``exponent < -1``.
-
-    Used to bound the mass discarded when an infinite integral is truncated
-    at ``u_max``; the caller feeds the result to ``integrate_checked`` as
-    ``extra_error``.
-    """
-    if exponent >= -1.0:
-        raise ValidationError(
-            f"tail integral diverges: exponent {exponent} >= -1"
-        )
-    if not (u_max > 0):
-        raise ValidationError(f"u_max must be positive, got {u_max}")
-    return abs(coefficient) * u_max ** (exponent + 1.0) / (-(exponent + 1.0))

@@ -1,12 +1,14 @@
-"""Command-line defaults: every subcommand runs with only its required flags.
+"""Command-line behaviour: defaults, exit codes and reproducible artifacts.
 
-``selftest`` is left out: it runs the whole acceptance battery, which takes
-tens of seconds.
+Every subcommand runs with only its required flags.  ``selftest`` is left
+out: it runs the whole acceptance battery, which takes tens of seconds.
 """
 
 import pytest
 
+from fbmkit import cli
 from fbmkit.cli import main
+from fbmkit.errors import AccuracyError
 
 REQUIRED_ONLY = [
     "sample fbm --hurst 0.75 --n 64 --dt 0.01",
@@ -40,3 +42,25 @@ def test_defaults_are_a_valid_invocation(command, capsys):
     code = main(command.split())
     err = capsys.readouterr().err
     assert code == 0, err
+
+
+def test_validation_error_exits_2(capsys):
+    assert main("drift kernel --hurst 1.5".split()) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_accuracy_error_exits_3(monkeypatch, capsys):
+    def refuse(args):
+        raise AccuracyError("budget not met", estimate=1.0, budget=0.5)
+
+    monkeypatch.setattr(cli, "_cmd_bounds_thick", refuse)
+    assert main(["bounds", "thick"]) == 3
+    assert capsys.readouterr().err.startswith("accuracy error:")
+
+
+def test_levy_artifact_is_byte_identical_across_runs(tmp_path):
+    argv = "sample levy --hurst 0.25 --n 64 --dt 0.01 --seed 3 --out".split()
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(argv + [str(first)]) == 0
+    assert main(argv + [str(second)]) == 0
+    assert first.read_bytes() == second.read_bytes()

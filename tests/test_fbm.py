@@ -3,9 +3,13 @@
 Monte-Carlo checks compare sample moments against the closed-form or
 quadrature covariances within four standard errors of the product moments;
 fixed-value checks use literals frozen from independent arbitrary-precision
-quadrature.
+quadrature.  The one-sided (Levy) covariance is also checked against Euler's
+integral in 40-digit mpmath (itself checked against mpmath quadrature of the
+definition) and against the graded Gauss-Legendre quadrature that computed it
+before the closed form.
 """
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -35,6 +39,7 @@ from fbmkit.fbm import (
 )
 from fbmkit.gaussian import cholesky_with_jitter, cov_standard_errors, estimate_cov
 from fbmkit.grids import GridPath, SampledPath
+from fbmkit.quadrature import graded_breaks, panel_nodes
 from fbmkit.rng import make_rng
 
 # Reference values for the one-sided moving-average covariance
@@ -48,6 +53,57 @@ LEVY_COV_FROZEN = {
     (0.75, 1.0, 1.0): 0.7627597635018131880623,
     (0.75, 0.25, 2.0): 0.1896667365499727613147,
 }
+
+HURST_GRID = [k / 200 for k in range(1, 200)]
+ONE_ULP = float(np.nextafter(1.0, 2.0))
+# (s, t) pairs with gaps of 1 ulp, 1e-12, 2^-10 (a point perfbench's mc
+# oracle pins) and 0.5, the last on either side of the w = (t - s)/t = 1/2
+# switch between the two closed forms.
+LEVY_ORACLE_PAIRS = [
+    (1.0, ONE_ULP),
+    (1.0, 1.0 + 1e-12),
+    (1.0, 1.0 + 2.0**-10),
+    (1.0, 1.5),
+    (0.5, 1.0),
+]
+
+
+def levy_cov_mpmath(hurst, s, t, quad=False):
+    """``c1^2 * integral_0^s (s-u)^eta (t-u)^eta du`` (``s <= t``) in 40-digit mpmath.
+
+    By default through Euler's integral
+    ``t^eta s^{eta+1} / (eta+1) * 2F1(-eta, 1; eta+2; s/t)``; with ``quad``
+    by tanh-sinh quadrature of the definition in ``x = s - u``,
+    ``integral_0^s x^eta (x + t - s)^eta dx``, split where the factor
+    ``(x + t - s)^eta`` changes scale.
+    """
+    mp = mpmath.mp
+    with mpmath.workdps(40):
+        h, s, t = mp.mpf(hurst), mp.mpf(s), mp.mpf(t)
+        eta = h - mp.mpf(0.5)
+        c1sq = 2 * h * mp.sinpi(h) * mp.gamma(2 * h) / mp.gamma(h + mp.mpf(0.5)) ** 2
+        if quad:
+            gap = t - s
+            cuts = [0, gap, s] if 0 < gap < s else [0, s]
+            val = mp.quad(lambda x: x**eta * (x + gap) ** eta, cuts)
+        else:
+            val = t**eta * s ** (eta + 1) / (eta + 1) * mp.hyp2f1(-eta, 1, eta + 2, s / t)
+        return c1sq * val
+
+
+def levy_cov_graded(ctx, s, t):
+    """The former quadrature route: Gauss-Legendre on a mesh graded toward ``u = s``.
+
+    With ``x = s - u`` the integral is ``integral_0^s x^eta (x + t - s)^eta dx``,
+    on 40 levels of halving toward the ``x^eta`` singularity, 16 nodes a panel.
+    """
+    s, t = min(s, t), max(s, t)
+    nodes, weights = panel_nodes(
+        graded_breaks(0.0, s, toward="left", ratio=0.5, levels=40), 16
+    )
+    return ctx.c1**2 * float(
+        weights @ (nodes**ctx.eta * (nodes + (t - s)) ** ctx.eta)
+    )
 
 
 def assert_within_se(estimate, exact, se, z=4.0, slack=0.0):
@@ -134,7 +190,50 @@ class TestLevyCov:
         for (hurst, s, t), expected in LEVY_COV_FROZEN.items():
             ctx = make_context(hurst)
             got = levy_cov(s, t, ctx)
-            assert got == pytest.approx(expected, rel=5e-9)
+            assert got == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("s,t", LEVY_ORACLE_PAIRS)
+    def test_matches_mpmath_across_the_hurst_range(self, s, t):
+        worst = max(
+            (
+                abs(levy_cov(s, t, make_context(h)) / float(levy_cov_mpmath(h, s, t)) - 1),
+                h,
+            )
+            for h in HURST_GRID
+        )
+        assert worst[0] <= 1e-12, f"rel error {worst[0]:.3g} at H={worst[1]}"
+
+    @pytest.mark.parametrize("hurst", [0.005, 0.1, 0.25, 0.75, 0.995])
+    @pytest.mark.parametrize("s,t", [(1.0, 1.0 + 1e-12), (1.0, 1.0 + 2.0**-10), (0.5, 1.0)])
+    def test_mpmath_oracle_matches_the_definition(self, hurst, s, t):
+        # Pins Euler's integral itself, which the oracle above shares with the code.
+        euler = levy_cov_mpmath(hurst, s, t)
+        assert abs(levy_cov_mpmath(hurst, s, t, quad=True) / euler - 1) < 1e-25
+
+    @pytest.mark.parametrize("hurst", [0.25, 0.75])
+    @pytest.mark.parametrize(
+        "s,t", [(0.5, 1.5), (0.25, 2.0), (1.0, 1.0 + 2.0**-10), (1e-3, 1.0)]
+    )
+    def test_matches_graded_quadrature(self, hurst, s, t):
+        # Closer to the diagonal the graded route itself degrades at H < 1/2
+        # (its innermost panel does not resolve x^eta): 1e-10 off at a gap
+        # of 1e-7, 2.5e-8 on the diagonal.
+        ctx = make_context(hurst)
+        assert levy_cov(s, t, ctx) == pytest.approx(levy_cov_graded(ctx, s, t), rel=1e-10)
+
+    @given(
+        st.sampled_from(HURST_GRID),
+        st.floats(1e-3, 1e3),
+        st.floats(1e-3, 1e3),
+        st.integers(-30, 30),
+    )
+    def test_self_similarity(self, hurst, s, t, k):
+        # lambda = 2^k scales s and t exactly, so only levy_cov's own error shows.
+        ctx = make_context(hurst)
+        lam = 2.0**k
+        assert levy_cov(lam * s, lam * t, ctx) == pytest.approx(
+            lam ** (2 * hurst) * levy_cov(s, t, ctx), rel=1e-12
+        )
 
     def test_symmetry_and_zero_time(self):
         ctx = make_context(0.75)
@@ -153,7 +252,7 @@ class TestLevyCov:
     def test_brownian_case_is_min(self):
         ctx = make_context(0.5)
         for s, t in ((0.5, 1.5), (1.0, 1.0), (0.25, 2.0)):
-            assert levy_cov(s, t, ctx) == pytest.approx(min(s, t), rel=1e-9)
+            assert levy_cov(s, t, ctx) == pytest.approx(min(s, t), rel=1e-14)
 
     def test_matrix_agrees_with_scalar(self):
         ctx = make_context(0.75)
@@ -163,7 +262,7 @@ class TestLevyCov:
         for i, s in enumerate(grid):
             for j, t in enumerate(grid):
                 assert mat[i, j] == pytest.approx(
-                    levy_cov(s, t, ctx), rel=1e-9, abs=1e-12
+                    levy_cov(s, t, ctx), rel=1e-14, abs=1e-300
                 )
         _, jitter = cholesky_with_jitter(mat[1:, 1:])
         assert jitter <= 1e-10

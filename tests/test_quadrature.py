@@ -12,7 +12,6 @@ from scipy import integrate as sci
 
 from fbmkit.errors import AccuracyError, ValidationError
 from fbmkit.quadrature import (
-    DEFAULT_QUAD,
     QuadratureSpec,
     aligned_breaks,
     geometric_breaks,
@@ -20,7 +19,6 @@ from fbmkit.quadrature import (
     integrate,
     integrate_checked,
     panel_nodes,
-    power_tail_bound,
 )
 
 
@@ -113,14 +111,6 @@ def test_geometric_breaks_growth():
     assert np.all(widths[1:] >= widths[:-1] * 0.999)
 
 
-def test_power_tail_bound_matches_closed_form():
-    # integral_U^inf u^(-q) du = U^(1-q) / (q - 1) for q > 1
-    for u, q in ((10.0, 1.5), (100.0, 2.25)):
-        assert power_tail_bound(u, -q) == pytest.approx(
-            u ** (1.0 - q) / (q - 1.0), rel=1.0e-12
-        )
-
-
 def test_panel_nodes_cover_panels():
     breaks = np.array([0.0, 1.0, 3.0])
     nodes, weights = panel_nodes(breaks, 4)
@@ -131,10 +121,6 @@ def test_panel_nodes_cover_panels():
 
 def test_spec_validation():
     with pytest.raises(ValidationError):
-        QuadratureSpec(u_max=-1.0)
-    with pytest.raises(ValidationError):
         QuadratureSpec(grading_ratio=1.5)
     with pytest.raises(ValidationError):
         QuadratureSpec(growth_ratio=0.5)
-    spec = DEFAULT_QUAD.with_updates(u_max=123.0)
-    assert spec.u_max == 123.0 and DEFAULT_QUAD.u_max != 123.0
