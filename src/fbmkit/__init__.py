@@ -3,7 +3,6 @@
 from .context import HurstContext, make_context, pow0, xi
 from .errors import AccuracyError, FbmkitError, ValidationError
 from .grids import GridPath
-from .quadrature import QuadratureSpec
 
 __version__ = "0.1.0"
 
@@ -12,7 +11,6 @@ __all__ = [
     "FbmkitError",
     "GridPath",
     "HurstContext",
-    "QuadratureSpec",
     "ValidationError",
     "make_context",
     "pow0",

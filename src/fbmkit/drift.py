@@ -66,12 +66,7 @@ from .errors import AccuracyError, ValidationError
 from .fbm import fbm_cov, fbm_cov_matrix
 from .gaussian import cholesky_with_jitter
 from .grids import GridPath, SampledPath
-from .quadrature import (
-    DEFAULT_QUAD,
-    QuadratureSpec,
-    aligned_breaks,
-    panel_nodes,
-)
+from .quadrature import PATH_NODES, PATH_TOL, aligned_breaks, panel_nodes
 
 __all__ = [
     "DriftKernelSpec",
@@ -91,10 +86,9 @@ REGRESSION_MAX_POINTS = 2048
 
 @dataclass(frozen=True)
 class DriftKernelSpec:
-    """Prediction-kernel configuration: Hurst context plus quadrature knobs."""
+    """Prediction-kernel configuration: the Hurst context."""
 
     ctx: HurstContext
-    quad: QuadratureSpec = DEFAULT_QUAD
 
 
 def _as_past(path) -> SampledPath:
@@ -148,11 +142,7 @@ def _drift_quadrature(kspec: DriftKernelSpec, times: np.ndarray, v_grid: np.ndar
     spectrally accurate on the piecewise-linear interpolant; the matrix ``M``
     satisfies ``(D X)(v_i) ~= sum_j M[i, j] X(u_j)``.
     """
-    quad = kspec.quad
-    breaks = aligned_breaks(
-        times, ratio=quad.grading_ratio, levels=quad.grading_levels
-    )
-    nodes, weights = panel_nodes(breaks, quad.nodes_per_panel)
+    nodes, weights = panel_nodes(aligned_breaks(times), PATH_NODES)
     return nodes, weights * drift_kernel_value(kspec, nodes, v_grid[:, None])
 
 
@@ -189,7 +179,7 @@ def drift_apply(kspec: DriftKernelSpec, past, v_grid) -> np.ndarray:
     u_max = -past.t0
     worst_v = float(v_grid.max())
     tail = drift_tail_sd(kspec, worst_v, u_max)
-    budget = kspec.quad.path_tol * worst_v**ctx.hurst
+    budget = PATH_TOL * worst_v**ctx.hurst
     if tail > budget:
         raise AccuracyError(
             f"past window [{past.t0}, 0] too short for kernel prediction: "
@@ -219,14 +209,13 @@ def drift_from_obm(kspec: DriftKernelSpec, w_past, v_grid) -> np.ndarray:
     eta = ctx.eta
     if eta == 0.0:
         return np.zeros_like(v_grid)
-    quad = kspec.quad
     u_max = -w_past.t0
     worst_v = float(v_grid.max())
     tail = (
         ctx.c1 * abs(eta) * abs(eta - 1.0) * worst_v
         * u_max ** (eta - 0.5) / (0.5 - eta)
     )
-    budget = quad.path_tol * worst_v**ctx.hurst
+    budget = PATH_TOL * worst_v**ctx.hurst
     if tail > budget:
         raise AccuracyError(
             f"driver window [{w_past.t0}, 0] too short: tail sd bound "
@@ -234,10 +223,7 @@ def drift_from_obm(kspec: DriftKernelSpec, w_past, v_grid) -> np.ndarray:
             estimate=tail,
             budget=budget,
         )
-    breaks = aligned_breaks(
-        w_past.times, ratio=quad.grading_ratio, levels=quad.grading_levels
-    )
-    nodes, weights = panel_nodes(breaks, quad.nodes_per_panel)
+    nodes, weights = panel_nodes(aligned_breaks(w_past.times), PATH_NODES)
     w_vals = w_past.value_at(nodes)
     kernel = xi(eta - 1.0, -nodes[:, None], v_grid[None, :])
     return eta * ctx.c1 * ((weights * w_vals) @ kernel)
@@ -338,7 +324,7 @@ def pipiras_taqqu_invert(
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t_arr > 0) or np.any(t_arr < z_past.t0):
         raise ValidationError("inversion times must lie in [t0, 0]")
-    ctx, quad = kspec.ctx, kspec.quad
+    ctx = kspec.ctx
     eta = ctx.eta
     if eta == 0.0:
         return z_past.value_at(t_arr)
@@ -347,7 +333,7 @@ def pipiras_taqqu_invert(
     worst = float(np.abs(t_arr).max())
     if worst > 0:
         tail = invert_tail_sd(ctx, worst, u_max)
-        budget = quad.path_tol * np.sqrt(worst)
+        budget = PATH_TOL * np.sqrt(worst)
         if tail > budget:
             raise AccuracyError(
                 f"observation window [{z_past.t0}, 0] too short for inversion "
@@ -368,21 +354,15 @@ def pipiras_taqqu_invert(
         if below.size:
             # Panels follow the sample intervals, sub-graded toward the
             # integrable singularity of xi_{-eta-1}(t - s, -t) at s -> t.
-            deep_breaks = aligned_breaks(
-                np.concatenate([below, [ti]]),
-                ratio=quad.grading_ratio, levels=quad.grading_levels,
-            )
-            s_d, w_d = panel_nodes(deep_breaks, quad.nodes_per_panel)
+            deep_breaks = aligned_breaks(np.concatenate([below, [ti]]))
+            s_d, w_d = panel_nodes(deep_breaks, PATH_NODES)
             i_deep = w_d @ (
                 xi(-eta - 1.0, ti - s_d, -ti) * (z_past.value_at(s_d) - z_t)
             )
         else:
             i_deep = 0.0
-        near_breaks = aligned_breaks(
-            np.concatenate([[ti], times[times > ti]]),
-            ratio=quad.grading_ratio, levels=quad.grading_levels,
-        )
-        s_n, w_n = panel_nodes(near_breaks, quad.nodes_per_panel)
+        near_breaks = aligned_breaks(np.concatenate([[ti], times[times > ti]]))
+        s_n, w_n = panel_nodes(near_breaks, PATH_NODES)
         i_near = w_n @ ((-s_n) ** (-eta - 1.0) * z_past.value_at(s_n))
         out[i] = prefactor * (
             eta * (i_deep + i_near) + (-ti) ** (-eta) * z_t

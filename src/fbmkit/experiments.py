@@ -32,15 +32,9 @@ from scipy import stats
 from .almostdiag import phi_functions
 from .context import HurstContext
 from .errors import AccuracyError, ValidationError
-from .gamma import (
-    GAMMA_QUAD,
-    GammaConfig,
-    decay_bound_check,
-    gamma_cov_matrix,
-    reg_bound_constants,
-)
+from .fbm import _levy_integral
+from .gamma import GammaConfig, decay_bound_check, gamma_cov_matrix, reg_bound_constants
 from .gaussian import CovMatrix
-from .quadrature import QuadratureSpec, graded_breaks, integrate_checked
 from .reports import ExperimentReport, wilson_interval
 from .rng import parallel_map, spawn_streams
 from .thick import ThickSet
@@ -93,7 +87,6 @@ class LilConfig:
     n_paths: int
     seed: int
     thick_set: ThickSet | None = None
-    quad: QuadratureSpec = GAMMA_QUAD
 
     def __post_init__(self) -> None:
         if not (0.0 < self.r < 1.0):
@@ -112,58 +105,40 @@ class LilConfig:
             )
 
 
-def _window_cov_integral(ctx: HurstContext, r: float, d: int, quad) -> float:
-    """Cov(recent-window block at depth a, deep-past block at depth b), a-b=d>=1.
-
-    Normalized form: integral over u in (r, 1) of (1-u)^eta (r^{-d} - u)^eta.
-    """
-    eta = ctx.eta
-    big = r**-d
-
-    def f(u):
-        return (1.0 - u) ** eta * (big - u) ** eta
-
-    breaks = 1.0 - graded_breaks(
-        0.0, 1.0 - r, toward="left", ratio=quad.grading_ratio, levels=quad.grading_levels
-    )[::-1]
-    return integrate_checked(f, breaks, quad, scale=big**eta)
-
-
-def _past_cov_integral(ctx: HurstContext, r: float, d: int, quad) -> float:
-    """Cov(deep-past blocks at lag d >= 0), normalized form over v in (0, r)."""
-    eta = ctx.eta
-    big = r**-d
-
-    def f(v):
-        return (big - v) ** eta * (1.0 - v) ** eta
-
-    breaks = graded_breaks(
-        0.0, r, toward="right", ratio=quad.grading_ratio, levels=quad.grading_levels
-    )
-    return integrate_checked(f, breaks, quad, scale=max(big**eta, 1.0))
-
-
 def lil_block_cov(cfg: LilConfig) -> np.ndarray:
     """Exact covariance of the 2(i_max+1) normalized window/past blocks.
 
     Ordering: [T_0..T_m-1, P_0..P_m-1] with T_i the recent-window piece of
     Y_{r^i}/r^{Hi} (integration over (r^{i+1}, r^i)) and P_i the deep-past
     piece (over (0, r^{i+1})).  The T_i are i.i.d. with variance
-    (1-r)^{2H}/(2H); T/P and P/P covariances are Toeplitz in the depth lag,
-    so only O(i_max) one-dimensional integrals are evaluated.
+    (1-r)^{2H}/(2H); T/P and P/P covariances are Toeplitz in the depth lag d.
+    With B = r^{-d} and L(lo, hi) = integral_0^lo (lo-u)^eta (hi-u)^eta du,
+    the one-sided (Levy) integral that :mod:`fbmkit.fbm` evaluates in closed
+    form,
+
+        Cov(T_{i+d}, P_i) = r^{Hd} L(1-r, B-r),
+        Cov(P_{i+d}, P_i) = r^{Hd} (L(1, B) - L(1-r, B-r)).
+
+    Both integrate (1-u)^eta (B-u)^eta: the window over (r, 1), which the
+    shift u -> u + r maps onto L, and the past over (0, r), which is the
+    whole of (0, 1) less the window.  The lag-0 window is the T variance.
+    All lags come from one broadcast evaluation of L.
     """
-    h, r = cfg.ctx.hurst, cfg.r
+    ctx, r = cfg.ctx, cfg.r
     m = cfg.i_max + 1
-    var_t = (1.0 - r) ** (2.0 * h) / (2.0 * h)
-    tp = {d: _window_cov_integral(cfg.ctx, r, d, cfg.quad) for d in range(1, m)}
-    pp = {d: _past_cov_integral(cfg.ctx, r, d, cfg.quad) for d in range(m)}
+    big = r ** -np.arange(m, dtype=float)
+    window, whole = _levy_integral(
+        ctx, np.array([[1.0 - r], [1.0]]), np.stack([big - r, big])
+    ) / ctx.c1**2
+    past = whole - window
+    lag = np.subtract.outer(np.arange(m), np.arange(m))
+    decay = r ** (ctx.hurst * np.abs(lag))
+    cross = np.where(lag >= 1, decay * window[np.abs(lag)], 0.0)
     cov = np.zeros((2 * m, 2 * m))
-    for a in range(m):
-        cov[a, a] = var_t
-        for b in range(m):
-            if a - b >= 1:
-                cov[a, m + b] = cov[m + b, a] = r ** (h * (a - b)) * tp[a - b]
-            cov[m + a, m + b] = r ** (h * abs(a - b)) * pp[abs(a - b)]
+    cov[:m, :m] = window[0] * np.eye(m)
+    cov[:m, m:] = cross
+    cov[m:, :m] = cross.T
+    cov[m:, m:] = decay * past[np.abs(lag)]
     return cov
 
 
@@ -281,7 +256,6 @@ class ArbitrageConfig:
     alpha_prime: float | None = None
     p_prime: float | None = None
     r_tilde: float | None = None
-    quad: QuadratureSpec = GAMMA_QUAD
 
     def __post_init__(self) -> None:
         if not (0.0 < self.r < 1.0):
@@ -344,8 +318,7 @@ def a_n_probability(cfg: ArbitrageConfig, *, threads: int = 1) -> ExperimentRepo
         raise ValidationError(
             f"n = {cfg.n} out of the Monte Carlo regime (n <= 64)"
         )
-    cov = gamma_cov_matrix(GammaConfig(cfg.ctx, cfg.r, n=cfg.n, quad=cfg.quad),
-                           cfg.n, threads=threads)
+    cov = gamma_cov_matrix(GammaConfig(cfg.ctx, cfg.r, n=cfg.n), cfg.n, threads=threads)
     thr = cfg.thresholds()
     ladder = _doubling_ladder(cfg.n)
     needs = {m: cfg.required_count(m) for m in ladder}
@@ -406,7 +379,7 @@ def a_n_probability_dual(cfg: ArbitrageConfig) -> ExperimentReport:
     """
     if cfg.n > 16:
         raise ValidationError("dual estimator is intended for small n (<= 16)")
-    cov = gamma_cov_matrix(GammaConfig(cfg.ctx, cfg.r, n=cfg.n, quad=cfg.quad), cfg.n)
+    cov = gamma_cov_matrix(GammaConfig(cfg.ctx, cfg.r, n=cfg.n), cfg.n)
     vals, vecs = np.linalg.eigh(cov.matrix)
     vals = np.maximum(vals, 0.0)
     root = vecs @ np.diag(np.sqrt(vals)) @ vecs.T
@@ -485,9 +458,7 @@ def product_tail_chain(cfg: ArbitrageConfig, index_set) -> dict:
         raise ValidationError(
             f"index set has {len(idx)} elements; chain requires >= ceil(p n) = {need}"
         )
-    profile = decay_bound_check(
-        GammaConfig(cfg.ctx, cfg.r, n=cfg.n, quad=cfg.quad), max(cfg.n - 1, 1)
-    )
+    profile = decay_bound_check(GammaConfig(cfg.ctx, cfg.r, n=cfg.n), max(cfg.n - 1, 1))
     eps = profile.epsilon
     phis = phi_functions(eps)
     if not phis.all_finite() or not math.isfinite(phis.phi_k):
@@ -581,7 +552,7 @@ def union_bound_ledger(cfg: ArbitrageConfig, p_an_prime) -> ExperimentReport:
         if not (0.0 <= value <= 1.0):
             raise ValidationError(f"P(A'_{n}) = {value} outside [0, 1]")
 
-    c_a, c_b = reg_bound_constants(GammaConfig(cfg.ctx, cfg.r, quad=cfg.quad))
+    c_a, c_b = reg_bound_constants(GammaConfig(cfg.ctx, cfg.r))
     kappa = min(2.0 * cfg.ctx.hurst, 1.0)
     ratio = cfg.r / cfg.r_tilde
     frac = Fraction(cfg.r_tilde)

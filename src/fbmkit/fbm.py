@@ -40,12 +40,7 @@ from .context import HurstContext, make_context, pow0, xi
 from .errors import AccuracyError, ValidationError
 from .gaussian import CovMatrix
 from .grids import GridPath
-from .quadrature import (
-    DEFAULT_QUAD,
-    QuadratureSpec,
-    graded_breaks,
-    panel_nodes,
-)
+from .quadrature import PATH_NODES, PATH_TOL, graded_breaks, panel_nodes
 
 __all__ = [
     "fbm_cov",
@@ -437,12 +432,7 @@ def ibp_tail_sd(ctx: HurstContext, t: float, u_max: float) -> float:
     )
 
 
-def integrate_by_parts_eval(
-    ctx: HurstContext,
-    w_path,
-    t: float,
-    spec: QuadratureSpec = DEFAULT_QUAD,
-) -> float:
+def integrate_by_parts_eval(ctx: HurstContext, w_path, t: float) -> float:
     """Evaluate the driven fractional process at time ``t`` from a driver path.
 
     For ``t > 0`` this uses the integration-by-parts representation
@@ -465,7 +455,7 @@ def integrate_by_parts_eval(
     observations.  Truncating the driver window to ``[t0, 0]`` contributes a
     random error whose standard deviation is bounded by :func:`ibp_tail_sd`;
     an :class:`AccuracyError` is raised when that bound exceeds
-    ``spec.path_tol * |t|**H``.
+    ``PATH_TOL * |t|**H``.
     """
     if w_path.kind != "oBm":
         raise ValidationError("integrate_by_parts_eval requires an oBm driver path")
@@ -484,12 +474,11 @@ def integrate_by_parts_eval(
 
     u_max = -w_path.t0
     tail = ibp_tail_sd(ctx, abs(t), u_max)
-    budget = spec.path_tol * abs(t) ** ctx.hurst
+    budget = PATH_TOL * abs(t) ** ctx.hurst
     if tail > budget:
         raise AccuracyError(
             f"driver window [{w_path.t0}, 0] too short: truncation sd bound "
-            f"{tail:.3e} exceeds {budget:.3e}; extend the window or loosen "
-            "path_tol",
+            f"{tail:.3e} exceeds {budget:.3e}; extend the window",
             estimate=tail,
             budget=budget,
         )
@@ -497,34 +486,23 @@ def integrate_by_parts_eval(
     def interp(s):
         return np.interp(s, w_path.times, w_path.values)
 
-    ratio, levels, n_nodes = (
-        spec.grading_ratio, spec.grading_levels, spec.nodes_per_panel
-    )
     if t > 0:
-        past_breaks = graded_breaks(
-            w_path.t0, 0.0, toward="right", ratio=ratio, levels=levels
-        )
-        nodes_p, weights_p = panel_nodes(past_breaks, n_nodes)
+        past_breaks = graded_breaks(w_path.t0, 0.0, toward="right")
+        nodes_p, weights_p = panel_nodes(past_breaks, PATH_NODES)
         i_neg = weights_p @ (xi(eta - 1.0, -nodes_p, t) * interp(nodes_p))
-        fut_breaks = graded_breaks(
-            0.0, t, toward="both", ratio=ratio, levels=levels
-        )
-        nodes_f, weights_f = panel_nodes(fut_breaks, n_nodes)
+        fut_breaks = graded_breaks(0.0, t, toward="both")
+        nodes_f, weights_f = panel_nodes(fut_breaks, PATH_NODES)
         i_pos = weights_f @ (
             (t - nodes_f) ** (eta - 1.0) * (interp(nodes_f) - w_t)
         )
         return ctx.c1 * (t**eta * w_t + eta * (i_neg + i_pos))
 
-    deep_breaks = graded_breaks(
-        w_path.t0, t, toward="right", ratio=ratio, levels=levels
-    )
-    nodes_d, weights_d = panel_nodes(deep_breaks, n_nodes)
+    deep_breaks = graded_breaks(w_path.t0, t, toward="right")
+    nodes_d, weights_d = panel_nodes(deep_breaks, PATH_NODES)
     i_deep = weights_d @ (
         xi(eta - 1.0, t - nodes_d, -t) * (interp(nodes_d) - w_t)
     )
-    near_breaks = graded_breaks(
-        t, 0.0, toward="right", ratio=ratio, levels=levels
-    )
-    nodes_n, weights_n = panel_nodes(near_breaks, n_nodes)
+    near_breaks = graded_breaks(t, 0.0, toward="right")
+    nodes_n, weights_n = panel_nodes(near_breaks, PATH_NODES)
     i_near = weights_n @ ((-nodes_n) ** (eta - 1.0) * interp(nodes_n))
     return ctx.c1 * ((-t) ** eta * w_t - eta * (i_deep + i_near))

@@ -39,7 +39,7 @@ from .context import HurstContext, xi
 from .errors import ValidationError
 from .gaussian import CovMatrix
 from .quadrature import (
-    QuadratureSpec,
+    CHECKED_NODES,
     geometric_breaks,
     graded_breaks,
     integrate,
@@ -51,7 +51,6 @@ from .subgauss import subgaussian_constants
 __all__ = [
     "GammaConfig",
     "GammaCovariance",
-    "GAMMA_QUAD",
     "gamma_cov",
     "gamma_cov_direct",
     "sigma2",
@@ -71,20 +70,14 @@ __all__ = [
     "sample_gammahat_path",
 ]
 
-# Far field is handled by the 1/x substitution (no truncation); the higher
-# panel order keeps the refinement check inside its budget even for Hurst
-# values near the integrability edge.
-GAMMA_QUAD = QuadratureSpec(nodes_per_panel=12)
-
 
 @dataclass(frozen=True)
 class GammaConfig:
-    """Scale-ladder configuration: context, ratio r, ladder length, quadrature."""
+    """Scale-ladder configuration: context, ratio r, ladder length."""
 
     ctx: HurstContext
     r: float
     n: int = 1
-    quad: QuadratureSpec = GAMMA_QUAD
 
     def __post_init__(self) -> None:
         if not (0.0 < self.r < 1.0):
@@ -107,7 +100,7 @@ class GammaConfig:
 # ---------------------------------------------------------------------------
 
 
-def _zero_to(f, length, sing_power, quad, *, anchors=(), scale=None):
+def _zero_to(f, length, sing_power, *, anchors=(), scale=0.0):
     """Integral of f over [0, length], f ~ x^sing_power near 0 (power > -1).
 
     The substitution x = w^p with p = 1/(1 + sing_power) removes a negative
@@ -133,19 +126,17 @@ def _zero_to(f, length, sing_power, quad, *, anchors=(), scale=None):
     w_anchors = [a ** (1.0 / p) for a in anchors if 0.0 < a < length * (1.0 - 1.0e-12)]
     w_anchors.sort()
     first = w_anchors[0] if w_anchors else w_end
-    pieces = [graded_breaks(0.0, first, toward="left",
-                            ratio=quad.grading_ratio, levels=quad.grading_levels)]
+    pieces = [graded_breaks(0.0, first, toward="left")]
     prev = first
     for a in w_anchors[1:] + [w_end]:
         if a > prev * (1.0 + 1.0e-12):
-            pieces.append(geometric_breaks(prev, a, first_width=prev,
-                                           growth=quad.growth_ratio)[1:])
+            pieces.append(geometric_breaks(prev, a, first_width=prev)[1:])
             prev = a
     breaks = np.concatenate(pieces)
-    return integrate_checked(g, breaks, quad, scale=scale)
+    return integrate_checked(g, breaks, scale=scale)
 
 
-def _half_line_integral(f, anchors, head_power, tail_power, quad):
+def _half_line_integral(f, anchors, head_power, tail_power):
     """Integral of f over (0, inf) with interior scale anchors.
 
     ``head_power``/``tail_power`` are the asymptotic powers of f at 0 and of
@@ -160,14 +151,10 @@ def _half_line_integral(f, anchors, head_power, tail_power, quad):
         u = np.asarray(u, dtype=float)
         return _f(1.0 / u) / (u * u)
 
-    rough = integrate(f, graded_breaks(0.0, x_split, toward="left",
-                                       ratio=quad.grading_ratio,
-                                       levels=quad.grading_levels),
-                      quad.nodes_per_panel)
+    rough = integrate(f, graded_breaks(0.0, x_split, toward="left"), CHECKED_NODES)
     hint = abs(rough)
-    head = _zero_to(f, x_split, head_power, quad, anchors=anchors, scale=hint)
-    tail = _zero_to(f_tail, 1.0 / x_split, tail_power, quad,
-                    scale=max(hint, abs(head)))
+    head = _zero_to(f, x_split, head_power, anchors=anchors, scale=hint)
+    tail = _zero_to(f_tail, 1.0 / x_split, tail_power, scale=max(hint, abs(head)))
     return head + tail
 
 
@@ -188,7 +175,7 @@ def gamma_cov(cfg: GammaConfig, i: int, j: int) -> float:
         return xi(eta, x, scale) * xi(eta, x, 1.0)
 
     head_power = 2.0 * eta if eta < 0.0 else 0.0
-    integral = _half_line_integral(f, (scale, 1.0), head_power, -2.0 * eta, cfg.quad)
+    integral = _half_line_integral(f, (scale, 1.0), head_power, -2.0 * eta)
     return float(cfg.r ** (-cfg.ctx.hurst * d) * integral)
 
 
@@ -208,7 +195,7 @@ def gamma_cov_direct(cfg: GammaConfig, i: int, j: int) -> float:
 
     head_power = 2.0 * eta if eta < 0.0 else 0.0
     anchors = sorted({a, b})
-    integral = _half_line_integral(f, anchors, head_power, -2.0 * eta, cfg.quad)
+    integral = _half_line_integral(f, anchors, head_power, -2.0 * eta)
     return float(cfg.r ** (-cfg.ctx.hurst * (int(i) + int(j))) * integral)
 
 
@@ -338,7 +325,7 @@ def gammahat_cov(cfg: GammaConfig, tau: float) -> float:
 
     head_power = eta if (eta < 0.0 and tau > 0.0) else (2.0 * eta if eta < 0.0 else 0.0)
     anchors = sorted({1.0, tau} - {0.0})
-    integral = _half_line_integral(f, anchors, head_power, -2.0 * eta, cfg.quad)
+    integral = _half_line_integral(f, anchors, head_power, -2.0 * eta)
     return float(integral)
 
 
@@ -357,9 +344,9 @@ def gammahat_modulus(cfg: GammaConfig, t: float) -> float:
     def f_past(x):  # kernel difference over the shared past
         return (xi(eta, 1.0 + x, t) - xi(eta, x, t)) ** 2
 
-    p1 = _zero_to(f_recent, t, 2.0 * eta if eta < 0.0 else 0.0, cfg.quad)
+    p1 = _zero_to(f_recent, t, 2.0 * eta if eta < 0.0 else 0.0)
     head_power = 2.0 * eta if eta < 0.0 else 0.0
-    p2 = _half_line_integral(f_past, (t, 1.0), head_power, 2.0 - 2.0 * eta, cfg.quad)
+    p2 = _half_line_integral(f_past, (t, 1.0), head_power, 2.0 - 2.0 * eta)
     return float(p1 + p2)
 
 
@@ -539,7 +526,7 @@ def sample_gammahat_pair_mc(
     n_pts = int(math.ceil(math.log10(u_max / x_min) * per_decade)) + 1
     past = np.concatenate([[0.0], np.geomspace(x_min, u_max, n_pts)])
     # window panels on [-t, 0], graded toward the kernel onset at x = -t
-    recent = -graded_breaks(0.0, t, toward="right", ratio=0.5, levels=40)[::-1]
+    recent = -graded_breaks(0.0, t, toward="right")[::-1]
     grid = np.concatenate([recent[:-1], past])
     delta = np.diff(grid)
 

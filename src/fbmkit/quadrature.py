@@ -1,9 +1,10 @@
 """Composite Gauss-Legendre quadrature on graded meshes.
 
-Every deterministic integral in this package (covariance kernels, drift
-weights, far-field tails) goes through this module.  The design is built
-around integrands with power-law endpoint singularities and slowly decaying
-power-law tails:
+Used only where no closed form is known: the scale-ladder covariances and
+modulus of :mod:`fbmkit.gamma`, and the operators that :mod:`fbmkit.drift`
+and :func:`fbmkit.fbm.integrate_by_parts_eval` apply to sampled paths.  The
+design is built around integrands with power-law endpoint singularities and
+slowly decaying power-law tails:
 
 * ``graded_breaks`` produces geometrically refined panels toward a singular
   endpoint, so fixed-order Gauss-Legendre converges on each panel even when
@@ -14,16 +15,10 @@ power-law tails:
   same mesh and raises :class:`~fbmkit.errors.AccuracyError` when the
   discrepancy exceeds the budget, so accuracy failures surface as errors
   instead of silently wrong numbers.
-
-Truncating an infinite domain is handled by the *caller* supplying an
-analytic bound for the discarded tail as ``integrate_checked``'s
-``extra_error``; the bound is treated as an error contribution, never added
-back as a correction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -31,8 +26,6 @@ import numpy as np
 from .errors import AccuracyError, ValidationError
 
 __all__ = [
-    "QuadratureSpec",
-    "DEFAULT_QUAD",
     "panel_nodes",
     "integrate",
     "integrate_checked",
@@ -42,59 +35,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tuning knobs for deterministic integrals.
-
-    Attributes
-    ----------
-    grading_ratio:
-        Successive panel-width ratio of graded meshes (in ``(0, 1)``).
-    grading_levels:
-        Number of geometric refinement levels toward a singular endpoint.
-    nodes_per_panel:
-        Gauss-Legendre order used on each panel.
-    growth_ratio:
-        Successive panel-width ratio of far-field meshes (``> 1``).
-    rel_tol:
-        Relative error budget for deterministic node-refinement checks.
-    path_tol:
-        Relative error budget for stochastic truncation effects (kept
-        separate from ``rel_tol`` because truncating a random integral
-        perturbs the *law* of the result, not just its value).
-    """
-
-    grading_ratio: float = 0.5
-    grading_levels: int = 40
-    nodes_per_panel: int = 8
-    growth_ratio: float = 2.0
-    rel_tol: float = 1.0e-9
-    path_tol: float = 0.05
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.grading_ratio < 1.0):
-            raise ValidationError(
-                f"grading_ratio must lie in (0, 1), got {self.grading_ratio}"
-            )
-        if self.grading_levels < 1:
-            raise ValidationError(
-                f"grading_levels must be >= 1, got {self.grading_levels}"
-            )
-        if self.nodes_per_panel < 1:
-            raise ValidationError(
-                f"nodes_per_panel must be >= 1, got {self.nodes_per_panel}"
-            )
-        if not (self.growth_ratio > 1.0):
-            raise ValidationError(
-                f"growth_ratio must exceed 1, got {self.growth_ratio}"
-            )
-        if not (self.rel_tol > 0):
-            raise ValidationError(f"rel_tol must be positive, got {self.rel_tol}")
-        if not (self.path_tol > 0):
-            raise ValidationError(f"path_tol must be positive, got {self.path_tol}")
-
-
-DEFAULT_QUAD = QuadratureSpec()
+# Successive panel-width ratio of graded meshes toward a singular endpoint.
+GRADING_RATIO = 0.5
+# Successive panel-width ratio of far-field meshes.
+GROWTH_RATIO = 2.0
+# Gauss-Legendre order of ``integrate_checked``; the check reruns with twice
+# as many nodes on the same mesh.  Order 12 (not 8) keeps the scale-ladder
+# integrals inside the budget for Hurst values near the integrability edge.
+CHECKED_NODES = 12
+# Relative error budget of the node-refinement check.
+REL_TOL = 1.0e-9
+# Gauss-Legendre order of the operators applied to sampled paths, whose
+# panels follow the sample intervals of a piecewise-linear interpolant.
+PATH_NODES = 8
+# Relative budget for the standard deviation dropped by truncating a random
+# integral to the observed window; kept apart from ``REL_TOL`` because the
+# truncation perturbs the law of the result, not just its value.
+PATH_TOL = 0.05
 
 
 @lru_cache(maxsize=64)
@@ -142,34 +99,24 @@ def integrate(f, breaks: np.ndarray, n: int) -> float:
     return float(weights @ values)
 
 
-def integrate_checked(
-    f,
-    breaks: np.ndarray,
-    spec: QuadratureSpec = DEFAULT_QUAD,
-    *,
-    extra_error: float = 0.0,
-    budget: float | None = None,
-    scale: float | None = None,
-) -> float:
+def integrate_checked(f, breaks: np.ndarray, *, scale: float = 0.0) -> float:
     """Integrate with an internal node-refinement error estimate.
 
-    The integral is computed with ``spec.nodes_per_panel`` and with twice as
-    many nodes on the same mesh; their discrepancy plus ``extra_error``
-    (e.g. an analytic truncation bound) is compared against the budget
-    ``budget`` if given, else ``spec.rel_tol * max(|I|, scale)``.
+    The integral is computed with ``CHECKED_NODES`` nodes per panel and with
+    twice as many on the same mesh; their discrepancy is compared against
+    the budget ``REL_TOL * max(|I|, scale)``.
 
     Raises
     ------
     AccuracyError
-        If the total error estimate exceeds the budget, or the integral or
-        its error estimate is not finite.
+        If the error estimate exceeds the budget, or the integral or its
+        error estimate is not finite.
     """
-    coarse = integrate(f, breaks, spec.nodes_per_panel)
-    fine = integrate(f, breaks, 2 * spec.nodes_per_panel)
-    err = abs(fine - coarse) + extra_error
-    if budget is None:
-        ref = max(abs(fine), scale if scale is not None else 0.0)
-        budget = spec.rel_tol * ref if ref > 0 else spec.rel_tol
+    coarse = integrate(f, breaks, CHECKED_NODES)
+    fine = integrate(f, breaks, 2 * CHECKED_NODES)
+    err = abs(fine - coarse)
+    ref = max(abs(fine), scale)
+    budget = REL_TOL * ref if ref > 0 else REL_TOL
     # NaN compares False to everything, so a non-finite integral or error
     # estimate is rejected explicitly rather than returned as a value.
     if not (np.isfinite(fine) and err <= budget):
@@ -186,28 +133,28 @@ def graded_breaks(
     b: float,
     *,
     toward: str = "left",
-    ratio: float = 0.5,
     levels: int = 40,
 ) -> np.ndarray:
     """Panel boundaries on ``[a, b]`` geometrically refined toward an endpoint.
 
-    With ``toward='left'`` the panel widths shrink by ``ratio`` toward ``a``,
-    so the innermost panel has width ``(b - a) * ratio**levels`` — small
-    enough that power-law endpoint singularities are resolved.  ``'right'``
-    mirrors this; ``'both'`` splits at the midpoint and grades each half.
+    With ``toward='left'`` the panel widths shrink by ``GRADING_RATIO`` toward
+    ``a``, so the innermost panel has width
+    ``(b - a) * GRADING_RATIO**levels`` — small enough that power-law endpoint
+    singularities are resolved.  ``'right'`` mirrors this; ``'both'`` splits
+    at the midpoint and grades each half.
     """
     if not (b > a):
         raise ValidationError(f"need b > a, got a={a}, b={b}")
     if toward == "both":
         mid = 0.5 * (a + b)
-        left = graded_breaks(a, mid, toward="left", ratio=ratio, levels=levels)
-        right = graded_breaks(mid, b, toward="right", ratio=ratio, levels=levels)
+        left = graded_breaks(a, mid, toward="left", levels=levels)
+        right = graded_breaks(mid, b, toward="right", levels=levels)
         return np.concatenate([left, right[1:]])
     if toward not in ("left", "right"):
         raise ValidationError(f"toward must be 'left', 'right' or 'both', got {toward!r}")
     length = b - a
-    # Offsets from the refined endpoint: length * ratio**levels, ..., length.
-    offsets = length * np.power(ratio, np.arange(levels, -1, -1, dtype=float))
+    # Offsets from the refined endpoint: length * GRADING_RATIO**levels, ..., length.
+    offsets = length * np.power(GRADING_RATIO, np.arange(levels, -1, -1, dtype=float))
     if toward == "left":
         pts = a + offsets
         pts = np.concatenate([[a], pts])
@@ -219,12 +166,7 @@ def graded_breaks(
     return pts[keep]
 
 
-def aligned_breaks(
-    times: np.ndarray,
-    *,
-    ratio: float = 0.5,
-    levels: int = 40,
-) -> np.ndarray:
+def aligned_breaks(times: np.ndarray) -> np.ndarray:
     """Panel boundaries aligned with sample times, sub-graded at the right end.
 
     When integrating a kernel against a piecewise-linear interpolant of
@@ -239,30 +181,21 @@ def aligned_breaks(
         raise ValidationError("times must be a 1-d array with at least 2 entries")
     if np.any(np.diff(times) <= 0):
         raise ValidationError("times must be strictly increasing")
-    last = graded_breaks(
-        times[-2], times[-1], toward="right", ratio=ratio, levels=levels
-    )
+    last = graded_breaks(times[-2], times[-1], toward="right")
     return np.concatenate([times[:-2], last])
 
 
-def geometric_breaks(
-    start: float,
-    end: float,
-    *,
-    first_width: float,
-    growth: float = 2.0,
-) -> np.ndarray:
+def geometric_breaks(start: float, end: float, *, first_width: float) -> np.ndarray:
     """Panel boundaries from ``start`` to ``end`` with geometrically growing widths.
 
     The first panel has width ``first_width`` and each subsequent panel is
-    ``growth`` times wider, the natural mesh for integrable far-field tails.
+    ``GROWTH_RATIO`` times wider, the natural mesh for integrable far-field
+    tails.
     """
     if not (end > start):
         raise ValidationError(f"need end > start, got start={start}, end={end}")
     if not (first_width > 0):
         raise ValidationError(f"first_width must be positive, got {first_width}")
-    if not (growth > 1.0):
-        raise ValidationError(f"growth must exceed 1, got {growth}")
     pts = [start]
     width = first_width
     pos = start
@@ -272,6 +205,6 @@ def geometric_breaks(
         if pos >= end - 1.0e-12 * max(abs(end), 1.0):
             break
         pts.append(pos)
-        width *= growth
+        width *= GROWTH_RATIO
     pts.append(end)
     return np.asarray(pts, dtype=float)

@@ -30,6 +30,8 @@ REQUIRED_ONLY = [
     "bounds thick",
     "bounds hk-count --z 2 --k 1 --n 6",
     "lil --hurst 0.75 --r 0.1",
+    "lil --hurst 0.05 --r 0.5",
+    "lil --hurst 0.02 --r 0.1",
     "arbitrage an-prob --hurst 0.75 --r 0.1 --alpha 0.5 --p 0.5 --n 4",
     "arbitrage ledger --hurst 0.75 --r 0.1 --alpha 0.5 --p 0.5 --n 8 --rtilde 0.05"
     " --alpha-prime 0.4 --p-prime 0.4 --pan 4=0.44,8=0.0993",

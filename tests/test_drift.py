@@ -31,7 +31,7 @@ from fbmkit.errors import AccuracyError, ValidationError
 from fbmkit.fbm import fbm_cov, fbm_cov_matrix, joint_wz_cov, levy_cov_matrix
 from fbmkit.gaussian import cholesky_with_jitter
 from fbmkit.grids import SampledPath
-from fbmkit.quadrature import DEFAULT_QUAD, graded_breaks, panel_nodes
+from fbmkit.quadrature import PATH_NODES, graded_breaks, panel_nodes
 from fbmkit.rng import make_rng
 
 
@@ -99,23 +99,19 @@ def kernel_three_piece(ctx, u, v):
     the scale of ``v`` (off by 1e-4 relative at ``u = -1e7``, H = 0.02), so
     it serves as an oracle for moderate ``u`` only.
     """
-    eta, quad = ctx.eta, DEFAULT_QUAD
+    eta = ctx.eta
     v = np.asarray(v, dtype=float)
     xi_uv = xi(eta - 1.0, -u, v)
     below = -xi_uv * xi(-eta, -u, -u) / eta
 
-    b1 = graded_breaks(u, 0.5 * u, toward="left",
-                       ratio=quad.grading_ratio, levels=quad.grading_levels)
-    s1, w1 = panel_nodes(b1, quad.nodes_per_panel)
+    s1, w1 = panel_nodes(graded_breaks(u, 0.5 * u, toward="left"), PATH_NODES)
     j1 = (
         xi(eta - 1.0, (s1 - u)[:, None], v[None, :])
         * xi(-eta - 1.0, -s1, s1 - u)[:, None]
         - xi_uv[None, :] * xi(-eta - 1.0, -s1, -u)[:, None]
     )
 
-    b2 = graded_breaks(0.5 * u, 0.0, toward="right",
-                       ratio=quad.grading_ratio, levels=quad.grading_levels)
-    s2, w2 = panel_nodes(b2, quad.nodes_per_panel)
+    s2, w2 = panel_nodes(graded_breaks(0.5 * u, 0.0, toward="right"), PATH_NODES)
     bracket = (
         xi(eta - 1.0, -u, s2)[:, None]
         - xi(eta - 1.0, v[None, :] - u, s2[:, None])

@@ -1,0 +1,106 @@
+"""The LIL block covariance of the scale-ladder experiments.
+
+``lil_block_cov`` is checked entry by entry against 40-digit mpmath
+quadrature of the two block integrals (the recent window over ``(r, 1)`` and
+the deep past over ``(0, r)``), against the graded Gauss-Legendre quadrature
+that computed it before the closed form, and for symmetry and positive
+definiteness.
+"""
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+from fbmkit.context import make_context
+from fbmkit.experiments import LilConfig, lil_block_cov
+from fbmkit.gaussian import cholesky_with_jitter
+from fbmkit.quadrature import graded_breaks, integrate_checked
+
+I_MAX = 40
+LAGS = [0, 1, 2, 5, 20, 40]
+
+
+def _cfg(hurst, r):
+    return LilConfig(make_context(hurst), r=r, i_max=I_MAX, n_paths=1, seed=0)
+
+
+def blocks_mpmath(hurst, r, d):
+    """``r^{Hd}`` times the window and past block integrals at lag ``d``, in 40-digit mpmath.
+
+    With ``B = r^{-d}`` and ``x = 1 - u`` they are ``integral_0^{1-r}`` and
+    ``integral_{1-r}^1`` of ``x^eta (x + B - 1)^eta``; at ``d = 0`` the
+    integrand is ``x^{2 eta}`` and both have closed forms, and for ``d >= 1``
+    tanh-sinh quadrature resolves the ``x^eta`` endpoint singularity.
+    """
+    with mp.workdps(40):
+        h, r_ = mp.mpf(hurst), mp.mpf(r)
+        eta = h - mp.mpf(1) / 2
+        if d == 0:
+            head = (1 - r_) ** (2 * h)
+            window, past = head / (2 * h), (1 - head) / (2 * h)
+        else:
+            gap = r_**-d - 1
+
+            def f(x):
+                return x**eta * (x + gap) ** eta
+
+            window, past = mp.quad(f, [0, 1 - r_]), mp.quad(f, [1 - r_, 1])
+        decay = r_ ** (h * d)
+        return float(decay * window), float(decay * past)
+
+
+def window_graded(ctx, r, d):
+    """The former quadrature route for the window block (lag ``d >= 1``)."""
+    eta, big = ctx.eta, r**-d
+    breaks = 1.0 - graded_breaks(0.0, 1.0 - r, toward="left")[::-1]
+    return integrate_checked(
+        lambda u: (1.0 - u) ** eta * (big - u) ** eta, breaks, scale=big**eta
+    )
+
+
+def past_graded(ctx, r, d):
+    """The former quadrature route for the past block (lag ``d >= 0``)."""
+    eta, big = ctx.eta, r**-d
+    breaks = graded_breaks(0.0, r, toward="right")
+    return integrate_checked(
+        lambda v: (big - v) ** eta * (1.0 - v) ** eta, breaks,
+        scale=max(big**eta, 1.0),
+    )
+
+
+@pytest.mark.parametrize("hurst", [0.005, 0.02, 0.05, 0.08, 0.25, 0.75, 0.995])
+@pytest.mark.parametrize("r", [0.05, 0.5, 0.9])
+def test_entries_match_mpmath(hurst, r):
+    # The quadrature route failed its own error check at H <= 0.08.
+    cov = lil_block_cov(_cfg(hurst, r))
+    m = I_MAX + 1
+    for d in LAGS:
+        window, past = blocks_mpmath(hurst, r, d)
+        # At lag 0 the window integral is Var(T_0); Cov(T_0, P_0) is zero.
+        assert cov[d, m if d else 0] == pytest.approx(window, rel=1e-12, abs=0.0)
+        assert cov[m + d, m] == pytest.approx(past, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("hurst", [0.25, 0.75])
+@pytest.mark.parametrize("r", [0.1, 0.5])
+def test_entries_match_graded_quadrature(hurst, r):
+    cfg = _cfg(hurst, r)
+    cov = lil_block_cov(cfg)
+    m = I_MAX + 1
+    for d in LAGS:
+        decay = r ** (hurst * d)
+        if d >= 1:
+            assert cov[d, m] == pytest.approx(decay * window_graded(cfg.ctx, r, d), rel=2e-9)
+        assert cov[m + d, m] == pytest.approx(decay * past_graded(cfg.ctx, r, d), rel=2e-9)
+
+
+@pytest.mark.parametrize("hurst", [0.005, 0.05, 0.25, 0.75, 0.995])
+@pytest.mark.parametrize("r", [0.05, 0.5, 0.9])
+def test_matrix_is_symmetric_and_factors_without_jitter(hurst, r):
+    cov = lil_block_cov(_cfg(hurst, r))
+    m = I_MAX + 1
+    assert np.array_equal(cov, cov.T)
+    # A window block is independent of the past blocks at its own and deeper depths.
+    assert np.all(np.triu(cov[:m, m:]) == 0.0)
+    _, jitter = cholesky_with_jitter(cov)
+    assert jitter == 0.0

@@ -99,7 +99,7 @@ def levy_cov_graded(ctx, s, t):
     """
     s, t = min(s, t), max(s, t)
     nodes, weights = panel_nodes(
-        graded_breaks(0.0, s, toward="left", ratio=0.5, levels=40), 16
+        graded_breaks(0.0, s, toward="left", levels=40), 16
     )
     return ctx.c1**2 * float(
         weights @ (nodes**ctx.eta * (nodes + (t - s)) ** ctx.eta)

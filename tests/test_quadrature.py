@@ -12,7 +12,6 @@ from scipy import integrate as sci
 
 from fbmkit.errors import AccuracyError, ValidationError
 from fbmkit.quadrature import (
-    QuadratureSpec,
     aligned_breaks,
     geometric_breaks,
     graded_breaks,
@@ -41,13 +40,13 @@ def test_endpoint_singularity_on_graded_mesh():
     # integral_0^1 x^(-1/2) dx = 2 exactly; a uniform mesh cannot get this.
     # The innermost panel contributes ~width^(1/2) of unresolvable error, so
     # the grading must go deep enough for the requested tolerance.
-    breaks = graded_breaks(0.0, 1.0, toward="left", ratio=0.5, levels=80)
+    breaks = graded_breaks(0.0, 1.0, toward="left", levels=80)
     val = integrate_checked(lambda x: np.where(x > 0, x, 1.0) ** -0.5, breaks)
     assert val == pytest.approx(2.0, rel=1.0e-9)
 
 
 def test_right_singularity_mirrors_left():
-    breaks = graded_breaks(0.0, 1.0, toward="right", ratio=0.5, levels=60)
+    breaks = graded_breaks(0.0, 1.0, toward="right", levels=60)
     val = integrate_checked(lambda x: np.where(x < 1, 1.0 - x, 1.0) ** -0.25, breaks)
     assert val == pytest.approx(4.0 / 3.0, rel=1.0e-9)
 
@@ -55,11 +54,7 @@ def test_right_singularity_mirrors_left():
 def test_integrate_checked_raises_on_unresolved_singularity():
     # one panel across the singularity: the refinement check must fire
     with pytest.raises(AccuracyError):
-        integrate_checked(
-            lambda x: np.abs(x - 0.3) ** -0.5,
-            np.array([0.0, 1.0]),
-            QuadratureSpec(rel_tol=1.0e-9),
-        )
+        integrate_checked(lambda x: np.abs(x - 0.3) ** -0.5, np.array([0.0, 1.0]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -71,21 +66,14 @@ def test_integrate_checked_rejects_non_finite_integrands(bad):
         )
 
 
-def test_integrate_checked_budget_includes_extra_error():
-    with pytest.raises(AccuracyError):
-        integrate_checked(
-            lambda x: np.ones_like(x), np.array([0.0, 1.0]), extra_error=1.0
-        )
-
-
 def test_graded_breaks_structure():
-    b = graded_breaks(2.0, 3.0, toward="left", ratio=0.5, levels=10)
+    b = graded_breaks(2.0, 3.0, toward="left", levels=10)
     assert b[0] == 2.0 and b[-1] == 3.0
     widths = np.diff(b)
     assert np.all(widths > 0)
     # widths grow away from the refined endpoint
     assert np.all(widths[2:] >= widths[1:-1])
-    both = graded_breaks(0.0, 1.0, toward="both", ratio=0.5, levels=8)
+    both = graded_breaks(0.0, 1.0, toward="both", levels=8)
     assert both[0] == 0.0 and both[-1] == 1.0 and 0.5 in both
 
 
@@ -98,14 +86,14 @@ def test_graded_breaks_validation():
 
 def test_aligned_breaks_keeps_sample_points():
     times = np.array([0.0, 0.5, 1.0, 1.5])
-    b = aligned_breaks(times, levels=6)
+    b = aligned_breaks(times)
     for t in times[:-1]:
         assert t in b
     assert b[-1] == times[-1]
 
 
 def test_geometric_breaks_growth():
-    b = geometric_breaks(1.0, 100.0, first_width=0.5, growth=2.0)
+    b = geometric_breaks(1.0, 100.0, first_width=0.5)
     assert b[0] == 1.0 and b[-1] == pytest.approx(100.0)
     widths = np.diff(b)
     assert np.all(widths[1:] >= widths[:-1] * 0.999)
@@ -118,9 +106,3 @@ def test_panel_nodes_cover_panels():
     assert np.all((nodes > 0.0) & (nodes < 3.0))
     assert weights.sum() == pytest.approx(3.0)
 
-
-def test_spec_validation():
-    with pytest.raises(ValidationError):
-        QuadratureSpec(grading_ratio=1.5)
-    with pytest.raises(ValidationError):
-        QuadratureSpec(growth_ratio=0.5)
