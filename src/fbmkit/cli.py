@@ -9,7 +9,8 @@ hk-count), ``lil``, ``arbitrage`` (an-prob | ledger | threshold), and
 Conventions shared by all subcommands:
 
 - exit code 0 on success, 2 on validation (bad input) errors, 3 on accuracy
-  errors (a quadrature or Monte Carlo tolerance that cannot be met);
+  errors (a quadrature or Monte Carlo tolerance that cannot be met, or a
+  result that holds inf or nan, in which case nothing is written);
 - ``--config FILE`` loads ``key=value`` lines (flag names without the
   leading dashes) as if they had been typed before the explicit flags, so
   flags always win; unknown keys are rejected;
@@ -26,8 +27,10 @@ Conventions shared by all subcommands:
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
+from collections.abc import Callable
 
 import jsonschema
 import numpy as np
@@ -69,9 +72,9 @@ from .gamma import (
 )
 from .gaussian import cholesky_with_jitter
 from .grids import SampledPath
-from .reports import ExperimentReport
+from .reports import ExperimentReport, validate_report
 from .rng import make_rng
-from .serialize import canonical_json_dumps, format_float
+from .serialize import canonical_json_dumps, format_float, format_floats
 from .subgauss import subgaussian_bound, subgaussian_constants
 from .thick import ThickSet, harmonic_subsum, is_thick_estimate
 
@@ -115,6 +118,12 @@ TABLE_SCHEMA = {
         },
     },
 }
+
+# Rows of path CSV formatted per block: bounds the strings alive at once.
+_CSV_BLOCK_ROWS = 2048
+
+# Renders an artifact's text on demand, so only the requested format is built.
+_Render = Callable[[], str]
 
 V_GRID_DEFAULT = (
     "0.125,0.25,0.375,0.5,0.625,0.75,0.875,1.0,"
@@ -406,14 +415,19 @@ def _floats(text: str) -> np.ndarray:
     return vals
 
 
-def _emit(args, json_text: str, csv_text: str | None) -> None:
+def _emit(args, render_json: _Render, render_csv: _Render | None) -> None:
+    """Render the one format the arguments ask for, then write it.
+
+    ``render_json`` and ``render_csv`` take no arguments and return the
+    artifact text; ``render_csv`` is None for subcommands without a CSV form.
+    """
     out = _resolve_out(getattr(args, "out", None))
     fmt = getattr(args, "format", None)
     if fmt is None:
         fmt = "csv" if (out or "").endswith(".csv") else "json"
-    if fmt == "csv" and csv_text is None:
+    if fmt == "csv" and render_csv is None:
         raise ValidationError("this subcommand has no CSV representation")
-    payload = csv_text if fmt == "csv" else json_text
+    payload = render_csv() if fmt == "csv" else render_json()
     if out is None:
         sys.stdout.write(payload)
         if not payload.endswith("\n"):
@@ -426,28 +440,58 @@ def _emit(args, json_text: str, csv_text: str | None) -> None:
             fh.write(payload)
 
 
+def _require_finite(kind: str, fields) -> None:
+    """Raise AccuracyError if a result field holds inf or nan.
+
+    ``fields`` yields ``(name, value)`` pairs; a value is a scalar, a list of
+    scalars or a float array.  The doc builders call this before returning
+    their renderers, so a non-finite result writes nothing.
+    """
+    for name, value in fields:
+        if isinstance(value, np.ndarray):
+            finite = bool(np.isfinite(value).all())
+        else:
+            entries = value if isinstance(value, list) else [value]
+            finite = all(math.isfinite(e) for e in entries if isinstance(e, float))
+        if not finite:
+            raise AccuracyError(f"{kind}: {name} holds a non-finite value; nothing written")
+
+
 def _path_doc(kind: str, config: dict, seed: int, times: np.ndarray,
-              paths: np.ndarray) -> tuple[str, str]:
-    doc = {
-        "kind": kind,
-        "config": config,
-        "seed": int(seed),
-        "times": [float(t) for t in times],
-        "paths": [[float(v) for v in row] for row in np.atleast_2d(paths)],
-    }
+              paths: np.ndarray) -> tuple[_Render, _Render]:
+    """Check a path artifact and return its (JSON, CSV) renderers.
+
+    The schema validates the document with empty arrays; the arrays are
+    checked with numpy (float64, ``times`` 1-D, one ``paths`` row per path
+    with one value per time, all finite).
+    """
+    times, paths = np.asarray(times), np.atleast_2d(paths)
+    if times.dtype != np.float64 or paths.dtype != np.float64:
+        raise TypeError(f"{kind}: times and paths must be float64, "
+                        f"got {times.dtype} and {paths.dtype}")
+    if times.ndim != 1 or paths.ndim != 2 or paths.shape[1] != times.size:
+        raise ValueError(f"{kind}: paths of shape {paths.shape} do not match "
+                         f"times of shape {times.shape}")
+    doc = {"kind": kind, "config": config, "seed": int(seed), "times": [], "paths": []}
     jsonschema.validate(doc, PATH_SCHEMA)
-    json_text = canonical_json_dumps(doc)
-    n_paths = len(doc["paths"])
+    _require_finite(kind, [("times", times), ("paths", paths)])
+    doc.update(times=times, paths=paths)
+    return (lambda: canonical_json_dumps(doc)), (lambda: _path_csv(times, paths))
+
+
+def _path_csv(times: np.ndarray, paths: np.ndarray) -> str:
+    """``t`` then one column per path, formatted a block of rows at a time."""
+    n_paths = paths.shape[0]
     header = "t,value" if n_paths == 1 else "t," + ",".join(
         f"path{k}" for k in range(n_paths)
     )
     lines = [header]
-    for j, t in enumerate(doc["times"]):
-        row = [format_float(t)] + [
-            format_float(doc["paths"][k][j]) for k in range(n_paths)
-        ]
-        lines.append(",".join(row))
-    return json_text, "\n".join(lines) + "\n"
+    width = n_paths + 1
+    for lo in range(0, times.size, _CSV_BLOCK_ROWS):
+        hi = lo + _CSV_BLOCK_ROWS
+        cells = format_floats(np.column_stack([times[lo:hi], paths[:, lo:hi].T]))
+        lines.extend(",".join(cells[i:i + width]) for i in range(0, len(cells), width))
+    return "\n".join(lines) + "\n"
 
 
 def _csv_value(entry) -> str:
@@ -466,23 +510,35 @@ def _csv_value(entry) -> str:
 
 
 def _table_doc(kind: str, config: dict, values: dict,
-               seed: int | None = None) -> tuple[str, str]:
+               seed: int | None = None) -> tuple[_Render, _Render]:
+    """Check a table artifact and return its (JSON, CSV) renderers."""
     doc = {"kind": kind, "config": config, "values": values}
     if seed is not None:
         doc["seed"] = int(seed)
     jsonschema.validate(doc, TABLE_SCHEMA)
-    json_text = canonical_json_dumps(doc)
-    lines = ["name,index,value"]
-    for name in sorted(values):
-        val = values[name]
-        entries = val if isinstance(val, list) else [val]
-        for idx, entry in enumerate(entries):
-            lines.append(f"{name},{idx},{_csv_value(entry)}")
-    return json_text, "\n".join(lines) + "\n"
+    _require_finite(kind, values.items())
+
+    def render_csv() -> str:
+        lines = ["name,index,value"]
+        for name in sorted(values):
+            val = values[name]
+            entries = val if isinstance(val, list) else [val]
+            for idx, entry in enumerate(entries):
+                lines.append(f"{name},{idx},{_csv_value(entry)}")
+        return "\n".join(lines) + "\n"
+
+    return (lambda: canonical_json_dumps(doc)), render_csv
 
 
-def _report_doc(report: ExperimentReport) -> tuple[str, str]:
-    return report.to_json(), report.to_csv()
+def _report_doc(report: ExperimentReport) -> tuple[_Render, _Render]:
+    """Check an experiment report and return its (JSON, CSV) renderers."""
+    doc = report.as_dict()
+    validate_report(doc)
+    _require_finite(report.kind, [
+        *((e["name"], [e["value"], e["ci_low"], e["ci_high"]]) for e in doc["estimates"]),
+        *doc["trends"].items(),
+    ])
+    return (lambda: canonical_json_dumps(doc)), report.to_csv
 
 
 # ---------------------------------------------------------------------------
@@ -511,9 +567,8 @@ def _cmd_sample(args) -> int:
                 for _ in range(args.paths)]
         values = np.stack(rows)
         times = args.t0 + args.dt * np.arange(args.n + 1)
-    json_text, csv_text = _path_doc(f"sample_{args.process}", config, args.seed,
-                                    times, values)
-    _emit(args, json_text, csv_text)
+    _emit(args, *_path_doc(f"sample_{args.process}", config, args.seed,
+                           times, values))
     return 0
 
 
@@ -565,13 +620,12 @@ def _cmd_drift(args) -> int:
             pred_w[i] = drift_from_obm(kspec, w_past, v_grid)
         scale = float(np.sqrt(np.mean(pred_w**2)))
         rel = float(np.sqrt(np.mean((pred_k - pred_w) ** 2))) / scale
-        json_text, csv_text = _table_doc(
+        _emit(args, *_table_doc(
             "drift_validate", config,
             {"rel_l2": rel, "tol": args.tol, "ok": rel <= args.tol,
              "prediction_scale": scale},
             seed=args.seed,
-        )
-        _emit(args, json_text, csv_text)
+        ))
         if rel > args.tol:
             raise AccuracyError(
                 f"prediction routes disagree: rel L2 {rel:.4g} > tol {args.tol:.4g}",
@@ -602,9 +656,8 @@ def _cmd_drift(args) -> int:
             else:
                 preds[i] = drift_regression(args.hurst, z_past, v_grid)
 
-    json_text, csv_text = _path_doc(f"drift_{args.route}", config, args.seed,
-                                    v_grid, preds)
-    _emit(args, json_text, csv_text)
+    _emit(args, *_path_doc(f"drift_{args.route}", config, args.seed,
+                           v_grid, preds))
     return 0
 
 
@@ -633,13 +686,12 @@ def _cmd_invert(args) -> int:
         "hurst": args.hurst, "dt": args.dt, "umax": args.umax,
         "paths": args.paths,
     }
-    json_text, csv_text = _table_doc(
+    _emit(args, *_table_doc(
         "invert_roundtrip", config,
         {"rel_l2": rel, "tol": args.tol, "ok": rel <= args.tol,
          "recovery_times": [float(t) for t in t_inv], "driver_scale": scale},
         seed=args.seed,
-    )
-    _emit(args, json_text, csv_text)
+    ))
     if rel > args.tol:
         raise AccuracyError(
             f"driver recovery too lossy: rel L2 {rel:.4g} > tol {args.tol:.4g}",
@@ -692,8 +744,7 @@ def _cmd_gamma(args) -> int:
             "c_a": c_a,
             "c_b": c_b,
         }
-    json_text, csv_text = _table_doc(f"gamma_{args.what}", config, values)
-    _emit(args, json_text, csv_text)
+    _emit(args, *_table_doc(f"gamma_{args.what}", config, values))
     return 0
 
 
@@ -702,9 +753,8 @@ def _cmd_bounds_matrix(args) -> int:
     report = matrix_batch_check(args.n, args.eps, args.trials, rng,
                                 threads=args.threads)
     config = {"n": args.n, "eps": args.eps, "trials": args.trials}
-    json_text, csv_text = _table_doc("bounds_matrix", config,
-                                     dict(report.to_dict()), seed=args.seed)
-    _emit(args, json_text, csv_text)
+    _emit(args, *_table_doc("bounds_matrix", config,
+                            dict(report.to_dict()), seed=args.seed))
     return 0
 
 
@@ -719,8 +769,7 @@ def _cmd_bounds_subgauss(args) -> int:
         "x": [float(x) for x in x_vals],
         "bound": [float(subgaussian_bound(consts, float(x))) for x in x_vals],
     }
-    json_text, csv_text = _table_doc("bounds_subgauss", {"theta": args.theta}, values)
-    _emit(args, json_text, csv_text)
+    _emit(args, *_table_doc("bounds_subgauss", {"theta": args.theta}, values))
     return 0
 
 
@@ -750,8 +799,7 @@ def _cmd_bounds_thick(args) -> int:
         "harmonic_subsum": harmonic_subsum(ts, args.n),
     }
     config = {"set": args.set_name, "n": args.n, "k": args.k, "density": args.density}
-    json_text, csv_text = _table_doc("bounds_thick", config, values, seed=args.seed)
-    _emit(args, json_text, csv_text)
+    _emit(args, *_table_doc("bounds_thick", config, values, seed=args.seed))
     return 0
 
 
@@ -763,8 +811,7 @@ def _cmd_bounds_hk(args) -> int:
     if args.eps is not None:
         values["entry_bound"] = hk_entry_bound(args.z, args.k, args.eps)
         config["eps"] = args.eps
-    json_text, csv_text = _table_doc("bounds_hk_count", config, values)
-    _emit(args, json_text, csv_text)
+    _emit(args, *_table_doc("bounds_hk_count", config, values))
     return 0
 
 
@@ -777,8 +824,7 @@ def _cmd_lil(args) -> int:
     cfg = LilConfig(ctx, r=args.r, i_max=args.imax, n_paths=args.paths,
                     seed=args.seed, thick_set=thick)
     report = lil_statistic(cfg, threads=args.threads)
-    json_text, csv_text = _report_doc(report)
-    _emit(args, json_text, csv_text)
+    _emit(args, *_report_doc(report))
     return 0
 
 
@@ -790,8 +836,7 @@ def _cmd_arbitrage_anprob(args) -> int:
         report = a_n_probability_dual(cfg)
     else:
         report = a_n_probability(cfg, threads=args.threads)
-    json_text, csv_text = _report_doc(report)
-    _emit(args, json_text, csv_text)
+    _emit(args, *_report_doc(report))
     return 0
 
 
@@ -823,8 +868,7 @@ def _cmd_arbitrage_ledger(args) -> int:
         alpha_prime=args.alpha_prime, p_prime=args.p_prime, r_tilde=args.rtilde,
     )
     report = union_bound_ledger(cfg, _parse_pan(args.pan))
-    json_text, csv_text = _report_doc(report)
-    _emit(args, json_text, csv_text)
+    _emit(args, *_report_doc(report))
     return 0
 
 
@@ -835,9 +879,8 @@ def _cmd_arbitrage_threshold(args) -> int:
         "hurst": args.hurst, "alpha": args.alpha, "alpha_prime": args.alpha_prime,
         "p": args.p, "p_prime": args.p_prime,
     }
-    json_text, csv_text = _table_doc("arbitrage_threshold", config,
-                                     {"n_threshold": value})
-    _emit(args, json_text, csv_text)
+    _emit(args, *_table_doc("arbitrage_threshold", config,
+                            {"n_threshold": value}))
     return 0
 
 
@@ -852,13 +895,16 @@ def _cmd_selftest(args) -> int:
         + (f" ({len(expected)} expected failure)" if expected else "")
     )
     if args.out is not None:
-        csv_lines = ["number,name,passed,expected_failure,detail"]
-        for r in report.results:
-            csv_lines.append(
-                f"{r.number},{_csv_value(r.name)},{str(r.passed).lower()},"
-                f"{str(r.expected_failure).lower()},{_csv_value(r.detail)}"
-            )
-        _emit(args, report.to_json(), "\n".join(csv_lines) + "\n")
+        def render_csv() -> str:
+            lines = ["number,name,passed,expected_failure,detail"]
+            for r in report.results:
+                lines.append(
+                    f"{r.number},{_csv_value(r.name)},{str(r.passed).lower()},"
+                    f"{str(r.expected_failure).lower()},{_csv_value(r.detail)}"
+                )
+            return "\n".join(lines) + "\n"
+
+        _emit(args, report.to_json, render_csv)
     return 0 if not failed else 1
 
 

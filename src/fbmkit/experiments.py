@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import stats
+from scipy.special import log_ndtr
 
 from .almostdiag import phi_functions
 from .context import HurstContext
@@ -473,7 +473,7 @@ def product_tail_chain(cfg: ArbitrageConfig, index_set) -> dict:
 
     logs_plus = np.maximum(np.log(np.maximum(np.asarray(idx, dtype=float), 1.0)), 0.0)
     thresholds = cfg.alpha / math.sqrt(cfg.ctx.hurst) * np.sqrt(logs_plus)
-    log_exact = float(stats.norm.logsf(thresholds / sd_surrogate).sum())
+    log_exact = float(log_ndtr(-thresholds / sd_surrogate).sum())
     log_tail = float(-(c_l * c_l) / 2.0 * logs_plus.sum())
     log_sorted = -(c_l * c_l) / 2.0 * math.lgamma(len(idx))
     log_final = -(c_l * c_l) / 2.0 * math.lgamma(need)

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.special import gamma as _gamma
 from scipy.special import hyp2f1
 
-from .context import HurstContext, make_context, pow0, xi
+from .context import HurstContext, pow0, xi
 from .errors import AccuracyError, ValidationError
 from .gaussian import CovMatrix
 from .grids import GridPath

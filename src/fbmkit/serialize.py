@@ -6,16 +6,25 @@ through :func:`format_float` — a fixed 17-significant-digit rendering that
 round-trips ``float64`` exactly — and JSON documents are emitted by
 :func:`canonical_json_dumps`, which sorts object keys and uses the same
 float rendering throughout.
+
+Float64 arrays take a bulk route: :func:`format_floats` renders a whole
+array with one ``format(x, ".17g")`` pass over ``ndarray.tolist()``, and
+:func:`canonical_json_dumps` joins those strings row by row with the
+separators and indentation of the per-element route.  The bytes are the same
+as element by element through :func:`format_float` (arrays holding inf or
+nan fall back to it for the non-finite spellings); only the per-element
+Python calls are gone.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import repeat
 
 import numpy as np
 
-__all__ = ["format_float", "canonical_json_dumps"]
+__all__ = ["format_float", "format_floats", "canonical_json_dumps"]
 
 
 def format_float(x: float) -> str:
@@ -32,10 +41,41 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def format_floats(values: np.ndarray) -> list[str]:
+    """:func:`format_float` of every element of a float64 array, in C order."""
+    flat = np.ravel(values)
+    if np.isfinite(flat).all():
+        return list(map(format, flat.tolist(), repeat(".17g")))
+    return [format_float(x) for x in flat.tolist()]
+
+
+def _emit_floats(arr: np.ndarray, indent: int, out: list) -> None:
+    """Bulk route of :func:`_emit` for a float64 array of one or more dimensions."""
+    if arr.shape[0] == 0:
+        out.append("[]")
+        return
+    pad = "  " * indent
+    pad_in = "  " * (indent + 1)
+    if arr.ndim == 1:
+        out.append("[\n" + pad_in)
+        out.append((",\n" + pad_in).join(format_floats(arr)))
+        out.append("\n" + pad + "]")
+        return
+    out.append("[\n")
+    for i, row in enumerate(arr):
+        out.append(pad_in)
+        _emit_floats(row, indent + 1, out)
+        out.append(",\n" if i < arr.shape[0] - 1 else "\n")
+    out.append(pad + "]")
+
+
 def _emit(obj, indent: int, out: list) -> None:
     pad = "  " * indent
     pad_in = "  " * (indent + 1)
     if isinstance(obj, np.ndarray):
+        if obj.dtype == np.float64 and obj.ndim > 0:
+            _emit_floats(obj, indent, out)
+            return
         obj = obj.tolist()
     if obj is None:
         out.append("null")

@@ -19,7 +19,7 @@ Two structural facts drive the downstream experiments:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -2,13 +2,18 @@
 
 Every subcommand runs with only its required flags.  ``selftest`` is left
 out: it runs the whole acceptance battery, which takes tens of seconds.
+A result holding inf or nan exits 3 and writes no artifact.
 """
 
+import math
+
+import numpy as np
 import pytest
 
 from fbmkit import cli
 from fbmkit.cli import main
 from fbmkit.errors import AccuracyError
+from fbmkit.reports import ExperimentReport
 
 REQUIRED_ONLY = [
     "sample fbm --hurst 0.75 --n 64 --dt 0.01",
@@ -66,3 +71,36 @@ def test_levy_artifact_is_byte_identical_across_runs(tmp_path):
     assert main(argv + [str(first)]) == 0
     assert main(argv + [str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_finite_path_values_exit_3_and_write_nothing(bad, fmt, monkeypatch, tmp_path, capsys):
+    def sample(hurst, n, dt, rng, paths=1):
+        values = np.zeros((paths, n + 1))
+        values[-1, -1] = bad
+        return values
+
+    monkeypatch.setattr(cli, "sample_fbm_paths", sample)
+    out = tmp_path / f"paths.{fmt}"
+    assert main(f"sample fbm --hurst 0.75 --n 8 --dt 0.1 --paths 2 --out {out}".split()) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_table_values_exit_3_and_write_nothing(bad, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "gamma_cov", lambda cfg, i, d: bad if d == 2 else 1.0)
+    out = tmp_path / "cov.json"
+    assert main(f"gamma cov --hurst 0.75 --r 0.1 --n 3 --out {out}".split()) == 3
+    assert not out.exists()
+
+
+def test_non_finite_report_values_exit_3_and_write_nothing(monkeypatch, tmp_path):
+    report = ExperimentReport(kind="union_bound_ledger", config={}, seed=0,
+                              trends={"p_bound": [0.5, math.nan]})
+    monkeypatch.setattr(cli, "union_bound_ledger", lambda cfg, pan: report)
+    out = tmp_path / "ledger.json"
+    ledger = next(c for c in REQUIRED_ONLY if c.startswith("arbitrage ledger"))
+    assert main(ledger.split() + ["--out", str(out)]) == 3
+    assert not out.exists()

@@ -4,15 +4,17 @@
 quadrature of the two block integrals (the recent window over ``(r, 1)`` and
 the deep past over ``(0, r)``), against the graded Gauss-Legendre quadrature
 that computed it before the closed form, and for symmetry and positive
-definiteness.
+definiteness.  The exact Gaussian product of the excess-count chain is
+checked against ``scipy.stats``.
 """
 
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy import stats
 
 from fbmkit.context import make_context
-from fbmkit.experiments import LilConfig, lil_block_cov
+from fbmkit.experiments import ArbitrageConfig, LilConfig, lil_block_cov, product_tail_chain
 from fbmkit.gaussian import cholesky_with_jitter
 from fbmkit.quadrature import graded_breaks, integrate_checked
 
@@ -104,3 +106,17 @@ def test_matrix_is_symmetric_and_factors_without_jitter(hurst, r):
     assert np.all(np.triu(cov[:m, m:]) == 0.0)
     _, jitter = cholesky_with_jitter(cov)
     assert jitter == 0.0
+
+
+# The chain needs a small decay epsilon, hence the tiny scale ratio r.
+@pytest.mark.parametrize("hurst,alpha", [(0.25, 0.9), (0.75, 0.5)])
+def test_exact_product_matches_scipy_stats_normal_tail(hurst, alpha):
+    # The library takes log SF(x) as log_ndtr(-x); scipy.stats is the oracle.
+    cfg = ArbitrageConfig(make_context(hurst), r=1e-6, alpha=alpha, p=0.5, n=16,
+                          n_paths=1, seed=0)
+    idx = np.arange(16)
+    chain = product_tail_chain(cfg, idx)
+    thresholds = alpha / np.sqrt(hurst) * np.sqrt(np.log(np.maximum(idx, 1.0)))
+    sd = np.sqrt(chain["phi_k"]) * chain["sigma"]
+    expected = float(stats.norm.logsf(thresholds / sd).sum())
+    assert chain["log_exact_product"] == pytest.approx(expected, rel=0.0, abs=0.0)

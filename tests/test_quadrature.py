@@ -4,8 +4,6 @@ The independent oracle throughout is scipy.integrate.quad (adaptive
 Clenshaw-Curtis/QAGS), plus closed forms where available.
 """
 
-import math
-
 import numpy as np
 import pytest
 from scipy import integrate as sci
