@@ -2,14 +2,12 @@
 
 from .context import HurstContext, make_context, pow0, xi
 from .errors import AccuracyError, FbmkitError, ValidationError
-from .grids import GridPath
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyError",
     "FbmkitError",
-    "GridPath",
     "HurstContext",
     "ValidationError",
     "make_context",

@@ -60,6 +60,10 @@ __all__ = [
 ]
 
 _INF = float("inf")
+# Roundoff allowance of the exact determinant and inverse-entry inequalities.
+SLACK = 1.0e-9
+# Last term index m of the truncated series in hk_entry_bound.
+HK_TERMS = 60
 
 
 @dataclass(frozen=True)
@@ -213,12 +217,12 @@ def _validate_hypothesis(matrix: np.ndarray, eps: float) -> np.ndarray:
     return a
 
 
-def matrix_bounds_check(matrix: np.ndarray, eps: float, *, slack: float = 1.0e-9) -> MatrixBoundsReport:
+def matrix_bounds_check(matrix: np.ndarray, eps: float) -> MatrixBoundsReport:
     """Verify the determinant and inverse-entry bounds on one matrix.
 
     The matrix must have unit diagonal and satisfy |a_ij| <= eps^|i-j|
     (checked, offending entries reported).  The inequalities are exact
-    mathematical claims; ``slack`` only absorbs floating-point roundoff.
+    mathematical claims; ``SLACK`` only absorbs floating-point roundoff.
     """
     eps = float(eps)
     if eps <= 0.0:
@@ -260,9 +264,9 @@ def matrix_bounds_check(matrix: np.ndarray, eps: float, *, slack: float = 1.0e-9
         diag_margin=diag_margin,
         norm1_h=norm1_h,
         norm1_bound=norm1_bound,
-        det_ok=bool(det_margin >= -slack),
-        inverse_ok=bool(offdiag_margin >= -slack and diag_margin >= -slack),
-        slack=slack,
+        det_ok=bool(det_margin >= -SLACK),
+        inverse_ok=bool(offdiag_margin >= -SLACK and diag_margin >= -SLACK),
+        slack=SLACK,
     )
 
 
@@ -328,11 +332,9 @@ def matrix_batch_check(
     trials: int,
     rng: np.random.Generator,
     *,
-    include_adversarial: bool = True,
-    slack: float = 1.0e-9,
     threads: int = 1,
 ) -> BatchReport:
-    """Check ``trials`` random instances (plus adversarial ones) at (n, eps).
+    """Check ``trials`` random instances plus the adversarial ones at (n, eps).
 
     Matrices are generated sequentially from ``rng`` so results do not depend
     on the thread count; the pure checks then run in parallel.
@@ -340,9 +342,8 @@ def matrix_batch_check(
     if trials < 0:
         raise ValidationError(f"trials must be >= 0, got {trials}")
     mats = [random_hypothesis_matrix(n, eps, rng) for _ in range(trials)]
-    if include_adversarial:
-        mats.extend(adversarial_matrices(n, eps))
-    reports = parallel_map(lambda m: matrix_bounds_check(m, eps, slack=slack), mats, threads=threads)
+    mats.extend(adversarial_matrices(n, eps))
+    reports = parallel_map(lambda m: matrix_bounds_check(m, eps), mats, threads=threads)
     violations = sum(0 if r.all_ok() else 1 for r in reports)
     return BatchReport(
         n=n,
@@ -361,22 +362,20 @@ def matrix_batch_check(
 # ---------------------------------------------------------------------------
 
 
-def hk_entry_bound(z: int, k: int, eps: float, m_max: int = 60) -> float:
+def hk_entry_bound(z: int, k: int, eps: float) -> float:
     """Truncated series bound on |(H^k)_ij| for |i - j| = |z|.
 
-    sum_{m=0}^{m_max} C(|z|+2m, m) * C(|z|+2m-1, k-1) * eps^(|z|+2m);
+    sum_{m=0}^{HK_TERMS} C(|z|+2m, m) * C(|z|+2m-1, k-1) * eps^(|z|+2m);
     terms with |z| + 2m < 1 vanish (a k >= 1 step walk has length >= 1).
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    if m_max < 0:
-        raise ValidationError(f"m_max must be >= 0, got {m_max}")
     eps = float(eps)
     if eps <= 0.0:
         raise ValidationError(f"eps must be positive, got {eps}")
     az = abs(int(z))
     total = 0.0
-    for m in range(m_max + 1):
+    for m in range(HK_TERMS + 1):
         length = az + 2 * m
         if length < 1 or k > length:
             continue
@@ -443,9 +442,9 @@ def word_code(walk) -> str:
     return "".join(out)
 
 
-def word_decode(word: str, start: int = 0) -> tuple[int, ...]:
-    """Inverse of word_code: rebuild the walk, validating word structure."""
-    walk = [int(start)]
+def word_decode(word: str) -> tuple[int, ...]:
+    """Inverse of word_code: rebuild the walk from 0, validating word structure."""
+    walk = [0]
     run = 0
     run_sign = 0
     for ch in word:

@@ -171,12 +171,12 @@ def build_parser() -> argparse.ArgumentParser:
     for proc in ("fbm", "levy", "obm"):
         sp = s_sub.add_parser(proc)
         if proc != "obm":
-            arg(sp, "--hurst", type=float, required=True, help="Hurst parameter in (0, 1)")
+            arg(sp, "--hurst", type=_finite_float, required=True, help="Hurst parameter in (0, 1)")
         arg(sp, "--n", type=int, required=True, help="number of grid steps")
-        arg(sp, "--dt", type=float, required=True, help="grid spacing")
+        arg(sp, "--dt", type=_finite_float, required=True, help="grid spacing")
         arg(sp, "--paths", type=int, default=1, help="number of independent paths")
         if proc == "obm":
-            arg(sp, "--t0", type=float, default=0.0,
+            arg(sp, "--t0", type=_finite_float, default=0.0,
                 help="grid start time (nonpositive multiple of dt)")
         common(sp)
         sp.set_defaults(handler=_cmd_sample, process=proc)
@@ -186,28 +186,28 @@ def build_parser() -> argparse.ArgumentParser:
     d_sub = p_drift.add_subparsers(dest="route", required=True)
     for route in ("kernel", "obm", "regression", "validate"):
         dp = d_sub.add_parser(route)
-        arg(dp, "--hurst", type=float, required=True)
+        arg(dp, "--hurst", type=_finite_float, required=True)
         arg(dp, "--paths", type=int, default=16 if route == "validate" else 4)
-        arg(dp, "--umax", type=float, default=1.0e7,
+        arg(dp, "--umax", type=_finite_float, default=1.0e7,
             help="depth of the sampled past window")
-        arg(dp, "--dt", type=float, default=1.0 / 128,
+        arg(dp, "--dt", type=_finite_float, default=1.0 / 128,
             help="uniform spacing of the recent past")
         arg(dp, "--v", default=V_GRID_DEFAULT,
             help="comma-separated future times to predict at")
         if route == "validate":
-            arg(dp, "--tol", type=float, default=0.05,
+            arg(dp, "--tol", type=_finite_float, default=0.05,
                 help="relative L2 gate between the two prediction routes")
         common(dp)
         dp.set_defaults(handler=_cmd_drift, route=route)
 
     # -- invert ---------------------------------------------------------------
     p_inv = sub.add_parser("invert", help="driver-recovery round trip")
-    arg(p_inv, "--hurst", type=float, required=True)
+    arg(p_inv, "--hurst", type=_finite_float, required=True)
     arg(p_inv, "--paths", type=int, default=16)
-    arg(p_inv, "--dt", type=float, default=1.0 / 512)
-    arg(p_inv, "--umax", type=float, default=600.0,
+    arg(p_inv, "--dt", type=_finite_float, default=1.0 / 512)
+    arg(p_inv, "--umax", type=_finite_float, default=600.0,
         help="depth of the observed past window")
-    arg(p_inv, "--tol", type=float, default=0.05,
+    arg(p_inv, "--tol", type=_finite_float, default=0.05,
         help="relative L2 gate on the recovered driver")
     common(p_inv)
     p_inv.set_defaults(handler=_cmd_invert)
@@ -217,8 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     g_sub = p_gamma.add_subparsers(dest="what", required=True)
     for what in ("cov", "decay", "modulus", "regbound"):
         gp = g_sub.add_parser(what)
-        arg(gp, "--hurst", type=float, required=True)
-        arg(gp, "--r", type=float, required=True, help="scale ratio in (0, 1)")
+        arg(gp, "--hurst", type=_finite_float, required=True)
+        arg(gp, "--r", type=_finite_float, required=True, help="scale ratio in (0, 1)")
         if what in ("cov", "decay"):
             arg(gp, "--n", type=int, default=30, help="largest lag")
         if what == "modulus":
@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="comma-separated window lengths")
         if what == "regbound":
             arg(gp, "--i", type=int, default=0, help="ladder index")
-            arg(gp, "--tmax", type=float, default=1.0, help="window length")
+            arg(gp, "--tmax", type=_finite_float, default=1.0, help="window length")
         common(gp, seed=False, threads=(what == "decay"))
         gp.set_defaults(handler=_cmd_gamma, what=what)
 
@@ -236,13 +236,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     bp = b_sub.add_parser("matrix")
     arg(bp, "--n", type=int, required=True, help="matrix dimension")
-    arg(bp, "--eps", type=float, required=True, help="off-diagonal envelope")
+    arg(bp, "--eps", type=_finite_float, required=True, help="off-diagonal envelope")
     arg(bp, "--trials", type=int, default=1000, help="random instances")
     common(bp, threads=True)
     bp.set_defaults(handler=_cmd_bounds_matrix)
 
     bp = b_sub.add_parser("subgauss")
-    arg(bp, "--theta", type=float, required=True, help="Holder exponent in (0, 1]")
+    arg(bp, "--theta", type=_finite_float, required=True, help="Holder exponent in (0, 1]")
     arg(bp, "--x", default="1.0,2.0,3.0", help="comma-separated tail levels")
     common(bp, seed=False)
     bp.set_defaults(handler=_cmd_bounds_subgauss)
@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("naturals", "evens", "multiples", "squares", "bernoulli"),
         help="index-set family")
     arg(bp, "--k", type=int, default=3, help="stride for --set multiples")
-    arg(bp, "--density", type=float, default=0.5, help="density for --set bernoulli")
+    arg(bp, "--density", type=_finite_float, default=0.5, help="density for --set bernoulli")
     arg(bp, "--n", type=int, default=4096, help="prefix horizon")
     common(bp)
     bp.set_defaults(handler=_cmd_bounds_thick)
@@ -261,21 +261,21 @@ def build_parser() -> argparse.ArgumentParser:
     arg(bp, "--z", type=int, required=True, help="walk displacement")
     arg(bp, "--k", type=int, required=True, help="number of descents")
     arg(bp, "--n", type=int, required=True, help="walk length")
-    arg(bp, "--eps", type=float, help="also evaluate the entry bound at this epsilon")
+    arg(bp, "--eps", type=_finite_float, help="also evaluate the entry bound at this epsilon")
     common(bp, seed=False)
     bp.set_defaults(handler=_cmd_bounds_hk)
 
     # -- lil ---------------------------------------------------------------
     p_lil = sub.add_parser("lil", help="running-minimum trend experiment")
-    arg(p_lil, "--hurst", type=float, required=True)
-    arg(p_lil, "--r", type=float, required=True)
+    arg(p_lil, "--hurst", type=_finite_float, required=True)
+    arg(p_lil, "--r", type=_finite_float, required=True)
     arg(p_lil, "--imax", type=int, default=40, help="deepest ladder index")
     arg(p_lil, "--paths", type=int, default=2000)
     arg(p_lil, "--set", default=None, dest="set_name",
         choices=("naturals", "evens", "multiples", "squares", "bernoulli"),
         help="restrict the index ladder to a thick set")
     arg(p_lil, "--k", type=int, default=3, help="stride for --set multiples")
-    arg(p_lil, "--density", type=float, default=0.5, help="density for --set bernoulli")
+    arg(p_lil, "--density", type=_finite_float, default=0.5, help="density for --set bernoulli")
     common(p_lil, threads=True)
     p_lil.set_defaults(handler=_cmd_lil)
 
@@ -284,10 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
     a_sub = p_arb.add_subparsers(dest="what", required=True)
 
     ap = a_sub.add_parser("an-prob")
-    arg(ap, "--hurst", type=float, required=True)
-    arg(ap, "--r", type=float, required=True)
-    arg(ap, "--alpha", type=float, required=True)
-    arg(ap, "--p", type=float, required=True)
+    arg(ap, "--hurst", type=_finite_float, required=True)
+    arg(ap, "--r", type=_finite_float, required=True)
+    arg(ap, "--alpha", type=_finite_float, required=True)
+    arg(ap, "--p", type=_finite_float, required=True)
     arg(ap, "--n", type=int, required=True, help="deepest event depth")
     arg(ap, "--paths", type=int, default=100_000)
     arg(ap, "--dual", action="store_true",
@@ -296,25 +296,25 @@ def build_parser() -> argparse.ArgumentParser:
     ap.set_defaults(handler=_cmd_arbitrage_anprob)
 
     ap = a_sub.add_parser("ledger")
-    arg(ap, "--hurst", type=float, required=True)
-    arg(ap, "--r", type=float, required=True)
-    arg(ap, "--alpha", type=float, required=True)
-    arg(ap, "--p", type=float, required=True)
+    arg(ap, "--hurst", type=_finite_float, required=True)
+    arg(ap, "--r", type=_finite_float, required=True)
+    arg(ap, "--alpha", type=_finite_float, required=True)
+    arg(ap, "--p", type=_finite_float, required=True)
     arg(ap, "--n", type=int, required=True)
-    arg(ap, "--rtilde", type=float, required=True, help="translation scale in (0, r)")
-    arg(ap, "--alpha-prime", type=float, required=True)
-    arg(ap, "--p-prime", type=float, required=True)
+    arg(ap, "--rtilde", type=_finite_float, required=True, help="translation scale in (0, r)")
+    arg(ap, "--alpha-prime", type=_finite_float, required=True)
+    arg(ap, "--p-prime", type=_finite_float, required=True)
     arg(ap, "--pan", required=True,
         help="comma-separated n=P(A'_n) pairs, e.g. 4=0.44,8=0.0993")
     common(ap, seed=False)
     ap.set_defaults(handler=_cmd_arbitrage_ledger)
 
     ap = a_sub.add_parser("threshold")
-    arg(ap, "--hurst", type=float, required=True)
-    arg(ap, "--alpha", type=float, required=True)
-    arg(ap, "--alpha-prime", type=float, required=True)
-    arg(ap, "--p", type=float, required=True)
-    arg(ap, "--p-prime", type=float, required=True)
+    arg(ap, "--hurst", type=_finite_float, required=True)
+    arg(ap, "--alpha", type=_finite_float, required=True)
+    arg(ap, "--alpha-prime", type=_finite_float, required=True)
+    arg(ap, "--p", type=_finite_float, required=True)
+    arg(ap, "--p-prime", type=_finite_float, required=True)
     common(ap, seed=False)
     ap.set_defaults(handler=_cmd_arbitrage_threshold)
 
@@ -405,11 +405,22 @@ def _resolve_out(out: str | None) -> str | None:
     return out
 
 
+def _finite_float(text: str) -> float:
+    """The argparse type of every float flag: a float that is neither inf nor nan."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a float, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite float, got {text!r}")
+    return value
+
+
 def _floats(text: str) -> np.ndarray:
     try:
-        vals = np.array([float(tok) for tok in str(text).split(",") if tok.strip()])
-    except ValueError:
-        raise ValidationError(f"expected comma-separated floats, got {text!r}")
+        vals = np.array([_finite_float(tok) for tok in str(text).split(",") if tok.strip()])
+    except argparse.ArgumentTypeError:
+        raise ValidationError(f"expected comma-separated finite floats, got {text!r}")
     if vals.size == 0:
         raise ValidationError(f"expected at least one value in {text!r}")
     return vals
@@ -852,8 +863,8 @@ def _parse_pan(text: str) -> dict[int, float]:
             )
         left, right = token.split("=", 1)
         try:
-            mapping[int(left)] = float(right)
-        except ValueError:
+            mapping[int(left)] = _finite_float(right)
+        except (ValueError, argparse.ArgumentTypeError):
             raise ValidationError(f"cannot parse --pan entry {token!r}")
     if not mapping:
         raise ValidationError("--pan must contain at least one n=value pair")

@@ -56,6 +56,7 @@ factors, so it keeps full relative precision for every ``v / (-u)``, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +66,7 @@ from .context import HurstContext, xi
 from .errors import AccuracyError, ValidationError
 from .fbm import fbm_cov, fbm_cov_matrix
 from .gaussian import cholesky_with_jitter
-from .grids import GridPath, SampledPath
+from .grids import SampledPath
 from .quadrature import PATH_NODES, PATH_TOL, aligned_breaks, panel_nodes
 
 __all__ = [
@@ -93,10 +94,8 @@ class DriftKernelSpec:
 
 def _as_past(path) -> SampledPath:
     """Validate and normalize a past-observation window ending at time 0."""
-    if isinstance(path, GridPath):
-        path = path.sampled()
     if not isinstance(path, SampledPath):
-        raise ValidationError("past path must be a GridPath or SampledPath")
+        raise ValidationError("past path must be a SampledPath")
     if path.t_end != 0.0:
         raise ValidationError(
             f"past path must end exactly at time 0, got {path.t_end}"
@@ -197,11 +196,9 @@ def drift_from_obm(kspec: DriftKernelSpec, w_past, v_grid) -> np.ndarray:
     ``(D X)_v = eta c1 integral_{t0}^0 xi_{eta-1}(-s, v) W_s ds`` for each
     ``v`` in ``v_grid``; ``w_past`` must be an ``oBm`` window ending at 0.
     """
+    w_past = _as_past(w_past)
     if w_past.kind != "oBm":
         raise ValidationError("drift_from_obm requires an oBm past path")
-    w_past = _as_past(
-        w_past if isinstance(w_past, SampledPath) else w_past.sampled()
-    )
     v_grid = np.atleast_1d(np.asarray(v_grid, dtype=float))
     if np.any(v_grid <= 0):
         raise ValidationError("evaluation times must be positive")
@@ -217,9 +214,14 @@ def drift_from_obm(kspec: DriftKernelSpec, w_past, v_grid) -> np.ndarray:
     )
     budget = PATH_TOL * worst_v**ctx.hurst
     if tail > budget:
+        # tail is proportional to u_max^(eta - 1/2) = u_max^(H - 1): the depth
+        # that meets the budget, padded by 1% so its 3-digit rendering does.
+        log10_need = math.log10(u_max) + math.log10(tail / budget) / (0.5 - eta)
+        need = 1.01 * 10.0**log10_need if log10_need < 300.0 else math.inf
         raise AccuracyError(
             f"driver window [{w_past.t0}, 0] too short: tail sd bound "
-            f"{tail:.3e} exceeds {budget:.3e}",
+            f"{tail:.3e} exceeds {budget:.3e}; the bound falls as "
+            f"u_max^(H-1) and needs a window depth (--umax) of {need:.2e}",
             estimate=tail,
             budget=budget,
         )
@@ -262,7 +264,7 @@ def regression_weights(hurst: float, past_times, v_grid) -> np.ndarray:
 
 def drift_regression(hurst: float, past, v_grid) -> np.ndarray:
     """Conditional mean at ``v_grid`` by direct regression on the observed past."""
-    past = _as_past(past if isinstance(past, SampledPath) else past.sampled())
+    past = _as_past(past)
     v_grid = np.atleast_1d(np.asarray(v_grid, dtype=float))
     times = _regression_times(past)
     values = past.value_at(times)
@@ -318,7 +320,7 @@ def pipiras_taqqu_invert(
     evaluated by graded-mesh quadrature with ``Z`` interpolated linearly.
     At ``eta = 0`` the driver equals the process and is returned exactly.
     """
-    z_past = _as_past(z_past if isinstance(z_past, SampledPath) else z_past.sampled())
+    z_past = _as_past(z_past)
     if z_past.kind not in ("fBm", "derived"):
         raise ValidationError("inversion expects the driven (fBm) past path")
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))

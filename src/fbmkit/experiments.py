@@ -1,10 +1,7 @@
 """Monte Carlo experiments on the scale-ladder law and its bound pipeline.
 
-Four families:
+Three families:
 
-* ``lambda_r`` — the intermediate lower-bound constant
-  ((1-r)^H - (1-(1-r)^{2H})^{1/2}) / sqrt(H), which climbs to 1/sqrt(H) as
-  r -> 0 (and along r^k ladders).
 * ``lil_statistic`` — samples the one-sided moving-average process at
   geometric times r^i through an exact two-block decomposition
   Y = Ytilde + Yprime (recent window / deep past, built from the same
@@ -43,7 +40,6 @@ __all__ = [
     "LIL_BAND_OFFSETS",
     "LilConfig",
     "ArbitrageConfig",
-    "lambda_r",
     "lil_block_cov",
     "sample_lil_blocks",
     "lil_statistic",
@@ -61,15 +57,8 @@ __all__ = [
 LIL_BAND_OFFSETS = (-0.35, 0.6)
 
 _CHUNK = 200_000
-
-
-def lambda_r(ctx: HurstContext, r: float) -> float:
-    """((1-r)^H - (1-(1-r)^{2H})^{1/2}) / sqrt(H); may be negative (vacuous)."""
-    if not (0.0 < r < 1.0):
-        raise ValidationError(f"r must lie in (0, 1), got {r}")
-    h = ctx.hurst
-    one_minus = (1.0 - r) ** h
-    return (one_minus - math.sqrt(1.0 - one_minus * one_minus)) / math.sqrt(h)
+# Width at which the bisection of max_feasible_epsilon stops.
+_EPS_BISECTION_TOL = 1.0e-12
 
 
 # ---------------------------------------------------------------------------
@@ -143,17 +132,16 @@ def lil_block_cov(cfg: LilConfig) -> np.ndarray:
 
 
 def sample_lil_blocks(
-    cfg: LilConfig, rng: np.random.Generator, n_paths: int | None = None
+    cfg: LilConfig, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw (window, past) block arrays, each (n_paths, i_max + 1).
 
     The normalized process value is exactly c1 * (window + past) — the two
     pieces come from one joint Gaussian vector, never sampled separately.
     """
-    n = cfg.n_paths if n_paths is None else n_paths
     m = cfg.i_max + 1
     cov = CovMatrix(lil_block_cov(cfg))
-    z = cov.sample(rng, n)
+    z = cov.sample(rng, cfg.n_paths)
     return z[:, :m], z[:, m:]
 
 
@@ -227,11 +215,11 @@ def lil_statistic(cfg: LilConfig, *, threads: int = 1) -> ExperimentReport:
     return report
 
 
-def _median_ci(values: np.ndarray, conf_z: float = 1.96) -> tuple[float, float]:
-    """Order-statistic (binomial) confidence interval for the median."""
+def _median_ci(values: np.ndarray) -> tuple[float, float]:
+    """Order-statistic (binomial) 95% confidence interval for the median."""
     srt = np.sort(values)
     n = srt.size
-    half = conf_z * math.sqrt(n) / 2.0
+    half = 1.96 * math.sqrt(n) / 2.0
     lo = int(np.clip(math.floor(n / 2.0 - half), 0, n - 1))
     hi = int(np.clip(math.ceil(n / 2.0 + half), 0, n - 1))
     return float(srt[lo]), float(srt[hi])
@@ -422,10 +410,10 @@ def a_n_probability_dual(cfg: ArbitrageConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def max_feasible_epsilon(*, tol: float = 1.0e-12) -> float:
+def max_feasible_epsilon() -> float:
     """Largest epsilon with all almost-diagonal constants finite (bisection)."""
     lo, hi = 0.0, 0.25
-    while hi - lo > tol:
+    while hi - lo > _EPS_BISECTION_TOL:
         mid = 0.5 * (lo + hi)
         if phi_functions(mid).all_finite():
             lo = mid

@@ -11,23 +11,18 @@ Covariances
 
 Samplers (all exact in law, deterministic given a Generator)
 -----------------------------------------------------------
-* :func:`sample_fgn` / :func:`sample_fbm` — circulant-embedding (spectral)
-  sampler for fractional Gaussian noise, cumulatively summed to fBm, with a
-  dense Cholesky fallback if the embedding ever went indefinite.
-* :func:`sample_fbm_bilateral` — two-sided fBm pinned to 0 at time 0.
-* :func:`sample_levy` — dense Cholesky sampler for the one-sided average.
+* :func:`sample_fgn` / :func:`sample_fbm_paths` — circulant-embedding
+  (spectral) sampler for fractional Gaussian noise, cumulatively summed to
+  fBm, with a dense Cholesky fallback if the embedding ever went indefinite.
+* :func:`sample_levy_paths` — dense Cholesky sampler for the one-sided
+  average.
 * :func:`sample_obm` — ordinary Brownian motion on a grid containing 0.
-* :func:`sample_joint_wz` — *jointly* samples a driving Brownian motion and
-  the fractional process it drives, using the closed-form cross-covariance;
-  this is the reference coupling for consistency experiments.
 
-Pathwise evaluation
--------------------
-* :func:`integrate_by_parts_eval` — evaluates the fractional process at
-  ``t > 0`` from a discretely observed driving path using the
-  integration-by-parts form of the moving average, which only involves the
-  *increments*-regularized kernel and therefore converges on truncated
-  observation windows.
+Driver and driven process
+-------------------------
+* :func:`cross_cov_wz` / :func:`joint_wz_cov` — the closed-form covariance
+  of a driving Brownian motion and the fractional process it drives, the
+  joint law behind the prediction and inversion checks.
 """
 
 from __future__ import annotations
@@ -36,11 +31,10 @@ import numpy as np
 from scipy.special import gamma as _gamma
 from scipy.special import hyp2f1
 
-from .context import HurstContext, pow0, xi
-from .errors import AccuracyError, ValidationError
+from .context import HurstContext, pow0
+from .errors import ValidationError
 from .gaussian import CovMatrix
-from .grids import GridPath
-from .quadrature import PATH_NODES, PATH_TOL, graded_breaks, panel_nodes
+from .grids import SampledPath
 
 __all__ = [
     "fbm_cov",
@@ -50,15 +44,9 @@ __all__ = [
     "levy_cov_matrix",
     "sample_fgn",
     "sample_fbm_paths",
-    "sample_fbm",
-    "sample_fbm_bilateral",
     "sample_levy_paths",
-    "sample_levy",
     "sample_obm",
-    "refine_obm",
     "joint_wz_cov",
-    "sample_joint_wz",
-    "integrate_by_parts_eval",
 ]
 
 
@@ -225,38 +213,6 @@ def sample_fbm_paths(
     return out
 
 
-def sample_fbm(
-    hurst: float,
-    n_steps: int,
-    dt: float,
-    rng: np.random.Generator,
-) -> GridPath:
-    """One fBm path as a :class:`GridPath` starting at ``t = 0``."""
-    values = sample_fbm_paths(hurst, n_steps, dt, rng, paths=1)[0]
-    return GridPath(t0=0.0, dt=dt, values=values, kind="fBm")
-
-
-def sample_fbm_bilateral(
-    hurst: float,
-    n_past: int,
-    n_future: int,
-    dt: float,
-    rng: np.random.Generator,
-) -> GridPath:
-    """Two-sided fBm on ``[-n_past*dt, n_future*dt]`` pinned to 0 at time 0.
-
-    Built from one stationary fGn stream re-anchored at the origin, so past
-    and future are correlated exactly as the two-sided covariance dictates.
-    """
-    if n_past < 0 or n_future < 0 or n_past + n_future < 1:
-        raise ValidationError("need n_past, n_future >= 0 with at least one step")
-    incr = sample_fgn(hurst, n_past + n_future, dt, rng, paths=1)[0]
-    cum = np.concatenate([[0.0], np.cumsum(incr)])
-    values = cum - cum[n_past]
-    values[n_past] = 0.0
-    return GridPath(t0=-n_past * dt, dt=dt, values=values, kind="fBm")
-
-
 def sample_levy_paths(
     ctx: HurstContext,
     n_steps: int,
@@ -275,30 +231,21 @@ def sample_levy_paths(
     return out
 
 
-def sample_levy(
-    ctx: HurstContext,
-    n_steps: int,
-    dt: float,
-    rng: np.random.Generator,
-) -> GridPath:
-    """One one-sided moving-average path as a :class:`GridPath`."""
-    values = sample_levy_paths(ctx, n_steps, dt, rng, paths=1)[0]
-    return GridPath(t0=0.0, dt=dt, values=values, kind="LevyfBm")
-
-
 def sample_obm(
     n_steps: int,
     dt: float,
     rng: np.random.Generator,
     t0: float = 0.0,
-) -> GridPath:
-    """Ordinary Brownian motion on a uniform grid whose span contains ``t = 0``.
+) -> SampledPath:
+    """Ordinary Brownian motion on the grid ``t0 + dt * k``, ``k = 0..n_steps``.
 
-    The grid point at time 0 (required to exist) gets the exact value 0;
+    The grid must contain ``t = 0``; that point gets the exact value 0, so
     for ``t0 < 0`` this produces a two-sided path anchored at the origin.
     """
     if n_steps < 1:
         raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
+    if not (0.0 < dt < np.inf and np.isfinite(t0)):
+        raise ValidationError(f"need finite dt > 0 and finite t0, got dt={dt}, t0={t0}")
     anchor = -t0 / dt
     idx = int(round(anchor))
     if not (0 <= idx <= n_steps) or abs(anchor - idx) > 1.0e-9:
@@ -309,33 +256,12 @@ def sample_obm(
     cum = np.concatenate([[0.0], np.cumsum(incr)])
     values = cum - cum[idx]
     values[idx] = 0.0
-    return GridPath(t0=t0, dt=dt, values=values, kind="oBm")
-
-
-def refine_obm(path: GridPath, rng: np.random.Generator) -> GridPath:
-    """Halve the grid step of a Brownian path by Brownian-bridge midpoints.
-
-    The refined path agrees with the input on the original grid and the new
-    midpoints are drawn from the exact conditional (bridge) law.
-    """
-    if path.kind != "oBm":
-        raise ValidationError("refine_obm requires an oBm path")
-    v = path.values
-    n = path.n - 1
-    if n < 1:
-        raise ValidationError("path must have at least one step")
-    mid_mean = 0.5 * (v[:-1] + v[1:])
-    mid = mid_mean + np.sqrt(path.dt / 4.0) * rng.standard_normal(n)
-    out = np.empty(2 * n + 1)
-    out[0::2] = v
-    out[1::2] = mid
-    new = GridPath(t0=path.t0, dt=path.dt / 2.0, values=out, kind="derived")
-    # Re-tag as oBm; the anchor value at t=0 is inherited from the input.
-    return GridPath(t0=new.t0, dt=new.dt, values=new.values, kind="oBm")
+    times = float(t0) + float(dt) * np.arange(n_steps + 1)
+    return SampledPath(times=times, values=values, kind="oBm")
 
 
 # ---------------------------------------------------------------------------
-# Joint (driver, driven) simulation
+# Joint law of the driver and the driven process
 # ---------------------------------------------------------------------------
 
 def _antiderivative_plus(x, eta: float):
@@ -383,126 +309,3 @@ def joint_wz_cov(ctx: HurstContext, w_times, z_times) -> np.ndarray:
     top = np.hstack([ww, wz])
     bottom = np.hstack([wz.T, zz])
     return np.vstack([top, bottom])
-
-
-def sample_joint_wz(
-    ctx: HurstContext,
-    w_times,
-    z_times,
-    rng: np.random.Generator,
-    paths: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Jointly sample the driver ``W`` and driven ``Z`` on their grids.
-
-    Returns ``(W, Z)`` with shapes ``(paths, len(w_times))`` and
-    ``(paths, len(z_times))``.  Grid points at time 0 are returned as exact
-    zeros (both processes are pinned there).
-    """
-    w_times = np.asarray(w_times, dtype=float)
-    z_times = np.asarray(z_times, dtype=float)
-    nw, nz = w_times.size, z_times.size
-    all_times = np.concatenate([w_times, z_times])
-    keep = all_times != 0.0
-    cov = joint_wz_cov(ctx, w_times, z_times)[np.ix_(keep, keep)]
-    draw = CovMatrix(cov).sample(rng, paths)
-    full = np.zeros((paths, nw + nz))
-    full[:, keep] = draw
-    return full[:, :nw], full[:, nw:]
-
-
-# ---------------------------------------------------------------------------
-# Pathwise evaluation of the moving average from a driver path
-# ---------------------------------------------------------------------------
-
-def ibp_tail_sd(ctx: HurstContext, t: float, u_max: float) -> float:
-    """Bound on the std. dev. contributed by the driver path beyond ``u_max``.
-
-    The neglected term is ``c1 * eta * integral_{-inf}^{-u_max}`` of the
-    increment-regularized kernel against the driver; bounding the kernel
-    difference by ``|eta - 1| |t| a^{eta-2}`` and the driver's standard
-    deviation by ``sqrt(2 a)`` gives, after integrating the tail,
-    ``c1 |eta| |eta-1| |t| sqrt(2) u_max^{eta-1/2} / (1/2 - eta)``.
-    """
-    eta = ctx.eta
-    if eta == 0.0:
-        return 0.0
-    return (
-        ctx.c1 * abs(eta) * abs(eta - 1.0) * abs(t) * np.sqrt(2.0)
-        * u_max ** (eta - 0.5) / (0.5 - eta)
-    )
-
-
-def integrate_by_parts_eval(ctx: HurstContext, w_path, t: float) -> float:
-    """Evaluate the driven fractional process at time ``t`` from a driver path.
-
-    For ``t > 0`` this uses the integration-by-parts representation
-
-    ``Z_t / c1 = t^eta W_t
-    + eta * integral_{t0}^0 xi_{eta-1}(-s, t) W_s ds
-    + eta * integral_0^t (t - s)^{eta-1} (W_s - W_t) ds``
-
-    (the sign of the integral terms follows from
-    ``d/ds[(t-s)^eta - (-s)_+^eta] = -eta[(t-s)^{eta-1} - (-s)_+^{eta-1}]``
-    and is confirmed against a direct discrete moving-average evaluation);
-    for ``t < 0`` the analogous computation gives
-
-    ``Z_t / c1 = (-t)^eta W_t
-    - eta * integral_{t0}^t xi_{eta-1}(t-s, -t) (W_s - W_t) ds
-    - eta * integral_t^0 (-s)^{eta-1} W_s ds``.
-
-    The driver (an ``oBm`` :class:`~fbmkit.grids.GridPath` or
-    :class:`~fbmkit.grids.SampledPath`) is interpolated linearly between
-    observations.  Truncating the driver window to ``[t0, 0]`` contributes a
-    random error whose standard deviation is bounded by :func:`ibp_tail_sd`;
-    an :class:`AccuracyError` is raised when that bound exceeds
-    ``PATH_TOL * |t|**H``.
-    """
-    if w_path.kind != "oBm":
-        raise ValidationError("integrate_by_parts_eval requires an oBm driver path")
-    if t == 0.0:
-        return 0.0
-    if w_path.t0 >= min(t, 0.0):
-        raise ValidationError("driver path must extend into the past of t and 0")
-    if t > w_path.t_end + 1.0e-12:
-        raise ValidationError(
-            f"t={t} beyond the driver path horizon {w_path.t_end}"
-        )
-    eta = ctx.eta
-    w_t = w_path.value_at(t)
-    if eta == 0.0:
-        return w_t
-
-    u_max = -w_path.t0
-    tail = ibp_tail_sd(ctx, abs(t), u_max)
-    budget = PATH_TOL * abs(t) ** ctx.hurst
-    if tail > budget:
-        raise AccuracyError(
-            f"driver window [{w_path.t0}, 0] too short: truncation sd bound "
-            f"{tail:.3e} exceeds {budget:.3e}; extend the window",
-            estimate=tail,
-            budget=budget,
-        )
-
-    def interp(s):
-        return np.interp(s, w_path.times, w_path.values)
-
-    if t > 0:
-        past_breaks = graded_breaks(w_path.t0, 0.0, toward="right")
-        nodes_p, weights_p = panel_nodes(past_breaks, PATH_NODES)
-        i_neg = weights_p @ (xi(eta - 1.0, -nodes_p, t) * interp(nodes_p))
-        fut_breaks = graded_breaks(0.0, t, toward="both")
-        nodes_f, weights_f = panel_nodes(fut_breaks, PATH_NODES)
-        i_pos = weights_f @ (
-            (t - nodes_f) ** (eta - 1.0) * (interp(nodes_f) - w_t)
-        )
-        return ctx.c1 * (t**eta * w_t + eta * (i_neg + i_pos))
-
-    deep_breaks = graded_breaks(w_path.t0, t, toward="right")
-    nodes_d, weights_d = panel_nodes(deep_breaks, PATH_NODES)
-    i_deep = weights_d @ (
-        xi(eta - 1.0, t - nodes_d, -t) * (interp(nodes_d) - w_t)
-    )
-    near_breaks = graded_breaks(t, 0.0, toward="right")
-    nodes_n, weights_n = panel_nodes(near_breaks, PATH_NODES)
-    i_near = weights_n @ ((-nodes_n) ** (eta - 1.0) * interp(nodes_n))
-    return ctx.c1 * ((-t) ** eta * w_t - eta * (i_deep + i_near))

@@ -52,23 +52,27 @@ __all__ = [
     "GammaConfig",
     "GammaCovariance",
     "gamma_cov",
-    "gamma_cov_direct",
     "sigma2",
-    "sigma2_reference",
     "decay_bound_check",
-    "gammahat_cov",
     "gammahat_modulus",
     "c_e",
     "reg_bound_constants",
     "reg_gamhat_bound",
     "gamma_cov_matrix",
-    "sample_gamma_vector",
     "gamma_mc_weights",
     "gamma_mc_implied_cov",
     "sample_gamma_mc",
-    "sample_gammahat_pair_mc",
-    "sample_gammahat_path",
 ]
+
+# Depth of the dyadic grid t = 2^-k, k = 1..C_E_LEVELS, that defines c_e.
+C_E_LEVELS = 20
+# Driver grid of the discrete-driver Monte Carlo oracle: geometric points per
+# decade of x, its far end, and its near end as a fraction of the smallest
+# ladder scale; paths are drawn MC_CHUNK at a time to bound the noise block.
+MC_PER_DECADE = 48
+MC_U_MAX = 1.0e6
+MC_X_MIN_FACTOR = 1.0e-3
+MC_CHUNK = 20_000
 
 
 @dataclass(frozen=True)
@@ -179,39 +183,9 @@ def gamma_cov(cfg: GammaConfig, i: int, j: int) -> float:
     return float(cfg.r ** (-cfg.ctx.hurst * d) * integral)
 
 
-def gamma_cov_direct(cfg: GammaConfig, i: int, j: int) -> float:
-    """Cov(G_i, G_j) from the two-scale form, without reducing to the lag.
-
-    Independent evaluation route used to exercise stationarity: integrates
-    xi_eta(x, r^i) xi_eta(x, r^j) directly and normalizes by r^(hurst*(i+j)).
-    """
-    eta = cfg.ctx.eta
-    if eta == 0.0:
-        return 0.0
-    a, b = cfg.scale(int(i)), cfg.scale(int(j))
-
-    def f(x):
-        return xi(eta, x, a) * xi(eta, x, b)
-
-    head_power = 2.0 * eta if eta < 0.0 else 0.0
-    anchors = sorted({a, b})
-    integral = _half_line_integral(f, anchors, head_power, -2.0 * eta)
-    return float(cfg.r ** (-cfg.ctx.hurst * (int(i) + int(j))) * integral)
-
-
 def sigma2(cfg: GammaConfig) -> float:
     """Var(G_i) (scale-free)."""
     return gamma_cov(cfg, 0, 0)
-
-
-def sigma2_reference(ctx: HurstContext) -> float:
-    """Algebraic reduction of Var(G): 1/c1^2 - 1/(2 hurst).
-
-    Follows from expanding the square of the defining kernel: the
-    normalization constant c1 satisfies c1^(-2) = 1/(2H) + Integral
-    xi_eta(x,1)^2 dx.  Zero exactly at hurst = 1/2.
-    """
-    return 1.0 / (ctx.c1 * ctx.c1) - 1.0 / (2.0 * ctx.hurst)
 
 
 @dataclass(frozen=True)
@@ -250,18 +224,6 @@ class GammaCovariance:
         d = np.arange(1, self.rho.size, dtype=float)
         vals = np.abs(self.rho[1:]) ** (1.0 / d)
         return float(vals.max())
-
-    def rows(self) -> list[dict]:
-        """Plot-ready rows (lag, cov, bound)."""
-        kappa = 0.5 - abs(self.hurst - 0.5)
-        out = []
-        for d in range(self.rho.size):
-            out.append({
-                "lag": d,
-                "cov": float(self.sigma2 * self.rho[d]),
-                "bound": float(self.cf_fit * self.r ** (kappa * d)),
-            })
-        return out
 
 
 def decay_bound_check(cfg: GammaConfig, d_max: int, *, threads: int = 1) -> GammaCovariance:
@@ -311,24 +273,6 @@ def decay_bound_check(cfg: GammaConfig, d_max: int, *, threads: int = 1) -> Gamm
 # ---------------------------------------------------------------------------
 
 
-def gammahat_cov(cfg: GammaConfig, tau: float) -> float:
-    """Cov(Ghat_0, Ghat_tau) for tau >= 0 (stationary in time)."""
-    eta = cfg.ctx.eta
-    if eta == 0.0:
-        return 0.0
-    tau = float(tau)
-    if tau < 0.0:
-        raise ValidationError(f"tau must be >= 0, got {tau}")
-
-    def f(x):
-        return xi(eta, x, 1.0) * xi(eta, tau + x, 1.0)
-
-    head_power = eta if (eta < 0.0 and tau > 0.0) else (2.0 * eta if eta < 0.0 else 0.0)
-    anchors = sorted({1.0, tau} - {0.0})
-    integral = _half_line_integral(f, anchors, head_power, -2.0 * eta)
-    return float(integral)
-
-
 def gammahat_modulus(cfg: GammaConfig, t: float) -> float:
     """Var(Ghat_t - Ghat_0) for t in (0, 1], by direct kernel quadrature."""
     eta = cfg.ctx.eta
@@ -351,24 +295,22 @@ def gammahat_modulus(cfg: GammaConfig, t: float) -> float:
 
 
 @lru_cache(maxsize=64)
-def _c_e_cached(cfg: GammaConfig, k_max: int) -> float:
+def _c_e_cached(cfg: GammaConfig) -> float:
     kappa = min(2.0 * cfg.ctx.hurst, 1.0)
     best = 0.0
-    for k in range(1, k_max + 1):
+    for k in range(1, C_E_LEVELS + 1):
         t = 2.0**-k
         best = max(best, gammahat_modulus(cfg, t) / t**kappa)
     return best
 
 
-def c_e(cfg: GammaConfig, k_max: int = 20) -> float:
-    """Computed modulus constant: sup over t in {2^-k} of modulus/t^(2H∧1).
+def c_e(cfg: GammaConfig) -> float:
+    """Computed modulus constant: sup over t = 2^-k, k = 1..C_E_LEVELS, of modulus/t^(2H∧1).
 
     A reproducible stand-in for the analytic constant; the dyadic grid is
     part of its definition.
     """
-    if k_max < 1:
-        raise ValidationError(f"k_max must be >= 1, got {k_max}")
-    return _c_e_cached(cfg, k_max)
+    return _c_e_cached(cfg)
 
 
 def reg_gamhat_bound(cfg: GammaConfig, i: int, T: float) -> float:
@@ -415,33 +357,20 @@ def gamma_cov_matrix(cfg: GammaConfig, n: int, *, threads: int = 1) -> CovMatrix
     return CovMatrix(covs[np.abs(idx[:, None] - idx[None, :])])
 
 
-def sample_gamma_vector(
-    cfg: GammaConfig, n: int, rng: np.random.Generator, n_paths: int, *, threads: int = 1
-) -> np.ndarray:
-    """Draw (n_paths, n) exact samples of the ladder via Cholesky."""
-    return gamma_cov_matrix(cfg, n, threads=threads).sample(rng, n_paths)
-
-
-def gamma_mc_weights(
-    cfg: GammaConfig,
-    d_max: int,
-    *,
-    per_decade: int = 48,
-    u_max: float = 1.0e6,
-    x_min_factor: float = 1.0e-3,
-) -> tuple[np.ndarray, np.ndarray]:
+def gamma_mc_weights(cfg: GammaConfig, d_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Panel widths and per-scale mean kernel weights for the driver grid.
 
     The driver increments live on a geometric grid of x = (distance into the
-    past); each weight is the exact panel average of the kernel
+    past) with ``MC_PER_DECADE`` points per decade from
+    ``MC_X_MIN_FACTOR * r^d_max`` to ``MC_U_MAX``; each weight is the exact panel average of the kernel
     xi_eta(x, r^i), from the closed-form antiderivative
     xi_{eta+1}(x, b) / (eta + 1).  The resulting linear estimator is the
     conditional mean of G_i given the discrete increments.
     """
     eta = cfg.ctx.eta
-    x_min = x_min_factor * cfg.scale(d_max)
-    n_pts = int(math.ceil(math.log10(u_max / x_min) * per_decade)) + 1
-    grid = np.concatenate([[0.0], np.geomspace(x_min, u_max, n_pts)])
+    x_min = MC_X_MIN_FACTOR * cfg.scale(d_max)
+    n_pts = int(math.ceil(math.log10(MC_U_MAX / x_min) * MC_PER_DECADE)) + 1
+    grid = np.concatenate([[0.0], np.geomspace(x_min, MC_U_MAX, n_pts)])
     delta = np.diff(grid)
     scales = cfg.r ** np.arange(d_max + 1, dtype=float)
     # antiderivative of xi_eta(., b) evaluated on the grid, per scale
@@ -451,22 +380,13 @@ def gamma_mc_weights(
     return delta, avg * norm[None, :]
 
 
-def gamma_mc_implied_cov(
-    cfg: GammaConfig,
-    d_max: int,
-    *,
-    per_decade: int = 48,
-    u_max: float = 1.0e6,
-    x_min_factor: float = 1.0e-3,
-) -> np.ndarray:
+def gamma_mc_implied_cov(cfg: GammaConfig, d_max: int) -> np.ndarray:
     """Covariance the discrete-driver estimator actually has (deterministic).
 
     Always below the exact covariance in the PSD order; the gap is the
     discretization deficit of the Monte Carlo oracle.
     """
-    delta, w = gamma_mc_weights(
-        cfg, d_max, per_decade=per_decade, u_max=u_max, x_min_factor=x_min_factor
-    )
+    delta, w = gamma_mc_weights(cfg, d_max)
     return (w * delta[:, None]).T @ w
 
 
@@ -475,11 +395,6 @@ def sample_gamma_mc(
     d_max: int,
     rng: np.random.Generator,
     n_paths: int,
-    *,
-    per_decade: int = 48,
-    u_max: float = 1.0e6,
-    x_min_factor: float = 1.0e-3,
-    chunk: int = 20_000,
 ) -> np.ndarray:
     """Monte Carlo draws of (G_0, ..., G_{d_max}) from discrete driver noise.
 
@@ -489,78 +404,11 @@ def sample_gamma_mc(
     """
     if n_paths < 1:
         raise ValidationError(f"n_paths must be >= 1, got {n_paths}")
-    delta, w = gamma_mc_weights(
-        cfg, d_max, per_decade=per_decade, u_max=u_max, x_min_factor=x_min_factor
-    )
+    delta, w = gamma_mc_weights(cfg, d_max)
     sd = np.sqrt(delta)
     out = np.empty((n_paths, d_max + 1))
-    for start in range(0, n_paths, chunk):
-        stop = min(start + chunk, n_paths)
+    for start in range(0, n_paths, MC_CHUNK):
+        stop = min(start + MC_CHUNK, n_paths)
         noise = rng.standard_normal((stop - start, delta.size)) * sd[None, :]
         out[start:stop] = noise @ w
     return out
-
-
-def sample_gammahat_pair_mc(
-    cfg: GammaConfig,
-    t: float,
-    rng: np.random.Generator,
-    n_paths: int,
-    *,
-    per_decade: int = 48,
-    u_max: float = 1.0e6,
-    chunk: int = 20_000,
-) -> np.ndarray:
-    """Monte Carlo draws of (Ghat_0, Ghat_t) from shared discrete driver noise.
-
-    Grid in x = -s covers [-t, u_max]: the window (-t, 0) uses panels graded
-    toward the kernel singularity at x = -t, the common past a geometric
-    grid.  Both kernels use exact panel averages, so the pair is the
-    conditional mean given the same increments.
-    """
-    eta = cfg.ctx.eta
-    t = float(t)
-    if not (0.0 < t <= 1.0):
-        raise ValidationError(f"t must lie in (0, 1], got {t}")
-    x_min = 1.0e-6 * t
-    n_pts = int(math.ceil(math.log10(u_max / x_min) * per_decade)) + 1
-    past = np.concatenate([[0.0], np.geomspace(x_min, u_max, n_pts)])
-    # window panels on [-t, 0], graded toward the kernel onset at x = -t
-    recent = -graded_breaks(0.0, t, toward="right")[::-1]
-    grid = np.concatenate([recent[:-1], past])
-    delta = np.diff(grid)
-
-    def panel_avg(b_shift):
-        # exact panel averages of x -> xi_eta(x + b_shift, 1)_+; the clamp at
-        # zero makes panels outside the kernel support contribute nothing
-        z = np.maximum(grid + b_shift, 0.0)
-        anti = xi(eta + 1.0, z, 1.0) / (eta + 1.0)
-        return np.diff(anti) / delta
-
-    w0 = panel_avg(0.0)
-    wt = panel_avg(t)
-    weights = np.stack([w0, wt], axis=1)
-    sd = np.sqrt(delta)
-    out = np.empty((n_paths, 2))
-    for start in range(0, n_paths, chunk):
-        stop = min(start + chunk, n_paths)
-        noise = rng.standard_normal((stop - start, delta.size)) * sd[None, :]
-        out[start:stop] = noise @ weights
-    return out
-
-
-def sample_gammahat_path(
-    cfg: GammaConfig,
-    t_grid: np.ndarray,
-    rng: np.random.Generator,
-    n_paths: int,
-) -> np.ndarray:
-    """Exact joint draws of Ghat on a time grid (stationary covariance)."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size < 1:
-        raise ValidationError("t_grid must be a nonempty 1-d array")
-    lags = np.abs(t_grid[:, None] - t_grid[None, :])
-    unique = np.unique(lags)
-    table = {float(l): gammahat_cov(cfg, float(l)) for l in unique}
-    cov = np.vectorize(lambda l: table[float(l)])(lags)
-    return CovMatrix(cov).sample(rng, n_paths)

@@ -1,7 +1,7 @@
-"""Uniformly sampled path container with CSV/JSON round trips.
+"""The sampled-path container.
 
-A :class:`GridPath` is a path observed on the uniform grid
-``t0, t0 + dt, ..., t0 + (n - 1) * dt`` together with a ``kind`` tag:
+A :class:`SampledPath` is a path observed at strictly increasing times,
+linearly interpolated in between, together with a ``kind`` tag:
 
 * ``"oBm"`` — ordinary Brownian motion,
 * ``"fBm"`` — fractional Brownian motion,
@@ -9,27 +9,19 @@ A :class:`GridPath` is a path observed on the uniform grid
 * ``"derived"`` — anything computed from other paths (drifts, inversions).
 
 Paths of kind ``fBm``/``LevyfBm`` are pinned to zero at time 0: whenever the
-grid contains ``t = 0`` the stored value there must be exactly ``0.0``.
-
-Serialized forms (both round-trip exactly):
-
-* CSV — header ``t,value`` and one row per grid point,
-* JSON — object ``{"t0": ..., "dt": ..., "kind": ..., "values": [...]}``.
+observation times contain ``t = 0`` the stored value there must be exactly
+``0.0``.  Artifacts on disk use the CLI's path document, not this class.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
-from .serialize import canonical_json_dumps, format_float
 
-__all__ = ["PATH_KINDS", "GridPath", "SampledPath"]
+__all__ = ["PATH_KINDS", "SampledPath"]
 
 PATH_KINDS = ("oBm", "fBm", "LevyfBm", "derived")
 
@@ -99,152 +91,3 @@ class SampledPath:
         if out.ndim == 0:
             return float(out)
         return out
-
-
-@dataclass(frozen=True)
-class GridPath:
-    """A path sampled on a uniform time grid."""
-
-    t0: float
-    dt: float
-    values: np.ndarray = field(repr=False)
-    kind: str = "derived"
-
-    def __post_init__(self) -> None:
-        if self.kind not in PATH_KINDS:
-            raise ValidationError(
-                f"kind must be one of {PATH_KINDS}, got {self.kind!r}"
-            )
-        if not (self.dt > 0):
-            raise ValidationError(f"dt must be positive, got {self.dt}")
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.size == 0:
-            raise ValidationError("values must be a nonempty 1-d array")
-        if not np.all(np.isfinite(values)):
-            raise ValidationError("values must be finite")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "t0", float(self.t0))
-        object.__setattr__(self, "dt", float(self.dt))
-        idx = self.index_of(0.0, strict=False)
-        if idx is not None and self.kind in _ANCHORED_KINDS:
-            if values[idx] != 0.0:
-                raise ValidationError(
-                    f"{self.kind} paths are pinned to 0 at t=0; "
-                    f"got {values[idx]!r} at grid index {idx}"
-                )
-
-    # -- basic geometry ----------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        return int(self.values.size)
-
-    @property
-    def t_end(self) -> float:
-        return self.t0 + (self.n - 1) * self.dt
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.n)
-
-    def index_of(self, t: float, *, strict: bool = True):
-        """Grid index of time ``t``; None (or ValidationError) if absent."""
-        pos = (t - self.t0) / self.dt
-        idx = int(round(pos))
-        if 0 <= idx < self.n and abs(pos - idx) <= 1.0e-9:
-            return idx
-        if strict:
-            raise ValidationError(f"time {t} is not on the grid")
-        return None
-
-    def value_at(self, t: float) -> float:
-        """Linear interpolation at ``t`` inside the grid span."""
-        if not (self.t0 - 1.0e-9 * self.dt <= t <= self.t_end + 1.0e-9 * self.dt):
-            raise ValidationError(
-                f"time {t} outside grid span [{self.t0}, {self.t_end}]"
-            )
-        return float(np.interp(t, self.times, self.values))
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "t0": self.t0,
-            "dt": self.dt,
-            "kind": self.kind,
-            "values": self.values,
-        }
-
-    def to_json(self) -> str:
-        return canonical_json_dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "GridPath":
-        try:
-            return cls(
-                t0=float(doc["t0"]),
-                dt=float(doc["dt"]),
-                values=np.asarray(doc["values"], dtype=float),
-                kind=str(doc["kind"]),
-            )
-        except KeyError as exc:
-            raise ValidationError(f"path JSON missing key {exc}") from exc
-
-    @classmethod
-    def from_json(cls, text: str) -> "GridPath":
-        return cls.from_json_dict(json.loads(text))
-
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["t", "value"])
-        for t, v in zip(self.times, self.values):
-            writer.writerow([format_float(t), format_float(v)])
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv_text(cls, text: str, kind: str = "derived") -> "GridPath":
-        reader = csv.reader(io.StringIO(text))
-        rows = [row for row in reader if row]
-        if not rows or [c.strip() for c in rows[0]] != ["t", "value"]:
-            raise ValidationError("path CSV must start with header 't,value'")
-        try:
-            data = np.asarray(
-                [[float(row[0]), float(row[1])] for row in rows[1:]], dtype=float
-            )
-        except (ValueError, IndexError) as exc:
-            raise ValidationError(f"malformed path CSV row: {exc}") from exc
-        if data.shape[0] < 1:
-            raise ValidationError("path CSV contains no data rows")
-        t, values = data[:, 0], data[:, 1]
-        if t.size == 1:
-            return cls(t0=float(t[0]), dt=1.0, values=values, kind=kind)
-        steps = np.diff(t)
-        dt = float(np.median(steps))
-        if dt <= 0 or np.any(np.abs(steps - dt) > 1.0e-6 * max(dt, 1.0)):
-            raise ValidationError("path CSV time column is not a uniform grid")
-        return cls(t0=float(t[0]), dt=dt, values=values, kind=kind)
-
-    def write(self, filename: str) -> None:
-        """Write CSV or JSON depending on the file extension."""
-        text = (
-            self.to_json()
-            if str(filename).endswith(".json")
-            else self.to_csv_text()
-        )
-        with open(filename, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-    @classmethod
-    def read(cls, filename: str, kind: str = "derived") -> "GridPath":
-        with open(filename, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        if str(filename).endswith(".json"):
-            return cls.from_json(text)
-        return cls.from_csv_text(text, kind=kind)
-
-    def sampled(self) -> "SampledPath":
-        """View this uniform path as a :class:`SampledPath`."""
-        return SampledPath(times=self.times, values=self.values, kind=self.kind)

@@ -2,9 +2,8 @@
 
 Used only where no closed form is known: the scale-ladder covariances and
 modulus of :mod:`fbmkit.gamma`, and the operators that :mod:`fbmkit.drift`
-and :func:`fbmkit.fbm.integrate_by_parts_eval` apply to sampled paths.  The
-design is built around integrands with power-law endpoint singularities and
-slowly decaying power-law tails:
+applies to sampled paths.  The design is built around integrands with
+power-law endpoint singularities and slowly decaying power-law tails:
 
 * ``graded_breaks`` produces geometrically refined panels toward a singular
   endpoint, so fixed-order Gauss-Legendre converges on each panel even when
@@ -140,18 +139,12 @@ def graded_breaks(
     With ``toward='left'`` the panel widths shrink by ``GRADING_RATIO`` toward
     ``a``, so the innermost panel has width
     ``(b - a) * GRADING_RATIO**levels`` — small enough that power-law endpoint
-    singularities are resolved.  ``'right'`` mirrors this; ``'both'`` splits
-    at the midpoint and grades each half.
+    singularities are resolved.  ``'right'`` mirrors this.
     """
     if not (b > a):
         raise ValidationError(f"need b > a, got a={a}, b={b}")
-    if toward == "both":
-        mid = 0.5 * (a + b)
-        left = graded_breaks(a, mid, toward="left", levels=levels)
-        right = graded_breaks(mid, b, toward="right", levels=levels)
-        return np.concatenate([left, right[1:]])
     if toward not in ("left", "right"):
-        raise ValidationError(f"toward must be 'left', 'right' or 'both', got {toward!r}")
+        raise ValidationError(f"toward must be 'left' or 'right', got {toward!r}")
     length = b - a
     # Offsets from the refined endpoint: length * GRADING_RATIO**levels, ..., length.
     offsets = length * np.power(GRADING_RATIO, np.arange(levels, -1, -1, dtype=float))

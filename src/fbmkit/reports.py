@@ -1,16 +1,16 @@
 """Experiment report containers with deterministic JSON/CSV emission.
 
 An :class:`ExperimentReport` bundles a config echo, the RNG seed, named
-estimates with confidence intervals, and trend arrays.  The JSON rendering is
-canonical (sorted keys, 17-significant-digit floats) so identical runs emit
-byte-identical documents; the wall time and timestamp are volatile fields
-excluded from the determinism digest.  A flat CSV twin carries the same
-numbers for plotting.
+estimates with confidence intervals, and trend arrays.  Its document
+(:meth:`ExperimentReport.as_dict`, checked against :data:`REPORT_SCHEMA`) is
+rendered canonically by :func:`fbmkit.serialize.canonical_json_dumps`
+(sorted keys, 17-significant-digit floats), so identical runs emit
+byte-identical documents up to the volatile wall time and timestamp.  A flat
+CSV twin carries the same numbers for plotting.
 """
 
 from __future__ import annotations
 
-import hashlib
 import io
 import math
 from dataclasses import dataclass, field
@@ -19,7 +19,7 @@ import jsonschema
 import numpy as np
 
 from .errors import ValidationError
-from .serialize import canonical_json_dumps, format_float
+from .serialize import format_float
 
 __all__ = [
     "Estimate",
@@ -29,13 +29,17 @@ __all__ = [
     "wilson_interval",
 ]
 
+# Standard normal quantile of the two-sided 95% intervals.
+_Z95 = 1.96
 
-def wilson_interval(hits: int, n: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (never collapses at 0)."""
+
+def wilson_interval(hits: int, n: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion (never collapses at 0)."""
     if n <= 0:
         raise ValidationError(f"sample count must be positive, got {n}")
     if not (0 <= hits <= n):
         raise ValidationError(f"hits must lie in [0, {n}], got {hits}")
+    z = _Z95
     phat = hits / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2.0 * n)) / denom
@@ -93,28 +97,16 @@ class ExperimentReport:
                 return est
         raise KeyError(name)
 
-    def as_dict(self, *, include_volatile: bool = True) -> dict:
-        doc = {
+    def as_dict(self) -> dict:
+        return {
             "kind": self.kind,
             "config": _plain(self.config),
             "seed": int(self.seed),
             "estimates": [e.as_dict() for e in self.estimates],
             "trends": _plain(self.trends),
+            "wall_time": float(self.wall_time),
+            "created_utc": self.created_utc,
         }
-        if include_volatile:
-            doc["wall_time"] = float(self.wall_time)
-            doc["created_utc"] = self.created_utc
-        return doc
-
-    def to_json(self, *, include_volatile: bool = True) -> str:
-        doc = self.as_dict(include_volatile=include_volatile)
-        validate_report(self.as_dict())
-        return canonical_json_dumps(doc)
-
-    def determinism_digest(self) -> str:
-        """SHA-256 of the canonical JSON without the volatile fields."""
-        payload = canonical_json_dumps(self.as_dict(include_volatile=False))
-        return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
     def to_csv(self) -> str:
         """Flat plotting twin: series,index,value,ci_low,ci_high,n_samples."""

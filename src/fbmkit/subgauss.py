@@ -30,7 +30,6 @@ __all__ = [
     "SubGaussianConstants",
     "subgaussian_constants",
     "subgaussian_bound",
-    "dyadic_level_weights",
 ]
 
 
@@ -79,18 +78,3 @@ def subgaussian_bound(consts: SubGaussianConstants, x) -> np.ndarray | float:
         raise ValidationError("tail bound is defined for x >= 0")
     out = consts.c_d * np.exp(-consts.c_c * arr * arr)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
-
-
-def dyadic_level_weights(theta: float, n_levels: int) -> np.ndarray:
-    """First ``n_levels`` chaining budgets (1 - 2^(-theta/2)) 2^(-i theta/2).
-
-    The full sequence sums to 1; these weights split a deviation ``x`` across
-    dyadic refinement levels in the chaining argument.
-    """
-    if n_levels < 1:
-        raise ValidationError(f"n_levels must be >= 1, got {n_levels}")
-    theta = float(theta)
-    if not (0.0 < theta <= 1.0):
-        raise ValidationError(f"theta must lie in (0, 1], got {theta}")
-    i = np.arange(n_levels, dtype=float)
-    return (1.0 - 2.0 ** (-theta / 2.0)) * 2.0 ** (-i * theta / 2.0)

@@ -5,15 +5,11 @@ finite prefix {0, ..., N-1}.  Upper asymptotic density is not computable from
 a prefix, so every "thickness" output here is a trend report over a dyadic
 ladder of horizons, never an asymptotic verdict.
 
-Two structural facts drive the downstream experiments:
-
-* splitting I by residue classes mod k partitions it, and the finite-n
-  counting identity |I ∩ [n)| = sum_l |J_l ∩ [ceil((n-l)/k))| holds exactly,
-  so at least one class keeps a comparable density;
-* if the density along some subsequence stays >= p', the harmonic subseries
-  sum_{i in I} 1/i grows without bound: an inductive ladder n_0 = 1,
-  n_{k+1} = smallest n >= n_k/(p'-p'') with |I ∩ [n)| >= p'n, pays at least
-  p'' per completed block.
+The fact the experiments lean on: if the density along some subsequence
+stays >= p' > 0, the harmonic subseries sum_{i in I} 1/i grows without
+bound.  On a prefix, :func:`harmonic_subsum` reports the partial sum and
+:func:`is_thick_estimate` the density trend that suggests (never proves)
+positive upper density.
 """
 
 from __future__ import annotations
@@ -30,11 +26,7 @@ __all__ = [
     "upper_density",
     "is_thick_estimate",
     "DensityTrend",
-    "residue_class_split",
-    "ResidueSplit",
     "harmonic_subsum",
-    "nk_ladder",
-    "LadderReport",
 ]
 
 
@@ -58,12 +50,6 @@ class ThickSet:
         if not (0 <= i < self.prefix.size):
             raise ValidationError(f"index {i} outside known prefix [0, {self.prefix.size})")
         return bool(self.prefix[i])
-
-    def indices(self, n: int | None = None) -> np.ndarray:
-        n = self.prefix.size if n is None else int(n)
-        if not (0 <= n <= self.prefix.size):
-            raise ValidationError(f"n={n} outside prefix of length {self.prefix.size}")
-        return np.flatnonzero(self.prefix[:n])
 
     # -- common instances -------------------------------------------------
     @staticmethod
@@ -138,119 +124,9 @@ def is_thick_estimate(ts: ThickSet) -> DensityTrend:
     return DensityTrend(horizons=ns, densities=dens, running_max=rmax, description=ts.description)
 
 
-@dataclass(frozen=True)
-class ResidueSplit:
-    """Residue-class decomposition J_l = {j : jk + l in I} with densities."""
-
-    k: int
-    classes: list[ThickSet]
-    densities: list[float]
-    argmax: int
-    partition_exact: bool
-    density_inequality_ok: bool
-
-
-def residue_class_split(ts: ThickSet, k: int) -> ResidueSplit:
-    """Split by residues mod k; assert the exact finite-n partition identity.
-
-    With N the prefix length and n_l = ceil((N-l)/k), the identity
-    |I ∩ [N)| = sum_l |J_l ∩ [n_l)| holds exactly, and consequently
-    density(I) <= (1/k) sum_l density(J_l) + k/N.
-    """
-    if k < 2:
-        raise ValidationError(f"k must be >= 2, got {k}")
-    n_total = len(ts)
-    if n_total < k:
-        raise ValidationError(f"prefix length {n_total} shorter than modulus {k}")
-    classes: list[ThickSet] = []
-    densities: list[float] = []
-    count_sum = 0
-    for l in range(k):
-        pref = ts.prefix[l::k]
-        if pref.size == 0:
-            pref = np.zeros(1, dtype=bool)
-        classes.append(ThickSet(pref, description=f"{ts.description} | residue {l} mod {k}"))
-        count_sum += int(np.count_nonzero(ts.prefix[l::k]))
-        densities.append(float(np.count_nonzero(pref)) / float(pref.size))
-    total = int(np.count_nonzero(ts.prefix))
-    partition_exact = count_sum == total
-    dens_i = total / n_total
-    density_inequality_ok = dens_i <= sum(densities) / k + k / n_total + 1.0e-12
-    argmax = int(np.argmax(densities))
-    return ResidueSplit(
-        k=k,
-        classes=classes,
-        densities=densities,
-        argmax=argmax,
-        partition_exact=partition_exact,
-        density_inequality_ok=density_inequality_ok,
-    )
-
-
 def harmonic_subsum(ts: ThickSet, n: int) -> float:
     """sum of 1/i over i in I ∩ [1, n), exactly ordered summation."""
     if not (1 <= n <= len(ts)):
         raise ValidationError(f"n must lie in [1, {len(ts)}], got {n}")
     idx = np.flatnonzero(ts.prefix[1:n]) + 1
     return float(math.fsum(1.0 / i for i in idx))
-
-
-@dataclass(frozen=True)
-class LadderReport:
-    """The inductive horizon ladder and its certified per-block increments."""
-
-    p_prime: float
-    p_dprime: float
-    ns: list[int]
-    block_increments: list[float]
-    all_blocks_certified: bool
-
-
-def nk_ladder(
-    ts: ThickSet,
-    p_prime: float,
-    p_dprime: float,
-    *,
-    min_blocks: int = 3,
-    max_blocks: int = 64,
-) -> LadderReport:
-    """Build the ladder n_0 = 1, n_{k+1} = min{n >= n_k/(p'-p'') : |I∩[n)| >= p'n}.
-
-    Certifies sum_{i in I ∩ [n_k, n_{k+1})} 1/i >= p'' for every completed
-    block.  Raises if the prefix is exhausted before ``min_blocks`` blocks.
-    """
-    if not (0.0 < p_dprime < p_prime < 1.0):
-        raise ValidationError(
-            f"need 0 < p'' < p' < 1, got p'={p_prime}, p''={p_dprime}"
-        )
-    counts = np.cumsum(ts.prefix.astype(np.int64))  # counts[m] = |I ∩ [m+1)|
-    n_total = len(ts)
-    all_n = np.arange(1, n_total + 1)
-    qualifying = all_n[counts >= p_prime * all_n - 1.0e-9]  # n with |I∩[n)| >= p'n
-
-    ns = [1]
-    increments: list[float] = []
-    gap = p_prime - p_dprime
-    while len(ns) - 1 < max_blocks:
-        start = max(1, int(math.ceil(ns[-1] / gap - 1.0e-9)))
-        pos = int(np.searchsorted(qualifying, start))
-        if pos >= qualifying.size:
-            break
-        ns.append(int(qualifying[pos]))
-        lo, hi = ns[-2], ns[-1]
-        idx = np.flatnonzero(ts.prefix[lo:hi]) + lo
-        idx = idx[idx >= 1]
-        increments.append(float(math.fsum(1.0 / i for i in idx)))
-    if len(increments) < min_blocks:
-        raise ValidationError(
-            f"prefix of length {n_total} exhausted after {len(increments)} "
-            f"ladder blocks (< {min_blocks}); supply a longer prefix"
-        )
-    certified = all(inc >= p_dprime - 1.0e-12 for inc in increments)
-    return LadderReport(
-        p_prime=p_prime,
-        p_dprime=p_dprime,
-        ns=ns,
-        block_increments=increments,
-        all_blocks_certified=certified,
-    )

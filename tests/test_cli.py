@@ -104,3 +104,26 @@ def test_non_finite_report_values_exit_3_and_write_nothing(monkeypatch, tmp_path
     ledger = next(c for c in REQUIRED_ONLY if c.startswith("arbitrage ledger"))
     assert main(ledger.split() + ["--out", str(out)]) == 3
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    "bounds subgauss --theta 0.5 --x inf",
+    "sample fbm --hurst 0.75 --n 4 --dt inf",
+    "sample obm --n 4 --dt 0.1 --t0 nan",
+    "drift kernel --hurst 0.75 --v 0.5,nan",
+    "arbitrage ledger --hurst 0.75 --r 0.1 --alpha 0.5 --p 0.5 --n 8 --rtilde 0.05"
+    " --alpha-prime 0.4 --p-prime 0.4 --pan 4=nan",
+])
+def test_non_finite_float_input_exits_2(command, tmp_path):
+    out = tmp_path / "artifact.json"
+    assert main(command.split() + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_non_finite_config_value_exits_2(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("dt = nan\n", encoding="utf-8")
+    out = tmp_path / "artifact.json"
+    argv = f"sample fbm --hurst 0.75 --n 4 --config {config} --out {out}".split()
+    assert main(argv) == 2
+    assert not out.exists()

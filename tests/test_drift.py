@@ -7,6 +7,8 @@ and the graded three-piece s-quadrature that the library used before the
 closed form.
 """
 
+import re
+
 import mpmath
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate as scipy_integrate
 
+from fbmkit.acceptance import inversion_grid
 from fbmkit.context import make_context, pow0, xi
 from fbmkit.drift import (
     DriftKernelSpec,
@@ -359,6 +362,27 @@ class TestDriftRoutes:
         with pytest.raises(AccuracyError):
             drift_from_obm(kspec, w_past, np.array([2.0]))
 
+    @pytest.mark.parametrize("hurst,u_short", [(0.25, 2.5), (0.75, 2.5), (0.9, 1e7), (0.95, 1e7)])
+    def test_driver_window_error_names_a_sufficient_depth(self, hurst, u_short):
+        # The message names the window depth (--umax) that meets the same
+        # tail bound; a depth 10% shorter than the named one does not.
+        kspec = DriftKernelSpec(ctx=make_context(hurst))
+        v_grid = np.linspace(0.125, 2.0, 16)
+
+        def check(u_max):
+            times = inversion_grid(1.0 / 128, u_deep=u_max)
+            past = SampledPath(times=times, values=np.zeros(times.size), kind="oBm")
+            return drift_from_obm(kspec, past, v_grid)
+
+        with pytest.raises(AccuracyError) as short:
+            check(u_short)
+        need = float(re.search(r"\(--umax\) of (\S+)$", str(short.value)).group(1))
+        assert np.all(check(need) == 0.0)
+        with pytest.raises(AccuracyError):
+            check(need / 1.1)
+        if hurst == 0.9:  # the known limit: far beyond any sampled window
+            assert 1e15 < need < 1e17
+
     def test_validation(self):
         ctx = make_context(0.75)
         kspec = DriftKernelSpec(ctx=ctx)
@@ -394,8 +418,6 @@ class TestInversion:
         ctx = make_context(hurst)
         kspec = DriftKernelSpec(ctx=ctx)
         dt = 1.0 / 512
-        from fbmkit.acceptance import inversion_grid
-
         times = inversion_grid(dt)
         t_neg = times[:-1]
         t_rec = -np.linspace(1.0, 1.0 / 8, 8)

@@ -16,29 +16,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate as scipy_integrate
 
-from fbmkit.acceptance import inversion_grid
 from fbmkit.context import make_context
-from fbmkit.errors import AccuracyError, ValidationError
+from fbmkit.errors import ValidationError
 from fbmkit.fbm import (
     cross_cov_wz,
     fbm_cov,
     fbm_cov_matrix,
     fgn_autocov,
-    integrate_by_parts_eval,
     joint_wz_cov,
     levy_cov,
     levy_cov_matrix,
-    refine_obm,
-    sample_fbm,
-    sample_fbm_bilateral,
     sample_fbm_paths,
     sample_fgn,
-    sample_joint_wz,
     sample_levy_paths,
     sample_obm,
 )
-from fbmkit.gaussian import cholesky_with_jitter, cov_standard_errors, estimate_cov
-from fbmkit.grids import GridPath, SampledPath
+from fbmkit.gaussian import CovMatrix, cholesky_with_jitter, cov_standard_errors, estimate_cov
 from fbmkit.quadrature import graded_breaks, panel_nodes
 from fbmkit.rng import make_rng
 
@@ -308,33 +301,10 @@ class TestSamplers:
         exact = fbm_cov_matrix(dt * np.arange(1, n_steps + 1), hurst)
         assert_within_se(estimate_cov(body), exact, cov_standard_errors(body))
 
-    def test_sample_fbm_grid_path(self):
-        rng = make_rng(3)
-        path = sample_fbm(0.75, 16, 0.125, rng)
-        assert isinstance(path, GridPath)
-        assert path.kind == "fBm"
-        assert path.t0 == 0.0 and path.values[0] == 0.0
-        assert path.n == 17
-
     def test_sample_fbm_deterministic(self):
-        a = sample_fbm(0.25, 8, 0.5, make_rng(11))
-        b = sample_fbm(0.25, 8, 0.5, make_rng(11))
-        assert np.array_equal(a.values, b.values)
-
-    def test_bilateral_covariance(self):
-        hurst, n_past, n_future, dt = 0.75, 2, 2, 0.5
-        rng = make_rng(404)
-        draws = np.empty((4000, n_past + n_future + 1))
-        for i in range(draws.shape[0]):
-            path = sample_fbm_bilateral(hurst, n_past, n_future, dt, rng)
-            draws[i] = path.values
-        path = sample_fbm_bilateral(hurst, n_past, n_future, dt, rng)
-        assert path.t0 == -n_past * dt
-        assert path.values[n_past] == 0.0 and path.kind == "fBm"
-        exact = fbm_cov_matrix(path.times, hurst)
-        assert_within_se(
-            estimate_cov(draws), exact, cov_standard_errors(draws), slack=1e-12
-        )
+        a = sample_fbm_paths(0.25, 8, 0.5, make_rng(11))
+        b = sample_fbm_paths(0.25, 8, 0.5, make_rng(11))
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("hurst", [0.25, 0.75])
     def test_levy_paths_covariance(self, hurst):
@@ -355,6 +325,7 @@ class TestSamplers:
             path = sample_obm(n_steps, dt, rng, t0=t0)
             draws[i] = path.values
         grid = t0 + dt * np.arange(n_steps + 1)
+        assert path.kind == "oBm" and np.array_equal(path.times, grid)
         anchor = np.argmin(np.abs(grid))
         assert np.all(draws[:, anchor] == 0.0)
         sign = np.sign(grid)
@@ -375,35 +346,8 @@ class TestSamplers:
             sample_obm(4, 0.25, rng, t0=-0.3)
         with pytest.raises(ValidationError):
             sample_obm(2, 0.25, rng, t0=-1.0)  # grid ends before t = 0
-
-
-class TestRefineObm:
-    def test_preserves_coarse_grid(self):
-        rng = make_rng(17)
-        path = sample_obm(8, 0.5, rng, t0=-2.0)
-        fine = refine_obm(path, rng)
-        assert fine.kind == "oBm"
-        assert fine.dt == path.dt / 2 and fine.t0 == path.t0
-        assert fine.n == 2 * path.n - 1
-        assert np.array_equal(fine.values[0::2], path.values)
-
-    def test_midpoint_bridge_law(self):
-        rng = make_rng(18)
-        base = GridPath(t0=0.0, dt=1.0, values=np.array([0.0, 1.2]), kind="oBm")
-        mids = np.array(
-            [refine_obm(base, rng).values[1] for _ in range(8000)]
-        )
-        mean, var = mids.mean(), mids.var()
-        se_mean = mids.std() / np.sqrt(mids.size)
-        assert abs(mean - 0.6) <= 4 * se_mean
-        se_var = var * np.sqrt(2.0 / (mids.size - 1))
-        assert abs(var - 0.25) <= 4 * se_var
-
-    def test_requires_obm(self):
-        rng = make_rng(1)
-        path = sample_fbm(0.75, 4, 0.5, rng)
         with pytest.raises(ValidationError):
-            refine_obm(path, rng)
+            sample_obm(4, 0.0, rng)  # no grid without a positive step
 
 
 class TestJointWZ:
@@ -453,116 +397,16 @@ class TestJointWZ:
         assert mat[1, 3] == pytest.approx(cross_cov_wz(ctx, -0.25, 0.5))
 
     def test_sample_joint_matches_cov(self):
+        # The joint law is a valid covariance: it samples without jitter and
+        # the draws reproduce it.  (Both processes are pinned at time 0.)
         ctx = make_context(0.75)
-        w_times = np.array([-1.0, 0.0, 0.5])
-        z_times = np.array([0.0, 0.5, 1.5])
-        rng = make_rng(909)
-        w, z = sample_joint_wz(ctx, w_times, z_times, rng, paths=20_000)
-        assert np.all(w[:, 1] == 0.0) and np.all(z[:, 0] == 0.0)
-        stacked = np.hstack([w, z])
+        w_times = np.array([-1.0, 0.5])
+        z_times = np.array([0.5, 1.5])
         exact = joint_wz_cov(ctx, w_times, z_times)
+        _, jitter = cholesky_with_jitter(exact)
+        assert jitter == 0.0
+        stacked = CovMatrix(exact).sample(make_rng(909), 20_000)
         assert_within_se(
             estimate_cov(stacked), exact, cov_standard_errors(stacked),
             slack=1e-12,
         )
-
-
-class TestIntegrateByParts:
-    def test_brownian_case_returns_driver(self):
-        ctx = make_context(0.5)
-        rng = make_rng(21)
-        path = sample_obm(64, 0.125, rng, t0=-4.0)
-        for t in (0.5, 1.0, path.t_end):
-            assert integrate_by_parts_eval(ctx, path, t) == path.value_at(t)
-        assert integrate_by_parts_eval(ctx, path, 0.0) == 0.0
-
-    @staticmethod
-    def _driver_grid(dt, u_deep):
-        past = inversion_grid(dt, u_deep=u_deep)
-        future = dt * np.arange(1, int(2.0 / dt) + 1)
-        return np.concatenate([past, future])
-
-    @staticmethod
-    def _linear_ma(ctx, times, values, t):
-        # Exact moving-average integral against the piecewise-linear
-        # interpolant of the driver: sum over segments of
-        # slope_j * [G(s_{j+1}) - G(s_j)] with G(s) = F(-s) - F(t - s)
-        # and F(x) = x_+^{eta+1} / (eta + 1).
-        eta = ctx.eta
-
-        def antideriv(x):
-            x = np.maximum(np.asarray(x, dtype=float), 0.0)
-            return x ** (eta + 1.0) / (eta + 1.0)
-
-        clipped = np.minimum(times, t)  # kernel vanishes beyond s = t
-        slopes = np.diff(values) / np.diff(times)
-        g = antideriv(-clipped) - antideriv(t - clipped)
-        return ctx.c1 * float(np.sum(slopes * np.diff(g)))
-
-    @pytest.mark.parametrize(
-        "hurst,u_deep", [(0.25, 600.0), (0.75, 1.0e7)]
-    )
-    def test_matches_exact_linear_moving_average(self, hurst, u_deep):
-        # Same driver path, two routes: the integration-by-parts quadrature
-        # versus the closed-form integral against the piecewise-linear
-        # driver.  Any formula or sign error shows up at order one; the
-        # observed gap is panel/knot misalignment only (< 1e-2).
-        ctx = make_context(hurst)
-        w_times = self._driver_grid(1.0 / 256, u_deep)
-        z_times = np.array([0.5, 1.0, 1.7])
-        rng = make_rng(303)
-        w, _ = sample_joint_wz(ctx, w_times, z_times, rng, paths=8)
-        gaps, scales = [], []
-        for i in range(w.shape[0]):
-            driver = SampledPath(times=w_times, values=w[i], kind="oBm")
-            for t in z_times:
-                got = integrate_by_parts_eval(ctx, driver, t)
-                want = self._linear_ma(ctx, w_times, w[i], t)
-                gaps.append(got - want)
-                scales.append(want)
-        rel = np.sqrt(np.mean(np.square(gaps)) / np.mean(np.square(scales)))
-        assert rel < 0.02, f"H={hurst}: linear-MA mismatch rel L2 {rel:.4f}"
-
-    @pytest.mark.parametrize(
-        "hurst,u_deep,tol", [(0.25, 600.0, 0.20), (0.75, 1.0e7, 0.05)]
-    )
-    def test_driver_route_matches_joint_law(self, hurst, u_deep, tol):
-        # Evaluate the moving average from a simulated driver path and
-        # compare with the jointly drawn process values.  The residual is
-        # the conditional-interpolation error of the discrete driver grid,
-        # which scales like dt^H — hence the looser gate for the
-        # antipersistent case.
-        ctx = make_context(hurst)
-        w_times = self._driver_grid(1.0 / 256, u_deep)
-        z_times = np.array([0.5, 1.0, 1.7])
-        rng = make_rng(303)
-        w, z = sample_joint_wz(ctx, w_times, z_times, rng, paths=24)
-        recon = np.empty_like(z)
-        for i in range(w.shape[0]):
-            driver = SampledPath(times=w_times, values=w[i], kind="oBm")
-            for j, t in enumerate(z_times):
-                recon[i, j] = integrate_by_parts_eval(ctx, driver, t)
-        rel = np.sqrt(np.mean((recon - z) ** 2) / np.mean(z**2))
-        assert rel < tol, f"H={hurst}: joint-law mismatch rel L2 {rel:.4f}"
-
-    def test_short_window_raises_accuracy_error(self):
-        ctx = make_context(0.75)
-        times = np.concatenate([inversion_grid(1.0 / 64), [1.0]])
-        path = SampledPath(
-            times=times, values=np.zeros(times.size), kind="oBm"
-        )
-        with pytest.raises(AccuracyError):
-            integrate_by_parts_eval(ctx, path, 1.0)
-
-    def test_validation(self):
-        ctx = make_context(0.75)
-        rng = make_rng(5)
-        obm = sample_obm(32, 0.25, rng, t0=-4.0)
-        fbm = sample_fbm(0.75, 8, 0.5, rng)
-        with pytest.raises(ValidationError):
-            integrate_by_parts_eval(ctx, fbm, 1.0)
-        with pytest.raises(ValidationError):
-            integrate_by_parts_eval(ctx, obm, obm.t_end + 1.0)
-        short = sample_obm(4, 0.25, rng, t0=-0.5)
-        with pytest.raises(ValidationError):
-            integrate_by_parts_eval(ctx, short, -1.0)

@@ -71,8 +71,6 @@ def test_graded_breaks_structure():
     assert np.all(widths > 0)
     # widths grow away from the refined endpoint
     assert np.all(widths[2:] >= widths[1:-1])
-    both = graded_breaks(0.0, 1.0, toward="both", levels=8)
-    assert both[0] == 0.0 and both[-1] == 1.0 and 0.5 in both
 
 
 def test_graded_breaks_validation():
