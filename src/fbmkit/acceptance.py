@@ -46,6 +46,7 @@ from .fbm import (
 from .gamma import GammaConfig, decay_bound_check, gamma_mc_implied_cov, sample_gamma_mc
 from .gaussian import CovMatrix, cholesky_with_jitter, cov_standard_errors, estimate_cov
 from .grids import SampledPath
+from .reports import utc_now
 from .rng import make_rng
 from .serialize import canonical_json_dumps
 from .subgauss import subgaussian_bound, subgaussian_constants
@@ -137,7 +138,7 @@ class AcceptanceReport:
             "seed": self.seed,
             "criteria": [r.as_dict() for r in self.results],
             "threads": self.threads,
-            "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            "created_utc": utc_now(),
         }
 
     def to_json(self) -> str:

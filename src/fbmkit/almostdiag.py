@@ -64,6 +64,8 @@ _INF = float("inf")
 SLACK = 1.0e-9
 # Last term index m of the truncated series in hk_entry_bound.
 HK_TERMS = 60
+# Terms of the phi_g and phi_i series; each falls by 1/4 or more, 4^-60 < 2^-110.
+_SERIES_TERMS = 60
 
 
 @dataclass(frozen=True)
@@ -114,10 +116,19 @@ def _phi_m(eps: float) -> float:
 def _phi_g(eps: float, phi_m: float) -> float:
     # phi_m + eps^(-2) * sum_{k>=3} y^k / k,  y = 2 eps / (1 - eps) < 1
     # (i.e. eps < 1/3);  sum_{k>=3} y^k / k = -log(1-y) - y - y^2/2.
+    # With y^3 / eps^2 = 8 eps / (1 - eps)^3 the sum is taken as
+    # tail = sum_{k>=3} y^(k-3) / k: by its series for y <= 1/2, where the
+    # closed form cancels all its digits as eps -> 0 (and eps^2 underflows).
     if eps >= 1.0 / 3.0 or not math.isfinite(phi_m):
         return _INF
     y = 2.0 * eps / (1.0 - eps)
-    return phi_m + (-math.log1p(-y) - y - y * y / 2.0) / (eps * eps)
+    if y <= 0.5:
+        tail = 0.0
+        for k in range(_SERIES_TERMS + 2, 2, -1):
+            tail = tail * y + 1.0 / k
+    else:
+        tail = (-math.log1p(-y) - y - y * y / 2.0) / y**3
+    return phi_m + 8.0 * eps / (1.0 - eps) ** 3 * tail
 
 
 def _phi_i(eps: float, phi_m: float) -> float:
@@ -128,10 +139,19 @@ def _phi_i(eps: float, phi_m: float) -> float:
     #   = (1/2) [ (1-16 eps^2)^(-1/2) - 1 - 8 eps^2 ]
     #     - 4 eps^2 [ (1-4 eps^2)^(-3/2) - 1 ],
     # using sum C(2m,m) x^m = (1-4x)^(-1/2) and
-    # sum C(2m,m) m x^m = 2x (1-4x)^(-3/2).  Radius eps < 1/4.
+    # sum C(2m,m) m x^m = 2x (1-4x)^(-3/2).  Radius eps < 1/4.  For
+    # eps <= 1/8 the series itself is summed (its terms fall by about
+    # 16 eps^2 <= 1/4 each), as the closed form cancels its digits as eps -> 0.
     if eps >= 0.25 or not math.isfinite(phi_m):
         return _INF
     e2 = eps * eps
+    if eps <= 0.125:
+        total, binom, power = 0.0, 6.0, 1.0  # C(2m, m) and e2^(m-2) at m = 2
+        for m in range(2, _SERIES_TERMS + 2):
+            total += binom * (2.0 ** (2 * m - 1) - 2 * m) * power
+            binom *= (2 * m + 2) * (2 * m + 1) / (m + 1) ** 2
+            power *= e2
+        return phi_m + 0.5 * e2 * total
     head = 0.5 * ((1.0 - 16.0 * e2) ** (-0.5) - 1.0 - 8.0 * e2)
     deriv = 4.0 * e2 * ((1.0 - 4.0 * e2) ** (-1.5) - 1.0)
     return phi_m + (head - deriv) / (2.0 * e2)

@@ -3,10 +3,14 @@
 Three families:
 
 * ``lil_statistic`` — samples the one-sided moving-average process at
-  geometric times r^i through an exact two-block decomposition
-  Y = Ytilde + Yprime (recent window / deep past, built from the same
-  Gaussian vector) and tracks the running minimum of
-  Y_{r^i} / ((log i)^{1/2} r^{H i}) down a ladder of depths.
+  geometric times r^i and tracks the running minimum of
+  Y_{r^i} / ((log i)^{1/2} r^{H i}) down a ladder of depths.  The normalised
+  values Y_i = c1 (T_i + P_i) are drawn directly from their own exact
+  (i_max+1)^2 covariance, the sum of the four blocks of ``lil_block_cov``
+  (recent window T / deep past P).  That block matrix stays the one exact
+  source of the covariance, pinned entry by entry against mpmath; the paths
+  are split into fixed chunks, each with its own stream and reduced on its
+  own thread, so the thread count never changes the result.
 * ``a_n_probability`` — estimates the probability that at least p*n of the
   ladder observables (G_i) exceed alpha * H^{-1/2} (log i)_+^{1/2},
   via exact covariance sampling, with Wilson intervals, over a doubling
@@ -15,11 +19,14 @@ Three families:
 * ``product_tail_bound`` / ``n_threshold`` / ``union_bound_ledger`` — the
   explicit bound chain for the surrogate independent vector, the event-family
   comparison threshold, and the assembled union-bound bookkeeping.
+
+Every report carries its wall time and creation time as volatile fields.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,7 +48,6 @@ __all__ = [
     "LilConfig",
     "ArbitrageConfig",
     "lil_block_cov",
-    "sample_lil_blocks",
     "lil_statistic",
     "a_n_probability",
     "a_n_probability_dual",
@@ -57,6 +63,8 @@ __all__ = [
 LIL_BAND_OFFSETS = (-0.35, 0.6)
 
 _CHUNK = 200_000
+# Paths per lil_statistic chunk: a chunk's temporaries stay near 10 MB.
+_LIL_CHUNK = 2**15
 # Width at which the bisection of max_feasible_epsilon stops.
 _EPS_BISECTION_TOL = 1.0e-12
 
@@ -131,18 +139,19 @@ def lil_block_cov(cfg: LilConfig) -> np.ndarray:
     return cov
 
 
-def sample_lil_blocks(
-    cfg: LilConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (window, past) block arrays, each (n_paths, i_max + 1).
+def _lil_cov(cfg: LilConfig) -> np.ndarray:
+    """Exact covariance of the normalised values Y_i = c1 (T_i + P_i), i <= i_max.
 
-    The normalized process value is exactly c1 * (window + past) — the two
-    pieces come from one joint Gaussian vector, never sampled separately.
+    The sum of the four blocks of :func:`lil_block_cov`, which stays the one
+    exact source of the matrix (its entries are pinned against mpmath).  The
+    sum is the one-sided covariance at times r^i scaled by r^{-H(i+j)}, and it
+    is far better conditioned than the block matrix (cond 33 against 4e17 at
+    H = 1/2), so its Cholesky factor needs no jitter.
     """
     m = cfg.i_max + 1
-    cov = CovMatrix(lil_block_cov(cfg))
-    z = cov.sample(rng, cfg.n_paths)
-    return z[:, :m], z[:, m:]
+    blocks = lil_block_cov(cfg)
+    summed = blocks[:m, :m] + blocks[:m, m:] + blocks[m:, :m] + blocks[m:, m:]
+    return cfg.ctx.c1**2 * summed
 
 
 def lil_statistic(cfg: LilConfig, *, threads: int = 1) -> ExperimentReport:
@@ -153,19 +162,22 @@ def lil_statistic(cfg: LilConfig, *, threads: int = 1) -> ExperimentReport:
     i_max, i_max/2, i_max/4 (>= 2), its order-statistic confidence interval,
     the acceptance band around the limit constant -1/sqrt(H), and the
     fraction of paths falling below the band.
-    """
-    h = cfg.ctx.hurst
-    streams = spawn_streams(cfg.seed, 1)
-    tilde, prime = sample_lil_blocks(cfg, streams[0])
-    y_norm = cfg.ctx.c1 * (tilde + prime)
 
+    The normalised values Y_i = c1 (T_i + P_i) are drawn directly from their
+    summed covariance (:func:`_lil_cov`), half the normals of a draw of the
+    T and P blocks; :func:`lil_block_cov` stays as the exact, mpmath-pinned
+    source of the sum.  Paths come ``_LIL_CHUNK`` at a time, one stream per
+    chunk; each chunk is reduced on one of ``threads`` threads to its minima
+    up to each ladder depth, and the chunks are joined in order, so the
+    report does not depend on ``threads``.
+    """
+    start = time.perf_counter()
+    h = cfg.ctx.hurst
     all_idx = np.arange(2, cfg.i_max + 1)
     if cfg.thick_set is not None:
         all_idx = all_idx[[i in cfg.thick_set for i in all_idx]]
     if all_idx.size == 0:
         raise ValidationError("index set ∩ [2, i_max] is empty")
-
-    stat = y_norm[:, all_idx] / np.sqrt(np.log(all_idx))[None, :]
 
     caps = []
     cap = cfg.i_max
@@ -173,6 +185,25 @@ def lil_statistic(cfg: LilConfig, *, threads: int = 1) -> ExperimentReport:
         caps.append(cap)
         cap //= 2
     caps = sorted(caps)
+    # The indices up to a cap are the first stops[c] entries of all_idx.
+    stops = np.searchsorted(all_idx, caps, side="right")
+    if stops[0] == 0:
+        raise ValidationError(f"index set ∩ [2, {caps[0]}] is empty")
+
+    cov = CovMatrix(_lil_cov(cfg))
+    norm = np.sqrt(np.log(all_idx))[:, None]
+    n_chunks = math.ceil(cfg.n_paths / _LIL_CHUNK)
+    sizes = [min(_LIL_CHUNK, cfg.n_paths - k * _LIL_CHUNK) for k in range(n_chunks)]
+    streams = spawn_streams(cfg.seed, n_chunks)
+
+    def run_chunk(k: int) -> np.ndarray:
+        stat = cov.sample(streams[k], sizes[k]).T[all_idx]
+        stat /= norm
+        # Row-wise minima of the C-ordered block; minimum.accumulate along
+        # axis 0 is ten times slower.
+        return np.stack([stat[:stop].min(axis=0) for stop in stops])
+
+    minima = np.concatenate(parallel_map(run_chunk, range(n_chunks), threads=threads), axis=1)
 
     limit = -1.0 / math.sqrt(h)
     band = (limit + LIL_BAND_OFFSETS[0], limit + LIL_BAND_OFFSETS[1])
@@ -192,11 +223,7 @@ def lil_statistic(cfg: LilConfig, *, threads: int = 1) -> ExperimentReport:
     )
 
     medians = []
-    for cap in caps:
-        sel = all_idx <= cap
-        if not sel.any():
-            raise ValidationError(f"index set ∩ [2, {cap}] is empty")
-        mins = stat[:, sel].min(axis=1)
+    for cap, mins in zip(caps, minima):
         med = float(np.median(mins))
         lo, hi = _median_ci(mins)
         report.add(f"median_min_imax_{cap}", med, lo, hi, cfg.n_paths)
@@ -212,7 +239,7 @@ def lil_statistic(cfg: LilConfig, *, threads: int = 1) -> ExperimentReport:
     report.trends["median_decreasing"] = [
         bool(medians[k + 1] < medians[k]) for k in range(len(medians) - 1)
     ]
-    return report
+    return report.stamp(start)
 
 
 def _median_ci(values: np.ndarray) -> tuple[float, float]:
@@ -293,6 +320,22 @@ def _doubling_ladder(n: int) -> list[int]:
     return sorted(ladder)
 
 
+def _prefix_hits(above: np.ndarray, needs: dict[int, int]) -> np.ndarray:
+    """For each depth m in ``needs``, the columns with >= needs[m] True in their first m rows.
+
+    ``above`` is an (n, paths) boolean array, one row per ladder index, read
+    row by row in its C order; the counts come in ascending m.  The running
+    count is int8: ``a_n_probability`` enforces n <= 64, so it never passes 64.
+    """
+    count = np.zeros(above.shape[1], dtype=np.int8)
+    hits = []
+    for m in range(1, above.shape[0] + 1):
+        count += above[m - 1]
+        if m in needs:
+            hits.append(np.count_nonzero(count >= needs[m]))
+    return np.asarray(hits, dtype=np.int64)
+
+
 def a_n_probability(cfg: ArbitrageConfig, *, threads: int = 1) -> ExperimentReport:
     """Wilson-interval estimates of the excess-count probability P(A_n).
 
@@ -302,6 +345,7 @@ def a_n_probability(cfg: ArbitrageConfig, *, threads: int = 1) -> ExperimentRepo
     log P-hat / n and its trend.  Zero hits at some depth leave only the
     Wilson upper bound meaningful (value 0, ci_low 0).
     """
+    start = time.perf_counter()
     if cfg.n > 64:
         raise ValidationError(
             f"n = {cfg.n} out of the Monte Carlo regime (n <= 64)"
@@ -316,11 +360,8 @@ def a_n_probability(cfg: ArbitrageConfig, *, threads: int = 1) -> ExperimentRepo
     streams = spawn_streams(cfg.seed, n_chunks)
 
     def run_chunk(k: int) -> np.ndarray:
-        z = cov.sample(streams[k], sizes[k])
-        exceed = np.cumsum(z >= thr[None, :], axis=1)
-        return np.asarray(
-            [(exceed[:, m - 1] >= needs[m]).sum() for m in ladder], dtype=np.int64
-        )
+        above = cov.sample(streams[k], sizes[k]).T >= thr[:, None]
+        return _prefix_hits(above, needs)
 
     per_chunk = parallel_map(run_chunk, range(n_chunks), threads=threads)
     hits = np.sum(np.stack(per_chunk, axis=0), axis=0)
@@ -355,7 +396,7 @@ def a_n_probability(cfg: ArbitrageConfig, *, threads: int = 1) -> ExperimentRepo
     report.trends["rate_strictly_decreasing"] = [
         None if (a is None or b is None) else bool(b < a) for a, b in rate_pairs
     ]
-    return report
+    return report.stamp(start)
 
 
 def a_n_probability_dual(cfg: ArbitrageConfig) -> ExperimentReport:
@@ -365,6 +406,7 @@ def a_n_probability_dual(cfg: ArbitrageConfig) -> ExperimentReport:
     event on +/- pairs of the same normals; the confidence interval is the
     normal-approximation interval on pair-averaged indicators.
     """
+    start = time.perf_counter()
     if cfg.n > 16:
         raise ValidationError("dual estimator is intended for small n (<= 16)")
     cov = gamma_cov_matrix(GammaConfig(cfg.ctx, cfg.r, n=cfg.n), cfg.n)
@@ -402,7 +444,7 @@ def a_n_probability_dual(cfg: ArbitrageConfig) -> ExperimentReport:
     )
     report.add(f"p_an_n_{cfg.n}", phat, max(0.0, phat - 1.96 * se),
                min(1.0, phat + 1.96 * se), 2 * n_pairs)
-    return report
+    return report.stamp(start)
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +571,7 @@ def union_bound_ledger(cfg: ArbitrageConfig, p_an_prime) -> ExperimentReport:
     exact integer arithmetic.  The report flags the crossover depth where the
     remainder starts to fall.
     """
+    start = time.perf_counter()
     if cfg.r_tilde is None:
         raise ValidationError("union_bound_ledger requires r_tilde in the config")
     items = sorted((int(n), float(v)) for n, v in dict(p_an_prime).items())
@@ -581,4 +624,4 @@ def union_bound_ledger(cfg: ArbitrageConfig, p_an_prime) -> ExperimentReport:
             crossover = depths[k]
             break
     report.trends["remainder_crossover_n"] = [crossover]
-    return report
+    return report.stamp(start)

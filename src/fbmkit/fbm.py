@@ -27,6 +27,8 @@ Driver and driven process
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import gamma as _gamma
 from scipy.special import hyp2f1
@@ -78,7 +80,8 @@ def fbm_cov_matrix(times, hurst: float) -> np.ndarray:
 def fgn_autocov(n_lags: int, hurst: float, dt: float = 1.0) -> np.ndarray:
     """Autocovariance of fractional Gaussian noise at lags ``0 .. n_lags - 1``.
 
-    ``gamma(k) = dt^{2H} * ((k+1)^{2H} - 2 k^{2H} + |k-1|^{2H}) / 2``.
+    ``gamma(k) = dt^{2H} * ((k+1)^{2H} - 2 k^{2H} + |k-1|^{2H}) / 2``,
+    evaluated by :func:`_fgn_unit_autocov` without forming the difference.
     """
     if n_lags < 1:
         raise ValidationError(f"n_lags must be >= 1, got {n_lags}")
@@ -86,9 +89,40 @@ def fgn_autocov(n_lags: int, hurst: float, dt: float = 1.0) -> np.ndarray:
         raise ValidationError(f"hurst must lie in (0, 1), got {hurst}")
     if not (dt > 0):
         raise ValidationError(f"dt must be positive, got {dt}")
-    k = np.arange(n_lags, dtype=float)
-    h2 = 2.0 * hurst
-    return 0.5 * dt**h2 * ((k + 1.0) ** h2 - 2.0 * k**h2 + np.abs(k - 1.0) ** h2)
+    return dt ** (2.0 * hurst) * _fgn_unit_autocov(np.arange(n_lags), hurst)
+
+
+# Terms of the even binomial series in _fgn_unit_autocov.  From k = 2 on each
+# term is at most about 1/k^2 = 1/4 of the one before, and 4^-29 < 2^-57.
+_FGN_SERIES_TERMS = 30
+
+
+def _fgn_unit_autocov(lags: np.ndarray, hurst: float) -> np.ndarray:
+    """``((k+1)^{2H} - 2 k^{2H} + |k-1|^{2H}) / 2`` at integer lags ``k >= 0``.
+
+    The difference is about ``H |2H - 1| k^{2H-2}`` against terms of size
+    ``k^{2H}``: formed in floats it loses ``log10(k^2 / |2H - 1|)`` digits,
+    so it is never formed.  Lag 1 is ``expm1((2H - 1) ln 2)``; from lag 2 on
+    it is the even half of the binomial series of ``(k +- 1)^{2H}``,
+    ``k^{2H} sum_{j>=1} C(2H, 2j) k^{-2j}``, whose terms all have the sign of
+    ``2H - 1``, so no digits cancel.
+    """
+    a = 2.0 * hurst
+    coeffs, c = [], 1.0
+    for n in range(2 * _FGN_SERIES_TERMS):
+        c *= (a - n) / (n + 1)  # now C(a, n + 1)
+        if n % 2:
+            coeffs.append(c)
+    k = np.asarray(lags, dtype=float)
+    out = np.where(k == 0.0, 1.0, math.expm1((a - 1.0) * math.log(2.0)))
+    far = k >= 2.0
+    kf = k[far]
+    x = 1.0 / (kf * kf)
+    series = np.zeros_like(x)
+    for coef in reversed(coeffs):
+        series = (series + coef) * x
+    out[far] = kf**a * series
+    return out
 
 
 def _levy_integral(ctx: HurstContext, s, t):

@@ -5,7 +5,8 @@ estimates with confidence intervals, and trend arrays.  Its document
 (:meth:`ExperimentReport.as_dict`, checked against :data:`REPORT_SCHEMA`) is
 rendered canonically by :func:`fbmkit.serialize.canonical_json_dumps`
 (sorted keys, 17-significant-digit floats), so identical runs emit
-byte-identical documents up to the volatile wall time and timestamp.  A flat
+byte-identical documents up to the volatile wall time and timestamp, which
+the experiment fills in with :meth:`ExperimentReport.stamp`.  A flat
 CSV twin carries the same numbers for plotting.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import io
 import math
+import time
 from dataclasses import dataclass, field
 
 import jsonschema
@@ -25,12 +27,18 @@ __all__ = [
     "Estimate",
     "ExperimentReport",
     "REPORT_SCHEMA",
+    "utc_now",
     "validate_report",
     "wilson_interval",
 ]
 
 # Standard normal quantile of the two-sided 95% intervals.
 _Z95 = 1.96
+
+
+def utc_now() -> str:
+    """The current UTC time to the second, as every ``created_utc`` field holds it."""
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
 def wilson_interval(hits: int, n: int) -> tuple[float, float]:
@@ -90,6 +98,16 @@ class ExperimentReport:
             n_samples: int) -> None:
         self.estimates.append(Estimate(name, float(value), float(ci_low),
                                        float(ci_high), int(n_samples)))
+
+    def stamp(self, start: float) -> "ExperimentReport":
+        """Fill the volatile fields and return the report.
+
+        ``wall_time`` is the seconds since ``start``, a ``time.perf_counter()``
+        reading; ``created_utc`` is the current time.
+        """
+        self.wall_time = time.perf_counter() - start
+        self.created_utc = utc_now()
+        return self
 
     def get(self, name: str) -> Estimate:
         for est in self.estimates:

@@ -20,6 +20,7 @@ then >= 1, hence trivially true).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,11 @@ __all__ = [
     "subgaussian_constants",
     "subgaussian_bound",
 ]
+
+# Smallest admissible theta: below 2/ln(DBL_MAX) = 0.00281776...,
+# c_d = exp(2/theta) overflows a double.  At that value itself exp overflows
+# by rounding, so the limit is rounded up in the tenth decimal.
+THETA_MIN = math.ceil(2.0e10 / math.log(sys.float_info.max)) / 1.0e10
 
 
 @dataclass(frozen=True)
@@ -55,11 +61,17 @@ def subgaussian_constants(theta: float) -> SubGaussianConstants:
     c_c is the exponent coefficient, c_o the validity threshold of the raw
     chained bound, and c_d = max(4, exp(c_c c_o^2)) the patched prefactor
     making the bound valid on all of [0, infinity).  Note
-    c_c * c_o^2 = 2 / theta exactly.
+    c_c * c_o^2 = 2 / theta exactly.  Below ``THETA_MIN`` c_d overflows, and
+    the theta is rejected.
     """
     theta = float(theta)
     if not (0.0 < theta <= 1.0):
         raise ValidationError(f"theta must lie in (0, 1], got {theta}")
+    if theta < THETA_MIN:
+        raise ValidationError(
+            f"theta must be at least {THETA_MIN} (c_d = exp(2/theta) overflows"
+            f" below it), got {theta}"
+        )
     gap = 1.0 - 2.0 ** (-theta / 2.0)
     c_c = gap * gap / 2.0
     c_o = 2.0 / (gap * math.sqrt(theta))

@@ -2,9 +2,12 @@
 
 Every subcommand runs with only its required flags.  ``selftest`` is left
 out: it runs the whole acceptance battery, which takes tens of seconds.
-A result holding inf or nan exits 3 and writes no artifact.
+A result holding inf or nan exits 3 and writes no artifact.  Every
+subcommand with ``--threads`` writes the same artifact at any thread count,
+up to its volatile fields.
 """
 
+import json
 import math
 
 import numpy as np
@@ -71,6 +74,29 @@ def test_levy_artifact_is_byte_identical_across_runs(tmp_path):
     assert main(argv + [str(first)]) == 0
     assert main(argv + [str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+THREADED = [
+    "gamma decay --hurst 0.75 --r 0.5 --n 12",
+    "bounds matrix --n 8 --eps 0.1 --trials 200",
+    # Three chunks of paths each: 2^15 per lil chunk, 200000 per an-prob chunk.
+    "lil --hurst 0.75 --r 0.5 --paths 70000",
+    "arbitrage an-prob --hurst 0.75 --r 0.1 --alpha 0.5 --p 0.5 --n 16 --paths 400001",
+]
+VOLATILE = ("created_utc", "wall_time", "runtime", "threads")
+
+
+@pytest.mark.parametrize("command", THREADED)
+def test_artifact_does_not_depend_on_threads(command, tmp_path):
+    docs = []
+    for threads in (1, 3):
+        out = tmp_path / f"threads{threads}.json"
+        assert main(command.split() + ["--threads", str(threads), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        for key in VOLATILE:
+            doc.pop(key, None)
+        docs.append(doc)
+    assert docs[0] == docs[1]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

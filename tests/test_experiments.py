@@ -1,20 +1,39 @@
-"""The LIL block covariance of the scale-ladder experiments.
+"""The LIL covariances and the Monte Carlo reductions of the experiments.
 
 ``lil_block_cov`` is checked entry by entry against 40-digit mpmath
 quadrature of the two block integrals (the recent window over ``(r, 1)`` and
 the deep past over ``(0, r)``), against the graded Gauss-Legendre quadrature
 that computed it before the closed form, and for symmetry and positive
-definiteness.  The exact Gaussian product of the excess-count chain is
-checked against ``scipy.stats``.
+definiteness.  The summed matrix that ``lil_statistic`` samples from is
+checked against ``levy_cov_matrix`` at the ladder times.  The prefix-count
+reduction of ``a_n_probability`` is checked against the cumulative-sum
+reduction it replaced.  The exact Gaussian product of the excess-count chain
+is checked against ``scipy.stats``.
 """
+
+import re
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from fbmkit.context import make_context
-from fbmkit.experiments import ArbitrageConfig, LilConfig, lil_block_cov, product_tail_chain
+from fbmkit.experiments import (
+    ArbitrageConfig,
+    LilConfig,
+    _lil_cov,
+    _prefix_hits,
+    a_n_probability,
+    a_n_probability_dual,
+    lil_block_cov,
+    lil_statistic,
+    product_tail_chain,
+    union_bound_ledger,
+)
+from fbmkit.fbm import levy_cov_matrix
 from fbmkit.gaussian import cholesky_with_jitter
 from fbmkit.quadrature import graded_breaks, integrate_checked
 
@@ -106,6 +125,56 @@ def test_matrix_is_symmetric_and_factors_without_jitter(hurst, r):
     assert np.all(np.triu(cov[:m, m:]) == 0.0)
     _, jitter = cholesky_with_jitter(cov)
     assert jitter == 0.0
+
+
+@pytest.mark.parametrize("hurst", [0.005, 0.02, 0.25, 0.5, 0.75, 0.995])
+@pytest.mark.parametrize("r", [0.1, 0.5, 0.9])
+def test_summed_cov_is_the_scaled_one_sided_cov_and_factors_without_jitter(hurst, r):
+    # Y_i = c1 (T_i + P_i) is Y at time r^i over r^{Hi}.  At H = 1/2 the block
+    # matrix needs jitter; the summed one must not.
+    cfg = _cfg(hurst, r)
+    cov = _lil_cov(cfg)
+    i = np.arange(I_MAX + 1)
+    times = r**i
+    ref = levy_cov_matrix(times[::-1], cfg.ctx)[::-1, ::-1]
+    ref /= np.outer(times, times) ** hurst
+    assert np.all(np.abs(cov - ref) <= 1e-13 * np.abs(ref))
+    _, jitter = cholesky_with_jitter(cov)
+    assert jitter == 0.0
+
+
+def cumsum_hits(above, needs):
+    """The reduction ``a_n_probability`` used before prefix counts."""
+    exceed = np.cumsum(above.T, axis=1)
+    return np.asarray([(exceed[:, m - 1] >= need).sum() for m, need in needs.items()])
+
+
+@given(st.integers(1, 64), st.integers(1, 300), st.floats(0.0, 1.0),
+       st.integers(0, 2**32 - 1))
+def test_prefix_hits_match_the_cumsum_reduction(n, paths, density, seed):
+    rng = np.random.default_rng(seed)
+    above = rng.random((n, paths)) < density
+    depths = sorted(set(rng.integers(1, n + 1, size=4).tolist()) | {n})
+    needs = {m: int(rng.integers(1, m + 1)) for m in depths}
+    assert np.array_equal(_prefix_hits(above, needs), cumsum_hits(above, needs))
+
+
+UTC = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ")
+
+
+def test_reports_carry_wall_time_and_creation_time():
+    ctx = make_context(0.75)
+    arb = ArbitrageConfig(ctx, r=0.1, alpha=0.5, p=0.5, n=4, n_paths=50, seed=1,
+                          alpha_prime=0.4, p_prime=0.4, r_tilde=0.05)
+    reports = [
+        lil_statistic(LilConfig(ctx, r=0.5, i_max=8, n_paths=50, seed=1)),
+        a_n_probability(arb),
+        a_n_probability_dual(arb),
+        union_bound_ledger(arb, {4: 0.44}),
+    ]
+    for report in reports:
+        assert report.wall_time > 0.0
+        assert UTC.fullmatch(report.created_utc)
 
 
 # The chain needs a small decay epsilon, hence the tiny scale ratio r.

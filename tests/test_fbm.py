@@ -6,7 +6,8 @@ fixed-value checks use literals frozen from independent arbitrary-precision
 quadrature.  The one-sided (Levy) covariance is also checked against Euler's
 integral in 40-digit mpmath (itself checked against mpmath quadrature of the
 definition) and against the graded Gauss-Legendre quadrature that computed it
-before the closed form.
+before the closed form.  The fGn autocovariance is checked against its second
+difference in 50-digit mpmath out to lag 2^24.
 """
 
 import mpmath
@@ -22,6 +23,7 @@ from fbmkit.fbm import (
     cross_cov_wz,
     fbm_cov,
     fbm_cov_matrix,
+    _fgn_unit_autocov,
     fgn_autocov,
     joint_wz_cov,
     levy_cov,
@@ -162,6 +164,25 @@ class TestFgnAutocov:
             + fbm_cov(k * dt, 0.0, hurst)
         )
         assert gam[-1] == pytest.approx(direct, rel=1e-9, abs=1e-12)
+
+    def test_matches_mpmath_to_lag_2_pow_24(self):
+        # The float second difference was off by 1.3e-3 at lag 2^20 - 1, H = 0.1.
+        lags = sorted({0, 1, 2, 3, 4, 5, 7, 10, 100}
+                      | {2**p + d for p in range(4, 25) for d in (-1, 0, 1)} - {2**24 + 1})
+        worst = 0.0
+        with mpmath.workdps(50):
+            for hurst in np.arange(1, 200) * 0.005:
+                got = _fgn_unit_autocov(np.array(lags), hurst)
+                a = 2 * mpmath.mpf(hurst)
+                for k, value in zip(lags, got):
+                    ref = ((k + 1) ** a - 2 * mpmath.mpf(k) ** a + abs(k - 1) ** a) / 2
+                    if ref == 0:  # H = 1/2, k >= 1
+                        assert value == 0.0
+                    else:
+                        worst = max(worst, float(abs(value / ref - 1)))
+        assert worst <= 1e-14
+        gam = fgn_autocov(4097, 0.3, 0.5)
+        assert np.array_equal(gam, 0.5**0.6 * _fgn_unit_autocov(np.arange(4097), 0.3))
 
     def test_lag_zero_and_sign(self):
         assert fgn_autocov(1, 0.3, 0.5)[0] == pytest.approx(0.5**0.6)

@@ -10,10 +10,11 @@ import math
 import numpy as np
 import pytest
 
+from fbmkit.cli import main
 from fbmkit.errors import ValidationError
-from fbmkit.subgauss import subgaussian_bound, subgaussian_constants
+from fbmkit.subgauss import THETA_MIN, subgaussian_bound, subgaussian_constants
 
-THETAS = [0.003, 0.01, 0.05, 0.1, 0.25, 0.3, 0.5, 0.7, 0.75, 1.0]
+THETAS = [THETA_MIN, 0.0029, 0.003, 0.01, 0.05, 0.1, 0.25, 0.3, 0.5, 0.7, 0.75, 1.0]
 
 
 @pytest.mark.parametrize("theta", THETAS)
@@ -46,3 +47,15 @@ def test_validation():
     for theta in (0.0, -0.5, 1.0 + 1e-12, 2.0):
         with pytest.raises(ValidationError):
             subgaussian_constants(theta)
+
+
+def test_theta_below_the_overflow_limit_is_rejected(tmp_path, capsys):
+    # c_d = exp(2/theta) overflowed (OverflowError, exit 1) below about 0.0028.
+    assert math.isfinite(subgaussian_constants(0.0029).c_d)
+    assert math.isfinite(subgaussian_constants(THETA_MIN).c_d)
+    with pytest.raises(ValidationError, match=str(THETA_MIN)):
+        subgaussian_constants(0.001)
+    out = tmp_path / "subgauss.json"
+    assert main(f"bounds subgauss --theta 0.001 --out {out}".split()) == 2
+    assert str(THETA_MIN) in capsys.readouterr().err
+    assert not out.exists()
