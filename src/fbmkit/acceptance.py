@@ -341,13 +341,11 @@ def _criterion_3(seed_seq, threads: int) -> tuple[bool, str, dict]:
     for label, mask in (("default", default_mask),
                         ("refined", np.ones(fine_neg.size, dtype=bool))):
         tt = np.concatenate([fine_neg[mask], [0.0]])
-        pred_kernel = np.empty((n_paths, v_grid.size))
-        pred_driver = np.empty_like(pred_kernel)
-        for i in range(n_paths):
-            z_past = SampledPath(times=tt, values=np.concatenate([z_fine[i][mask], [0.0]]), kind="fBm")
-            w_past = SampledPath(times=tt, values=np.concatenate([w_fine[i][mask], [0.0]]), kind="oBm")
-            pred_kernel[i] = drift_apply(kspec, z_past, v_grid)
-            pred_driver[i] = drift_from_obm(kspec, w_past, v_grid)
+        pin = np.zeros((n_paths, 1))
+        z_past = SampledPath(times=tt, values=np.hstack([z_fine[:, mask], pin]), kind="fBm")
+        w_past = SampledPath(times=tt, values=np.hstack([w_fine[:, mask], pin]), kind="oBm")
+        pred_kernel = drift_apply(kspec, z_past, v_grid)
+        pred_driver = drift_from_obm(kspec, w_past, v_grid)
         errors[label] = _rel_l2(pred_kernel, pred_driver)
 
     passed = (
@@ -406,12 +404,10 @@ def _criterion_4(seed_seq, threads: int) -> tuple[bool, str, dict]:
         factor, _ = cholesky_with_jitter(joint_wz_cov(ctx, t_snap, t_neg))
         draw = (factor @ rng.standard_normal((t_snap.size + t_neg.size, n_paths))).T
         w_true, z_obs = draw[:, : t_snap.size], draw[:, t_snap.size :]
-        w_rec = np.empty_like(w_true)
-        for i in range(n_paths):
-            z_past = SampledPath(
-                times=times, values=np.concatenate([z_obs[i], [0.0]]), kind="fBm"
-            )
-            w_rec[i] = pipiras_taqqu_invert(kspec, z_past, t_snap)
+        z_past = SampledPath(
+            times=times, values=np.hstack([z_obs, np.zeros((n_paths, 1))]), kind="fBm"
+        )
+        w_rec = pipiras_taqqu_invert(kspec, z_past, t_snap)
         err = _rel_l2(w_rec, w_true)
         metrics[f"rel_l2_h{hurst}"] = err
         ok = ok and err < 0.05

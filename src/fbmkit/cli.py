@@ -614,21 +614,15 @@ def _cmd_drift(args) -> int:
     if args.route == "validate":
         factor, _ = cholesky_with_jitter(joint_wz_cov(ctx, t_neg, t_neg))
         draw = (factor @ rng.standard_normal((2 * t_neg.size, args.paths))).T
-        pred_k = np.empty((args.paths, v_grid.size))
-        pred_w = np.empty_like(pred_k)
-        for i in range(args.paths):
-            w_past = SampledPath(
-                times=times,
-                values=np.concatenate([draw[i, : t_neg.size], [0.0]]),
-                kind="oBm",
-            )
-            z_past = SampledPath(
-                times=times,
-                values=np.concatenate([draw[i, t_neg.size :], [0.0]]),
-                kind="fBm",
-            )
-            pred_k[i] = drift_apply(kspec, z_past, v_grid)
-            pred_w[i] = drift_from_obm(kspec, w_past, v_grid)
+        pin = np.zeros((args.paths, 1))
+        w_past = SampledPath(
+            times=times, values=np.hstack([draw[:, : t_neg.size], pin]), kind="oBm"
+        )
+        z_past = SampledPath(
+            times=times, values=np.hstack([draw[:, t_neg.size :], pin]), kind="fBm"
+        )
+        pred_k = drift_apply(kspec, z_past, v_grid)
+        pred_w = drift_from_obm(kspec, w_past, v_grid)
         scale = float(np.sqrt(np.mean(pred_w**2)))
         rel = float(np.sqrt(np.mean((pred_k - pred_w) ** 2))) / scale
         _emit(args, *_table_doc(
@@ -650,22 +644,17 @@ def _cmd_drift(args) -> int:
             [-np.cumsum(incr[:, ::-1], axis=1)[:, ::-1],
              np.zeros((args.paths, 1))], axis=1,
         )
-        preds = np.empty((args.paths, v_grid.size))
-        for i in range(args.paths):
-            w_past = SampledPath(times=times, values=w_rows[i], kind="oBm")
-            preds[i] = drift_from_obm(kspec, w_past, v_grid)
+        preds = drift_from_obm(kspec, SampledPath(times=times, values=w_rows, kind="oBm"), v_grid)
     else:
         factor, _ = cholesky_with_jitter(fbm_cov_matrix(t_neg, args.hurst))
         z_rows = (factor @ rng.standard_normal((t_neg.size, args.paths))).T
-        preds = np.empty((args.paths, v_grid.size))
-        for i in range(args.paths):
-            z_past = SampledPath(
-                times=times, values=np.concatenate([z_rows[i], [0.0]]), kind="fBm"
-            )
-            if args.route == "kernel":
-                preds[i] = drift_apply(kspec, z_past, v_grid)
-            else:
-                preds[i] = drift_regression(args.hurst, z_past, v_grid)
+        z_past = SampledPath(
+            times=times, values=np.hstack([z_rows, np.zeros((args.paths, 1))]), kind="fBm"
+        )
+        if args.route == "kernel":
+            preds = drift_apply(kspec, z_past, v_grid)
+        else:
+            preds = drift_regression(args.hurst, z_past, v_grid)
 
     _emit(args, *_path_doc(f"drift_{args.route}", config, args.seed,
                            v_grid, preds))
@@ -685,12 +674,10 @@ def _cmd_invert(args) -> int:
     factor, _ = cholesky_with_jitter(joint_wz_cov(ctx, t_inv, t_neg))
     draw = (factor @ rng.standard_normal((t_inv.size + t_neg.size, args.paths))).T
     w_true, z_obs = draw[:, : t_inv.size], draw[:, t_inv.size :]
-    w_rec = np.empty_like(w_true)
-    for i in range(args.paths):
-        z_past = SampledPath(
-            times=times, values=np.concatenate([z_obs[i], [0.0]]), kind="fBm"
-        )
-        w_rec[i] = pipiras_taqqu_invert(kspec, z_past, t_inv)
+    z_past = SampledPath(
+        times=times, values=np.hstack([z_obs, np.zeros((args.paths, 1))]), kind="fBm"
+    )
+    w_rec = pipiras_taqqu_invert(kspec, z_past, t_inv)
     scale = float(np.sqrt(np.mean(w_true**2)))
     rel = float(np.sqrt(np.mean((w_rec - w_true) ** 2))) / scale
     config = {

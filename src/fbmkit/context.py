@@ -56,7 +56,10 @@ def xi(r: float, a, b):
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    a, b = np.broadcast_arrays(a, b)
+    # a**r depends on a alone, so it is taken before broadcasting against b.
+    with np.errstate(over="ignore"):
+        a_pow = np.power(np.where(a > 0, a, 1.0), r)
+    a, b, a_pow = np.broadcast_arrays(a, b, a_pow)
     if np.any(a < 0):
         raise ValidationError("xi requires a >= 0")
     s = a + b
@@ -66,12 +69,12 @@ def xi(r: float, a, b):
     a_safe = np.where(interior, a, 1.0)
     ratio = np.where(interior, b, 0.0) / a_safe
     with np.errstate(invalid="ignore", over="ignore"):
-        core = np.power(a_safe, r) * np.expm1(r * np.log1p(ratio))
+        core = a_pow * np.expm1(r * np.log1p(ratio))
     at_zero_sum = (a > 0) & ~(s > 0)      # a + b == 0:  0**r - a**r = -a**r
     from_zero = ~(a > 0)                  # a == 0:      (b)**r - 0   = b**r
     out = np.where(interior, core, 0.0)
     if np.any(at_zero_sum):
-        out = np.where(at_zero_sum, -np.power(np.where(at_zero_sum, a, 1.0), r), out)
+        out = np.where(at_zero_sum, -a_pow, out)
     if np.any(from_zero):
         b_pos = (np.abs(b) > 0) & from_zero
         out = np.where(

@@ -34,6 +34,20 @@ representation recovering the driving Brownian motion:
   ``W_t * c1 / c_h = eta * integral_{-inf}^t xi_{-eta-1}(t-s, -t) (Z_s - Z_t) ds
   + eta * integral_t^0 (-s)^{-eta-1} Z_s ds + (-t)^{-eta} Z_t``.
 
+Operators on sampled paths
+--------------------------
+All four are linear in the observed samples.  A past window is a
+:class:`~fbmkit.grids.SampledPath` holding one path, values of shape ``(n,)``,
+or a batch on the same times, ``(paths, n)``; the result is ``(nv,)`` or
+``(paths, nv)`` to match.  Each call builds one weight matrix ``W`` over the
+``n`` samples and returns ``values @ W.T``, so a batch costs one product.
+For the three integral routes ``W`` comes from Gauss-Legendre panels aligned
+with the samples (:func:`~fbmkit.quadrature.aligned_breaks`): the path enters
+as its linear interpolant, so each node's weight is split between its two
+bracketing samples by the hat functions.  The window checks (and the
+truncation estimates that raise :class:`~fbmkit.errors.AccuracyError`) run
+once per call, before any weights are built.
+
 The kernel in closed form
 -------------------------
 The printed ``K`` is elementary (Gripenberg & Norros 1996, J. Appl. Prob.
@@ -100,7 +114,7 @@ def _as_past(path) -> SampledPath:
         raise ValidationError(
             f"past path must end exactly at time 0, got {path.t_end}"
         )
-    if path.values[-1] != 0.0:
+    if np.any(path.values[..., -1] != 0.0):
         raise ValidationError("past path must take the value 0 at time 0")
     if path.t0 >= 0.0:
         raise ValidationError("past path must extend into the past (t0 < 0)")
@@ -134,15 +148,26 @@ def drift_kernel_value(kspec: DriftKernelSpec, u, v) -> np.ndarray:
 # The drift operator
 # ---------------------------------------------------------------------------
 
-def _drift_quadrature(kspec: DriftKernelSpec, times: np.ndarray, v_grid: np.ndarray):
-    """(nodes, K-weighted quadrature matrix) for the operator on sampled data.
+def _on_samples(times: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weights on the samples that apply ``weights`` to the interpolant at ``nodes``.
 
-    Panels are aligned with the observation intervals so the rule is
-    spectrally accurate on the piecewise-linear interpolant; the matrix ``M``
-    satisfies ``(D X)(v_i) ~= sum_j M[i, j] X(u_j)``.
+    ``nodes`` increase and lie in ``[times[0], times[-1]]``; ``weights`` has
+    one entry per node on its last axis.  Each node's weight is split between
+    its two bracketing samples by the hat functions, so ``x @ W.T`` equals
+    ``weights @ np.interp(nodes, times, x)`` up to rounding for every sample
+    vector ``x``.  Nodes sharing an interval are summed by one ``reduceat``.
     """
-    nodes, weights = panel_nodes(aligned_breaks(times), PATH_NODES)
-    return nodes, weights * drift_kernel_value(kspec, nodes, v_grid[:, None])
+    j = np.clip(np.searchsorted(times, nodes, side="right") - 1, 0, times.size - 2)
+    lo, hi = times[j], times[j + 1]
+    # Each node's shares of its left and right sample.
+    shares = np.stack([hi - nodes, nodes - lo]) / (hi - lo)
+    starts = np.flatnonzero(np.diff(j, prepend=-1))
+    cols = j[starts]
+    sums = np.add.reduceat(weights[..., None, :] * shares, starts, axis=-1)
+    out = np.zeros(weights.shape[:-1] + times.shape)
+    out[..., cols] = sums[..., 0, :]
+    out[..., cols + 1] += sums[..., 1, :]
+    return out
 
 
 def drift_tail_sd(kspec: DriftKernelSpec, v: float, u_max: float) -> float:
@@ -165,8 +190,9 @@ def drift_apply(kspec: DriftKernelSpec, past, v_grid) -> np.ndarray:
     """Apply the prediction operator to a past trajectory of the process.
 
     ``past`` is the observed past of the *driven* process (fBm increments
-    window, pinned to 0 at time 0); returns the conditional-mean prediction
-    at each ``v > 0`` in ``v_grid``.
+    window, pinned to 0 at time 0), one path or a batch; returns the
+    conditional-mean prediction at each ``v > 0`` in ``v_grid``, shape
+    ``(nv,)`` or ``(paths, nv)``.
     """
     past = _as_past(past)
     v_grid = np.atleast_1d(np.asarray(v_grid, dtype=float))
@@ -174,7 +200,7 @@ def drift_apply(kspec: DriftKernelSpec, past, v_grid) -> np.ndarray:
         raise ValidationError("evaluation times must be positive")
     ctx = kspec.ctx
     if ctx.eta == 0.0:
-        return np.zeros_like(v_grid)
+        return np.zeros(past.values.shape[:-1] + v_grid.shape)
     u_max = -past.t0
     worst_v = float(v_grid.max())
     tail = drift_tail_sd(kspec, worst_v, u_max)
@@ -186,15 +212,17 @@ def drift_apply(kspec: DriftKernelSpec, past, v_grid) -> np.ndarray:
             estimate=tail,
             budget=budget,
         )
-    nodes, matrix = _drift_quadrature(kspec, past.times, v_grid)
-    return matrix @ past.value_at(nodes)
+    nodes, weights = panel_nodes(aligned_breaks(past.times), PATH_NODES)
+    kernel = weights * drift_kernel_value(kspec, nodes, v_grid[:, None])
+    return past.values @ _on_samples(past.times, nodes, kernel).T
 
 
 def drift_from_obm(kspec: DriftKernelSpec, w_past, v_grid) -> np.ndarray:
     """Prediction expressed through the past of the *driving* Brownian motion.
 
     ``(D X)_v = eta c1 integral_{t0}^0 xi_{eta-1}(-s, v) W_s ds`` for each
-    ``v`` in ``v_grid``; ``w_past`` must be an ``oBm`` window ending at 0.
+    ``v`` in ``v_grid``; ``w_past`` must be an ``oBm`` window ending at 0,
+    one path or a batch, and the result has shape ``(nv,)`` or ``(paths, nv)``.
     """
     w_past = _as_past(w_past)
     if w_past.kind != "oBm":
@@ -205,7 +233,7 @@ def drift_from_obm(kspec: DriftKernelSpec, w_past, v_grid) -> np.ndarray:
     ctx = kspec.ctx
     eta = ctx.eta
     if eta == 0.0:
-        return np.zeros_like(v_grid)
+        return np.zeros(w_past.values.shape[:-1] + v_grid.shape)
     u_max = -w_past.t0
     worst_v = float(v_grid.max())
     tail = (
@@ -226,24 +254,23 @@ def drift_from_obm(kspec: DriftKernelSpec, w_past, v_grid) -> np.ndarray:
             budget=budget,
         )
     nodes, weights = panel_nodes(aligned_breaks(w_past.times), PATH_NODES)
-    w_vals = w_past.value_at(nodes)
-    kernel = xi(eta - 1.0, -nodes[:, None], v_grid[None, :])
-    return eta * ctx.c1 * ((weights * w_vals) @ kernel)
+    kernel = (eta * ctx.c1) * weights * xi(eta - 1.0, -nodes, v_grid[:, None])
+    return w_past.values @ _on_samples(w_past.times, nodes, kernel).T
 
 
 # ---------------------------------------------------------------------------
 # Finite-dimensional regression oracle
 # ---------------------------------------------------------------------------
 
-def _regression_times(past: SampledPath) -> np.ndarray:
-    """Past times used for regression: drop t = 0 (zero-variance pin), cap count."""
-    times = past.times[past.times < 0.0]
-    if times.size == 0:
+def _regression_samples(past: SampledPath) -> np.ndarray:
+    """Indices of the samples used for regression: drop t = 0 (zero-variance pin), cap count."""
+    idx = np.flatnonzero(past.times < 0.0)
+    if idx.size == 0:
         raise ValidationError("past path has no strictly negative observation times")
-    if times.size > REGRESSION_MAX_POINTS:
-        idx = np.linspace(0, times.size - 1, REGRESSION_MAX_POINTS)
-        times = times[np.unique(np.round(idx).astype(int))]
-    return times
+    if idx.size > REGRESSION_MAX_POINTS:
+        pick = np.linspace(0, idx.size - 1, REGRESSION_MAX_POINTS)
+        idx = idx[np.unique(np.round(pick).astype(int))]
+    return idx
 
 
 def regression_weights(hurst: float, past_times, v_grid) -> np.ndarray:
@@ -263,13 +290,16 @@ def regression_weights(hurst: float, past_times, v_grid) -> np.ndarray:
 
 
 def drift_regression(hurst: float, past, v_grid) -> np.ndarray:
-    """Conditional mean at ``v_grid`` by direct regression on the observed past."""
+    """Conditional mean at ``v_grid`` by direct regression on the observed past.
+
+    The regression weights fall on a subset of the samples; one path gives
+    shape ``(nv,)``, a batch ``(paths, nv)``.
+    """
     past = _as_past(past)
     v_grid = np.atleast_1d(np.asarray(v_grid, dtype=float))
-    times = _regression_times(past)
-    values = past.value_at(times)
-    weights = regression_weights(hurst, times, v_grid)
-    return weights.T @ values
+    idx = _regression_samples(past)
+    weights = regression_weights(hurst, past.times[idx], v_grid)
+    return past.values[..., idx] @ weights
 
 
 def conditional_future_cov(hurst: float, past_times, v_grid) -> np.ndarray:
@@ -317,7 +347,16 @@ def pipiras_taqqu_invert(
     ``W_t * c1 / c_h = eta * integral_{t0}^t xi_{-eta-1}(t-s, -t) (Z_s - Z_t) ds
     + eta * integral_t^0 (-s)^{-eta-1} Z_s ds + (-t)^{-eta} Z_t``
 
-    evaluated by graded-mesh quadrature with ``Z`` interpolated linearly.
+    with ``Z`` interpolated linearly.  The right side is linear in the
+    samples of ``Z``, so it is built once as a weight matrix over the samples
+    (one row per ``t``) and applied to one path or a batch in one product;
+    the result has shape ``(nt,)`` or ``(paths, nt)``, and a scalar ``t``
+    drops that axis.  Each integral is Gauss-Legendre on panels aligned with
+    the samples and graded toward its singular end, and each node's weight
+    is split between its two bracketing samples.  On the interval that ends
+    at or contains ``t``, ``Z_s - Z_t`` is the interpolant's slope times
+    ``s - t``, so those nodes weigh that slope and the weights stay finite
+    where ``integral xi_{-eta-1}`` alone diverges (``eta > 0``).
     At ``eta = 0`` the driver equals the process and is returned exactly.
     """
     z_past = _as_past(z_past)
@@ -326,10 +365,12 @@ def pipiras_taqqu_invert(
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t_arr > 0) or np.any(t_arr < z_past.t0):
         raise ValidationError("inversion times must lie in [t0, 0]")
+    scalar = np.ndim(t) == 0
     ctx = kspec.ctx
     eta = ctx.eta
     if eta == 0.0:
-        return z_past.value_at(t_arr)
+        out = z_past.value_at(t_arr)
+        return out[..., 0] if scalar else out
 
     u_max = -z_past.t0
     worst = float(np.abs(t_arr).max())
@@ -344,31 +385,38 @@ def pipiras_taqqu_invert(
                 budget=budget,
             )
 
-    out = np.empty(t_arr.size)
-    prefactor = ctx.c_h / ctx.c1
     times = z_past.times
-    for i, ti in enumerate(t_arr):
+    weights = np.zeros((t_arr.size, times.size))
+    for row, ti in zip(weights, t_arr):
         if ti == 0.0:
-            out[i] = 0.0
             continue
-        z_t = z_past.value_at(ti)
         below = times[times < ti]
+        # Node weights of Z below t (deep), at t, and above t (near).  Panels
+        # follow the sample intervals, graded toward the integrable
+        # singularities at s -> t (deep) and s -> 0 (near).
+        s_d = w_d = np.empty(0)
+        z_t_weight = (-ti) ** (-eta)
         if below.size:
-            # Panels follow the sample intervals, sub-graded toward the
-            # integrable singularity of xi_{-eta-1}(t - s, -t) at s -> t.
-            deep_breaks = aligned_breaks(np.concatenate([below, [ti]]))
-            s_d, w_d = panel_nodes(deep_breaks, PATH_NODES)
-            i_deep = w_d @ (
-                xi(-eta - 1.0, ti - s_d, -ti) * (z_past.value_at(s_d) - z_t)
+            s_d, w_d = panel_nodes(
+                aligned_breaks(np.concatenate([below, [ti]])), PATH_NODES
             )
-        else:
-            i_deep = 0.0
-        near_breaks = aligned_breaks(np.concatenate([[ti], times[times > ti]]))
-        s_n, w_n = panel_nodes(near_breaks, PATH_NODES)
-        i_near = w_n @ ((-s_n) ** (-eta - 1.0) * z_past.value_at(s_n))
-        out[i] = prefactor * (
-            eta * (i_deep + i_near) + (-ti) ** (-eta) * z_t
+            w_d = eta * w_d * xi(-eta - 1.0, ti - s_d, -ti)
+            last = s_d > below[-1]
+            j = below.size - 1
+            slope = w_d[last] @ (ti - s_d[last]) / (times[j + 1] - times[j])
+            row[j] += slope
+            row[j + 1] -= slope
+            s_d, w_d = s_d[~last], w_d[~last]
+            z_t_weight -= w_d.sum()
+        s_n, w_n = panel_nodes(
+            aligned_breaks(np.concatenate([[ti], times[times > ti]])), PATH_NODES
         )
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return out[0]
-    return out
+        w_n = eta * w_n * (-s_n) ** (-eta - 1.0)
+        row += _on_samples(
+            times,
+            np.concatenate([s_d, [ti], s_n]),
+            np.concatenate([w_d, [z_t_weight], w_n]),
+        )
+    weights *= ctx.c_h / ctx.c1
+    out = z_past.values @ weights.T
+    return out[..., 0] if scalar else out

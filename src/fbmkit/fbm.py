@@ -174,9 +174,14 @@ def levy_cov_matrix(times, ctx: HurstContext) -> np.ndarray:
     if np.any(np.diff(times) <= 0):
         raise ValidationError("times must be strictly increasing")
     # Blocks of rows keep the temporaries a small fraction of the matrix.
+    # _levy_integral sees only min and max of its two times, so it is
+    # symmetric bit for bit: each block is evaluated from its diagonal on
+    # and mirrored below it.
     out = np.empty((times.size, times.size))
     for i in range(0, times.size, 128):
-        out[i:i + 128] = _levy_integral(ctx, times[i:i + 128, None], times[None, :])
+        block = _levy_integral(ctx, times[i:i + 128, None], times[None, i:])
+        out[i:i + 128, i:] = block
+        out[i:, i:i + 128] = block.T
     return out
 
 

@@ -30,13 +30,19 @@ def cholesky_with_jitter(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor, adding ``jitter * trace/dim`` to the diagonal if needed.
 
     Returns ``(L, jitter_used)`` where ``jitter_used`` is the relative jitter
-    level that succeeded.  Raises :class:`AccuracyError` if the whole ladder
-    fails.
+    level that succeeded.  Raises :class:`ValidationError` if the matrix is
+    not square, has a non-finite entry, or is asymmetric by more than
+    ``1e-10 * max(1, max |A|)``, and :class:`AccuracyError` if the whole
+    ladder fails.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValidationError("covariance matrix must be square")
-    if not np.allclose(matrix, matrix.T, rtol=0.0, atol=1.0e-10 * max(1.0, float(np.abs(matrix).max()))):
+    # One pass finds the largest magnitude and, through it, any inf or NaN.
+    largest = float(np.abs(matrix).max(initial=0.0))
+    if not np.isfinite(largest):
+        raise ValidationError("covariance matrix must be finite")
+    if np.abs(matrix - matrix.T).max(initial=0.0) > 1.0e-10 * max(1.0, largest):
         raise ValidationError("covariance matrix must be symmetric")
     dim = matrix.shape[0]
     scale = float(np.trace(matrix)) / dim if dim else 0.0

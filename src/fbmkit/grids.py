@@ -1,7 +1,9 @@
 """The sampled-path container.
 
 A :class:`SampledPath` is a path observed at strictly increasing times,
-linearly interpolated in between, together with a ``kind`` tag:
+linearly interpolated in between, together with a ``kind`` tag.  Its values
+are one path, shape ``(n,)``, or a batch of paths on the same times, shape
+``(paths, n)``; every check applies to every row.  The kinds are:
 
 * ``"oBm"`` — ordinary Brownian motion,
 * ``"fBm"`` — fractional Brownian motion,
@@ -10,7 +12,8 @@ linearly interpolated in between, together with a ``kind`` tag:
 
 Paths of kind ``fBm``/``LevyfBm`` are pinned to zero at time 0: whenever the
 observation times contain ``t = 0`` the stored value there must be exactly
-``0.0``.  Artifacts on disk use the CLI's path document, not this class.
+``0.0`` in every row.  Artifacts on disk use the CLI's path document, not
+this class.
 """
 
 from __future__ import annotations
@@ -30,11 +33,14 @@ _ANCHORED_KINDS = ("fBm", "LevyfBm")
 
 @dataclass(frozen=True)
 class SampledPath:
-    """A path observed at arbitrary strictly increasing times.
+    """A path, or a batch of paths, observed at arbitrary strictly increasing times.
 
     The workhorse container for *past* observation windows, where long-memory
     kernels want geometrically spaced observations reaching far into the
-    past.  Values between observations are linearly interpolated.
+    past.  ``values`` has shape ``(n,)`` for one path or ``(paths, n)`` for a
+    batch sharing ``times``; the linear operators of :mod:`fbmkit.drift`
+    apply to a whole batch in one matrix product.  Values between
+    observations are linearly interpolated.
     """
 
     times: np.ndarray = field(repr=False)
@@ -48,8 +54,12 @@ class SampledPath:
             )
         times = np.asarray(self.times, dtype=float)
         values = np.asarray(self.values, dtype=float)
-        if times.ndim != 1 or times.size == 0 or times.shape != values.shape:
-            raise ValidationError("times and values must be matching 1-d arrays")
+        if times.ndim != 1 or times.size == 0:
+            raise ValidationError("times must be a non-empty 1-d array")
+        if values.ndim not in (1, 2) or values.shape[-1] != times.size or values.size == 0:
+            raise ValidationError(
+                "values must have shape (n,) or (paths, n) matching the n times"
+            )
         if np.any(np.diff(times) <= 0):
             raise ValidationError("times must be strictly increasing")
         if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
@@ -62,7 +72,7 @@ class SampledPath:
         object.__setattr__(self, "values", values)
         if self.kind in _ANCHORED_KINDS:
             at_zero = np.nonzero(times == 0.0)[0]
-            if at_zero.size and np.any(values[at_zero] != 0.0):
+            if at_zero.size and np.any(values[..., at_zero] != 0.0):
                 raise ValidationError(
                     f"{self.kind} paths are pinned to 0 at t=0"
                 )
@@ -80,14 +90,20 @@ class SampledPath:
         return float(self.times[-1])
 
     def value_at(self, t):
-        """Linear interpolation inside the observation span (vectorized)."""
+        """Linear interpolation inside the observation span (vectorized).
+
+        For a batch the result has a leading ``paths`` axis.
+        """
         t_arr = np.asarray(t, dtype=float)
         eps = 1.0e-9 * max(abs(self.t0), abs(self.t_end), 1.0)
         if np.any(t_arr < self.t0 - eps) or np.any(t_arr > self.t_end + eps):
             raise ValidationError(
                 f"time(s) outside observation span [{self.t0}, {self.t_end}]"
             )
-        out = np.interp(t_arr, self.times, self.values)
+        if self.values.ndim == 1:
+            out = np.interp(t_arr, self.times, self.values)
+        else:
+            out = np.stack([np.interp(t_arr, self.times, row) for row in self.values])
         if out.ndim == 0:
             return float(out)
         return out

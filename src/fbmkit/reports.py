@@ -161,7 +161,9 @@ def _plain(obj):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
         return [_plain(v) for v in list(obj)]
-    if isinstance(obj, (bool, str)) or obj is None:
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, str) or obj is None:
         return obj
     if isinstance(obj, (int,)) or hasattr(obj, "__index__"):
         return int(obj)

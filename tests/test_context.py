@@ -196,3 +196,16 @@ def test_xi_broadcasts():
     out = xi(0.5, np.array([[1.0], [4.0]]), np.array([0.0, 3.0]))
     assert out.shape == (2, 2)
     assert out[1, 1] == pytest.approx(7.0 ** 0.5 - 2.0)
+
+
+@pytest.mark.parametrize("r", [-1.45, -0.75, -0.25, 0.5, 1.5])
+def test_xi_on_a_broadcast_grid_equals_scalar_calls_bit_for_bit(r):
+    # a**r is taken before a is broadcast against b; every entry, including
+    # the a == 0 and a + b == 0 branches, must equal the scalar evaluation.
+    a = np.array([0.0, 1.0e-30, 0.5, 4.0, 1.0e12])
+    b = np.array([-0.5, 0.0, 1.0e-9, 3.0, 1.0e20])
+    grid = xi(r, a[:, None], np.maximum(b[None, :], -a[:, None]))
+    for i, ai in enumerate(a):
+        for k, bk in enumerate(b):
+            single = xi(r, ai, max(bk, -ai))
+            assert np.float64(grid[i, k]).view(np.uint64) == np.float64(single).view(np.uint64)

@@ -4,7 +4,9 @@ The finite-dimensional Gaussian regression is the brute-force oracle for
 both integral routes.  The closed-form kernel is checked against its printed
 ``J``-definition three ways: 50-digit mpmath, scipy's adaptive quadrature,
 and the graded three-piece s-quadrature that the library used before the
-closed form.
+closed form.  The operators build weights on the samples once and apply them
+to a batch of paths in one product; the per-path panel evaluation that
+interpolates each path at the quadrature nodes is kept here as their oracle.
 """
 
 import re
@@ -34,7 +36,7 @@ from fbmkit.errors import AccuracyError, ValidationError
 from fbmkit.fbm import fbm_cov, fbm_cov_matrix, joint_wz_cov, levy_cov_matrix
 from fbmkit.gaussian import cholesky_with_jitter
 from fbmkit.grids import SampledPath
-from fbmkit.quadrature import PATH_NODES, graded_breaks, panel_nodes
+from fbmkit.quadrature import PATH_NODES, aligned_breaks, graded_breaks, panel_nodes
 from fbmkit.rng import make_rng
 
 
@@ -467,3 +469,203 @@ class TestInversion:
         obm = SampledPath(times=times, values=zeros, kind="oBm")
         with pytest.raises(ValidationError):
             pipiras_taqqu_invert(kspec, obm, -1.0)
+
+
+# ---------------------------------------------------------------------------
+# Batched operators against the per-path panel evaluation
+# ---------------------------------------------------------------------------
+#
+# Each oracle evaluates one path the way the operators did before they became
+# weights on the samples: Gauss-Legendre panels aligned with the samples, the
+# path interpolated at every node.  It returns the value and its rounding
+# scale: the sum of |node weight| times |x_j| + |x_{j+1}|, the two samples the
+# node interpolates (np.interp's rounding error is a few ulps of those).
+
+BATCH_TOL = 1.0e-13
+
+
+def bracket_sizes(times, row, nodes):
+    """``|x_j| + |x_{j+1}|`` for the samples bracketing each node."""
+    j = np.clip(np.searchsorted(times, nodes, side="right") - 1, 0, times.size - 2)
+    return np.abs(row[j]) + np.abs(row[j + 1])
+
+
+def oracle_drift_apply(kspec, times, row, v_grid):
+    nodes, weights = panel_nodes(aligned_breaks(times), PATH_NODES)
+    matrix = weights * drift_kernel_value(kspec, nodes, v_grid[:, None])
+    value = matrix @ np.interp(nodes, times, row)
+    return value, np.abs(matrix) @ bracket_sizes(times, row, nodes)
+
+
+def oracle_drift_from_obm(kspec, times, row, v_grid):
+    ctx = kspec.ctx
+    nodes, weights = panel_nodes(aligned_breaks(times), PATH_NODES)
+    kernel = xi(ctx.eta - 1.0, -nodes[:, None], v_grid[None, :])
+    value = ctx.eta * ctx.c1 * ((weights * np.interp(nodes, times, row)) @ kernel)
+    scale = abs(ctx.eta * ctx.c1) * (
+        (np.abs(weights) * bracket_sizes(times, row, nodes)) @ np.abs(kernel)
+    )
+    return value, scale
+
+
+def oracle_drift_regression(hurst, times, row, v_grid):
+    past_times = times[times < 0.0]
+    values = np.interp(past_times, times, row)
+    weights = regression_weights(hurst, past_times, v_grid)
+    return weights.T @ values, np.abs(weights).T @ np.abs(values)
+
+
+def oracle_invert(kspec, times, row, t_arr):
+    ctx = kspec.ctx
+    eta = ctx.eta
+    prefactor = ctx.c_h / ctx.c1
+    out = np.zeros(t_arr.size)
+    scale = np.zeros(t_arr.size)
+    for i, ti in enumerate(t_arr):
+        if ti == 0.0:
+            continue
+        z_t = np.interp(ti, times, row)
+        size_t = bracket_sizes(times, row, np.array([ti]))[0]
+        below = times[times < ti]
+        i_deep = s_deep = 0.0
+        if below.size:
+            s_d, w_d = panel_nodes(
+                aligned_breaks(np.concatenate([below, [ti]])), PATH_NODES
+            )
+            k_d = w_d * xi(-eta - 1.0, ti - s_d, -ti)
+            i_deep = k_d @ (np.interp(s_d, times, row) - z_t)
+            s_deep = np.abs(k_d) @ (bracket_sizes(times, row, s_d) + size_t)
+        s_n, w_n = panel_nodes(
+            aligned_breaks(np.concatenate([[ti], times[times > ti]])), PATH_NODES
+        )
+        k_n = w_n * (-s_n) ** (-eta - 1.0)
+        i_near = k_n @ np.interp(s_n, times, row)
+        s_near = np.abs(k_n) @ bracket_sizes(times, row, s_n)
+        out[i] = prefactor * (eta * (i_deep + i_near) + (-ti) ** (-eta) * z_t)
+        scale[i] = prefactor * (
+            abs(eta) * (s_deep + s_near) + (-ti) ** (-eta) * size_t
+        )
+    return out, scale
+
+
+def oracle_rows(oracle, first, times, rows, grid):
+    """Stack the oracle's (value, scale) over the rows of a batch."""
+    pairs = [oracle(first, times, row, grid) for row in rows]
+    return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+
+
+def pinned_rows(times, paths, seed):
+    """Rough random rows (independent normals), pinned to 0 at t = 0."""
+    rows = make_rng(seed).standard_normal((paths, times.size))
+    rows[:, -1] = 0.0
+    return rows
+
+
+def assert_within_rounding(got, expected, scale):
+    assert got.shape == expected.shape
+    assert np.all(np.abs(got - expected) <= BATCH_TOL * scale), (
+        float(np.max(np.abs(got - expected) / np.maximum(scale, 1e-300)))
+    )
+
+
+DRIFT_TIMES = exp_past_grid(1.0e7)
+DRIFT_V = np.linspace(0.125, 2.0, 6)
+INVERT_TIMES = inversion_grid(1.0 / 64, u_deep=1.0e4)
+# Sample times (deep tail, uniform window, tip), times between samples and 0.
+INVERT_T = np.array([
+    INVERT_TIMES[INVERT_TIMES < -2.0][-3], -2.5, -1.0, -0.3, -1.0 / 64, -0.01,
+    -3.0e-6, INVERT_TIMES[-3], 0.0,
+])
+
+
+# name -> (operator, its per-path oracle, path kind, sample times, v or t grid)
+BATCH_OPERATORS = {
+    "kernel": (drift_apply, oracle_drift_apply, "fBm", DRIFT_TIMES, DRIFT_V),
+    "driver": (drift_from_obm, oracle_drift_from_obm, "oBm", DRIFT_TIMES, DRIFT_V),
+    "regression": (drift_regression, oracle_drift_regression, "fBm",
+                   exp_past_grid(100.0, per_decade=8), DRIFT_V),
+    "inversion": (pipiras_taqqu_invert, oracle_invert, "fBm", INVERT_TIMES, INVERT_T),
+}
+
+
+class TestBatchedOperators:
+    @pytest.mark.parametrize("name", sorted(BATCH_OPERATORS))
+    @pytest.mark.parametrize("hurst", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("paths,two_d", [(1, False), (1, True), (5, True)])
+    def test_matches_per_path_panels_and_row_by_row_calls(self, name, hurst, paths, two_d):
+        op, oracle, kind, times, grid = BATCH_OPERATORS[name]
+        first = hurst if name == "regression" else DriftKernelSpec(ctx=make_context(hurst))
+        rows = pinned_rows(times, paths, 900 + paths)
+        values = rows if two_d else rows[0]
+        got = op(first, SampledPath(times=times, values=values, kind=kind), grid)
+        single = np.array([op(first, SampledPath(times=times, values=row, kind=kind), grid)
+                           for row in rows])
+        if hurst == 0.5 and name != "regression":
+            # No drift, and the driver is the process: exact, bit for bit.
+            exact = np.zeros((paths, grid.size))
+            if name == "inversion":
+                exact = np.array([np.interp(grid, times, row) for row in rows])
+            assert np.array_equal(got, exact if two_d else exact[0])
+            assert np.array_equal(single, exact)
+            return
+        want, scale = oracle_rows(oracle, first, times, rows, grid)
+        assert_within_rounding(got, want if two_d else want[0], scale if two_d else scale[0])
+        assert_within_rounding(single, want, scale)
+        assert_within_rounding(np.atleast_2d(got), single, scale)
+
+    def test_scalar_time_drops_the_time_axis(self):
+        kspec = DriftKernelSpec(ctx=make_context(0.75))
+        rows = pinned_rows(INVERT_TIMES, 3, 907)
+        past = SampledPath(times=INVERT_TIMES, values=rows, kind="fBm")
+        got = pipiras_taqqu_invert(kspec, past, -1.0)
+        assert got.shape == (3,)
+        assert np.array_equal(got, pipiras_taqqu_invert(kspec, past, np.array([-1.0]))[:, 0])
+        assert np.array_equal(pipiras_taqqu_invert(kspec, past, 0.0), np.zeros(3))
+        half = DriftKernelSpec(ctx=make_context(0.5))
+        assert np.array_equal(pipiras_taqqu_invert(half, past, -1.0), past.value_at(-1.0))
+
+    def test_short_window_raises_for_a_batch(self):
+        kspec = DriftKernelSpec(ctx=make_context(0.75))
+        times = exp_past_grid(2.0, per_decade=8)
+        zeros = np.zeros((3, times.size))
+        with pytest.raises(AccuracyError):
+            drift_apply(kspec, SampledPath(times=times, values=zeros, kind="fBm"), [2.0])
+        with pytest.raises(AccuracyError):
+            drift_from_obm(kspec, SampledPath(times=times, values=zeros, kind="oBm"), [2.0])
+        with pytest.raises(AccuracyError):
+            pipiras_taqqu_invert(kspec, SampledPath(times=times, values=zeros, kind="fBm"), -1.5)
+
+    def test_every_row_is_validated(self):
+        kspec = DriftKernelSpec(ctx=make_context(0.75))
+        times = exp_past_grid(10.0, per_decade=4)
+        rows = pinned_rows(times, 3, 908)
+        unpinned = rows.copy()
+        unpinned[1, -1] = 0.5
+        with pytest.raises(ValidationError, match="pinned"):
+            SampledPath(times=times, values=unpinned, kind="fBm")
+        for kind in ("oBm", "derived"):
+            loose = SampledPath(times=times, values=unpinned, kind=kind)
+            with pytest.raises(ValidationError, match="value 0 at time 0"):
+                drift_regression(0.75, loose, [1.0])
+        with pytest.raises(ValidationError, match="value 0 at time 0"):
+            drift_from_obm(kspec, SampledPath(times=times, values=unpinned, kind="oBm"), [1.0])
+        with pytest.raises(ValidationError, match="value 0 at time 0"):
+            pipiras_taqqu_invert(kspec, SampledPath(times=times, values=unpinned, kind="derived"), -1.0)
+        for bad in (np.nan, np.inf):
+            broken = rows.copy()
+            broken[2, 3] = bad
+            with pytest.raises(ValidationError, match="finite"):
+                SampledPath(times=times, values=broken, kind="fBm")
+        with pytest.raises(ValidationError, match="shape"):
+            SampledPath(times=times, values=rows[None], kind="fBm")
+        with pytest.raises(ValidationError, match="shape"):
+            SampledPath(times=times, values=rows[:, :-1], kind="fBm")
+        with pytest.raises(ValidationError, match="shape"):
+            SampledPath(times=times, values=np.zeros((0, times.size)), kind="fBm")
+
+    def test_batch_value_at_interpolates_each_row(self):
+        times = np.array([-2.0, -1.0, 0.0])
+        rows = np.array([[1.0, 3.0, 0.0], [-2.0, 2.0, 0.0]])
+        path = SampledPath(times=times, values=rows, kind="fBm")
+        assert np.array_equal(path.value_at([-1.5, -0.5]), [[2.0, 1.5], [0.0, 1.0]])
+        assert np.array_equal(path.value_at(-1.5), [2.0, 0.0])

@@ -20,6 +20,7 @@ from scipy import integrate as scipy_integrate
 from fbmkit.context import make_context
 from fbmkit.errors import ValidationError
 from fbmkit.fbm import (
+    _levy_integral,
     cross_cov_wz,
     fbm_cov,
     fbm_cov_matrix,
@@ -280,6 +281,17 @@ class TestLevyCov:
                 )
         _, jitter = cholesky_with_jitter(mat[1:, 1:])
         assert jitter <= 1e-10
+
+    @pytest.mark.parametrize("hurst", [0.1, 0.25, 0.75])
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])
+    def test_matrix_mirrors_the_upper_triangle_bit_for_bit(self, hurst, n):
+        # Only blocks on and above the diagonal are evaluated; the mirrored
+        # lower part must equal the full broadcast evaluation exactly.
+        ctx = make_context(hurst)
+        times = np.cumsum(make_rng(n).uniform(0.01, 1.0, n))
+        full = _levy_integral(ctx, times[:, None], times[None, :])
+        mat = levy_cov_matrix(times, ctx)
+        assert np.array_equal(mat.view(np.uint64), full.view(np.uint64))
 
     def test_validation(self):
         ctx = make_context(0.75)

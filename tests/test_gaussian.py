@@ -57,6 +57,30 @@ def test_cholesky_rejects_asymmetric_input():
         cholesky_with_jitter(np.array([[1.0, 0.5], [0.1, 1.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+def test_cholesky_rejects_non_finite_entries(bad, where):
+    cov = np.array([[2.0, 0.5], [0.5, 1.0]])
+    cov[where] = bad
+    cov[where[::-1]] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        cholesky_with_jitter(cov)
+
+
+@pytest.mark.parametrize("scale", [1.0e-3, 1.0, 1.0e6])
+def test_cholesky_symmetry_tolerance(scale):
+    # The tolerance is 1e-10 * max(1, max |A|): twice it is rejected, half passes.
+    cov = scale * np.array([[2.0, 0.5], [0.5, 1.0]])
+    tol = 1.0e-10 * max(1.0, 2.0 * scale)
+    off = cov.copy()
+    off[0, 1] += 2.0 * tol
+    with pytest.raises(ValidationError, match="symmetric"):
+        cholesky_with_jitter(off)
+    off[0, 1] = cov[0, 1] + 0.5 * tol
+    factor, jitter = cholesky_with_jitter(off)
+    assert jitter == 0.0 and np.all(np.isfinite(factor))
+
+
 def test_covmatrix_sampling_is_chunk_invariant():
     cov = np.eye(3)
     whole = CovMatrix(cov).sample(make_rng(3), 10)
