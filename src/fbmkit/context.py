@@ -20,11 +20,11 @@ The module also hosts the two scalar kernels used everywhere:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .errors import ValidationError
 
@@ -121,11 +121,10 @@ def _make_context_cached(hurst: float) -> HurstContext:
     # Mandelbrot & Van Ness (1968), SIAM Rev. 10.  sin(pi H) is taken at
     # min(H, 1 - H), where 1 - H is exact in floats, so c1 keeps full
     # relative precision as H -> 1 and sin(pi H) -> 0.
-    c1 = float(
-        np.sqrt(2.0 * hurst * np.sin(np.pi * min(hurst, 1.0 - hurst)) * _gamma(2.0 * hurst))
-        / _gamma(hurst + 0.5)
-    )
-    c_h = 1.0 / (float(_gamma(eta + 1.0)) * float(_gamma(1.0 - eta)))
+    c1 = math.sqrt(
+        2.0 * hurst * math.sin(math.pi * min(hurst, 1.0 - hurst)) * math.gamma(2.0 * hurst)
+    ) / math.gamma(hurst + 0.5)
+    c_h = 1.0 / (math.gamma(eta + 1.0) * math.gamma(1.0 - eta))
     return HurstContext(hurst=hurst, eta=eta, c1=c1, c_h=c_h)
 
 

@@ -74,7 +74,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .context import HurstContext, xi
 from .errors import AccuracyError, ValidationError
@@ -277,8 +276,12 @@ def regression_weights(hurst: float, past_times, v_grid) -> np.ndarray:
     """Gaussian-regression weight matrix ``Cpp^{-1} Cpv`` (shape npast x nv).
 
     ``past_times`` must be strictly negative; the weights applied to the
-    observed past values give the conditional mean at each ``v``.
+    observed past values give the conditional mean at each ``v``.  scipy is
+    imported here, not with the module: no other route needs it, and its
+    import costs about a quarter second of every CLI start.
     """
+    from scipy.linalg import cho_solve
+
     past_times = np.asarray(past_times, dtype=float)
     v_grid = np.atleast_1d(np.asarray(v_grid, dtype=float))
     if np.any(past_times >= 0):

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .almostdiag import phi_functions
 from .context import HurstContext
@@ -476,8 +475,12 @@ def product_tail_chain(cfg: ArbitrageConfig, index_set) -> dict:
          <= -C_l^2/2 * log((|I| - 1)!)                          (i_j >= j)
          <= -C_l^2/2 * log((ceil(p n) - 1)!)                    (|I| >= ceil(pn))
 
-    with C_l = alpha H^{-1/2} / (sqrt(phi_k) sigma).
+    with C_l = alpha H^{-1/2} / (sqrt(phi_k) sigma).  scipy (for log SF) is
+    imported here, not with the module: no other route needs it, and its
+    import costs about a quarter second of every CLI start.
     """
+    from scipy.special import log_ndtr
+
     idx = sorted(set(int(i) for i in index_set))
     if not idx:
         raise ValidationError("index set must be nonempty")

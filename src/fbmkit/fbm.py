@@ -7,7 +7,12 @@ Covariances
 * :func:`levy_cov` — covariance of the one-sided moving average
   ``Y_v = c1 * integral_0^v (v - u)**eta dW_u`` (``v >= 0``), in closed
   form as a Gauss hypergeometric function (Euler's integral), switched to
-  its ``z -> 1`` connection form near the diagonal when ``H < 1/2``.
+  its ``z -> 1`` connection form near the diagonal.  Both are summed here
+  as power series with scalar coefficients; no special-function library
+  is needed.
+
+Every covariance entry point rejects non-finite times (and ``dt``) with
+:class:`~fbmkit.errors.ValidationError`.
 
 Samplers (all exact in law, deterministic given a Generator)
 -----------------------------------------------------------
@@ -30,8 +35,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gamma as _gamma
-from scipy.special import hyp2f1
+from numpy import fft
 
 from .context import HurstContext, pow0
 from .errors import ValidationError
@@ -62,6 +66,8 @@ def fbm_cov(s, t, hurst: float):
         raise ValidationError(f"hurst must lie in (0, 1), got {hurst}")
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
+    if not (np.isfinite(s).all() and np.isfinite(t).all()):
+        raise ValidationError("fbm covariance requires finite times")
     h2 = 2.0 * hurst
     out = 0.5 * (
         np.abs(s) ** h2 + np.abs(t) ** h2 - np.abs(t - s) ** h2
@@ -87,8 +93,8 @@ def fgn_autocov(n_lags: int, hurst: float, dt: float = 1.0) -> np.ndarray:
         raise ValidationError(f"n_lags must be >= 1, got {n_lags}")
     if not (0.0 < hurst < 1.0):
         raise ValidationError(f"hurst must lie in (0, 1), got {hurst}")
-    if not (dt > 0):
-        raise ValidationError(f"dt must be positive, got {dt}")
+    if not (0.0 < dt < math.inf):
+        raise ValidationError(f"dt must be positive and finite, got {dt}")
     return dt ** (2.0 * hurst) * _fgn_unit_autocov(np.arange(n_lags), hurst)
 
 
@@ -125,42 +131,83 @@ def _fgn_unit_autocov(lags: np.ndarray, hurst: float) -> np.ndarray:
     return out
 
 
+# Machine epsilon of float64; sets where the 2F1 series stop.
+_EPS = float(np.finfo(float).eps)
+
+
+def _hyp2f1_unit_b(a: float, c: float, x: np.ndarray) -> np.ndarray:
+    """``2F1(a, 1; c; x) = sum_n (a)_n / (c)_n x^n`` for ``0 <= x < 1``, by Horner's rule.
+
+    The coefficients are scalars.  The number of terms comes from the largest
+    ``x`` of the call: coefficients are added until the term at that ``x``
+    falls below ``eps (1 - x) / 2``.  In every use in :func:`_levy_integral`
+    the terms after the first share one sign and their ratio tends to ``x``,
+    so the neglected tail stays near half an ulp of the sum at every ``x``.
+    """
+    x_max = float(x.max(initial=0.0))
+    coeffs, term = [1.0], 1.0
+    while abs(term) > 0.5 * _EPS * (1.0 - x_max):
+        n = len(coeffs) - 1
+        coeffs.append(coeffs[-1] * (a + n) / (c + n))
+        term = coeffs[-1] * x_max ** (n + 1)
+    out = np.full(x.shape, coeffs[-1])
+    for coef in reversed(coeffs[:-1]):
+        out *= x
+        out += coef
+    return out
+
+
 def _levy_integral(ctx: HurstContext, s, t):
     """``c1**2 * integral_0^{min(s,t)} (s-u)^eta (t-u)^eta du``, broadcast over ``s, t >= 0``.
 
     With ``lo <= hi`` the two times, Euler's integral gives
-    ``hi^eta lo^{eta+1} / (eta+1) * 2F1(-eta, 1; eta+2; z)``, ``z = lo/hi``.
-    For ``H < 1/2`` and ``w = (hi-lo)/hi < 1/2`` the z -> 1 connection formula
-    (DLMF 15.8(ii)) is used instead,
+    ``hi^eta lo^{eta+1} / (eta+1) * 2F1(-eta, 1; eta+2; z)``, ``z = lo/hi``,
+    summed as a power series in ``z`` by :func:`_hyp2f1_unit_b`.  Near the
+    diagonal, where that series converges too slowly, the ``z -> 1``
+    connection formula (DLMF 15.8(ii)) in ``w = (hi-lo)/hi`` is used instead,
     ``2F1 = (eta+1)/(2H) * 2F1(-eta, 1; -2 eta; w)
     + Gamma(eta+2) Gamma(-2H) / Gamma(-eta) * w^{2H} z^{-H-1/2}``,
     whose second term is ``(hi-lo)^{2H}`` times a constant once the prefactor
-    is multiplied in.  For ``H < 0.47`` scipy's ``2F1(..; z)`` has relative
-    errors up to 2.7 once ``1 - z <= 5e-14``, and rounding ``lo/hi`` alone
-    costs up to ``8e-7`` at ``H = 0.005`` and ``hi - lo = 2e-12 hi``; the
-    connection form needs neither.  At ``w = 0`` it is the diagonal
-    ``lo^{2H} / (2H)`` exactly.
+    is multiplied in.  At ``w = 0`` it is the diagonal ``lo^{2H} / (2H)``
+    exactly, and ``hi - lo`` is exact, so no rounding of ``lo/hi`` enters.
+
+    The connection form is used for ``w < 1/2`` if ``H < 1/2`` and for
+    ``w < 1/10`` if ``H > 1/2``.  For ``H > 1/2`` its two terms have
+    opposite signs and grow like ``w^2 / (1 - H)`` (the coefficients of the
+    ``w`` series carry ``1/(1 - 2 eta)`` and ``Gamma(-2H)`` nears its pole at
+    ``-2``), so they cancel as ``H -> 1``; the narrow window keeps that loss
+    to about two digits at ``H = 0.99999``, and the series in ``z`` then runs
+    up to ``z = 0.9``.  For ``H < 1/2`` the two terms grow like ``1/(2H)``
+    against a result of order one, which costs about 3.5 digits at
+    ``H = 1e-4``.  At ``H = 1/2`` the integral is ``lo``.
     """
     eta, h2 = ctx.eta, 2.0 * ctx.hurst
-    lo = np.minimum(s, t)
+    lo = np.asarray(np.minimum(s, t), dtype=float)
+    if eta == 0.0:
+        return ctx.c1**2 * lo
     # lo = 0 gives 0 whatever hi is; hi = 1 at the origin avoids 0 * inf.
     hi = np.maximum(s, t)
     hi = np.where(hi > 0.0, hi, 1.0)
     gap = hi - lo
-    near = (gap < 0.5 * hi) & (eta < 0.0)
-    out = hyp2f1(-eta, 1.0, np.where(near, -2.0 * eta, eta + 2.0),
-                 np.where(near, gap, lo) / hi)
-    out *= hi**eta * lo ** (eta + 1.0) / np.where(near, h2, eta + 1.0)
-    if eta < 0.0:
-        singular = _gamma(eta + 1.0) * _gamma(-h2) / _gamma(-eta)
-        out += np.where(near, singular * gap**h2, 0.0)
+    near = gap < (0.5 if eta < 0.0 else 0.1) * hi
+    out = np.empty(lo.shape)
+    far = ~near
+    lo_f, hi_f = lo[far], hi[far]
+    out[far] = _hyp2f1_unit_b(-eta, eta + 2.0, lo_f / hi_f) * (
+        hi_f**eta * lo_f ** (eta + 1.0) / (eta + 1.0)
+    )
+    lo_n, hi_n, gap_n = lo[near], hi[near], gap[near]
+    singular = math.gamma(eta + 1.0) * math.gamma(-h2) / math.gamma(-eta)
+    out[near] = _hyp2f1_unit_b(-eta, -2.0 * eta, gap_n / hi_n) * (
+        hi_n**eta * lo_n ** (eta + 1.0) / h2
+    ) + singular * gap_n**h2
     return ctx.c1**2 * out
 
 
 def levy_cov(s: float, t: float, ctx: HurstContext) -> float:
     """Covariance of the one-sided moving average at times ``s, t >= 0``."""
-    if s < 0 or t < 0:
-        raise ValidationError("one-sided moving average requires times >= 0")
+    if not (0.0 <= s < math.inf and 0.0 <= t < math.inf):
+        raise ValidationError("one-sided moving average requires finite times >= 0")
     return float(_levy_integral(ctx, s, t))
 
 
@@ -169,6 +216,8 @@ def levy_cov_matrix(times, ctx: HurstContext) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValidationError("times must be a 1-d array")
+    if not np.isfinite(times).all():
+        raise ValidationError("one-sided moving average requires finite times")
     if np.any(times < 0):
         raise ValidationError("one-sided moving average requires times >= 0")
     if np.any(np.diff(times) <= 0):
@@ -193,7 +242,7 @@ def _fgn_eigenvalues(n: int, hurst: float, dt: float) -> np.ndarray | None:
     """Eigenvalues of the circulant embedding, or None if indefinite."""
     gam = fgn_autocov(n, hurst, dt)
     first_row = np.concatenate([gam, gam[-2:0:-1]])
-    lam = np.fft.fft(first_row).real
+    lam = fft.fft(first_row).real
     if lam.min() < -1.0e-9 * lam.max():
         return None
     return np.clip(lam, 0.0, None)
@@ -210,7 +259,7 @@ def _fgn_from_normals(lam: np.ndarray, normals: np.ndarray, n: int) -> np.ndarra
     amp = np.sqrt(lam[k] / (2.0 * m))
     w[:, k] = amp * (normals[:, 2 : 1 + half] + 1j * normals[:, 1 + half : m])
     w[:, m - k] = np.conj(w[:, k])
-    return np.fft.fft(w, axis=1).real[:, :n]
+    return fft.fft(w, axis=1).real[:, :n]
 
 
 def sample_fgn(

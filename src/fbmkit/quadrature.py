@@ -21,6 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import AccuracyError, ValidationError
 
@@ -55,7 +56,7 @@ PATH_TOL = 0.05
 
 @lru_cache(maxsize=64)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = leggauss(n)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w

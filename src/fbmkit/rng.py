@@ -10,21 +10,21 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
+from numpy.random import Generator, Philox, SeedSequence
 
 __all__ = ["make_rng", "spawn_streams", "parallel_map"]
 
 
-def make_rng(seed: int | np.random.SeedSequence) -> np.random.Generator:
+def make_rng(seed: int | SeedSequence) -> Generator:
     """Fresh Philox stream for the given seed."""
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return np.random.Generator(np.random.Philox(seq))
+    seq = seed if isinstance(seed, SeedSequence) else SeedSequence(seed)
+    return Generator(Philox(seq))
 
 
-def spawn_streams(seed: int | np.random.SeedSequence, n: int) -> list[np.random.Generator]:
+def spawn_streams(seed: int | SeedSequence, n: int) -> list[Generator]:
     """n independent child streams, deterministic in (seed, n)."""
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [np.random.Generator(np.random.Philox(child)) for child in seq.spawn(n)]
+    seq = seed if isinstance(seed, SeedSequence) else SeedSequence(seed)
+    return [Generator(Philox(child)) for child in seq.spawn(n)]
 
 
 def parallel_map(fn, items, threads: int = 1) -> list:

@@ -5,8 +5,9 @@ quadrature covariances within four standard errors of the product moments;
 fixed-value checks use literals frozen from independent arbitrary-precision
 quadrature.  The one-sided (Levy) covariance is also checked against Euler's
 integral in 40-digit mpmath (itself checked against mpmath quadrature of the
-definition) and against the graded Gauss-Legendre quadrature that computed it
-before the closed form.  The fGn autocovariance is checked against its second
+definition), against scipy's ``hyp2f1`` through the same closed forms, and
+against the graded Gauss-Legendre quadrature that computed it before the
+closed form.  The fGn autocovariance is checked against its second
 difference in 50-digit mpmath out to lag 2^24.
 """
 
@@ -16,6 +17,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate as scipy_integrate
+from scipy.special import gamma as scipy_gamma
+from scipy.special import hyp2f1
 
 from fbmkit.context import make_context
 from fbmkit.errors import ValidationError
@@ -51,16 +54,25 @@ LEVY_COV_FROZEN = {
 }
 
 HURST_GRID = [k / 200 for k in range(1, 200)]
+# The grid plus both ends of the range and both sides of H = 1/2, where the
+# connection form's two terms cancel most (H -> 0 and H -> 1) or its
+# constants near poles of Gamma (H -> 1/2).
+LEVY_ORACLE_HURSTS = HURST_GRID + [1e-4, 0.4999, 0.5, 0.5001, 0.999, 0.9999, 0.99999]
 ONE_ULP = float(np.nextafter(1.0, 2.0))
 # (s, t) pairs with gaps of 1 ulp, 1e-12, 2^-10 (a point perfbench's mc
-# oracle pins) and 0.5, the last on either side of the w = (t - s)/t = 1/2
-# switch between the two closed forms.
+# oracle pins), 1/3 and 0.5, and pairs on either side of the switches
+# between the series in z = s/t and the connection form: z = 1/2 for
+# H < 1/2, z = 0.9 for H > 1/2.
 LEVY_ORACLE_PAIRS = [
     (1.0, ONE_ULP),
     (1.0, 1.0 + 1e-12),
     (1.0, 1.0 + 2.0**-10),
     (1.0, 1.5),
     (0.5, 1.0),
+    (0.49, 1.0),
+    (0.51, 1.0),
+    (0.89, 1.0),
+    (0.91, 1.0),
 ]
 
 
@@ -85,6 +97,25 @@ def levy_cov_mpmath(hurst, s, t, quad=False):
         else:
             val = t**eta * s ** (eta + 1) / (eta + 1) * mp.hyp2f1(-eta, 1, eta + 2, s / t)
         return c1sq * val
+
+
+def levy_cov_scipy(ctx, s, t):
+    """The same closed forms through scipy's ``hyp2f1``, switched at ``w = 1/2`` for ``H < 1/2``.
+
+    Euler's integral ``hi^eta lo^{eta+1} / (eta+1) * 2F1(-eta, 1; eta+2; lo/hi)``,
+    and for ``H < 1/2`` near the diagonal its connection form in
+    ``w = (hi - lo)/hi``.  Broadcast over ``s, t > 0``.
+    """
+    eta, h2 = ctx.eta, 2.0 * ctx.hurst
+    lo, hi = np.minimum(s, t), np.maximum(s, t)
+    gap = hi - lo
+    near = (gap < 0.5 * hi) & (eta < 0.0)
+    out = hyp2f1(-eta, 1.0, np.where(near, -2.0 * eta, eta + 2.0), np.where(near, gap, lo) / hi)
+    out *= hi**eta * lo ** (eta + 1.0) / np.where(near, h2, eta + 1.0)
+    if eta < 0.0:
+        singular = scipy_gamma(eta + 1.0) * scipy_gamma(-h2) / scipy_gamma(-eta)
+        out += np.where(near, singular * gap**h2, 0.0)
+    return ctx.c1**2 * out
 
 
 def levy_cov_graded(ctx, s, t):
@@ -151,6 +182,10 @@ class TestFbmCov:
             with pytest.raises(ValidationError):
                 fbm_cov(1.0, 2.0, bad)
 
+    def test_matrix_rejects_nan_times(self):
+        with pytest.raises(ValidationError):
+            fbm_cov_matrix([0.5, np.nan], 0.75)
+
 
 class TestFgnAutocov:
     @given(hursts, st.floats(0.05, 4.0), st.integers(0, 12))
@@ -199,6 +234,10 @@ class TestFgnAutocov:
         with pytest.raises(ValidationError):
             fgn_autocov(4, 1.5)
 
+    def test_rejects_infinite_dt(self):
+        with pytest.raises(ValidationError):
+            fgn_autocov(4, 0.25, dt=np.inf)
+
 
 class TestLevyCov:
     def test_frozen_values(self):
@@ -214,9 +253,18 @@ class TestLevyCov:
                 abs(levy_cov(s, t, make_context(h)) / float(levy_cov_mpmath(h, s, t)) - 1),
                 h,
             )
-            for h in HURST_GRID
+            for h in LEVY_ORACLE_HURSTS
         )
         assert worst[0] <= 1e-12, f"rel error {worst[0]:.3g} at H={worst[1]}"
+
+    @pytest.mark.parametrize("hurst", [0.25, 0.75, 0.95])
+    def test_matrix_matches_scipy_hyp2f1(self, hurst):
+        # The grid that perfbench's mc workload samples.
+        ctx = make_context(hurst)
+        times = 2.0**-10 * np.arange(1, 1025)
+        ref = levy_cov_scipy(ctx, times[:, None], times[None, :])
+        rel = np.abs(levy_cov_matrix(times, ctx) / ref - 1.0)
+        assert rel.max() <= 2e-13
 
     @pytest.mark.parametrize("hurst", [0.005, 0.1, 0.25, 0.75, 0.995])
     @pytest.mark.parametrize("s,t", [(1.0, 1.0 + 1e-12), (1.0, 1.0 + 2.0**-10), (0.5, 1.0)])
@@ -301,6 +349,18 @@ class TestLevyCov:
             levy_cov_matrix([0.5, 0.25], ctx)
         with pytest.raises(ValidationError):
             levy_cov_matrix([[0.5]], ctx)
+
+    def test_rejects_nan_time(self, ctx75):
+        with pytest.raises(ValidationError):
+            levy_cov(np.nan, 1.0, ctx75)
+
+    def test_rejects_infinite_time(self, ctx75):
+        with pytest.raises(ValidationError):
+            levy_cov(1.0, np.inf, ctx75)
+
+    def test_matrix_rejects_nan_times(self, ctx75):
+        with pytest.raises(ValidationError):
+            levy_cov_matrix([0.5, np.nan], ctx75)
 
 
 class TestSamplers:

@@ -1,0 +1,69 @@
+"""Start-up cost: the CLI imports without scipy, and the benchmarked calls never load it.
+
+scipy's import costs about a quarter second, twice the work of a small CLI
+call, and only two routes need it (``drift regression`` and ``arbitrage
+ledger``, which import it inside the function).  The numpy submodules the
+package uses are imported with it, so the first call does not pay for them.
+A fresh interpreter is needed: the test session itself has scipy loaded.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import fbmkit
+
+SRC = str(Path(fbmkit.__file__).resolve().parents[1])
+
+# One small call of each subcommand the perfbench workloads run.
+LEAN_CALLS = [
+    "sample fbm --hurst 0.75 --n 64 --dt 0.01",
+    "sample levy --hurst 0.25 --n 64 --dt 0.01",
+    "drift validate --hurst 0.75 --paths 4 --tol 0.25",
+    "drift validate --hurst 0.25 --paths 4 --tol 0.25",
+    "invert --hurst 0.25 --paths 4 --tol 0.25",
+    "gamma decay --hurst 0.75 --r 0.5 --n 8 --threads 2",
+    "gamma cov --hurst 0.75 --r 0.1 --n 8",
+    "drift obm --hurst 0.75 --paths 1",
+    "arbitrage an-prob --hurst 0.75 --r 0.1 --alpha 0.5 --p 0.5 --n 4 --paths 1000 --threads 2",
+    "lil --hurst 0.75 --r 0.5 --paths 1000 --threads 2",
+]
+SCIPY_CALLS = [
+    "drift regression --hurst 0.75 --paths 1",
+    "arbitrage ledger --hurst 0.75 --r 0.1 --alpha 0.5 --p 0.5 --n 8 --rtilde 0.05"
+    " --alpha-prime 0.4 --p-prime 0.4 --pan 4=0.44,8=0.0993",
+]
+WATCHED = ("numpy.random", "numpy.fft", "numpy.polynomial", "scipy")
+
+SCRIPT = """
+import json, sys
+from fbmkit.cli import build_parser, main
+
+def loaded():
+    return [m for m in WATCHED if m in sys.modules]
+
+build_parser()
+report = {"startup": loaded()}
+report["lean"] = [main(argv.split() + ["--out", f"lean{k}.json"]) for k, argv in enumerate(LEAN)]
+report["after_lean"] = loaded()
+report["scipy"] = [main(argv.split() + ["--out", f"scipy{k}.json"]) for k, argv in enumerate(SCIPY)]
+print(json.dumps(report))
+"""
+
+
+def test_cli_starts_and_runs_the_benchmarked_calls_without_scipy(tmp_path):
+    env = dict(os.environ, FBMKIT_OUT_DIR=str(tmp_path))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    prelude = f"WATCHED = {WATCHED!r}\nLEAN = {LEAN_CALLS!r}\nSCIPY = {SCIPY_CALLS!r}\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", prelude + SCRIPT],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["startup"] == ["numpy.random", "numpy.fft", "numpy.polynomial"]
+    assert report["lean"] == [0] * len(LEAN_CALLS), proc.stderr
+    assert "scipy" not in report["after_lean"]
+    assert report["scipy"] == [0] * len(SCIPY_CALLS), proc.stderr
