@@ -44,7 +44,7 @@ from .fbm import (
     sample_obm,
 )
 from .gamma import GammaConfig, decay_bound_check, gamma_mc_implied_cov, sample_gamma_mc
-from .gaussian import CovMatrix, cholesky_with_jitter, cov_standard_errors, estimate_cov
+from .gaussian import CovMatrix, cov_standard_errors, estimate_cov
 from .grids import SampledPath
 from .reports import utc_now
 from .rng import make_rng
@@ -330,8 +330,7 @@ def _criterion_3(seed_seq, threads: int) -> tuple[bool, str, dict]:
     per_decade = 48
     fine_neg = _exp_grid_neg(-7.0, 9.0, per_decade)
     rng = make_rng(seed_seq)
-    factor, _ = cholesky_with_jitter(joint_wz_cov(ctx, fine_neg, fine_neg))
-    draw = (factor @ rng.standard_normal((2 * fine_neg.size, n_paths))).T
+    draw = CovMatrix(joint_wz_cov(ctx, fine_neg, fine_neg)).sample(rng, n_paths)
     w_fine, z_fine = draw[:, : fine_neg.size], draw[:, fine_neg.size :]
 
     # Default grid: every second exponent, truncated two decades shallower.
@@ -401,8 +400,7 @@ def _criterion_4(seed_seq, threads: int) -> tuple[bool, str, dict]:
         times = inversion_grid(dt)
         t_neg = times[:-1]
         t_snap = np.array([t_neg[np.argmin(np.abs(t_neg - t))] for t in t_inv])
-        factor, _ = cholesky_with_jitter(joint_wz_cov(ctx, t_snap, t_neg))
-        draw = (factor @ rng.standard_normal((t_snap.size + t_neg.size, n_paths))).T
+        draw = CovMatrix(joint_wz_cov(ctx, t_snap, t_neg)).sample(rng, n_paths)
         w_true, z_obs = draw[:, : t_snap.size], draw[:, t_snap.size :]
         z_past = SampledPath(
             times=times, values=np.hstack([z_obs, np.zeros((n_paths, 1))]), kind="fBm"

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -112,8 +111,11 @@ class HurstContext:
     c_h: float
 
 
-@lru_cache(maxsize=128)
-def _make_context_cached(hurst: float) -> HurstContext:
+def make_context(hurst: float) -> HurstContext:
+    """Build the :class:`HurstContext` for a Hurst index in ``(0, 1)``."""
+    hurst = float(hurst)
+    if not (0.0 < hurst < 1.0):
+        raise ValidationError(f"hurst must lie in (0, 1), got {hurst}")
     eta = hurst - 0.5
     if eta == 0.0:
         # Ordinary Brownian motion: the kernel difference vanishes.
@@ -126,11 +128,3 @@ def _make_context_cached(hurst: float) -> HurstContext:
     ) / math.gamma(hurst + 0.5)
     c_h = 1.0 / (math.gamma(eta + 1.0) * math.gamma(1.0 - eta))
     return HurstContext(hurst=hurst, eta=eta, c1=c1, c_h=c_h)
-
-
-def make_context(hurst: float) -> HurstContext:
-    """Build the :class:`HurstContext` for a Hurst index in ``(0, 1)``."""
-    hurst = float(hurst)
-    if not (0.0 < hurst < 1.0):
-        raise ValidationError(f"hurst must lie in (0, 1), got {hurst}")
-    return _make_context_cached(hurst)

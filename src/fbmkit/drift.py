@@ -78,7 +78,7 @@ import numpy as np
 from .context import HurstContext, xi
 from .errors import AccuracyError, ValidationError
 from .fbm import fbm_cov, fbm_cov_matrix
-from .gaussian import cholesky_with_jitter
+from .gaussian import CovMatrix
 from .grids import SampledPath
 from .quadrature import PATH_NODES, PATH_TOL, aligned_breaks, panel_nodes
 
@@ -276,20 +276,16 @@ def regression_weights(hurst: float, past_times, v_grid) -> np.ndarray:
     """Gaussian-regression weight matrix ``Cpp^{-1} Cpv`` (shape npast x nv).
 
     ``past_times`` must be strictly negative; the weights applied to the
-    observed past values give the conditional mean at each ``v``.  scipy is
-    imported here, not with the module: no other route needs it, and its
-    import costs about a quarter second of every CLI start.
+    observed past values give the conditional mean at each ``v``.  The
+    solve runs on the Cholesky factor of ``Cpp`` (:meth:`CovMatrix.solve`).
     """
-    from scipy.linalg import cho_solve
-
     past_times = np.asarray(past_times, dtype=float)
     v_grid = np.atleast_1d(np.asarray(v_grid, dtype=float))
     if np.any(past_times >= 0):
         raise ValidationError("regression past times must be strictly negative")
     cpp = fbm_cov_matrix(past_times, hurst)
     cpv = fbm_cov(past_times[:, None], v_grid[None, :], hurst)
-    factor, _ = cholesky_with_jitter(cpp)
-    return cho_solve((factor, True), cpv)
+    return CovMatrix(cpp).solve(cpv)
 
 
 def drift_regression(hurst: float, past, v_grid) -> np.ndarray:

@@ -14,8 +14,7 @@ Three families:
 * ``a_n_probability`` — estimates the probability that at least p*n of the
   ladder observables (G_i) exceed alpha * H^{-1/2} (log i)_+^{1/2},
   via exact covariance sampling, with Wilson intervals, over a doubling
-  ladder of n; a second antithetic eigendecomposition estimator provides an
-  independent cross-check.
+  ladder of n.
 * ``product_tail_bound`` / ``n_threshold`` / ``union_bound_ledger`` — the
   explicit bound chain for the surrogate independent vector, the event-family
   comparison threshold, and the assembled union-bound bookkeeping.
@@ -49,7 +48,6 @@ __all__ = [
     "lil_block_cov",
     "lil_statistic",
     "a_n_probability",
-    "a_n_probability_dual",
     "max_feasible_epsilon",
     "product_tail_chain",
     "product_tail_bound",
@@ -66,6 +64,9 @@ _CHUNK = 200_000
 _LIL_CHUNK = 2**15
 # Width at which the bisection of max_feasible_epsilon stops.
 _EPS_BISECTION_TOL = 1.0e-12
+# Above this x, log Phi(-x) comes from the asymptotic series, well before
+# erfc(x / sqrt 2) underflows (near x = 37.5).
+_TAIL_SERIES_FROM = 30.0
 
 
 # ---------------------------------------------------------------------------
@@ -398,54 +399,6 @@ def a_n_probability(cfg: ArbitrageConfig, *, threads: int = 1) -> ExperimentRepo
     return report.stamp(start)
 
 
-def a_n_probability_dual(cfg: ArbitrageConfig) -> ExperimentReport:
-    """Antithetic eigendecomposition estimator of P(A_n) (cross-check route).
-
-    Uses a symmetric matrix square root instead of Cholesky and evaluates the
-    event on +/- pairs of the same normals; the confidence interval is the
-    normal-approximation interval on pair-averaged indicators.
-    """
-    start = time.perf_counter()
-    if cfg.n > 16:
-        raise ValidationError("dual estimator is intended for small n (<= 16)")
-    cov = gamma_cov_matrix(GammaConfig(cfg.ctx, cfg.r, n=cfg.n), cfg.n)
-    vals, vecs = np.linalg.eigh(cov.matrix)
-    vals = np.maximum(vals, 0.0)
-    root = vecs @ np.diag(np.sqrt(vals)) @ vecs.T
-    thr = cfg.thresholds()
-    need = cfg.required_count()
-
-    n_pairs = cfg.n_paths
-    rng = spawn_streams(cfg.seed, 1)[0]
-    means = np.empty(n_pairs)
-    done = 0
-    while done < n_pairs:
-        m = min(_CHUNK, n_pairs - done)
-        normals = rng.standard_normal((m, cfg.n))
-        z = normals @ root.T
-        up = ((z >= thr[None, :]).sum(axis=1) >= need).astype(float)
-        dn = (((-z) >= thr[None, :]).sum(axis=1) >= need).astype(float)
-        means[done:done + m] = 0.5 * (up + dn)
-        done += m
-    phat = float(means.mean())
-    se = float(means.std(ddof=1) / math.sqrt(n_pairs)) if n_pairs > 1 else 0.0
-    report = ExperimentReport(
-        kind="a_n_probability_dual",
-        config={
-            "hurst": cfg.ctx.hurst,
-            "r": cfg.r,
-            "alpha": cfg.alpha,
-            "p": cfg.p,
-            "n": cfg.n,
-            "n_paths": cfg.n_paths,
-        },
-        seed=cfg.seed,
-    )
-    report.add(f"p_an_n_{cfg.n}", phat, max(0.0, phat - 1.96 * se),
-               min(1.0, phat + 1.96 * se), 2 * n_pairs)
-    return report.stamp(start)
-
-
 # ---------------------------------------------------------------------------
 # Bound pipeline: surrogate product chain, comparison threshold, union ledger
 # ---------------------------------------------------------------------------
@@ -463,6 +416,25 @@ def max_feasible_epsilon() -> float:
     return lo
 
 
+def _log_normal_tail(x: float) -> float:
+    """``log Phi(-x)`` for ``x >= 0``, finite wherever ``x*x`` is.
+
+    ``log(erfc(x / sqrt 2) / 2)`` up to ``_TAIL_SERIES_FROM``; beyond it the
+    asymptotic expansion (DLMF 7.12.1)
+    ``-x^2/2 - log(x sqrt(2 pi)) + log(1 - 1/x^2 + 3/x^4 - ...)``, summed
+    until a term no longer changes the sum.
+    """
+    if x < _TAIL_SERIES_FROM:
+        return math.log(0.5 * math.erfc(x / math.sqrt(2.0)))
+    inv = 1.0 / (x * x)
+    term, series, k = 1.0, 1.0, 1
+    while series + term != series:
+        term *= -(2 * k - 1) * inv
+        series += term
+        k += 1
+    return -0.5 * x * x - math.log(x * math.sqrt(2.0 * math.pi)) + math.log(series)
+
+
 def product_tail_chain(cfg: ArbitrageConfig, index_set) -> dict:
     """Every link of the surrogate-vector tail chain, in log space.
 
@@ -475,12 +447,9 @@ def product_tail_chain(cfg: ArbitrageConfig, index_set) -> dict:
          <= -C_l^2/2 * log((|I| - 1)!)                          (i_j >= j)
          <= -C_l^2/2 * log((ceil(p n) - 1)!)                    (|I| >= ceil(pn))
 
-    with C_l = alpha H^{-1/2} / (sqrt(phi_k) sigma).  scipy (for log SF) is
-    imported here, not with the module: no other route needs it, and its
-    import costs about a quarter second of every CLI start.
+    with C_l = alpha H^{-1/2} / (sqrt(phi_k) sigma); log SF is
+    :func:`_log_normal_tail`.
     """
-    from scipy.special import log_ndtr
-
     idx = sorted(set(int(i) for i in index_set))
     if not idx:
         raise ValidationError("index set must be nonempty")
@@ -506,7 +475,7 @@ def product_tail_chain(cfg: ArbitrageConfig, index_set) -> dict:
 
     logs_plus = np.maximum(np.log(np.maximum(np.asarray(idx, dtype=float), 1.0)), 0.0)
     thresholds = cfg.alpha / math.sqrt(cfg.ctx.hurst) * np.sqrt(logs_plus)
-    log_exact = float(log_ndtr(-thresholds / sd_surrogate).sum())
+    log_exact = math.fsum(_log_normal_tail(x) for x in (thresholds / sd_surrogate).tolist())
     log_tail = float(-(c_l * c_l) / 2.0 * logs_plus.sum())
     log_sorted = -(c_l * c_l) / 2.0 * math.lgamma(len(idx))
     log_final = -(c_l * c_l) / 2.0 * math.lgamma(need)

@@ -69,9 +69,11 @@ def fbm_cov(s, t, hurst: float):
     if not (np.isfinite(s).all() and np.isfinite(t).all()):
         raise ValidationError("fbm covariance requires finite times")
     h2 = 2.0 * hurst
-    out = 0.5 * (
-        np.abs(s) ** h2 + np.abs(t) ** h2 - np.abs(t - s) ** h2
-    )
+    # At most two arrays of the broadcast shape at once; the rest is in place.
+    gap = np.abs(t - s) ** h2
+    out = np.abs(s) ** h2 + np.abs(t) ** h2
+    out -= gap
+    out *= 0.5
     if out.ndim == 0:
         return float(out)
     return out
@@ -178,8 +180,10 @@ def _levy_integral(ctx: HurstContext, s, t):
     ``-2``), so they cancel as ``H -> 1``; the narrow window keeps that loss
     to about two digits at ``H = 0.99999``, and the series in ``z`` then runs
     up to ``z = 0.9``.  For ``H < 1/2`` the two terms grow like ``1/(2H)``
-    against a result of order one, which costs about 3.5 digits at
-    ``H = 1e-4``.  At ``H = 1/2`` the integral is ``lo``.
+    against a result of order one, so the relative error grows like
+    ``2^-52 / (2H)``: it stays within ``1e-12`` of 40-digit mpmath for
+    ``H >= 1e-4`` (6.2e-13 there), but reaches 8.2e-12 at ``H = 1e-5``
+    (``s = 0.51, t = 1``).  At ``H = 1/2`` the integral is ``lo``.
     """
     eta, h2 = ctx.eta, 2.0 * ctx.hurst
     lo = np.asarray(np.minimum(s, t), dtype=float)

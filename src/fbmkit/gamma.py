@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -294,23 +293,18 @@ def gammahat_modulus(cfg: GammaConfig, t: float) -> float:
     return float(p1 + p2)
 
 
-@lru_cache(maxsize=64)
-def _c_e_cached(cfg: GammaConfig) -> float:
-    kappa = min(2.0 * cfg.ctx.hurst, 1.0)
-    best = 0.0
-    for k in range(1, C_E_LEVELS + 1):
-        t = 2.0**-k
-        best = max(best, gammahat_modulus(cfg, t) / t**kappa)
-    return best
-
-
 def c_e(cfg: GammaConfig) -> float:
     """Computed modulus constant: sup over t = 2^-k, k = 1..C_E_LEVELS, of modulus/t^(2H∧1).
 
     A reproducible stand-in for the analytic constant; the dyadic grid is
     part of its definition.
     """
-    return _c_e_cached(cfg)
+    kappa = min(2.0 * cfg.ctx.hurst, 1.0)
+    best = 0.0
+    for k in range(1, C_E_LEVELS + 1):
+        t = 2.0**-k
+        best = max(best, gammahat_modulus(cfg, t) / t**kappa)
+    return best
 
 
 def reg_gamhat_bound(cfg: GammaConfig, i: int, T: float) -> float:

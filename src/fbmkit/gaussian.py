@@ -1,11 +1,13 @@
-"""Dense Gaussian sampling and covariance estimation utilities.
+"""Dense Gaussian sampling, regression solves and covariance estimation.
 
-:class:`CovMatrix` wraps a symmetric positive semi-definite matrix with a
-Cholesky factor obtained through an escalating jitter ladder (semi-definite
-matrices arise legitimately here, e.g. any covariance pinned to zero at
-``t = 0``).  The estimation helpers implement the zero-mean empirical
-covariance and its entrywise Monte-Carlo standard errors, which the
-validation experiments use to build "within ``k`` standard errors" bands.
+:class:`CovMatrix` is the one place that factors a covariance and uses the
+factor: it wraps a symmetric positive semi-definite matrix with a Cholesky
+factor obtained through an escalating jitter ladder (semi-definite matrices
+arise legitimately here, e.g. any covariance pinned to zero at ``t = 0``),
+draws zero-mean Gaussian vectors with it and solves regression systems on
+it.  The estimation helpers implement the zero-mean empirical covariance and
+its entrywise Monte-Carlo standard errors, which the validation experiments
+use to build "within ``k`` standard errors" bands.
 """
 
 from __future__ import annotations
@@ -62,21 +64,30 @@ def cholesky_with_jitter(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     )
 
 
+# Rows per block of the substitutions in :meth:`CovMatrix.solve`: each
+# diagonal block is solved densely, the rest is matrix products.
+_SOLVE_BLOCK = 64
+
+
 @dataclass(frozen=True)
 class CovMatrix:
-    """A covariance matrix with a cached Cholesky factor for sampling."""
+    """A covariance matrix with its Cholesky factor, for sampling and solving.
+
+    ``cholesky`` is the lower factor ``L`` of ``matrix``, with the relative
+    diagonal ``jitter`` that :func:`cholesky_with_jitter` needed added
+    first; both are computed here, never passed in.
+    """
 
     matrix: np.ndarray = field(repr=False)
-    cholesky: np.ndarray = field(repr=False, default=None)
-    jitter: float = 0.0
+    cholesky: np.ndarray = field(init=False, repr=False)
+    jitter: float = field(init=False)
 
     def __post_init__(self) -> None:
         matrix = np.asarray(self.matrix, dtype=float)
+        factor, jitter = cholesky_with_jitter(matrix)
         object.__setattr__(self, "matrix", matrix)
-        if self.cholesky is None:
-            factor, jitter = cholesky_with_jitter(matrix)
-            object.__setattr__(self, "cholesky", factor)
-            object.__setattr__(self, "jitter", jitter)
+        object.__setattr__(self, "cholesky", factor)
+        object.__setattr__(self, "jitter", jitter)
 
     @property
     def dim(self) -> int:
@@ -92,6 +103,28 @@ class CovMatrix:
             raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
         z = rng.standard_normal((self.dim, n_samples))
         return (self.cholesky @ z).T
+
+    def solve(self, rhs) -> np.ndarray:
+        """``X`` with ``L L^T X = rhs``, for ``rhs`` of shape ``(dim,)`` or ``(dim, k)``.
+
+        Forward substitution with ``L``, then back substitution with ``L^T``,
+        both by blocks of ``_SOLVE_BLOCK`` rows: O(dim^2) per right-hand
+        side.  ``L L^T`` is the matrix plus its jitter, if any was needed.
+        """
+        x = np.array(rhs, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[0] != self.dim:
+            raise ValidationError(
+                f"right-hand side must have {self.dim} rows, got shape {x.shape}"
+            )
+        low = self.cholesky
+        starts = range(0, self.dim, _SOLVE_BLOCK)
+        for a in starts:
+            b = a + _SOLVE_BLOCK
+            x[a:b] = np.linalg.solve(low[a:b, a:b], x[a:b] - low[a:b, :a] @ x[:a])
+        for a in reversed(starts):
+            b = a + _SOLVE_BLOCK
+            x[a:b] = np.linalg.solve(low[a:b, a:b].T, x[a:b] - low[b:, a:b].T @ x[b:])
+        return x
 
 
 def estimate_cov(samples: np.ndarray) -> np.ndarray:

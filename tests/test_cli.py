@@ -1,7 +1,8 @@
 """Command-line behaviour: defaults, exit codes and reproducible artifacts.
 
-Every subcommand runs with only its required flags.  ``selftest`` is left
-out: it runs the whole acceptance battery, which takes tens of seconds.
+Every subcommand runs with only its required flags.  ``selftest`` runs on
+a stubbed battery (the real one takes tens of seconds) to pin its exit code:
+0 when every failure is declared, 1 otherwise.
 A result holding inf or nan exits 3 and writes no artifact.  Every
 subcommand with ``--threads`` writes the same artifact at any thread count,
 up to its volatile fields.
@@ -14,6 +15,12 @@ import numpy as np
 import pytest
 
 from fbmkit import cli
+from fbmkit.acceptance import (
+    CRITERION_NAMES,
+    EXPECTED_FAILURES,
+    AcceptanceReport,
+    CriterionResult,
+)
 from fbmkit.cli import main
 from fbmkit.errors import AccuracyError
 from fbmkit.reports import ExperimentReport
@@ -52,6 +59,27 @@ def test_defaults_are_a_valid_invocation(command, capsys):
     code = main(command.split())
     err = capsys.readouterr().err
     assert code == 0, err
+
+
+def stub_battery(failing):
+    """A battery report shaped like ``run_all``'s, failing the given criteria."""
+    results = [
+        CriterionResult(number=k, name=CRITERION_NAMES[k], passed=k not in failing,
+                        detail="stub", runtime=0.0, expected_failure=k in EXPECTED_FAILURES)
+        for k in sorted(CRITERION_NAMES)
+    ]
+    return AcceptanceReport(seed=0, threads=1, results=results)
+
+
+# The real outcome (only the declared criterion 10 fails), an undeclared
+# failure beside it, and the declared failure passing (a strict xfail).
+@pytest.mark.parametrize("failing,code", [({10}, 0), ({3, 10}, 1), (set(), 1)])
+def test_selftest_exits_0_only_when_every_failure_is_declared(failing, code, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_all", lambda seed, threads: stub_battery(failing))
+    assert main(["selftest", "--threads", "1"]) == code
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert summary.startswith(f"{11 - len(failing)}/11 criteria passed")
+    assert ("unexpected" in summary) == (code == 1)
 
 
 def test_validation_error_exits_2(capsys):

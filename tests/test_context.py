@@ -106,10 +106,6 @@ def test_hurst_out_of_range_rejected(bad):
         make_context(bad)
 
 
-def test_contexts_are_cached():
-    assert make_context(0.75) is make_context(0.75)
-
-
 # ---------------------------------------------------------------------------
 # pow0
 # ---------------------------------------------------------------------------

@@ -7,10 +7,13 @@ that computed it before the closed form, and for symmetry and positive
 definiteness.  The summed matrix that ``lil_statistic`` samples from is
 checked against ``levy_cov_matrix`` at the ladder times.  The prefix-count
 reduction of ``a_n_probability`` is checked against the cumulative-sum
-reduction it replaced.  The exact Gaussian product of the excess-count chain
-is checked against ``scipy.stats``.
+reduction it replaced, and its estimate of P(A_n) against an antithetic
+estimator on a symmetric square root of the same covariance.  The exact
+Gaussian product of the excess-count chain is checked against
+``scipy.stats``, and its normal log-tail against ``scipy.special.log_ndtr``.
 """
 
+import math
 import re
 
 import mpmath as mp
@@ -19,23 +22,26 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import log_ndtr
 
 from fbmkit.context import make_context
 from fbmkit.experiments import (
     ArbitrageConfig,
     LilConfig,
     _lil_cov,
+    _log_normal_tail,
     _prefix_hits,
     a_n_probability,
-    a_n_probability_dual,
     lil_block_cov,
     lil_statistic,
     product_tail_chain,
     union_bound_ledger,
 )
 from fbmkit.fbm import levy_cov_matrix
+from fbmkit.gamma import GammaConfig, gamma_cov_matrix
 from fbmkit.gaussian import cholesky_with_jitter
 from fbmkit.quadrature import graded_breaks, integrate_checked
+from fbmkit.rng import make_rng
 
 I_MAX = 40
 LAGS = [0, 1, 2, 5, 20, 40]
@@ -169,7 +175,6 @@ def test_reports_carry_wall_time_and_creation_time():
     reports = [
         lil_statistic(LilConfig(ctx, r=0.5, i_max=8, n_paths=50, seed=1)),
         a_n_probability(arb),
-        a_n_probability_dual(arb),
         union_bound_ledger(arb, {4: 0.44}),
     ]
     for report in reports:
@@ -180,7 +185,7 @@ def test_reports_carry_wall_time_and_creation_time():
 # The chain needs a small decay epsilon, hence the tiny scale ratio r.
 @pytest.mark.parametrize("hurst,alpha", [(0.25, 0.9), (0.75, 0.5)])
 def test_exact_product_matches_scipy_stats_normal_tail(hurst, alpha):
-    # The library takes log SF(x) as log_ndtr(-x); scipy.stats is the oracle.
+    # The library sums its own log SF; scipy.stats is the oracle.
     cfg = ArbitrageConfig(make_context(hurst), r=1e-6, alpha=alpha, p=0.5, n=16,
                           n_paths=1, seed=0)
     idx = np.arange(16)
@@ -188,4 +193,49 @@ def test_exact_product_matches_scipy_stats_normal_tail(hurst, alpha):
     thresholds = alpha / np.sqrt(hurst) * np.sqrt(np.log(np.maximum(idx, 1.0)))
     sd = np.sqrt(chain["phi_k"]) * chain["sigma"]
     expected = float(stats.norm.logsf(thresholds / sd).sum())
-    assert chain["log_exact_product"] == pytest.approx(expected, rel=0.0, abs=0.0)
+    assert chain["log_exact_product"] == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+def test_log_normal_tail_matches_scipy_log_ndtr():
+    # Dense on [0, 40], plus both sides of the switch to the asymptotic
+    # series and of erfc's underflow near x = 37.5.
+    xs = np.concatenate([np.linspace(0.0, 40.0, 20001), [1e-300, 29.999, 30.0, 37.4, 37.6]])
+    got = np.array([_log_normal_tail(x) for x in xs.tolist()])
+    assert np.max(np.abs(got / log_ndtr(-xs) - 1.0)) <= 1e-15
+
+
+@pytest.mark.parametrize("x", [40.5, 1e3, 1e10, 1e100])
+def test_log_normal_tail_stays_finite_beyond_the_checked_range(x):
+    got = _log_normal_tail(x)
+    assert math.isfinite(got)
+    assert got == pytest.approx(float(log_ndtr(-x)), rel=1e-15)
+
+
+def a_n_probability_dual(cfg, seed):
+    """Antithetic estimate of P(A_n) at depth ``cfg.n`` and its standard error.
+
+    Independent of the library's route in all but the covariance: a symmetric
+    (eigendecomposition) square root in place of the Cholesky factor, one
+    stream of ``(pairs, n)`` normals, and the event evaluated on each pair
+    ``+z, -z``; the error is that of the pair means.
+    """
+    cov = gamma_cov_matrix(GammaConfig(cfg.ctx, cfg.r, n=cfg.n), cfg.n).matrix
+    vals, vecs = np.linalg.eigh(cov)
+    root = (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
+    z = make_rng(seed).standard_normal((cfg.n_paths, cfg.n)) @ root
+    thr, need = cfg.thresholds(), cfg.required_count()
+    up = (z >= thr).sum(axis=1) >= need
+    down = (-z >= thr).sum(axis=1) >= need
+    means = 0.5 * (up.astype(float) + down.astype(float))
+    return float(means.mean()), float(means.std(ddof=1) / math.sqrt(means.size))
+
+
+@pytest.mark.parametrize("hurst,n", [(0.75, 8), (0.25, 4)])
+def test_a_n_probability_agrees_with_the_antithetic_estimator(hurst, n):
+    cfg = ArbitrageConfig(make_context(hurst), r=0.1, alpha=0.5, p=0.5, n=n,
+                          n_paths=200_000, seed=5)
+    est = a_n_probability(cfg, threads=2).get(f"p_an_n_{n}")
+    se = math.sqrt(est.value * (1.0 - est.value) / cfg.n_paths)
+    dual, dual_se = a_n_probability_dual(cfg, seed=6)
+    assert 0.01 < dual < 0.99
+    assert abs(est.value - dual) <= 4.0 * math.hypot(se, dual_se)

@@ -257,6 +257,17 @@ class TestLevyCov:
         )
         assert worst[0] <= 1e-12, f"rel error {worst[0]:.3g} at H={worst[1]}"
 
+    @pytest.mark.parametrize("hurst", [1e-5, 1e-6])
+    def test_below_h_1e_4_the_error_stays_within_its_stated_growth(self, hurst):
+        # The connection form's two terms grow like 1/(2H); the docstring
+        # bounds the relative error there by 2^-52 / (2H).
+        ctx = make_context(hurst)
+        worst = max(
+            abs(levy_cov(s, t, ctx) / float(levy_cov_mpmath(hurst, s, t)) - 1)
+            for s, t in LEVY_ORACLE_PAIRS
+        )
+        assert worst <= 2.0**-52 / (2.0 * hurst)
+
     @pytest.mark.parametrize("hurst", [0.25, 0.75, 0.95])
     def test_matrix_matches_scipy_hyp2f1(self, hurst):
         # The grid that perfbench's mc workload samples.

@@ -1,12 +1,23 @@
-"""Covariance sampling, estimation, and binomial interval helpers."""
+"""Covariance sampling, regression solves, estimation, and binomial interval helpers.
+
+``CovMatrix.solve`` is checked against ``scipy.linalg.cho_solve`` on the
+same factor, on the regression grids the library solves on.
+"""
+
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve
 from scipy.stats import binomtest
 
+from fbmkit.acceptance import _exp_grid_neg, inversion_grid
+from fbmkit.cli import V_GRID_DEFAULT
+from fbmkit.drift import REGRESSION_MAX_POINTS
 from fbmkit.errors import AccuracyError, ValidationError
+from fbmkit.fbm import fbm_cov, fbm_cov_matrix
 from fbmkit.gaussian import (
     CovMatrix,
     cholesky_with_jitter,
@@ -94,6 +105,80 @@ def test_covmatrix_sampling_is_chunk_invariant():
     )
     assert np.array_equal(parts, parts2)
     assert whole.shape == (10, 3)
+
+
+def test_covmatrix_sample_is_the_factor_times_one_normal_block():
+    # The draw every sampling route makes; artifacts depend on its bytes.
+    cov = fbm_cov_matrix(np.linspace(0.1, 1.0, 7), 0.3)
+    factor, _ = cholesky_with_jitter(cov)
+    expected = (factor @ make_rng(11).standard_normal((7, 5))).T
+    assert np.array_equal(CovMatrix(cov).sample(make_rng(11), 5), expected)
+
+
+def regression_grid(name):
+    """Past times and future times of one regression the library solves."""
+    v_crit = np.linspace(0.125, 2.0, 16)
+    if name == "criterion2-h0.25":
+        return _exp_grid_neg(-7.0, 3.0, 24), v_crit
+    if name == "criterion2-h0.75":
+        return _exp_grid_neg(-7.0, 7.0, 24), v_crit
+    v_default = np.array([float(v) for v in V_GRID_DEFAULT.split(",")])
+    if name == "drift-regression-default":
+        return inversion_grid(1.0 / 128, u_deep=1.0e7)[:-1], v_default
+    # drift regression at --dt 2^-11 hits the cap on regression points.
+    times = inversion_grid(2.0**-11, u_deep=1.0e7)[:-1]
+    pick = np.round(np.linspace(0, times.size - 1, REGRESSION_MAX_POINTS)).astype(int)
+    return times[pick], v_default
+
+
+def regression_system(name, hurst):
+    past, v = regression_grid(name)
+    return CovMatrix(fbm_cov_matrix(past, hurst)), fbm_cov(past[:, None], v[None, :], hurst)
+
+
+GRIDS = ["criterion2-h0.25", "criterion2-h0.75", "drift-regression-default", "cap-2048"]
+
+
+@pytest.mark.parametrize("name", GRIDS)
+@pytest.mark.parametrize("hurst", [0.05, 0.25, 0.75, 0.95])
+def test_solve_matches_cho_solve_on_the_regression_grids(name, hurst):
+    cov, cpv = regression_system(name, hurst)
+    low = cov.cholesky
+
+    def residual(weights):
+        return np.abs(low @ (low.T @ weights) - cpv).max() / np.abs(cpv).max()
+
+    # The gate is one that scipy's solve on the same factor meets as well.
+    assert residual(cho_solve((low, True), cpv)) <= 1e-14
+    assert residual(cov.solve(cpv)) <= 1e-14
+    if name == "cap-2048":
+        assert cov.dim == REGRESSION_MAX_POINTS
+
+
+def test_solve_is_no_slower_than_cho_solve_at_the_regression_cap():
+    cov, cpv = regression_system("cap-2048", 0.75)
+
+    def best(solve):
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            solve()
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    ours = best(lambda: cov.solve(cpv))
+    scipy_time = best(lambda: cho_solve((cov.cholesky, True), cpv))
+    assert ours <= scipy_time, f"solve {ours:.4f} s, cho_solve {scipy_time:.4f} s"
+
+
+def test_solve_takes_a_vector_and_checks_the_shape():
+    cov = CovMatrix(np.array([[4.0, 2.0], [2.0, 3.0]]))
+    x = cov.solve(np.array([2.0, 1.0]))
+    assert x.shape == (2,)
+    assert np.allclose(cov.matrix @ x, [2.0, 1.0], rtol=0.0, atol=1e-15)
+    for bad in (np.ones(3), np.ones((3, 1)), np.ones((2, 1, 1))):
+        with pytest.raises(ValidationError):
+            cov.solve(bad)
 
 
 @given(

@@ -1,10 +1,12 @@
-"""Start-up cost: the CLI imports without scipy, and the benchmarked calls never load it.
+"""Start-up cost: the CLI imports without scipy, and no call loads it.
 
 scipy's import costs about a quarter second, twice the work of a small CLI
-call, and only two routes need it (``drift regression`` and ``arbitrage
-ledger``, which import it inside the function).  The numpy submodules the
-package uses are imported with it, so the first call does not pay for them.
-A fresh interpreter is needed: the test session itself has scipy loaded.
+call, and no library route needs it: the regression solve runs on the
+Cholesky factor in numpy, and the normal log-tail comes from ``math.erfc``.
+Besides the benchmarked calls, ``drift regression`` and ``arbitrage
+ledger`` leave scipy unloaded too.  The numpy submodules the package uses
+are imported with it, so the first call does not pay for them.  A fresh
+interpreter is needed: the test session itself has scipy loaded.
 """
 
 import json
@@ -30,7 +32,7 @@ LEAN_CALLS = [
     "arbitrage an-prob --hurst 0.75 --r 0.1 --alpha 0.5 --p 0.5 --n 4 --paths 1000 --threads 2",
     "lil --hurst 0.75 --r 0.5 --paths 1000 --threads 2",
 ]
-SCIPY_CALLS = [
+OTHER_CALLS = [
     "drift regression --hurst 0.75 --paths 1",
     "arbitrage ledger --hurst 0.75 --r 0.1 --alpha 0.5 --p 0.5 --n 8 --rtilde 0.05"
     " --alpha-prime 0.4 --p-prime 0.4 --pan 4=0.44,8=0.0993",
@@ -48,7 +50,8 @@ build_parser()
 report = {"startup": loaded()}
 report["lean"] = [main(argv.split() + ["--out", f"lean{k}.json"]) for k, argv in enumerate(LEAN)]
 report["after_lean"] = loaded()
-report["scipy"] = [main(argv.split() + ["--out", f"scipy{k}.json"]) for k, argv in enumerate(SCIPY)]
+report["other"] = [main(argv.split() + ["--out", f"other{k}.json"]) for k, argv in enumerate(OTHER)]
+report["after_other"] = loaded()
 print(json.dumps(report))
 """
 
@@ -56,7 +59,7 @@ print(json.dumps(report))
 def test_cli_starts_and_runs_the_benchmarked_calls_without_scipy(tmp_path):
     env = dict(os.environ, FBMKIT_OUT_DIR=str(tmp_path))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    prelude = f"WATCHED = {WATCHED!r}\nLEAN = {LEAN_CALLS!r}\nSCIPY = {SCIPY_CALLS!r}\n"
+    prelude = f"WATCHED = {WATCHED!r}\nLEAN = {LEAN_CALLS!r}\nOTHER = {OTHER_CALLS!r}\n"
     proc = subprocess.run(
         [sys.executable, "-c", prelude + SCRIPT],
         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300,
@@ -66,4 +69,5 @@ def test_cli_starts_and_runs_the_benchmarked_calls_without_scipy(tmp_path):
     assert report["startup"] == ["numpy.random", "numpy.fft", "numpy.polynomial"]
     assert report["lean"] == [0] * len(LEAN_CALLS), proc.stderr
     assert "scipy" not in report["after_lean"]
-    assert report["scipy"] == [0] * len(SCIPY_CALLS), proc.stderr
+    assert report["other"] == [0] * len(OTHER_CALLS), proc.stderr
+    assert "scipy" not in report["after_other"]
