@@ -532,13 +532,13 @@ def _criterion_8(seed_seq, threads: int) -> tuple[bool, str, dict]:
 
         # Independent Monte Carlo route: discrete-driver estimator whose own
         # implied covariance quantifies the (tiny) discretization deficit.
-        quad_row = np.array([profile.sigma2 * profile.rho[d] for d in range(d_mc + 1)])
+        exact_row = np.array([profile.sigma2 * profile.rho[d] for d in range(d_mc + 1)])
         implied = gamma_mc_implied_cov(cfg, d_mc)[0]
-        deficit = float(np.max(np.abs(implied - quad_row)))
+        deficit = float(np.max(np.abs(implied - exact_row)))
         draws = sample_gamma_mc(cfg, d_mc, rng, n_mc)
         emp = estimate_cov(draws)[0]
         se = cov_standard_errors(draws)[0]
-        z_mc = float(np.max((np.abs(emp - quad_row) - deficit) / se))
+        z_mc = float(np.max((np.abs(emp - exact_row) - deficit) / se))
         metrics[f"mc_zmax_r{r}"] = z_mc
         metrics[f"mc_deficit_r{r}"] = deficit
         ok = ok and z_mc <= 4.0

@@ -735,7 +735,7 @@ def _cmd_gamma(args) -> int:
         values = {
             "i": args.i,
             "tmax": args.tmax,
-            "bound": reg_gamhat_bound(cfg, args.i, args.tmax),
+            "bound": reg_gamhat_bound(cfg, args.i, args.tmax, (c_a, c_b)),
             "c_a": c_a,
             "c_b": c_b,
         }

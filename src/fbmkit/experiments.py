@@ -340,7 +340,7 @@ def a_n_probability(cfg: ArbitrageConfig, *, threads: int = 1) -> ExperimentRepo
     """Wilson-interval estimates of the excess-count probability P(A_n).
 
     Samples the ladder vector (G_0..G_{n-1}) exactly from its covariance
-    (quadrature + Cholesky) and evaluates the event on every prefix in a
+    (series + Cholesky) and evaluates the event on every prefix in a
     doubling ladder of depths from the same draws, reporting
     log P-hat / n and its trend.  Zero hits at some depth leave only the
     Wilson upper bound meaningful (value 0, ci_low 0).

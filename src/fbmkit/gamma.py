@@ -20,11 +20,33 @@ is stationary with Var(Ghat_t - Ghat_0) = O(t^(2 hurst ∧ 1)); the computed
 modulus constant c_e feeds an explicit sub-Gaussian bound on
 Pr(sup_{t<=T} |Ghat_t - Ghat_0| >= x).
 
-Numerics: all half-line integrals are split at a point beyond the largest
-kernel scale; the far field is mapped to a bounded interval by x -> 1/x
-(no truncation error), and integrable endpoint singularities are removed
-exactly by power substitutions, so the internal mesh-refinement check is
-meaningful at every Hurst value.
+Numerics: everything reduces to the kernel energy J(A) = Integral_0^A phi^2
+with phi(u) = xi_eta(u, 1) and its limit sigma2 = J(inf) = Var(G_i), summed
+from two series whose terms keep one sign, so they cannot cancel, not even
+as eta -> 0 where J = O(eta^2):
+
+* A <= 1: with W = A/(1+A) <= 1/2 and q = W^eta (q - 1 by ``expm1``),
+  J(A) = sum_{k>=0} (2 eta + 2)_k / k! * W^(k+1) h_{k+1}, where
+  h_n = (q-1)^2/n + 2 eta q (1-q)/(n (n+2 eta)) + 2 eta^2 q/(n (n+eta) (n+2 eta));
+* A >= 1: with V = 1/(1+A) <= 1/2, the tail T(A) = Integral_A^inf phi^2 is
+  sum_{m>=2} E_m V^(m-1-2 eta)/(m-1-2 eta), where E = beta * beta is the
+  self-convolution of the coefficients of 1 - (1-v)^eta = sum_k beta_k v^k
+  (beta_1 = eta, beta_k = beta_{k-1} (k-1-eta)/k),
+
+so sigma2 = J(1) + T(1), and J(A) = sigma2 - T(A) for A > 1.  The
+Mandelbrot-Van Ness split of the two-sided kernel integral into an fBm
+covariance R(a, b) / c1^2 and a one-sided part, together with
+2 y^eta (y+c)^eta = y^(2 eta) + (y+c)^(2 eta) - xi_eta(y, c)^2, gives
+
+    Cov(G_0, G_d) = r^(-hurst*d) * (sigma2 R + c^(2 hurst) J(r^d / c) / 2),
+
+with c = 1 - r^d and R = (r^(2 hurst d) + xi_{2 hurst}(c, r^d)) / 2, and
+
+    Var(Ghat_t - Ghat_0) = sigma2 S(t) + (1-t)^(2 hurst) J(t/(1-t))
+                           - t^(2 hurst) J(1/t),
+
+with S(t) = 2 t^(2 hurst) + xi_{2 hurst}(1-t, t) - xi_{2 hurst}(1, t), that is
+2 - 2 gamma(t) for the fGn covariance gamma (the middle term is 0 at t = 1).
 """
 
 from __future__ import annotations
@@ -37,13 +59,6 @@ import numpy as np
 from .context import HurstContext, xi
 from .errors import ValidationError
 from .gaussian import CovMatrix
-from .quadrature import (
-    CHECKED_NODES,
-    geometric_breaks,
-    graded_breaks,
-    integrate,
-    integrate_checked,
-)
 from .rng import parallel_map
 from .subgauss import subgaussian_constants
 
@@ -65,6 +80,10 @@ __all__ = [
 
 # Depth of the dyadic grid t = 2^-k, k = 1..C_E_LEVELS, that defines c_e.
 C_E_LEVELS = 20
+# Term indices n = 1..72 of the kernel-energy series.  Their variable never
+# exceeds 1/2 and term n is at most about n^2 2^-n times the first, so the
+# truncated sums are complete to 1e-18.
+_SERIES_N = np.arange(1.0, 73.0)
 # Driver grid of the discrete-driver Monte Carlo oracle: geometric points per
 # decade of x, its far end, and its near end as a fraction of the smallest
 # ladder scale; paths are drawn MC_CHUNK at a time to bound the noise block.
@@ -99,66 +118,41 @@ class GammaConfig:
 
 
 # ---------------------------------------------------------------------------
-# Desingularized half-line quadrature
+# Kernel energy J(A) = Integral_0^A xi_eta(u, 1)^2 du
 # ---------------------------------------------------------------------------
 
 
-def _zero_to(f, length, sing_power, *, anchors=(), scale=0.0):
-    """Integral of f over [0, length], f ~ x^sing_power near 0 (power > -1).
-
-    The substitution x = w^p with p = 1/(1 + sing_power) removes a negative
-    endpoint power exactly; interior scale anchors are transported to the
-    w domain and bridged with geometrically growing panels.
-    """
-    if sing_power <= -1.0:
-        raise ValidationError(f"non-integrable endpoint power {sing_power}")
-    p = 1.0 if sing_power >= 0.0 else 1.0 / (1.0 + sing_power)
-
-    if p == 1.0:
-        g = f
-    else:
-        def g(w, _f=f, _p=p):
-            w = np.asarray(w, dtype=float)
-            # For H near 0 or 1, p is large and w**p underflows at the
-            # innermost graded nodes; the inf/nan this yields fails
-            # integrate_checked.
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                return _f(w**_p) * _p * w ** (_p - 1.0)
-
-    w_end = length ** (1.0 / p)
-    w_anchors = [a ** (1.0 / p) for a in anchors if 0.0 < a < length * (1.0 - 1.0e-12)]
-    w_anchors.sort()
-    first = w_anchors[0] if w_anchors else w_end
-    pieces = [graded_breaks(0.0, first, toward="left")]
-    prev = first
-    for a in w_anchors[1:] + [w_end]:
-        if a > prev * (1.0 + 1.0e-12):
-            pieces.append(geometric_breaks(prev, a, first_width=prev)[1:])
-            prev = a
-    breaks = np.concatenate(pieces)
-    return integrate_checked(g, breaks, scale=scale)
+def _head_energy(eta: float, a: float) -> float:
+    """J(a) for 0 < a <= 1, from the series in W = a/(1+a) (module docstring)."""
+    w = a / (1.0 + a)
+    q_m1 = math.expm1(eta * math.log(w))
+    q = 1.0 + q_m1
+    n = _SERIES_N
+    # (2 eta + 2)_k / k! for k = n - 1
+    coef = np.cumprod(np.concatenate(([1.0], (2.0 * eta + 1.0 + n[:-1]) / n[:-1])))
+    h = (
+        q_m1 * q_m1 / n
+        - 2.0 * eta * q * q_m1 / (n * (n + 2.0 * eta))
+        + 2.0 * eta * eta * q / (n * (n + eta) * (n + 2.0 * eta))
+    )
+    return float(np.sum(coef * w**n * h))
 
 
-def _half_line_integral(f, anchors, head_power, tail_power):
-    """Integral of f over (0, inf) with interior scale anchors.
+def _tail_energy(eta: float, a: float) -> float:
+    """Integral_a^inf xi_eta(u, 1)^2 du for a >= 1, from the series in V = 1/(1+a)."""
+    v = 1.0 / (1.0 + a)
+    k = _SERIES_N[1:]
+    beta = np.cumprod(np.concatenate(([eta], (k - 1.0 - eta) / k)))
+    e = np.convolve(beta, beta)[: k.size]  # E_m for m = 2..72
+    p = k - 1.0 - 2.0 * eta  # m - 1 - 2 eta
+    return float(np.sum(e * v**p / p))
 
-    ``head_power``/``tail_power`` are the asymptotic powers of f at 0 and of
-    u -> f(1/u)/u^2 at 0; the far field is folded onto [0, 1/X] exactly.
-    """
-    anchors = sorted(a for a in anchors if a > 0.0)
-    if not anchors:
-        anchors = [1.0]
-    x_split = 4.0 * max(1.0, anchors[-1])
 
-    def f_tail(u, _f=f):
-        u = np.asarray(u, dtype=float)
-        return _f(1.0 / u) / (u * u)
-
-    rough = integrate(f, graded_breaks(0.0, x_split, toward="left"), CHECKED_NODES)
-    hint = abs(rough)
-    head = _zero_to(f, x_split, head_power, anchors=anchors, scale=hint)
-    tail = _zero_to(f_tail, 1.0 / x_split, tail_power, scale=max(hint, abs(head)))
-    return head + tail
+def _energy(eta: float, a: float, sig2: float) -> float:
+    """J(a) for 0 < a <= inf, given sig2 = J(inf)."""
+    if a <= 1.0:
+        return _head_energy(eta, a)
+    return sig2 - _tail_energy(eta, a)
 
 
 # ---------------------------------------------------------------------------
@@ -166,25 +160,35 @@ def _half_line_integral(f, anchors, head_power, tail_power):
 # ---------------------------------------------------------------------------
 
 
+def sigma2(cfg: GammaConfig) -> float:
+    """Var(G_i) (scale-free); exactly 0 at hurst = 1/2, where every term vanishes."""
+    eta = cfg.ctx.eta
+    return _head_energy(eta, 1.0) + _tail_energy(eta, 1.0)
+
+
 def gamma_cov(cfg: GammaConfig, i: int, j: int) -> float:
     """Cov(G_i, G_j); symmetric, a function of d = |i - j| only."""
-    d = abs(int(i) - int(j))
-    eta = cfg.ctx.eta
-    if eta == 0.0:
-        return 0.0
+    return _lag_cov(cfg, abs(int(i) - int(j)), sigma2(cfg))
+
+
+def _lag_cov(cfg: GammaConfig, d: int, sig2: float) -> float:
+    """Cov(G_0, G_d) given sig2 = sigma2(cfg)."""
     scale = cfg.scale(d)
+    if d == 0:
+        return sig2
+    hurst = cfg.ctx.hurst
+    c = 1.0 - scale
+    fbm_cov = 0.5 * (scale ** (2.0 * hurst) + xi(2.0 * hurst, c, scale))
+    window = 0.5 * c ** (2.0 * hurst) * _energy(cfg.ctx.eta, scale / c, sig2)
+    return float(cfg.r ** (-hurst * d) * (sig2 * fbm_cov + window))
 
-    def f(x):
-        return xi(eta, x, scale) * xi(eta, x, 1.0)
 
-    head_power = 2.0 * eta if eta < 0.0 else 0.0
-    integral = _half_line_integral(f, (scale, 1.0), head_power, -2.0 * eta)
-    return float(cfg.r ** (-cfg.ctx.hurst * d) * integral)
-
-
-def sigma2(cfg: GammaConfig) -> float:
-    """Var(G_i) (scale-free)."""
-    return gamma_cov(cfg, 0, 0)
+def _lag_covs(cfg: GammaConfig, count: int, threads: int) -> np.ndarray:
+    """Cov(G_0, G_d) for d = 0..count-1."""
+    sig2 = sigma2(cfg)
+    return np.asarray(
+        parallel_map(lambda d: _lag_cov(cfg, d, sig2), range(count), threads=threads)
+    )
 
 
 @dataclass(frozen=True)
@@ -240,9 +244,7 @@ def decay_bound_check(cfg: GammaConfig, d_max: int, *, threads: int = 1) -> Gamm
         raise ValidationError(f"d_max must be >= 1, got {d_max}")
     if cfg.ctx.eta == 0.0:
         raise ValidationError("profile degenerates at hurst = 1/2 (zero field)")
-    covs = np.asarray(
-        parallel_map(lambda d: gamma_cov(cfg, 0, d), range(d_max + 1), threads=threads)
-    )
+    covs = _lag_covs(cfg, d_max + 1, threads)
     sig2 = covs[0]
     kappa = 0.5 - abs(cfg.ctx.eta)
     d = np.arange(d_max + 1, dtype=float)
@@ -273,24 +275,20 @@ def decay_bound_check(cfg: GammaConfig, d_max: int, *, threads: int = 1) -> Gamm
 
 
 def gammahat_modulus(cfg: GammaConfig, t: float) -> float:
-    """Var(Ghat_t - Ghat_0) for t in (0, 1], by direct kernel quadrature."""
-    eta = cfg.ctx.eta
+    """Var(Ghat_t - Ghat_0) for t in (0, 1], from the kernel energy (module docstring)."""
     t = float(t)
     if not (0.0 < t <= 1.0):
         raise ValidationError(f"t must lie in (0, 1], got {t}")
-    if eta == 0.0:
-        return 0.0
+    return _modulus(cfg, t, sigma2(cfg))
 
-    def f_recent(y):  # kernel difference over the window (0, t)
-        return xi(eta, y, 1.0) ** 2
 
-    def f_past(x):  # kernel difference over the shared past
-        return (xi(eta, 1.0 + x, t) - xi(eta, x, t)) ** 2
-
-    p1 = _zero_to(f_recent, t, 2.0 * eta if eta < 0.0 else 0.0)
-    head_power = 2.0 * eta if eta < 0.0 else 0.0
-    p2 = _half_line_integral(f_past, (t, 1.0), head_power, 2.0 - 2.0 * eta)
-    return float(p1 + p2)
+def _modulus(cfg: GammaConfig, t: float, sig2: float) -> float:
+    """Var(Ghat_t - Ghat_0) given sig2 = sigma2(cfg)."""
+    eta = cfg.ctx.eta
+    h2 = 2.0 * cfg.ctx.hurst
+    s = 2.0 * t**h2 + xi(h2, 1.0 - t, t) - xi(h2, 1.0, t)
+    window = 0.0 if t == 1.0 else (1.0 - t) ** h2 * _energy(eta, t / (1.0 - t), sig2)
+    return float(sig2 * s + window - t**h2 * _energy(eta, 1.0 / t, sig2))
 
 
 def c_e(cfg: GammaConfig) -> float:
@@ -299,40 +297,41 @@ def c_e(cfg: GammaConfig) -> float:
     A reproducible stand-in for the analytic constant; the dyadic grid is
     part of its definition.
     """
+    sig2 = sigma2(cfg)
     kappa = min(2.0 * cfg.ctx.hurst, 1.0)
     best = 0.0
     for k in range(1, C_E_LEVELS + 1):
         t = 2.0**-k
-        best = max(best, gammahat_modulus(cfg, t) / t**kappa)
+        best = max(best, _modulus(cfg, t, sig2) / t**kappa)
     return best
-
-
-def reg_gamhat_bound(cfg: GammaConfig, i: int, T: float) -> float:
-    """Tail bound c_b exp(-c_a (r^i / T)^(2H∧1)) on Pr(sup_{t<=T}|Ghat-G| >= 1).
-
-    c_a = c_c / c_e with c_c the sub-Gaussian coefficient at theta = H ∧ 1/2,
-    and c_b = max(c_d, e^(c_a)) so the bound also holds for windows longer
-    than the observable's own scale.  Scale invariance is exact:
-    bound(i, T) == bound(0, T / r^i) by construction.
-    """
-    if T <= 0.0:
-        raise ValidationError(f"T must be positive, got {T}")
-    t_eff = float(T) / cfg.scale(int(i))
-    return _reg_bound_scale_free(cfg, t_eff)
 
 
 def reg_bound_constants(cfg: GammaConfig) -> tuple[float, float]:
     """(c_a, c_b) of the sup tail bound: c_a = c_c / c_e, c_b = max(c_d, e^c_a)."""
+    if cfg.ctx.eta == 0.0:
+        raise ValidationError("sup tail bound degenerates at hurst = 1/2 (zero field, c_e = 0)")
     consts = subgaussian_constants(min(cfg.ctx.hurst, 0.5))
     c_a = consts.c_c / c_e(cfg)
     c_b = max(consts.c_d, math.exp(c_a))
     return c_a, c_b
 
 
-def _reg_bound_scale_free(cfg: GammaConfig, t_eff: float) -> float:
-    kappa = min(2.0 * cfg.ctx.hurst, 1.0)
-    c_a, c_b = reg_bound_constants(cfg)
-    return c_b * math.exp(-c_a * t_eff**-kappa)
+def reg_gamhat_bound(
+    cfg: GammaConfig, i: int, T: float, constants: tuple[float, float]
+) -> float:
+    """Tail bound c_b exp(-c_a (r^i / T)^(2H∧1)) on Pr(sup_{t<=T}|Ghat-G| >= 1).
+
+    ``constants`` is ``reg_bound_constants(cfg)``, taken once by the caller
+    for any number of windows: c_a = c_c / c_e with c_c the sub-Gaussian
+    coefficient at theta = H ∧ 1/2, and c_b = max(c_d, e^(c_a)) so the bound
+    also holds for windows longer than the observable's own scale.  Scale
+    invariance is exact: bound(i, T) == bound(0, T / r^i) by construction.
+    """
+    if T <= 0.0:
+        raise ValidationError(f"T must be positive, got {T}")
+    c_a, c_b = constants
+    t_eff = float(T) / cfg.scale(int(i))
+    return c_b * math.exp(-c_a * t_eff ** -min(2.0 * cfg.ctx.hurst, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +343,7 @@ def gamma_cov_matrix(cfg: GammaConfig, n: int, *, threads: int = 1) -> CovMatrix
     """Exact n x n covariance of (G_0, ..., G_{n-1}) (Toeplitz by lag)."""
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    covs = np.asarray(
-        parallel_map(lambda d: gamma_cov(cfg, 0, d), range(n), threads=threads)
-    )
+    covs = _lag_covs(cfg, n, threads)
     idx = np.arange(n)
     return CovMatrix(covs[np.abs(idx[:, None] - idx[None, :])])
 
@@ -392,7 +389,7 @@ def sample_gamma_mc(
 ) -> np.ndarray:
     """Monte Carlo draws of (G_0, ..., G_{d_max}) from discrete driver noise.
 
-    Independent of the quadrature + Cholesky route: each path draws Gaussian
+    Independent of the series + Cholesky route: each path draws Gaussian
     driver increments on the geometric grid and applies the panel-average
     kernel weights.
     """

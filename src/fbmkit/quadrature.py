@@ -1,15 +1,13 @@
 """Composite Gauss-Legendre quadrature on graded meshes.
 
-Used only where no closed form is known: the scale-ladder covariances and
-modulus of :mod:`fbmkit.gamma`, and the operators that :mod:`fbmkit.drift`
-applies to sampled paths.  The design is built around integrands with
-power-law endpoint singularities and slowly decaying power-law tails:
+Used only where no closed form is known: the operators that
+:mod:`fbmkit.drift` applies to sampled paths.  ``integrate_checked`` has no
+library caller; the tests integrate reference integrals with it.  The
+design is built around integrands with power-law endpoint singularities:
 
 * ``graded_breaks`` produces geometrically refined panels toward a singular
   endpoint, so fixed-order Gauss-Legendre converges on each panel even when
   the integrand behaves like ``(x - a)**p`` with ``p > -1``.
-* ``geometric_breaks`` produces geometrically *growing* panels toward a far
-  endpoint, the economical mesh for integrable power-law tails.
 * ``integrate_checked`` compares an n-node rule with a 2n-node rule on the
   same mesh and raises :class:`~fbmkit.errors.AccuracyError` when the
   discrepancy exceeds the budget, so accuracy failures surface as errors
@@ -30,18 +28,14 @@ __all__ = [
     "integrate",
     "integrate_checked",
     "graded_breaks",
-    "geometric_breaks",
     "aligned_breaks",
 ]
 
 
 # Successive panel-width ratio of graded meshes toward a singular endpoint.
 GRADING_RATIO = 0.5
-# Successive panel-width ratio of far-field meshes.
-GROWTH_RATIO = 2.0
 # Gauss-Legendre order of ``integrate_checked``; the check reruns with twice
-# as many nodes on the same mesh.  Order 12 (not 8) keeps the scale-ladder
-# integrals inside the budget for Hurst values near the integrability edge.
+# as many nodes on the same mesh.
 CHECKED_NODES = 12
 # Relative error budget of the node-refinement check.
 REL_TOL = 1.0e-9
@@ -178,27 +172,3 @@ def aligned_breaks(times: np.ndarray) -> np.ndarray:
     last = graded_breaks(times[-2], times[-1], toward="right")
     return np.concatenate([times[:-2], last])
 
-
-def geometric_breaks(start: float, end: float, *, first_width: float) -> np.ndarray:
-    """Panel boundaries from ``start`` to ``end`` with geometrically growing widths.
-
-    The first panel has width ``first_width`` and each subsequent panel is
-    ``GROWTH_RATIO`` times wider, the natural mesh for integrable far-field
-    tails.
-    """
-    if not (end > start):
-        raise ValidationError(f"need end > start, got start={start}, end={end}")
-    if not (first_width > 0):
-        raise ValidationError(f"first_width must be positive, got {first_width}")
-    pts = [start]
-    width = first_width
-    pos = start
-    # Cap panel count defensively; geometric growth reaches any horizon fast.
-    for _ in range(10_000):
-        pos = pos + width
-        if pos >= end - 1.0e-12 * max(abs(end), 1.0):
-            break
-        pts.append(pos)
-        width *= GROWTH_RATIO
-    pts.append(end)
-    return np.asarray(pts, dtype=float)

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from fbmkit import cli
+from fbmkit import cli, gamma
 from fbmkit.acceptance import (
     CRITERION_NAMES,
     EXPECTED_FAILURES,
@@ -94,6 +94,46 @@ def test_accuracy_error_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_cmd_bounds_thick", refuse)
     assert main(["bounds", "thick"]) == 3
     assert capsys.readouterr().err.startswith("accuracy error:")
+
+
+# The zero field at H = 1/2 has c_e = 0, so the sup tail bound has no
+# finite constants.
+@pytest.mark.parametrize("command", [
+    "gamma regbound --hurst 0.5 --r 0.5",
+    "arbitrage ledger --hurst 0.5 --r 0.5 --alpha 0.5 --p 0.5 --n 4 --rtilde 0.25"
+    " --alpha-prime 0.25 --p-prime 0.25 --pan 4=0.4",
+])
+def test_tail_bound_on_the_zero_field_exits_2(command, tmp_path, capsys):
+    out = tmp_path / "artifact.json"
+    assert main(command.split() + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_regbound_computes_c_e_once(monkeypatch, tmp_path):
+    calls = []
+    real = gamma.c_e
+    monkeypatch.setattr(gamma, "c_e", lambda cfg: calls.append(cfg) or real(cfg))
+    out = tmp_path / "bound.json"
+    assert main(f"gamma regbound --hurst 0.75 --r 0.1 --out {out}".split()) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("hurst", [0.005, 0.02, 0.98, 0.995])
+@pytest.mark.parametrize("what", ["cov --n 8", "decay", "modulus", "regbound"])
+def test_gamma_runs_near_the_ends_of_hurst(what, hurst, tmp_path, capsys):
+    out = tmp_path / "gamma.json"
+    assert main(f"gamma {what} --hurst {hurst} --r 0.1 --out {out}".split()) == 0, (
+        capsys.readouterr().err
+    )
+
+
+@pytest.mark.parametrize("hurst", [0.005, 0.75, 0.995])
+def test_gamma_cov_reaches_the_scale_guard(hurst, tmp_path):
+    # 0.1^300 is the last power of 0.1 above the 1e-300 scale guard.
+    argv = f"gamma cov --hurst {hurst} --r 0.1 --out {tmp_path / 'cov.json'} --n".split()
+    assert main(argv + ["300"]) == 0
+    assert main(argv + ["301"]) == 2
 
 
 def test_levy_artifact_is_byte_identical_across_runs(tmp_path):

@@ -1,26 +1,34 @@
 """Scale-ladder observables: covariance, decay profile, modulus, MC oracle.
 
 Fixed values are frozen from 40-digit arbitrary-precision quadrature of
-the defining integrals; dual routes (lag-reduced vs two-scale quadrature,
-algebraic variance identity, discrete-driver Monte Carlo) guard each
-formula independently.  The independent routes that only the tests use
-(two-scale covariance, variance through c1, covariance of the running
-observable and its Monte Carlo pair sampler) are the helpers below.
+the defining integrals.  The library sums two one-signed series for the
+kernel energy; two mpmath references guard that route independently:
+
+* ``mp.quad`` of the defining integrals (the two-scale covariance, which
+  exercises stationarity rather than assuming it, and the covariance of the
+  running observable), at a few Hurst values including both sides of 1/2;
+* the Mandelbrot-Van Ness split in closed form, through Euler's integral
+  for 2F1, at 60 + |log10 r^d| digits over a grid reaching H = 0.005 and
+  0.995, lags down to r^d = 1e-299 and windows down to t = 2^-20.
+
+The algebraic variance identity through c1, the discrete-driver Monte Carlo
+oracle and the Monte Carlo pair sampler of the running observable are
+further independent routes.
 """
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from fbmkit.context import make_context, xi
-from fbmkit.errors import AccuracyError, ValidationError
+from fbmkit.errors import ValidationError
 from fbmkit.gamma import (
     MC_CHUNK,
     MC_PER_DECADE,
     MC_U_MAX,
     GammaConfig,
-    _half_line_integral,
     c_e,
     decay_bound_check,
     gamma_cov,
@@ -57,32 +65,101 @@ GAMMA_COV_FROZEN = {
 
 SIGMA2_FROZEN = {0.25: 0.3962804694711844148797, 0.75: 0.2073525180973732701549}
 
-# Regression values pinned from the current quadrature configuration.
+# Regression values pinned from an earlier quadrature route.
 C_E_FROZEN = {0.25: 2.313923687648483, 0.75: 0.9508532721388789}
 REG_CONSTANTS_FROZEN = (0.013311176088281456, 54.598150033144165)
+
+# Hurst values of the quadrature reference, and the grid of the split
+# reference with its relative gate.
+QUAD_HURSTS = [0.25, 0.4999, 0.5001, 0.75]
+SPLIT_HURSTS = [0.005, 0.02, 0.25, 0.4999, 0.5001, 0.75, 0.98, 0.995]
+SPLIT_RATIOS = [0.1, 0.5, 0.9]
+SPLIT_LAGS = [0, 1, 3, 8, 40]
+SPLIT_WINDOWS = [2.0**-k for k in range(21)]
+SPLIT_TOL = 1e-12
 
 
 def cfg_for(hurst, r, **kwargs):
     return GammaConfig(ctx=make_context(hurst), r=r, **kwargs)
 
 
-def gamma_cov_direct(cfg, i, j):
-    """Cov(G_i, G_j) from the two-scale form, without reducing to the lag.
+def _xi_mp(eta, a, b):
+    return (a + b) ** eta - a**eta
 
-    Integrates xi_eta(x, r^i) xi_eta(x, r^j) directly and normalizes by
-    r^(hurst*(i+j)), so stationarity is exercised rather than assumed.
+
+def gamma_cov_quad(cfg, i, j):
+    """Cov(G_i, G_j) by mp.quad of the two-scale defining integral.
+
+    Integrates xi_eta(x, r^i) xi_eta(x, r^j) over the half-line and
+    normalizes by r^(hurst*(i+j)), so stationarity is exercised rather than
+    assumed.
     """
-    eta = cfg.ctx.eta
-    if eta == 0.0:
-        return 0.0
-    a, b = cfg.scale(int(i)), cfg.scale(int(j))
+    with mp.workdps(30):
+        hurst = mp.mpf(cfg.ctx.hurst)
+        eta = hurst - mp.mpf(1) / 2
+        a, b = mp.mpf(cfg.r) ** i, mp.mpf(cfg.r) ** j
+        integral = mp.quad(
+            lambda x: _xi_mp(eta, x, a) * _xi_mp(eta, x, b),
+            sorted({mp.mpf(0), a, b}) + [mp.inf],
+        )
+        return float(mp.mpf(cfg.r) ** (-hurst * (i + j)) * integral)
 
-    def f(x):
-        return xi(eta, x, a) * xi(eta, x, b)
 
-    head_power = 2.0 * eta if eta < 0.0 else 0.0
-    integral = _half_line_integral(f, sorted({a, b}), head_power, -2.0 * eta)
-    return float(cfg.r ** (-cfg.ctx.hurst * (int(i) + int(j))) * integral)
+def gammahat_cov_quad(cfg, tau):
+    """Cov(Ghat_0, Ghat_tau) for tau >= 0 by mp.quad of its defining integral."""
+    with mp.workdps(30):
+        eta = mp.mpf(cfg.ctx.hurst) - mp.mpf(1) / 2
+        tau = mp.mpf(tau)
+        return float(mp.quad(
+            lambda x: _xi_mp(eta, x, 1) * _xi_mp(eta, x + tau, 1),
+            sorted({mp.mpf(0), tau, mp.mpf(1)}) + [mp.inf],
+        ))
+
+
+def _one_sided(eta, a, c):
+    """Integral_0^a y^eta (y + c)^eta dy, from Euler's integral for 2F1."""
+    if c == 0:
+        return a ** (2 * eta + 1) / (2 * eta + 1)
+    return c**eta * a ** (eta + 1) / (eta + 1) * mp.hyp2f1(-eta, eta + 1, eta + 2, -a / c)
+
+
+def _split_constants(hurst):
+    """(eta, c1^-2, sigma2) in mpmath for a float Hurst value."""
+    hurst = mp.mpf(hurst)
+    inv_c1sq = mp.gamma(hurst + mp.mpf(1) / 2) ** 2 / (
+        2 * hurst * mp.sin(mp.pi * hurst) * mp.gamma(2 * hurst)
+    )
+    return hurst - mp.mpf(1) / 2, inv_c1sq, inv_c1sq - 1 / (2 * hurst)
+
+
+def gamma_cov_split(cfg, d):
+    """Cov(G_0, G_d) = r^(-hurst d) I(r^d, 1) at 60 + |log10 r^d| digits.
+
+    Mandelbrot-Van Ness split: I(a, b) = R(a, b)/c1^2 - P(a, b - a) with
+    R the fBm covariance and P the one-sided integral of ``_one_sided``.
+    """
+    with mp.workdps(60 + int(abs(d * math.log10(cfg.r)))):
+        eta, inv_c1sq, _ = _split_constants(cfg.ctx.hurst)
+        h2 = 2 * eta + 1
+        a = mp.mpf(cfg.r) ** d
+        fbm_cov = (a**h2 + 1 - (1 - a) ** h2) / 2
+        value = fbm_cov * inv_c1sq - _one_sided(eta, a, 1 - a)
+        return float(mp.mpf(cfg.r) ** (-(h2 / 2) * d) * value)
+
+
+def gammahat_modulus_split(cfg, t):
+    """Var(Ghat_t - Ghat_0) = 2 (sigma2 - C(t)) at 60 digits.
+
+    C(t) = gamma(t)/c1^2 - P(1, t) + P(t, 1 - t), with gamma the fGn
+    covariance and P the one-sided integral of ``_one_sided``.
+    """
+    with mp.workdps(60):
+        eta, inv_c1sq, sig2 = _split_constants(cfg.ctx.hurst)
+        h2 = 2 * eta + 1
+        t = mp.mpf(t)
+        fgn = ((1 + t) ** h2 + (1 - t) ** h2 - 2 * t**h2) / 2
+        cov = fgn * inv_c1sq - _one_sided(eta, 1, t) + _one_sided(eta, t, 1 - t)
+        return float(2 * (sig2 - cov))
 
 
 def sigma2_reference(ctx):
@@ -93,20 +170,6 @@ def sigma2_reference(ctx):
     xi_eta(x,1)^2 dx.  Zero exactly at hurst = 1/2.
     """
     return 1.0 / (ctx.c1 * ctx.c1) - 1.0 / (2.0 * ctx.hurst)
-
-
-def gammahat_cov(cfg, tau):
-    """Cov(Ghat_0, Ghat_tau) for tau >= 0 (stationary in time)."""
-    eta = cfg.ctx.eta
-    if eta == 0.0:
-        return 0.0
-
-    def f(x):
-        return xi(eta, x, 1.0) * xi(eta, tau + x, 1.0)
-
-    head_power = eta if (eta < 0.0 and tau > 0.0) else (2.0 * eta if eta < 0.0 else 0.0)
-    anchors = sorted({1.0, tau} - {0.0})
-    return float(_half_line_integral(f, anchors, head_power, -2.0 * eta))
 
 
 def sample_gammahat_pair_mc(cfg, t, rng, n_paths):
@@ -158,26 +221,41 @@ class TestGammaCov:
             assert sigma2_reference(cfg.ctx) == pytest.approx(expected, rel=1e-9)
 
     def test_stationarity_and_two_scale_route(self):
-        cfg = cfg_for(0.75, 0.5)
-        for i, j in ((2, 5), (3, 3), (4, 1), (0, 6)):
-            lag_route = gamma_cov(cfg, i, j)
-            assert lag_route == gamma_cov(cfg, 0, abs(i - j))
-            assert gamma_cov_direct(cfg, i, j) == pytest.approx(
-                lag_route, rel=1e-9
-            )
+        for hurst in QUAD_HURSTS:
+            cfg = cfg_for(hurst, 0.5)
+            for i, j in ((2, 5), (3, 3), (4, 1), (0, 6)):
+                lag_route = gamma_cov(cfg, i, j)
+                assert lag_route == gamma_cov(cfg, 0, abs(i - j))
+                assert gamma_cov_quad(cfg, i, j) == pytest.approx(lag_route, rel=1e-13), hurst
 
-    def test_near_the_ends_returns_finite_values_or_raises(self):
-        # Near H = 0 and H = 1 the half-line quadrature stops resolving its
-        # integrand (inf at H = 0.02, NaN at H = 0.98); it must raise
-        # AccuracyError there, never return a non-finite value.  Where it
-        # succeeds, the variance matches the route through c1.
+    @pytest.mark.parametrize("hurst", SPLIT_HURSTS)
+    def test_lags_match_split_reference(self, hurst):
+        for r in SPLIT_RATIOS:
+            cfg = cfg_for(hurst, r)
+            assert gamma_cov(cfg, 0, 0) == sigma2(cfg)
+            for d in SPLIT_LAGS:
+                expected = gamma_cov_split(cfg, d)
+                assert gamma_cov(cfg, 0, d) == pytest.approx(expected, rel=SPLIT_TOL), (r, d)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("hurst", [0.005, 0.75, 0.995])
+    def test_deepest_lags_match_split_reference(self, hurst):
+        # 0.1^300 is the last power of 0.1 above the 1e-300 scale guard.
+        cfg = cfg_for(hurst, 0.1)
+        for d in (295, 299, 300):
+            expected = gamma_cov_split(cfg, d)
+            assert gamma_cov(cfg, 0, d) == pytest.approx(expected, rel=SPLIT_TOL), d
+        with pytest.raises(ValidationError):
+            gamma_cov(cfg, 0, 301)
+
+    def test_near_the_ends_returns_finite_values(self):
+        # Near H = 0 and H = 1 the kernel is nearly non-integrable at 0 or
+        # at infinity; the series still give finite values, and the variance
+        # matches the route through c1.
         grid = np.concatenate([np.arange(1, 10) * 0.005, np.arange(177, 200) * 0.005])
         for hurst in np.round(grid, 3):
             cfg = cfg_for(float(hurst), 0.1)
-            try:
-                values = [gamma_cov(cfg, 0, d) for d in range(4)]
-            except AccuracyError:
-                continue
+            values = [gamma_cov(cfg, 0, d) for d in range(4)]
             assert np.all(np.isfinite(values)), hurst
             assert values[0] == pytest.approx(sigma2_reference(cfg.ctx), rel=1e-12), hurst
 
@@ -254,17 +332,23 @@ class TestDecayProfile:
 
 
 class TestRunningObservable:
-    @pytest.mark.parametrize("hurst", [0.25, 0.75])
+    @pytest.mark.parametrize("hurst", QUAD_HURSTS)
     def test_modulus_equals_two_sigma_minus_cov(self, hurst):
         # Var(Ghat_t - Ghat_0) = 2 (Var(Ghat) - Cov(Ghat_0, Ghat_t)) by
-        # stationarity; both sides are computed by different quadratures.
+        # stationarity; the right side comes from mp.quad.
         cfg = cfg_for(hurst, 0.5)
         sig2 = sigma2(cfg)
-        assert gammahat_cov(cfg, 0.0) == pytest.approx(sig2, rel=1e-10)
+        assert gammahat_cov_quad(cfg, 0.0) == pytest.approx(sig2, rel=1e-13)
         for t in (0.25, 0.5, 1.0):
-            direct = gammahat_modulus(cfg, t)
-            via_cov = 2.0 * (sig2 - gammahat_cov(cfg, t))
-            assert direct == pytest.approx(via_cov, rel=1e-8)
+            via_cov = 2.0 * (sig2 - gammahat_cov_quad(cfg, t))
+            assert gammahat_modulus(cfg, t) == pytest.approx(via_cov, rel=1e-12)
+
+    @pytest.mark.parametrize("hurst", SPLIT_HURSTS)
+    def test_modulus_matches_split_reference(self, hurst):
+        cfg = cfg_for(hurst, 0.5)
+        for t in SPLIT_WINDOWS:
+            expected = gammahat_modulus_split(cfg, t)
+            assert gammahat_modulus(cfg, t) == pytest.approx(expected, rel=SPLIT_TOL), t
 
     @pytest.mark.parametrize("hurst", [0.25, 0.75])
     def test_modulus_bounded_by_c_e(self, hurst):
@@ -285,15 +369,17 @@ class TestRunningObservable:
 
     def test_reg_bound_scale_invariance(self):
         cfg = cfg_for(0.75, 0.1)
+        consts = reg_bound_constants(cfg)
         for i in (1, 3, 5):
             for T in (0.01, 0.05):
-                assert reg_gamhat_bound(cfg, i, T) == reg_gamhat_bound(
-                    cfg, 0, T / cfg.r**i
+                assert reg_gamhat_bound(cfg, i, T, consts) == reg_gamhat_bound(
+                    cfg, 0, T / cfg.r**i, consts
                 )
 
     def test_reg_bound_monotone_in_window(self):
         cfg = cfg_for(0.75, 0.1)
-        bounds = [reg_gamhat_bound(cfg, 0, T) for T in (0.01, 0.1, 1.0, 10.0)]
+        consts = reg_bound_constants(cfg)
+        bounds = [reg_gamhat_bound(cfg, 0, T, consts) for T in (0.01, 0.1, 1.0, 10.0)]
         assert all(a < b for a, b in zip(bounds, bounds[1:]))
         assert all(b > 0 for b in bounds)
 
@@ -304,7 +390,10 @@ class TestRunningObservable:
         with pytest.raises(ValidationError):
             gammahat_modulus(cfg, 1.5)
         with pytest.raises(ValidationError):
-            reg_gamhat_bound(cfg, 0, 0.0)
+            reg_gamhat_bound(cfg, 0, 0.0, (1.0, 1.0))
+        # c_e = 0 on the zero field: the bound has no finite constants.
+        with pytest.raises(ValidationError):
+            reg_bound_constants(cfg_for(0.5, 0.5))
 
 
 class TestMonteCarloOracle:

@@ -8,7 +8,8 @@ their imports are re-exports.
 
 No module under ``src/`` imports scipy, at module level or inside a
 function, and ``pyproject.toml`` lists only numpy and jsonschema as runtime
-dependencies; scipy stays in the ``test`` extra as an oracle.
+dependencies; scipy stays in the ``test`` extra as an oracle.  ``gamma.py``
+sums its series in closed form and imports nothing from ``quadrature``.
 """
 
 import ast
@@ -78,6 +79,28 @@ def test_the_scan_sees_an_import_inside_a_function():
 )
 def test_no_library_module_imports_scipy(path):
     assert "scipy" not in imported_modules(path.read_text(encoding="utf-8"))
+
+
+def module_path_parts(source: str) -> set[str]:
+    """Every dotted part of every module and name that ``source`` imports."""
+    parts = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            parts.update((node.module or "").split("."))
+            parts.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            parts.update(part for a in node.names for part in a.name.split("."))
+    return parts
+
+
+def test_the_scan_sees_relative_imports():
+    source = "from . import quadrature\nfrom .context import xi\n"
+    assert {"quadrature", "context", "xi"} <= module_path_parts(source)
+
+
+def test_gamma_imports_nothing_from_quadrature():
+    source = (ROOT / "src" / "fbmkit" / "gamma.py").read_text(encoding="utf-8")
+    assert "quadrature" not in module_path_parts(source)
 
 
 def test_runtime_dependencies_are_numpy_and_jsonschema():

@@ -11,7 +11,6 @@ from scipy import integrate as sci
 from fbmkit.errors import AccuracyError, ValidationError
 from fbmkit.quadrature import (
     aligned_breaks,
-    geometric_breaks,
     graded_breaks,
     integrate,
     integrate_checked,
@@ -86,13 +85,6 @@ def test_aligned_breaks_keeps_sample_points():
     for t in times[:-1]:
         assert t in b
     assert b[-1] == times[-1]
-
-
-def test_geometric_breaks_growth():
-    b = geometric_breaks(1.0, 100.0, first_width=0.5)
-    assert b[0] == 1.0 and b[-1] == pytest.approx(100.0)
-    widths = np.diff(b)
-    assert np.all(widths[1:] >= widths[:-1] * 0.999)
 
 
 def test_panel_nodes_cover_panels():
