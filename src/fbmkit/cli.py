@@ -160,9 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
         arg(p, "--format", choices=("json", "csv"),
             help="artifact format; default json, or csv when --out ends in .csv")
         if seed:
-            arg(p, "--seed", type=int, default=0, help="64-bit reproducibility seed")
+            arg(p, "--seed", type=_seed, default=0, help="64-bit reproducibility seed")
         if threads:
-            arg(p, "--threads", type=int, default=os.cpu_count() or 1,
+            arg(p, "--threads", type=_threads, default=os.cpu_count() or 1,
                 help="worker threads (results are thread-count independent)")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -320,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     # -- selftest -----------------------------------------------------------
     p_self = sub.add_parser("selftest", help="run the full acceptance battery")
-    arg(p_self, "--seed", type=int, default=DEFAULT_SEED)
-    arg(p_self, "--threads", type=int, default=os.cpu_count() or 1)
+    arg(p_self, "--seed", type=_seed, default=DEFAULT_SEED)
+    arg(p_self, "--threads", type=_threads, default=os.cpu_count() or 1)
     arg(p_self, "--config", help="key=value file merged under the flags (flags win)")
     arg(p_self, "--out", help="write the report artifact here as well")
     arg(p_self, "--format", choices=("json", "csv"))
@@ -414,6 +414,26 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite float, got {text!r}")
     return value
+
+
+def _int_at_least(low: int, text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < low:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """The argparse type of ``--seed``: an integer >= 0, as ``SeedSequence`` takes."""
+    return _int_at_least(0, text)
+
+
+def _threads(text: str) -> int:
+    """The argparse type of ``--threads``: an integer >= 1."""
+    return _int_at_least(1, text)
 
 
 def _floats(text: str) -> np.ndarray:

@@ -8,9 +8,7 @@ Three families:
   values Y_i = c1 (T_i + P_i) are drawn directly from their own exact
   (i_max+1)^2 covariance, the sum of the four blocks of ``lil_block_cov``
   (recent window T / deep past P).  That block matrix stays the one exact
-  source of the covariance, pinned entry by entry against mpmath; the paths
-  are split into fixed chunks, each with its own stream and reduced on its
-  own thread, so the thread count never changes the result.
+  source of the covariance, pinned entry by entry against mpmath.
 * ``a_n_probability`` — estimates the probability that at least p*n of the
   ladder observables (G_i) exceed alpha * H^{-1/2} (log i)_+^{1/2},
   via exact covariance sampling, with Wilson intervals, over a doubling
@@ -18,6 +16,11 @@ Three families:
 * ``product_tail_bound`` / ``n_threshold`` / ``union_bound_ledger`` — the
   explicit bound chain for the surrogate independent vector, the event-family
   comparison threshold, and the assembled union-bound bookkeeping.
+
+The two Monte Carlo families draw their paths through ``_map_sample_chunks``:
+2^15 paths per chunk, each chunk with its own stream and reduced on its own
+thread, so the thread count never changes the result and a chunk's memory
+stays bounded.
 
 Every report carries its wall time and creation time as volatile fields.
 """
@@ -59,14 +62,31 @@ __all__ = [
 # limit constant -1/sqrt(H): [limit - 0.35, limit + 0.6].
 LIL_BAND_OFFSETS = (-0.35, 0.6)
 
-_CHUNK = 200_000
-# Paths per lil_statistic chunk: a chunk's temporaries stay near 10 MB.
-_LIL_CHUNK = 2**15
+# Paths per Monte Carlo chunk, for lil_statistic and a_n_probability alike.
+# A chunk's normals and samples are two (dim, 2^15) float arrays of
+# 0.26 MB per dimension each: 8.4 MB at dim 32, 16.8 MB at the deepest
+# a_n_probability ladder (dim 64).
+_CHUNK = 2**15
 # Width at which the bisection of max_feasible_epsilon stops.
 _EPS_BISECTION_TOL = 1.0e-12
 # Above this x, log Phi(-x) comes from the asymptotic series, well before
 # erfc(x / sqrt 2) underflows (near x = 37.5).
 _TAIL_SERIES_FROM = 30.0
+
+
+def _map_sample_chunks(cov: CovMatrix, n_paths: int, seed: int, reduce, threads: int) -> list:
+    """``reduce`` of ``n_paths`` draws of ``cov``, taken ``_CHUNK`` paths at a time.
+
+    Chunk k holds paths ``[k _CHUNK, (k+1) _CHUNK)`` and draws them from the
+    k-th stream spawned from ``seed``; the chunks run on ``threads`` threads
+    and their reductions come back in chunk order, so the result does not
+    depend on ``threads``.
+    """
+    n_chunks = math.ceil(n_paths / _CHUNK)
+    sizes = [min(_CHUNK, n_paths - k * _CHUNK) for k in range(n_chunks)]
+    streams = spawn_streams(seed, n_chunks)
+    return parallel_map(lambda k: reduce(cov.sample(streams[k], sizes[k])),
+                        range(n_chunks), threads=threads)
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +186,12 @@ def lil_statistic(cfg: LilConfig, *, threads: int = 1) -> ExperimentReport:
     The normalised values Y_i = c1 (T_i + P_i) are drawn directly from their
     summed covariance (:func:`_lil_cov`), half the normals of a draw of the
     T and P blocks; :func:`lil_block_cov` stays as the exact, mpmath-pinned
-    source of the sum.  Paths come ``_LIL_CHUNK`` at a time, one stream per
-    chunk; each chunk is reduced on one of ``threads`` threads to its minima
-    up to each ladder depth, and the chunks are joined in order, so the
-    report does not depend on ``threads``.
+    source of the sum.  Paths come ``_CHUNK`` = 2^15 at a time, one stream
+    per chunk (:func:`_map_sample_chunks`); each chunk is reduced on one of
+    ``threads`` threads to its minima up to each ladder depth, and the
+    chunks are joined in order, so the report does not depend on
+    ``threads``.  A chunk's samples are one (i_max+1, 2^15) float array,
+    10.7 MB at the CLI's default i_max = 40, next to normals of the same size.
     """
     start = time.perf_counter()
     h = cfg.ctx.hurst
@@ -190,20 +212,18 @@ def lil_statistic(cfg: LilConfig, *, threads: int = 1) -> ExperimentReport:
     if stops[0] == 0:
         raise ValidationError(f"index set ∩ [2, {caps[0]}] is empty")
 
-    cov = CovMatrix(_lil_cov(cfg))
     norm = np.sqrt(np.log(all_idx))[:, None]
-    n_chunks = math.ceil(cfg.n_paths / _LIL_CHUNK)
-    sizes = [min(_LIL_CHUNK, cfg.n_paths - k * _LIL_CHUNK) for k in range(n_chunks)]
-    streams = spawn_streams(cfg.seed, n_chunks)
 
-    def run_chunk(k: int) -> np.ndarray:
-        stat = cov.sample(streams[k], sizes[k]).T[all_idx]
+    def reduce_chunk(samples: np.ndarray) -> np.ndarray:
+        stat = samples.T[all_idx]
         stat /= norm
         # Row-wise minima of the C-ordered block; minimum.accumulate along
         # axis 0 is ten times slower.
         return np.stack([stat[:stop].min(axis=0) for stop in stops])
 
-    minima = np.concatenate(parallel_map(run_chunk, range(n_chunks), threads=threads), axis=1)
+    per_chunk = _map_sample_chunks(CovMatrix(_lil_cov(cfg)), cfg.n_paths, cfg.seed,
+                                   reduce_chunk, threads)
+    minima = np.concatenate(per_chunk, axis=1)
 
     limit = -1.0 / math.sqrt(h)
     band = (limit + LIL_BAND_OFFSETS[0], limit + LIL_BAND_OFFSETS[1])
@@ -344,6 +364,13 @@ def a_n_probability(cfg: ArbitrageConfig, *, threads: int = 1) -> ExperimentRepo
     doubling ladder of depths from the same draws, reporting
     log P-hat / n and its trend.  Zero hits at some depth leave only the
     Wilson upper bound meaningful (value 0, ci_low 0).
+
+    Paths come ``_CHUNK`` = 2^15 at a time, one stream per chunk
+    (:func:`_map_sample_chunks`); each chunk is reduced on one of
+    ``threads`` threads to its prefix hit counts, which are summed in chunk
+    order, so the report does not depend on ``threads``.  A chunk's samples
+    and its normals are two (n, 2^15) float arrays, 8.4 MB each at n = 32
+    and 16.8 MB at the largest n = 64.
     """
     start = time.perf_counter()
     if cfg.n > 64:
@@ -355,15 +382,10 @@ def a_n_probability(cfg: ArbitrageConfig, *, threads: int = 1) -> ExperimentRepo
     ladder = _doubling_ladder(cfg.n)
     needs = {m: cfg.required_count(m) for m in ladder}
 
-    n_chunks = max(1, math.ceil(cfg.n_paths / _CHUNK))
-    sizes = [min(_CHUNK, cfg.n_paths - k * _CHUNK) for k in range(n_chunks)]
-    streams = spawn_streams(cfg.seed, n_chunks)
+    def reduce_chunk(samples: np.ndarray) -> np.ndarray:
+        return _prefix_hits(samples.T >= thr[:, None], needs)
 
-    def run_chunk(k: int) -> np.ndarray:
-        above = cov.sample(streams[k], sizes[k]).T >= thr[:, None]
-        return _prefix_hits(above, needs)
-
-    per_chunk = parallel_map(run_chunk, range(n_chunks), threads=threads)
+    per_chunk = _map_sample_chunks(cov, cfg.n_paths, cfg.seed, reduce_chunk, threads)
     hits = np.sum(np.stack(per_chunk, axis=0), axis=0)
 
     report = ExperimentReport(

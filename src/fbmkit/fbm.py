@@ -253,17 +253,20 @@ def _fgn_eigenvalues(n: int, hurst: float, dt: float) -> np.ndarray | None:
 
 
 def _fgn_from_normals(lam: np.ndarray, normals: np.ndarray, n: int) -> np.ndarray:
-    """Map iid standard normals ``(paths, M)`` to fGn samples ``(paths, n)``."""
+    """Map iid standard normals ``(paths, M)`` to fGn samples ``(paths, n)``.
+
+    The real part of the FFT of a Hermitian spectrum ``w`` is the unscaled
+    inverse real FFT of its half ``conj(w[:M/2+1])``, so only that half is
+    filled: the imaginary normals enter with the opposite sign.
+    """
     m = lam.size
     half = m // 2
-    w = np.zeros((normals.shape[0], m), dtype=complex)
-    w[:, 0] = np.sqrt(lam[0] / m) * normals[:, 0]
-    w[:, half] = np.sqrt(lam[half] / m) * normals[:, 1]
-    k = np.arange(1, half)
-    amp = np.sqrt(lam[k] / (2.0 * m))
-    w[:, k] = amp * (normals[:, 2 : 1 + half] + 1j * normals[:, 1 + half : m])
-    w[:, m - k] = np.conj(w[:, k])
-    return fft.fft(w, axis=1).real[:, :n]
+    v = np.empty((normals.shape[0], half + 1), dtype=complex)
+    v[:, 0] = np.sqrt(lam[0] / m) * normals[:, 0]
+    v[:, half] = np.sqrt(lam[half] / m) * normals[:, 1]
+    amp = np.sqrt(lam[1:half] / (2.0 * m))
+    v[:, 1:half] = amp * (normals[:, 2 : 1 + half] - 1j * normals[:, 1 + half : m])
+    return fft.irfft(v, n=m, axis=1, norm="forward")[:, :n]
 
 
 def sample_fgn(

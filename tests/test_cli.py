@@ -3,11 +3,14 @@
 Every subcommand runs with only its required flags.  ``selftest`` runs on
 a stubbed battery (the real one takes tens of seconds) to pin its exit code:
 0 when every failure is declared, 1 otherwise.
-A result holding inf or nan exits 3 and writes no artifact.  Every
+A result holding inf or nan exits 3 and writes no artifact.  A negative
+``--seed`` or a ``--threads`` below 1 exits 2 on every subcommand that takes
+the flag.  Every
 subcommand with ``--threads`` writes the same artifact at any thread count,
 up to its volatile fields.
 """
 
+import argparse
 import json
 import math
 
@@ -82,6 +85,40 @@ def test_selftest_exits_0_only_when_every_failure_is_declared(failing, code, mon
     assert ("unexpected" in summary) == (code == 1)
 
 
+def leaf_parsers(parser, words=()):
+    """(command words, parser) for every leaf subcommand under ``parser``."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield words, parser
+        return
+    for name, child in subs[0].choices.items():
+        yield from leaf_parsers(child, words + (name,))
+
+
+def invocations_taking(flag):
+    """A valid invocation of every subcommand that takes ``flag``."""
+    valid = [c.split() for c in REQUIRED_ONLY] + [["selftest"]]
+    return [
+        " ".join(next(argv for argv in valid if tuple(argv[: len(words)]) == words))
+        for words, leaf in leaf_parsers(cli.build_parser())
+        if flag in leaf._option_string_actions
+    ]
+
+
+# A bad value is refused while parsing, before selftest starts its battery.
+@pytest.mark.parametrize("command", invocations_taking("--seed"))
+def test_negative_seed_exits_2(command, capsys):
+    assert main(command.split() + ["--seed", "-1"]) == 2
+    assert "argument --seed: expected an integer >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+@pytest.mark.parametrize("command", invocations_taking("--threads"))
+def test_threads_below_one_exit_2(command, threads, capsys):
+    assert main(command.split() + ["--threads", threads]) == 2
+    assert "argument --threads: expected an integer >= 1" in capsys.readouterr().err
+
+
 def test_validation_error_exits_2(capsys):
     assert main("drift kernel --hurst 1.5".split()) == 2
     assert capsys.readouterr().err.startswith("error:")
@@ -147,9 +184,9 @@ def test_levy_artifact_is_byte_identical_across_runs(tmp_path):
 THREADED = [
     "gamma decay --hurst 0.75 --r 0.5 --n 12",
     "bounds matrix --n 8 --eps 0.1 --trials 200",
-    # Three chunks of paths each: 2^15 per lil chunk, 200000 per an-prob chunk.
+    # Three chunks of 2^15 paths each, the last one partial.
     "lil --hurst 0.75 --r 0.5 --paths 70000",
-    "arbitrage an-prob --hurst 0.75 --r 0.1 --alpha 0.5 --p 0.5 --n 16 --paths 400001",
+    "arbitrage an-prob --hurst 0.75 --r 0.1 --alpha 0.5 --p 0.5 --n 16 --paths 70000",
 ]
 VOLATILE = ("created_utc", "wall_time", "runtime", "threads")
 

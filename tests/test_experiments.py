@@ -8,11 +8,15 @@ definiteness.  The summed matrix that ``lil_statistic`` samples from is
 checked against ``levy_cov_matrix`` at the ladder times.  The prefix-count
 reduction of ``a_n_probability`` is checked against the cumulative-sum
 reduction it replaced, and its estimate of P(A_n) against an antithetic
-estimator on a symmetric square root of the same covariance.  The exact
+estimator on a symmetric square root of the same covariance.  Both
+experiments draw at most 2^15 paths per call of ``CovMatrix.sample`` and give
+the same report at any thread count, and ``lil_statistic`` gives the report
+it gave before it shared its chunking with ``a_n_probability``.  The exact
 Gaussian product of the excess-count chain is checked against
 ``scipy.stats``, and its normal log-tail against ``scipy.special.log_ndtr``.
 """
 
+import hashlib
 import math
 import re
 
@@ -39,9 +43,10 @@ from fbmkit.experiments import (
 )
 from fbmkit.fbm import levy_cov_matrix
 from fbmkit.gamma import GammaConfig, gamma_cov_matrix
-from fbmkit.gaussian import cholesky_with_jitter
+from fbmkit.gaussian import CovMatrix, cholesky_with_jitter
 from fbmkit.quadrature import graded_breaks, integrate_checked
 from fbmkit.rng import make_rng
+from fbmkit.serialize import canonical_json_dumps
 
 I_MAX = 40
 LAGS = [0, 1, 2, 5, 20, 40]
@@ -180,6 +185,53 @@ def test_reports_carry_wall_time_and_creation_time():
     for report in reports:
         assert report.wall_time > 0.0
         assert UTC.fullmatch(report.created_utc)
+
+
+# Paths per Monte Carlo chunk, fixed on memory grounds.
+CHUNK = 2**15
+# Digest of a lil_statistic report (volatile fields dropped) for H = 0.75,
+# r = 0.5, i_max = 12, 70000 paths, seed 5, frozen from the code before
+# lil_statistic shared its chunking with a_n_probability.
+LIL_DIGEST = "142abe00d2335a3b9fc0b380e21ecdc31c9f55d85cb9cac0566475ee507cb92d"
+
+
+def report_digest(report):
+    doc = report.as_dict()
+    del doc["wall_time"], doc["created_utc"]
+    return hashlib.sha256(canonical_json_dumps(doc).encode("utf-8")).hexdigest()
+
+
+def small_runs(n_paths):
+    """Both Monte Carlo experiments at a small depth, as ``threads -> report``."""
+    ctx = make_context(0.75)
+    lil = LilConfig(ctx, r=0.5, i_max=8, n_paths=n_paths, seed=3)
+    arb = ArbitrageConfig(ctx, r=0.1, alpha=0.5, p=0.5, n=8, n_paths=n_paths, seed=3)
+    return [lambda threads: lil_statistic(lil, threads=threads),
+            lambda threads: a_n_probability(arb, threads=threads)]
+
+
+def test_no_draw_exceeds_one_chunk(monkeypatch):
+    sizes = []
+    real = CovMatrix.sample
+    monkeypatch.setattr(CovMatrix, "sample",
+                        lambda self, rng, n: sizes.append(n) or real(self, rng, n))
+    n_paths = 3 * CHUNK - 1
+    for run in small_runs(n_paths):
+        sizes.clear()
+        run(2)
+        assert sorted(sizes) == [CHUNK - 1, CHUNK, CHUNK]
+
+
+@pytest.mark.parametrize("n_paths", [1, CHUNK, CHUNK + 1, 3 * CHUNK - 1])
+def test_reports_do_not_depend_on_threads(n_paths):
+    for run in small_runs(n_paths):
+        assert len({report_digest(run(threads)) for threads in (1, 2, 3)}) == 1
+
+
+def test_lil_report_is_unchanged_by_the_shared_chunking():
+    cfg = LilConfig(make_context(0.75), r=0.5, i_max=12, n_paths=70_000, seed=5)
+    for threads in (1, 2):
+        assert report_digest(lil_statistic(cfg, threads=threads)) == LIL_DIGEST
 
 
 # The chain needs a small decay epsilon, hence the tiny scale ratio r.

@@ -8,7 +8,9 @@ integral in 40-digit mpmath (itself checked against mpmath quadrature of the
 definition), against scipy's ``hyp2f1`` through the same closed forms, and
 against the graded Gauss-Legendre quadrature that computed it before the
 closed form.  The fGn autocovariance is checked against its second
-difference in 50-digit mpmath out to lag 2^24.
+difference in 50-digit mpmath out to lag 2^24.  The half-spectrum inverse
+real FFT that maps normals to fGn is checked against the full Hermitian
+complex FFT it replaced, on the same normals.
 """
 
 import mpmath
@@ -23,6 +25,8 @@ from scipy.special import hyp2f1
 from fbmkit.context import make_context
 from fbmkit.errors import ValidationError
 from fbmkit.fbm import (
+    _fgn_eigenvalues,
+    _fgn_from_normals,
     _levy_integral,
     cross_cov_wz,
     fbm_cov,
@@ -131,6 +135,20 @@ def levy_cov_graded(ctx, s, t):
     return ctx.c1**2 * float(
         weights @ (nodes**ctx.eta * (nodes + (t - s)) ** ctx.eta)
     )
+
+
+def fgn_from_normals_full_fft(lam, normals, n):
+    """The former transform: a Hermitian ``(paths, M)`` spectrum and a full complex FFT."""
+    m = lam.size
+    half = m // 2
+    w = np.zeros((normals.shape[0], m), dtype=complex)
+    w[:, 0] = np.sqrt(lam[0] / m) * normals[:, 0]
+    w[:, half] = np.sqrt(lam[half] / m) * normals[:, 1]
+    k = np.arange(1, half)
+    amp = np.sqrt(lam[k] / (2.0 * m))
+    w[:, k] = amp * (normals[:, 2 : 1 + half] + 1j * normals[:, 1 + half : m])
+    w[:, m - k] = np.conj(w[:, k])
+    return np.fft.fft(w, axis=1).real[:, :n]
 
 
 def assert_within_se(estimate, exact, se, z=4.0, slack=0.0):
@@ -375,6 +393,17 @@ class TestLevyCov:
 
 
 class TestSamplers:
+    @pytest.mark.parametrize("n", [2, 3, 64, 16384])
+    @pytest.mark.parametrize("hurst", [0.005, 0.25, 0.75, 0.995])
+    def test_half_spectrum_transform_matches_the_full_fft(self, n, hurst):
+        lam = _fgn_eigenvalues(n, hurst, 1.0)
+        assert lam is not None and lam.size == 2 * (n - 1)
+        normals = make_rng(n).standard_normal((16, lam.size))
+        got = _fgn_from_normals(lam, normals, n)
+        want = fgn_from_normals_full_fft(lam, normals, n)
+        assert got.shape == want.shape == (16, n)
+        assert np.max(np.abs(got - want)) <= 2.0e-15 * np.max(np.abs(want))
+
     @pytest.mark.parametrize("hurst", [0.25, 0.75])
     def test_fgn_covariance(self, hurst):
         rng = make_rng(101)
