@@ -45,7 +45,6 @@ from .fbm import (
 )
 from .gamma import GammaConfig, decay_bound_check, gamma_mc_implied_cov, sample_gamma_mc
 from .gaussian import CovMatrix, cov_standard_errors, estimate_cov
-from .grids import SampledPath
 from .reports import utc_now
 from .rng import make_rng
 from .serialize import canonical_json_dumps
@@ -204,8 +203,15 @@ def _f(x: float) -> str:
 
 
 def _rel_l2(a: np.ndarray, b: np.ndarray) -> float:
-    """Relative L2 distance of ``a`` from the reference ``b``."""
-    return float(np.sqrt(np.mean((a - b) ** 2)) / np.sqrt(np.mean(b**2)))
+    """Relative L2 distance of ``a`` from the reference ``b``.
+
+    Against an all-zero reference (both prediction routes at H = 1/2) an
+    equal ``a`` is 0 away and any other is infinitely far.
+    """
+    scale = np.sqrt(np.mean(b**2))
+    if scale == 0.0:
+        return 0.0 if np.array_equal(a, b) else math.inf
+    return float(np.sqrt(np.mean((a - b) ** 2)) / scale)
 
 
 def _exp_grid_neg(e_min: float, e_max: float, per_decade: int) -> np.ndarray:
@@ -339,12 +345,8 @@ def _criterion_3(seed_seq, threads: int) -> tuple[bool, str, dict]:
     errors = {}
     for label, mask in (("default", default_mask),
                         ("refined", np.ones(fine_neg.size, dtype=bool))):
-        tt = np.concatenate([fine_neg[mask], [0.0]])
-        pin = np.zeros((n_paths, 1))
-        z_past = SampledPath(times=tt, values=np.hstack([z_fine[:, mask], pin]), kind="fBm")
-        w_past = SampledPath(times=tt, values=np.hstack([w_fine[:, mask], pin]), kind="oBm")
-        pred_kernel = drift_apply(kspec, z_past, v_grid)
-        pred_driver = drift_from_obm(kspec, w_past, v_grid)
+        pred_kernel = drift_apply(kspec, fine_neg[mask], z_fine[:, mask], v_grid)
+        pred_driver = drift_from_obm(kspec, fine_neg[mask], w_fine[:, mask], v_grid)
         errors[label] = _rel_l2(pred_kernel, pred_driver)
 
     passed = (
@@ -371,20 +373,30 @@ INVERSION_E_MIN = -7.0
 
 
 def inversion_grid(dt: float, u_deep: float = 600.0) -> np.ndarray:
-    """Observation times for inversion: deep geometric + uniform + graded tip.
+    """Past observation times for inversion: deep geometric + uniform + graded tip.
 
     Uniform with spacing ``dt`` on ``[-INVERSION_SPAN, 0)``, geometric with
     ``INVERSION_PER_DECADE`` points per decade out to ``-u_deep`` and in to
-    ``-10^INVERSION_E_MIN`` at the tip, then the origin.
+    ``-10^INVERSION_E_MIN`` at the tip.  All times are strictly negative (the
+    operators of :mod:`fbmkit.drift` pin the origin themselves).  Raises
+    :class:`~fbmkit.errors.ValidationError` unless
+    ``0 < dt <= INVERSION_SPAN < u_deep``.
     """
+    if not (0.0 < dt <= INVERSION_SPAN < u_deep < math.inf):
+        raise ValidationError(
+            f"the past window needs 0 < dt <= {INVERSION_SPAN} < u_deep (--dt, --umax),"
+            f" got dt={dt}, u_deep={u_deep}"
+        )
     n_uni = int(round(INVERSION_SPAN / dt))
+    if n_uni * dt > INVERSION_SPAN:  # rounded up past the span: stay inside it
+        n_uni -= 1
     uniform = -dt * np.arange(n_uni, 0, -1)
     e_dt = math.log10(dt)
     m = int(math.ceil((e_dt - INVERSION_E_MIN) * INVERSION_PER_DECADE))
     tip = -(10.0 ** (e_dt - np.arange(1, m + 1) / INVERSION_PER_DECADE))
     md = int(math.ceil(math.log10(u_deep / INVERSION_SPAN) * INVERSION_PER_DECADE))
     deep = -INVERSION_SPAN * (u_deep / INVERSION_SPAN) ** (np.arange(md, 0, -1) / md)
-    return np.concatenate([deep, uniform, tip, [0.0]])
+    return np.concatenate([deep, uniform, tip])
 
 
 def _criterion_4(seed_seq, threads: int) -> tuple[bool, str, dict]:
@@ -398,14 +410,10 @@ def _criterion_4(seed_seq, threads: int) -> tuple[bool, str, dict]:
         ctx = make_context(hurst)
         kspec = DriftKernelSpec(ctx=ctx)
         times = inversion_grid(dt)
-        t_neg = times[:-1]
-        t_snap = np.array([t_neg[np.argmin(np.abs(t_neg - t))] for t in t_inv])
-        draw = CovMatrix(joint_wz_cov(ctx, t_snap, t_neg)).sample(rng, n_paths)
+        t_snap = np.array([times[np.argmin(np.abs(times - t))] for t in t_inv])
+        draw = CovMatrix(joint_wz_cov(ctx, t_snap, times)).sample(rng, n_paths)
         w_true, z_obs = draw[:, : t_snap.size], draw[:, t_snap.size :]
-        z_past = SampledPath(
-            times=times, values=np.hstack([z_obs, np.zeros((n_paths, 1))]), kind="fBm"
-        )
-        w_rec = pipiras_taqqu_invert(kspec, z_past, t_snap)
+        w_rec = pipiras_taqqu_invert(kspec, times, z_obs, t_snap)
         err = _rel_l2(w_rec, w_true)
         metrics[f"rel_l2_h{hurst}"] = err
         ok = ok and err < 0.05
@@ -413,10 +421,11 @@ def _criterion_4(seed_seq, threads: int) -> tuple[bool, str, dict]:
     # hurst = 1/2: the moving average is the driver itself, so the recovery
     # must be an exact identity on any observed path.
     ctx_half = make_context(0.5)
-    w_path = sample_obm(1024, dt, rng, t0=-2.0)
-    z_same = SampledPath(times=w_path.times, values=w_path.values, kind="fBm")
-    rec = pipiras_taqqu_invert(DriftKernelSpec(ctx=ctx_half), z_same, t_inv)
-    exact_err = float(np.max(np.abs(rec - z_same.value_at(t_inv))))
+    # The path's last sample is its pin at t = 0, which the operator adds.
+    w_path = sample_obm(1024, dt, rng, t0=-2.0)[:-1]
+    w_times = -2.0 + dt * np.arange(1024)
+    rec = pipiras_taqqu_invert(DriftKernelSpec(ctx=ctx_half), w_times, w_path, t_inv)
+    exact_err = float(np.max(np.abs(rec - np.interp(t_inv, w_times, w_path))))
     metrics["identity_err_h0.5"] = exact_err
     ok = ok and exact_err <= 1.0e-10
 

@@ -38,7 +38,7 @@ from collections.abc import Callable
 import jsonschema
 import numpy as np
 
-from .acceptance import DEFAULT_SEED, inversion_grid, run_all
+from .acceptance import DEFAULT_SEED, _rel_l2, inversion_grid, run_all
 from .almostdiag import (
     hk_entry_bound,
     matrix_batch_check,
@@ -73,7 +73,6 @@ from .gamma import (
     sigma2,
 )
 from .gaussian import CovMatrix
-from .grids import SampledPath
 from .reports import ExperimentReport, validate_report
 from .rng import make_rng
 from .serialize import canonical_json_dumps, format_float, format_floats
@@ -143,16 +142,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fractional Brownian motion prediction, inversion, and bound toolkit.",
         allow_abbrev=False,
     )
-    # flag registry for config files: normalized key -> (flag, takes_no_value)
-    registry: dict[str, tuple[str, bool]] = {}
+    # flag registry for config files: normalized key -> flag
+    registry: dict[str, str] = {}
     parser.set_defaults(_registry=registry)
 
     def arg(p, *flags, **kwargs) -> None:
-        is_switch = kwargs.get("action") == "store_true"
         p.add_argument(*flags, **kwargs)
         long = next((f for f in flags if f.startswith("--")), None)
         if long:
-            registry[long[2:].replace("-", "_").lower()] = (long, is_switch)
+            registry[long[2:].replace("-", "_").lower()] = long
 
     def common(p, *, seed: bool = True, threads: bool = False) -> None:
         arg(p, "--config", help="key=value file merged under the flags (flags win)")
@@ -364,7 +362,7 @@ def _load_config(path: str) -> list[tuple[str, str]]:
     return entries
 
 
-def _merge_config(argv: list[str], registry: dict[str, tuple[str, bool]]) -> list[str]:
+def _merge_config(argv: list[str], registry: dict[str, str]) -> list[str]:
     """Splice config-file entries into argv just after the subcommand path.
 
     Later occurrences of a flag win in argparse, so values typed on the
@@ -377,17 +375,7 @@ def _merge_config(argv: list[str], registry: dict[str, tuple[str, bool]]) -> lis
     for key, raw in _load_config(path):
         if key not in registry:
             raise ValidationError(f"{path}: unknown config key {key!r}")
-        flag, is_switch = registry[key]
-        if is_switch:
-            low = raw.lower()
-            if low in ("1", "true", "yes", "on"):
-                extra.append(flag)
-            elif low not in ("0", "false", "no", "off"):
-                raise ValidationError(
-                    f"{path}: {key} must be a boolean, got {raw!r}"
-                )
-        else:
-            extra.extend([flag, raw])
+        extra.extend([registry[key], raw])
     if not argv or argv[0].startswith("-"):
         return argv
     depth = 2 if argv[0] in _NESTED_COMMANDS else 1
@@ -594,25 +582,12 @@ def _cmd_sample(args) -> int:
         times = args.dt * np.arange(args.n + 1)
     else:
         config["t0"] = args.t0
-        rows = [sample_obm(args.n, args.dt, rng, t0=args.t0).values
-                for _ in range(args.paths)]
+        rows = [sample_obm(args.n, args.dt, rng, t0=args.t0) for _ in range(args.paths)]
         values = np.stack(rows)
         times = args.t0 + args.dt * np.arange(args.n + 1)
     _emit(args, *_path_doc(f"sample_{args.process}", config, args.seed,
                            times, values))
     return 0
-
-
-def _past_observation_times(u_max: float, dt: float) -> np.ndarray:
-    """Observation grid for the past: uniform recent window with graded edges.
-
-    The graded tip near the origin resolves the prediction kernel's
-    singularity there; the geometric deep tail keeps the long-memory
-    contribution cheap to represent.
-    """
-    if u_max <= 2.0:
-        raise ValidationError(f"--umax must exceed 2, got {u_max}")
-    return inversion_grid(dt, u_deep=u_max)
 
 
 def _cmd_drift(args) -> int:
@@ -623,8 +598,9 @@ def _cmd_drift(args) -> int:
         raise ValidationError("--v times must be positive")
     if args.paths < 1:
         raise ValidationError(f"--paths must be >= 1, got {args.paths}")
-    times = _past_observation_times(args.umax, args.dt)
-    t_neg = times[:-1]
+    # The graded tip near the origin resolves the prediction kernel's
+    # singularity there; the geometric deep tail keeps the long memory cheap.
+    times = inversion_grid(args.dt, u_deep=args.umax)
     rng = make_rng(args.seed)
     config = {
         "route": args.route, "hurst": args.hurst, "umax": args.umax,
@@ -632,18 +608,11 @@ def _cmd_drift(args) -> int:
     }
 
     if args.route == "validate":
-        draw = CovMatrix(joint_wz_cov(ctx, t_neg, t_neg)).sample(rng, args.paths)
-        pin = np.zeros((args.paths, 1))
-        w_past = SampledPath(
-            times=times, values=np.hstack([draw[:, : t_neg.size], pin]), kind="oBm"
-        )
-        z_past = SampledPath(
-            times=times, values=np.hstack([draw[:, t_neg.size :], pin]), kind="fBm"
-        )
-        pred_k = drift_apply(kspec, z_past, v_grid)
-        pred_w = drift_from_obm(kspec, w_past, v_grid)
+        draw = CovMatrix(joint_wz_cov(ctx, times, times)).sample(rng, args.paths)
+        pred_k = drift_apply(kspec, times, draw[:, times.size :], v_grid)
+        pred_w = drift_from_obm(kspec, times, draw[:, : times.size], v_grid)
+        rel = _rel_l2(pred_k, pred_w)
         scale = float(np.sqrt(np.mean(pred_w**2)))
-        rel = float(np.sqrt(np.mean((pred_k - pred_w) ** 2))) / scale
         _emit(args, *_table_doc(
             "drift_validate", config,
             {"rel_l2": rel, "tol": args.tol, "ok": rel <= args.tol,
@@ -658,21 +627,18 @@ def _cmd_drift(args) -> int:
         return 0
 
     if args.route == "obm":
-        incr = np.sqrt(np.diff(times)) * rng.standard_normal((args.paths, t_neg.size))
-        w_rows = np.concatenate(
-            [-np.cumsum(incr[:, ::-1], axis=1)[:, ::-1],
-             np.zeros((args.paths, 1))], axis=1,
-        )
-        preds = drift_from_obm(kspec, SampledPath(times=times, values=w_rows, kind="oBm"), v_grid)
+        # Driver increments over the gaps up to the origin, summed backwards
+        # from W_0 = 0.
+        gaps = np.diff(times, append=0.0)
+        incr = np.sqrt(gaps) * rng.standard_normal((args.paths, times.size))
+        w_rows = -np.cumsum(incr[:, ::-1], axis=1)[:, ::-1]
+        preds = drift_from_obm(kspec, times, w_rows, v_grid)
     else:
-        z_rows = CovMatrix(fbm_cov_matrix(t_neg, args.hurst)).sample(rng, args.paths)
-        z_past = SampledPath(
-            times=times, values=np.hstack([z_rows, np.zeros((args.paths, 1))]), kind="fBm"
-        )
+        z_rows = CovMatrix(fbm_cov_matrix(times, args.hurst)).sample(rng, args.paths)
         if args.route == "kernel":
-            preds = drift_apply(kspec, z_past, v_grid)
+            preds = drift_apply(kspec, times, z_rows, v_grid)
         else:
-            preds = drift_regression(args.hurst, z_past, v_grid)
+            preds = drift_regression(args.hurst, times, z_rows, v_grid)
 
     _emit(args, *_path_doc(f"drift_{args.route}", config, args.seed,
                            v_grid, preds))
@@ -686,17 +652,13 @@ def _cmd_invert(args) -> int:
         raise ValidationError(f"--paths must be >= 1, got {args.paths}")
     rng = make_rng(args.seed)
     times = inversion_grid(args.dt, u_deep=args.umax)
-    t_neg = times[:-1]
     t_inv = -np.linspace(1.0, 1.0 / 16, 16)
-    t_inv = np.array([t_neg[np.argmin(np.abs(t_neg - t))] for t in t_inv])
-    draw = CovMatrix(joint_wz_cov(ctx, t_inv, t_neg)).sample(rng, args.paths)
+    t_inv = np.array([times[np.argmin(np.abs(times - t))] for t in t_inv])
+    draw = CovMatrix(joint_wz_cov(ctx, t_inv, times)).sample(rng, args.paths)
     w_true, z_obs = draw[:, : t_inv.size], draw[:, t_inv.size :]
-    z_past = SampledPath(
-        times=times, values=np.hstack([z_obs, np.zeros((args.paths, 1))]), kind="fBm"
-    )
-    w_rec = pipiras_taqqu_invert(kspec, z_past, t_inv)
+    w_rec = pipiras_taqqu_invert(kspec, times, z_obs, t_inv)
+    rel = _rel_l2(w_rec, w_true)
     scale = float(np.sqrt(np.mean(w_true**2)))
-    rel = float(np.sqrt(np.mean((w_rec - w_true) ** 2))) / scale
     config = {
         "hurst": args.hurst, "dt": args.dt, "umax": args.umax,
         "paths": args.paths,

@@ -36,17 +36,21 @@ representation recovering the driving Brownian motion:
 
 Operators on sampled paths
 --------------------------
-All four are linear in the observed samples.  A past window is a
-:class:`~fbmkit.grids.SampledPath` holding one path, values of shape ``(n,)``,
-or a batch on the same times, ``(paths, n)``; the result is ``(nv,)`` or
-``(paths, nv)`` to match.  Each call builds one weight matrix ``W`` over the
-``n`` samples and returns ``values @ W.T``, so a batch costs one product.
-For the three integral routes ``W`` comes from Gauss-Legendre panels aligned
-with the samples (:func:`~fbmkit.quadrature.aligned_breaks`): the path enters
-as its linear interpolant, so each node's weight is split between its two
-bracketing samples by the hat functions.  The window checks (and the
-truncation estimates that raise :class:`~fbmkit.errors.AccuracyError`) run
-once per call, before any weights are built.
+All four take a past window as two arrays: ``times``, strictly increasing
+and strictly negative, and ``values``, one path of shape ``(n,)`` or a batch
+on the same times, ``(paths, n)``; the result is ``(nv,)`` or ``(paths, nv)``
+to match.  Every window is pinned at ``Z_0 = 0``: the operators append the
+origin and its zero value themselves, after refusing non-finite,
+non-increasing, non-negative or mis-shaped input with
+:class:`~fbmkit.errors.ValidationError`.  Between samples the path is the
+linear interpolant of the pinned window.  Each call builds one weight matrix
+``W`` over the ``n + 1`` pinned samples and returns ``values @ W.T``, so a
+batch costs one product.  For the three integral routes ``W`` comes from
+Gauss-Legendre panels aligned with the samples
+(:func:`~fbmkit.quadrature.aligned_breaks`): each node's weight is split
+between its two bracketing samples by the hat functions.  The truncation
+estimates that raise :class:`~fbmkit.errors.AccuracyError` run once per
+call, before any weights are built.
 
 The kernel in closed form
 -------------------------
@@ -79,7 +83,6 @@ from .context import HurstContext, xi
 from .errors import AccuracyError, ValidationError
 from .fbm import fbm_cov, fbm_cov_matrix
 from .gaussian import CovMatrix
-from .grids import SampledPath
 from .quadrature import PATH_NODES, PATH_TOL, aligned_breaks, panel_nodes
 
 __all__ = [
@@ -105,19 +108,32 @@ class DriftKernelSpec:
     ctx: HurstContext
 
 
-def _as_past(path) -> SampledPath:
-    """Validate and normalize a past-observation window ending at time 0."""
-    if not isinstance(path, SampledPath):
-        raise ValidationError("past path must be a SampledPath")
-    if path.t_end != 0.0:
+def _pinned_past(times, values) -> tuple[np.ndarray, np.ndarray]:
+    """Check a past window and pin it at the origin.
+
+    ``times`` must be finite, strictly increasing and strictly negative, and
+    ``values`` finite, of shape ``(n,)`` or ``(paths, n)`` for the ``n``
+    times.  Returns the times with 0 appended and the values with a zero
+    column appended, as a fresh C-ordered array: the layout of the input
+    must not change how ``values @ W.T`` rounds.
+    """
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise ValidationError("past times must be a non-empty 1-d array")
+    if values.ndim not in (1, 2) or values.shape[-1] != times.size or values.size == 0:
         raise ValidationError(
-            f"past path must end exactly at time 0, got {path.t_end}"
+            "past values must have shape (n,) or (paths, n) matching the n times"
         )
-    if np.any(path.values[..., -1] != 0.0):
-        raise ValidationError("past path must take the value 0 at time 0")
-    if path.t0 >= 0.0:
-        raise ValidationError("past path must extend into the past (t0 < 0)")
-    return path
+    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+        raise ValidationError("past times and values must be finite")
+    if np.any(np.diff(times) <= 0):
+        raise ValidationError("past times must be strictly increasing")
+    if times[-1] >= 0.0:
+        raise ValidationError(f"past times must be strictly negative, got {times[-1]}")
+    pinned = np.zeros(values.shape[:-1] + (times.size + 1,))
+    pinned[..., :-1] = values
+    return np.append(times, 0.0), pinned
 
 
 # ---------------------------------------------------------------------------
@@ -185,55 +201,52 @@ def drift_tail_sd(kspec: DriftKernelSpec, v: float, u_max: float) -> float:
     return abs(k_edge) * u_max ** (1.0 + ctx.hurst) / (1.0 - ctx.hurst)
 
 
-def drift_apply(kspec: DriftKernelSpec, past, v_grid) -> np.ndarray:
+def drift_apply(kspec: DriftKernelSpec, times, values, v_grid) -> np.ndarray:
     """Apply the prediction operator to a past trajectory of the process.
 
-    ``past`` is the observed past of the *driven* process (fBm increments
-    window, pinned to 0 at time 0), one path or a batch; returns the
-    conditional-mean prediction at each ``v > 0`` in ``v_grid``, shape
-    ``(nv,)`` or ``(paths, nv)``.
+    ``values`` is the observed past of the *driven* process at the negative
+    ``times``, one path or a batch; returns the conditional-mean prediction
+    at each ``v > 0`` in ``v_grid``, shape ``(nv,)`` or ``(paths, nv)``.
     """
-    past = _as_past(past)
+    times, values = _pinned_past(times, values)
     v_grid = np.atleast_1d(np.asarray(v_grid, dtype=float))
     if np.any(v_grid <= 0):
         raise ValidationError("evaluation times must be positive")
     ctx = kspec.ctx
     if ctx.eta == 0.0:
-        return np.zeros(past.values.shape[:-1] + v_grid.shape)
-    u_max = -past.t0
+        return np.zeros(values.shape[:-1] + v_grid.shape)
+    u_max = -times[0]
     worst_v = float(v_grid.max())
     tail = drift_tail_sd(kspec, worst_v, u_max)
     budget = PATH_TOL * worst_v**ctx.hurst
     if tail > budget:
         raise AccuracyError(
-            f"past window [{past.t0}, 0] too short for kernel prediction: "
+            f"past window [{times[0]}, 0] too short for kernel prediction: "
             f"tail estimate {tail:.3e} exceeds {budget:.3e}",
             estimate=tail,
             budget=budget,
         )
-    nodes, weights = panel_nodes(aligned_breaks(past.times), PATH_NODES)
+    nodes, weights = panel_nodes(aligned_breaks(times), PATH_NODES)
     kernel = weights * drift_kernel_value(kspec, nodes, v_grid[:, None])
-    return past.values @ _on_samples(past.times, nodes, kernel).T
+    return values @ _on_samples(times, nodes, kernel).T
 
 
-def drift_from_obm(kspec: DriftKernelSpec, w_past, v_grid) -> np.ndarray:
+def drift_from_obm(kspec: DriftKernelSpec, times, values, v_grid) -> np.ndarray:
     """Prediction expressed through the past of the *driving* Brownian motion.
 
     ``(D X)_v = eta c1 integral_{t0}^0 xi_{eta-1}(-s, v) W_s ds`` for each
-    ``v`` in ``v_grid``; ``w_past`` must be an ``oBm`` window ending at 0,
+    ``v`` in ``v_grid``; ``values`` are the driver at the negative ``times``,
     one path or a batch, and the result has shape ``(nv,)`` or ``(paths, nv)``.
     """
-    w_past = _as_past(w_past)
-    if w_past.kind != "oBm":
-        raise ValidationError("drift_from_obm requires an oBm past path")
+    times, values = _pinned_past(times, values)
     v_grid = np.atleast_1d(np.asarray(v_grid, dtype=float))
     if np.any(v_grid <= 0):
         raise ValidationError("evaluation times must be positive")
     ctx = kspec.ctx
     eta = ctx.eta
     if eta == 0.0:
-        return np.zeros(w_past.values.shape[:-1] + v_grid.shape)
-    u_max = -w_past.t0
+        return np.zeros(values.shape[:-1] + v_grid.shape)
+    u_max = -times[0]
     worst_v = float(v_grid.max())
     tail = (
         ctx.c1 * abs(eta) * abs(eta - 1.0) * worst_v
@@ -246,30 +259,26 @@ def drift_from_obm(kspec: DriftKernelSpec, w_past, v_grid) -> np.ndarray:
         log10_need = math.log10(u_max) + math.log10(tail / budget) / (0.5 - eta)
         need = 1.01 * 10.0**log10_need if log10_need < 300.0 else math.inf
         raise AccuracyError(
-            f"driver window [{w_past.t0}, 0] too short: tail sd bound "
+            f"driver window [{times[0]}, 0] too short: tail sd bound "
             f"{tail:.3e} exceeds {budget:.3e}; the bound falls as "
             f"u_max^(H-1) and needs a window depth (--umax) of {need:.2e}",
             estimate=tail,
             budget=budget,
         )
-    nodes, weights = panel_nodes(aligned_breaks(w_past.times), PATH_NODES)
+    nodes, weights = panel_nodes(aligned_breaks(times), PATH_NODES)
     kernel = (eta * ctx.c1) * weights * xi(eta - 1.0, -nodes, v_grid[:, None])
-    return w_past.values @ _on_samples(w_past.times, nodes, kernel).T
+    return values @ _on_samples(times, nodes, kernel).T
 
 
 # ---------------------------------------------------------------------------
 # Finite-dimensional regression oracle
 # ---------------------------------------------------------------------------
 
-def _regression_samples(past: SampledPath) -> np.ndarray:
-    """Indices of the samples used for regression: drop t = 0 (zero-variance pin), cap count."""
-    idx = np.flatnonzero(past.times < 0.0)
-    if idx.size == 0:
-        raise ValidationError("past path has no strictly negative observation times")
-    if idx.size > REGRESSION_MAX_POINTS:
-        pick = np.linspace(0, idx.size - 1, REGRESSION_MAX_POINTS)
-        idx = idx[np.unique(np.round(pick).astype(int))]
-    return idx
+def _regression_samples(n: int) -> np.ndarray:
+    """Indices of the ``n`` observed samples used for regression, at most ``REGRESSION_MAX_POINTS``."""
+    if n <= REGRESSION_MAX_POINTS:
+        return np.arange(n)
+    return np.unique(np.round(np.linspace(0, n - 1, REGRESSION_MAX_POINTS)).astype(int))
 
 
 def regression_weights(hurst: float, past_times, v_grid) -> np.ndarray:
@@ -288,17 +297,18 @@ def regression_weights(hurst: float, past_times, v_grid) -> np.ndarray:
     return CovMatrix(cpp).solve(cpv)
 
 
-def drift_regression(hurst: float, past, v_grid) -> np.ndarray:
+def drift_regression(hurst: float, times, values, v_grid) -> np.ndarray:
     """Conditional mean at ``v_grid`` by direct regression on the observed past.
 
-    The regression weights fall on a subset of the samples; one path gives
-    shape ``(nv,)``, a batch ``(paths, nv)``.
+    The regression weights fall on a subset of the samples at the negative
+    ``times`` (the pin at 0 has zero variance and is left out); one path
+    gives shape ``(nv,)``, a batch ``(paths, nv)``.
     """
-    past = _as_past(past)
+    times, values = _pinned_past(times, values)
     v_grid = np.atleast_1d(np.asarray(v_grid, dtype=float))
-    idx = _regression_samples(past)
-    weights = regression_weights(hurst, past.times[idx], v_grid)
-    return past.values[..., idx] @ weights
+    idx = _regression_samples(times.size - 1)
+    weights = regression_weights(hurst, times[idx], v_grid)
+    return values[..., idx] @ weights
 
 
 def conditional_future_cov(hurst: float, past_times, v_grid) -> np.ndarray:
@@ -338,15 +348,14 @@ def invert_tail_sd(ctx: HurstContext, t: float, u_max: float) -> float:
     )
 
 
-def pipiras_taqqu_invert(
-    kspec: DriftKernelSpec, z_past, t
-) -> np.ndarray:
+def pipiras_taqqu_invert(kspec: DriftKernelSpec, times, values, t) -> np.ndarray:
     """Recover the driving Brownian motion at times ``t <= 0`` from the past of ``Z``.
 
     ``W_t * c1 / c_h = eta * integral_{t0}^t xi_{-eta-1}(t-s, -t) (Z_s - Z_t) ds
     + eta * integral_t^0 (-s)^{-eta-1} Z_s ds + (-t)^{-eta} Z_t``
 
-    with ``Z`` interpolated linearly.  The right side is linear in the
+    with ``Z`` observed as ``values`` at the negative ``times`` and
+    interpolated linearly.  The right side is linear in the
     samples of ``Z``, so it is built once as a weight matrix over the samples
     (one row per ``t``) and applied to one path or a batch in one product;
     the result has shape ``(nt,)`` or ``(paths, nt)``, and a scalar ``t``
@@ -358,33 +367,31 @@ def pipiras_taqqu_invert(
     where ``integral xi_{-eta-1}`` alone diverges (``eta > 0``).
     At ``eta = 0`` the driver equals the process and is returned exactly.
     """
-    z_past = _as_past(z_past)
-    if z_past.kind not in ("fBm", "derived"):
-        raise ValidationError("inversion expects the driven (fBm) past path")
+    times, values = _pinned_past(times, values)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr > 0) or np.any(t_arr < z_past.t0):
+    if np.any(t_arr > 0) or np.any(t_arr < times[0]):
         raise ValidationError("inversion times must lie in [t0, 0]")
     scalar = np.ndim(t) == 0
     ctx = kspec.ctx
     eta = ctx.eta
     if eta == 0.0:
-        out = z_past.value_at(t_arr)
+        rows = [np.interp(t_arr, times, row) for row in values.reshape(-1, times.size)]
+        out = np.reshape(rows, values.shape[:-1] + t_arr.shape)
         return out[..., 0] if scalar else out
 
-    u_max = -z_past.t0
+    u_max = -times[0]
     worst = float(np.abs(t_arr).max())
     if worst > 0:
         tail = invert_tail_sd(ctx, worst, u_max)
         budget = PATH_TOL * np.sqrt(worst)
         if tail > budget:
             raise AccuracyError(
-                f"observation window [{z_past.t0}, 0] too short for inversion "
+                f"observation window [{times[0]}, 0] too short for inversion "
                 f"at t={-worst}: tail sd bound {tail:.3e} exceeds {budget:.3e}",
                 estimate=tail,
                 budget=budget,
             )
 
-    times = z_past.times
     weights = np.zeros((t_arr.size, times.size))
     for row, ti in zip(weights, t_arr):
         if ti == 0.0:
@@ -417,5 +424,5 @@ def pipiras_taqqu_invert(
             np.concatenate([w_d, [z_t_weight], w_n]),
         )
     weights *= ctx.c_h / ctx.c1
-    out = z_past.values @ weights.T
+    out = values @ weights.T
     return out[..., 0] if scalar else out

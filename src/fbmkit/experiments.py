@@ -13,7 +13,7 @@ Three families:
   ladder observables (G_i) exceed alpha * H^{-1/2} (log i)_+^{1/2},
   via exact covariance sampling, with Wilson intervals, over a doubling
   ladder of n.
-* ``product_tail_bound`` / ``n_threshold`` / ``union_bound_ledger`` — the
+* ``product_tail_chain`` / ``n_threshold`` / ``union_bound_ledger`` — the
   explicit bound chain for the surrogate independent vector, the event-family
   comparison threshold, and the assembled union-bound bookkeeping.
 
@@ -36,7 +36,7 @@ import numpy as np
 
 from .almostdiag import phi_functions
 from .context import HurstContext
-from .errors import AccuracyError, ValidationError
+from .errors import ValidationError
 from .fbm import _levy_integral
 from .gamma import GammaConfig, decay_bound_check, gamma_cov_matrix, reg_bound_constants
 from .gaussian import CovMatrix
@@ -53,7 +53,6 @@ __all__ = [
     "a_n_probability",
     "max_feasible_epsilon",
     "product_tail_chain",
-    "product_tail_bound",
     "n_threshold",
     "union_bound_ledger",
 ]
@@ -511,32 +510,6 @@ def product_tail_chain(cfg: ArbitrageConfig, index_set) -> dict:
         "log_sorted_bound": log_sorted,
         "log_final_bound": log_final,
     }
-
-
-def product_tail_bound(cfg: ArbitrageConfig, index_set) -> float:
-    """((ceil(p n) - 1)_+!)^{-C_l^2/2}, with every chain link asserted.
-
-    Raises AccuracyError if any of the analytic inequalities fails
-    numerically (they are exact mathematics; failure means a defect).
-    """
-    chain = product_tail_chain(cfg, index_set)
-    links = [
-        ("exact product vs per-factor tail bound",
-         chain["log_exact_product"], chain["log_tail_product"]),
-        ("per-factor tail vs sorted-index bound",
-         chain["log_tail_product"], chain["log_sorted_bound"]),
-        ("sorted-index vs factorial bound",
-         chain["log_sorted_bound"], chain["log_final_bound"]),
-    ]
-    for name, smaller, larger in links:
-        slack = 1.0e-9 * max(1.0, abs(smaller), abs(larger))
-        if smaller > larger + slack:
-            raise AccuracyError(
-                f"tail chain link broken ({name}): {smaller} > {larger}",
-                estimate=smaller - larger,
-                budget=slack,
-            )
-    return math.exp(chain["log_final_bound"])
 
 
 def n_threshold(

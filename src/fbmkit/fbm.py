@@ -18,10 +18,14 @@ Samplers (all exact in law, deterministic given a Generator)
 -----------------------------------------------------------
 * :func:`sample_fgn` / :func:`sample_fbm_paths` — circulant-embedding
   (spectral) sampler for fractional Gaussian noise, cumulatively summed to
-  fBm, with a dense Cholesky fallback if the embedding ever went indefinite.
+  fBm.  The embedding is nonnegative definite for every H in (0, 1)
+  (Perrin et al. 2002, IEEE Signal Process. Lett. 9), so there is no
+  fallback: an eigenvalue below ``-1e-9`` times the largest raises
+  :class:`~fbmkit.errors.AccuracyError`.
 * :func:`sample_levy_paths` — dense Cholesky sampler for the one-sided
   average.
-* :func:`sample_obm` — ordinary Brownian motion on a grid containing 0.
+* :func:`sample_obm` — ordinary Brownian motion on a grid containing 0,
+  pinned to 0 there.
 
 Driver and driven process
 -------------------------
@@ -38,9 +42,8 @@ import numpy as np
 from numpy import fft
 
 from .context import HurstContext, pow0
-from .errors import ValidationError
+from .errors import AccuracyError, ValidationError
 from .gaussian import CovMatrix
-from .grids import SampledPath
 
 __all__ = [
     "fbm_cov",
@@ -242,13 +245,16 @@ def levy_cov_matrix(times, ctx: HurstContext) -> np.ndarray:
 # Circulant-embedding sampler for fractional Gaussian noise
 # ---------------------------------------------------------------------------
 
-def _fgn_eigenvalues(n: int, hurst: float, dt: float) -> np.ndarray | None:
-    """Eigenvalues of the circulant embedding, or None if indefinite."""
-    gam = fgn_autocov(n, hurst, dt)
+def _fgn_eigenvalues(gam: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the circulant embedding of the autocovariance ``gam``."""
     first_row = np.concatenate([gam, gam[-2:0:-1]])
     lam = fft.fft(first_row).real
     if lam.min() < -1.0e-9 * lam.max():
-        return None
+        raise AccuracyError(
+            "circulant embedding of the fGn covariance is indefinite",
+            estimate=float(-lam.min()),
+            budget=1.0e-9 * float(lam.max()),
+        )
     return np.clip(lam, 0.0, None)
 
 
@@ -284,14 +290,9 @@ def sample_fgn(
     gam = fgn_autocov(n, hurst, dt)
     if n == 1:
         return np.sqrt(gam[0]) * rng.standard_normal((paths, 1))
-    lam = _fgn_eigenvalues(n, hurst, dt)
-    if lam is not None:
-        normals = rng.standard_normal((paths, lam.size))
-        return _fgn_from_normals(lam, normals, n)
-    # Indefinite embedding: exact dense fallback.
-    idx = np.arange(n)
-    cov = CovMatrix(gam[np.abs(idx[:, None] - idx[None, :])])
-    return cov.sample(rng, paths)
+    lam = _fgn_eigenvalues(gam)
+    normals = rng.standard_normal((paths, lam.size))
+    return _fgn_from_normals(lam, normals, n)
 
 
 def sample_fbm_paths(
@@ -331,11 +332,12 @@ def sample_obm(
     dt: float,
     rng: np.random.Generator,
     t0: float = 0.0,
-) -> SampledPath:
+) -> np.ndarray:
     """Ordinary Brownian motion on the grid ``t0 + dt * k``, ``k = 0..n_steps``.
 
-    The grid must contain ``t = 0``; that point gets the exact value 0, so
-    for ``t0 < 0`` this produces a two-sided path anchored at the origin.
+    Returns the ``n_steps + 1`` values.  The grid must contain ``t = 0``;
+    that point gets the exact value 0, so for ``t0 < 0`` this produces a
+    two-sided path anchored at the origin.
     """
     if n_steps < 1:
         raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
@@ -351,8 +353,7 @@ def sample_obm(
     cum = np.concatenate([[0.0], np.cumsum(incr)])
     values = cum - cum[idx]
     values[idx] = 0.0
-    times = float(t0) + float(dt) * np.arange(n_steps + 1)
-    return SampledPath(times=times, values=values, kind="oBm")
+    return values
 
 
 # ---------------------------------------------------------------------------

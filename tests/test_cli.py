@@ -23,6 +23,7 @@ from fbmkit.acceptance import (
     EXPECTED_FAILURES,
     AcceptanceReport,
     CriterionResult,
+    _rel_l2,
 )
 from fbmkit.cli import main
 from fbmkit.errors import AccuracyError
@@ -37,7 +38,12 @@ REQUIRED_ONLY = [
     "drift regression --hurst 0.75",
     "drift validate --hurst 0.75",
     "drift validate --hurst 0.25",
+    "drift kernel --hurst 0.5",
+    "drift obm --hurst 0.5",
+    "drift regression --hurst 0.5",
+    "drift validate --hurst 0.5",
     "invert --hurst 0.75",
+    "invert --hurst 0.5",
     "gamma cov --hurst 0.75 --r 0.1",
     "gamma decay --hurst 0.75 --r 0.1",
     "gamma modulus --hurst 0.75 --r 0.1",
@@ -145,6 +151,31 @@ def test_tail_bound_on_the_zero_field_exits_2(command, tmp_path, capsys):
     assert main(command.split() + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
+
+
+# The past window needs 0 < --dt <= 2 < --umax; a bad one is refused before
+# anything is drawn.
+BAD_WINDOWS = ["--umax 0", "--umax -5", "--umax 1.5", "--dt 0", "--dt 3"]
+
+
+@pytest.mark.parametrize("window", BAD_WINDOWS)
+@pytest.mark.parametrize("command", [
+    "drift kernel", "drift obm", "drift regression", "drift validate", "invert",
+])
+def test_bad_past_window_exits_2_and_writes_nothing(command, window, tmp_path, capsys):
+    out = tmp_path / "artifact.json"
+    argv = f"{command} --hurst 0.75 {window} --out {out}".split()
+    assert main(argv) == 2
+    assert "0 < dt <= 2.0 < u_deep" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_route_gap_against_a_zero_prediction():
+    # drift validate at H = 1/2 compares two exact zeros: no gap.  Any
+    # nonzero result against a zero reference still fails every tolerance.
+    zero = np.zeros((2, 3))
+    assert _rel_l2(zero, zero) == 0.0
+    assert _rel_l2(np.full((2, 3), 1e-300), zero) == math.inf
 
 
 def test_regbound_computes_c_e_once(monkeypatch, tmp_path):

@@ -7,6 +7,8 @@ and the graded three-piece s-quadrature that the library used before the
 closed form.  The operators build weights on the samples once and apply them
 to a batch of paths in one product; the per-path panel evaluation that
 interpolates each path at the quadrature nodes is kept here as their oracle.
+Every operator takes strictly negative sample times and pins the origin
+itself, so the oracles see each window with ``(0, 0)`` appended.
 """
 
 import re
@@ -35,24 +37,21 @@ from fbmkit.drift import (
 from fbmkit.errors import AccuracyError, ValidationError
 from fbmkit.fbm import fbm_cov, fbm_cov_matrix, joint_wz_cov, levy_cov_matrix
 from fbmkit.gaussian import cholesky_with_jitter
-from fbmkit.grids import SampledPath
 from fbmkit.quadrature import PATH_NODES, aligned_breaks, graded_breaks, panel_nodes
 from fbmkit.rng import make_rng
 
 
 def exp_past_grid(u_max, per_decade=16, e_min=-7.0):
-    """Geometric past observation times from ``-u_max`` up to 0 inclusive."""
+    """Geometric past observation times from ``-u_max`` up to ``-10^e_min``."""
     m = int(np.ceil((np.log10(u_max) - e_min) * per_decade))
     exps = np.linspace(e_min, np.log10(u_max), m + 1)
-    return np.concatenate([-(10.0**exps)[::-1], [0.0]])
+    return -(10.0**exps)[::-1]
 
 
 def sample_fbm_past(hurst, times, rng, paths):
-    """Rows of fBm values on ``times`` (last entry must be 0, pinned)."""
-    t_neg = times[:-1]
-    factor, _ = cholesky_with_jitter(fbm_cov_matrix(t_neg, hurst))
-    draws = (factor @ rng.standard_normal((t_neg.size, paths))).T
-    return np.hstack([draws, np.zeros((paths, 1))])
+    """Rows of fBm values on the negative ``times``."""
+    factor, _ = cholesky_with_jitter(fbm_cov_matrix(times, hurst))
+    return (factor @ rng.standard_normal((times.size, paths))).T
 
 
 def rel_l2(a, b):
@@ -239,13 +238,12 @@ class TestRegression:
 
     def test_drift_regression_applies_weights(self):
         hurst = 0.75
-        times = np.array([-2.0, -1.0, -0.5, -0.25, 0.0])
-        values = np.array([0.7, -0.3, 0.2, 0.4, 0.0])
-        past = SampledPath(times=times, values=values, kind="fBm")
+        times = np.array([-2.0, -1.0, -0.5, -0.25])
+        values = np.array([0.7, -0.3, 0.2, 0.4])
         v_grid = np.array([0.5, 1.0])
-        weights = regression_weights(hurst, times[:-1], v_grid)
-        expected = weights.T @ values[:-1]
-        got = drift_regression(hurst, past, v_grid)
+        weights = regression_weights(hurst, times, v_grid)
+        expected = weights.T @ values
+        got = drift_regression(hurst, times, values, v_grid)
         assert np.allclose(got, expected, rtol=1e-12)
 
     def test_rejects_nonnegative_past_times(self):
@@ -274,7 +272,7 @@ class TestRegression:
         target = levy_cov_matrix(v_grid, ctx)
         errors = []
         for u_max, per_decade in ((10.0, 4), (1.0e4, 16)):
-            times = exp_past_grid(u_max, per_decade)[:-1]
+            times = exp_past_grid(u_max, per_decade)
             cov = conditional_future_cov(hurst, times, v_grid)
             errors.append(rel_l2(cov, target))
         assert errors[1] < errors[0]
@@ -297,9 +295,8 @@ class TestDriftRoutes:
         pred_k = np.empty((rows.shape[0], v_grid.size))
         pred_r = np.empty_like(pred_k)
         for i, vals in enumerate(rows):
-            past = SampledPath(times=times, values=vals, kind="fBm")
-            pred_k[i] = drift_apply(kspec, past, v_grid)
-            pred_r[i] = drift_regression(hurst, past, v_grid)
+            pred_k[i] = drift_apply(kspec, times, vals, v_grid)
+            pred_r[i] = drift_regression(hurst, times, vals, v_grid)
         err = rel_l2(pred_k, pred_r)
         assert err < 0.05, f"H={hurst}: kernel vs regression rel L2 {err:.4f}"
 
@@ -312,10 +309,9 @@ class TestDriftRoutes:
         ctx = make_context(hurst)
         kspec = DriftKernelSpec(ctx=ctx)
         times = exp_past_grid(u_max)
-        t_neg = times[:-1]
         v_grid = np.linspace(0.25, 2.0, 8)
-        joint = joint_wz_cov(ctx, t_neg, v_grid)
-        nw = t_neg.size
+        joint = joint_wz_cov(ctx, times, v_grid)
+        nw = times.size
         ww, wz = joint[:nw, :nw], joint[:nw, nw:]
         factor, _ = cholesky_with_jitter(ww)
         draws = (factor @ make_rng(812).standard_normal((nw, 8))).T
@@ -323,12 +319,7 @@ class TestDriftRoutes:
         pred_d = np.empty((draws.shape[0], v_grid.size))
         pred_o = draws @ weights
         for i, w_vals in enumerate(draws):
-            w_past = SampledPath(
-                times=times,
-                values=np.concatenate([w_vals, [0.0]]),
-                kind="oBm",
-            )
-            pred_d[i] = drift_from_obm(kspec, w_past, v_grid)
+            pred_d[i] = drift_from_obm(kspec, times, w_vals, v_grid)
         err = rel_l2(pred_d, pred_o)
         assert err < 0.05, f"H={hurst}: driver vs regression rel L2 {err:.4f}"
 
@@ -336,12 +327,10 @@ class TestDriftRoutes:
         ctx = make_context(0.5)
         kspec = DriftKernelSpec(ctx=ctx)
         times = exp_past_grid(10.0, per_decade=4)
-        values = np.concatenate([make_rng(3).standard_normal(times.size - 1), [0.0]])
-        past = SampledPath(times=times, values=values, kind="fBm")
+        values = make_rng(3).standard_normal(times.size)
         v_grid = np.array([0.5, 1.0])
-        assert np.array_equal(drift_apply(kspec, past, v_grid), np.zeros(2))
-        w_past = SampledPath(times=times, values=values, kind="oBm")
-        assert np.array_equal(drift_from_obm(kspec, w_past, v_grid), np.zeros(2))
+        assert np.array_equal(drift_apply(kspec, times, values, v_grid), np.zeros(2))
+        assert np.array_equal(drift_from_obm(kspec, times, values, v_grid), np.zeros(2))
 
     def test_tail_estimates_shrink_with_window(self):
         ctx = make_context(0.75)
@@ -357,12 +346,10 @@ class TestDriftRoutes:
         kspec = DriftKernelSpec(ctx=ctx)
         times = exp_past_grid(2.0, per_decade=8)
         values = np.zeros(times.size)
-        past = SampledPath(times=times, values=values, kind="fBm")
         with pytest.raises(AccuracyError):
-            drift_apply(kspec, past, np.array([2.0]))
-        w_past = SampledPath(times=times, values=values, kind="oBm")
+            drift_apply(kspec, times, values, np.array([2.0]))
         with pytest.raises(AccuracyError):
-            drift_from_obm(kspec, w_past, np.array([2.0]))
+            drift_from_obm(kspec, times, values, np.array([2.0]))
 
     @pytest.mark.parametrize("hurst,u_short", [(0.25, 2.5), (0.75, 2.5), (0.9, 1e7), (0.95, 1e7)])
     def test_driver_window_error_names_a_sufficient_depth(self, hurst, u_short):
@@ -373,8 +360,7 @@ class TestDriftRoutes:
 
         def check(u_max):
             times = inversion_grid(1.0 / 128, u_deep=u_max)
-            past = SampledPath(times=times, values=np.zeros(times.size), kind="oBm")
-            return drift_from_obm(kspec, past, v_grid)
+            return drift_from_obm(kspec, times, np.zeros(times.size), v_grid)
 
         with pytest.raises(AccuracyError) as short:
             check(u_short)
@@ -390,16 +376,33 @@ class TestDriftRoutes:
         kspec = DriftKernelSpec(ctx=ctx)
         times = exp_past_grid(10.0, per_decade=4)
         values = np.zeros(times.size)
-        past = SampledPath(times=times, values=values, kind="fBm")
         with pytest.raises(ValidationError):
-            drift_apply(kspec, past, np.array([-0.5]))
+            drift_apply(kspec, times, values, np.array([-0.5]))
         with pytest.raises(ValidationError):
-            drift_from_obm(kspec, past, np.array([1.0]))  # not an oBm path
-        not_ending_at_zero = SampledPath(
-            times=times[:-1], values=values[:-1], kind="fBm"
-        )
-        with pytest.raises(ValidationError):
-            drift_apply(kspec, not_ending_at_zero, np.array([1.0]))
+            drift_from_obm(kspec, times, values, np.array([-0.5]))
+        # The operators add the origin themselves; a window holding it is refused.
+        with_origin = np.append(times, 0.0)
+        with pytest.raises(ValidationError, match="strictly negative"):
+            drift_apply(kspec, with_origin, np.append(values, 0.0), np.array([1.0]))
+
+
+@pytest.mark.parametrize("dt", [1e-3, 1.0 / 128, 0.3, 1.1, 1.2, 4.0 / 3.0, 2.0])
+@pytest.mark.parametrize("u_deep", [2.5, 600.0, 1.0e7])
+def test_inversion_grid_is_a_valid_past_window(dt, u_deep):
+    # Strictly increasing, strictly negative, from -u_deep, and uniform with
+    # spacing dt on [-2, 0) even where 2 / dt rounds up.
+    times = inversion_grid(dt, u_deep=u_deep)
+    assert np.all(np.diff(times) > 0) and times[-1] < 0.0
+    assert times[0] == pytest.approx(-u_deep, rel=1e-12)
+    uniform = times[(times >= -2.0) & (times <= -dt)]
+    assert uniform.size >= 1 and np.allclose(np.diff(uniform), dt, rtol=1e-9)
+
+
+@pytest.mark.parametrize("dt,u_deep", [(0.0, 600.0), (-0.1, 600.0), (3.0, 600.0),
+                                       (0.1, 2.0), (0.1, -5.0), (0.1, np.inf)])
+def test_inversion_grid_refuses_a_bad_window(dt, u_deep):
+    with pytest.raises(ValidationError, match="0 < dt <= 2.0 < u_deep"):
+        inversion_grid(dt, u_deep=u_deep)
 
 
 class TestInversion:
@@ -407,11 +410,10 @@ class TestInversion:
         ctx = make_context(0.5)
         kspec = DriftKernelSpec(ctx=ctx)
         times = exp_past_grid(4.0, per_decade=6)
-        values = np.concatenate([make_rng(9).standard_normal(times.size - 1), [0.0]])
-        past = SampledPath(times=times, values=values, kind="fBm")
-        t_rec = times[times < 0][::5]
-        got = pipiras_taqqu_invert(kspec, past, t_rec)
-        assert np.allclose(got, past.value_at(t_rec), atol=1e-12)
+        values = make_rng(9).standard_normal(times.size)
+        t_rec = times[::5]
+        got = pipiras_taqqu_invert(kspec, times, values, t_rec)
+        assert np.allclose(got, values[::5], atol=1e-12)
 
     @pytest.mark.parametrize("hurst", [0.25, 0.75])
     def test_round_trip_recovers_driver(self, hurst):
@@ -421,22 +423,16 @@ class TestInversion:
         kspec = DriftKernelSpec(ctx=ctx)
         dt = 1.0 / 512
         times = inversion_grid(dt)
-        t_neg = times[:-1]
         t_rec = -np.linspace(1.0, 1.0 / 8, 8)
-        t_rec = np.array([t_neg[np.argmin(np.abs(t_neg - t))] for t in t_rec])
-        factor, _ = cholesky_with_jitter(joint_wz_cov(ctx, t_rec, t_neg))
+        t_rec = np.array([times[np.argmin(np.abs(times - t))] for t in t_rec])
+        factor, _ = cholesky_with_jitter(joint_wz_cov(ctx, t_rec, times))
         rng = make_rng(813)
         paths = 8
-        draw = (factor @ rng.standard_normal((t_rec.size + t_neg.size, paths))).T
+        draw = (factor @ rng.standard_normal((t_rec.size + times.size, paths))).T
         w_true, z_obs = draw[:, : t_rec.size], draw[:, t_rec.size :]
         w_rec = np.empty_like(w_true)
         for i in range(paths):
-            past = SampledPath(
-                times=times,
-                values=np.concatenate([z_obs[i], [0.0]]),
-                kind="fBm",
-            )
-            w_rec[i] = pipiras_taqqu_invert(kspec, past, t_rec)
+            w_rec[i] = pipiras_taqqu_invert(kspec, times, z_obs[i], t_rec)
         err = rel_l2(w_rec, w_true)
         assert err < 0.05, f"H={hurst}: inversion rel L2 {err:.4f}"
 
@@ -444,31 +440,25 @@ class TestInversion:
         ctx = make_context(0.75)
         kspec = DriftKernelSpec(ctx=ctx)
         times = exp_past_grid(100.0, per_decade=8)
-        values = np.concatenate([make_rng(4).standard_normal(times.size - 1), [0.0]])
-        past = SampledPath(times=times, values=values, kind="fBm")
-        assert pipiras_taqqu_invert(kspec, past, 0.0) == 0.0
+        values = make_rng(4).standard_normal(times.size)
+        assert pipiras_taqqu_invert(kspec, times, values, 0.0) == 0.0
 
     def test_short_window_raises(self):
         ctx = make_context(0.75)
         kspec = DriftKernelSpec(ctx=ctx)
         times = exp_past_grid(2.0, per_decade=8)
-        past = SampledPath(times=times, values=np.zeros(times.size), kind="fBm")
         with pytest.raises(AccuracyError):
-            pipiras_taqqu_invert(kspec, past, -1.5)
+            pipiras_taqqu_invert(kspec, times, np.zeros(times.size), -1.5)
 
     def test_validation(self):
         ctx = make_context(0.75)
         kspec = DriftKernelSpec(ctx=ctx)
         times = exp_past_grid(10.0, per_decade=4)
         zeros = np.zeros(times.size)
-        past = SampledPath(times=times, values=zeros, kind="fBm")
         with pytest.raises(ValidationError):
-            pipiras_taqqu_invert(kspec, past, 0.5)  # future time
+            pipiras_taqqu_invert(kspec, times, zeros, 0.5)  # future time
         with pytest.raises(ValidationError):
-            pipiras_taqqu_invert(kspec, past, times[0] - 1.0)  # before window
-        obm = SampledPath(times=times, values=zeros, kind="oBm")
-        with pytest.raises(ValidationError):
-            pipiras_taqqu_invert(kspec, obm, -1.0)
+            pipiras_taqqu_invert(kspec, times, zeros, times[0] - 1.0)  # before window
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +467,7 @@ class TestInversion:
 #
 # Each oracle evaluates one path the way the operators did before they became
 # weights on the samples: Gauss-Legendre panels aligned with the samples, the
-# path interpolated at every node.  It returns the value and its rounding
+# path interpolated at every node.  It sees the window pinned at the origin.  It returns the value and its rounding
 # scale: the sum of |node weight| times |x_j| + |x_{j+1}|, the two samples the
 # node interpolates (np.interp's rounding error is a few ulps of those).
 
@@ -548,17 +538,20 @@ def oracle_invert(kspec, times, row, t_arr):
     return out, scale
 
 
+def pin(times, row):
+    """The window with the origin and its zero value appended."""
+    return np.append(times, 0.0), np.append(row, 0.0)
+
+
 def oracle_rows(oracle, first, times, rows, grid):
-    """Stack the oracle's (value, scale) over the rows of a batch."""
-    pairs = [oracle(first, times, row, grid) for row in rows]
+    """Stack the oracle's (value, scale) over the pinned rows of a batch."""
+    pairs = [oracle(first, *pin(times, row), grid) for row in rows]
     return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
 
 
-def pinned_rows(times, paths, seed):
-    """Rough random rows (independent normals), pinned to 0 at t = 0."""
-    rows = make_rng(seed).standard_normal((paths, times.size))
-    rows[:, -1] = 0.0
-    return rows
+def random_rows(times, paths, seed):
+    """Rough random rows: independent normals at the negative ``times``."""
+    return make_rng(seed).standard_normal((paths, times.size))
 
 
 def assert_within_rounding(got, expected, scale):
@@ -574,17 +567,17 @@ INVERT_TIMES = inversion_grid(1.0 / 64, u_deep=1.0e4)
 # Sample times (deep tail, uniform window, tip), times between samples and 0.
 INVERT_T = np.array([
     INVERT_TIMES[INVERT_TIMES < -2.0][-3], -2.5, -1.0, -0.3, -1.0 / 64, -0.01,
-    -3.0e-6, INVERT_TIMES[-3], 0.0,
+    -3.0e-6, INVERT_TIMES[-2], 0.0,
 ])
 
 
-# name -> (operator, its per-path oracle, path kind, sample times, v or t grid)
+# name -> (operator, its per-path oracle, sample times, v or t grid)
 BATCH_OPERATORS = {
-    "kernel": (drift_apply, oracle_drift_apply, "fBm", DRIFT_TIMES, DRIFT_V),
-    "driver": (drift_from_obm, oracle_drift_from_obm, "oBm", DRIFT_TIMES, DRIFT_V),
-    "regression": (drift_regression, oracle_drift_regression, "fBm",
+    "kernel": (drift_apply, oracle_drift_apply, DRIFT_TIMES, DRIFT_V),
+    "driver": (drift_from_obm, oracle_drift_from_obm, DRIFT_TIMES, DRIFT_V),
+    "regression": (drift_regression, oracle_drift_regression,
                    exp_past_grid(100.0, per_decade=8), DRIFT_V),
-    "inversion": (pipiras_taqqu_invert, oracle_invert, "fBm", INVERT_TIMES, INVERT_T),
+    "inversion": (pipiras_taqqu_invert, oracle_invert, INVERT_TIMES, INVERT_T),
 }
 
 
@@ -593,18 +586,17 @@ class TestBatchedOperators:
     @pytest.mark.parametrize("hurst", [0.25, 0.5, 0.75])
     @pytest.mark.parametrize("paths,two_d", [(1, False), (1, True), (5, True)])
     def test_matches_per_path_panels_and_row_by_row_calls(self, name, hurst, paths, two_d):
-        op, oracle, kind, times, grid = BATCH_OPERATORS[name]
+        op, oracle, times, grid = BATCH_OPERATORS[name]
         first = hurst if name == "regression" else DriftKernelSpec(ctx=make_context(hurst))
-        rows = pinned_rows(times, paths, 900 + paths)
+        rows = random_rows(times, paths, 900 + paths)
         values = rows if two_d else rows[0]
-        got = op(first, SampledPath(times=times, values=values, kind=kind), grid)
-        single = np.array([op(first, SampledPath(times=times, values=row, kind=kind), grid)
-                           for row in rows])
+        got = op(first, times, values, grid)
+        single = np.array([op(first, times, row, grid) for row in rows])
         if hurst == 0.5 and name != "regression":
             # No drift, and the driver is the process: exact, bit for bit.
             exact = np.zeros((paths, grid.size))
             if name == "inversion":
-                exact = np.array([np.interp(grid, times, row) for row in rows])
+                exact = np.array([np.interp(grid, *pin(times, row)) for row in rows])
             assert np.array_equal(got, exact if two_d else exact[0])
             assert np.array_equal(single, exact)
             return
@@ -615,57 +607,64 @@ class TestBatchedOperators:
 
     def test_scalar_time_drops_the_time_axis(self):
         kspec = DriftKernelSpec(ctx=make_context(0.75))
-        rows = pinned_rows(INVERT_TIMES, 3, 907)
-        past = SampledPath(times=INVERT_TIMES, values=rows, kind="fBm")
-        got = pipiras_taqqu_invert(kspec, past, -1.0)
+        rows = random_rows(INVERT_TIMES, 3, 907)
+        got = pipiras_taqqu_invert(kspec, INVERT_TIMES, rows, -1.0)
         assert got.shape == (3,)
-        assert np.array_equal(got, pipiras_taqqu_invert(kspec, past, np.array([-1.0]))[:, 0])
-        assert np.array_equal(pipiras_taqqu_invert(kspec, past, 0.0), np.zeros(3))
+        assert np.array_equal(
+            got, pipiras_taqqu_invert(kspec, INVERT_TIMES, rows, np.array([-1.0]))[:, 0]
+        )
+        assert np.array_equal(pipiras_taqqu_invert(kspec, INVERT_TIMES, rows, 0.0), np.zeros(3))
         half = DriftKernelSpec(ctx=make_context(0.5))
-        assert np.array_equal(pipiras_taqqu_invert(half, past, -1.0), past.value_at(-1.0))
+        assert np.array_equal(
+            pipiras_taqqu_invert(half, INVERT_TIMES, rows, -1.0),
+            [np.interp(-1.0, INVERT_TIMES, row) for row in rows],
+        )
 
     def test_short_window_raises_for_a_batch(self):
         kspec = DriftKernelSpec(ctx=make_context(0.75))
         times = exp_past_grid(2.0, per_decade=8)
         zeros = np.zeros((3, times.size))
         with pytest.raises(AccuracyError):
-            drift_apply(kspec, SampledPath(times=times, values=zeros, kind="fBm"), [2.0])
+            drift_apply(kspec, times, zeros, [2.0])
         with pytest.raises(AccuracyError):
-            drift_from_obm(kspec, SampledPath(times=times, values=zeros, kind="oBm"), [2.0])
+            drift_from_obm(kspec, times, zeros, [2.0])
         with pytest.raises(AccuracyError):
-            pipiras_taqqu_invert(kspec, SampledPath(times=times, values=zeros, kind="fBm"), -1.5)
+            pipiras_taqqu_invert(kspec, times, zeros, -1.5)
 
     def test_every_row_is_validated(self):
+        # One entry check for all four operators: every row must be finite,
+        # the batch at most 2-d, non-empty and matched to the times, and the
+        # times finite, strictly increasing and strictly negative.
         kspec = DriftKernelSpec(ctx=make_context(0.75))
         times = exp_past_grid(10.0, per_decade=4)
-        rows = pinned_rows(times, 3, 908)
-        unpinned = rows.copy()
-        unpinned[1, -1] = 0.5
-        with pytest.raises(ValidationError, match="pinned"):
-            SampledPath(times=times, values=unpinned, kind="fBm")
-        for kind in ("oBm", "derived"):
-            loose = SampledPath(times=times, values=unpinned, kind=kind)
-            with pytest.raises(ValidationError, match="value 0 at time 0"):
-                drift_regression(0.75, loose, [1.0])
-        with pytest.raises(ValidationError, match="value 0 at time 0"):
-            drift_from_obm(kspec, SampledPath(times=times, values=unpinned, kind="oBm"), [1.0])
-        with pytest.raises(ValidationError, match="value 0 at time 0"):
-            pipiras_taqqu_invert(kspec, SampledPath(times=times, values=unpinned, kind="derived"), -1.0)
+        rows = random_rows(times, 3, 908)
+        calls = {
+            "kernel": lambda t, x: drift_apply(kspec, t, x, [1.0]),
+            "driver": lambda t, x: drift_from_obm(kspec, t, x, [1.0]),
+            "regression": lambda t, x: drift_regression(0.75, t, x, [1.0]),
+            "inversion": lambda t, x: pipiras_taqqu_invert(kspec, t, x, -1.0),
+        }
+        bad_rows = []
         for bad in (np.nan, np.inf):
             broken = rows.copy()
             broken[2, 3] = bad
-            with pytest.raises(ValidationError, match="finite"):
-                SampledPath(times=times, values=broken, kind="fBm")
-        with pytest.raises(ValidationError, match="shape"):
-            SampledPath(times=times, values=rows[None], kind="fBm")
-        with pytest.raises(ValidationError, match="shape"):
-            SampledPath(times=times, values=rows[:, :-1], kind="fBm")
-        with pytest.raises(ValidationError, match="shape"):
-            SampledPath(times=times, values=np.zeros((0, times.size)), kind="fBm")
-
-    def test_batch_value_at_interpolates_each_row(self):
-        times = np.array([-2.0, -1.0, 0.0])
-        rows = np.array([[1.0, 3.0, 0.0], [-2.0, 2.0, 0.0]])
-        path = SampledPath(times=times, values=rows, kind="fBm")
-        assert np.array_equal(path.value_at([-1.5, -0.5]), [[2.0, 1.5], [0.0, 1.0]])
-        assert np.array_equal(path.value_at(-1.5), [2.0, 0.0])
+            bad_rows.append((broken, "finite"))
+        bad_rows += [
+            (rows[None], "shape"),
+            (rows[:, :-1], "shape"),
+            (np.zeros((0, times.size)), "shape"),
+        ]
+        bad_times = [
+            (np.where(np.arange(times.size) == 2, np.nan, times), "finite"),
+            (times[::-1], "increasing"),
+            (times - times[-1], "negative"),
+            (times + 1.0, "negative"),
+            (times[None], "1-d"),
+        ]
+        for name, call in calls.items():
+            for values, match in bad_rows:
+                with pytest.raises(ValidationError, match=match):
+                    call(times, values)
+            for bad, match in bad_times:
+                with pytest.raises(ValidationError, match=match):
+                    call(bad, rows)

@@ -246,6 +246,13 @@ def test_exact_product_matches_scipy_stats_normal_tail(hurst, alpha):
     sd = np.sqrt(chain["phi_k"]) * chain["sigma"]
     expected = float(stats.norm.logsf(thresholds / sd).sum())
     assert chain["log_exact_product"] == pytest.approx(expected, rel=1e-15, abs=0.0)
+    # Each link of the chain is an inequality of exact mathematics; the
+    # tail product and the sorted-index bound coincide here (I = 0..15), so
+    # they are compared up to rounding.
+    links = ("log_exact_product", "log_tail_product", "log_sorted_bound", "log_final_bound")
+    for smaller, larger in zip(links, links[1:]):
+        a, b = chain[smaller], chain[larger]
+        assert a <= b + 1e-12 * max(1.0, abs(a), abs(b)), (smaller, larger)
 
 
 def test_log_normal_tail_matches_scipy_log_ndtr():

@@ -10,7 +10,8 @@ against the graded Gauss-Legendre quadrature that computed it before the
 closed form.  The fGn autocovariance is checked against its second
 difference in 50-digit mpmath out to lag 2^24.  The half-spectrum inverse
 real FFT that maps normals to fGn is checked against the full Hermitian
-complex FFT it replaced, on the same normals.
+complex FFT it replaced, on the same normals, and its circulant embedding
+is checked nonnegative definite from H = 1e-4 to 0.99999.
 """
 
 import mpmath
@@ -23,7 +24,7 @@ from scipy.special import gamma as scipy_gamma
 from scipy.special import hyp2f1
 
 from fbmkit.context import make_context
-from fbmkit.errors import ValidationError
+from fbmkit.errors import AccuracyError, ValidationError
 from fbmkit.fbm import (
     _fgn_eigenvalues,
     _fgn_from_normals,
@@ -396,13 +397,24 @@ class TestSamplers:
     @pytest.mark.parametrize("n", [2, 3, 64, 16384])
     @pytest.mark.parametrize("hurst", [0.005, 0.25, 0.75, 0.995])
     def test_half_spectrum_transform_matches_the_full_fft(self, n, hurst):
-        lam = _fgn_eigenvalues(n, hurst, 1.0)
-        assert lam is not None and lam.size == 2 * (n - 1)
+        lam = _fgn_eigenvalues(fgn_autocov(n, hurst, 1.0))
+        assert lam.size == 2 * (n - 1)
         normals = make_rng(n).standard_normal((16, lam.size))
         got = _fgn_from_normals(lam, normals, n)
         want = fgn_from_normals_full_fft(lam, normals, n)
         assert got.shape == want.shape == (16, n)
         assert np.max(np.abs(got - want)) <= 2.0e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 1024, 16384])
+    def test_circulant_embedding_is_nonnegative_definite(self, n):
+        # Perrin et al. 2002: true for every H in (0, 1), so the sampler
+        # needs no dense fallback.
+        for hurst in (1e-4, 0.001, 0.01, *np.linspace(0.05, 0.95, 19), 0.99, 0.99999):
+            assert np.all(_fgn_eigenvalues(fgn_autocov(n, hurst, 1.0)) >= 0.0)
+
+    def test_indefinite_embedding_raises(self):
+        with pytest.raises(AccuracyError, match="indefinite"):
+            _fgn_eigenvalues(np.array([1.0, -2.0]))
 
     @pytest.mark.parametrize("hurst", [0.25, 0.75])
     def test_fgn_covariance(self, hurst):
@@ -455,10 +467,8 @@ class TestSamplers:
         n_steps, dt, t0 = 8, 0.25, -1.0
         draws = np.empty((5000, n_steps + 1))
         for i in range(draws.shape[0]):
-            path = sample_obm(n_steps, dt, rng, t0=t0)
-            draws[i] = path.values
+            draws[i] = sample_obm(n_steps, dt, rng, t0=t0)
         grid = t0 + dt * np.arange(n_steps + 1)
-        assert path.kind == "oBm" and np.array_equal(path.times, grid)
         anchor = np.argmin(np.abs(grid))
         assert np.all(draws[:, anchor] == 0.0)
         sign = np.sign(grid)

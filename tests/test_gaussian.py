@@ -1,7 +1,7 @@
 """Covariance sampling, regression solves, estimation, and binomial interval helpers.
 
 ``CovMatrix.solve`` is checked against ``scipy.linalg.cho_solve`` on the
-same factor, on the regression grids the library solves on.
+same factor, on the past windows the library regresses on.
 """
 
 import time
@@ -124,9 +124,9 @@ def regression_grid(name):
         return _exp_grid_neg(-7.0, 7.0, 24), v_crit
     v_default = np.array([float(v) for v in V_GRID_DEFAULT.split(",")])
     if name == "drift-regression-default":
-        return inversion_grid(1.0 / 128, u_deep=1.0e7)[:-1], v_default
+        return inversion_grid(1.0 / 128, u_deep=1.0e7), v_default
     # drift regression at --dt 2^-11 hits the cap on regression points.
-    times = inversion_grid(2.0**-11, u_deep=1.0e7)[:-1]
+    times = inversion_grid(2.0**-11, u_deep=1.0e7)
     pick = np.round(np.linspace(0, times.size - 1, REGRESSION_MAX_POINTS)).astype(int)
     return times[pick], v_default
 
@@ -141,7 +141,7 @@ GRIDS = ["criterion2-h0.25", "criterion2-h0.75", "drift-regression-default", "ca
 
 @pytest.mark.parametrize("name", GRIDS)
 @pytest.mark.parametrize("hurst", [0.05, 0.25, 0.75, 0.95])
-def test_solve_matches_cho_solve_on_the_regression_grids(name, hurst):
+def test_solve_matches_cho_solve_on_the_regression_windows(name, hurst):
     cov, cpv = regression_system(name, hurst)
     low = cov.cholesky
 
