@@ -9,8 +9,9 @@ hk-count), ``lil``, ``arbitrage`` (an-prob | ledger | threshold), and
 Conventions shared by all subcommands:
 
 - exit code 0 on success, 2 on validation (bad input) errors, 3 on accuracy
-  errors (a quadrature or Monte Carlo tolerance that cannot be met, or a
-  result that holds inf or nan, in which case nothing is written);
+  errors (a window-truncation, route-agreement or factorization tolerance
+  that cannot be met, or a result that holds inf or nan, in which case
+  nothing is written);
   ``selftest`` exits 0 when every criterion that fails is a declared
   expected failure, and 1 on any other failure or on a pass of a declared
   one;
@@ -75,7 +76,7 @@ from .gamma import (
 from .gaussian import CovMatrix
 from .reports import ExperimentReport, validate_report
 from .rng import make_rng
-from .serialize import canonical_json_dumps, format_float, format_floats
+from .serialize import canonical_json_dumps, csv_cell, format_floats
 from .subgauss import subgaussian_bound, subgaussian_constants
 from .thick import ThickSet, harmonic_subsum, is_thick_estimate
 
@@ -513,21 +514,6 @@ def _path_csv(times: np.ndarray, paths: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _csv_value(entry) -> str:
-    if isinstance(entry, bool):
-        return "true" if entry else "false"
-    if entry is None:
-        return ""
-    if isinstance(entry, (int, np.integer)):
-        return str(int(entry))
-    if isinstance(entry, float):
-        return format_float(entry)
-    text = str(entry)
-    if any(ch in text for ch in ",\"\n"):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def _table_doc(kind: str, config: dict, values: dict,
                seed: int | None = None) -> tuple[_Render, _Render]:
     """Check a table artifact and return its (JSON, CSV) renderers."""
@@ -543,7 +529,7 @@ def _table_doc(kind: str, config: dict, values: dict,
             val = values[name]
             entries = val if isinstance(val, list) else [val]
             for idx, entry in enumerate(entries):
-                lines.append(f"{name},{idx},{_csv_value(entry)}")
+                lines.append(f"{name},{idx},{csv_cell(entry)}")
         return "\n".join(lines) + "\n"
 
     return (lambda: canonical_json_dumps(doc)), render_csv
@@ -876,8 +862,8 @@ def _cmd_selftest(args) -> int:
             lines = ["number,name,passed,expected_failure,detail"]
             for r in report.results:
                 lines.append(
-                    f"{r.number},{_csv_value(r.name)},{str(r.passed).lower()},"
-                    f"{str(r.expected_failure).lower()},{_csv_value(r.detail)}"
+                    ",".join(csv_cell(v) for v in (
+                        r.number, r.name, r.passed, r.expected_failure, r.detail))
                 )
             return "\n".join(lines) + "\n"
 

@@ -42,15 +42,25 @@ on the same times, ``(paths, n)``; the result is ``(nv,)`` or ``(paths, nv)``
 to match.  Every window is pinned at ``Z_0 = 0``: the operators append the
 origin and its zero value themselves, after refusing non-finite,
 non-increasing, non-negative or mis-shaped input with
-:class:`~fbmkit.errors.ValidationError`.  Between samples the path is the
-linear interpolant of the pinned window.  Each call builds one weight matrix
-``W`` over the ``n + 1`` pinned samples and returns ``values @ W.T``, so a
-batch costs one product.  For the three integral routes ``W`` comes from
-Gauss-Legendre panels aligned with the samples
-(:func:`~fbmkit.quadrature.aligned_breaks`): each node's weight is split
-between its two bracketing samples by the hat functions.  The truncation
-estimates that raise :class:`~fbmkit.errors.AccuracyError` run once per
-call, before any weights are built.
+:class:`~fbmkit.errors.ValidationError`; evaluation times ``v`` must be
+finite and positive, and inversion times ``t`` finite in ``[t0, 0]``.
+Between samples the path is the linear interpolant of the pinned window.
+Each call builds one weight matrix ``W`` over the ``n + 1`` pinned samples
+and returns ``values @ W.T``, so a batch costs one product.
+
+The three integral routes take ``W`` in closed form.  For a kernel with
+antiderivative ``F1``, integration by parts against each sample's hat
+function gives its exact weight from the means ``D_i`` of ``F1`` over the
+sample intervals (:func:`_hat_weights`), so only interpolation and window
+truncation remain as errors.  The means are elementary in ``xi`` for the
+driver route (``F1 = -c1 xi_eta(-s, v)``) and the inversion
+(:func:`_xi_mean`), and for the kernel route a Pfaff-transformed ``2F1``
+summed in an argument of at most 1/2 (:func:`_kernel_weights`); neither
+cancels as ``H -> 1/2``.  Against 40-digit mpmath on
+``inversion_grid(1/128, 1e7)`` for ``H`` in [0.05, 0.95], ``1/2 +- 1e-6``
+included, every weight is within 2e-12 of its row's largest.  The
+truncation estimates that raise :class:`~fbmkit.errors.AccuracyError` run
+once per call, before any weights are built.
 
 The kernel in closed form
 -------------------------
@@ -81,9 +91,9 @@ import numpy as np
 
 from .context import HurstContext, xi
 from .errors import AccuracyError, ValidationError
-from .fbm import fbm_cov, fbm_cov_matrix
+from .fbm import _hyp2f1_unit_b, fbm_cov, fbm_cov_matrix
 from .gaussian import CovMatrix
-from .quadrature import PATH_NODES, PATH_TOL, aligned_breaks, panel_nodes
+from .quadrature import PATH_TOL
 
 __all__ = [
     "DriftKernelSpec",
@@ -136,6 +146,14 @@ def _pinned_past(times, values) -> tuple[np.ndarray, np.ndarray]:
     return np.append(times, 0.0), pinned
 
 
+def _future_times(v_grid) -> np.ndarray:
+    """``v_grid`` as a non-empty 1-d array, refused unless every time is finite and positive."""
+    v_grid = np.atleast_1d(np.asarray(v_grid, dtype=float))
+    if v_grid.ndim != 1 or v_grid.size == 0 or not np.all(np.isfinite(v_grid) & (v_grid > 0)):
+        raise ValidationError("v_grid must be a non-empty 1-d array of finite positive times")
+    return v_grid
+
+
 # ---------------------------------------------------------------------------
 # The prediction kernel K(u, v)
 # ---------------------------------------------------------------------------
@@ -160,30 +178,96 @@ def drift_kernel_value(kspec: DriftKernelSpec, u, v) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The drift operator
+# Exact weights on sampled paths
 # ---------------------------------------------------------------------------
 
-def _on_samples(times: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weights on the samples that apply ``weights`` to the interpolant at ``nodes``.
+def _hat_weights(first, means) -> np.ndarray:
+    """Sample weights of ``integral F1'(s) x(s) ds`` for the interpolant ``x`` of the samples.
 
-    ``nodes`` increase and lie in ``[times[0], times[-1]]``; ``weights`` has
-    one entry per node on its last axis.  Each node's weight is split between
-    its two bracketing samples by the hat functions, so ``x @ W.T`` equals
-    ``weights @ np.interp(nodes, times, x)`` up to rounding for every sample
-    vector ``x``.  Nodes sharing an interval are summed by one ``reduceat``.
+    From the means ``D_i`` of ``F1`` over the sample intervals and ``first
+    = F1(t_0)``, by parts: ``w_0 = D_0 - F1(t_0)``, ``w_j = D_j - D_{j-1}``.
+    The last weight, whose boundary term may be infinite, is 0: every window
+    ends at a node where ``x`` is 0 (the pinned origin, or ``Z_t - Z_t``).
     """
-    j = np.clip(np.searchsorted(times, nodes, side="right") - 1, 0, times.size - 2)
-    lo, hi = times[j], times[j + 1]
-    # Each node's shares of its left and right sample.
-    shares = np.stack([hi - nodes, nodes - lo]) / (hi - lo)
-    starts = np.flatnonzero(np.diff(j, prepend=-1))
-    cols = j[starts]
-    sums = np.add.reduceat(weights[..., None, :] * shares, starts, axis=-1)
-    out = np.zeros(weights.shape[:-1] + times.shape)
-    out[..., cols] = sums[..., 0, :]
-    out[..., cols + 1] += sums[..., 1, :]
+    out = np.zeros(means.shape[:-1] + (means.shape[-1] + 1,))
+    out[..., 0] = means[..., 0] - first
+    out[..., 1:-1] = np.diff(means, axis=-1)
     return out
 
+
+def _xi_mean(r: float, a, h, b) -> np.ndarray:
+    """Mean of ``xi_r(x, b)`` over ``x`` in ``[a, a + h]``, for ``a >= 0`` and ``h, b > 0``.
+
+    It is ``Delta_h Delta_b x^{r+1} / ((r + 1) h)``; dropping the linear
+    part of ``x^{r+1} = x + x (x^r - 1)`` leaves terms of the size of ``r``,
+    ``h xi_r(a+h, b) + b xi_r(a+b, h) + a Delta_h Delta_b x^r``.  The last
+    difference is taken in ``b`` where ``a < b``, its terms a factor 2 or
+    more apart, and in ``h`` elsewhere, losing at most ``log10(a / h)`` digits.
+    """
+    mixed = np.where(a < b, xi(r, a + b, h) - xi(r, a, h), xi(r, a + h, b) - xi(r, a, b))
+    return (xi(r, a + h, b) + (b / h) * xi(r, a + b, h) + (a / h) * mixed) / (1.0 + r)
+
+
+def _sine_pole_free(r: float) -> float:
+    """``pi / sin(pi r) - 1/r`` for ``0 < |r| <= 1/2``, as ``(z - sin z) / (r sin z)``, ``z = pi r``.
+
+    ``z - sin z`` is summed from its Taylor series, whose 12th term is below
+    1e-20 of the sum at ``|z| <= pi / 2``, so nothing cancels at small ``r``.
+    """
+    z = math.pi * r
+    term, total = z, 0.0
+    for k in range(1, 13):
+        term *= -z * z / ((2 * k) * (2 * k + 1))
+        total -= term
+    return total / (r * math.sin(z))
+
+
+def _kernel_weights(ctx: HurstContext, times: np.ndarray, v_grid: np.ndarray) -> np.ndarray:
+    """Weights ``(nv, n + 1)`` of :func:`drift_apply` on the pinned ``times``.
+
+    With ``x = -u/v`` and ``r = -eta``, ``F1 = eta c_h B(x)`` for
+    ``B = B_r - 1/r`` and ``B_s(x) = integral_0^x y^{s-1} / (1 + y) dy``,
+    whose pole at ``r = 0`` is the dropped constant: ``B = E - B_{r+1}``
+    with ``E = (x^r - 1)/r``.  Its antiderivative is ``C = x B - B_{r+1}``,
+    summed by :func:`~fbmkit.fbm._hyp2f1_unit_b` in an argument of at most 1/2:
+
+    * ``x <= 1``: Pfaff's transformation (DLMF 15.8.1) gives
+      ``(1 + x) B_{r+1}(x) = x^{r+1} 2F1(1, 1; r+2; x/(1+x)) / (r+1)``,
+      and ``C = x E - (1 + x) B_{r+1}``;
+    * ``x > 1``: the reflection ``B_r(x) = pi / sin(pi r) - B_{1-r}(1/x)``
+      gives ``C = (1 + x) S - E - x^r 2F1(1, 1; 2-r; 1/(1+x)) / (1 - r)``
+      with ``S = pi / sin(pi r) - 1/r``.
+
+    In both, ``B = (E + C) / (1 + x)``, which gives ``F1`` at the first sample.
+    """
+    r = -ctx.eta
+    x = -times / v_grid[:, None]
+    c = np.zeros_like(x)
+    pos = x > 0
+    xp = x[pos]
+    e = np.expm1(r * np.log(xp)) / r
+    near = xp <= 1.0
+    xn, xf = xp[near], xp[~near]
+    c_p = np.empty_like(xp)
+    series = _hyp2f1_unit_b(1.0, 2.0 + r, xn / (1.0 + xn))
+    c_p[near] = xn * e[near] - xn ** (1.0 + r) * series / (1.0 + r)
+    series = _hyp2f1_unit_b(1.0, 2.0 - r, 1.0 / (1.0 + xf))
+    c_p[~near] = (1.0 + xf) * _sine_pole_free(r) - e[~near] - xf**r * series / (1.0 - r)
+    c[pos] = c_p
+    first = (np.expm1(r * np.log(x[:, 0])) / r + c[:, 0]) / (1.0 + x[:, 0])
+    means = np.diff(c, axis=-1) / np.diff(x, axis=-1)
+    return (ctx.eta * ctx.c_h) * _hat_weights(first, means)
+
+
+def _driver_weights(ctx: HurstContext, times: np.ndarray, v_grid: np.ndarray) -> np.ndarray:
+    """Weights ``(nv, n + 1)`` of :func:`drift_from_obm`: ``F1 = -c1 xi_eta(-s, v)``."""
+    means = _xi_mean(ctx.eta, -times[1:], np.diff(times), v_grid[:, None])
+    return -ctx.c1 * _hat_weights(xi(ctx.eta, -times[0], v_grid), means)
+
+
+# ---------------------------------------------------------------------------
+# The drift operator
+# ---------------------------------------------------------------------------
 
 def drift_tail_sd(kspec: DriftKernelSpec, v: float, u_max: float) -> float:
     """Estimated std. dev. neglected by truncating the operator at ``-u_max``.
@@ -209,9 +293,7 @@ def drift_apply(kspec: DriftKernelSpec, times, values, v_grid) -> np.ndarray:
     at each ``v > 0`` in ``v_grid``, shape ``(nv,)`` or ``(paths, nv)``.
     """
     times, values = _pinned_past(times, values)
-    v_grid = np.atleast_1d(np.asarray(v_grid, dtype=float))
-    if np.any(v_grid <= 0):
-        raise ValidationError("evaluation times must be positive")
+    v_grid = _future_times(v_grid)
     ctx = kspec.ctx
     if ctx.eta == 0.0:
         return np.zeros(values.shape[:-1] + v_grid.shape)
@@ -226,9 +308,7 @@ def drift_apply(kspec: DriftKernelSpec, times, values, v_grid) -> np.ndarray:
             estimate=tail,
             budget=budget,
         )
-    nodes, weights = panel_nodes(aligned_breaks(times), PATH_NODES)
-    kernel = weights * drift_kernel_value(kspec, nodes, v_grid[:, None])
-    return values @ _on_samples(times, nodes, kernel).T
+    return values @ _kernel_weights(ctx, times, v_grid).T
 
 
 def drift_from_obm(kspec: DriftKernelSpec, times, values, v_grid) -> np.ndarray:
@@ -239,9 +319,7 @@ def drift_from_obm(kspec: DriftKernelSpec, times, values, v_grid) -> np.ndarray:
     one path or a batch, and the result has shape ``(nv,)`` or ``(paths, nv)``.
     """
     times, values = _pinned_past(times, values)
-    v_grid = np.atleast_1d(np.asarray(v_grid, dtype=float))
-    if np.any(v_grid <= 0):
-        raise ValidationError("evaluation times must be positive")
+    v_grid = _future_times(v_grid)
     ctx = kspec.ctx
     eta = ctx.eta
     if eta == 0.0:
@@ -265,9 +343,7 @@ def drift_from_obm(kspec: DriftKernelSpec, times, values, v_grid) -> np.ndarray:
             estimate=tail,
             budget=budget,
         )
-    nodes, weights = panel_nodes(aligned_breaks(times), PATH_NODES)
-    kernel = (eta * ctx.c1) * weights * xi(eta - 1.0, -nodes, v_grid[:, None])
-    return values @ _on_samples(times, nodes, kernel).T
+    return values @ _driver_weights(ctx, times, v_grid).T
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +424,42 @@ def invert_tail_sd(ctx: HurstContext, t: float, u_max: float) -> float:
     )
 
 
+def _inversion_weights(ctx: HurstContext, times: np.ndarray, t_arr: np.ndarray) -> np.ndarray:
+    """Weights ``(nt, n + 1)`` of :func:`pipiras_taqqu_invert` on the pinned ``times``.
+
+    Below ``t`` the kernel stays ``xi_{-eta-1}(t-s, -t)``: split into
+    ``(-s)^{-eta-1}`` less ``(t-s)^{-eta-1}``, a deep sample's two weights
+    cancel at small ``|t|`` (2e-9 of the row's largest weight at
+    ``t = -3e-6``, ``H = 0.05``, against 1.5e-13 here).
+    """
+    q = -ctx.eta
+    weights = np.zeros((t_arr.size, times.size))
+    for row, ti in zip(weights, t_arr):
+        if ti == 0.0:
+            continue
+        # Above t: the mean of F1 = x^q over x = -s in [a, a + h].
+        near = np.concatenate([[ti], times[times > ti]])
+        h = np.diff(near)
+        w_near = _hat_weights((-ti) ** q, xi(1.0 + q, -near[1:], h) / ((1.0 + q) * h))
+        row[times.size + 1 - near.size:] = w_near[1:]
+        z_t = w_near[0] + (-ti) ** q
+        below = times[times < ti]
+        if below.size:
+            # Below t: the mean of F1 = xi_q(y, -t) over y = t - s in [a, a + h].
+            deep = np.append(below, ti)
+            w_deep = _hat_weights(
+                xi(q, ti - below[0], -ti), _xi_mean(q, ti - deep[1:], np.diff(deep), -ti)
+            )[:-1]
+            row[:below.size] = w_deep
+            z_t -= w_deep.sum()
+        j = min(np.searchsorted(times, ti, side="right") - 1, times.size - 2)
+        share = (ti - times[j]) / (times[j + 1] - times[j])
+        row[j] += (1.0 - share) * z_t
+        row[j + 1] += share * z_t
+    weights *= ctx.c_h / ctx.c1
+    return weights
+
+
 def pipiras_taqqu_invert(kspec: DriftKernelSpec, times, values, t) -> np.ndarray:
     """Recover the driving Brownian motion at times ``t <= 0`` from the past of ``Z``.
 
@@ -355,22 +467,19 @@ def pipiras_taqqu_invert(kspec: DriftKernelSpec, times, values, t) -> np.ndarray
     + eta * integral_t^0 (-s)^{-eta-1} Z_s ds + (-t)^{-eta} Z_t``
 
     with ``Z`` observed as ``values`` at the negative ``times`` and
-    interpolated linearly.  The right side is linear in the
-    samples of ``Z``, so it is built once as a weight matrix over the samples
-    (one row per ``t``) and applied to one path or a batch in one product;
-    the result has shape ``(nt,)`` or ``(paths, nt)``, and a scalar ``t``
-    drops that axis.  Each integral is Gauss-Legendre on panels aligned with
-    the samples and graded toward its singular end, and each node's weight
-    is split between its two bracketing samples.  On the interval that ends
-    at or contains ``t``, ``Z_s - Z_t`` is the interpolant's slope times
-    ``s - t``, so those nodes weigh that slope and the weights stay finite
-    where ``integral xi_{-eta-1}`` alone diverges (``eta > 0``).
+    interpolated linearly.  One weight row per ``t`` is applied to one path
+    or a batch in one product; the result has shape ``(nt,)`` or
+    ``(paths, nt)``, and a scalar ``t`` drops that axis.  Each integral takes
+    exact hat weights on the nodes it spans, ``t`` included:
+    ``F1 = (-s)^{-eta}`` above ``t`` and ``F1 = xi_{-eta}(t-s, -t)`` below it,
+    where the node ``t`` carries ``Z_t - Z_t = 0``, so the weights stay
+    finite where ``integral xi_{-eta-1}`` alone diverges (``eta > 0``).
     At ``eta = 0`` the driver equals the process and is returned exactly.
     """
     times, values = _pinned_past(times, values)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr > 0) or np.any(t_arr < times[0]):
-        raise ValidationError("inversion times must lie in [t0, 0]")
+    if not np.all(np.isfinite(t_arr) & (t_arr <= 0) & (t_arr >= times[0])):
+        raise ValidationError("inversion times t must be finite and lie in [t0, 0]")
     scalar = np.ndim(t) == 0
     ctx = kspec.ctx
     eta = ctx.eta
@@ -392,37 +501,5 @@ def pipiras_taqqu_invert(kspec: DriftKernelSpec, times, values, t) -> np.ndarray
                 budget=budget,
             )
 
-    weights = np.zeros((t_arr.size, times.size))
-    for row, ti in zip(weights, t_arr):
-        if ti == 0.0:
-            continue
-        below = times[times < ti]
-        # Node weights of Z below t (deep), at t, and above t (near).  Panels
-        # follow the sample intervals, graded toward the integrable
-        # singularities at s -> t (deep) and s -> 0 (near).
-        s_d = w_d = np.empty(0)
-        z_t_weight = (-ti) ** (-eta)
-        if below.size:
-            s_d, w_d = panel_nodes(
-                aligned_breaks(np.concatenate([below, [ti]])), PATH_NODES
-            )
-            w_d = eta * w_d * xi(-eta - 1.0, ti - s_d, -ti)
-            last = s_d > below[-1]
-            j = below.size - 1
-            slope = w_d[last] @ (ti - s_d[last]) / (times[j + 1] - times[j])
-            row[j] += slope
-            row[j + 1] -= slope
-            s_d, w_d = s_d[~last], w_d[~last]
-            z_t_weight -= w_d.sum()
-        s_n, w_n = panel_nodes(
-            aligned_breaks(np.concatenate([[ti], times[times > ti]])), PATH_NODES
-        )
-        w_n = eta * w_n * (-s_n) ** (-eta - 1.0)
-        row += _on_samples(
-            times,
-            np.concatenate([s_d, [ti], s_n]),
-            np.concatenate([w_d, [z_t_weight], w_n]),
-        )
-    weights *= ctx.c_h / ctx.c1
-    out = values @ weights.T
+    out = values @ _inversion_weights(ctx, times, t_arr).T
     return out[..., 0] if scalar else out

@@ -5,10 +5,9 @@ Three families:
 * ``lil_statistic`` — samples the one-sided moving-average process at
   geometric times r^i and tracks the running minimum of
   Y_{r^i} / ((log i)^{1/2} r^{H i}) down a ladder of depths.  The normalised
-  values Y_i = c1 (T_i + P_i) are drawn directly from their own exact
-  (i_max+1)^2 covariance, the sum of the four blocks of ``lil_block_cov``
-  (recent window T / deep past P).  That block matrix stays the one exact
-  source of the covariance, pinned entry by entry against mpmath.
+  values Y_{r^i} / r^{H i} are drawn directly from their exact
+  (i_max+1)^2 covariance, the one-sided covariance of
+  :func:`~fbmkit.fbm.levy_cov_matrix` at the ladder times.
 * ``a_n_probability`` — estimates the probability that at least p*n of the
   ladder observables (G_i) exceed alpha * H^{-1/2} (log i)_+^{1/2},
   via exact covariance sampling, with Wilson intervals, over a doubling
@@ -37,7 +36,7 @@ import numpy as np
 from .almostdiag import phi_functions
 from .context import HurstContext
 from .errors import ValidationError
-from .fbm import _levy_integral
+from .fbm import levy_cov_matrix
 from .gamma import GammaConfig, decay_bound_check, gamma_cov_matrix, reg_bound_constants
 from .gaussian import CovMatrix
 from .reports import ExperimentReport, wilson_interval
@@ -48,7 +47,6 @@ __all__ = [
     "LIL_BAND_OFFSETS",
     "LilConfig",
     "ArbitrageConfig",
-    "lil_block_cov",
     "lil_statistic",
     "a_n_probability",
     "max_feasible_epsilon",
@@ -121,56 +119,16 @@ class LilConfig:
             )
 
 
-def lil_block_cov(cfg: LilConfig) -> np.ndarray:
-    """Exact covariance of the 2(i_max+1) normalized window/past blocks.
-
-    Ordering: [T_0..T_m-1, P_0..P_m-1] with T_i the recent-window piece of
-    Y_{r^i}/r^{Hi} (integration over (r^{i+1}, r^i)) and P_i the deep-past
-    piece (over (0, r^{i+1})).  The T_i are i.i.d. with variance
-    (1-r)^{2H}/(2H); T/P and P/P covariances are Toeplitz in the depth lag d.
-    With B = r^{-d} and L(lo, hi) = integral_0^lo (lo-u)^eta (hi-u)^eta du,
-    the one-sided (Levy) integral that :mod:`fbmkit.fbm` evaluates in closed
-    form,
-
-        Cov(T_{i+d}, P_i) = r^{Hd} L(1-r, B-r),
-        Cov(P_{i+d}, P_i) = r^{Hd} (L(1, B) - L(1-r, B-r)).
-
-    Both integrate (1-u)^eta (B-u)^eta: the window over (r, 1), which the
-    shift u -> u + r maps onto L, and the past over (0, r), which is the
-    whole of (0, 1) less the window.  The lag-0 window is the T variance.
-    All lags come from one broadcast evaluation of L.
-    """
-    ctx, r = cfg.ctx, cfg.r
-    m = cfg.i_max + 1
-    big = r ** -np.arange(m, dtype=float)
-    window, whole = _levy_integral(
-        ctx, np.array([[1.0 - r], [1.0]]), np.stack([big - r, big])
-    ) / ctx.c1**2
-    past = whole - window
-    lag = np.subtract.outer(np.arange(m), np.arange(m))
-    decay = r ** (ctx.hurst * np.abs(lag))
-    cross = np.where(lag >= 1, decay * window[np.abs(lag)], 0.0)
-    cov = np.zeros((2 * m, 2 * m))
-    cov[:m, :m] = window[0] * np.eye(m)
-    cov[:m, m:] = cross
-    cov[m:, :m] = cross.T
-    cov[m:, m:] = decay * past[np.abs(lag)]
-    return cov
-
-
 def _lil_cov(cfg: LilConfig) -> np.ndarray:
-    """Exact covariance of the normalised values Y_i = c1 (T_i + P_i), i <= i_max.
+    """Exact covariance of the normalised values Y_{r^i} / r^{H i}, i <= i_max.
 
-    The sum of the four blocks of :func:`lil_block_cov`, which stays the one
-    exact source of the matrix (its entries are pinned against mpmath).  The
-    sum is the one-sided covariance at times r^i scaled by r^{-H(i+j)}, and it
-    is far better conditioned than the block matrix (cond 33 against 4e17 at
+    The one-sided covariance at the ladder times r^i (taken in increasing
+    order) divided by r^{H i} r^{H j}.  It is well conditioned (cond 33 at
     H = 1/2), so its Cholesky factor needs no jitter.
     """
-    m = cfg.i_max + 1
-    blocks = lil_block_cov(cfg)
-    summed = blocks[:m, :m] + blocks[:m, m:] + blocks[m:, :m] + blocks[m:, m:]
-    return cfg.ctx.c1**2 * summed
+    times = cfg.r ** np.arange(cfg.i_max + 1, dtype=float)
+    scale = times**cfg.ctx.hurst
+    return levy_cov_matrix(times[::-1], cfg.ctx)[::-1, ::-1] / np.outer(scale, scale)
 
 
 def lil_statistic(cfg: LilConfig, *, threads: int = 1) -> ExperimentReport:
@@ -182,10 +140,8 @@ def lil_statistic(cfg: LilConfig, *, threads: int = 1) -> ExperimentReport:
     the acceptance band around the limit constant -1/sqrt(H), and the
     fraction of paths falling below the band.
 
-    The normalised values Y_i = c1 (T_i + P_i) are drawn directly from their
-    summed covariance (:func:`_lil_cov`), half the normals of a draw of the
-    T and P blocks; :func:`lil_block_cov` stays as the exact, mpmath-pinned
-    source of the sum.  Paths come ``_CHUNK`` = 2^15 at a time, one stream
+    The normalised values are drawn directly from their exact covariance
+    (:func:`_lil_cov`).  Paths come ``_CHUNK`` = 2^15 at a time, one stream
     per chunk (:func:`_map_sample_chunks`); each chunk is reduced on one of
     ``threads`` threads to its minima up to each ladder depth, and the
     chunks are joined in order, so the report does not depend on

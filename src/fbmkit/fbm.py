@@ -145,9 +145,11 @@ def _hyp2f1_unit_b(a: float, c: float, x: np.ndarray) -> np.ndarray:
 
     The coefficients are scalars.  The number of terms comes from the largest
     ``x`` of the call: coefficients are added until the term at that ``x``
-    falls below ``eps (1 - x) / 2``.  In every use in :func:`_levy_integral`
-    the terms after the first share one sign and their ratio tends to ``x``,
-    so the neglected tail stays near half an ulp of the sum at every ``x``.
+    falls below ``eps (1 - x) / 2``.  In every use, in :func:`_levy_integral`
+    and in the kernel weights of :mod:`fbmkit.drift` (``a = 1``,
+    ``c = 2 -+ r``, ``x <= 1/2``), the terms after the first share one sign
+    and their ratio tends to ``x``, so the neglected tail stays near half an
+    ulp of the sum at every ``x``.
     """
     x_max = float(x.max(initial=0.0))
     coeffs, term = [1.0], 1.0

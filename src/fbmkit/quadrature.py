@@ -1,9 +1,12 @@
 """Composite Gauss-Legendre quadrature on graded meshes.
 
-Used only where no closed form is known: the operators that
-:mod:`fbmkit.drift` applies to sampled paths.  ``integrate_checked`` has no
-library caller; the tests integrate reference integrals with it.  The
-design is built around integrands with power-law endpoint singularities:
+No library module calls this one: the path operators of :mod:`fbmkit.drift`
+take exact hat-function weights, and the gamma ladder and the Levy
+covariance sum closed-form series.  :mod:`fbmkit.drift` imports only
+``PATH_TOL`` from here.  The module stays because the benchmark traces
+``panel_nodes``, ``graded_breaks`` and ``integrate_checked`` by name, and
+the tests integrate reference integrals with them.  The design is built
+around integrands with power-law endpoint singularities:
 
 * ``graded_breaks`` produces geometrically refined panels toward a singular
   endpoint, so fixed-order Gauss-Legendre converges on each panel even when
@@ -16,8 +19,6 @@ design is built around integrands with power-law endpoint singularities:
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
@@ -28,7 +29,6 @@ __all__ = [
     "integrate",
     "integrate_checked",
     "graded_breaks",
-    "aligned_breaks",
 ]
 
 
@@ -39,21 +39,10 @@ GRADING_RATIO = 0.5
 CHECKED_NODES = 12
 # Relative error budget of the node-refinement check.
 REL_TOL = 1.0e-9
-# Gauss-Legendre order of the operators applied to sampled paths, whose
-# panels follow the sample intervals of a piecewise-linear interpolant.
-PATH_NODES = 8
 # Relative budget for the standard deviation dropped by truncating a random
 # integral to the observed window; kept apart from ``REL_TOL`` because the
 # truncation perturbs the law of the result, not just its value.
 PATH_TOL = 0.05
-
-
-@lru_cache(maxsize=64)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = leggauss(n)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
 
 
 def panel_nodes(breaks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -78,7 +67,7 @@ def panel_nodes(breaks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     widths = np.diff(breaks)
     if np.any(widths <= 0):
         raise ValidationError("breaks must be strictly increasing")
-    x, w = _leggauss(n)
+    x, w = leggauss(n)
     mid = 0.5 * (breaks[1:] + breaks[:-1])
     half = 0.5 * widths
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
@@ -152,23 +141,4 @@ def graded_breaks(
     # Collapse panels that underflow to zero width.
     keep = np.concatenate([[True], np.diff(pts) > 0])
     return pts[keep]
-
-
-def aligned_breaks(times: np.ndarray) -> np.ndarray:
-    """Panel boundaries aligned with sample times, sub-graded at the right end.
-
-    When integrating a kernel against a piecewise-linear interpolant of
-    sampled data, panels must coincide with the sample intervals — otherwise
-    the interpolant's kinks fall inside panels and fixed-order Gauss-Legendre
-    stops converging as the sampling densifies.  The final interval is
-    additionally refined toward its right endpoint, where the kernels used in
-    this package have their integrable singularity.
-    """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 2:
-        raise ValidationError("times must be a 1-d array with at least 2 entries")
-    if np.any(np.diff(times) <= 0):
-        raise ValidationError("times must be strictly increasing")
-    last = graded_breaks(times[-2], times[-1], toward="right")
-    return np.concatenate([times[:-2], last])
 

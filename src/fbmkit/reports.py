@@ -21,7 +21,7 @@ import jsonschema
 import numpy as np
 
 from .errors import ValidationError
-from .serialize import format_float
+from .serialize import csv_cell, format_float
 
 __all__ = [
     "Estimate",
@@ -132,27 +132,14 @@ class ExperimentReport:
         out.write("series,index,value,ci_low,ci_high,n_samples\n")
         for est in self.estimates:
             out.write(
-                f"{_csv_str(est.name)},0,{format_float(est.value)},"
+                f"{csv_cell(est.name)},0,{format_float(est.value)},"
                 f"{format_float(est.ci_low)},{format_float(est.ci_high)},"
                 f"{est.n_samples}\n"
             )
         for name in sorted(self.trends):
             for idx, value in enumerate(self.trends[name]):
-                out.write(f"{_csv_str(name)},{idx},{_csv_cell(value)},,,\n")
+                out.write(f"{csv_cell(name)},{idx},{csv_cell(value)},,,\n")
         return out.getvalue()
-
-
-def _csv_cell(value) -> str:
-    """Render one trend entry: blank for missing, JSON-style booleans."""
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        return _csv_str(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format_float(float(value))
 
 
 def _plain(obj):
@@ -170,12 +157,6 @@ def _plain(obj):
     if isinstance(obj, float) or isinstance(obj, np.floating):
         return float(obj)
     raise ValidationError(f"cannot echo config value of type {type(obj).__name__}")
-
-
-def _csv_str(s: str) -> str:
-    if any(c in s for c in ",\"\n"):
-        return '"' + s.replace('"', '""') + '"'
-    return s
 
 
 REPORT_SCHEMA = {

@@ -24,7 +24,7 @@ from itertools import repeat
 
 import numpy as np
 
-__all__ = ["format_float", "format_floats", "canonical_json_dumps"]
+__all__ = ["format_float", "format_floats", "csv_cell", "canonical_json_dumps"]
 
 
 def format_float(x: float) -> str:
@@ -47,6 +47,26 @@ def format_floats(values: np.ndarray) -> list[str]:
     if np.isfinite(flat).all():
         return list(map(format, flat.tolist(), repeat(".17g")))
     return [format_float(x) for x in flat.tolist()]
+
+
+def csv_cell(value) -> str:
+    """One CSV cell of a table, report or ``selftest`` artifact.
+
+    Booleans (numpy's too) are ``true``/``false`` as in JSON, None is blank,
+    integers are plain, text is quoted when it holds ``,``, ``"`` or a
+    newline, and any other number goes through :func:`format_float`.
+    """
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if value is None:
+        return ""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, str):
+        if any(ch in value for ch in ',"\n'):
+            return '"' + value.replace('"', '""') + '"'
+        return value
+    return format_float(value)
 
 
 def _emit_floats(arr: np.ndarray, indent: int, out: list) -> None:

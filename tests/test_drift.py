@@ -4,11 +4,13 @@ The finite-dimensional Gaussian regression is the brute-force oracle for
 both integral routes.  The closed-form kernel is checked against its printed
 ``J``-definition three ways: 50-digit mpmath, scipy's adaptive quadrature,
 and the graded three-piece s-quadrature that the library used before the
-closed form.  The operators build weights on the samples once and apply them
-to a batch of paths in one product; the per-path panel evaluation that
-interpolates each path at the quadrature nodes is kept here as their oracle.
-Every operator takes strictly negative sample times and pins the origin
-itself, so the oracles see each window with ``(0, 0)`` appended.
+closed form.  The operators build exact hat-function weights on the samples
+once and apply them to a batch of paths in one product.  Those weights are
+checked against 40-digit mpmath built from the antiderivatives (``mp.hyp2f1``
+for the kernel route); the per-path Gauss-Legendre panel evaluation that
+the operators used before stays as a cross-route check at its own measured
+error.  Every operator takes strictly negative sample times and pins the
+origin itself, so the oracles see each window with ``(0, 0)`` appended.
 """
 
 import re
@@ -24,6 +26,9 @@ from fbmkit.acceptance import inversion_grid
 from fbmkit.context import make_context, pow0, xi
 from fbmkit.drift import (
     DriftKernelSpec,
+    _driver_weights,
+    _inversion_weights,
+    _kernel_weights,
     conditional_future_cov,
     drift_apply,
     drift_from_obm,
@@ -37,8 +42,22 @@ from fbmkit.drift import (
 from fbmkit.errors import AccuracyError, ValidationError
 from fbmkit.fbm import fbm_cov, fbm_cov_matrix, joint_wz_cov, levy_cov_matrix
 from fbmkit.gaussian import cholesky_with_jitter
-from fbmkit.quadrature import PATH_NODES, aligned_breaks, graded_breaks, panel_nodes
+from fbmkit.quadrature import graded_breaks, panel_nodes
 from fbmkit.rng import make_rng
+
+# Gauss-Legendre order of the panel oracles below.
+PATH_NODES = 8
+
+
+def aligned_breaks(times):
+    """Panel boundaries on the sample intervals, the last one graded toward its right end.
+
+    The panels the operators integrated on before their weights were exact:
+    aligned with the samples, so the interpolant's kinks never fall inside a
+    panel, and graded toward the singular end of the window.
+    """
+    last = graded_breaks(times[-2], times[-1], toward="right")
+    return np.concatenate([times[:-2], last])
 
 
 def exp_past_grid(u_max, per_decade=16, e_min=-7.0):
@@ -462,16 +481,208 @@ class TestInversion:
 
 
 # ---------------------------------------------------------------------------
+# Exact hat weights against 40-digit mpmath
+# ---------------------------------------------------------------------------
+#
+# With F1 an antiderivative of a kernel and F2 one of F1, the weight of
+# sample j in integral F1'(s) x(s) ds, for the linear interpolant x of the
+# samples, is D_j - D_{j-1} with D_i = (F2(t_{i+1}) - F2(t_i)) / (t_{i+1} - t_i),
+# and D_0 - F1(t_0) at the first sample.  The references below evaluate F1
+# and F2 in 40-digit mpmath straight from their definitions: powers for the
+# driver route and the inversion, and for the kernel route
+# B_r(x) = x^r / r 2F1(1, r; r + 1; -x) from mp.hyp2f1, with neither the
+# Pfaff form nor the reflection that the library sums.  The differences
+# cancel at most 10 of the 40 digits on these grids.
+
+WEIGHT_TOL = 1.0e-11
+WEIGHT_TIMES = np.append(inversion_grid(1.0 / 128, u_deep=1.0e7), 0.0)
+# Sample times deep, in the uniform window and at the tip, times between
+# samples (the last one between the last sample and 0), the first sample
+# after the deep tail's last gap, and 0.
+WEIGHT_T = np.array([
+    WEIGHT_TIMES[0], WEIGHT_TIMES[3], -2.5, -1.99, -1.9921875, -1.0, -0.3,
+    -0.01, -3.0e-6, WEIGHT_TIMES[-2], 0.5 * WEIGHT_TIMES[-2], 0.0,
+])
+
+
+def mp_hat_weights(nodes, f1, f2):
+    """Hat weights on the mpf ``nodes`` but the last, from ``F1`` and its antiderivative ``F2``."""
+    f2_at = [f2(s) for s in nodes]
+    means = [(f2_at[i + 1] - f2_at[i]) / (nodes[i + 1] - nodes[i]) for i in range(len(nodes) - 1)]
+    return [means[0] - f1(nodes[0])] + [b - a for a, b in zip(means, means[1:])]
+
+
+def mp_constants(hurst):
+    """``(eta, c1, c_h)`` in mpmath at the working precision."""
+    h = mpmath.mpf(hurst)
+    eta = h - mpmath.mpf(1) / 2
+    c1 = mpmath.sqrt(2 * h * mpmath.sin(mpmath.pi * h) * mpmath.gamma(2 * h))
+    c1 /= mpmath.gamma(h + 0.5)
+    return eta, c1, 1 / (mpmath.gamma(1 + eta) * mpmath.gamma(1 - eta))
+
+
+def mp_kernel_weights(hurst, times, v):
+    """Weights of ``drift_apply`` at ``v`` on the pinned ``times``, but the origin's."""
+    with mpmath.workdps(40):
+        eta, _, c_h = mp_constants(hurst)
+        r, v = -eta, mpmath.mpf(v)
+
+        def b(s, x):  # integral_0^x y^{s-1} / (1 + y) dy
+            return x**s / s * mpmath.hyp2f1(1, s, s + 1, -x) if x else mpmath.mpf(0)
+
+        def f2(u):  # x = -u / v, so du = -v dx
+            x = -u / v
+            return -v * eta * c_h * (x * b(r, x) - b(r + 1, x))
+
+        nodes = [mpmath.mpf(t) for t in times]
+        return mp_hat_weights(nodes, lambda u: eta * c_h * b(r, -u / v), f2)
+
+
+def mp_driver_weights(hurst, times, v):
+    """Weights of ``drift_from_obm`` at ``v`` on the pinned ``times``, but the origin's."""
+    with mpmath.workdps(40):
+        eta, c1, _ = mp_constants(hurst)
+        v = mpmath.mpf(v)
+        nodes = [mpmath.mpf(t) for t in times]
+        return mp_hat_weights(
+            nodes,
+            lambda s: -c1 * ((v - s) ** eta - (-s) ** eta),
+            lambda s: c1 * ((v - s) ** (eta + 1) - (-s) ** (eta + 1)) / (eta + 1),
+        )
+
+
+def mp_inversion_weights(hurst, times, t):
+    """Weights of ``pipiras_taqqu_invert`` at ``t`` on the pinned ``times``.
+
+    The printed formula term by term: ``eta (-s)^{-eta-1}`` on ``[t, 0]``,
+    ``eta xi_{-eta-1}(t - s, -t)`` against ``Z_s - Z_t`` on ``[t0, t]``, and
+    ``(-t)^{-eta} Z_t``, with ``Z_t`` shared by the samples that bracket ``t``.
+    """
+    with mpmath.workdps(40):
+        eta, c1, c_h = mp_constants(hurst)
+        q, t = -eta, mpmath.mpf(t)
+        nodes = [mpmath.mpf(s) for s in times]
+        row = [mpmath.mpf(0)] * len(nodes)
+        if t == 0:
+            return row
+        above = [s for s in nodes if s > t]
+        near = mp_hat_weights(
+            [t] + above, lambda s: (-s) ** q, lambda s: -((-s) ** (1 + q)) / (1 + q)
+        )
+        row[len(nodes) - len(above):-1] = near[1:]
+        z_t = near[0] + (-t) ** q
+        below = [s for s in nodes if s < t]
+        if below:
+            deep = mp_hat_weights(
+                below + [t],
+                lambda s: (-s) ** q - (t - s) ** q,
+                lambda s: ((t - s) ** (1 + q) - (-s) ** (1 + q)) / (1 + q),
+            )
+            row[:len(below)] = deep
+            z_t -= mpmath.fsum(deep)
+        j = max(i for i in range(len(nodes) - 1) if nodes[i] <= t)
+        share = (t - nodes[j]) / (nodes[j + 1] - nodes[j])
+        row[j] += (1 - share) * z_t
+        row[j + 1] += share * z_t
+        return [w * c_h / c1 for w in row]
+
+
+def row_gap(got, want):
+    """Largest ``|got - want|`` over the row's largest ``|want|``."""
+    want = np.array(want, dtype=float)
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def mp_applied(weights, values):
+    """``sum_j w_j x_j`` in mpmath for mpf weights on the pinned samples."""
+    with mpmath.workdps(40):
+        return float(mpmath.fsum(w * mpmath.mpf(x) for w, x in zip(weights, values)))
+
+
+@pytest.mark.parametrize(
+    "hurst", [0.05, 0.25, 0.499, 0.499999, 0.500001, 0.501, 0.75, 0.95]
+)
+def test_hat_weights_match_mpmath(hurst):
+    # Within 1e-11 of each row's largest weight on the CLI's default grid; the
+    # panels they replace reached 8.5e-9 (H = 0.05 driver, H = 0.95 kernel).
+    ctx = make_context(hurst)
+    for v in (0.125, 2.0):
+        for build, reference in ((_kernel_weights, mp_kernel_weights),
+                                 (_driver_weights, mp_driver_weights)):
+            got = build(ctx, WEIGHT_TIMES, np.array([v]))[0]
+            assert got[-1] == 0.0
+            assert row_gap(got[:-1], reference(hurst, WEIGHT_TIMES, v)) <= WEIGHT_TOL, (
+                build.__name__, v)
+    got = _inversion_weights(ctx, WEIGHT_TIMES, WEIGHT_T)
+    assert not got[-1].any()
+    for row, t in zip(got[:-1], WEIGHT_T[:-1]):
+        assert row_gap(row, mp_inversion_weights(hurst, WEIGHT_TIMES, t)) <= WEIGHT_TOL, t
+
+
+@pytest.mark.parametrize("hurst", [0.25, 0.75])
+def test_inversion_after_the_deep_tail_matches_mpmath(hurst):
+    # t = -1.9921875 is the first uniform sample after the deep tail's last
+    # 0.2-wide gap, which ends 1/128 below it; t = -1.99 lies between samples.
+    # Grading only the last interval before t left the panels 7e-4 off here.
+    kspec = DriftKernelSpec(ctx=make_context(hurst))
+    times = inversion_grid(1.0 / 128, u_deep=1.0e4)
+    values = random_rows(times, 1, 915)[0]
+    got = pipiras_taqqu_invert(kspec, times, values, [-1.99, -1.9921875])
+    pinned, path = pin(times, values)
+    for value, t in zip(got, (-1.99, -1.9921875)):
+        want = mp_applied(mp_inversion_weights(hurst, pinned, t), path)
+        assert value == pytest.approx(want, rel=1e-12, abs=0.0), t
+
+
+@pytest.mark.parametrize("hurst", [0.499, 0.501])
+def test_inversion_at_the_window_ends_and_between_samples(hurst):
+    # t = t0 has no interval below it and t = 0 gives W_0 = 0; -0.3 falls
+    # between samples.  Near H = 1/2 the tail bound admits t = t0.
+    kspec = DriftKernelSpec(ctx=make_context(hurst))
+    times = inversion_grid(1.0 / 128, u_deep=1.0e4)
+    values = random_rows(times, 1, 916)[0]
+    pinned, path = pin(times, values)
+    got = pipiras_taqqu_invert(kspec, times, values, [times[0], -0.3, 0.0])
+    assert got[2] == 0.0
+    scalar = pipiras_taqqu_invert(kspec, times, values, -0.3)
+    assert np.ndim(scalar) == 0
+    for value, t in ((got[0], times[0]), (got[1], -0.3), (scalar, -0.3)):
+        want = mp_applied(mp_inversion_weights(hurst, pinned, t), path)
+        assert value == pytest.approx(want, rel=1e-12, abs=0.0), t
+
+
+@pytest.mark.parametrize("hurst", [0.5, 0.75])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_evaluation_times_are_refused(hurst, bad):
+    kspec = DriftKernelSpec(ctx=make_context(hurst))
+    times = exp_past_grid(10.0, per_decade=4)
+    values = np.zeros(times.size)
+    for op in (drift_apply, drift_from_obm):
+        with pytest.raises(ValidationError, match="v_grid"):
+            op(kspec, times, values, [1.0, bad])
+    for t in (bad, [-1.0, bad]):
+        with pytest.raises(ValidationError, match="inversion times t"):
+            pipiras_taqqu_invert(kspec, times, values, t)
+
+
+# ---------------------------------------------------------------------------
 # Batched operators against the per-path panel evaluation
 # ---------------------------------------------------------------------------
 #
-# Each oracle evaluates one path the way the operators did before they became
-# weights on the samples: Gauss-Legendre panels aligned with the samples, the
-# path interpolated at every node.  It sees the window pinned at the origin.  It returns the value and its rounding
-# scale: the sum of |node weight| times |x_j| + |x_{j+1}|, the two samples the
-# node interpolates (np.interp's rounding error is a few ulps of those).
+# Each oracle evaluates one path the way the operators did before their
+# weights were exact: Gauss-Legendre panels aligned with the samples, the
+# path interpolated at every node.  It sees the window pinned at the origin.
+# It returns the value and its rounding scale: the sum of |node weight| times
+# |x_j| + |x_{j+1}|, the two samples the node interpolates (np.interp's
+# rounding error is a few ulps of those).  A batch must match its rows called
+# one by one to BATCH_TOL of that scale.  The panels themselves are a second
+# route with their own error: measured against the exact weights on these
+# grids it is 1.9e-14 (kernel), 3.1e-15 (driver) and 1.9e-8 (inversion, at
+# t = -3e-6, where only the last interval before t is graded) of the scale.
 
 BATCH_TOL = 1.0e-13
+PANEL_TOL = {"kernel": BATCH_TOL, "driver": BATCH_TOL, "regression": BATCH_TOL,
+             "inversion": 5.0e-8}
 
 
 def bracket_sizes(times, row, nodes):
@@ -554,9 +765,9 @@ def random_rows(times, paths, seed):
     return make_rng(seed).standard_normal((paths, times.size))
 
 
-def assert_within_rounding(got, expected, scale):
+def assert_within_rounding(got, expected, scale, tol=BATCH_TOL):
     assert got.shape == expected.shape
-    assert np.all(np.abs(got - expected) <= BATCH_TOL * scale), (
+    assert np.all(np.abs(got - expected) <= tol * scale), (
         float(np.max(np.abs(got - expected) / np.maximum(scale, 1e-300)))
     )
 
@@ -601,9 +812,10 @@ class TestBatchedOperators:
             assert np.array_equal(single, exact)
             return
         want, scale = oracle_rows(oracle, first, times, rows, grid)
-        assert_within_rounding(got, want if two_d else want[0], scale if two_d else scale[0])
-        assert_within_rounding(single, want, scale)
         assert_within_rounding(np.atleast_2d(got), single, scale)
+        tol = PANEL_TOL[name]
+        assert_within_rounding(got, want if two_d else want[0], scale if two_d else scale[0], tol)
+        assert_within_rounding(single, want, scale, tol)
 
     def test_scalar_time_drops_the_time_axis(self):
         kspec = DriftKernelSpec(ctx=make_context(0.75))

@@ -1,11 +1,13 @@
 """The LIL covariances and the Monte Carlo reductions of the experiments.
 
-``lil_block_cov`` is checked entry by entry against 40-digit mpmath
+The covariance that ``lil_statistic`` samples from is the one-sided
+covariance at the ladder times; its oracle is the window/past block matrix
+``lil_block_cov`` below, which sums a different set of one-sided integrals.
+That block matrix is checked entry by entry against 40-digit mpmath
 quadrature of the two block integrals (the recent window over ``(r, 1)`` and
 the deep past over ``(0, r)``), against the graded Gauss-Legendre quadrature
 that computed it before the closed form, and for symmetry and positive
-definiteness.  The summed matrix that ``lil_statistic`` samples from is
-checked against ``levy_cov_matrix`` at the ladder times.  The prefix-count
+definiteness.  The prefix-count
 reduction of ``a_n_probability`` is checked against the cumulative-sum
 reduction it replaced, and its estimate of P(A_n) against an antithetic
 estimator on a symmetric square root of the same covariance.  Both
@@ -36,12 +38,11 @@ from fbmkit.experiments import (
     _log_normal_tail,
     _prefix_hits,
     a_n_probability,
-    lil_block_cov,
     lil_statistic,
     product_tail_chain,
     union_bound_ledger,
 )
-from fbmkit.fbm import levy_cov_matrix
+from fbmkit.fbm import _levy_integral
 from fbmkit.gamma import GammaConfig, gamma_cov_matrix
 from fbmkit.gaussian import CovMatrix, cholesky_with_jitter
 from fbmkit.quadrature import graded_breaks, integrate_checked
@@ -54,6 +55,43 @@ LAGS = [0, 1, 2, 5, 20, 40]
 
 def _cfg(hurst, r):
     return LilConfig(make_context(hurst), r=r, i_max=I_MAX, n_paths=1, seed=0)
+
+
+def lil_block_cov(cfg):
+    """Exact covariance of the 2(i_max+1) normalized window/past blocks.
+
+    Ordering: [T_0..T_m-1, P_0..P_m-1] with T_i the recent-window piece of
+    Y_{r^i}/(c1 r^{Hi}) (integration over (r^{i+1}, r^i)) and P_i the deep-past
+    piece (over (0, r^{i+1})).  The T_i are i.i.d. with variance
+    (1-r)^{2H}/(2H); T/P and P/P covariances are Toeplitz in the depth lag d.
+    With B = r^{-d} and L(lo, hi) = integral_0^lo (lo-u)^eta (hi-u)^eta du,
+    the one-sided (Levy) integral that :mod:`fbmkit.fbm` evaluates in closed
+    form,
+
+        Cov(T_{i+d}, P_i) = r^{Hd} L(1-r, B-r),
+        Cov(P_{i+d}, P_i) = r^{Hd} (L(1, B) - L(1-r, B-r)).
+
+    Both integrate (1-u)^eta (B-u)^eta: the window over (r, 1), which the
+    shift u -> u + r maps onto L, and the past over (0, r), which is the
+    whole of (0, 1) less the window.  The lag-0 window is the T variance.
+    All lags come from one broadcast evaluation of L.
+    """
+    ctx, r = cfg.ctx, cfg.r
+    m = cfg.i_max + 1
+    big = r ** -np.arange(m, dtype=float)
+    window, whole = _levy_integral(
+        ctx, np.array([[1.0 - r], [1.0]]), np.stack([big - r, big])
+    ) / ctx.c1**2
+    past = whole - window
+    lag = np.subtract.outer(np.arange(m), np.arange(m))
+    decay = r ** (ctx.hurst * np.abs(lag))
+    cross = np.where(lag >= 1, decay * window[np.abs(lag)], 0.0)
+    cov = np.zeros((2 * m, 2 * m))
+    cov[:m, :m] = window[0] * np.eye(m)
+    cov[:m, m:] = cross
+    cov[m:, :m] = cross.T
+    cov[m:, m:] = decay * past[np.abs(lag)]
+    return cov
 
 
 def blocks_mpmath(hurst, r, d):
@@ -140,16 +178,17 @@ def test_matrix_is_symmetric_and_factors_without_jitter(hurst, r):
 
 @pytest.mark.parametrize("hurst", [0.005, 0.02, 0.25, 0.5, 0.75, 0.995])
 @pytest.mark.parametrize("r", [0.1, 0.5, 0.9])
-def test_summed_cov_is_the_scaled_one_sided_cov_and_factors_without_jitter(hurst, r):
-    # Y_i = c1 (T_i + P_i) is Y at time r^i over r^{Hi}.  At H = 1/2 the block
-    # matrix needs jitter; the summed one must not.
+def test_sampled_cov_is_the_summed_blocks_and_factors_without_jitter(hurst, r):
+    # Y at time r^i over r^{Hi} is c1 (T_i + P_i): the scaled one-sided
+    # covariance is c1^2 times the sum of the four blocks (measured within
+    # 2.1e-14 relative here).  At H = 1/2 the block matrix needs jitter; the
+    # summed one must not.
     cfg = _cfg(hurst, r)
     cov = _lil_cov(cfg)
-    i = np.arange(I_MAX + 1)
-    times = r**i
-    ref = levy_cov_matrix(times[::-1], cfg.ctx)[::-1, ::-1]
-    ref /= np.outer(times, times) ** hurst
-    assert np.all(np.abs(cov - ref) <= 1e-13 * np.abs(ref))
+    m = I_MAX + 1
+    blocks = lil_block_cov(cfg)
+    ref = cfg.ctx.c1**2 * (blocks[:m, :m] + blocks[:m, m:] + blocks[m:, :m] + blocks[m:, m:])
+    assert np.all(np.abs(cov - ref) <= 5e-14 * np.abs(ref))
     _, jitter = cholesky_with_jitter(cov)
     assert jitter == 0.0
 
@@ -190,9 +229,12 @@ def test_reports_carry_wall_time_and_creation_time():
 # Paths per Monte Carlo chunk, fixed on memory grounds.
 CHUNK = 2**15
 # Digest of a lil_statistic report (volatile fields dropped) for H = 0.75,
-# r = 0.5, i_max = 12, 70000 paths, seed 5, frozen from the code before
-# lil_statistic shared its chunking with a_n_probability.
-LIL_DIGEST = "142abe00d2335a3b9fc0b380e21ecdc31c9f55d85cb9cac0566475ee507cb92d"
+# r = 0.5, i_max = 12, 70000 paths, seed 5.  Frozen from the code before
+# lil_statistic shared its chunking with a_n_probability, and refrozen when
+# its covariance became the scaled one-sided covariance instead of the
+# four-block sum: the medians and their intervals moved in the last one or
+# two of their 17 digits, and no count below the band moved.
+LIL_DIGEST = "cd9059bd3991533ccded6be686c38ea8603349d55799a858450d4e1c34de06bb"
 
 
 def report_digest(report):

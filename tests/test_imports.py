@@ -9,7 +9,9 @@ their imports are re-exports.
 No module under ``src/`` imports scipy, at module level or inside a
 function, and ``pyproject.toml`` lists only numpy and jsonschema as runtime
 dependencies; scipy stays in the ``test`` extra as an oracle.  ``gamma.py``
-sums its series in closed form and imports nothing from ``quadrature``.
+sums its series in closed form and imports nothing from ``quadrature``;
+``drift.py`` takes exact path weights and imports only ``PATH_TOL`` from it,
+and no library module but ``quadrature.py`` names the panel helpers.
 """
 
 import ast
@@ -101,6 +103,64 @@ def test_the_scan_sees_relative_imports():
 def test_gamma_imports_nothing_from_quadrature():
     source = (ROOT / "src" / "fbmkit" / "gamma.py").read_text(encoding="utf-8")
     assert "quadrature" not in module_path_parts(source)
+
+
+def names_imported_from(source: str, module: str) -> set[str]:
+    """What ``source`` imports from ``module``, relative or absolute, at any depth.
+
+    A whole-module import (``import pkg.module``, ``from . import module``)
+    counts as importing ``*``.
+    """
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == module:
+                found.update(a.name for a in node.names)
+            elif any(a.name == module for a in node.names):
+                found.add("*")
+        elif isinstance(node, ast.Import):
+            if any(a.name.split(".")[-1] == module for a in node.names):
+                found.add("*")
+    return found
+
+
+def identifiers(source: str) -> set[str]:
+    """Every name that ``source`` defines, reads, imports or takes as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.update(node.name.split("."))
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+    return found
+
+
+def test_the_scans_see_module_imports_and_attributes():
+    source = (
+        "from .quadrature import PATH_TOL as tol\nfrom . import quadrature\n"
+        "def f():\n    return quadrature.panel_nodes\n"
+    )
+    assert names_imported_from(source, "quadrature") == {"PATH_TOL", "*"}
+    assert {"panel_nodes", "quadrature", "PATH_TOL", "f"} <= identifiers(source)
+
+
+def test_drift_imports_only_path_tol_from_quadrature():
+    source = (ROOT / "src" / "fbmkit" / "drift.py").read_text(encoding="utf-8")
+    assert names_imported_from(source, "quadrature") == {"PATH_TOL"}
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in (ROOT / "src").rglob("*.py") if p.name != "quadrature.py"),
+    ids=lambda p: str(p.relative_to(ROOT)),
+)
+def test_no_library_module_but_quadrature_names_the_panel_helpers(path):
+    names = identifiers(path.read_text(encoding="utf-8"))
+    assert not names & {"aligned_breaks", "PATH_NODES", "panel_nodes"}
 
 
 def test_runtime_dependencies_are_numpy_and_jsonschema():

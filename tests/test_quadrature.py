@@ -10,7 +10,6 @@ from scipy import integrate as sci
 
 from fbmkit.errors import AccuracyError, ValidationError
 from fbmkit.quadrature import (
-    aligned_breaks,
     graded_breaks,
     integrate,
     integrate_checked,
@@ -77,14 +76,6 @@ def test_graded_breaks_validation():
         graded_breaks(1.0, 1.0)
     with pytest.raises(ValidationError):
         graded_breaks(0.0, 1.0, toward="up")
-
-
-def test_aligned_breaks_keeps_sample_points():
-    times = np.array([0.0, 0.5, 1.0, 1.5])
-    b = aligned_breaks(times)
-    for t in times[:-1]:
-        assert t in b
-    assert b[-1] == times[-1]
 
 
 def test_panel_nodes_cover_panels():

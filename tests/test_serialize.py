@@ -1,13 +1,16 @@
 """Canonical JSON emission and float formatting."""
 
+import csv
+import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fbmkit.serialize import canonical_json_dumps, format_float
+from fbmkit.serialize import canonical_json_dumps, csv_cell, format_float
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
@@ -20,6 +23,20 @@ def test_format_float_uses_17_significant_digits():
     assert format_float(0.1) == "0.10000000000000001"
     assert format_float(1.0) == "1"
     assert format_float(-0.0) == "-0"
+
+
+def test_csv_cell_renders_each_kind_of_value():
+    cases = [
+        (True, "true"), (np.False_, "false"), (None, ""), (7, "7"),
+        (np.int64(-3), "-3"), (0.1, "0.10000000000000001"), (np.float64(2.0), "2"),
+        (float("nan"), "NaN"), ("plain", "plain"), ("a,b", '"a,b"'),
+        ('say "hi"', '"say ""hi"""'), ("two\nlines", '"two\nlines"'),
+    ]
+    for value, text in cases:
+        assert csv_cell(value) == text, value
+    # The quoted cells read back as the original text.
+    row = ",".join(csv_cell(v) for v in ("a,b", 'say "hi"', "two\nlines"))
+    assert next(csv.reader(io.StringIO(row))) == ["a,b", 'say "hi"', "two\nlines"]
 
 
 def test_canonical_json_sorts_keys_and_is_stable():
