@@ -8,9 +8,9 @@ every sampler consumes a single logical stream (or per-chunk streams), and
 criterion 11 re-runs the first ten at a different thread count and demands
 byte-identical canonical reports.
 
-``run_all`` runs the battery for the CLI ``selftest`` subcommand;
-``run_criterion`` runs one criterion with the same seeds, which is how the
-per-criterion tests call it.
+``run_all`` runs the battery, criterion 11 included, for the CLI
+``selftest`` subcommand; ``run_criterion`` runs one of criteria 1-10 with
+the same seeds, which is how the per-criterion tests call it.
 """
 
 from __future__ import annotations
@@ -30,8 +30,11 @@ from .drift import (
     conditional_future_cov,
     drift_apply,
     drift_from_obm,
+    driver_roundtrip,
+    inversion_grid,
     pipiras_taqqu_invert,
     regression_weights,
+    rel_l2,
 )
 from .errors import ValidationError
 from .experiments import ArbitrageConfig, LilConfig, a_n_probability, lil_statistic
@@ -57,7 +60,6 @@ __all__ = [
     "AcceptanceReport",
     "run_all",
     "run_criterion",
-    "inversion_grid",
     "CRITERION_NAMES",
 ]
 
@@ -202,18 +204,6 @@ def _f(x: float) -> str:
     return f"{float(x):.6g}"
 
 
-def _rel_l2(a: np.ndarray, b: np.ndarray) -> float:
-    """Relative L2 distance of ``a`` from the reference ``b``.
-
-    Against an all-zero reference (both prediction routes at H = 1/2) an
-    equal ``a`` is 0 away and any other is infinitely far.
-    """
-    scale = np.sqrt(np.mean(b**2))
-    if scale == 0.0:
-        return 0.0 if np.array_equal(a, b) else math.inf
-    return float(np.sqrt(np.mean((a - b) ** 2)) / scale)
-
-
 def _exp_grid_neg(e_min: float, e_max: float, per_decade: int) -> np.ndarray:
     """Strictly negative geometric times -10^e_max .. -10^e_min (increasing)."""
     k = np.arange(int(round((e_max - e_min) * per_decade)) + 1)
@@ -347,7 +337,7 @@ def _criterion_3(seed_seq, threads: int) -> tuple[bool, str, dict]:
                         ("refined", np.ones(fine_neg.size, dtype=bool))):
         pred_kernel = drift_apply(kspec, fine_neg[mask], z_fine[:, mask], v_grid)
         pred_driver = drift_from_obm(kspec, fine_neg[mask], w_fine[:, mask], v_grid)
-        errors[label] = _rel_l2(pred_kernel, pred_driver)
+        errors[label] = rel_l2(pred_kernel, pred_driver)
 
     passed = (
         errors["default"] < 0.05
@@ -365,40 +355,6 @@ def _criterion_3(seed_seq, threads: int) -> tuple[bool, str, dict]:
 # 4. Driver recovery round trip
 # ---------------------------------------------------------------------------
 
-# Geometry of inversion_grid: the uniform window's length, the geometric
-# points per decade, and log10 of the innermost tip time's magnitude.
-INVERSION_SPAN = 2.0
-INVERSION_PER_DECADE = 24
-INVERSION_E_MIN = -7.0
-
-
-def inversion_grid(dt: float, u_deep: float = 600.0) -> np.ndarray:
-    """Past observation times for inversion: deep geometric + uniform + graded tip.
-
-    Uniform with spacing ``dt`` on ``[-INVERSION_SPAN, 0)``, geometric with
-    ``INVERSION_PER_DECADE`` points per decade out to ``-u_deep`` and in to
-    ``-10^INVERSION_E_MIN`` at the tip.  All times are strictly negative (the
-    operators of :mod:`fbmkit.drift` pin the origin themselves).  Raises
-    :class:`~fbmkit.errors.ValidationError` unless
-    ``0 < dt <= INVERSION_SPAN < u_deep``.
-    """
-    if not (0.0 < dt <= INVERSION_SPAN < u_deep < math.inf):
-        raise ValidationError(
-            f"the past window needs 0 < dt <= {INVERSION_SPAN} < u_deep (--dt, --umax),"
-            f" got dt={dt}, u_deep={u_deep}"
-        )
-    n_uni = int(round(INVERSION_SPAN / dt))
-    if n_uni * dt > INVERSION_SPAN:  # rounded up past the span: stay inside it
-        n_uni -= 1
-    uniform = -dt * np.arange(n_uni, 0, -1)
-    e_dt = math.log10(dt)
-    m = int(math.ceil((e_dt - INVERSION_E_MIN) * INVERSION_PER_DECADE))
-    tip = -(10.0 ** (e_dt - np.arange(1, m + 1) / INVERSION_PER_DECADE))
-    md = int(math.ceil(math.log10(u_deep / INVERSION_SPAN) * INVERSION_PER_DECADE))
-    deep = -INVERSION_SPAN * (u_deep / INVERSION_SPAN) ** (np.arange(md, 0, -1) / md)
-    return np.concatenate([deep, uniform, tip])
-
-
 def _criterion_4(seed_seq, threads: int) -> tuple[bool, str, dict]:
     rng = make_rng(seed_seq)
     n_paths = 100
@@ -407,14 +363,8 @@ def _criterion_4(seed_seq, threads: int) -> tuple[bool, str, dict]:
     metrics: dict = {}
     ok = True
     for hurst in (0.25, 0.75):
-        ctx = make_context(hurst)
-        kspec = DriftKernelSpec(ctx=ctx)
-        times = inversion_grid(dt)
-        t_snap = np.array([times[np.argmin(np.abs(times - t))] for t in t_inv])
-        draw = CovMatrix(joint_wz_cov(ctx, t_snap, times)).sample(rng, n_paths)
-        w_true, z_obs = draw[:, : t_snap.size], draw[:, t_snap.size :]
-        w_rec = pipiras_taqqu_invert(kspec, times, z_obs, t_snap)
-        err = _rel_l2(w_rec, w_true)
+        kspec = DriftKernelSpec(ctx=make_context(hurst))
+        err = rel_l2(*driver_roundtrip(kspec, inversion_grid(dt), rng, n_paths)[:2])
         metrics[f"rel_l2_h{hurst}"] = err
         ok = ok and err < 0.05
 
@@ -643,11 +593,12 @@ RUNTIME_LIMITS = {1: 60.0, 2: 300.0, 5: 60.0, 6: 30.0, 10: 600.0}
 
 
 def run_criterion(number: int, seed: int = DEFAULT_SEED, threads: int = 1) -> CriterionResult:
-    """Run one numbered criterion in isolation (same seeds as ``run_all``)."""
-    if number == 11:
-        return _run_determinism(seed, threads)
+    """Run one of criteria 1-10 in isolation (same seeds as ``run_all``).
+
+    Criterion 11 compares two whole batteries, so only ``run_all`` runs it.
+    """
     if number not in _CRITERIA:
-        raise ValidationError(f"criterion number must be in 1..11, got {number}")
+        raise ValidationError(f"criterion number must be in 1..10, got {number}")
     children = np.random.SeedSequence(seed).spawn(10)
     return _execute(number, children[number - 1], threads)
 
@@ -686,15 +637,6 @@ def _canonical_bytes(results: list[CriterionResult], seed: int) -> bytes:
         "criteria": [r.as_dict(include_volatile=False) for r in results],
     }
     return canonical_json_dumps(doc).encode("utf-8")
-
-
-def _run_determinism(seed: int, threads: int) -> CriterionResult:
-    """Criterion 11 standalone: compare two full passes at different threads."""
-    start = time.perf_counter()
-    first = _battery(seed, threads)
-    result = _determinism_result(first, seed, threads)
-    result.runtime = time.perf_counter() - start
-    return result
 
 
 def _determinism_result(first: list[CriterionResult], seed: int, threads: int) -> CriterionResult:

@@ -94,8 +94,8 @@ def phi_n_of(x: float) -> float:
     (value)^z for every z >= 1, using (z + 2m)^m <= (2z)^m + (4m)^m and
     m^m / m! <= e^m.
     """
-    if x < 0.0:
-        raise ValidationError(f"phi_n argument must be >= 0, got {x}")
+    if not 0.0 <= x < math.inf:
+        raise ValidationError(f"phi_n argument must be finite and >= 0, got {x}")
     if x == 0.0:
         return 1.0
     t = 4.0 * math.e * x
@@ -165,8 +165,8 @@ def phi_functions(eps: float) -> PhiFunctions:
     2 phi_h eps < 1 and 1 - 2 phi_i eps^2 - 2 phi_h eps / (1 - 2 phi_h eps) > 0.
     """
     eps = float(eps)
-    if eps <= 0.0:
-        raise ValidationError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise ValidationError(f"eps must be positive and finite, got {eps}")
     phi_m = _phi_m(eps)
     phi_g = _phi_g(eps, phi_m)
     phi_n = phi_n_of(4.0 * eps * eps)
@@ -391,8 +391,8 @@ def hk_entry_bound(z: int, k: int, eps: float) -> float:
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     eps = float(eps)
-    if eps <= 0.0:
-        raise ValidationError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise ValidationError(f"eps must be positive and finite, got {eps}")
     az = abs(int(z))
     total = 0.0
     for m in range(HK_TERMS + 1):

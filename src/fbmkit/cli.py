@@ -15,9 +15,12 @@ Conventions shared by all subcommands:
   ``selftest`` exits 0 when every criterion that fails is a declared
   expected failure, and 1 on any other failure or on a pass of a declared
   one;
-- ``--config FILE`` loads ``key=value`` lines (flag names without the
-  leading dashes) as if they had been typed before the explicit flags, so
-  flags always win; unknown keys are rejected;
+- ``--config FILE`` loads ``key=value`` lines as if each were typed as
+  ``--key=value`` before the explicit flags, so flags always win.  A key is
+  a flag name without its leading dashes, in any case and with ``_`` or
+  ``-`` between words (``alpha_prime``, ``alpha-prime`` and ``ALPHA_PRIME``
+  all set ``--alpha-prime``); ``#`` starts a comment.  A key the subcommand
+  does not take is rejected, as is any abbreviated flag;
 - ``--out PATH`` writes an artifact (JSON by default, CSV when the path ends
   in ``.csv`` or ``--format csv`` is given); without ``--out`` the artifact
   goes to stdout;
@@ -25,7 +28,11 @@ Conventions shared by all subcommands:
   relative ``--out`` paths (and nothing else);
 - every float is serialized with 17 significant digits, and the same argv
   with the same seed reproduces byte-identical artifacts up to the volatile
-  fields (``created_utc``, ``wall_time``, ``runtime``, ``threads``).
+  fields (``created_utc``, ``wall_time``, ``runtime``, ``threads``), as long
+  as the BLAS library runs on the same number of threads: a factorization or
+  product on more BLAS threads may round differently (``drift validate
+  --hurst 0.75 --seed 7`` writes ``rel_l2`` 0.0166771610564351 on one
+  OpenBLAS thread and 0.01667716105638497 on two).
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from collections.abc import Callable
 import jsonschema
 import numpy as np
 
-from .acceptance import DEFAULT_SEED, _rel_l2, inversion_grid, run_all
+from .acceptance import DEFAULT_SEED, run_all
 from .almostdiag import (
     hk_entry_bound,
     matrix_batch_check,
@@ -52,7 +59,9 @@ from .drift import (
     drift_apply,
     drift_from_obm,
     drift_regression,
-    pipiras_taqqu_invert,
+    driver_roundtrip,
+    inversion_grid,
+    rel_l2,
 )
 from .errors import AccuracyError, FbmkitError, ValidationError
 from .experiments import (
@@ -81,9 +90,6 @@ from .subgauss import subgaussian_bound, subgaussian_constants
 from .thick import ThickSet, harmonic_subsum, is_thick_estimate
 
 __all__ = ["main", "build_parser", "PATH_SCHEMA", "TABLE_SCHEMA"]
-
-# Commands whose argv path is two tokens long (command + subcommand).
-_NESTED_COMMANDS = frozenset({"sample", "drift", "gamma", "bounds", "arbitrage"})
 
 PATH_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -137,32 +143,36 @@ V_GRID_DEFAULT = (
 # Parser construction
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that takes no abbreviated flag, and makes its subparsers alike.
+
+    ``add_subparsers`` builds subparsers of the parser's own class, so the
+    whole command tree refuses ``--hur`` for ``--hurst``, on the command
+    line and as a ``--config`` key.
+    """
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fbmkit",
         description="Fractional Brownian motion prediction, inversion, and bound toolkit.",
-        allow_abbrev=False,
     )
-    # flag registry for config files: normalized key -> flag
-    registry: dict[str, str] = {}
-    parser.set_defaults(_registry=registry)
-
-    def arg(p, *flags, **kwargs) -> None:
-        p.add_argument(*flags, **kwargs)
-        long = next((f for f in flags if f.startswith("--")), None)
-        if long:
-            registry[long[2:].replace("-", "_").lower()] = long
+    positive = _int_at_least(1)
 
     def common(p, *, seed: bool = True, threads: bool = False) -> None:
-        arg(p, "--config", help="key=value file merged under the flags (flags win)")
-        arg(p, "--out", help="output path (relative paths resolve under FBMKIT_OUT_DIR)")
-        arg(p, "--format", choices=("json", "csv"),
-            help="artifact format; default json, or csv when --out ends in .csv")
+        p.add_argument("--config", help="key=value file merged under the flags (flags win)")
+        p.add_argument("--out", help="output path (relative paths resolve under FBMKIT_OUT_DIR)")
+        p.add_argument("--format", choices=("json", "csv"),
+                       help="artifact format; default json, or csv when --out ends in .csv")
         if seed:
-            arg(p, "--seed", type=_seed, default=0, help="64-bit reproducibility seed")
+            p.add_argument("--seed", type=_int_at_least(0), default=0,
+                           help="64-bit reproducibility seed")
         if threads:
-            arg(p, "--threads", type=_threads, default=os.cpu_count() or 1,
-                help="worker threads (results are thread-count independent)")
+            p.add_argument("--threads", type=positive, default=os.cpu_count() or 1,
+                           help="worker threads (results are thread-count independent)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -172,13 +182,14 @@ def build_parser() -> argparse.ArgumentParser:
     for proc in ("fbm", "levy", "obm"):
         sp = s_sub.add_parser(proc)
         if proc != "obm":
-            arg(sp, "--hurst", type=_finite_float, required=True, help="Hurst parameter in (0, 1)")
-        arg(sp, "--n", type=int, required=True, help="number of grid steps")
-        arg(sp, "--dt", type=_finite_float, required=True, help="grid spacing")
-        arg(sp, "--paths", type=int, default=1, help="number of independent paths")
+            sp.add_argument("--hurst", type=_finite_float, required=True,
+                            help="Hurst parameter in (0, 1)")
+        sp.add_argument("--n", type=positive, required=True, help="number of grid steps")
+        sp.add_argument("--dt", type=_finite_float, required=True, help="grid spacing")
+        sp.add_argument("--paths", type=positive, default=1, help="number of independent paths")
         if proc == "obm":
-            arg(sp, "--t0", type=_finite_float, default=0.0,
-                help="grid start time (nonpositive multiple of dt)")
+            sp.add_argument("--t0", type=_finite_float, default=0.0,
+                            help="grid start time (nonpositive multiple of dt)")
         common(sp)
         sp.set_defaults(handler=_cmd_sample, process=proc)
 
@@ -187,29 +198,29 @@ def build_parser() -> argparse.ArgumentParser:
     d_sub = p_drift.add_subparsers(dest="route", required=True)
     for route in ("kernel", "obm", "regression", "validate"):
         dp = d_sub.add_parser(route)
-        arg(dp, "--hurst", type=_finite_float, required=True)
-        arg(dp, "--paths", type=int, default=16 if route == "validate" else 4)
-        arg(dp, "--umax", type=_finite_float, default=1.0e7,
-            help="depth of the sampled past window")
-        arg(dp, "--dt", type=_finite_float, default=1.0 / 128,
-            help="uniform spacing of the recent past")
-        arg(dp, "--v", default=V_GRID_DEFAULT,
-            help="comma-separated future times to predict at")
+        dp.add_argument("--hurst", type=_finite_float, required=True)
+        dp.add_argument("--paths", type=positive, default=16 if route == "validate" else 4)
+        dp.add_argument("--umax", type=_finite_float, default=1.0e7,
+                        help="depth of the sampled past window")
+        dp.add_argument("--dt", type=_finite_float, default=1.0 / 128,
+                        help="uniform spacing of the recent past")
+        dp.add_argument("--v", default=V_GRID_DEFAULT,
+                        help="comma-separated future times to predict at")
         if route == "validate":
-            arg(dp, "--tol", type=_finite_float, default=0.05,
-                help="relative L2 gate between the two prediction routes")
+            dp.add_argument("--tol", type=_finite_float, default=0.05,
+                            help="relative L2 gate between the two prediction routes")
         common(dp)
         dp.set_defaults(handler=_cmd_drift, route=route)
 
     # -- invert ---------------------------------------------------------------
     p_inv = sub.add_parser("invert", help="driver-recovery round trip")
-    arg(p_inv, "--hurst", type=_finite_float, required=True)
-    arg(p_inv, "--paths", type=int, default=16)
-    arg(p_inv, "--dt", type=_finite_float, default=1.0 / 512)
-    arg(p_inv, "--umax", type=_finite_float, default=600.0,
-        help="depth of the observed past window")
-    arg(p_inv, "--tol", type=_finite_float, default=0.05,
-        help="relative L2 gate on the recovered driver")
+    p_inv.add_argument("--hurst", type=_finite_float, required=True)
+    p_inv.add_argument("--paths", type=positive, default=16)
+    p_inv.add_argument("--dt", type=_finite_float, default=1.0 / 512)
+    p_inv.add_argument("--umax", type=_finite_float, default=600.0,
+                       help="depth of the observed past window")
+    p_inv.add_argument("--tol", type=_finite_float, default=0.05,
+                       help="relative L2 gate on the recovered driver")
     common(p_inv)
     p_inv.set_defaults(handler=_cmd_invert)
 
@@ -218,16 +229,16 @@ def build_parser() -> argparse.ArgumentParser:
     g_sub = p_gamma.add_subparsers(dest="what", required=True)
     for what in ("cov", "decay", "modulus", "regbound"):
         gp = g_sub.add_parser(what)
-        arg(gp, "--hurst", type=_finite_float, required=True)
-        arg(gp, "--r", type=_finite_float, required=True, help="scale ratio in (0, 1)")
+        gp.add_argument("--hurst", type=_finite_float, required=True)
+        gp.add_argument("--r", type=_finite_float, required=True, help="scale ratio in (0, 1)")
         if what in ("cov", "decay"):
-            arg(gp, "--n", type=int, default=30, help="largest lag")
+            gp.add_argument("--n", type=_int_at_least(0), default=30, help="largest lag")
         if what == "modulus":
-            arg(gp, "--t", default="0.015625,0.03125,0.0625,0.125,0.25,0.5,1.0",
-                help="comma-separated window lengths")
+            gp.add_argument("--t", default="0.015625,0.03125,0.0625,0.125,0.25,0.5,1.0",
+                            help="comma-separated window lengths")
         if what == "regbound":
-            arg(gp, "--i", type=int, default=0, help="ladder index")
-            arg(gp, "--tmax", type=_finite_float, default=1.0, help="window length")
+            gp.add_argument("--i", type=int, default=0, help="ladder index")
+            gp.add_argument("--tmax", type=_finite_float, default=1.0, help="window length")
         common(gp, seed=False, threads=(what == "decay"))
         gp.set_defaults(handler=_cmd_gamma, what=what)
 
@@ -236,47 +247,51 @@ def build_parser() -> argparse.ArgumentParser:
     b_sub = p_bounds.add_subparsers(dest="what", required=True)
 
     bp = b_sub.add_parser("matrix")
-    arg(bp, "--n", type=int, required=True, help="matrix dimension")
-    arg(bp, "--eps", type=_finite_float, required=True, help="off-diagonal envelope")
-    arg(bp, "--trials", type=int, default=1000, help="random instances")
+    bp.add_argument("--n", type=int, required=True, help="matrix dimension")
+    bp.add_argument("--eps", type=_finite_float, required=True, help="off-diagonal envelope")
+    bp.add_argument("--trials", type=int, default=1000, help="random instances")
     common(bp, threads=True)
     bp.set_defaults(handler=_cmd_bounds_matrix)
 
     bp = b_sub.add_parser("subgauss")
-    arg(bp, "--theta", type=_finite_float, required=True, help="Holder exponent in (0, 1]")
-    arg(bp, "--x", default="1.0,2.0,3.0", help="comma-separated tail levels")
+    bp.add_argument("--theta", type=_finite_float, required=True,
+                    help="Holder exponent in (0, 1]")
+    bp.add_argument("--x", default="1.0,2.0,3.0", help="comma-separated tail levels")
     common(bp, seed=False)
     bp.set_defaults(handler=_cmd_bounds_subgauss)
 
     bp = b_sub.add_parser("thick")
-    arg(bp, "--set", default="evens", dest="set_name",
-        choices=("naturals", "evens", "multiples", "squares", "bernoulli"),
-        help="index-set family")
-    arg(bp, "--k", type=int, default=3, help="stride for --set multiples")
-    arg(bp, "--density", type=_finite_float, default=0.5, help="density for --set bernoulli")
-    arg(bp, "--n", type=int, default=4096, help="prefix horizon")
+    bp.add_argument("--set", default="evens", dest="set_name",
+                    choices=("naturals", "evens", "multiples", "squares", "bernoulli"),
+                    help="index-set family")
+    bp.add_argument("--k", type=int, default=3, help="stride for --set multiples")
+    bp.add_argument("--density", type=_finite_float, default=0.5,
+                    help="density for --set bernoulli")
+    bp.add_argument("--n", type=_int_at_least(2), default=4096, help="prefix horizon")
     common(bp)
     bp.set_defaults(handler=_cmd_bounds_thick)
 
     bp = b_sub.add_parser("hk-count")
-    arg(bp, "--z", type=int, required=True, help="walk displacement")
-    arg(bp, "--k", type=int, required=True, help="number of descents")
-    arg(bp, "--n", type=int, required=True, help="walk length")
-    arg(bp, "--eps", type=_finite_float, help="also evaluate the entry bound at this epsilon")
+    bp.add_argument("--z", type=int, required=True, help="walk displacement")
+    bp.add_argument("--k", type=int, required=True, help="number of descents")
+    bp.add_argument("--n", type=int, required=True, help="walk length")
+    bp.add_argument("--eps", type=_finite_float,
+                    help="also evaluate the entry bound at this epsilon")
     common(bp, seed=False)
     bp.set_defaults(handler=_cmd_bounds_hk)
 
     # -- lil ---------------------------------------------------------------
     p_lil = sub.add_parser("lil", help="running-minimum trend experiment")
-    arg(p_lil, "--hurst", type=_finite_float, required=True)
-    arg(p_lil, "--r", type=_finite_float, required=True)
-    arg(p_lil, "--imax", type=int, default=40, help="deepest ladder index")
-    arg(p_lil, "--paths", type=int, default=2000)
-    arg(p_lil, "--set", default=None, dest="set_name",
-        choices=("naturals", "evens", "multiples", "squares", "bernoulli"),
-        help="restrict the index ladder to a thick set")
-    arg(p_lil, "--k", type=int, default=3, help="stride for --set multiples")
-    arg(p_lil, "--density", type=_finite_float, default=0.5, help="density for --set bernoulli")
+    p_lil.add_argument("--hurst", type=_finite_float, required=True)
+    p_lil.add_argument("--r", type=_finite_float, required=True)
+    p_lil.add_argument("--imax", type=int, default=40, help="deepest ladder index")
+    p_lil.add_argument("--paths", type=positive, default=2000)
+    p_lil.add_argument("--set", default=None, dest="set_name",
+                       choices=("naturals", "evens", "multiples", "squares", "bernoulli"),
+                       help="restrict the index ladder to a thick set")
+    p_lil.add_argument("--k", type=int, default=3, help="stride for --set multiples")
+    p_lil.add_argument("--density", type=_finite_float, default=0.5,
+                       help="density for --set bernoulli")
     common(p_lil, threads=True)
     p_lil.set_defaults(handler=_cmd_lil)
 
@@ -285,46 +300,43 @@ def build_parser() -> argparse.ArgumentParser:
     a_sub = p_arb.add_subparsers(dest="what", required=True)
 
     ap = a_sub.add_parser("an-prob")
-    arg(ap, "--hurst", type=_finite_float, required=True)
-    arg(ap, "--r", type=_finite_float, required=True)
-    arg(ap, "--alpha", type=_finite_float, required=True)
-    arg(ap, "--p", type=_finite_float, required=True)
-    arg(ap, "--n", type=int, required=True, help="deepest event depth")
-    arg(ap, "--paths", type=int, default=100_000)
+    ap.add_argument("--hurst", type=_finite_float, required=True)
+    ap.add_argument("--r", type=_finite_float, required=True)
+    ap.add_argument("--alpha", type=_finite_float, required=True)
+    ap.add_argument("--p", type=_finite_float, required=True)
+    ap.add_argument("--n", type=int, required=True, help="deepest event depth")
+    ap.add_argument("--paths", type=positive, default=100_000)
     common(ap, threads=True)
     ap.set_defaults(handler=_cmd_arbitrage_anprob)
 
     ap = a_sub.add_parser("ledger")
-    arg(ap, "--hurst", type=_finite_float, required=True)
-    arg(ap, "--r", type=_finite_float, required=True)
-    arg(ap, "--alpha", type=_finite_float, required=True)
-    arg(ap, "--p", type=_finite_float, required=True)
-    arg(ap, "--n", type=int, required=True)
-    arg(ap, "--rtilde", type=_finite_float, required=True, help="translation scale in (0, r)")
-    arg(ap, "--alpha-prime", type=_finite_float, required=True)
-    arg(ap, "--p-prime", type=_finite_float, required=True)
-    arg(ap, "--pan", required=True,
-        help="comma-separated n=P(A'_n) pairs, e.g. 4=0.44,8=0.0993")
+    ap.add_argument("--hurst", type=_finite_float, required=True)
+    ap.add_argument("--r", type=_finite_float, required=True)
+    ap.add_argument("--alpha", type=_finite_float, required=True)
+    ap.add_argument("--p", type=_finite_float, required=True)
+    ap.add_argument("--n", type=int, required=True)
+    ap.add_argument("--rtilde", type=_finite_float, required=True,
+                    help="translation scale in (0, r)")
+    ap.add_argument("--alpha-prime", type=_finite_float, required=True)
+    ap.add_argument("--p-prime", type=_finite_float, required=True)
+    ap.add_argument("--pan", required=True,
+                    help="comma-separated n=P(A'_n) pairs, e.g. 4=0.44,8=0.0993")
     common(ap, seed=False)
     ap.set_defaults(handler=_cmd_arbitrage_ledger)
 
     ap = a_sub.add_parser("threshold")
-    arg(ap, "--hurst", type=_finite_float, required=True)
-    arg(ap, "--alpha", type=_finite_float, required=True)
-    arg(ap, "--alpha-prime", type=_finite_float, required=True)
-    arg(ap, "--p", type=_finite_float, required=True)
-    arg(ap, "--p-prime", type=_finite_float, required=True)
+    ap.add_argument("--hurst", type=_finite_float, required=True)
+    ap.add_argument("--alpha", type=_finite_float, required=True)
+    ap.add_argument("--alpha-prime", type=_finite_float, required=True)
+    ap.add_argument("--p", type=_finite_float, required=True)
+    ap.add_argument("--p-prime", type=_finite_float, required=True)
     common(ap, seed=False)
     ap.set_defaults(handler=_cmd_arbitrage_threshold)
 
     # -- selftest -----------------------------------------------------------
     p_self = sub.add_parser("selftest", help="run the full acceptance battery")
-    arg(p_self, "--seed", type=_seed, default=DEFAULT_SEED)
-    arg(p_self, "--threads", type=_threads, default=os.cpu_count() or 1)
-    arg(p_self, "--config", help="key=value file merged under the flags (flags win)")
-    arg(p_self, "--out", help="write the report artifact here as well")
-    arg(p_self, "--format", choices=("json", "csv"))
-    p_self.set_defaults(handler=_cmd_selftest)
+    common(p_self, threads=True)
+    p_self.set_defaults(handler=_cmd_selftest, seed=DEFAULT_SEED)
 
     return parser
 
@@ -333,19 +345,21 @@ def build_parser() -> argparse.ArgumentParser:
 # Config files and artifact emission
 # ---------------------------------------------------------------------------
 
-def _config_path(argv: list[str]) -> str | None:
-    for i, tok in enumerate(argv):
-        if tok == "--config":
-            if i + 1 >= len(argv):
-                raise ValidationError("--config requires a file path")
-            return argv[i + 1]
-        if tok.startswith("--config="):
-            return tok.split("=", 1)[1]
-    return None
+def _with_config(argv: list[str]) -> list[str]:
+    """Splice the ``--config`` file's ``key=value`` lines into argv as ``--key=value``.
 
-
-def _load_config(path: str) -> list[tuple[str, str]]:
-    entries: list[tuple[str, str]] = []
+    They go in just after the leading command words, so argparse checks each
+    key against the subcommand's flags and any flag typed on the command
+    line, coming later, wins.  The ``=`` form keeps a value from reading as
+    a flag, and a flag that takes no value (``help``) from taking one.
+    """
+    pre = _Parser(prog="fbmkit", add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return argv
+    depth = next((i for i, tok in enumerate(argv) if tok.startswith("-")), len(argv))
+    extra: list[str] = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -357,31 +371,9 @@ def _load_config(path: str) -> list[tuple[str, str]]:
                         f"{path}:{lineno}: expected key=value, got {line!r}"
                     )
                 key, val = line.split("=", 1)
-                entries.append((key.strip().replace("-", "_").lower(), val.strip()))
+                extra.append(f"--{key.strip().lower().replace('_', '-')}={val.strip()}")
     except OSError as exc:
         raise ValidationError(f"cannot read config file {path}: {exc}")
-    return entries
-
-
-def _merge_config(argv: list[str], registry: dict[str, str]) -> list[str]:
-    """Splice config-file entries into argv just after the subcommand path.
-
-    Later occurrences of a flag win in argparse, so values typed on the
-    command line override the config file.
-    """
-    path = _config_path(argv)
-    if path is None:
-        return argv
-    extra: list[str] = []
-    for key, raw in _load_config(path):
-        if key not in registry:
-            raise ValidationError(f"{path}: unknown config key {key!r}")
-        extra.extend([registry[key], raw])
-    if not argv or argv[0].startswith("-"):
-        return argv
-    depth = 2 if argv[0] in _NESTED_COMMANDS else 1
-    if len(argv) < depth or argv[depth - 1].startswith("-"):
-        return argv
     return argv[:depth] + extra + argv[depth:]
 
 
@@ -405,24 +397,23 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _int_at_least(low: int, text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < low:
-        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
-    return value
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """The argparse type of an integer flag that is ``low`` or more.
 
+    ``--seed`` takes 0 and up, as ``SeedSequence`` does, and so does
+    ``gamma --n``; ``--threads``, ``--paths`` and ``sample --n`` take 1 and
+    up, and ``bounds thick --n`` 2 and up.
+    """
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
 
-def _seed(text: str) -> int:
-    """The argparse type of ``--seed``: an integer >= 0, as ``SeedSequence`` takes."""
-    return _int_at_least(0, text)
-
-
-def _threads(text: str) -> int:
-    """The argparse type of ``--threads``: an integer >= 1."""
-    return _int_at_least(1, text)
+    return parse
 
 
 def _floats(text: str) -> np.ndarray:
@@ -552,10 +543,6 @@ def _report_doc(report: ExperimentReport) -> tuple[_Render, _Render]:
 
 def _cmd_sample(args) -> int:
     rng = make_rng(args.seed)
-    if args.n < 1:
-        raise ValidationError(f"--n must be >= 1, got {args.n}")
-    if args.paths < 1:
-        raise ValidationError(f"--paths must be >= 1, got {args.paths}")
     config = {"process": args.process, "n": args.n, "dt": args.dt, "paths": args.paths}
     if args.process == "fbm":
         config["hurst"] = args.hurst
@@ -582,8 +569,6 @@ def _cmd_drift(args) -> int:
     v_grid = _floats(args.v)
     if np.any(v_grid <= 0):
         raise ValidationError("--v times must be positive")
-    if args.paths < 1:
-        raise ValidationError(f"--paths must be >= 1, got {args.paths}")
     # The graded tip near the origin resolves the prediction kernel's
     # singularity there; the geometric deep tail keeps the long memory cheap.
     times = inversion_grid(args.dt, u_deep=args.umax)
@@ -597,7 +582,7 @@ def _cmd_drift(args) -> int:
         draw = CovMatrix(joint_wz_cov(ctx, times, times)).sample(rng, args.paths)
         pred_k = drift_apply(kspec, times, draw[:, times.size :], v_grid)
         pred_w = drift_from_obm(kspec, times, draw[:, : times.size], v_grid)
-        rel = _rel_l2(pred_k, pred_w)
+        rel = rel_l2(pred_k, pred_w)
         scale = float(np.sqrt(np.mean(pred_w**2)))
         _emit(args, *_table_doc(
             "drift_validate", config,
@@ -632,18 +617,10 @@ def _cmd_drift(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    ctx = make_context(args.hurst)
-    kspec = DriftKernelSpec(ctx=ctx)
-    if args.paths < 1:
-        raise ValidationError(f"--paths must be >= 1, got {args.paths}")
-    rng = make_rng(args.seed)
+    kspec = DriftKernelSpec(ctx=make_context(args.hurst))
     times = inversion_grid(args.dt, u_deep=args.umax)
-    t_inv = -np.linspace(1.0, 1.0 / 16, 16)
-    t_inv = np.array([times[np.argmin(np.abs(times - t))] for t in t_inv])
-    draw = CovMatrix(joint_wz_cov(ctx, t_inv, times)).sample(rng, args.paths)
-    w_true, z_obs = draw[:, : t_inv.size], draw[:, t_inv.size :]
-    w_rec = pipiras_taqqu_invert(kspec, times, z_obs, t_inv)
-    rel = _rel_l2(w_rec, w_true)
+    w_rec, w_true, t_inv = driver_roundtrip(kspec, times, make_rng(args.seed), args.paths)
+    rel = rel_l2(w_rec, w_true)
     scale = float(np.sqrt(np.mean(w_true**2)))
     config = {
         "hurst": args.hurst, "dt": args.dt, "umax": args.umax,
@@ -668,8 +645,6 @@ def _cmd_gamma(args) -> int:
     cfg = GammaConfig(ctx, args.r)
     config = {"what": args.what, "hurst": args.hurst, "r": args.r}
     if args.what == "cov":
-        if args.n < 0:
-            raise ValidationError(f"--n must be >= 0, got {args.n}")
         lags = list(range(args.n + 1))
         values = {
             "lags": lags,
@@ -749,8 +724,6 @@ def _make_thick_set(name: str, n: int, k: int, density: float, seed: int) -> Thi
 
 
 def _cmd_bounds_thick(args) -> int:
-    if args.n < 2:
-        raise ValidationError(f"--n must be >= 2, got {args.n}")
     ts = _make_thick_set(args.set_name, args.n, args.k, args.density, args.seed)
     trend = is_thick_estimate(ts)
     values = {
@@ -880,8 +853,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        merged = _merge_config(list(argv), parser.get_default("_registry"))
-        args = parser.parse_args(merged)
+        args = parser.parse_args(_with_config(list(argv)))
         return args.handler(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -899,9 +871,5 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

@@ -34,14 +34,22 @@ representation recovering the driving Brownian motion:
   ``W_t * c1 / c_h = eta * integral_{-inf}^t xi_{-eta-1}(t-s, -t) (Z_s - Z_t) ds
   + eta * integral_t^0 (-s)^{-eta-1} Z_s ds + (-t)^{-eta} Z_t``.
 
+* :func:`driver_roundtrip` — draws the driver and the process jointly and
+  recovers the one from the other: the check of :func:`pipiras_taqqu_invert`
+  that ``fbmkit invert`` and acceptance criterion 4 both run, scored by
+  :func:`rel_l2`.
+
 Operators on sampled paths
 --------------------------
 All four take a past window as two arrays: ``times``, strictly increasing
 and strictly negative, and ``values``, one path of shape ``(n,)`` or a batch
 on the same times, ``(paths, n)``; the result is ``(nv,)`` or ``(paths, nv)``
-to match.  Every window is pinned at ``Z_0 = 0``: the operators append the
-origin and its zero value themselves, after refusing non-finite,
-non-increasing, non-negative or mis-shaped input with
+to match.  The operators' window in the CLI and the acceptance battery is
+:func:`inversion_grid`: geometric deep in the past, uniform near the
+present, and graded toward the origin, where the kernels are singular.
+Every window is pinned at ``Z_0 = 0``: the operators append the origin and
+its zero value themselves, after refusing non-finite, non-increasing,
+non-negative or mis-shaped input with
 :class:`~fbmkit.errors.ValidationError`; evaluation times ``v`` must be
 finite and positive, and inversion times ``t`` finite in ``[t0, 0]``.
 Between samples the path is the linear interpolant of the pinned window.
@@ -91,7 +99,7 @@ import numpy as np
 
 from .context import HurstContext, xi
 from .errors import AccuracyError, ValidationError
-from .fbm import _hyp2f1_unit_b, fbm_cov, fbm_cov_matrix
+from .fbm import _hyp2f1_unit_b, fbm_cov, fbm_cov_matrix, joint_wz_cov
 from .gaussian import CovMatrix
 from .quadrature import PATH_TOL
 
@@ -106,9 +114,18 @@ __all__ = [
     "conditional_future_cov",
     "pipiras_taqqu_invert",
     "invert_tail_sd",
+    "inversion_grid",
+    "rel_l2",
+    "driver_roundtrip",
 ]
 
 REGRESSION_MAX_POINTS = 2048
+
+# Geometry of inversion_grid: the uniform window's length, the geometric
+# points per decade, and log10 of the innermost tip time's magnitude.
+INVERSION_SPAN = 2.0
+INVERSION_PER_DECADE = 24
+INVERSION_E_MIN = -7.0
 
 
 @dataclass(frozen=True)
@@ -152,6 +169,33 @@ def _future_times(v_grid) -> np.ndarray:
     if v_grid.ndim != 1 or v_grid.size == 0 or not np.all(np.isfinite(v_grid) & (v_grid > 0)):
         raise ValidationError("v_grid must be a non-empty 1-d array of finite positive times")
     return v_grid
+
+
+def inversion_grid(dt: float, u_deep: float = 600.0) -> np.ndarray:
+    """Past observation times for the operators: deep geometric + uniform + graded tip.
+
+    Uniform with spacing ``dt`` on ``[-INVERSION_SPAN, 0)``, geometric with
+    ``INVERSION_PER_DECADE`` points per decade out to ``-u_deep`` and in to
+    ``-10^INVERSION_E_MIN`` at the tip.  All times are strictly negative (the
+    operators pin the origin themselves).  Raises
+    :class:`~fbmkit.errors.ValidationError` unless
+    ``0 < dt <= INVERSION_SPAN < u_deep``.
+    """
+    if not (0.0 < dt <= INVERSION_SPAN < u_deep < math.inf):
+        raise ValidationError(
+            f"the past window needs 0 < dt <= {INVERSION_SPAN} < u_deep (--dt, --umax),"
+            f" got dt={dt}, u_deep={u_deep}"
+        )
+    n_uni = int(round(INVERSION_SPAN / dt))
+    if n_uni * dt > INVERSION_SPAN:  # rounded up past the span: stay inside it
+        n_uni -= 1
+    uniform = -dt * np.arange(n_uni, 0, -1)
+    e_dt = math.log10(dt)
+    m = int(math.ceil((e_dt - INVERSION_E_MIN) * INVERSION_PER_DECADE))
+    tip = -(10.0 ** (e_dt - np.arange(1, m + 1) / INVERSION_PER_DECADE))
+    md = int(math.ceil(math.log10(u_deep / INVERSION_SPAN) * INVERSION_PER_DECADE))
+    deep = -INVERSION_SPAN * (u_deep / INVERSION_SPAN) ** (np.arange(md, 0, -1) / md)
+    return np.concatenate([deep, uniform, tip])
 
 
 # ---------------------------------------------------------------------------
@@ -503,3 +547,38 @@ def pipiras_taqqu_invert(kspec: DriftKernelSpec, times, values, t) -> np.ndarray
 
     out = values @ _inversion_weights(ctx, times, t_arr).T
     return out[..., 0] if scalar else out
+
+
+# ---------------------------------------------------------------------------
+# The driver round trip
+# ---------------------------------------------------------------------------
+
+def rel_l2(a: np.ndarray, b: np.ndarray) -> float:
+    """Relative L2 distance of ``a`` from the reference ``b``.
+
+    Against an all-zero reference (both prediction routes at H = 1/2) an
+    equal ``a`` is 0 away and any other is infinitely far.
+    """
+    scale = np.sqrt(np.mean(b**2))
+    if scale == 0.0:
+        return 0.0 if np.array_equal(a, b) else math.inf
+    return float(np.sqrt(np.mean((a - b) ** 2)) / scale)
+
+
+def driver_roundtrip(
+    kspec: DriftKernelSpec, times, rng: np.random.Generator, paths: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw ``W`` and ``Z`` jointly, then recover ``W`` from the past of ``Z``.
+
+    The recovery times -1, -15/16, ..., -1/16 snap to their nearest sample of
+    the past window ``times``; ``paths`` draws of ``W`` there and ``Z`` on
+    ``times`` come from one factor of :func:`~fbmkit.fbm.joint_wz_cov`.
+    Returns ``(recovered, true, t)``: the driver from
+    :func:`pipiras_taqqu_invert` and the drawn driver, each of shape
+    ``(paths, 16)``, and the snapped times.
+    """
+    _pinned_past(times, times)  # refuse a bad window before drawing
+    times = np.asarray(times, dtype=float)
+    t = np.array([times[np.argmin(np.abs(times - ti))] for ti in -np.linspace(1.0, 1.0 / 16, 16)])
+    draw = CovMatrix(joint_wz_cov(kspec.ctx, t, times)).sample(rng, paths)
+    return pipiras_taqqu_invert(kspec, times, draw[:, t.size:], t), draw[:, : t.size], t

@@ -332,7 +332,7 @@ def a_n_probability(cfg: ArbitrageConfig, *, threads: int = 1) -> ExperimentRepo
         raise ValidationError(
             f"n = {cfg.n} out of the Monte Carlo regime (n <= 64)"
         )
-    cov = gamma_cov_matrix(GammaConfig(cfg.ctx, cfg.r, n=cfg.n), cfg.n, threads=threads)
+    cov = gamma_cov_matrix(GammaConfig(cfg.ctx, cfg.r), cfg.n, threads=threads)
     thr = cfg.thresholds()
     ladder = _doubling_ladder(cfg.n)
     needs = {m: cfg.required_count(m) for m in ladder}
@@ -437,7 +437,7 @@ def product_tail_chain(cfg: ArbitrageConfig, index_set) -> dict:
         raise ValidationError(
             f"index set has {len(idx)} elements; chain requires >= ceil(p n) = {need}"
         )
-    profile = decay_bound_check(GammaConfig(cfg.ctx, cfg.r, n=cfg.n), max(cfg.n - 1, 1))
+    profile = decay_bound_check(GammaConfig(cfg.ctx, cfg.r), max(cfg.n - 1, 1))
     eps = profile.epsilon
     phis = phi_functions(eps)
     if not phis.all_finite() or not math.isfinite(phis.phi_k):

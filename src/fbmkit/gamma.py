@@ -95,17 +95,14 @@ MC_CHUNK = 20_000
 
 @dataclass(frozen=True)
 class GammaConfig:
-    """Scale-ladder configuration: context, ratio r, ladder length."""
+    """Scale-ladder configuration: context and ratio r."""
 
     ctx: HurstContext
     r: float
-    n: int = 1
 
     def __post_init__(self) -> None:
         if not (0.0 < self.r < 1.0):
             raise ValidationError(f"r must lie in (0, 1), got {self.r}")
-        if self.n < 1:
-            raise ValidationError(f"n must be >= 1, got {self.n}")
 
     def scale(self, i: int) -> float:
         """r^i, guarded against underflow."""
@@ -327,8 +324,8 @@ def reg_gamhat_bound(
     also holds for windows longer than the observable's own scale.  Scale
     invariance is exact: bound(i, T) == bound(0, T / r^i) by construction.
     """
-    if T <= 0.0:
-        raise ValidationError(f"T must be positive, got {T}")
+    if not 0.0 < T < math.inf:
+        raise ValidationError(f"T must be positive and finite, got {T}")
     c_a, c_b = constants
     t_eff = float(T) / cfg.scale(int(i))
     return c_b * math.exp(-c_a * t_eff ** -min(2.0 * cfg.ctx.hurst, 1.0))

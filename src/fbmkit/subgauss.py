@@ -80,13 +80,13 @@ def subgaussian_constants(theta: float) -> SubGaussianConstants:
 
 
 def subgaussian_bound(consts: SubGaussianConstants, x) -> np.ndarray | float:
-    """Evaluate the tail bound c_d * exp(-c_c x^2); valid for all x >= 0.
+    """Evaluate the tail bound c_d * exp(-c_c x^2) at every finite x >= 0.
 
     Accepts scalars or arrays; values are >= 1 for x <= c_o by construction
     of the patched prefactor.
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValidationError("tail bound is defined for x >= 0")
+    if not np.all((arr >= 0.0) & (arr < np.inf)):
+        raise ValidationError("tail bound is defined for finite x >= 0")
     out = consts.c_d * np.exp(-consts.c_c * arr * arr)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out

@@ -5,7 +5,8 @@ hypothesis class (unit diagonal, ``|a_ij| <= eps^|i-j|``) for every eps below
 ``max_feasible_epsilon()``, including the three instances that saturate the
 envelope; a matrix outside the class is refused.  The phi_g and phi_i
 factors behind them are checked against their closed forms in mpmath, down to
-eps where eps^2 underflows.
+eps where eps^2 underflows.  These bounds, the sub-Gaussian tail bound and
+the regularity bound of the increment field refuse inf and nan.
 """
 
 import itertools
@@ -19,14 +20,19 @@ from hypothesis import strategies as st
 
 from fbmkit.almostdiag import (
     adversarial_matrices,
+    hk_entry_bound,
     matrix_bounds_check,
     phi_functions,
+    phi_n_of,
     random_hypothesis_matrix,
     word_code,
     word_decode,
 )
+from fbmkit.context import make_context
 from fbmkit.errors import ValidationError
 from fbmkit.experiments import max_feasible_epsilon
+from fbmkit.gamma import GammaConfig, reg_gamhat_bound
+from fbmkit.subgauss import subgaussian_bound, subgaussian_constants
 
 EPS_MAX = max_feasible_epsilon()
 sizes = st.integers(1, 40)
@@ -100,3 +106,22 @@ def test_phi_g_and_phi_i_match_mpmath(eps):
     phi_g, phi_i = phi_g_i_mpmath(eps)
     assert phis.phi_g == pytest.approx(phi_g, rel=1e-14)
     assert phis.phi_i == pytest.approx(phi_i, rel=1e-14)
+
+
+# The bound entry points refuse inf and nan instead of returning them.
+BOUND_ENTRY_POINTS = {
+    "hk_entry_bound": lambda x: hk_entry_bound(1, 1, x),
+    "phi_functions": phi_functions,
+    "phi_n_of": phi_n_of,
+    "subgaussian_bound": lambda x: subgaussian_bound(subgaussian_constants(0.5), x),
+    "reg_gamhat_bound": lambda x: reg_gamhat_bound(
+        GammaConfig(make_context(0.75), 0.5), 0, x, (1.0, 1.0)
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name", sorted(BOUND_ENTRY_POINTS))
+def test_bound_entry_points_refuse_non_finite_input(name, bad):
+    with pytest.raises(ValidationError):
+        BOUND_ENTRY_POINTS[name](bad)

@@ -4,10 +4,12 @@ Every subcommand runs with only its required flags.  ``selftest`` runs on
 a stubbed battery (the real one takes tens of seconds) to pin its exit code:
 0 when every failure is declared, 1 otherwise.
 A result holding inf or nan exits 3 and writes no artifact.  A negative
-``--seed`` or a ``--threads`` below 1 exits 2 on every subcommand that takes
-the flag.  Every
-subcommand with ``--threads`` writes the same artifact at any thread count,
-up to its volatile fields.
+``--seed``, a ``--threads`` or ``--paths`` below 1, or a count below its
+floor exits 2 and writes nothing on every subcommand that takes the flag.
+A ``--config`` file sets flags under the typed ones, and a key that is not a
+flag of the subcommand, a missing file or a missing path exits 2 and writes
+nothing.  Every subcommand with ``--threads`` writes the same artifact at
+any thread count, up to its volatile fields.
 """
 
 import argparse
@@ -23,11 +25,13 @@ from fbmkit.acceptance import (
     EXPECTED_FAILURES,
     AcceptanceReport,
     CriterionResult,
-    _rel_l2,
 )
 from fbmkit.cli import main
+from fbmkit.context import make_context
+from fbmkit.drift import DriftKernelSpec, driver_roundtrip, inversion_grid, rel_l2
 from fbmkit.errors import AccuracyError
 from fbmkit.reports import ExperimentReport
+from fbmkit.rng import make_rng
 
 REQUIRED_ONLY = [
     "sample fbm --hurst 0.75 --n 64 --dt 0.01",
@@ -125,6 +129,29 @@ def test_threads_below_one_exit_2(command, threads, capsys):
     assert "argument --threads: expected an integer >= 1" in capsys.readouterr().err
 
 
+# Every integer flag with a floor, on a valid invocation that takes it.
+INTEGER_FLOORS = [
+    *((command, "--paths", 1) for command in invocations_taking("--paths")),
+    ("sample fbm --hurst 0.75 --dt 0.01", "--n", 1),
+    ("sample levy --hurst 0.25 --dt 0.01", "--n", 1),
+    ("sample obm --dt 0.01", "--n", 1),
+    ("gamma cov --hurst 0.75 --r 0.1", "--n", 0),
+    ("gamma decay --hurst 0.75 --r 0.1", "--n", 0),
+    ("bounds thick", "--n", 2),
+]
+
+
+@pytest.mark.parametrize("below", [1, 3])
+@pytest.mark.parametrize("command,flag,low", INTEGER_FLOORS)
+def test_integer_below_its_floor_exits_2_and_writes_nothing(command, flag, low, below,
+                                                             tmp_path, capsys):
+    out = tmp_path / "artifact.json"
+    argv = command.split() + [flag, str(low - below), "--out", str(out)]
+    assert main(argv) == 2
+    assert f"argument {flag}: expected an integer >= {low}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validation_error_exits_2(capsys):
     assert main("drift kernel --hurst 1.5".split()) == 2
     assert capsys.readouterr().err.startswith("error:")
@@ -174,8 +201,8 @@ def test_route_gap_against_a_zero_prediction():
     # drift validate at H = 1/2 compares two exact zeros: no gap.  Any
     # nonzero result against a zero reference still fails every tolerance.
     zero = np.zeros((2, 3))
-    assert _rel_l2(zero, zero) == 0.0
-    assert _rel_l2(np.full((2, 3), 1e-300), zero) == math.inf
+    assert rel_l2(zero, zero) == 0.0
+    assert rel_l2(np.full((2, 3), 1e-300), zero) == math.inf
 
 
 def test_regbound_computes_c_e_once(monkeypatch, tmp_path):
@@ -289,3 +316,59 @@ def test_non_finite_config_value_exits_2(tmp_path):
     argv = f"sample fbm --hurst 0.75 --n 4 --config {config} --out {out}".split()
     assert main(argv) == 2
     assert not out.exists()
+
+
+THRESHOLD = "arbitrage threshold --hurst 0.75 --alpha 0.5 --p 0.5 --p-prime 0.4"
+
+
+# A key is a flag of the subcommand without its dashes, in either case and
+# with "_" or "-" between words; no other key is taken.
+@pytest.mark.parametrize("text,code", [
+    ("alpha_prime = 0.4\n", 0),
+    ("alpha-prime=0.4\n", 0),
+    ("# the second exponent\nALPHA_PRIME=0.4  # as typed\n", 0),
+    ("bogus = 1\n", 2),
+    ("alpha_pri = 0.4\n", 2),  # an abbreviation
+    ("umax = 600\n", 2),  # a flag of another subcommand
+    ("help = 1\n", 2),  # a flag that takes no value
+    ("alpha_prime 0.4\n", 2),
+])
+def test_config_keys(text, code, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text(text, encoding="utf-8")
+    out, typed = tmp_path / "from_config.json", tmp_path / "typed.json"
+    assert main(THRESHOLD.split() + ["--config", str(config), "--out", str(out)]) == code
+    assert out.exists() == (code == 0)
+    if code == 0:
+        assert main(THRESHOLD.split() + ["--alpha-prime", "0.4", "--out", str(typed)]) == 0
+        assert out.read_bytes() == typed.read_bytes()
+
+
+def test_typed_flags_beat_the_config_file(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("n = 16\ndt = 0.5\npaths = 3\n", encoding="utf-8")
+    argv = "sample fbm --hurst 0.75 --n 8 --dt 0.1 --seed 5 --out".split()
+    merged, typed = tmp_path / "merged.json", tmp_path / "typed.json"
+    assert main(argv[:2] + [f"--config={config}"] + argv[2:] + [str(merged)]) == 0
+    assert main(argv + [str(typed), "--paths", "3"]) == 0
+    assert merged.read_bytes() == typed.read_bytes()
+    assert json.loads(merged.read_text(encoding="utf-8"))["config"]["paths"] == 3
+
+
+@pytest.mark.parametrize("tail", [["--config", "missing.cfg"], ["--config"]])
+def test_unreadable_config_exits_2_and_writes_nothing(tail, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "artifact.json"
+    argv = f"sample fbm --hurst 0.75 --n 4 --dt 0.1 --out {out}".split() + tail
+    assert main(argv) == 2
+    assert not out.exists()
+
+
+def test_invert_writes_the_rel_l2_of_the_driver_roundtrip(tmp_path):
+    out = tmp_path / "invert.json"
+    assert main(f"invert --hurst 0.25 --paths 4 --seed 7 --out {out}".split()) == 0
+    values = json.loads(out.read_text(encoding="utf-8"))["values"]
+    kspec = DriftKernelSpec(ctx=make_context(0.25))
+    w_rec, w_true, t = driver_roundtrip(kspec, inversion_grid(1.0 / 512), make_rng(7), 4)
+    assert values["rel_l2"] == rel_l2(w_rec, w_true)
+    assert values["recovery_times"] == t.tolist()

@@ -22,7 +22,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate as scipy_integrate
 
-from fbmkit.acceptance import inversion_grid
 from fbmkit.context import make_context, pow0, xi
 from fbmkit.drift import (
     DriftKernelSpec,
@@ -35,9 +34,11 @@ from fbmkit.drift import (
     drift_kernel_value,
     drift_regression,
     drift_tail_sd,
+    inversion_grid,
     invert_tail_sd,
     pipiras_taqqu_invert,
     regression_weights,
+    rel_l2,
 )
 from fbmkit.errors import AccuracyError, ValidationError
 from fbmkit.fbm import fbm_cov, fbm_cov_matrix, joint_wz_cov, levy_cov_matrix
@@ -71,10 +72,6 @@ def sample_fbm_past(hurst, times, rng, paths):
     """Rows of fBm values on the negative ``times``."""
     factor, _ = cholesky_with_jitter(fbm_cov_matrix(times, hurst))
     return (factor @ rng.standard_normal((times.size, paths))).T
-
-
-def rel_l2(a, b):
-    return float(np.sqrt(np.mean((a - b) ** 2) / np.mean(b**2)))
 
 
 def kernel_printed_mpmath(hurst, u, v):

@@ -320,7 +320,7 @@ def a_n_probability_dual(cfg, seed):
     stream of ``(pairs, n)`` normals, and the event evaluated on each pair
     ``+z, -z``; the error is that of the pair means.
     """
-    cov = gamma_cov_matrix(GammaConfig(cfg.ctx, cfg.r, n=cfg.n), cfg.n).matrix
+    cov = gamma_cov_matrix(GammaConfig(cfg.ctx, cfg.r), cfg.n).matrix
     vals, vecs = np.linalg.eigh(cov)
     root = (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
     z = make_rng(seed).standard_normal((cfg.n_paths, cfg.n)) @ root

@@ -289,8 +289,6 @@ class TestGammaCov:
             GammaConfig(ctx=ctx, r=1.0)
         with pytest.raises(ValidationError):
             GammaConfig(ctx=ctx, r=0.0)
-        with pytest.raises(ValidationError):
-            GammaConfig(ctx=ctx, r=0.5, n=0)
         cfg = cfg_for(0.75, 0.1)
         with pytest.raises(ValidationError):
             cfg.scale(-1)

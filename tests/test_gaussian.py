@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_solve
 from scipy.stats import binomtest
 
-from fbmkit.acceptance import _exp_grid_neg, inversion_grid
+from fbmkit.acceptance import _exp_grid_neg
 from fbmkit.cli import V_GRID_DEFAULT
-from fbmkit.drift import REGRESSION_MAX_POINTS
+from fbmkit.drift import REGRESSION_MAX_POINTS, inversion_grid
 from fbmkit.errors import AccuracyError, ValidationError
 from fbmkit.fbm import fbm_cov, fbm_cov_matrix
 from fbmkit.gaussian import (

@@ -12,6 +12,10 @@ dependencies; scipy stays in the ``test`` extra as an oracle.  ``gamma.py``
 sums its series in closed form and imports nothing from ``quadrature``;
 ``drift.py`` takes exact path weights and imports only ``PATH_TOL`` from it,
 and no library module but ``quadrature.py`` names the panel helpers.
+
+``cli.py`` imports only ``DEFAULT_SEED`` and ``run_all`` from ``acceptance``
+(the past window and the driver round trip live in ``drift``), and no
+library module imports an underscore name from ``acceptance``.
 """
 
 import ast
@@ -151,6 +155,19 @@ def test_the_scans_see_module_imports_and_attributes():
 def test_drift_imports_only_path_tol_from_quadrature():
     source = (ROOT / "src" / "fbmkit" / "drift.py").read_text(encoding="utf-8")
     assert names_imported_from(source, "quadrature") == {"PATH_TOL"}
+
+
+def test_cli_imports_only_the_seed_and_run_all_from_acceptance():
+    source = (ROOT / "src" / "fbmkit" / "cli.py").read_text(encoding="utf-8")
+    assert names_imported_from(source, "acceptance") == {"DEFAULT_SEED", "run_all"}
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src").rglob("*.py")), ids=lambda p: str(p.relative_to(ROOT))
+)
+def test_no_library_module_imports_a_private_acceptance_name(path):
+    names = names_imported_from(path.read_text(encoding="utf-8"), "acceptance")
+    assert not {name for name in names if name.startswith("_")}
 
 
 @pytest.mark.parametrize(
