@@ -47,7 +47,7 @@ from .fbm import (
     sample_obm,
 )
 from .gamma import GammaConfig, decay_bound_check, gamma_mc_implied_cov, sample_gamma_mc
-from .gaussian import CovMatrix, cov_standard_errors, estimate_cov
+from .gaussian import CovMatrix, estimate_cov
 from .reports import utc_now
 from .rng import make_rng
 from .serialize import canonical_json_dumps
@@ -236,8 +236,7 @@ def _criterion_1(seed_seq, threads: int) -> tuple[bool, str, dict]:
             ),
         ):
             x = sample()[:, 1:]
-            emp = estimate_cov(x)
-            se = cov_standard_errors(x)
+            emp, se = estimate_cov(x)
             z_max = float(np.max(np.abs(emp - ref) / se))
             metrics[f"zmax_{label}_h{hurst}"] = z_max
             worst = max(worst, z_max)
@@ -372,7 +371,7 @@ def _criterion_4(seed_seq, threads: int) -> tuple[bool, str, dict]:
     # must be an exact identity on any observed path.
     ctx_half = make_context(0.5)
     # The path's last sample is its pin at t = 0, which the operator adds.
-    w_path = sample_obm(1024, dt, rng, t0=-2.0)[:-1]
+    w_path = sample_obm(1024, dt, rng, t0=-2.0)[0, :-1]
     w_times = -2.0 + dt * np.arange(1024)
     rec = pipiras_taqqu_invert(DriftKernelSpec(ctx=ctx_half), w_times, w_path, t_inv)
     exact_err = float(np.max(np.abs(rec - np.interp(t_inv, w_times, w_path))))
@@ -397,7 +396,7 @@ def _criterion_5(seed_seq, threads: int) -> tuple[bool, str, dict]:
     min_margin = math.inf
     for n in (4, 16, 64):
         for eps in (0.01, 0.05, 0.1):
-            rep = matrix_batch_check(n, eps, 1000, rng, threads=threads)
+            rep = matrix_batch_check(n, eps, 1000, rng)
             total_checked += rep.checked
             total_violations += rep.violations
             min_margin = min(
@@ -446,12 +445,11 @@ def _criterion_7(seed_seq, threads: int) -> tuple[bool, str, dict]:
 
     # theta = 1/2: Brownian motion on a 1024-step unit grid (increment sd
     # |t-s|^(1/2), pathwise values bounded by the Holder envelope).
-    n_steps = 1024
-    sup_bm = np.empty(n_paths)
-    for start in range(0, n_paths, 2000):
-        stop = min(start + 2000, n_paths)
-        incr = math.sqrt(1.0 / n_steps) * rng.standard_normal((stop - start, n_steps))
-        sup_bm[start:stop] = np.max(np.abs(np.cumsum(incr, axis=1)), axis=1)
+    n_steps, chunk = 1024, 2000
+    sup_bm = np.concatenate([
+        np.max(np.abs(sample_obm(n_steps, 1.0 / n_steps, rng, paths=chunk)), axis=1)
+        for _ in range(n_paths // chunk)
+    ])
 
     # theta = 1: the linear path X_t = t * xi (increment sd exactly |t-s|).
     sup_line = np.abs(rng.standard_normal(n_paths))
@@ -495,9 +493,8 @@ def _criterion_8(seed_seq, threads: int) -> tuple[bool, str, dict]:
         implied = gamma_mc_implied_cov(cfg, d_mc)[0]
         deficit = float(np.max(np.abs(implied - exact_row)))
         draws = sample_gamma_mc(cfg, d_mc, rng, n_mc)
-        emp = estimate_cov(draws)[0]
-        se = cov_standard_errors(draws)[0]
-        z_mc = float(np.max((np.abs(emp - exact_row) - deficit) / se))
+        emp, se = estimate_cov(draws)
+        z_mc = float(np.max((np.abs(emp[0] - exact_row) - deficit) / se[0]))
         metrics[f"mc_zmax_r{r}"] = z_mc
         metrics[f"mc_deficit_r{r}"] = deficit
         ok = ok and z_mc <= 4.0

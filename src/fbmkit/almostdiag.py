@@ -16,6 +16,12 @@ central-binomial series and their derivatives); the closed forms are
 implemented directly so the checks are sharp.  Outside its convergence
 radius each factor is +inf.
 
+The bounds are checked on stacks of matrices of shape ``(k, n, n)``: one
+stacked ``slogdet`` and ``inv``, and the margins by broadcasting.  A batch
+of random instances is drawn and checked a block of at most
+``_BLOCK_ENTRIES`` matrix entries at a time, so its memory does not grow
+with the number of trials.
+
 Entry bounds for powers of ``H`` come from a walk-counting argument: any
 contribution to ``(H^k)_ij`` is a k-step walk on Z from i to j with nonzero
 steps, weighted by eps^(total step length).  A walk with total length n is
@@ -26,10 +32,9 @@ negative steps).  Counting admissible words yields
     #{k-step walks 0 -> z, total length n}
         <= [2 | n - z] * C(n, (n-|z|)/2) * C(n-1, k-1),
 
-and summing over n = |z| + 2m gives the truncated-series entry bound
-``hk_entry_bound``.  ``valid_tuple_count`` computes the walk count exactly
-(big-integer dynamic programming) so the coding bound can be verified
-exhaustively.
+and summing over n = |z| + 2m gives the entry bound ``hk_entry_bound``.
+``valid_tuple_count`` computes the walk count exactly (big-integer dynamic
+programming) so the coding bound can be verified exhaustively.
 """
 
 from __future__ import annotations
@@ -40,15 +45,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .rng import parallel_map
 
 __all__ = [
     "PhiFunctions",
     "phi_functions",
     "phi_n_of",
-    "MatrixBoundsReport",
     "matrix_bounds_check",
-    "random_hypothesis_matrix",
     "adversarial_matrices",
     "matrix_batch_check",
     "BatchReport",
@@ -62,28 +64,31 @@ __all__ = [
 _INF = float("inf")
 # Roundoff allowance of the exact determinant and inverse-entry inequalities.
 SLACK = 1.0e-9
-# Last term index m of the truncated series in hk_entry_bound.
+# Last term index m summed in hk_entry_bound; a bound on the rest is added.
 HK_TERMS = 60
+# Matrix entries in one block of random instances: 2 MiB of floats.
+_BLOCK_ENTRIES = 2**18
 # Terms of the phi_g and phi_i series; each falls by 1/4 or more, 4^-60 < 2^-110.
 _SERIES_TERMS = 60
 
 
 @dataclass(frozen=True)
 class PhiFunctions:
-    """Quasi-one correction factors at a given eps (entries may be +inf)."""
+    """Quasi-one correction factors at a given eps (entries may be +inf).
+
+    ``phi_g`` enters the determinant bound, ``phi_h`` and ``phi_i`` the
+    inverse-entry bounds, and ``phi_k`` the variance of the independent
+    surrogate in ``experiments``.
+    """
 
     eps: float
-    phi_m: float
     phi_g: float
-    phi_n: float
     phi_h: float
     phi_i: float
-    phi_j: float
     phi_k: float
 
     def all_finite(self) -> bool:
-        vals = (self.phi_m, self.phi_g, self.phi_n, self.phi_h, self.phi_i, self.phi_j, self.phi_k)
-        return all(math.isfinite(v) for v in vals)
+        return all(math.isfinite(v) for v in (self.phi_g, self.phi_h, self.phi_i, self.phi_k))
 
 
 def phi_n_of(x: float) -> float:
@@ -160,8 +165,8 @@ def _phi_i(eps: float, phi_m: float) -> float:
 def phi_functions(eps: float) -> PhiFunctions:
     """All quasi-one factors at ``eps`` (entries +inf outside their radius).
 
-    Radii: phi_m needs eps < 1/2; phi_g needs eps < 1/3; phi_h = phi_n(4 eps^2)
-    needs 16 e eps^2 < 1; phi_i needs eps < 1/4; phi_k additionally needs
+    Radii: phi_g needs eps < 1/3; phi_h = phi_n(4 eps^2) needs
+    16 e eps^2 < 1; phi_i needs eps < 1/4; phi_k additionally needs
     2 phi_h eps < 1 and 1 - 2 phi_i eps^2 - 2 phi_h eps / (1 - 2 phi_h eps) > 0.
     """
     eps = float(eps)
@@ -169,10 +174,8 @@ def phi_functions(eps: float) -> PhiFunctions:
         raise ValidationError(f"eps must be positive and finite, got {eps}")
     phi_m = _phi_m(eps)
     phi_g = _phi_g(eps, phi_m)
-    phi_n = phi_n_of(4.0 * eps * eps)
-    phi_h = phi_n
+    phi_h = phi_n_of(4.0 * eps * eps)
     phi_i = _phi_i(eps, phi_m)
-    phi_j = math.exp(phi_g * eps * eps) if math.isfinite(phi_g) else _INF
     phi_k = _INF
     if math.isfinite(phi_h) and math.isfinite(phi_i):
         t = 2.0 * phi_h * eps
@@ -180,10 +183,7 @@ def phi_functions(eps: float) -> PhiFunctions:
             denom = 1.0 - 2.0 * phi_i * eps * eps - t / (1.0 - t)
             if denom > 0.0:
                 phi_k = 1.0 / denom
-    return PhiFunctions(
-        eps=eps, phi_m=phi_m, phi_g=phi_g, phi_n=phi_n,
-        phi_h=phi_h, phi_i=phi_i, phi_j=phi_j, phi_k=phi_k,
-    )
+    return PhiFunctions(eps=eps, phi_g=phi_g, phi_h=phi_h, phi_i=phi_i, phi_k=phi_k)
 
 
 # ---------------------------------------------------------------------------
@@ -192,137 +192,13 @@ def phi_functions(eps: float) -> PhiFunctions:
 
 
 @dataclass(frozen=True)
-class MatrixBoundsReport:
-    """Outcome of checking one matrix against the three bounds."""
-
-    n: int
-    eps: float
-    det_value: float
-    det_bound: float
-    det_margin: float
-    offdiag_margin: float
-    diag_margin: float
-    norm1_h: float
-    norm1_bound: float
-    det_ok: bool
-    inverse_ok: bool
-    slack: float
-
-    def all_ok(self) -> bool:
-        return self.det_ok and self.inverse_ok
-
-
-def _validate_hypothesis(matrix: np.ndarray, eps: float) -> np.ndarray:
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"matrix must be square, got shape {a.shape}")
-    n = a.shape[0]
-    idx = np.arange(n)
-    bad_diag = np.abs(a[idx, idx] - 1.0) > 1.0e-12
-    if np.any(bad_diag):
-        offenders = [(int(i), float(a[i, i])) for i in idx[bad_diag][:5]]
-        raise ValidationError(f"diagonal entries must equal 1; offenders (i, a_ii): {offenders}")
-    lag = np.abs(idx[:, None] - idx[None, :])
-    limit = eps ** lag.astype(float)
-    over = np.abs(a) > limit * (1.0 + 1.0e-12)
-    np.fill_diagonal(over, False)
-    if np.any(over):
-        where = np.argwhere(over)[:5]
-        offenders = [
-            (int(i), int(j), float(a[i, j]), float(limit[i, j])) for i, j in where
-        ]
-        raise ValidationError(
-            f"entries exceed eps^|i-j| envelope; offenders (i, j, a_ij, limit): {offenders}"
-        )
-    return a
-
-
-def matrix_bounds_check(matrix: np.ndarray, eps: float) -> MatrixBoundsReport:
-    """Verify the determinant and inverse-entry bounds on one matrix.
-
-    The matrix must have unit diagonal and satisfy |a_ij| <= eps^|i-j|
-    (checked, offending entries reported).  The inequalities are exact
-    mathematical claims; ``SLACK`` only absorbs floating-point roundoff.
-    """
-    eps = float(eps)
-    if eps <= 0.0:
-        raise ValidationError(f"eps must be positive, got {eps}")
-    a = _validate_hypothesis(matrix, eps)
-    n = a.shape[0]
-    phis = phi_functions(eps)
-    if not (math.isfinite(phis.phi_g) and math.isfinite(phis.phi_h) and math.isfinite(phis.phi_i)):
-        raise ValidationError(
-            f"phi factors are infinite at eps={eps}; bounds require eps < 1/4 "
-            "and 16*e*eps^2 < 1"
-        )
-
-    sign, logdet = np.linalg.slogdet(a)
-    det_value = float(sign * np.exp(logdet))
-    det_bound = float(np.exp(-n * phis.phi_g * eps * eps))
-    det_margin = det_value - det_bound
-
-    b = np.linalg.inv(a)
-    idx = np.arange(n)
-    lag = np.abs(idx[:, None] - idx[None, :]).astype(float)
-    off_bound = 0.5 * (2.0 * phis.phi_h * eps) ** lag
-    off_gap = off_bound - np.abs(b)
-    np.fill_diagonal(off_gap, np.inf)
-    offdiag_margin = float(off_gap.min()) if n > 1 else float("inf")
-    diag_margin = float((2.0 * phis.phi_i * eps * eps - np.abs(np.diag(b) - 1.0)).min())
-
-    h = np.eye(n) - a
-    norm1_h = float(np.abs(h).sum(axis=0).max())
-    norm1_bound = 2.0 * eps / (1.0 - eps) if eps < 1.0 else float("inf")
-
-    return MatrixBoundsReport(
-        n=n,
-        eps=eps,
-        det_value=det_value,
-        det_bound=det_bound,
-        det_margin=det_margin,
-        offdiag_margin=offdiag_margin,
-        diag_margin=diag_margin,
-        norm1_h=norm1_h,
-        norm1_bound=norm1_bound,
-        det_ok=bool(det_margin >= -SLACK),
-        inverse_ok=bool(offdiag_margin >= -SLACK and diag_margin >= -SLACK),
-        slack=SLACK,
-    )
-
-
-def random_hypothesis_matrix(n: int, eps: float, rng: np.random.Generator) -> np.ndarray:
-    """Unit-diagonal matrix with a_ij uniform in [-eps^|i-j|, eps^|i-j|]."""
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    idx = np.arange(n)
-    limit = float(eps) ** np.abs(idx[:, None] - idx[None, :]).astype(float)
-    a = rng.uniform(-1.0, 1.0, size=(n, n)) * limit
-    np.fill_diagonal(a, 1.0)
-    return a
-
-
-def adversarial_matrices(n: int, eps: float) -> list[np.ndarray]:
-    """Three extreme instances saturating |a_ij| = eps^|i-j| exactly.
-
-    All-positive entries, alternating sign by lag, and alternating sign by
-    index parity; each has unit diagonal.
-    """
-    idx = np.arange(n)
-    lag = np.abs(idx[:, None] - idx[None, :]).astype(float)
-    env = float(eps) ** lag
-    signs_lag = (-1.0) ** lag
-    signs_par = (-1.0) ** (idx[:, None] + idx[None, :]).astype(float)
-    out = []
-    for s in (np.ones_like(env), signs_lag, signs_par):
-        a = env * s
-        np.fill_diagonal(a, 1.0)
-        out.append(a)
-    return out
-
-
-@dataclass(frozen=True)
 class BatchReport:
-    """Aggregate of matrix_bounds_check over a batch of instances."""
+    """The three bounds checked on a stack of matrices: worst margins and violations.
+
+    A margin is bound minus observed value, so a negative one beyond
+    ``SLACK`` is a violation; ``violations`` counts the matrices with one.
+    An empty stack has +inf margins and ``max_norm1_h`` 0.
+    """
 
     n: int
     eps: float
@@ -333,47 +209,138 @@ class BatchReport:
     min_diag_margin: float
     max_norm1_h: float
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "eps": self.eps,
-            "checked": self.checked,
-            "violations": self.violations,
-            "min_det_margin": self.min_det_margin,
-            "min_offdiag_margin": self.min_offdiag_margin,
-            "min_diag_margin": self.min_diag_margin,
-            "max_norm1_h": self.max_norm1_h,
-        }
+
+def _lags(n: int) -> np.ndarray:
+    """The n x n matrix of |i - j|, as floats."""
+    idx = np.arange(n)
+    return np.abs(idx[:, None] - idx[None, :]).astype(float)
 
 
-def matrix_batch_check(
-    n: int,
-    eps: float,
-    trials: int,
-    rng: np.random.Generator,
-    *,
-    threads: int = 1,
-) -> BatchReport:
-    """Check ``trials`` random instances plus the adversarial ones at (n, eps).
+def _hypothesis_stack(matrices, eps: float) -> np.ndarray:
+    """``matrices`` as a ``(k, n, n)`` stack, refused unless each is in the hypothesis class."""
+    a = np.asarray(matrices, dtype=float)
+    if a.ndim == 2:
+        a = a[None]
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] < 1:
+        raise ValidationError(
+            f"need a square matrix or a (k, n, n) stack with n >= 1, got shape {a.shape}"
+        )
+    if not np.isfinite(a).all():
+        raise ValidationError("matrix entries must be finite")
+    idx = np.arange(a.shape[1])
+    bad_diag = np.abs(a[:, idx, idx] - 1.0) > 1.0e-12
+    if np.any(bad_diag):
+        offenders = [(int(m), int(i), float(a[m, i, i])) for m, i in np.argwhere(bad_diag)[:5]]
+        raise ValidationError(
+            f"diagonal entries must equal 1; offenders (matrix, i, a_ii): {offenders}"
+        )
+    limit = eps ** _lags(a.shape[1])
+    over = np.abs(a) > limit * (1.0 + 1.0e-12)
+    over[:, idx, idx] = False
+    if np.any(over):
+        offenders = [
+            (int(m), int(i), int(j), float(a[m, i, j]), float(limit[i, j]))
+            for m, i, j in np.argwhere(over)[:5]
+        ]
+        raise ValidationError(
+            "entries exceed eps^|i-j| envelope; offenders (matrix, i, j, a_ij, limit): "
+            f"{offenders}"
+        )
+    return a
 
-    Matrices are generated sequentially from ``rng`` so results do not depend
-    on the thread count; the pure checks then run in parallel.
+
+def matrix_bounds_check(matrices, eps: float) -> BatchReport:
+    """Verify the determinant and inverse-entry bounds on a matrix or a stack.
+
+    ``matrices`` is one n x n matrix (a stack of one) or a ``(k, n, n)``
+    stack.  Each must have unit diagonal and satisfy |a_ij| <= eps^|i-j|
+    (checked, offending entries reported).  The stack goes through one
+    stacked ``slogdet`` and one stacked ``inv``, and the margins of all k
+    matrices are taken by broadcasting.  The inequalities are exact
+    mathematical claims; ``SLACK`` only absorbs floating-point roundoff.
     """
-    if trials < 0:
-        raise ValidationError(f"trials must be >= 0, got {trials}")
-    mats = [random_hypothesis_matrix(n, eps, rng) for _ in range(trials)]
-    mats.extend(adversarial_matrices(n, eps))
-    reports = parallel_map(lambda m: matrix_bounds_check(m, eps), mats, threads=threads)
-    violations = sum(0 if r.all_ok() else 1 for r in reports)
+    eps = float(eps)
+    if eps <= 0.0:
+        raise ValidationError(f"eps must be positive, got {eps}")
+    a = _hypothesis_stack(matrices, eps)
+    n = a.shape[1]
+    phis = phi_functions(eps)
+    if not (math.isfinite(phis.phi_g) and math.isfinite(phis.phi_h) and math.isfinite(phis.phi_i)):
+        raise ValidationError(
+            f"phi factors are infinite at eps={eps}; bounds require eps < 1/4 "
+            "and 16*e*eps^2 < 1"
+        )
+
+    sign, logdet = np.linalg.slogdet(a)
+    det_margin = sign * np.exp(logdet) - np.exp(-n * phis.phi_g * eps * eps)
+
+    b = np.linalg.inv(a)
+    idx = np.arange(n)
+    off_gap = 0.5 * (2.0 * phis.phi_h * eps) ** _lags(n) - np.abs(b)
+    off_gap[:, idx, idx] = _INF
+    offdiag_margin = off_gap.min(axis=(1, 2))
+    diag_margin = (2.0 * phis.phi_i * eps * eps - np.abs(b[:, idx, idx] - 1.0)).min(axis=1)
+    norm1_h = np.abs(np.eye(n) - a).sum(axis=1).max(axis=1)
+
+    ok = (det_margin >= -SLACK) & (offdiag_margin >= -SLACK) & (diag_margin >= -SLACK)
     return BatchReport(
         n=n,
         eps=eps,
-        checked=len(reports),
-        violations=violations,
-        min_det_margin=min(r.det_margin for r in reports),
-        min_offdiag_margin=min(r.offdiag_margin for r in reports),
-        min_diag_margin=min(r.diag_margin for r in reports),
-        max_norm1_h=max(r.norm1_h for r in reports),
+        checked=a.shape[0],
+        violations=int(np.count_nonzero(~ok)),
+        min_det_margin=float(det_margin.min(initial=_INF)),
+        min_offdiag_margin=float(offdiag_margin.min(initial=_INF)),
+        min_diag_margin=float(diag_margin.min(initial=_INF)),
+        max_norm1_h=float(norm1_h.max(initial=0.0)),
+    )
+
+
+def adversarial_matrices(n: int, eps: float) -> np.ndarray:
+    """Three extreme instances saturating |a_ij| = eps^|i-j|, as a (3, n, n) stack.
+
+    All-positive entries, alternating sign by lag, and alternating sign by
+    index parity; each has unit diagonal.
+    """
+    idx = np.arange(n)
+    lag = _lags(n)
+    signs = np.stack([np.ones_like(lag), (-1.0) ** lag,
+                      (-1.0) ** (idx[:, None] + idx[None, :]).astype(float)])
+    out = float(eps) ** lag * signs
+    out[:, idx, idx] = 1.0
+    return out
+
+
+def matrix_batch_check(n: int, eps: float, trials: int, rng: np.random.Generator) -> BatchReport:
+    """Check ``trials`` random instances plus the adversarial ones at (n, eps).
+
+    A random instance has unit diagonal and a_ij uniform in
+    [-eps^|i-j|, eps^|i-j|].  They are drawn and checked in blocks of at most
+    ``_BLOCK_ENTRIES`` entries, each block one ``rng.uniform`` draw in row
+    order: the stream is read as by drawing the matrices one at a time, so
+    the block size never changes the report.
+    """
+    if trials < 0:
+        raise ValidationError(f"trials must be >= 0, got {trials}")
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
+    envelope = float(eps) ** _lags(n)
+    idx = np.arange(n)
+    block = max(1, _BLOCK_ENTRIES // (n * n))
+    reports = []
+    for start in range(0, trials, block):
+        a = rng.uniform(-1.0, 1.0, size=(min(block, trials - start), n, n)) * envelope
+        a[:, idx, idx] = 1.0
+        reports.append(matrix_bounds_check(a, eps))
+    reports.append(matrix_bounds_check(adversarial_matrices(n, eps), eps))
+    return BatchReport(
+        n=n,
+        eps=eps,
+        checked=sum(r.checked for r in reports),
+        violations=sum(r.violations for r in reports),
+        min_det_margin=min(r.min_det_margin for r in reports),
+        min_offdiag_margin=min(r.min_offdiag_margin for r in reports),
+        min_diag_margin=min(r.min_diag_margin for r in reports),
+        max_norm1_h=max(r.max_norm1_h for r in reports),
     )
 
 
@@ -383,10 +350,22 @@ def matrix_batch_check(
 
 
 def hk_entry_bound(z: int, k: int, eps: float) -> float:
-    """Truncated series bound on |(H^k)_ij| for |i - j| = |z|.
+    """Upper bound on |(H^k)_ij| for |i - j| = |z|, or +inf.
 
-    sum_{m=0}^{HK_TERMS} C(|z|+2m, m) * C(|z|+2m-1, k-1) * eps^(|z|+2m);
-    terms with |z| + 2m < 1 vanish (a k >= 1 step walk has length >= 1).
+    The series sum_{m>=0} t_m with
+    t_m = C(|z|+2m, m) * C(|z|+2m-1, k-1) * eps^(|z|+2m)
+    (terms with |z| + 2m < 1 or < k vanish), summed to m = M = HK_TERMS,
+    plus a bound on its tail.  For m >= M the ratio t_(m+1) / t_m is at
+    most
+
+        rho = eps^2 * (2+u)^2 / (1+u) * (L+1) L / ((L+2-k) (L+1-k)),
+
+    u = |z| / (M+1), L = |z| + 2M: the ratio's central-binomial factor is
+    at most (2+a)^2 / (1+a) with a = |z| / (m+1) <= u, and its other factor
+    falls as m grows.  So the tail is at most t_M * rho / (1 - rho).  The
+    series diverges for eps >= 1/2, and the result is +inf there and
+    wherever rho >= 1.  The float sum of the summed terms is within 1e-13 of
+    its exact value, relative, so the result is raised by 1e-12 relative.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
@@ -394,13 +373,25 @@ def hk_entry_bound(z: int, k: int, eps: float) -> float:
     if not 0.0 < eps < math.inf:
         raise ValidationError(f"eps must be positive and finite, got {eps}")
     az = abs(int(z))
-    total = 0.0
+    top = az + 2 * HK_TERMS
+    if k > top:
+        raise ValidationError(
+            f"k = {k} exceeds |z| + 2 * HK_TERMS = {top}: every summed term is 0"
+        )
+    if eps >= 0.5:
+        return _INF
+    u = az / (HK_TERMS + 1)
+    rho = eps * eps * (2.0 + u) ** 2 / (1.0 + u) * (top + 1) * top / ((top + 2 - k) * (top + 1 - k))
+    if rho >= 1.0:
+        return _INF
+    total = term = 0.0
     for m in range(HK_TERMS + 1):
         length = az + 2 * m
         if length < 1 or k > length:
             continue
-        total += math.comb(length, m) * math.comb(length - 1, k - 1) * eps**length
-    return total
+        term = math.comb(length, m) * math.comb(length - 1, k - 1) * eps**length
+        total += term
+    return (total + term * rho / (1.0 - rho)) * (1.0 + 1.0e-12)
 
 
 def valid_tuple_count(z: int, k: int, n: int) -> int:

@@ -42,6 +42,7 @@ import math
 import os
 import sys
 from collections.abc import Callable
+from dataclasses import asdict
 
 import jsonschema
 import numpy as np
@@ -247,10 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
     b_sub = p_bounds.add_subparsers(dest="what", required=True)
 
     bp = b_sub.add_parser("matrix")
-    bp.add_argument("--n", type=int, required=True, help="matrix dimension")
+    bp.add_argument("--n", type=_int_at_least(2), required=True, help="matrix dimension")
     bp.add_argument("--eps", type=_finite_float, required=True, help="off-diagonal envelope")
-    bp.add_argument("--trials", type=int, default=1000, help="random instances")
-    common(bp, threads=True)
+    bp.add_argument("--trials", type=_int_at_least(0), default=1000, help="random instances")
+    common(bp)
     bp.set_defaults(handler=_cmd_bounds_matrix)
 
     bp = b_sub.add_parser("subgauss")
@@ -400,9 +401,10 @@ def _finite_float(text: str) -> float:
 def _int_at_least(low: int) -> Callable[[str], int]:
     """The argparse type of an integer flag that is ``low`` or more.
 
-    ``--seed`` takes 0 and up, as ``SeedSequence`` does, and so does
-    ``gamma --n``; ``--threads``, ``--paths`` and ``sample --n`` take 1 and
-    up, and ``bounds thick --n`` 2 and up.
+    ``--seed`` takes 0 and up, as ``SeedSequence`` does, and so do
+    ``gamma --n`` and ``bounds matrix --trials``; ``--threads``, ``--paths``
+    and ``sample --n`` take 1 and up, and ``bounds thick --n`` and
+    ``bounds matrix --n`` 2 and up.
     """
     def parse(text: str) -> int:
         try:
@@ -555,8 +557,7 @@ def _cmd_sample(args) -> int:
         times = args.dt * np.arange(args.n + 1)
     else:
         config["t0"] = args.t0
-        rows = [sample_obm(args.n, args.dt, rng, t0=args.t0) for _ in range(args.paths)]
-        values = np.stack(rows)
+        values = sample_obm(args.n, args.dt, rng, t0=args.t0, paths=args.paths)
         times = args.t0 + args.dt * np.arange(args.n + 1)
     _emit(args, *_path_doc(f"sample_{args.process}", config, args.seed,
                            times, values))
@@ -688,11 +689,9 @@ def _cmd_gamma(args) -> int:
 
 def _cmd_bounds_matrix(args) -> int:
     rng = make_rng(args.seed)
-    report = matrix_batch_check(args.n, args.eps, args.trials, rng,
-                                threads=args.threads)
+    report = matrix_batch_check(args.n, args.eps, args.trials, rng)
     config = {"n": args.n, "eps": args.eps, "trials": args.trials}
-    _emit(args, *_table_doc("bounds_matrix", config,
-                            dict(report.to_dict()), seed=args.seed))
+    _emit(args, *_table_doc("bounds_matrix", config, asdict(report), seed=args.seed))
     return 0
 
 

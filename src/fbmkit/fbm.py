@@ -334,15 +334,17 @@ def sample_obm(
     dt: float,
     rng: np.random.Generator,
     t0: float = 0.0,
+    paths: int = 1,
 ) -> np.ndarray:
-    """Ordinary Brownian motion on the grid ``t0 + dt * k``, ``k = 0..n_steps``.
+    """Ordinary Brownian motion paths on the grid ``t0 + dt * k``, ``k = 0..n_steps``.
 
-    Returns the ``n_steps + 1`` values.  The grid must contain ``t = 0``;
-    that point gets the exact value 0, so for ``t0 < 0`` this produces a
-    two-sided path anchored at the origin.
+    Returns shape ``(paths, n_steps + 1)``, from one
+    ``standard_normal((paths, n_steps))`` draw.  The grid must contain
+    ``t = 0``; that point gets the exact value 0, so for ``t0 < 0`` this
+    produces two-sided paths anchored at the origin.
     """
-    if n_steps < 1:
-        raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
+    if n_steps < 1 or paths < 1:
+        raise ValidationError(f"need n_steps >= 1 and paths >= 1, got {n_steps} and {paths}")
     if not (0.0 < dt < np.inf and np.isfinite(t0)):
         raise ValidationError(f"need finite dt > 0 and finite t0, got dt={dt}, t0={t0}")
     anchor = -t0 / dt
@@ -351,10 +353,10 @@ def sample_obm(
         raise ValidationError(
             "the grid must contain t = 0 (t0 must be a nonpositive multiple of dt)"
         )
-    incr = np.sqrt(dt) * rng.standard_normal(n_steps)
-    cum = np.concatenate([[0.0], np.cumsum(incr)])
-    values = cum - cum[idx]
-    values[idx] = 0.0
+    values = np.zeros((paths, n_steps + 1))
+    np.cumsum(np.sqrt(dt) * rng.standard_normal((paths, n_steps)), axis=1, out=values[:, 1:])
+    values -= values[:, [idx]]
+    values[:, idx] = 0.0
     return values
 
 

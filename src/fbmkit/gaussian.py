@@ -5,9 +5,9 @@ factor: it wraps a symmetric positive semi-definite matrix with a Cholesky
 factor obtained through an escalating jitter ladder (semi-definite matrices
 arise legitimately here, e.g. any covariance pinned to zero at ``t = 0``),
 draws zero-mean Gaussian vectors with it and solves regression systems on
-it.  The estimation helpers implement the zero-mean empirical covariance and
-its entrywise Monte-Carlo standard errors, which the validation experiments
-use to build "within ``k`` standard errors" bands.
+it.  :func:`estimate_cov` returns the zero-mean empirical covariance and its
+entrywise Monte-Carlo standard errors, which the validation experiments use
+to build "within ``k`` standard errors" bands.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "cholesky_with_jitter",
     "CovMatrix",
     "estimate_cov",
-    "cov_standard_errors",
 ]
 
 _JITTER_LADDER = (0.0, 1.0e-12, 1.0e-10, 1.0e-8)
@@ -127,27 +126,18 @@ class CovMatrix:
         return x
 
 
-def estimate_cov(samples: np.ndarray) -> np.ndarray:
-    """Zero-mean empirical covariance ``X.T @ X / N`` of rows of ``samples``."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2 or samples.shape[0] < 2:
-        raise ValidationError("samples must be a 2-d array with >= 2 rows")
-    n = samples.shape[0]
-    return samples.T @ samples / n
+def estimate_cov(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-mean empirical covariance of the rows of ``samples``, and its standard errors.
 
-
-def cov_standard_errors(samples: np.ndarray) -> np.ndarray:
-    """Entrywise standard errors of :func:`estimate_cov`.
-
-    Entry ``(k, l)`` is ``std(X_k * X_l) / sqrt(N)``; computed without
-    materializing the ``N x d x d`` product tensor.
+    Returns ``(cov, se)``: ``cov = X.T @ X / N`` and entry ``(k, l)`` of
+    ``se`` is ``std(X_k * X_l) / sqrt(N)``, computed without materializing
+    the ``N x d x d`` product tensor.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[0] < 2:
         raise ValidationError("samples must be a 2-d array with >= 2 rows")
     n = samples.shape[0]
-    mean_prod = samples.T @ samples / n
+    cov = samples.T @ samples / n
     sq = samples * samples
-    mean_prod_sq = sq.T @ sq / n
-    var = np.maximum(mean_prod_sq - mean_prod**2, 0.0)
-    return np.sqrt(var / n)
+    var = np.maximum(sq.T @ sq / n - cov**2, 0.0)
+    return cov, np.sqrt(var / n)

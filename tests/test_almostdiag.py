@@ -3,14 +3,19 @@
 The determinant and inverse-entry bounds must hold on every matrix of the
 hypothesis class (unit diagonal, ``|a_ij| <= eps^|i-j|``) for every eps below
 ``max_feasible_epsilon()``, including the three instances that saturate the
-envelope; a matrix outside the class is refused.  The phi_g and phi_i
-factors behind them are checked against their closed forms in mpmath, down to
-eps where eps^2 underflows.  These bounds, the sub-Gaussian tail bound and
-the regularity bound of the increment field refuse inf and nan.
+envelope; a matrix outside the class is refused.  The stacked check gives
+the margins of a per-matrix oracle (one ``slogdet`` and one ``inv`` per
+matrix) bit for bit, on any stack and in any block size.  The phi_g and
+phi_i factors behind them are checked against their closed forms in mpmath,
+down to eps where eps^2 underflows.  ``hk_entry_bound`` is at least the
+exact sum of 1500 terms of its series, and +inf where the series diverges.
+These bounds, the sub-Gaussian tail bound and the regularity bound of the
+increment field refuse inf and nan.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -19,12 +24,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fbmkit.almostdiag import (
+    HK_TERMS,
+    SLACK,
     adversarial_matrices,
     hk_entry_bound,
+    matrix_batch_check,
     matrix_bounds_check,
     phi_functions,
     phi_n_of,
-    random_hypothesis_matrix,
     word_code,
     word_decode,
 )
@@ -32,6 +39,7 @@ from fbmkit.context import make_context
 from fbmkit.errors import ValidationError
 from fbmkit.experiments import max_feasible_epsilon
 from fbmkit.gamma import GammaConfig, reg_gamhat_bound
+from fbmkit.rng import make_rng
 from fbmkit.subgauss import subgaussian_bound, subgaussian_constants
 
 EPS_MAX = max_feasible_epsilon()
@@ -66,13 +74,72 @@ def test_word_decode_rejects_malformed_words(word):
         word_decode(word)
 
 
+def lags(n):
+    idx = np.arange(n)
+    return np.abs(idx[:, None] - idx[None, :]).astype(float)
+
+
+def random_stack(k, n, eps, rng):
+    """k unit-diagonal matrices with a_ij uniform in [-eps^|i-j|, eps^|i-j|]."""
+    a = rng.uniform(-1.0, 1.0, size=(k, n, n)) * eps ** lags(n)
+    a[:, np.arange(n), np.arange(n)] = 1.0
+    return a
+
+
+def oracle_margins(matrix, eps):
+    """Determinant, off-diagonal and diagonal margins and ||H||_1 of one matrix.
+
+    One ``slogdet`` and one ``inv`` of this matrix alone.
+    """
+    phis = phi_functions(eps)
+    n = matrix.shape[0]
+    sign, logdet = np.linalg.slogdet(matrix)
+    det = float(sign * np.exp(logdet)) - float(np.exp(-n * phis.phi_g * eps * eps))
+    b = np.linalg.inv(matrix)
+    off_gap = 0.5 * (2.0 * phis.phi_h * eps) ** lags(n) - np.abs(b)
+    np.fill_diagonal(off_gap, np.inf)
+    diag = float((2.0 * phis.phi_i * eps * eps - np.abs(np.diag(b) - 1.0)).min())
+    norm1 = float(np.abs(np.eye(n) - matrix).sum(axis=0).max())
+    return det, float(off_gap.min()), diag, norm1
+
+
+def assert_matches_oracle(report, matrices, eps):
+    rows = np.array([oracle_margins(m, eps) for m in matrices]).reshape(-1, 4)
+    assert report.checked == len(rows)
+    assert report.violations == int(np.count_nonzero(np.any(rows[:, :3] < -SLACK, axis=1)))
+    mins = rows[:, :3].min(axis=0, initial=math.inf)
+    assert (report.min_det_margin, report.min_offdiag_margin, report.min_diag_margin) == tuple(mins)
+    assert report.max_norm1_h == rows[:, 3].max(initial=0.0)
+
+
+@given(st.integers(0, 6), sizes, epsilons, st.integers(0, 2**32 - 1))
+def test_stacked_check_matches_the_per_matrix_oracle(k, n, eps, seed):
+    stack = random_stack(k, n, eps, np.random.default_rng(seed))
+    assert_matches_oracle(matrix_bounds_check(stack, eps), stack, eps)
+    assert_matches_oracle(matrix_bounds_check(adversarial_matrices(n, eps), eps),
+                          adversarial_matrices(n, eps), eps)
+
+
 @given(sizes, epsilons, st.integers(0, 2**32 - 1))
 def test_bounds_hold_on_the_hypothesis_class(n, eps, seed):
-    matrices = [random_hypothesis_matrix(n, eps, np.random.default_rng(seed)),
-                *adversarial_matrices(n, eps)]
-    for matrix in matrices:
-        report = matrix_bounds_check(matrix, eps)
-        assert report.all_ok(), report
+    stack = np.concatenate([random_stack(1, n, eps, np.random.default_rng(seed)),
+                            adversarial_matrices(n, eps)])
+    report = matrix_bounds_check(stack, eps)
+    assert report.checked == 4 and report.violations == 0, report
+    assert matrix_bounds_check(stack[0], eps).checked == 1
+
+
+# Blocks of 2^18 entries: 64 matrices at n = 64, 163 at n = 40, all at n = 4.
+@pytest.mark.parametrize("n,eps,trials", [
+    (1, 0.1, 3), (4, 0.1, 0), (4, 0.05, 200), (40, 0.01, 170), (64, 0.1, 150),
+])
+def test_batch_check_is_the_oracle_on_one_draw(n, eps, trials):
+    # The blocks read the stream as one (trials, n, n) draw would.
+    report = matrix_batch_check(n, eps, trials, make_rng(5))
+    matrices = np.concatenate([random_stack(trials, n, eps, make_rng(5)),
+                               adversarial_matrices(n, eps)])
+    assert_matches_oracle(report, matrices, eps)
+    assert (report.n, report.eps, report.violations) == (n, eps, 0)
 
 
 @given(st.integers(2, 40), epsilons, st.data())
@@ -84,6 +151,15 @@ def test_entry_past_the_envelope_is_refused(n, eps, data):
     matrix[i, j] = max(2.0 * limit, math.ulp(0.0))
     with pytest.raises(ValidationError, match="envelope"):
         matrix_bounds_check(matrix, eps)
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_entry_is_refused(entry, bad):
+    matrix = adversarial_matrices(3, 0.1)[1]
+    matrix[entry] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        matrix_bounds_check(matrix, 0.1)
 
 
 def phi_g_i_mpmath(eps):
@@ -106,6 +182,45 @@ def test_phi_g_and_phi_i_match_mpmath(eps):
     phi_g, phi_i = phi_g_i_mpmath(eps)
     assert phis.phi_g == pytest.approx(phi_g, rel=1e-14)
     assert phis.phi_i == pytest.approx(phi_i, rel=1e-14)
+
+
+def hk_series_coefficients(z, k, terms):
+    """C(|z|+2m, m) * C(|z|+2m-1, k-1) for m = 0 .. terms-1 (0 where |z|+2m < 1)."""
+    az = abs(z)
+    return [math.comb(az + 2 * m, m) * math.comb(az + 2 * m - 1, k - 1) if az + 2 * m >= 1 else 0
+            for m in range(terms)]
+
+
+def at_least_exact_sum(bound, z, coefficients, eps):
+    """Whether ``bound`` >= sum_m c_m eps^(|z|+2m), summed exactly in integers."""
+    e = Fraction(eps)  # numerator / 2^q
+    q = e.denominator.bit_length() - 1
+    terms = len(coefficients)
+    acc = 0  # Horner in eps^2, scaled by 2^(2q(terms-1))
+    for m in reversed(range(terms)):
+        acc = acc * e.numerator**2 + (coefficients[m] << (2 * q * (terms - 1 - m)))
+    num, den = bound.as_integer_ratio()
+    return num << (q * (abs(z) + 2 * (terms - 1))) >= den * acc * e.numerator ** abs(z)
+
+
+@pytest.mark.parametrize("z,k", [(0, 2), (1, 1), (3, 2), (-20, 1)])
+def test_hk_entry_bound_is_at_least_the_series(z, k):
+    coefficients = hk_series_coefficients(z, k, 1500)
+    for eps in (0.3, 0.45, 0.49):
+        bound = hk_entry_bound(z, k, eps)
+        assert math.isfinite(bound)
+        assert at_least_exact_sum(bound, z, coefficients, eps)
+    # The roundoff allowance is 1e-12 relative; the tail bound adds almost nothing at 0.3.
+    assert not at_least_exact_sum(hk_entry_bound(z, k, 0.3) * (1 - 1e-11), z, coefficients, 0.3)
+
+
+def test_hk_entry_bound_is_inf_where_it_cannot_bound():
+    assert hk_entry_bound(1, 1, 0.5) == math.inf
+    assert hk_entry_bound(1, 1, 5.0) == math.inf
+    # With k near |z| + 2 * HK_TERMS the tail ratio bound exceeds 1.
+    assert hk_entry_bound(0, 2 * HK_TERMS - 1, 0.1) == math.inf
+    with pytest.raises(ValidationError, match="every summed term is 0"):
+        hk_entry_bound(3, 3 + 2 * HK_TERMS + 1, 0.1)
 
 
 # The bound entry points refuse inf and nan instead of returning them.

@@ -138,6 +138,9 @@ INTEGER_FLOORS = [
     ("gamma cov --hurst 0.75 --r 0.1", "--n", 0),
     ("gamma decay --hurst 0.75 --r 0.1", "--n", 0),
     ("bounds thick", "--n", 2),
+    # A 1 x 1 matrix has no off-diagonal entry to bound.
+    ("bounds matrix --eps 0.1", "--n", 2),
+    ("bounds matrix --n 8 --eps 0.1", "--trials", 0),
 ]
 
 
@@ -241,7 +244,6 @@ def test_levy_artifact_is_byte_identical_across_runs(tmp_path):
 
 THREADED = [
     "gamma decay --hurst 0.75 --r 0.5 --n 12",
-    "bounds matrix --n 8 --eps 0.1 --trials 200",
     # Three chunks of 2^15 paths each, the last one partial.
     "lil --hurst 0.75 --r 0.5 --paths 70000",
     "arbitrage an-prob --hurst 0.75 --r 0.1 --alpha 0.5 --p 0.5 --n 16 --paths 70000",

@@ -42,7 +42,7 @@ from fbmkit.fbm import (
     sample_levy_paths,
     sample_obm,
 )
-from fbmkit.gaussian import CovMatrix, cholesky_with_jitter, cov_standard_errors, estimate_cov
+from fbmkit.gaussian import CovMatrix, cholesky_with_jitter, estimate_cov
 from fbmkit.quadrature import graded_breaks, panel_nodes
 from fbmkit.rng import make_rng
 
@@ -152,9 +152,10 @@ def fgn_from_normals_full_fft(lam, normals, n):
     return np.fft.fft(w, axis=1).real[:, :n]
 
 
-def assert_within_se(estimate, exact, se, z=4.0, slack=0.0):
-    gap = np.abs(np.asarray(estimate) - np.asarray(exact))
-    bound = z * np.asarray(se) + slack
+def assert_cov_within_se(samples, exact, z=4.0, slack=0.0):
+    estimate, se = estimate_cov(samples)
+    gap = np.abs(estimate - np.asarray(exact))
+    bound = z * se + slack
     assert np.all(gap <= bound), (
         f"max gap {gap.max():.4g} exceeds {z} SE bound {bound.min():.4g}"
     )
@@ -425,7 +426,7 @@ class TestSamplers:
         gam = fgn_autocov(n, hurst, dt)
         idx = np.arange(n)
         exact = gam[np.abs(idx[:, None] - idx[None, :])]
-        assert_within_se(estimate_cov(x), exact, cov_standard_errors(x))
+        assert_cov_within_se(x, exact)
 
     def test_fgn_single_lag(self):
         rng = make_rng(7)
@@ -444,7 +445,7 @@ class TestSamplers:
         assert np.all(x[:, 0] == 0.0)
         body = x[:, 1:]
         exact = fbm_cov_matrix(dt * np.arange(1, n_steps + 1), hurst)
-        assert_within_se(estimate_cov(body), exact, cov_standard_errors(body))
+        assert_cov_within_se(body, exact)
 
     def test_sample_fbm_deterministic(self):
         a = sample_fbm_paths(0.25, 8, 0.5, make_rng(11))
@@ -460,14 +461,13 @@ class TestSamplers:
         assert np.all(x[:, 0] == 0.0)
         body = x[:, 1:]
         exact = levy_cov_matrix(dt * np.arange(1, n_steps + 1), ctx)
-        assert_within_se(estimate_cov(body), exact, cov_standard_errors(body))
+        assert_cov_within_se(body, exact)
 
     def test_obm_two_sided_covariance(self):
         rng = make_rng(606)
         n_steps, dt, t0 = 8, 0.25, -1.0
-        draws = np.empty((5000, n_steps + 1))
-        for i in range(draws.shape[0]):
-            draws[i] = sample_obm(n_steps, dt, rng, t0=t0)
+        draws = sample_obm(n_steps, dt, rng, t0=t0, paths=5000)
+        assert draws.shape == (5000, n_steps + 1)
         grid = t0 + dt * np.arange(n_steps + 1)
         anchor = np.argmin(np.abs(grid))
         assert np.all(draws[:, anchor] == 0.0)
@@ -477,9 +477,14 @@ class TestSamplers:
             np.minimum(np.abs(grid)[:, None], np.abs(grid)[None, :]),
             0.0,
         )
-        assert_within_se(
-            estimate_cov(draws), exact, cov_standard_errors(draws), slack=1e-12
-        )
+        assert_cov_within_se(draws, exact, slack=1e-12)
+
+    @pytest.mark.parametrize("t0", [0.0, -0.25, -0.5])
+    def test_obm_batch_is_the_paths_drawn_one_by_one(self, t0):
+        batch = sample_obm(8, 0.25, make_rng(17), t0=t0, paths=5)
+        rng = make_rng(17)
+        rows = np.concatenate([sample_obm(8, 0.25, rng, t0=t0) for _ in range(5)])
+        assert np.array_equal(batch, rows)
 
     def test_obm_requires_origin_on_grid(self):
         rng = make_rng(1)
@@ -549,7 +554,4 @@ class TestJointWZ:
         _, jitter = cholesky_with_jitter(exact)
         assert jitter == 0.0
         stacked = CovMatrix(exact).sample(make_rng(909), 20_000)
-        assert_within_se(
-            estimate_cov(stacked), exact, cov_standard_errors(stacked),
-            slack=1e-12,
-        )
+        assert_cov_within_se(stacked, exact, slack=1e-12)

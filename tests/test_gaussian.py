@@ -21,7 +21,6 @@ from fbmkit.fbm import fbm_cov, fbm_cov_matrix
 from fbmkit.gaussian import (
     CovMatrix,
     cholesky_with_jitter,
-    cov_standard_errors,
     estimate_cov,
 )
 from fbmkit.reports import wilson_interval
@@ -31,7 +30,7 @@ from fbmkit.rng import make_rng
 def test_estimate_cov_is_the_zero_mean_formula():
     x = np.array([[1.0, 2.0], [3.0, -1.0], [0.0, 1.0]])
     expected = x.T @ x / 3.0
-    assert np.allclose(estimate_cov(x), expected, rtol=0.0, atol=0.0)
+    assert np.allclose(estimate_cov(x)[0], expected, rtol=0.0, atol=0.0)
 
 
 def test_cov_standard_errors_small_case():
@@ -39,14 +38,13 @@ def test_cov_standard_errors_small_case():
     n = 4
     prods = x[:, :, None] * x[:, None, :]
     expected = prods.std(axis=0) / np.sqrt(n)
-    assert np.allclose(cov_standard_errors(x), expected, rtol=1.0e-12, atol=1.0e-15)
+    assert np.allclose(estimate_cov(x)[1], expected, rtol=1.0e-12, atol=1.0e-15)
 
 
 def test_sampling_reproduces_the_covariance():
     cov = np.array([[2.0, 0.6, 0.0], [0.6, 1.0, -0.3], [0.0, -0.3, 0.5]])
     draws = CovMatrix(cov).sample(make_rng(7), 40_000)
-    emp = estimate_cov(draws)
-    se = cov_standard_errors(draws)
+    emp, se = estimate_cov(draws)
     assert np.all(np.abs(emp - cov) <= 4.0 * se)
 
 

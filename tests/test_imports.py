@@ -15,7 +15,9 @@ and no library module but ``quadrature.py`` names the panel helpers.
 
 ``cli.py`` imports only ``DEFAULT_SEED`` and ``run_all`` from ``acceptance``
 (the past window and the driver round trip live in ``drift``), and no
-library module imports an underscore name from ``acceptance``.
+library module imports an underscore name from ``acceptance``.  Only
+``experiments`` and ``gamma`` import ``parallel_map``: the almost-diagonal
+checks run on matrix stacks, not on a thread pool.
 """
 
 import ast
@@ -186,3 +188,12 @@ def test_runtime_dependencies_are_numpy_and_jsonschema():
     names = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower() for dep in project["dependencies"]}
     assert names == {"numpy", "jsonschema"}
     assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
+
+
+def test_only_experiments_and_gamma_import_parallel_map():
+    importers = {
+        path.name
+        for path in (ROOT / "src").rglob("*.py")
+        if names_imported_from(path.read_text(encoding="utf-8"), "rng") & {"parallel_map", "*"}
+    }
+    assert importers == {"experiments.py", "gamma.py"}
