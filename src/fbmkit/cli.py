@@ -23,7 +23,13 @@ Conventions shared by all subcommands:
   does not take is rejected, as is any abbreviated flag;
 - ``--out PATH`` writes an artifact (JSON by default, CSV when the path ends
   in ``.csv`` or ``--format csv`` is given); without ``--out`` the artifact
-  goes to stdout;
+  goes to stdout.  The artifact is written piece by piece as it is rendered,
+  into a temporary file beside ``PATH`` that replaces ``PATH`` only once the
+  last piece is written, so an error that stops the write leaves no
+  temporary file and no new artifact (a file already at ``PATH`` stays as
+  it was).  A ``PATH`` that is a symbolic link has its target replaced; one
+  that names a device or FIFO (``/dev/null``, ``/dev/stdout``) is written in
+  place;
 - the ``FBMKIT_OUT_DIR`` environment variable supplies the directory for
   relative ``--out`` paths (and nothing else);
 - every float is serialized with 17 significant digits, and the same argv
@@ -40,9 +46,11 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import stat
 import sys
 from collections.abc import Callable
 from dataclasses import asdict
+from typing import TextIO
 
 import jsonschema
 import numpy as np
@@ -86,7 +94,7 @@ from .gamma import (
 from .gaussian import CovMatrix
 from .reports import ExperimentReport, validate_report
 from .rng import make_rng
-from .serialize import canonical_json_dumps, csv_cell, format_floats
+from .serialize import canonical_json_dump, csv_cell, format_floats
 from .subgauss import subgaussian_bound, subgaussian_constants
 from .thick import ThickSet, harmonic_subsum, is_thick_estimate
 
@@ -128,11 +136,13 @@ TABLE_SCHEMA = {
     },
 }
 
-# Rows of path CSV formatted per block: bounds the strings alive at once.
-_CSV_BLOCK_ROWS = 2048
+# Cells of path CSV formatted per block of rows (481 rows at 16 paths):
+# bounds the strings alive at once, whatever the number of paths.
+_CSV_BLOCK_CELLS = 2**13
 
-# Renders an artifact's text on demand, so only the requested format is built.
-_Render = Callable[[], str]
+# Writes an artifact's text to an open text file on demand, so only the
+# requested format is built, and a piece at a time where it is long.
+_Render = Callable[[TextIO], None]
 
 V_GRID_DEFAULT = (
     "0.125,0.25,0.375,0.5,0.625,0.75,0.875,1.0,"
@@ -428,11 +438,31 @@ def _floats(text: str) -> np.ndarray:
     return vals
 
 
-def _emit(args, render_json: _Render, render_csv: _Render | None) -> None:
-    """Render the one format the arguments ask for, then write it.
+class _Stdout:
+    """``sys.stdout`` for a renderer, keeping the last non-empty text written."""
 
-    ``render_json`` and ``render_csv`` take no arguments and return the
-    artifact text; ``render_csv`` is None for subcommands without a CSV form.
+    def __init__(self) -> None:
+        self.last = ""
+
+    def write(self, text: str) -> None:
+        sys.stdout.write(text)
+        self.last = text or self.last
+
+    def writelines(self, pieces) -> None:
+        for piece in pieces:
+            self.write(piece)
+
+
+def _emit(args, render_json: _Render, render_csv: _Render | None) -> None:
+    """Render the one format the arguments ask for, writing its pieces as they come.
+
+    ``render_json`` and ``render_csv`` write the artifact text to the text
+    file they are given; ``render_csv`` is None for subcommands without a
+    CSV form.  On stdout a final newline is added when the text lacks one.
+    A regular file at ``--out`` (or none yet) is written through a temporary
+    sibling that replaces it only when complete, keeping an existing file's
+    permission bits; on any error the temporary file is removed and
+    ``--out`` is left as it was.
     """
     out = _resolve_out(getattr(args, "out", None))
     fmt = getattr(args, "format", None)
@@ -440,17 +470,36 @@ def _emit(args, render_json: _Render, render_csv: _Render | None) -> None:
         fmt = "csv" if (out or "").endswith(".csv") else "json"
     if fmt == "csv" and render_csv is None:
         raise ValidationError("this subcommand has no CSV representation")
-    payload = render_csv() if fmt == "csv" else render_json()
+    render = render_csv if fmt == "csv" else render_json
     if out is None:
-        sys.stdout.write(payload)
-        if not payload.endswith("\n"):
+        stdout = _Stdout()
+        render(stdout)
+        if not stdout.last.endswith("\n"):
             sys.stdout.write("\n")
-    else:
-        directory = os.path.dirname(out)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
+        return
+    directory = os.path.dirname(out)
+    if directory:
+        os.makedirs(directory, exist_ok=True)
+    target = os.path.realpath(out)
+    if os.path.exists(out) and not os.path.isfile(target):
+        # A device or FIFO cannot be replaced by a rename; a directory
+        # fails to open here, as it should.
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
+            render(fh)
+        return
+    # Mode "x" creates the file with the usual permissions, where mkstemp
+    # would make the artifact readable by its owner only.
+    tmp = f"{target}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            if os.path.exists(target):
+                os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
+            render(fh)
+        os.replace(tmp, target)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _require_finite(kind: str, fields) -> None:
@@ -489,22 +538,22 @@ def _path_doc(kind: str, config: dict, seed: int, times: np.ndarray,
     jsonschema.validate(doc, PATH_SCHEMA)
     _require_finite(kind, [("times", times), ("paths", paths)])
     doc.update(times=times, paths=paths)
-    return (lambda: canonical_json_dumps(doc)), (lambda: _path_csv(times, paths))
+    return (lambda fh: canonical_json_dump(doc, fh)), (lambda fh: _path_csv(times, paths, fh))
 
 
-def _path_csv(times: np.ndarray, paths: np.ndarray) -> str:
-    """``t`` then one column per path, formatted a block of rows at a time."""
+def _path_csv(times: np.ndarray, paths: np.ndarray, fh: TextIO) -> None:
+    """``t`` then one column per path: the header, then one piece per block of rows."""
     n_paths = paths.shape[0]
     header = "t,value" if n_paths == 1 else "t," + ",".join(
         f"path{k}" for k in range(n_paths)
     )
-    lines = [header]
+    fh.write(header + "\n")
     width = n_paths + 1
-    for lo in range(0, times.size, _CSV_BLOCK_ROWS):
-        hi = lo + _CSV_BLOCK_ROWS
+    rows = max(1, _CSV_BLOCK_CELLS // width)
+    for lo in range(0, times.size, rows):
+        hi = lo + rows
         cells = format_floats(np.column_stack([times[lo:hi], paths[:, lo:hi].T]))
-        lines.extend(",".join(cells[i:i + width]) for i in range(0, len(cells), width))
-    return "\n".join(lines) + "\n"
+        fh.write("".join(",".join(cells[i:i + width]) + "\n" for i in range(0, len(cells), width)))
 
 
 def _table_doc(kind: str, config: dict, values: dict,
@@ -516,16 +565,16 @@ def _table_doc(kind: str, config: dict, values: dict,
     jsonschema.validate(doc, TABLE_SCHEMA)
     _require_finite(kind, values.items())
 
-    def render_csv() -> str:
+    def render_csv(fh: TextIO) -> None:
         lines = ["name,index,value"]
         for name in sorted(values):
             val = values[name]
             entries = val if isinstance(val, list) else [val]
             for idx, entry in enumerate(entries):
                 lines.append(f"{name},{idx},{csv_cell(entry)}")
-        return "\n".join(lines) + "\n"
+        fh.write("\n".join(lines) + "\n")
 
-    return (lambda: canonical_json_dumps(doc)), render_csv
+    return (lambda fh: canonical_json_dump(doc, fh)), render_csv
 
 
 def _report_doc(report: ExperimentReport) -> tuple[_Render, _Render]:
@@ -536,7 +585,7 @@ def _report_doc(report: ExperimentReport) -> tuple[_Render, _Render]:
         *((e["name"], [e["value"], e["ci_low"], e["ci_high"]]) for e in doc["estimates"]),
         *doc["trends"].items(),
     ])
-    return (lambda: canonical_json_dumps(doc)), report.to_csv
+    return (lambda fh: canonical_json_dump(doc, fh)), (lambda fh: fh.write(report.to_csv()))
 
 
 # ---------------------------------------------------------------------------
@@ -830,16 +879,16 @@ def _cmd_selftest(args) -> int:
         + (f"; unexpected: {', '.join(str(r.number) for r in surprises)}" if surprises else "")
     )
     if args.out is not None:
-        def render_csv() -> str:
+        def render_csv(fh: TextIO) -> None:
             lines = ["number,name,passed,expected_failure,detail"]
             for r in report.results:
                 lines.append(
                     ",".join(csv_cell(v) for v in (
                         r.number, r.name, r.passed, r.expected_failure, r.detail))
                 )
-            return "\n".join(lines) + "\n"
+            fh.write("\n".join(lines) + "\n")
 
-        _emit(args, report.to_json, render_csv)
+        _emit(args, lambda fh: fh.write(report.to_json()), render_csv)
     return 1 if surprises else 0
 
 

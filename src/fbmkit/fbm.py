@@ -277,6 +277,48 @@ def _fgn_from_normals(lam: np.ndarray, normals: np.ndarray, n: int) -> np.ndarra
     return fft.irfft(v, n=m, axis=1, norm="forward")[:, :n]
 
 
+# Float64 values per block of rows in the fGn sampler: the normals and the
+# transform of one block are the only arrays a draw holds besides its result.
+_FGN_BLOCK = 2**16
+
+
+def _fgn_rows(
+    hurst: float,
+    n: int,
+    dt: float,
+    rng: np.random.Generator,
+    paths: int,
+    lead: int,
+) -> np.ndarray:
+    """A new ``(paths, lead + n)`` array with fGn samples in its last ``n`` columns.
+
+    The normals are drawn and transformed a block of rows at a time, in row
+    order, from ``rng``: a draw of shape ``(paths, M)`` fills C order, so
+    the blocks take the values a single draw would and give the same samples
+    bit for bit.  Each block goes straight into the result; the first
+    ``lead`` columns are left for the caller.
+    """
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
+    if paths < 1:
+        raise ValidationError(f"paths must be >= 1, got {paths}")
+    gam = fgn_autocov(n, hurst, dt)
+    if n == 1:
+        m = 1
+    else:
+        lam = _fgn_eigenvalues(gam)
+        m = lam.size
+    out = np.empty((paths, lead + n))
+    rows = max(1, _FGN_BLOCK // m)
+    for lo in range(0, paths, rows):
+        normals = rng.standard_normal((min(rows, paths - lo), m))
+        if n == 1:
+            out[lo:lo + rows, lead:] = np.sqrt(gam[0]) * normals
+        else:
+            out[lo:lo + rows, lead:] = _fgn_from_normals(lam, normals, n)
+    return out
+
+
 def sample_fgn(
     hurst: float,
     n: int,
@@ -284,17 +326,13 @@ def sample_fgn(
     rng: np.random.Generator,
     paths: int = 1,
 ) -> np.ndarray:
-    """Sample ``paths`` fractional-Gaussian-noise vectors of length ``n``."""
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    if paths < 1:
-        raise ValidationError(f"paths must be >= 1, got {paths}")
-    gam = fgn_autocov(n, hurst, dt)
-    if n == 1:
-        return np.sqrt(gam[0]) * rng.standard_normal((paths, 1))
-    lam = _fgn_eigenvalues(gam)
-    normals = rng.standard_normal((paths, lam.size))
-    return _fgn_from_normals(lam, normals, n)
+    """Sample ``paths`` fractional-Gaussian-noise vectors of length ``n``.
+
+    The rows are drawn in blocks of about ``2**16`` values from the one
+    stream ``rng``, in row order, so the result is the one a single draw of
+    every path would give, without that draw's transients.
+    """
+    return _fgn_rows(hurst, n, dt, rng, paths, lead=0)
 
 
 def sample_fbm_paths(
@@ -305,9 +343,9 @@ def sample_fbm_paths(
     paths: int = 1,
 ) -> np.ndarray:
     """fBm path values on ``0, dt, ..., n_steps*dt``; shape ``(paths, n_steps+1)``."""
-    incr = sample_fgn(hurst, n_steps, dt, rng, paths)
-    out = np.zeros((paths, n_steps + 1))
-    np.cumsum(incr, axis=1, out=out[:, 1:])
+    out = _fgn_rows(hurst, n_steps, dt, rng, paths, lead=1)
+    out[:, 0] = 0.0
+    np.cumsum(out[:, 1:], axis=1, out=out[:, 1:])
     return out
 
 

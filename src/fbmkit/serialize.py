@@ -7,24 +7,35 @@ round-trips ``float64`` exactly — and JSON documents are emitted by
 :func:`canonical_json_dumps`, which sorts object keys and uses the same
 float rendering throughout.
 
-Float64 arrays take a bulk route: :func:`format_floats` renders a whole
-array with one ``format(x, ".17g")`` pass over ``ndarray.tolist()``, and
-:func:`canonical_json_dumps` joins those strings row by row with the
-separators and indentation of the per-element route.  The bytes are the same
-as element by element through :func:`format_float` (arrays holding inf or
-nan fall back to it for the non-finite spellings); only the per-element
-Python calls are gone.
+A document is rendered as a stream of text pieces, which
+:func:`canonical_json_dumps` joins and :func:`canonical_json_dump` writes to
+an open text file as they come.  Float64 arrays take a bulk
+route: :func:`format_floats` renders one innermost row with one
+``format(x, ".17g")`` pass over ``ndarray.tolist()``, joined with the
+separators and indentation of the per-element route into one piece, so a
+document of many rows holds the strings of one row at a time.  The bytes are
+the same as element by element through :func:`format_float` (arrays holding
+inf or nan fall back to it for the non-finite spellings); only the
+per-element Python calls are gone.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
+from typing import TextIO
 from itertools import repeat
 
 import numpy as np
 
-__all__ = ["format_float", "format_floats", "csv_cell", "canonical_json_dumps"]
+__all__ = [
+    "format_float",
+    "format_floats",
+    "csv_cell",
+    "canonical_json_dumps",
+    "canonical_json_dump",
+]
 
 
 def format_float(x: float) -> str:
@@ -69,80 +80,85 @@ def csv_cell(value) -> str:
     return format_float(value)
 
 
-def _emit_floats(arr: np.ndarray, indent: int, out: list) -> None:
-    """Bulk route of :func:`_emit` for a float64 array of one or more dimensions."""
+def _emit_floats(arr: np.ndarray, indent: int) -> Iterator[str]:
+    """Bulk route of :func:`_emit` for a float64 array of one or more dimensions.
+
+    The floats of one innermost row are formatted and joined in one piece,
+    so only that row's strings are alive at once.
+    """
     if arr.shape[0] == 0:
-        out.append("[]")
+        yield "[]"
         return
     pad = "  " * indent
     pad_in = "  " * (indent + 1)
     if arr.ndim == 1:
-        out.append("[\n" + pad_in)
-        out.append((",\n" + pad_in).join(format_floats(arr)))
-        out.append("\n" + pad + "]")
+        yield "[\n" + pad_in
+        yield (",\n" + pad_in).join(format_floats(arr))
+        yield "\n" + pad + "]"
         return
-    out.append("[\n")
+    yield "[\n"
     for i, row in enumerate(arr):
-        out.append(pad_in)
-        _emit_floats(row, indent + 1, out)
-        out.append(",\n" if i < arr.shape[0] - 1 else "\n")
-    out.append(pad + "]")
+        yield pad_in
+        yield from _emit_floats(row, indent + 1)
+        yield ",\n" if i < arr.shape[0] - 1 else "\n"
+    yield pad + "]"
 
 
-def _emit(obj, indent: int, out: list) -> None:
+def _emit(obj, indent: int) -> Iterator[str]:
     pad = "  " * indent
     pad_in = "  " * (indent + 1)
     if isinstance(obj, np.ndarray):
         if obj.dtype == np.float64 and obj.ndim > 0:
-            _emit_floats(obj, indent, out)
+            yield from _emit_floats(obj, indent)
             return
         obj = obj.tolist()
     if obj is None:
-        out.append("null")
+        yield "null"
     elif obj is True:
-        out.append("true")
+        yield "true"
     elif obj is False:
-        out.append("false")
+        yield "false"
     elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
-        out.append(str(int(obj)))
+        yield str(int(obj))
     elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(obj))
+        yield format_float(obj)
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=True))
+        yield json.dumps(obj, ensure_ascii=True)
     elif isinstance(obj, dict):
         keys = list(obj.keys())
         if any(not isinstance(k, str) for k in keys):
             raise TypeError("canonical JSON requires string keys")
         keys.sort()
         if not keys:
-            out.append("{}")
+            yield "{}"
             return
-        out.append("{\n")
+        yield "{\n"
         for i, k in enumerate(keys):
-            out.append(pad_in)
-            out.append(json.dumps(k, ensure_ascii=True))
-            out.append(": ")
-            _emit(obj[k], indent + 1, out)
-            out.append(",\n" if i < len(keys) - 1 else "\n")
-        out.append(pad + "}")
+            yield pad_in + json.dumps(k, ensure_ascii=True) + ": "
+            yield from _emit(obj[k], indent + 1)
+            yield ",\n" if i < len(keys) - 1 else "\n"
+        yield pad + "}"
     elif isinstance(obj, (list, tuple)):
         items = list(obj)
         if not items:
-            out.append("[]")
+            yield "[]"
             return
-        out.append("[\n")
+        yield "[\n"
         for i, item in enumerate(items):
-            out.append(pad_in)
-            _emit(item, indent + 1, out)
-            out.append(",\n" if i < len(items) - 1 else "\n")
-        out.append(pad + "]")
+            yield pad_in
+            yield from _emit(item, indent + 1)
+            yield ",\n" if i < len(items) - 1 else "\n"
+        yield pad + "]"
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} canonically")
 
 
 def canonical_json_dumps(obj) -> str:
     """Serialize to JSON deterministically: sorted keys, 17-digit floats."""
-    out: list = []
-    _emit(obj, 0, out)
-    out.append("\n")
-    return "".join(out)
+    return "".join(_emit(obj, 0)) + "\n"
+
+
+def canonical_json_dump(obj, fh: TextIO) -> None:
+    """Write :func:`canonical_json_dumps`'s text to ``fh`` a piece at a time."""
+    fh.writelines(_emit(obj, 0))
+    fh.write("\n")

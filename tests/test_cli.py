@@ -9,12 +9,21 @@ floor exits 2 and writes nothing on every subcommand that takes the flag.
 A ``--config`` file sets flags under the typed ones, and a key that is not a
 flag of the subcommand, a missing file or a missing path exits 2 and writes
 nothing.  Every subcommand with ``--threads`` writes the same artifact at
-any thread count, up to its volatile fields.
+any thread count, up to its volatile fields.  Artifacts are streamed: the
+``sample`` artifacts keep the bytes they had when they were rendered whole,
+an error partway through the stream leaves no file behind, and a path
+document's stream holds one row's text at a time.  An ``--out`` that is a
+symbolic link or a device keeps its type, and an existing artifact keeps its
+permission bits.
 """
 
 import argparse
+import hashlib
 import json
 import math
+import os
+import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +39,7 @@ from fbmkit.cli import main
 from fbmkit.context import make_context
 from fbmkit.drift import DriftKernelSpec, driver_roundtrip, inversion_grid, rel_l2
 from fbmkit.errors import AccuracyError
+from fbmkit.fbm import sample_fbm_paths
 from fbmkit.reports import ExperimentReport
 from fbmkit.rng import make_rng
 
@@ -240,6 +250,150 @@ def test_levy_artifact_is_byte_identical_across_runs(tmp_path):
     assert main(argv + [str(first)]) == 0
     assert main(argv + [str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+SAMPLED = {
+    "fbm": "sample fbm --hurst 0.75 --n 2100 --dt 0.001 --paths 20",
+    # Small enough that the bytes are the same at 1, 2 and 4 BLAS threads;
+    # at 128 steps they already differ between 1 and 2.
+    "levy": "sample levy --hurst 0.25 --n 96 --dt 0.002 --paths 5",
+    "obm": "sample obm --n 1200 --dt 0.001 --t0 -0.25 --paths 3",
+}
+# sha256 of each artifact as written before artifacts were streamed, when
+# the fGn sampler drew every path at once and each format was rendered whole.
+SAMPLED_SHA256 = {
+    ("fbm", 0, "json"): "dbd22e55585e425ad9849151601434d9222814f598df1c90c44b9f1246a72d2e",
+    ("fbm", 0, "csv"): "7a3b792cfa7775eb1b4c6dd6ff9cef2bcd86296288bad277456c294a44ac04b6",
+    ("fbm", 7, "json"): "a63ccde520384cfe909340bb79bad616a62fc2ff7fe28a9d25343b3adddc5c15",
+    ("fbm", 7, "csv"): "d452a26ececfd39345ccd6b1deb46792fe7710a1da53385a6fd47d382923b771",
+    ("fbm", 900, "json"): "ce467f8aafc14d6c8656201b3996c32305a37c844bbc84ee6c02272ed9c7cd5d",
+    ("fbm", 900, "csv"): "ab3a31fe2ab5085f1952be55fdce8542cf61d824a265f78cdbe07957ca8fd053",
+    ("levy", 0, "json"): "204c6cb8e4647e8b98e53842a93bc24cddc1d46c9cad961424d8ae1067c8fe9f",
+    ("levy", 0, "csv"): "621313ff994679fac2f99b304bf3ebad3f309c7934527985163dab330291f33a",
+    ("levy", 7, "json"): "10732b6229ca28e515398bfeca373e1687689f4bc3f83840c7c716a726a73b62",
+    ("levy", 7, "csv"): "2bc20c3ec3e6c931cd3083a9924361822024c18363fbb4c72bfa1dfc8dcf4382",
+    ("levy", 900, "json"): "bc147e1e445c52ac4cbc3ca98e1785e7c6697932897ebf7de556075f69bb605a",
+    ("levy", 900, "csv"): "a6f67d16a99d5ee8e52664088d9855852eb3f5fcb8646f1867d4e1972aeac0b1",
+    ("obm", 0, "json"): "f3a125240647400f42e79ea7a0cfdc8c0012f319d1c5ae4f132c1be174d6793a",
+    ("obm", 0, "csv"): "d43a54a88dcb245ffd0a04fadfe40ef38adfe01f85ed8d7cbde667481674c662",
+    ("obm", 7, "json"): "db3e4276d37001c4388fc22bd8051be2251d327dab9d75f8c64cee6d8d9da904",
+    ("obm", 7, "csv"): "c86cfca471faec8fad2125819f4f2c7a340f73278d56cd1157a22d8f7ca0ed21",
+    ("obm", 900, "json"): "12959e4e575354a5d6807dbe272a371d8a6277528088e0201cf83be1def88fd8",
+    ("obm", 900, "csv"): "9f7e3c5127dbc603de442322d7087683a700d50e331d4775c14a859bc673efa3",
+}
+
+
+@pytest.mark.parametrize("process,seed,fmt", sorted(SAMPLED_SHA256))
+def test_streamed_sample_artifacts_keep_their_bytes(process, seed, fmt, tmp_path, capsys):
+    argv = SAMPLED[process].split() + ["--seed", str(seed), "--format", fmt]
+    out = tmp_path / f"paths.{fmt}"
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out.encode("utf-8")
+    want = SAMPLED_SHA256[process, seed, fmt]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+    assert hashlib.sha256(stdout).hexdigest() == want
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_a_render_error_leaves_no_partial_artifact(existing, tmp_path):
+    out = tmp_path / "doc.json"
+    if existing:
+        out.write_text("earlier artifact\n", encoding="utf-8")
+
+    def render(fh):
+        fh.write("{\n")
+        raise RuntimeError("renderer failed")
+
+    with pytest.raises(RuntimeError, match="renderer failed"):
+        cli._emit(argparse.Namespace(out=str(out), format=None), render, None)
+    assert [p.name for p in tmp_path.iterdir()] == (["doc.json"] if existing else [])
+    if existing:
+        assert out.read_text(encoding="utf-8") == "earlier artifact\n"
+
+
+@pytest.mark.parametrize("pieces,text", [
+    (["a", "b\n", ""], "ab\n"),
+    (["a\n", "b"], "a\nb\n"),
+    ([], "\n"),
+])
+def test_stdout_gets_a_final_newline_only_when_missing(pieces, text, capsys):
+    cli._emit(argparse.Namespace(out=None, format=None), lambda fh: fh.writelines(pieces), None)
+    assert capsys.readouterr().out == text
+    cli._emit(argparse.Namespace(out=None, format=None), lambda fh: fh.write("".join(pieces)), None)
+    assert capsys.readouterr().out == text
+
+
+SMALL_SAMPLE = "sample fbm --hurst 0.75 --n 8 --dt 0.125 --seed 3".split()
+
+
+def test_out_through_a_symlink_replaces_its_target(tmp_path, capsys):
+    main(SMALL_SAMPLE)
+    want = capsys.readouterr().out
+    target = tmp_path / "store" / "paths.json"
+    target.parent.mkdir()
+    target.write_text("earlier artifact\n", encoding="utf-8")
+    link = tmp_path / "latest.json"
+    link.symlink_to(target)
+    assert main(SMALL_SAMPLE + ["--out", str(link)]) == 0
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_text(encoding="utf-8") == want
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["latest.json", "paths.json", "store"]
+
+
+def test_out_to_a_device_writes_in_place(tmp_path):
+    # Were /dev/null replaced by a rename, it would become a regular file
+    # (as root), or the temporary file could not be made in /dev.
+    before = os.stat(os.devnull)
+    assert main(SMALL_SAMPLE + ["--out", os.devnull]) == 0
+    after = os.stat(os.devnull)
+    assert stat.S_ISCHR(after.st_mode)
+    assert (after.st_ino, after.st_rdev) == (before.st_ino, before.st_rdev)
+
+
+def test_out_to_a_fifo_writes_into_it(tmp_path, capsys):
+    main(SMALL_SAMPLE)
+    want = capsys.readouterr().out
+    fifo = tmp_path / "paths.json"
+    os.mkfifo(fifo)
+    # Opened for reading first, so the write does not wait; the artifact
+    # fits in the pipe's buffer.
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main(SMALL_SAMPLE + ["--out", str(fifo)]) == 0
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        got = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert got.decode("utf-8") == want
+    assert [p.name for p in tmp_path.iterdir()] == ["paths.json"]
+
+
+def test_an_existing_artifact_keeps_its_permission_bits(tmp_path):
+    out = tmp_path / "paths.csv"
+    out.write_text("earlier artifact\n", encoding="utf-8")
+    out.chmod(0o640)
+    assert main(SMALL_SAMPLE + ["--out", str(out)]) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert out.read_text(encoding="utf-8").startswith("t,value\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_streaming_a_path_document_holds_one_block_at_a_time(fmt, tmp_path):
+    # A 64 x 4097 document is 7.3 MB of JSON or 5.4 MB of CSV; rendered
+    # whole, the two peaked at 14.6 and 29.8 MB.
+    paths = sample_fbm_paths(0.75, 4096, 1.0 / 4096, make_rng(7), 64)
+    times = np.arange(4097) / 4096
+    renderers = cli._path_doc("sample_fbm", {}, 7, times, paths)
+    args = argparse.Namespace(out=str(tmp_path / f"paths.{fmt}"), format=None)
+    tracemalloc.start()
+    try:
+        cli._emit(args, *renderers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 THREADED = [

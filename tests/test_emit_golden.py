@@ -3,8 +3,11 @@
 ``oracle_emit`` and ``oracle_path_texts`` are the former element-by-element
 renderers (``serialize._emit`` walking ``ndarray.tolist()`` and the CLI path
 document with one ``format_float`` per value), kept here as the reference.
+The CLI renderers and :func:`canonical_json_dump` write their text to a file
+in pieces; it is collected in a ``StringIO`` to compare.
 """
 
+import io
 import json
 
 import numpy as np
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fbmkit.cli import _path_doc
-from fbmkit.serialize import canonical_json_dumps, format_float
+from fbmkit.serialize import canonical_json_dump, canonical_json_dumps, format_float
 
 SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2e-308,
            1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e22, 1e16]
@@ -85,6 +88,13 @@ def oracle_path_texts(kind, config, seed, times, paths):
     return oracle_dumps(doc), "\n".join(lines) + "\n"
 
 
+def written(render):
+    """The text ``render`` writes to the file it is given."""
+    buf = io.StringIO()
+    render(buf)
+    return buf.getvalue()
+
+
 finite = st.one_of(
     st.sampled_from(SPECIAL),
     st.floats(allow_nan=False, allow_infinity=False, width=64),
@@ -108,13 +118,13 @@ def test_path_artifact_bytes_match_the_per_element_emitter(arrays):
     config = {"dt": 0.5, "n": int(times.size), "process": "fbm"}
     render_json, render_csv = _path_doc("sample_fbm", config, 7, times, paths)
     want_json, want_csv = oracle_path_texts("sample_fbm", config, 7, times, paths)
-    assert render_json() == want_json
-    assert render_csv() == want_csv
+    assert written(render_json) == want_json
+    assert written(render_csv) == want_csv
 
 
 def test_a_single_path_row_may_come_one_dimensional():
     times, values = np.array([0.0, 0.25]), np.array([0.0, -0.0])
-    assert [f() for f in _path_doc("k", {}, 0, times, values)] == list(
+    assert [written(f) for f in _path_doc("k", {}, 0, times, values)] == list(
         oracle_path_texts("k", {}, 0, times, values)
     )
 
@@ -125,3 +135,4 @@ def test_float_arrays_match_the_per_element_emitter(arr):
     # Includes empty axes and inf/nan, which take the per-element spellings.
     doc = {"a": arr, "b": [arr, {"c": arr}]}
     assert canonical_json_dumps(doc) == oracle_dumps(doc)
+    assert written(lambda fh: canonical_json_dump(doc, fh)) == oracle_dumps(doc)

@@ -11,8 +11,12 @@ closed form.  The fGn autocovariance is checked against its second
 difference in 50-digit mpmath out to lag 2^24.  The half-spectrum inverse
 real FFT that maps normals to fGn is checked against the full Hermitian
 complex FFT it replaced, on the same normals, and its circulant embedding
-is checked nonnegative definite from H = 1e-4 to 0.99999.
+is checked nonnegative definite from H = 1e-4 to 0.99999.  The sampler,
+which draws and transforms its paths in blocks of rows, is checked bit for
+bit against the one-shot draw of every path it replaced.
 """
+
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -26,6 +30,7 @@ from scipy.special import hyp2f1
 from fbmkit.context import make_context
 from fbmkit.errors import AccuracyError, ValidationError
 from fbmkit.fbm import (
+    _FGN_BLOCK,
     _fgn_eigenvalues,
     _fgn_from_normals,
     _levy_integral,
@@ -150,6 +155,21 @@ def fgn_from_normals_full_fft(lam, normals, n):
     w[:, k] = amp * (normals[:, 2 : 1 + half] + 1j * normals[:, 1 + half : m])
     w[:, m - k] = np.conj(w[:, k])
     return np.fft.fft(w, axis=1).real[:, :n]
+
+
+def one_shot_fgn(hurst, n, dt, rng, paths):
+    """The former sampler: every path's normals in one draw, transformed at once."""
+    gam = fgn_autocov(n, hurst, dt)
+    if n == 1:
+        return np.sqrt(gam[0]) * rng.standard_normal((paths, 1))
+    lam = _fgn_eigenvalues(gam)
+    return _fgn_from_normals(lam, rng.standard_normal((paths, lam.size)), n)
+
+
+def block_edges(n):
+    """Path counts around the sampler's block of rows for paths of ``n`` steps."""
+    rows = max(1, _FGN_BLOCK // (1 if n == 1 else 2 * (n - 1)))
+    return sorted({p for p in (1, rows - 1, rows, rows + 1, 3 * rows + 2) if p >= 1})
 
 
 def assert_cov_within_se(samples, exact, z=4.0, slack=0.0):
@@ -446,6 +466,36 @@ class TestSamplers:
         body = x[:, 1:]
         exact = fbm_cov_matrix(dt * np.arange(1, n_steps + 1), hurst)
         assert_cov_within_se(body, exact)
+
+    # n = 40000 has rows of 79998 normals, more than one block.
+    @pytest.mark.parametrize("paths_n", [(p, n) for n in (1, 2, 100, 40000) for p in block_edges(n)])
+    @pytest.mark.parametrize("hurst", [0.25, 0.5, 0.75])
+    def test_blocked_draw_matches_the_one_shot_draw(self, paths_n, hurst):
+        paths, n = paths_n
+        rng, ref_rng = make_rng(31), make_rng(31)
+        want = one_shot_fgn(hurst, n, 0.01, ref_rng, paths)
+        got = sample_fgn(hurst, n, 0.01, rng, paths)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # repr spells out the Philox counter, key and buffer arrays in full.
+        assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
+
+        rng, ref_rng = make_rng(32), make_rng(32)
+        want = np.zeros((paths, n + 1))
+        np.cumsum(one_shot_fgn(hurst, n, 0.01, ref_rng, paths), axis=1, out=want[:, 1:])
+        got = sample_fbm_paths(hurst, n, 0.01, rng, paths)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
+
+    def test_draw_holds_little_besides_its_result(self):
+        # numpy reports its buffers to tracemalloc.  The one-shot draw peaked
+        # at 250 MB here, eight times its result.
+        tracemalloc.start()
+        try:
+            x = sample_fbm_paths(0.75, 4096, 1.0 / 4096, make_rng(7), 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= x.nbytes + 16 * 2**20
 
     def test_sample_fbm_deterministic(self):
         a = sample_fbm_paths(0.25, 8, 0.5, make_rng(11))
