@@ -18,8 +18,11 @@ Three families:
 
 The two Monte Carlo families draw their paths through ``_map_sample_chunks``:
 2^15 paths per chunk, each chunk with its own stream and reduced on its own
-thread, so the thread count never changes the result and a chunk's memory
-stays bounded.
+thread, so the thread count never changes the result.  Each running chunk
+draws into one reused buffer of dim x 2^15 floats (10.7 MB for ``lil`` at
+its default i_max = 40, 8.4 MB for ``arbitrage an-prob`` at n = 32), and the
+Cholesky factor is multiplied into it in place, so memory is bounded by
+the thread count, not by the number of paths.
 
 Every report carries its wall time and creation time as volatile fields.
 """
@@ -27,6 +30,7 @@ Every report carries its wall time and creation time as volatile fields.
 from __future__ import annotations
 
 import math
+import queue
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,9 +64,10 @@ __all__ = [
 LIL_BAND_OFFSETS = (-0.35, 0.6)
 
 # Paths per Monte Carlo chunk, for lil_statistic and a_n_probability alike.
-# A chunk's normals and samples are two (dim, 2^15) float arrays of
-# 0.26 MB per dimension each: 8.4 MB at dim 32, 16.8 MB at the deepest
-# a_n_probability ladder (dim 64).
+# A chunk's normals become its samples in place, in one reused buffer of
+# 0.26 MB per dimension: 8.4 MB at dim 32, 16.8 MB at the deepest
+# a_n_probability ladder (dim 64); the product adds one block of at most
+# 8191 columns (2.1 MB at dim 32).
 _CHUNK = 2**15
 # Width at which the bisection of max_feasible_epsilon stops.
 _EPS_BISECTION_TOL = 1.0e-12
@@ -78,12 +83,30 @@ def _map_sample_chunks(cov: CovMatrix, n_paths: int, seed: int, reduce, threads:
     k-th stream spawned from ``seed``; the chunks run on ``threads`` threads
     and their reductions come back in chunk order, so the result does not
     depend on ``threads``.
+
+    Each chunk draws into one of ``min(threads, chunks)`` buffers, sized
+    for the first (largest) chunk and lent to one chunk at a time, so
+    ``reduce`` sees a view of a buffer that the next chunk overwrites: it
+    must return new arrays, never views of its argument.  The buffers are
+    allocated here, in the calling thread, because glibc keeps the blocks a
+    worker thread frees in that thread's arena, where later, larger arrays
+    do not fit.
     """
     n_chunks = math.ceil(n_paths / _CHUNK)
     sizes = [min(_CHUNK, n_paths - k * _CHUNK) for k in range(n_chunks)]
     streams = spawn_streams(seed, n_chunks)
-    return parallel_map(lambda k: reduce(cov.sample(streams[k], sizes[k])),
-                        range(n_chunks), threads=threads)
+    buffers = queue.SimpleQueue()
+    for _ in range(min(max(threads, 1), n_chunks)):
+        buffers.put(np.empty(cov.dim * sizes[0]))
+
+    def run(k: int):
+        buf = buffers.get()
+        try:
+            return reduce(cov.sample(streams[k], sizes[k], out=buf))
+        finally:
+            buffers.put(buf)
+
+    return parallel_map(run, range(n_chunks), threads=threads)
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +168,10 @@ def lil_statistic(cfg: LilConfig, *, threads: int = 1) -> ExperimentReport:
     per chunk (:func:`_map_sample_chunks`); each chunk is reduced on one of
     ``threads`` threads to its minima up to each ladder depth, and the
     chunks are joined in order, so the report does not depend on
-    ``threads``.  A chunk's samples are one (i_max+1, 2^15) float array,
-    10.7 MB at the CLI's default i_max = 40, next to normals of the same size.
+    ``threads``.  A chunk's samples are its buffer of (i_max+1) x 2^15
+    floats, 10.7 MB at the CLI's default i_max = 40; the reduction adds a
+    running-minimum row, one normalised row and a row of minima per depth,
+    0.26 MB each.
     """
     start = time.perf_counter()
     h = cfg.ctx.hurst
@@ -167,14 +192,24 @@ def lil_statistic(cfg: LilConfig, *, threads: int = 1) -> ExperimentReport:
     if stops[0] == 0:
         raise ValidationError(f"index set ∩ [2, {caps[0]}] is empty")
 
-    norm = np.sqrt(np.log(all_idx))[:, None]
+    norm = np.sqrt(np.log(all_idx))
 
     def reduce_chunk(samples: np.ndarray) -> np.ndarray:
-        stat = samples.T[all_idx]
-        stat /= norm
-        # Row-wise minima of the C-ordered block; minimum.accumulate along
-        # axis 0 is ten times slower.
-        return np.stack([stat[:stop].min(axis=0) for stop in stops])
+        # The rows of samples.T are C-ordered rows of the draw: normalise
+        # them one at a time into `row` and fold them into the running
+        # minimum in index order, taking its value at each cap.
+        values = samples.T
+        running = values[all_idx[0]] / norm[0]
+        row = np.empty_like(running)
+        minima = np.empty((len(stops), running.size))
+        done = 1
+        for c, stop in enumerate(stops):
+            for j in range(done, stop):
+                np.divide(values[all_idx[j]], norm[j], out=row)
+                np.minimum(running, row, out=running)
+            done = stop
+            minima[c] = running
+        return minima
 
     per_chunk = _map_sample_chunks(CovMatrix(_lil_cov(cfg)), cfg.n_paths, cfg.seed,
                                    reduce_chunk, threads)
@@ -324,8 +359,9 @@ def a_n_probability(cfg: ArbitrageConfig, *, threads: int = 1) -> ExperimentRepo
     (:func:`_map_sample_chunks`); each chunk is reduced on one of
     ``threads`` threads to its prefix hit counts, which are summed in chunk
     order, so the report does not depend on ``threads``.  A chunk's samples
-    and its normals are two (n, 2^15) float arrays, 8.4 MB each at n = 32
-    and 16.8 MB at the largest n = 64.
+    are its buffer of n x 2^15 floats, 8.4 MB at n = 32 and 16.8 MB at the
+    largest n = 64; the reduction adds an n x 2^15 boolean array (1 MB at
+    n = 32).
     """
     start = time.perf_counter()
     if cfg.n > 64:

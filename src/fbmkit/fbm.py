@@ -356,15 +356,23 @@ def sample_levy_paths(
     rng: np.random.Generator,
     paths: int = 1,
 ) -> np.ndarray:
-    """One-sided moving-average paths on ``0, dt, ..., n_steps*dt``."""
+    """One-sided moving-average paths on ``0, dt, ..., n_steps*dt``; shape ``(paths, n_steps+1)``.
+
+    The result is the transpose of a C-ordered ``(n_steps+1, paths)`` array
+    that holds the draw itself, so no second array of its size is made.
+    """
     if n_steps < 1:
         raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
+    if paths < 1:
+        raise ValidationError(f"paths must be >= 1, got {paths}")
     times = dt * np.arange(1, n_steps + 1)
     cov = CovMatrix(levy_cov_matrix(times, ctx))
-    body = cov.sample(rng, paths)
-    out = np.zeros((paths, n_steps + 1))
-    out[:, 1:] = body
-    return out
+    # The draw is (n_steps, paths) in C order: behind a row of zeros for
+    # t = 0 it is the transpose of the result, so it is drawn in place.
+    flat = np.empty((n_steps + 1) * paths)
+    flat[:paths] = 0.0
+    cov.sample(rng, paths, out=flat[paths:])
+    return flat.reshape(n_steps + 1, paths).T
 
 
 def sample_obm(
@@ -376,8 +384,10 @@ def sample_obm(
 ) -> np.ndarray:
     """Ordinary Brownian motion paths on the grid ``t0 + dt * k``, ``k = 0..n_steps``.
 
-    Returns shape ``(paths, n_steps + 1)``, from one
-    ``standard_normal((paths, n_steps))`` draw.  The grid must contain
+    Returns shape ``(paths, n_steps + 1)``.  The increments are drawn a
+    block of rows of about ``2**16`` values at a time, in row order, so they
+    are those of one ``standard_normal((paths, n_steps))`` draw, without
+    its transients.  The grid must contain
     ``t = 0``; that point gets the exact value 0, so for ``t0 < 0`` this
     produces two-sided paths anchored at the origin.
     """
@@ -391,8 +401,14 @@ def sample_obm(
         raise ValidationError(
             "the grid must contain t = 0 (t0 must be a nonpositive multiple of dt)"
         )
-    values = np.zeros((paths, n_steps + 1))
-    np.cumsum(np.sqrt(dt) * rng.standard_normal((paths, n_steps)), axis=1, out=values[:, 1:])
+    values = np.empty((paths, n_steps + 1))
+    values[:, 0] = 0.0
+    scale = np.sqrt(dt)
+    rows = max(1, _FGN_BLOCK // n_steps)
+    for lo in range(0, paths, rows):
+        incr = rng.standard_normal((min(rows, paths - lo), n_steps))
+        incr *= scale
+        np.cumsum(incr, axis=1, out=values[lo:lo + rows, 1:])
     values -= values[:, [idx]]
     values[:, idx] = 0.0
     return values

@@ -25,6 +25,8 @@ __all__ = [
 ]
 
 _JITTER_LADDER = (0.0, 1.0e-12, 1.0e-10, 1.0e-8)
+# Rows per panel of the symmetry check in cholesky_with_jitter.
+_PANEL = 128
 
 
 def cholesky_with_jitter(matrix: np.ndarray) -> tuple[np.ndarray, float]:
@@ -39,12 +41,20 @@ def cholesky_with_jitter(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValidationError("covariance matrix must be square")
-    # One pass finds the largest magnitude and, through it, any inf or NaN.
-    largest = float(np.abs(matrix).max(initial=0.0))
-    if not np.isfinite(largest):
+    # max and min propagate NaN, and any inf lands in one of them.
+    high = float(matrix.max(initial=0.0))
+    low = float(matrix.min(initial=0.0))
+    if not (np.isfinite(high) and np.isfinite(low)):
         raise ValidationError("covariance matrix must be finite")
-    if np.abs(matrix - matrix.T).max(initial=0.0) > 1.0e-10 * max(1.0, largest):
-        raise ValidationError("covariance matrix must be symmetric")
+    tol = 1.0e-10 * max(1.0, high, -low)
+    # Panel [a, b) of rows against its mirror, from the diagonal on: every
+    # pair (i, j) is compared once, in the panel of min(i, j), and no
+    # temporary holds more than _PANEL rows.
+    for a in range(0, matrix.shape[0], _PANEL):
+        b = a + _PANEL
+        gap = matrix[a:b, a:] - matrix[a:, a:b].T
+        if np.abs(gap, out=gap).max(initial=0.0) > tol:
+            raise ValidationError("covariance matrix must be symmetric")
     dim = matrix.shape[0]
     scale = float(np.trace(matrix)) / dim if dim else 0.0
     if scale <= 0:
@@ -62,6 +72,9 @@ def cholesky_with_jitter(matrix: np.ndarray) -> tuple[np.ndarray, float]:
         budget=_JITTER_LADDER[-1],
     )
 
+
+# Columns per block of the in-place product in CovMatrix.sample.
+_SAMPLE_BLOCK = 4096
 
 # Rows per block of the substitutions in :meth:`CovMatrix.solve`: each
 # diagonal block is solved densely, the rest is matrix products.
@@ -92,16 +105,45 @@ class CovMatrix:
     def dim(self) -> int:
         return int(self.matrix.shape[0])
 
-    def sample(self, rng: np.random.Generator, n_samples: int) -> np.ndarray:
+    def sample(
+        self, rng: np.random.Generator, n_samples: int, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Draw ``n_samples`` zero-mean Gaussian vectors, shape ``(n_samples, dim)``.
 
-        The normal draw has a fixed shape/order so results depend only on the
-        generator state, not on downstream chunking choices.
+        The normals are one ``(dim, n_samples)`` draw, so results depend only
+        on the generator state, not on downstream chunking choices.  They are
+        overwritten with ``L @ z`` a block of ``_SAMPLE_BLOCK`` columns at a
+        time, the last block taking the remainder: besides the draw, only one
+        block's product (at most ``2 * _SAMPLE_BLOCK - 1`` columns, 4.2 MB at
+        dim 64) is held.  The values are the one-shot product's bit for bit
+        (``tests/test_gaussian.py`` compares them, with OpenBLAS 0.3.31 on
+        Haswell).  The result is the transpose of the draw, a view.
+
+        ``out``, a flat float64 array of at least ``dim * n_samples``
+        elements, receives the draw in place of a new array.
         """
         if n_samples < 1:
             raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
-        z = rng.standard_normal((self.dim, n_samples))
-        return (self.cholesky @ z).T
+        shape = (self.dim, n_samples)
+        if out is None:
+            z = rng.standard_normal(shape)
+        else:
+            size = self.dim * n_samples
+            if out.dtype != np.float64 or out.ndim != 1 or out.size < size \
+                    or not out.flags.c_contiguous:
+                raise ValidationError(
+                    f"out must be a contiguous flat float64 array of >= {size} elements"
+                )
+            z = out[:size].reshape(shape)
+            rng.standard_normal(out=z)
+        # Narrower blocks can round differently from the one-shot product:
+        # with OpenBLAS, blocks of 512 columns or fewer did at some n and
+        # 1024 or more did not, so the remainder joins the last block.
+        blocks = max(1, n_samples // _SAMPLE_BLOCK)
+        edges = [k * _SAMPLE_BLOCK for k in range(blocks)] + [n_samples]
+        for a, b in zip(edges, edges[1:]):
+            z[:, a:b] = self.cholesky @ z[:, a:b]
+        return z.T
 
     def solve(self, rhs) -> np.ndarray:
         """``X`` with ``L L^T X = rhs``, for ``rhs`` of shape ``(dim,)`` or ``(dim, k)``.

@@ -10,10 +10,11 @@ float rendering throughout.
 A document is rendered as a stream of text pieces, which
 :func:`canonical_json_dumps` joins and :func:`canonical_json_dump` writes to
 an open text file as they come.  Float64 arrays take a bulk
-route: :func:`format_floats` renders one innermost row with one
-``format(x, ".17g")`` pass over ``ndarray.tolist()``, joined with the
-separators and indentation of the per-element route into one piece, so a
-document of many rows holds the strings of one row at a time.  The bytes are
+route: :func:`format_floats` renders up to ``2**13`` floats of one
+innermost row with one ``format(x, ".17g")`` pass over ``ndarray.tolist()``,
+joined with the separators and indentation of the per-element route into
+one piece, so a document holds the strings of one piece at a time, whatever
+the length of its rows.  The bytes are
 the same as element by element through :func:`format_float` (arrays holding
 inf or nan fall back to it for the non-finite spellings); only the
 per-element Python calls are gone.
@@ -80,11 +81,15 @@ def csv_cell(value) -> str:
     return format_float(value)
 
 
+# Floats per text piece of an innermost row in _emit_floats.
+_ROW_PIECE = 2**13
+
+
 def _emit_floats(arr: np.ndarray, indent: int) -> Iterator[str]:
     """Bulk route of :func:`_emit` for a float64 array of one or more dimensions.
 
-    The floats of one innermost row are formatted and joined in one piece,
-    so only that row's strings are alive at once.
+    An innermost row is formatted and joined ``_ROW_PIECE`` floats per
+    piece, so only that many strings are alive at once, however long the row.
     """
     if arr.shape[0] == 0:
         yield "[]"
@@ -92,8 +97,12 @@ def _emit_floats(arr: np.ndarray, indent: int) -> Iterator[str]:
     pad = "  " * indent
     pad_in = "  " * (indent + 1)
     if arr.ndim == 1:
+        sep = ",\n" + pad_in
         yield "[\n" + pad_in
-        yield (",\n" + pad_in).join(format_floats(arr))
+        for a in range(0, arr.shape[0], _ROW_PIECE):
+            if a:
+                yield sep
+            yield sep.join(format_floats(arr[a:a + _ROW_PIECE]))
         yield "\n" + pad + "]"
         return
     yield "[\n"

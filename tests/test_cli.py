@@ -396,6 +396,22 @@ def test_streaming_a_path_document_holds_one_block_at_a_time(fmt, tmp_path):
     assert peak < 2_000_000
 
 
+def test_streaming_one_long_path_holds_one_piece_at_a_time(tmp_path):
+    # One path of 2^17 + 1 points is 6.3 MB of JSON; formatted a row at a
+    # time, the row of values and the row of times peaked at 14 MB.
+    times = np.arange(2**17 + 1) / 2**17
+    paths = sample_fbm_paths(0.75, 2**17, 1.0 / 2**17, make_rng(7), 1)
+    renderers = cli._path_doc("sample_fbm", {}, 7, times, paths)
+    args = argparse.Namespace(out=str(tmp_path / "path.json"), format=None)
+    tracemalloc.start()
+    try:
+        cli._emit(args, *renderers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
 THREADED = [
     "gamma decay --hurst 0.75 --r 0.5 --n 12",
     # Three chunks of 2^15 paths each, the last one partial.

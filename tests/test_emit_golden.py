@@ -11,12 +11,13 @@ import io
 import json
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fbmkit.cli import _path_doc
-from fbmkit.serialize import canonical_json_dump, canonical_json_dumps, format_float
+from fbmkit.serialize import _ROW_PIECE, canonical_json_dump, canonical_json_dumps, format_float
 
 SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2e-308,
            1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e22, 1e16]
@@ -135,4 +136,15 @@ def test_float_arrays_match_the_per_element_emitter(arr):
     # Includes empty axes and inf/nan, which take the per-element spellings.
     doc = {"a": arr, "b": [arr, {"c": arr}]}
     assert canonical_json_dumps(doc) == oracle_dumps(doc)
+    assert written(lambda fh: canonical_json_dump(doc, fh)) == oracle_dumps(doc)
+
+
+@pytest.mark.parametrize("length", [_ROW_PIECE - 1, _ROW_PIECE, _ROW_PIECE + 1, 2 * _ROW_PIECE + 3])
+def test_a_row_longer_than_one_piece_keeps_its_bytes(length):
+    # A row is formatted _ROW_PIECE floats per piece; the pieces must join
+    # with the separator the whole row had, in 1-d and 2-d arrays alike, and
+    # a non-finite value in a later piece keeps its spelling.
+    row = np.random.default_rng(length).standard_normal(length)
+    row[-1] = np.inf
+    doc = {"row": row, "rows": np.stack([row, -row]), "times": row[::-1]}
     assert written(lambda fh: canonical_json_dump(doc, fh)) == oracle_dumps(doc)

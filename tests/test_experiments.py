@@ -13,7 +13,11 @@ reduction it replaced, and its estimate of P(A_n) against an antithetic
 estimator on a symmetric square root of the same covariance.  Both
 experiments draw at most 2^15 paths per call of ``CovMatrix.sample`` and give
 the same report at any thread count, and ``lil_statistic`` gives the report
-it gave before it shared its chunking with ``a_n_probability``.  The exact
+it gave before it shared its chunking with ``a_n_probability``.  Their chunks
+draw into one reused buffer per thread, which no reduction's result shares
+memory with and which bounds their peak; the running minimum of
+``lil_statistic`` is checked against the minima of each chunk's whole
+normalised block.  The exact
 Gaussian product of the excess-count chain is checked against
 ``scipy.stats``, and its normal log-tail against ``scipy.special.log_ndtr``.
 """
@@ -21,6 +25,7 @@ Gaussian product of the excess-count chain is checked against
 import hashlib
 import math
 import re
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -30,6 +35,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import log_ndtr
 
+from fbmkit import experiments
 from fbmkit.context import make_context
 from fbmkit.experiments import (
     ArbitrageConfig,
@@ -46,8 +52,9 @@ from fbmkit.fbm import _levy_integral
 from fbmkit.gamma import GammaConfig, gamma_cov_matrix
 from fbmkit.gaussian import CovMatrix, cholesky_with_jitter
 from fbmkit.quadrature import graded_breaks, integrate_checked
-from fbmkit.rng import make_rng
+from fbmkit.rng import make_rng, spawn_streams
 from fbmkit.serialize import canonical_json_dumps
+from fbmkit.thick import ThickSet
 
 I_MAX = 40
 LAGS = [0, 1, 2, 5, 20, 40]
@@ -256,7 +263,7 @@ def test_no_draw_exceeds_one_chunk(monkeypatch):
     sizes = []
     real = CovMatrix.sample
     monkeypatch.setattr(CovMatrix, "sample",
-                        lambda self, rng, n: sizes.append(n) or real(self, rng, n))
+                        lambda self, rng, n, out=None: sizes.append(n) or real(self, rng, n, out=out))
     n_paths = 3 * CHUNK - 1
     for run in small_runs(n_paths):
         sizes.clear()
@@ -274,6 +281,75 @@ def test_lil_report_is_unchanged_by_the_shared_chunking():
     cfg = LilConfig(make_context(0.75), r=0.5, i_max=12, n_paths=70_000, seed=5)
     for threads in (1, 2):
         assert report_digest(lil_statistic(cfg, threads=threads)) == LIL_DIGEST
+
+
+def test_lil_minima_are_those_of_the_whole_normalised_block():
+    # Oracle: each chunk's normalised rows stacked whole, minimised up to each
+    # cap.  The index set skips (10, 24], so caps 10 and 20 end at the same
+    # index and the running minimum must be taken twice at one stop.
+    keep = np.zeros(41, dtype=bool)
+    keep[2:11] = keep[25:] = True
+    cfg = LilConfig(make_context(0.3), r=0.5, i_max=40, n_paths=CHUNK + 500, seed=8,
+                    thick_set=ThickSet(keep, description="gap"))
+    idx = np.flatnonzero(keep)
+    cov = CovMatrix(_lil_cov(cfg))
+    minima = {10: [], 20: [], 40: []}
+    for stream, size in zip(spawn_streams(cfg.seed, 2), (CHUNK, 500)):
+        stat = cov.sample(stream, size).T[idx] / np.sqrt(np.log(idx))[:, None]
+        for cap in minima:
+            minima[cap].append(stat[idx <= cap].min(axis=0))
+    report = lil_statistic(cfg, threads=2)
+    values = {e.name: e.value for e in report.estimates}
+    for cap, parts in minima.items():
+        assert values[f"median_min_imax_{cap}"] == float(np.median(np.concatenate(parts)))
+
+
+def test_reductions_share_no_memory_with_the_draw_buffers(monkeypatch):
+    buffers, results = [], []
+    real_sample, real_map = CovMatrix.sample, experiments.parallel_map
+
+    def sample(self, rng, n, out=None):
+        buffers.append(out)
+        return real_sample(self, rng, n, out=out)
+
+    def record(fn, items, threads=1):
+        got = real_map(fn, items, threads=threads)
+        results.extend(got)
+        return got
+
+    monkeypatch.setattr(CovMatrix, "sample", sample)
+    monkeypatch.setattr(experiments, "parallel_map", record)
+    for run in small_runs(3 * CHUNK - 1):
+        for threads in (1, 2):
+            buffers.clear()
+            results.clear()
+            run(threads)
+            # One buffer per thread, reused by the third chunk.
+            assert len(buffers) == 3 and len({id(b) for b in buffers}) == threads
+            assert not any(np.shares_memory(r, b) for r in results for b in buffers)
+
+
+@pytest.mark.parametrize("experiment", ["lil", "an_prob"])
+def test_monte_carlo_memory_is_one_buffer_per_thread(experiment):
+    # Four chunks on two threads: two dim x 2^15 buffers, plus 6 MiB for the
+    # product blocks, the per-chunk reductions and their join.  Without the
+    # reused buffers each thread held its normals, their product and (lil)
+    # a normalised copy: 42 MiB and 24-32 MiB here.
+    ctx = make_context(0.75)
+    if experiment == "lil":
+        cfg = LilConfig(ctx, r=0.5, i_max=40, n_paths=4 * CHUNK, seed=3)
+        run, dim = (lambda: lil_statistic(cfg, threads=2)), cfg.i_max + 1
+    else:
+        cfg = ArbitrageConfig(ctx, r=0.1, alpha=0.5, p=0.5, n=32, n_paths=4 * CHUNK, seed=3)
+        run, dim = (lambda: a_n_probability(cfg, threads=2)), cfg.n
+    run()  # caches warm
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * dim * CHUNK * 8 + 6 * 2**20
 
 
 # The chain needs a small decay epsilon, hence the tiny scale ratio r.

@@ -547,6 +547,53 @@ class TestSamplers:
         with pytest.raises(ValidationError):
             sample_obm(4, 0.0, rng)  # no grid without a positive step
 
+    # A row block of 2^16 values is 1, 655 and 65536 rows at these steps.
+    @pytest.mark.parametrize("n_steps,paths", [(n, p) for n in (1, 100, 70_000)
+                                               for p in {1, 65535 // n, 65536 // n + 1, 3 * (65536 // n) + 2} - {0}])
+    def test_blocked_obm_draw_matches_the_one_shot_draw(self, n_steps, paths):
+        dt = 0.125
+        t0 = -dt * (n_steps // 2)
+        ref_rng, rng = make_rng(41), make_rng(41)
+        want = np.zeros((paths, n_steps + 1))
+        np.cumsum(np.sqrt(dt) * ref_rng.standard_normal((paths, n_steps)), axis=1, out=want[:, 1:])
+        idx = n_steps // 2
+        want -= want[:, [idx]]
+        want[:, idx] = 0.0
+        got = sample_obm(n_steps, dt, rng, t0=t0, paths=paths)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
+
+    @pytest.mark.parametrize("paths", [1, 4097, 9000])
+    def test_levy_draw_is_the_transposed_sample(self, paths):
+        ctx = make_context(0.25)
+        ref_rng, rng = make_rng(43), make_rng(43)
+        times = 0.125 * np.arange(1, 33)
+        want = np.zeros((paths, 33))
+        want[:, 1:] = CovMatrix(levy_cov_matrix(times, ctx)).sample(ref_rng, paths)
+        got = sample_levy_paths(ctx, 32, 0.125, rng, paths)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
+
+    def test_obm_and_levy_draws_hold_little_besides_their_result(self):
+        # The one-shot obm draw held its normals, their scaled copy and the
+        # result (49 MB here); the Levy sampler copied the draw into a new
+        # result (41 MB).  Each now holds its result, one block of normals
+        # or of product columns (at most 8191 wide) and small arrays.
+        def peak_of(draw):
+            tracemalloc.start()
+            try:
+                x = draw()
+                return tracemalloc.get_traced_memory()[1] - x.nbytes
+            finally:
+                tracemalloc.stop()
+
+        assert peak_of(lambda: sample_obm(4096, 1.0 / 4096, make_rng(7), paths=500)) \
+            <= 4 * 2**20
+        n = 128
+        assert peak_of(lambda: sample_levy_paths(make_context(0.25), n, 1.0 / n,
+                                                 make_rng(7), 20_000)) \
+            <= 8 * n * 8191 + 4 * 2**20
+
 
 class TestJointWZ:
     def test_cross_cov_brownian_identities(self):

@@ -90,6 +90,34 @@ def test_cholesky_symmetry_tolerance(scale):
     assert jitter == 0.0 and np.all(np.isfinite(factor))
 
 
+
+@pytest.mark.parametrize("where", [(140, 290), (290, 140), (0, 299), (299, 0), (255, 256), (128, 127)])
+def test_cholesky_checks_symmetry_in_every_panel(where):
+    # The check runs over panels of 128 rows from the diagonal on; an
+    # asymmetric pair is caught whichever triangle and panel it falls in.
+    cov = fbm_cov_matrix(np.linspace(0.01, 3.0, 300), 0.7)
+    bad = cov.copy()
+    bad[where] += 1.0e-6
+    with pytest.raises(ValidationError, match="symmetric"):
+        cholesky_with_jitter(bad)
+    bad[where] = np.nan
+    with pytest.raises(ValidationError, match="finite"):
+        cholesky_with_jitter(bad)
+
+
+def test_cholesky_tolerance_scales_with_a_negative_largest_entry():
+    # max |A| is -min here; at half the tolerance the pair passes the check
+    # and the indefinite matrix fails the jitter ladder instead.
+    cov = np.array([[1.0, -1.0e6], [-1.0e6, 1.0]])
+    tol = 1.0e-10 * 1.0e6
+    off = cov.copy()
+    off[0, 1] += 2.0 * tol
+    with pytest.raises(ValidationError, match="symmetric"):
+        cholesky_with_jitter(off)
+    off[0, 1] = cov[0, 1] + 0.5 * tol
+    with pytest.raises(AccuracyError):
+        cholesky_with_jitter(off)
+
 def test_covmatrix_sampling_is_chunk_invariant():
     cov = np.eye(3)
     whole = CovMatrix(cov).sample(make_rng(3), 10)
@@ -111,6 +139,39 @@ def test_covmatrix_sample_is_the_factor_times_one_normal_block():
     factor, _ = cholesky_with_jitter(cov)
     expected = (factor @ make_rng(11).standard_normal((7, 5))).T
     assert np.array_equal(CovMatrix(cov).sample(make_rng(11), 5), expected)
+
+
+def _random_cov(dim):
+    a = np.random.default_rng(dim).standard_normal((dim, dim))
+    return CovMatrix(a @ a.T + dim * np.eye(dim))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 32, 41, 64])
+@pytest.mark.parametrize("n", [1, 7, 4095, 4096, 4097, 8191, 8193, 16960, 2**15])
+def test_blocked_in_place_sample_is_the_one_shot_product(dim, n):
+    # The product runs in column blocks of 4096, overwriting the draw;
+    # sizes around one and two blocks and the Monte Carlo chunk 2^15 are
+    # compared bit for bit with the product of the whole draw.
+    cov = _random_cov(dim)
+    oracle_rng = make_rng(5)
+    expected = (cov.cholesky @ oracle_rng.standard_normal((dim, n))).T
+    bits = expected.view(np.uint64)
+    rng = make_rng(5)
+    assert np.array_equal(cov.sample(rng, n).view(np.uint64), bits)
+    assert repr(rng.bit_generator.state) == repr(oracle_rng.bit_generator.state)
+    buf = np.full(dim * n + 3, np.nan)
+    got = cov.sample(make_rng(5), n, out=buf)
+    assert np.shares_memory(got, buf)
+    assert np.array_equal(got.view(np.uint64), bits)
+    assert np.isnan(buf[dim * n:]).all()
+
+
+def test_sample_refuses_an_unfit_out_buffer():
+    cov = _random_cov(3)
+    for out in (np.empty(3 * 5 - 1), np.empty((3, 5)), np.empty(15, dtype=np.float32),
+                np.empty(30)[::2]):
+        with pytest.raises(ValidationError, match="out must be"):
+            cov.sample(make_rng(0), 5, out=out)
 
 
 def regression_grid(name):
