@@ -134,18 +134,16 @@ class AcceptanceReport:
     results: list[CriterionResult]
 
     def as_dict(self) -> dict:
-        return {
+        """The ``selftest`` artifact's document, checked against :data:`ACCEPTANCE_SCHEMA`."""
+        doc = {
             "kind": "acceptance",
             "seed": self.seed,
             "criteria": [r.as_dict() for r in self.results],
             "threads": self.threads,
             "created_utc": utc_now(),
         }
-
-    def to_json(self) -> str:
-        doc = self.as_dict()
         validate_acceptance(doc)
-        return canonical_json_dumps(doc)
+        return doc
 
     def lines(self) -> list[str]:
         return [r.line() for r in self.results]

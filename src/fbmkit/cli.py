@@ -23,13 +23,17 @@ Conventions shared by all subcommands:
   does not take is rejected, as is any abbreviated flag;
 - ``--out PATH`` writes an artifact (JSON by default, CSV when the path ends
   in ``.csv`` or ``--format csv`` is given); without ``--out`` the artifact
-  goes to stdout.  The artifact is written piece by piece as it is rendered,
-  into a temporary file beside ``PATH`` that replaces ``PATH`` only once the
-  last piece is written, so an error that stops the write leaves no
-  temporary file and no new artifact (a file already at ``PATH`` stays as
-  it was).  A ``PATH`` that is a symbolic link has its target replaced; one
-  that names a device or FIFO (``/dev/null``, ``/dev/stdout``) is written in
-  place;
+  goes to stdout, with the same bytes.  ``_emit`` is the one writer of
+  artifact text: JSON is the checked document in canonical form, and CSV
+  is its flat twin, a ``t`` column and a column per path for path
+  documents, and for tables, reports and ``selftest`` one row per value,
+  each cell through ``csv_cell``.  The artifact is written piece by piece
+  as it is rendered, into a temporary file beside ``PATH`` that replaces
+  ``PATH`` only once the last piece is written, so an error that stops the
+  write leaves no temporary file and no new artifact (a file already at
+  ``PATH`` stays as it was).  A ``PATH`` that is a symbolic link has its
+  target replaced; one that names a device or FIFO (``/dev/null``,
+  ``/dev/stdout``) is written in place;
 - the ``FBMKIT_OUT_DIR`` environment variable supplies the directory for
   relative ``--out`` paths (and nothing else);
 - every float is serialized with 17 significant digits, and the same argv
@@ -50,6 +54,7 @@ import stat
 import sys
 from collections.abc import Callable
 from dataclasses import asdict
+from functools import partial
 from typing import TextIO
 
 import jsonschema
@@ -140,8 +145,8 @@ TABLE_SCHEMA = {
 # bounds the strings alive at once, whatever the number of paths.
 _CSV_BLOCK_CELLS = 2**13
 
-# Writes an artifact's text to an open text file on demand, so only the
-# requested format is built, and a piece at a time where it is long.
+# Writes a CSV artifact's text to an open text file on demand, so only the
+# requested format is rendered, and a piece at a time where it is long.
 _Render = Callable[[TextIO], None]
 
 V_GRID_DEFAULT = (
@@ -325,11 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--r", type=_finite_float, required=True)
     ap.add_argument("--alpha", type=_finite_float, required=True)
     ap.add_argument("--p", type=_finite_float, required=True)
-    ap.add_argument("--n", type=int, required=True)
     ap.add_argument("--rtilde", type=_finite_float, required=True,
                     help="translation scale in (0, r)")
-    ap.add_argument("--alpha-prime", type=_finite_float, required=True)
-    ap.add_argument("--p-prime", type=_finite_float, required=True)
     ap.add_argument("--pan", required=True,
                     help="comma-separated n=P(A'_n) pairs, e.g. 4=0.44,8=0.0993")
     common(ap, seed=False)
@@ -438,44 +440,22 @@ def _floats(text: str) -> np.ndarray:
     return vals
 
 
-class _Stdout:
-    """``sys.stdout`` for a renderer, keeping the last non-empty text written."""
+def _emit(args, doc: dict, render_csv: _Render) -> None:
+    """Write the checked artifact in the one format the arguments ask for.
 
-    def __init__(self) -> None:
-        self.last = ""
-
-    def write(self, text: str) -> None:
-        sys.stdout.write(text)
-        self.last = text or self.last
-
-    def writelines(self, pieces) -> None:
-        for piece in pieces:
-            self.write(piece)
-
-
-def _emit(args, render_json: _Render, render_csv: _Render | None) -> None:
-    """Render the one format the arguments ask for, writing its pieces as they come.
-
-    ``render_json`` and ``render_csv`` write the artifact text to the text
-    file they are given; ``render_csv`` is None for subcommands without a
-    CSV form.  On stdout a final newline is added when the text lacks one.
-    A regular file at ``--out`` (or none yet) is written through a temporary
-    sibling that replaces it only when complete, keeping an existing file's
-    permission bits; on any error the temporary file is removed and
-    ``--out`` is left as it was.
+    JSON is ``doc`` through :func:`canonical_json_dump`; CSV is what
+    ``render_csv`` writes to the text file it is given.  Either goes out
+    piece by piece as it is rendered, to ``sys.stdout`` when there is no
+    ``--out``, and ends in one newline.  A regular file at ``--out`` (or
+    none yet) is written through a temporary sibling that replaces it only
+    when complete, keeping an existing file's permission bits; on any error
+    the temporary file is removed and ``--out`` is left as it was.
     """
-    out = _resolve_out(getattr(args, "out", None))
-    fmt = getattr(args, "format", None)
-    if fmt is None:
-        fmt = "csv" if (out or "").endswith(".csv") else "json"
-    if fmt == "csv" and render_csv is None:
-        raise ValidationError("this subcommand has no CSV representation")
-    render = render_csv if fmt == "csv" else render_json
+    out = _resolve_out(args.out)
+    fmt = args.format or ("csv" if (out or "").endswith(".csv") else "json")
+    render = render_csv if fmt == "csv" else partial(canonical_json_dump, doc)
     if out is None:
-        stdout = _Stdout()
-        render(stdout)
-        if not stdout.last.endswith("\n"):
-            sys.stdout.write("\n")
+        render(sys.stdout)
         return
     directory = os.path.dirname(out)
     if directory:
@@ -502,12 +482,21 @@ def _emit(args, render_json: _Render, render_csv: _Render | None) -> None:
         raise
 
 
+def _write_rows(fh: TextIO, header: str, rows) -> None:
+    """The CSV of a table, report or ``selftest``: ``header``, then one line per row.
+
+    A line is :func:`csv_cell` of each cell of the row, joined with commas.
+    """
+    fh.write(header + "\n")
+    fh.writelines(",".join(map(csv_cell, row)) + "\n" for row in rows)
+
+
 def _require_finite(kind: str, fields) -> None:
     """Raise AccuracyError if a result field holds inf or nan.
 
     ``fields`` yields ``(name, value)`` pairs; a value is a scalar, a list of
     scalars or a float array.  The doc builders call this before returning
-    their renderers, so a non-finite result writes nothing.
+    the document, so a non-finite result writes nothing.
     """
     for name, value in fields:
         if isinstance(value, np.ndarray):
@@ -520,8 +509,8 @@ def _require_finite(kind: str, fields) -> None:
 
 
 def _path_doc(kind: str, config: dict, seed: int, times: np.ndarray,
-              paths: np.ndarray) -> tuple[_Render, _Render]:
-    """Check a path artifact and return its (JSON, CSV) renderers.
+              paths: np.ndarray) -> tuple[dict, _Render]:
+    """Check a path artifact and return its document and CSV renderer.
 
     The schema validates the document with empty arrays; the arrays are
     checked with numpy (float64, ``times`` 1-D, one ``paths`` row per path
@@ -538,7 +527,7 @@ def _path_doc(kind: str, config: dict, seed: int, times: np.ndarray,
     jsonschema.validate(doc, PATH_SCHEMA)
     _require_finite(kind, [("times", times), ("paths", paths)])
     doc.update(times=times, paths=paths)
-    return (lambda fh: canonical_json_dump(doc, fh)), (lambda fh: _path_csv(times, paths, fh))
+    return doc, partial(_path_csv, times, paths)
 
 
 def _path_csv(times: np.ndarray, paths: np.ndarray, fh: TextIO) -> None:
@@ -557,35 +546,45 @@ def _path_csv(times: np.ndarray, paths: np.ndarray, fh: TextIO) -> None:
 
 
 def _table_doc(kind: str, config: dict, values: dict,
-               seed: int | None = None) -> tuple[_Render, _Render]:
-    """Check a table artifact and return its (JSON, CSV) renderers."""
+               seed: int | None = None) -> tuple[dict, _Render]:
+    """Check a table artifact and return its document and CSV renderer.
+
+    The CSV has a ``name,index,value`` row per scalar value and per entry
+    of a list value, names in sorted order.
+    """
     doc = {"kind": kind, "config": config, "values": values}
     if seed is not None:
         doc["seed"] = int(seed)
     jsonschema.validate(doc, TABLE_SCHEMA)
     _require_finite(kind, values.items())
-
-    def render_csv(fh: TextIO) -> None:
-        lines = ["name,index,value"]
-        for name in sorted(values):
-            val = values[name]
-            entries = val if isinstance(val, list) else [val]
-            for idx, entry in enumerate(entries):
-                lines.append(f"{name},{idx},{csv_cell(entry)}")
-        fh.write("\n".join(lines) + "\n")
-
-    return (lambda fh: canonical_json_dump(doc, fh)), render_csv
+    rows = [
+        (name, idx, entry)
+        for name, val in sorted(values.items())
+        for idx, entry in enumerate(val if isinstance(val, list) else [val])
+    ]
+    return doc, lambda fh: _write_rows(fh, "name,index,value", rows)
 
 
-def _report_doc(report: ExperimentReport) -> tuple[_Render, _Render]:
-    """Check an experiment report and return its (JSON, CSV) renderers."""
+def _report_doc(report: ExperimentReport) -> tuple[dict, _Render]:
+    """Check an experiment report and return its document and CSV renderer.
+
+    The CSV, a flat twin for plotting, has a row per estimate (index 0) and
+    one per entry of each trend, in sorted order, with blank interval cells.
+    """
     doc = report.as_dict()
     validate_report(doc)
     _require_finite(report.kind, [
         *((e["name"], [e["value"], e["ci_low"], e["ci_high"]]) for e in doc["estimates"]),
         *doc["trends"].items(),
     ])
-    return (lambda fh: canonical_json_dump(doc, fh)), (lambda fh: fh.write(report.to_csv()))
+    rows = [
+        *((e["name"], 0, e["value"], e["ci_low"], e["ci_high"], e["n_samples"])
+          for e in doc["estimates"]),
+        *((name, idx, value, None, None, None)
+          for name, trend in sorted(doc["trends"].items())
+          for idx, value in enumerate(trend)),
+    ]
+    return doc, lambda fh: _write_rows(fh, "series,index,value,ci_low,ci_high,n_samples", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -842,13 +841,8 @@ def _parse_pan(text: str) -> dict[int, float]:
 
 
 def _cmd_arbitrage_ledger(args) -> int:
-    ctx = make_context(args.hurst)
-    cfg = ArbitrageConfig(
-        ctx, r=args.r, alpha=args.alpha, p=args.p, n=args.n,
-        n_paths=1, seed=0,
-        alpha_prime=args.alpha_prime, p_prime=args.p_prime, r_tilde=args.rtilde,
-    )
-    report = union_bound_ledger(cfg, _parse_pan(args.pan))
+    report = union_bound_ledger(make_context(args.hurst), args.r, args.rtilde,
+                                args.alpha, args.p, _parse_pan(args.pan))
     _emit(args, *_report_doc(report))
     return 0
 
@@ -879,16 +873,10 @@ def _cmd_selftest(args) -> int:
         + (f"; unexpected: {', '.join(str(r.number) for r in surprises)}" if surprises else "")
     )
     if args.out is not None:
-        def render_csv(fh: TextIO) -> None:
-            lines = ["number,name,passed,expected_failure,detail"]
-            for r in report.results:
-                lines.append(
-                    ",".join(csv_cell(v) for v in (
-                        r.number, r.name, r.passed, r.expected_failure, r.detail))
-                )
-            fh.write("\n".join(lines) + "\n")
-
-        _emit(args, lambda fh: fh.write(report.to_json()), render_csv)
+        doc = report.as_dict()
+        columns = ("number", "name", "passed", "expected_failure", "detail")
+        rows = [[c[key] for key in columns] for c in doc["criteria"]]
+        _emit(args, doc, lambda fh: _write_rows(fh, ",".join(columns), rows))
     return 1 if surprises else 0
 
 

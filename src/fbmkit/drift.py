@@ -425,7 +425,7 @@ def drift_regression(hurst: float, times, values, v_grid) -> np.ndarray:
     gives shape ``(nv,)``, a batch ``(paths, nv)``.
     """
     times, values = _pinned_past(times, values)
-    v_grid = np.atleast_1d(np.asarray(v_grid, dtype=float))
+    v_grid = _future_times(v_grid)
     idx = _regression_samples(times.size - 1)
     weights = regression_weights(hurst, times[idx], v_grid)
     return values[..., idx] @ weights

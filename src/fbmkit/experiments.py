@@ -267,6 +267,18 @@ def _median_ci(values: np.ndarray) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
+def _check_event_family(r: float, alpha: float, p: float) -> None:
+    """Refuse a scale ratio, threshold or count fraction outside its range."""
+    if not (0.0 < r < 1.0):
+        raise ValidationError(f"r must lie in (0, 1), got {r}")
+    # alpha = 0 is admitted deliberately: it degrades the event to a
+    # median-type condition used as the estimator's negative control.
+    if not (0.0 <= alpha < 1.0):
+        raise ValidationError(f"alpha must lie in [0, 1), got {alpha}")
+    if not (0.0 < p < 1.0):
+        raise ValidationError(f"p must lie in (0, 1), got {p}")
+
+
 @dataclass(frozen=True)
 class ArbitrageConfig:
     """Excess-count event family: thresholds alpha, count fraction p, depth n."""
@@ -278,35 +290,13 @@ class ArbitrageConfig:
     n: int
     n_paths: int
     seed: int
-    alpha_prime: float | None = None
-    p_prime: float | None = None
-    r_tilde: float | None = None
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.r < 1.0):
-            raise ValidationError(f"r must lie in (0, 1), got {self.r}")
-        # alpha = 0 is admitted deliberately: it degrades the event to a
-        # median-type condition used as the estimator's negative control.
-        if not (0.0 <= self.alpha < 1.0):
-            raise ValidationError(f"alpha must lie in [0, 1), got {self.alpha}")
-        if not (0.0 < self.p < 1.0):
-            raise ValidationError(f"p must lie in (0, 1), got {self.p}")
+        _check_event_family(self.r, self.alpha, self.p)
         if self.n < 1:
             raise ValidationError(f"n must be >= 1, got {self.n}")
         if self.n_paths < 1:
             raise ValidationError(f"n_paths must be >= 1, got {self.n_paths}")
-        if self.alpha_prime is not None and not (0.0 < self.alpha_prime < self.alpha):
-            raise ValidationError(
-                f"need 0 < alpha_prime < alpha, got {self.alpha_prime} vs {self.alpha}"
-            )
-        if self.p_prime is not None and not (0.0 < self.p_prime < self.p):
-            raise ValidationError(
-                f"need 0 < p_prime < p, got {self.p_prime} vs {self.p}"
-            )
-        if self.r_tilde is not None and not (0.0 < self.r_tilde < self.r):
-            raise ValidationError(
-                f"need 0 < r_tilde < r, got {self.r_tilde} vs {self.r}"
-            )
 
     def thresholds(self, n: int | None = None) -> np.ndarray:
         """alpha * H^{-1/2} * (log i)_+^{1/2} for i in [0, n)."""
@@ -520,7 +510,8 @@ def n_threshold(
     return math.ceil((math.exp(hurst / (gap * gap)) + 1.0) / (p - p_prime))
 
 
-def union_bound_ledger(cfg: ArbitrageConfig, p_an_prime) -> ExperimentReport:
+def union_bound_ledger(ctx: HurstContext, r: float, r_tilde: float, alpha: float,
+                       p: float, p_an_prime) -> ExperimentReport:
     """Assemble ceil(r_tilde^{-n}) * (P(A'_n) + remainder_n) per depth.
 
     ``p_an_prime`` maps each depth n to an estimate/bound of the primed-event
@@ -528,11 +519,14 @@ def union_bound_ledger(cfg: ArbitrageConfig, p_an_prime) -> ExperimentReport:
     n * C_b * exp(-C_a (r/r_tilde)^{(2H∧1) n}) with the constants of
     ``reg_gamhat_bound``; the multiplier ceil(r_tilde^{-n}) is computed in
     exact integer arithmetic.  The report flags the crossover depth where the
-    remainder starts to fall.
+    remainder starts to fall.  ``alpha`` and ``p``, the event family the
+    probabilities belong to, are range-checked and echoed in the config;
+    the report's seed is 0, as nothing is drawn.
     """
     start = time.perf_counter()
-    if cfg.r_tilde is None:
-        raise ValidationError("union_bound_ledger requires r_tilde in the config")
+    _check_event_family(r, alpha, p)
+    if not (0.0 < r_tilde < r):
+        raise ValidationError(f"need 0 < r_tilde < r, got {r_tilde} vs {r}")
     items = sorted((int(n), float(v)) for n, v in dict(p_an_prime).items())
     if not items:
         raise ValidationError("p_an_prime must be a nonempty mapping n -> value")
@@ -542,23 +536,23 @@ def union_bound_ledger(cfg: ArbitrageConfig, p_an_prime) -> ExperimentReport:
         if not (0.0 <= value <= 1.0):
             raise ValidationError(f"P(A'_{n}) = {value} outside [0, 1]")
 
-    c_a, c_b = reg_bound_constants(GammaConfig(cfg.ctx, cfg.r))
-    kappa = min(2.0 * cfg.ctx.hurst, 1.0)
-    ratio = cfg.r / cfg.r_tilde
-    frac = Fraction(cfg.r_tilde)
+    c_a, c_b = reg_bound_constants(GammaConfig(ctx, r))
+    kappa = min(2.0 * ctx.hurst, 1.0)
+    ratio = r / r_tilde
+    frac = Fraction(r_tilde)
 
     report = ExperimentReport(
         kind="union_bound_ledger",
         config={
-            "hurst": cfg.ctx.hurst,
-            "r": cfg.r,
-            "r_tilde": cfg.r_tilde,
-            "alpha": cfg.alpha,
-            "p": cfg.p,
+            "hurst": ctx.hurst,
+            "r": r,
+            "r_tilde": r_tilde,
+            "alpha": alpha,
+            "p": p,
             "c_a": c_a,
             "c_b": c_b,
         },
-        seed=cfg.seed,
+        seed=0,
     )
     depths, multipliers, remainders, assembled = [], [], [], []
     for n, value in items:

@@ -52,7 +52,7 @@ with S(t) = 2 t^(2 hurst) + xi_{2 hurst}(1-t, t) - xi_{2 hurst}(1, t), that is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -197,15 +197,14 @@ class GammaCovariance:
     cf_fit: float
     r: float
     hurst: float
-    qs: np.ndarray = field(default=None)  # |cov(d)| * r^(-(1/2-|eta|) d)
-    trend_slope: float = 0.0
-    trend_ok: bool = True
+    qs: np.ndarray  # |cov(d)| * r^(-(1/2-|eta|) d)
+    trend_slope: float
+    trend_ok: bool
 
     def __post_init__(self) -> None:
         rho = np.asarray(self.rho, dtype=float)
         object.__setattr__(self, "rho", rho)
-        if self.qs is not None:
-            object.__setattr__(self, "qs", np.asarray(self.qs, dtype=float))
+        object.__setattr__(self, "qs", np.asarray(self.qs, dtype=float))
         if abs(rho[0] - 1.0) > 1.0e-9:
             raise ValidationError(f"rho[0] must be 1, got {rho[0]}")
         if np.any(np.abs(rho) > 1.0 + 1.0e-9):

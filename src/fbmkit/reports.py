@@ -1,18 +1,17 @@
-"""Experiment report containers with deterministic JSON/CSV emission.
+"""Experiment report containers: the document an experiment returns.
 
 An :class:`ExperimentReport` bundles a config echo, the RNG seed, named
 estimates with confidence intervals, and trend arrays.  Its document
-(:meth:`ExperimentReport.as_dict`, checked against :data:`REPORT_SCHEMA`) is
-rendered canonically by :func:`fbmkit.serialize.canonical_json_dumps`
-(sorted keys, 17-significant-digit floats), so identical runs emit
-byte-identical documents up to the volatile wall time and timestamp, which
-the experiment fills in with :meth:`ExperimentReport.stamp`.  A flat
-CSV twin carries the same numbers for plotting.
+(:meth:`ExperimentReport.as_dict`, checked against :data:`REPORT_SCHEMA`)
+holds plain types only, so identical runs build identical documents up to
+the volatile wall time and timestamp, which the experiment fills in with
+:meth:`ExperimentReport.stamp`.  This module renders no text: the CLI
+writes the document as canonical JSON, or as its flat CSV twin for
+plotting, in ``cli._emit``.
 """
 
 from __future__ import annotations
 
-import io
 import math
 import time
 from dataclasses import dataclass, field
@@ -21,7 +20,6 @@ import jsonschema
 import numpy as np
 
 from .errors import ValidationError
-from .serialize import csv_cell, format_float
 
 __all__ = [
     "Estimate",
@@ -84,7 +82,7 @@ class Estimate:
 
 @dataclass
 class ExperimentReport:
-    """Config echo + seed + estimates + trend arrays, rendered deterministically."""
+    """Config echo + seed + estimates + trend arrays, as one plain document."""
 
     kind: str
     config: dict
@@ -125,21 +123,6 @@ class ExperimentReport:
             "wall_time": float(self.wall_time),
             "created_utc": self.created_utc,
         }
-
-    def to_csv(self) -> str:
-        """Flat plotting twin: series,index,value,ci_low,ci_high,n_samples."""
-        out = io.StringIO()
-        out.write("series,index,value,ci_low,ci_high,n_samples\n")
-        for est in self.estimates:
-            out.write(
-                f"{csv_cell(est.name)},0,{format_float(est.value)},"
-                f"{format_float(est.ci_low)},{format_float(est.ci_high)},"
-                f"{est.n_samples}\n"
-            )
-        for name in sorted(self.trends):
-            for idx, value in enumerate(self.trends[name]):
-                out.write(f"{csv_cell(name)},{idx},{csv_cell(value)},,,\n")
-        return out.getvalue()
 
 
 def _plain(obj):

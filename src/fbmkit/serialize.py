@@ -9,7 +9,12 @@ float rendering throughout.
 
 A document is rendered as a stream of text pieces, which
 :func:`canonical_json_dumps` joins and :func:`canonical_json_dump` writes to
-an open text file as they come.  Float64 arrays take a bulk
+an open text file as they come.  Artifact text has one writer, ``cli._emit``:
+it streams a JSON document through :func:`canonical_json_dump`, and the CSV
+of a table, report or ``selftest`` is written there too, one
+:func:`csv_cell` per cell, as the flat twin of its document.  The joined
+string of :func:`canonical_json_dumps` serves digests, such as the one the
+acceptance battery compares across thread counts.  Float64 arrays take a bulk
 route: :func:`format_floats` renders up to ``2**13`` floats of one
 innermost row with one ``format(x, ".17g")`` pass over ``ndarray.tolist()``,
 joined with the separators and indentation of the per-element route into

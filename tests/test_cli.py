@@ -1,8 +1,11 @@
 """Command-line behaviour: defaults, exit codes and reproducible artifacts.
 
-Every subcommand runs with only its required flags.  ``selftest`` runs on
+Every subcommand runs with only its required flags, in JSON and in CSV;
+what it writes to stdout ends in one newline and is what ``--out`` writes,
+up to the volatile ``wall_time`` and ``created_utc``.  ``selftest`` runs on
 a stubbed battery (the real one takes tens of seconds) to pin its exit code:
-0 when every failure is declared, 1 otherwise.
+0 when every failure is declared, 1 otherwise, and its artifact in both
+formats.  ``arbitrage ledger`` refuses each of its inputs out of range.
 A result holding inf or nan exits 3 and writes no artifact.  A negative
 ``--seed``, a ``--threads`` or ``--paths`` below 1, or a count below its
 floor exits 2 and writes nothing on every subcommand that takes the flag.
@@ -22,6 +25,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import stat
 import tracemalloc
 
@@ -71,17 +75,28 @@ REQUIRED_ONLY = [
     "lil --hurst 0.05 --r 0.5",
     "lil --hurst 0.02 --r 0.1",
     "arbitrage an-prob --hurst 0.75 --r 0.1 --alpha 0.5 --p 0.5 --n 4",
-    "arbitrage ledger --hurst 0.75 --r 0.1 --alpha 0.5 --p 0.5 --n 8 --rtilde 0.05"
-    " --alpha-prime 0.4 --p-prime 0.4 --pan 4=0.44,8=0.0993",
+    "arbitrage ledger --hurst 0.75 --r 0.1 --alpha 0.5 --p 0.5 --rtilde 0.05"
+    " --pan 4=0.44,8=0.0993",
     "arbitrage threshold --hurst 0.75 --alpha 0.5 --alpha-prime 0.4 --p 0.5 --p-prime 0.4",
 ]
 
 
+# The volatile values of a report document, blanked to compare two runs.
+STAMPS = re.compile(r'("(?:wall_time|created_utc)": )[^,\n]*')
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("command", REQUIRED_ONLY)
-def test_defaults_are_a_valid_invocation(command, capsys):
-    code = main(command.split())
-    err = capsys.readouterr().err
-    assert code == 0, err
+def test_defaults_are_a_valid_invocation(command, fmt, tmp_path, capsys):
+    argv = command.split() + ["--format", fmt]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.out.endswith("\n") and not captured.out.endswith("\n\n")
+    out = tmp_path / f"artifact.{fmt}"
+    assert main(argv + ["--out", str(out)]) == 0
+    written = out.read_text(encoding="utf-8")
+    assert STAMPS.sub(r"\1", captured.out) == STAMPS.sub(r"\1", written)
 
 
 def stub_battery(failing):
@@ -103,6 +118,20 @@ def test_selftest_exits_0_only_when_every_failure_is_declared(failing, code, mon
     summary = capsys.readouterr().out.splitlines()[-1]
     assert summary.startswith(f"{11 - len(failing)}/11 criteria passed")
     assert ("unexpected" in summary) == (code == 1)
+
+
+def test_selftest_artifact_in_both_formats(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "run_all", lambda seed, threads: stub_battery({10}))
+    json_out, csv_out = tmp_path / "battery.json", tmp_path / "battery.csv"
+    assert main(["selftest", "--threads", "1", "--out", str(json_out)]) == 0
+    assert main(["selftest", "--threads", "1", "--out", str(csv_out)]) == 0
+    doc = json.loads(json_out.read_text(encoding="utf-8"))
+    assert doc["kind"] == "acceptance"
+    assert [c["passed"] for c in doc["criteria"]] == [k != 10 for k in range(1, 12)]
+    lines = csv_out.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "number,name,passed,expected_failure,detail"
+    assert lines[10] == f"10,{CRITERION_NAMES[10]},false,true,stub"
+    assert len(lines) == 12
 
 
 def leaf_parsers(parser, words=()):
@@ -183,13 +212,30 @@ def test_accuracy_error_exits_3(monkeypatch, capsys):
 # finite constants.
 @pytest.mark.parametrize("command", [
     "gamma regbound --hurst 0.5 --r 0.5",
-    "arbitrage ledger --hurst 0.5 --r 0.5 --alpha 0.5 --p 0.5 --n 4 --rtilde 0.25"
-    " --alpha-prime 0.25 --p-prime 0.25 --pan 4=0.4",
+    "arbitrage ledger --hurst 0.5 --r 0.5 --alpha 0.5 --p 0.5 --rtilde 0.25 --pan 4=0.4",
 ])
 def test_tail_bound_on_the_zero_field_exits_2(command, tmp_path, capsys):
     out = tmp_path / "artifact.json"
     assert main(command.split() + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+LEDGER = "arbitrage ledger --hurst 0.75 --r 0.1 --alpha 0.5 --p 0.5 --rtilde 0.05 --pan 4=0.44"
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--r", "1.5", "r must lie in (0, 1)"),
+    ("--alpha", "1.0", "alpha must lie in [0, 1)"),
+    ("--p", "0", "p must lie in (0, 1)"),
+    ("--rtilde", "0.1", "need 0 < r_tilde < r"),
+    ("--pan", "0=0.5", "depths must be >= 1"),
+    ("--pan", "4=1.5", "outside [0, 1]"),
+])
+def test_ledger_refuses_each_input_out_of_range(flag, value, message, tmp_path, capsys):
+    out = tmp_path / "ledger.json"
+    assert main(LEDGER.split() + [flag, value, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -307,22 +353,10 @@ def test_a_render_error_leaves_no_partial_artifact(existing, tmp_path):
         raise RuntimeError("renderer failed")
 
     with pytest.raises(RuntimeError, match="renderer failed"):
-        cli._emit(argparse.Namespace(out=str(out), format=None), render, None)
+        cli._emit(argparse.Namespace(out=str(out), format="csv"), {}, render)
     assert [p.name for p in tmp_path.iterdir()] == (["doc.json"] if existing else [])
     if existing:
         assert out.read_text(encoding="utf-8") == "earlier artifact\n"
-
-
-@pytest.mark.parametrize("pieces,text", [
-    (["a", "b\n", ""], "ab\n"),
-    (["a\n", "b"], "a\nb\n"),
-    ([], "\n"),
-])
-def test_stdout_gets_a_final_newline_only_when_missing(pieces, text, capsys):
-    cli._emit(argparse.Namespace(out=None, format=None), lambda fh: fh.writelines(pieces), None)
-    assert capsys.readouterr().out == text
-    cli._emit(argparse.Namespace(out=None, format=None), lambda fh: fh.write("".join(pieces)), None)
-    assert capsys.readouterr().out == text
 
 
 SMALL_SAMPLE = "sample fbm --hurst 0.75 --n 8 --dt 0.125 --seed 3".split()
@@ -385,11 +419,11 @@ def test_streaming_a_path_document_holds_one_block_at_a_time(fmt, tmp_path):
     # whole, the two peaked at 14.6 and 29.8 MB.
     paths = sample_fbm_paths(0.75, 4096, 1.0 / 4096, make_rng(7), 64)
     times = np.arange(4097) / 4096
-    renderers = cli._path_doc("sample_fbm", {}, 7, times, paths)
+    artifact = cli._path_doc("sample_fbm", {}, 7, times, paths)
     args = argparse.Namespace(out=str(tmp_path / f"paths.{fmt}"), format=None)
     tracemalloc.start()
     try:
-        cli._emit(args, *renderers)
+        cli._emit(args, *artifact)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -401,11 +435,11 @@ def test_streaming_one_long_path_holds_one_piece_at_a_time(tmp_path):
     # time, the row of values and the row of times peaked at 14 MB.
     times = np.arange(2**17 + 1) / 2**17
     paths = sample_fbm_paths(0.75, 2**17, 1.0 / 2**17, make_rng(7), 1)
-    renderers = cli._path_doc("sample_fbm", {}, 7, times, paths)
+    artifact = cli._path_doc("sample_fbm", {}, 7, times, paths)
     args = argparse.Namespace(out=str(tmp_path / "path.json"), format=None)
     tracemalloc.start()
     try:
-        cli._emit(args, *renderers)
+        cli._emit(args, *artifact)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -460,7 +494,7 @@ def test_non_finite_table_values_exit_3_and_write_nothing(bad, monkeypatch, tmp_
 def test_non_finite_report_values_exit_3_and_write_nothing(monkeypatch, tmp_path):
     report = ExperimentReport(kind="union_bound_ledger", config={}, seed=0,
                               trends={"p_bound": [0.5, math.nan]})
-    monkeypatch.setattr(cli, "union_bound_ledger", lambda cfg, pan: report)
+    monkeypatch.setattr(cli, "union_bound_ledger", lambda *inputs: report)
     out = tmp_path / "ledger.json"
     ledger = next(c for c in REQUIRED_ONLY if c.startswith("arbitrage ledger"))
     assert main(ledger.split() + ["--out", str(out)]) == 3
@@ -472,8 +506,7 @@ def test_non_finite_report_values_exit_3_and_write_nothing(monkeypatch, tmp_path
     "sample fbm --hurst 0.75 --n 4 --dt inf",
     "sample obm --n 4 --dt 0.1 --t0 nan",
     "drift kernel --hurst 0.75 --v 0.5,nan",
-    "arbitrage ledger --hurst 0.75 --r 0.1 --alpha 0.5 --p 0.5 --n 8 --rtilde 0.05"
-    " --alpha-prime 0.4 --p-prime 0.4 --pan 4=nan",
+    "arbitrage ledger --hurst 0.75 --r 0.1 --alpha 0.5 --p 0.5 --rtilde 0.05 --pan 4=nan",
 ])
 def test_non_finite_float_input_exits_2(command, tmp_path):
     out = tmp_path / "artifact.json"

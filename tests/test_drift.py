@@ -657,6 +657,9 @@ def test_non_finite_evaluation_times_are_refused(hurst, bad):
     for op in (drift_apply, drift_from_obm):
         with pytest.raises(ValidationError, match="v_grid"):
             op(kspec, times, values, [1.0, bad])
+    for v in ([1.0, bad], [], [-0.5], [1.0, -0.5]):
+        with pytest.raises(ValidationError, match="v_grid"):
+            drift_regression(hurst, times, values, v)
     for t in (bad, [-1.0, bad]):
         with pytest.raises(ValidationError, match="inversion times t"):
             pipiras_taqqu_invert(kspec, times, values, t)

@@ -3,10 +3,13 @@
 ``oracle_emit`` and ``oracle_path_texts`` are the former element-by-element
 renderers (``serialize._emit`` walking ``ndarray.tolist()`` and the CLI path
 document with one ``format_float`` per value), kept here as the reference.
-The CLI renderers and :func:`canonical_json_dump` write their text to a file
-in pieces; it is collected in a ``StringIO`` to compare.
+``cli._emit`` writes a path artifact to stdout, and
+:func:`canonical_json_dump` writes a document to a file, in pieces; the text
+is collected in a ``StringIO`` to compare.
 """
 
+import argparse
+import contextlib
 import io
 import json
 
@@ -16,7 +19,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fbmkit.cli import _path_doc
+from fbmkit.cli import _emit, _path_doc
 from fbmkit.serialize import _ROW_PIECE, canonical_json_dump, canonical_json_dumps, format_float
 
 SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2e-308,
@@ -89,6 +92,14 @@ def oracle_path_texts(kind, config, seed, times, paths):
     return oracle_dumps(doc), "\n".join(lines) + "\n"
 
 
+def emitted(fmt, doc, render_csv):
+    """The text ``cli._emit`` writes to stdout for an artifact in format ``fmt``."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _emit(argparse.Namespace(out=None, format=fmt), doc, render_csv)
+    return buf.getvalue()
+
+
 def written(render):
     """The text ``render`` writes to the file it is given."""
     buf = io.StringIO()
@@ -117,15 +128,16 @@ def path_arrays(draw):
 def test_path_artifact_bytes_match_the_per_element_emitter(arrays):
     times, paths = arrays
     config = {"dt": 0.5, "n": int(times.size), "process": "fbm"}
-    render_json, render_csv = _path_doc("sample_fbm", config, 7, times, paths)
+    artifact = _path_doc("sample_fbm", config, 7, times, paths)
     want_json, want_csv = oracle_path_texts("sample_fbm", config, 7, times, paths)
-    assert written(render_json) == want_json
-    assert written(render_csv) == want_csv
+    assert emitted("json", *artifact) == want_json
+    assert emitted("csv", *artifact) == want_csv
 
 
 def test_a_single_path_row_may_come_one_dimensional():
     times, values = np.array([0.0, 0.25]), np.array([0.0, -0.0])
-    assert [written(f) for f in _path_doc("k", {}, 0, times, values)] == list(
+    artifact = _path_doc("k", {}, 0, times, values)
+    assert [emitted(fmt, *artifact) for fmt in ("json", "csv")] == list(
         oracle_path_texts("k", {}, 0, times, values)
     )
 

@@ -221,12 +221,11 @@ UTC = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ")
 
 def test_reports_carry_wall_time_and_creation_time():
     ctx = make_context(0.75)
-    arb = ArbitrageConfig(ctx, r=0.1, alpha=0.5, p=0.5, n=4, n_paths=50, seed=1,
-                          alpha_prime=0.4, p_prime=0.4, r_tilde=0.05)
+    arb = ArbitrageConfig(ctx, r=0.1, alpha=0.5, p=0.5, n=4, n_paths=50, seed=1)
     reports = [
         lil_statistic(LilConfig(ctx, r=0.5, i_max=8, n_paths=50, seed=1)),
         a_n_probability(arb),
-        union_bound_ledger(arb, {4: 0.44}),
+        union_bound_ledger(ctx, 0.1, 0.05, 0.5, 0.5, {4: 0.44}),
     ]
     for report in reports:
         assert report.wall_time > 0.0

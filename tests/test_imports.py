@@ -18,6 +18,10 @@ and no library module but ``quadrature.py`` names the panel helpers.
 library module imports an underscore name from ``acceptance``.  Only
 ``experiments`` and ``gamma`` import ``parallel_map``: the almost-diagonal
 checks run on matrix stacks, not on a thread pool.
+
+``cli`` is the one writer of artifact text: ``reports`` imports nothing from
+``serialize``, and no library module but ``cli`` imports the streaming JSON
+writer ``canonical_json_dump`` or the CSV cell ``csv_cell``.
 """
 
 import ast
@@ -197,3 +201,18 @@ def test_only_experiments_and_gamma_import_parallel_map():
         if names_imported_from(path.read_text(encoding="utf-8"), "rng") & {"parallel_map", "*"}
     }
     assert importers == {"experiments.py", "gamma.py"}
+
+
+def test_reports_imports_nothing_from_serialize():
+    source = (ROOT / "src" / "fbmkit" / "reports.py").read_text(encoding="utf-8")
+    assert names_imported_from(source, "serialize") == set()
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in (ROOT / "src").rglob("*.py") if p.name != "cli.py"),
+    ids=lambda p: str(p.relative_to(ROOT)),
+)
+def test_no_library_module_but_cli_imports_the_artifact_writers(path):
+    names = names_imported_from(path.read_text(encoding="utf-8"), "serialize")
+    assert not names & {"canonical_json_dump", "csv_cell", "*"}

@@ -1,4 +1,4 @@
-"""Experiment reports: the document, its schema, and the CSV twin."""
+"""Experiment reports: the document, its schema, and the CSV twin the CLI writes."""
 
 import csv
 import io
@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from fbmkit.cli import _report_doc
 from fbmkit.errors import ValidationError
 from fbmkit.reports import Estimate, ExperimentReport, validate_report
 from fbmkit.serialize import canonical_json_dumps
@@ -59,7 +60,10 @@ def test_schema_rejects_a_malformed_document():
 
 
 def test_csv_quotes_names_and_renders_blanks_and_booleans():
-    text = sample_report().to_csv()
+    _, render_csv = _report_doc(sample_report())
+    buf = io.StringIO()
+    render_csv(buf)
+    text = buf.getvalue()
     lines = text.splitlines()
     assert lines[0] == "series,index,value,ci_low,ci_high,n_samples"
     assert lines[1].startswith('"p, with comma",0,')

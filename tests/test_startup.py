@@ -34,8 +34,8 @@ LEAN_CALLS = [
 ]
 OTHER_CALLS = [
     "drift regression --hurst 0.75 --paths 1",
-    "arbitrage ledger --hurst 0.75 --r 0.1 --alpha 0.5 --p 0.5 --n 8 --rtilde 0.05"
-    " --alpha-prime 0.4 --p-prime 0.4 --pan 4=0.44,8=0.0993",
+    "arbitrage ledger --hurst 0.75 --r 0.1 --alpha 0.5 --p 0.5 --rtilde 0.05"
+    " --pan 4=0.44,8=0.0993",
 ]
 WATCHED = ("numpy.random", "numpy.fft", "numpy.polynomial", "scipy")
 
