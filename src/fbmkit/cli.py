@@ -99,7 +99,7 @@ from .gamma import (
 from .gaussian import CovMatrix
 from .reports import ExperimentReport, validate_report
 from .rng import make_rng
-from .serialize import canonical_json_dump, csv_cell, format_floats
+from .serialize import _join_floats, canonical_json_dump, csv_cell
 from .subgauss import subgaussian_bound, subgaussian_constants
 from .thick import ThickSet, harmonic_subsum, is_thick_estimate
 
@@ -141,9 +141,12 @@ TABLE_SCHEMA = {
     },
 }
 
-# Cells of path CSV formatted per block of rows (481 rows at 16 paths):
-# bounds the strings alive at once, whatever the number of paths.
-_CSV_BLOCK_CELLS = 2**13
+# Cells of path CSV per block of rows (240 rows at 16 paths), each block
+# rendered at once by serialize._join_floats, a numpy kernel with
+# format_float's bytes; near-ties at the 17th digit, zeros, |x| outside
+# [1e-280, 1e280], inf and nan go to format_float itself.  The block bounds
+# the text and temporaries alive at once, whatever the number of paths.
+_CSV_BLOCK_CELLS = 2**12
 
 # Writes a CSV artifact's text to an open text file on demand, so only the
 # requested format is rendered, and a piece at a time where it is long.
@@ -248,7 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
         gp.add_argument("--hurst", type=_finite_float, required=True)
         gp.add_argument("--r", type=_finite_float, required=True, help="scale ratio in (0, 1)")
         if what in ("cov", "decay"):
-            gp.add_argument("--n", type=_int_at_least(0), default=30, help="largest lag")
+            # decay fits its constant over lags 1..n, so it needs one.
+            gp.add_argument("--n", type=_int_at_least(0 if what == "cov" else 1), default=30,
+                            help="largest lag")
         if what == "modulus":
             gp.add_argument("--t", default="0.015625,0.03125,0.0625,0.125,0.25,0.5,1.0",
                             help="comma-separated window lengths")
@@ -541,8 +546,7 @@ def _path_csv(times: np.ndarray, paths: np.ndarray, fh: TextIO) -> None:
     rows = max(1, _CSV_BLOCK_CELLS // width)
     for lo in range(0, times.size, rows):
         hi = lo + rows
-        cells = format_floats(np.column_stack([times[lo:hi], paths[:, lo:hi].T]))
-        fh.write("".join(",".join(cells[i:i + width]) + "\n" for i in range(0, len(cells), width)))
+        fh.write(_join_floats(np.column_stack([times[lo:hi], paths[:, lo:hi].T]), end="\n"))
 
 
 def _table_doc(kind: str, config: dict, values: dict,

@@ -175,7 +175,7 @@ INTEGER_FLOORS = [
     ("sample levy --hurst 0.25 --dt 0.01", "--n", 1),
     ("sample obm --dt 0.01", "--n", 1),
     ("gamma cov --hurst 0.75 --r 0.1", "--n", 0),
-    ("gamma decay --hurst 0.75 --r 0.1", "--n", 0),
+    ("gamma decay --hurst 0.75 --r 0.1", "--n", 1),
     ("bounds thick", "--n", 2),
     # A 1 x 1 matrix has no off-diagonal entry to bound.
     ("bounds matrix --eps 0.1", "--n", 2),
