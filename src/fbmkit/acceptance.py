@@ -247,6 +247,11 @@ def _criterion_1(seed_seq, threads: int) -> tuple[bool, str, dict]:
 # 2. Conditional decomposition: drift prediction + one-sided noise
 # ---------------------------------------------------------------------------
 
+# The cross-z gate is a maximum over 16 x 241 and 16 x 337 correlated
+# z-scores, so 4 is a tight gate: on the fresh seeds SeedSequence(2000..2009)
+# 2 of 10 runs fail it (cross z 4.04 and 4.07), while criterion 1 passed 12 of
+# 12 on SeedSequence(1000..1011).  The pass at the pinned seed rests on this
+# stream: a change that re-draws this criterion must keep its draws.
 def _criterion_2(seed_seq, threads: int) -> tuple[bool, str, dict]:
     v_grid = np.linspace(0.125, 2.0, 16)
     n_paths, chunk = 100_000, 20_000
@@ -480,7 +485,7 @@ def _criterion_8(seed_seq, threads: int) -> tuple[bool, str, dict]:
     ok = True
     for r in (0.1, 0.5):
         cfg = GammaConfig(ctx, r)
-        profile = decay_bound_check(cfg, 30, threads=threads)
+        profile = decay_bound_check(cfg, 30)
         metrics[f"cf_fit_r{r}"] = profile.cf_fit
         metrics[f"trend_slope_r{r}"] = profile.trend_slope
         ok = ok and profile.trend_ok
@@ -561,6 +566,7 @@ def _criterion_10(seed_seq, threads: int) -> tuple[bool, str, dict]:
         " (the 8 to 16 step moves up by ~+4e-3 nats, a real finite-size"
         " effect, so this subclause fails by design);"
         f" CI separation 4 vs 32: {separated}; depth-1 sanity 1/2 in CI: {sanity}"
+        " (a 95% interval, so it misses 1/2 about one seed in twenty)"
     )
     metrics = {
         f"log_rate_n{m}": (None if rates[m] is None else float(rates[m]))

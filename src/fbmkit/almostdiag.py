@@ -34,7 +34,8 @@ negative steps).  Counting admissible words yields
 
 and summing over n = |z| + 2m gives the entry bound ``hk_entry_bound``.
 ``valid_tuple_count`` computes the walk count exactly (big-integer dynamic
-programming) so the coding bound can be verified exhaustively.
+programming) so the coding bound can be verified exhaustively; the coding
+itself lives in the tests, as the oracle of the injection.
 """
 
 from __future__ import annotations
@@ -57,8 +58,6 @@ __all__ = [
     "hk_entry_bound",
     "valid_tuple_count",
     "tuple_count_bound",
-    "word_code",
-    "word_decode",
 ]
 
 _INF = float("inf")
@@ -429,47 +428,3 @@ def tuple_count_bound(z: int, k: int, n: int) -> int:
     if az > n or (n - az) % 2 != 0:
         return 0
     return math.comb(n, (n - az) // 2) * math.comb(n - 1, k - 1)
-
-
-def word_code(walk) -> str:
-    """Injective coding of a walk (s_0=0, s_1, ..., s_k) as a word over pPmM.
-
-    Each step of size d writes |d|-1 plain letters ('p' for up, 'm' for down)
-    followed by one terminal letter ('P' / 'M'); word length equals the total
-    step length.
-    """
-    walk = [int(v) for v in walk]
-    if len(walk) < 2:
-        raise ValidationError("walk must have at least one step")
-    if walk[0] != 0:
-        raise ValidationError(f"walk must start at 0, got {walk[0]}")
-    out: list[str] = []
-    for prev, cur in zip(walk[:-1], walk[1:]):
-        d = cur - prev
-        if d == 0:
-            raise ValidationError(f"zero step at position {prev} is not allowed")
-        plain, term = ("p", "P") if d > 0 else ("m", "M")
-        out.append(plain * (abs(d) - 1) + term)
-    return "".join(out)
-
-
-def word_decode(word: str) -> tuple[int, ...]:
-    """Inverse of word_code: rebuild the walk from 0, validating word structure."""
-    walk = [0]
-    run = 0
-    run_sign = 0
-    for ch in word:
-        if ch not in "pPmM":
-            raise ValidationError(f"invalid symbol {ch!r}; expected one of p, P, m, M")
-        sign = 1 if ch in "pP" else -1
-        if run and sign != run_sign:
-            raise ValidationError("sign change inside a step run")
-        run += 1
-        run_sign = sign
-        if ch in "PM":
-            walk.append(walk[-1] + sign * run)
-            run = 0
-            run_sign = 0
-    if run:
-        raise ValidationError("word ends inside a step (missing terminal symbol)")
-    return tuple(walk)

@@ -260,7 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
         if what == "regbound":
             gp.add_argument("--i", type=int, default=0, help="ladder index")
             gp.add_argument("--tmax", type=_finite_float, default=1.0, help="window length")
-        common(gp, seed=False, threads=(what == "decay"))
+        if what == "decay":
+            gp.add_argument("--threads", type=positive, default=1,
+                            help="no effect: the lags are one serial pass; still accepted")
+        common(gp, seed=False)
         gp.set_defaults(handler=_cmd_gamma, what=what)
 
     # -- bounds -----------------------------------------------------------
@@ -698,15 +701,15 @@ def _cmd_gamma(args) -> int:
     cfg = GammaConfig(ctx, args.r)
     config = {"what": args.what, "hurst": args.hurst, "r": args.r}
     if args.what == "cov":
-        lags = list(range(args.n + 1))
+        covs = gamma_cov(cfg, args.n + 1)
         values = {
-            "lags": lags,
-            "cov": [gamma_cov(cfg, 0, d) for d in lags],
-            "sigma2": sigma2(cfg),
+            "lags": list(range(args.n + 1)),
+            "cov": [float(c) for c in covs],
+            "sigma2": float(covs[0]),
         }
         config["n"] = args.n
     elif args.what == "decay":
-        profile = decay_bound_check(cfg, args.n, threads=args.threads)
+        profile = decay_bound_check(cfg, args.n)
         values = {
             "lags": list(range(args.n + 1)),
             "normalized_profile": [float(q) for q in profile.qs],

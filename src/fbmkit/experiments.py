@@ -358,7 +358,7 @@ def a_n_probability(cfg: ArbitrageConfig, *, threads: int = 1) -> ExperimentRepo
         raise ValidationError(
             f"n = {cfg.n} out of the Monte Carlo regime (n <= 64)"
         )
-    cov = gamma_cov_matrix(GammaConfig(cfg.ctx, cfg.r), cfg.n, threads=threads)
+    cov = gamma_cov_matrix(GammaConfig(cfg.ctx, cfg.r), cfg.n)
     thr = cfg.thresholds()
     ladder = _doubling_ladder(cfg.n)
     needs = {m: cfg.required_count(m) for m in ladder}

@@ -47,6 +47,10 @@ with c = 1 - r^d and R = (r^(2 hurst d) + xi_{2 hurst}(c, r^d)) / 2, and
 
 with S(t) = 2 t^(2 hurst) + xi_{2 hurst}(1-t, t) - xi_{2 hurst}(1, t), that is
 2 - 2 gamma(t) for the fGn covariance gamma (the middle term is 0 at t = 1).
+
+``gamma_cov`` is the one lag route, read by ``decay_bound_check``,
+``gamma_cov_matrix`` and ``gamma cov``: sigma2 once, then each lag's closed
+form serially (tens of microseconds a lag, less than a thread pool costs).
 """
 
 from __future__ import annotations
@@ -59,7 +63,6 @@ import numpy as np
 from .context import HurstContext, xi
 from .errors import ValidationError
 from .gaussian import CovMatrix
-from .rng import parallel_map
 from .subgauss import subgaussian_constants
 
 __all__ = [
@@ -86,11 +89,12 @@ C_E_LEVELS = 20
 _SERIES_N = np.arange(1.0, 73.0)
 # Driver grid of the discrete-driver Monte Carlo oracle: geometric points per
 # decade of x, its far end, and its near end as a fraction of the smallest
-# ladder scale; paths are drawn MC_CHUNK at a time to bound the noise block.
+# ladder scale.
 MC_PER_DECADE = 48
 MC_U_MAX = 1.0e6
 MC_X_MIN_FACTOR = 1.0e-3
-MC_CHUNK = 20_000
+# Driver-noise values per block of sample_gamma_mc (8 MiB of floats).
+_MC_BLOCK_VALUES = 2**20
 
 
 @dataclass(frozen=True)
@@ -163,9 +167,15 @@ def sigma2(cfg: GammaConfig) -> float:
     return _head_energy(eta, 1.0) + _tail_energy(eta, 1.0)
 
 
-def gamma_cov(cfg: GammaConfig, i: int, j: int) -> float:
-    """Cov(G_i, G_j); symmetric, a function of d = |i - j| only."""
-    return _lag_cov(cfg, abs(int(i) - int(j)), sigma2(cfg))
+def gamma_cov(cfg: GammaConfig, n_lags: int) -> np.ndarray:
+    """Cov(G_0, G_d) for d = 0..n_lags-1, from one sigma2 in one serial pass.
+
+    The ladder is stationary, so Cov(G_i, G_j) is the entry at d = |i - j|.
+    """
+    if n_lags < 1:
+        raise ValidationError(f"n_lags must be >= 1, got {n_lags}")
+    sig2 = sigma2(cfg)
+    return np.array([_lag_cov(cfg, d, sig2) for d in range(n_lags)])
 
 
 def _lag_cov(cfg: GammaConfig, d: int, sig2: float) -> float:
@@ -178,14 +188,6 @@ def _lag_cov(cfg: GammaConfig, d: int, sig2: float) -> float:
     fbm_cov = 0.5 * (scale ** (2.0 * hurst) + xi(2.0 * hurst, c, scale))
     window = 0.5 * c ** (2.0 * hurst) * _energy(cfg.ctx.eta, scale / c, sig2)
     return float(cfg.r ** (-hurst * d) * (sig2 * fbm_cov + window))
-
-
-def _lag_covs(cfg: GammaConfig, count: int, threads: int) -> np.ndarray:
-    """Cov(G_0, G_d) for d = 0..count-1."""
-    sig2 = sigma2(cfg)
-    return np.asarray(
-        parallel_map(lambda d: _lag_cov(cfg, d, sig2), range(count), threads=threads)
-    )
 
 
 @dataclass(frozen=True)
@@ -225,11 +227,11 @@ class GammaCovariance:
         return float(vals.max())
 
 
-def decay_bound_check(cfg: GammaConfig, d_max: int, *, threads: int = 1) -> GammaCovariance:
+def decay_bound_check(cfg: GammaConfig, d_max: int) -> GammaCovariance:
     """Covariance profile up to lag d_max with the fitted decay constant.
 
-    Fits the smallest c_f making |cov(d)| <= c_f r^((1/2-|eta|) d) on all
-    computed lags.  The running fit c_f(d) = max_{d' <= d} q_{d'} of the
+    The lags are one ``gamma_cov`` pass.  Fits the smallest c_f making
+    |cov(d)| <= c_f r^((1/2-|eta|) d) on all computed lags.  The running fit c_f(d) = max_{d' <= d} q_{d'} of the
     normalized profile q_d = |cov(d)| r^(-(1/2-|eta|) d) must saturate rather
     than grow: its mean relative growth per lag over the last quarter of the
     range must either be tiny in absolute terms or collapse to a small
@@ -240,7 +242,7 @@ def decay_bound_check(cfg: GammaConfig, d_max: int, *, threads: int = 1) -> Gamm
         raise ValidationError(f"d_max must be >= 1, got {d_max}")
     if cfg.ctx.eta == 0.0:
         raise ValidationError("profile degenerates at hurst = 1/2 (zero field)")
-    covs = _lag_covs(cfg, d_max + 1, threads)
+    covs = gamma_cov(cfg, d_max + 1)
     sig2 = covs[0]
     kappa = 0.5 - abs(cfg.ctx.eta)
     d = np.arange(d_max + 1, dtype=float)
@@ -335,11 +337,9 @@ def reg_gamhat_bound(
 # ---------------------------------------------------------------------------
 
 
-def gamma_cov_matrix(cfg: GammaConfig, n: int, *, threads: int = 1) -> CovMatrix:
+def gamma_cov_matrix(cfg: GammaConfig, n: int) -> CovMatrix:
     """Exact n x n covariance of (G_0, ..., G_{n-1}) (Toeplitz by lag)."""
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    covs = _lag_covs(cfg, n, threads)
+    covs = gamma_cov(cfg, n)
     idx = np.arange(n)
     return CovMatrix(covs[np.abs(idx[:, None] - idx[None, :])])
 
@@ -387,15 +387,22 @@ def sample_gamma_mc(
 
     Independent of the series + Cholesky route: each path draws Gaussian
     driver increments on the geometric grid and applies the panel-average
-    kernel weights.
+    kernel weights.  The noise comes from the one stream in row order, a
+    block of about ``_MC_BLOCK_VALUES`` values at a time, scaled in place.
     """
     if n_paths < 1:
         raise ValidationError(f"n_paths must be >= 1, got {n_paths}")
     delta, w = gamma_mc_weights(cfg, d_max)
     sd = np.sqrt(delta)
+    rows = max(1, _MC_BLOCK_VALUES // delta.size)
+    # A short block's product can round differently (OpenBLAS 0.3.31 on
+    # Haswell takes another kernel for products of at most 10^6
+    # multiply-adds), so the remainder joins the last block.
+    blocks = max(1, n_paths // rows)
+    edges = [k * rows for k in range(blocks)] + [n_paths]
     out = np.empty((n_paths, d_max + 1))
-    for start in range(0, n_paths, MC_CHUNK):
-        stop = min(start + MC_CHUNK, n_paths)
-        noise = rng.standard_normal((stop - start, delta.size)) * sd[None, :]
-        out[start:stop] = noise @ w
+    for a, b in zip(edges, edges[1:]):
+        noise = rng.standard_normal((b - a, delta.size))
+        noise *= sd
+        out[a:b] = noise @ w
     return out

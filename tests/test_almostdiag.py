@@ -1,5 +1,10 @@
 """Walk coding for the almost-diagonal counting bounds, and the bounds themselves.
 
+The coding of a walk as a word over {p, P, m, M} lives here, as the oracle
+of the injection behind ``tuple_count_bound``: it round-trips, refuses
+malformed words, and maps the walks ``valid_tuple_count`` counts to as many
+distinct words, never more than the bound.
+
 The determinant and inverse-entry bounds must hold on every matrix of the
 hypothesis class (unit diagonal, ``|a_ij| <= eps^|i-j|``) for every eps below
 ``max_feasible_epsilon()``, including the three instances that saturate the
@@ -32,8 +37,8 @@ from fbmkit.almostdiag import (
     matrix_bounds_check,
     phi_functions,
     phi_n_of,
-    word_code,
-    word_decode,
+    tuple_count_bound,
+    valid_tuple_count,
 )
 from fbmkit.context import make_context
 from fbmkit.errors import ValidationError
@@ -49,6 +54,50 @@ epsilons = st.floats(0.0, EPS_MAX, exclude_min=True, exclude_max=True)
 steps = st.lists(
     st.integers(-12, 12).filter(lambda d: d != 0), min_size=1, max_size=20
 )
+
+
+def word_code(walk) -> str:
+    """Injective coding of a walk (s_0=0, s_1, ..., s_k) as a word over pPmM.
+
+    Each step of size d writes |d|-1 plain letters ('p' for up, 'm' for down)
+    followed by one terminal letter ('P' / 'M'); word length equals the total
+    step length.
+    """
+    walk = [int(v) for v in walk]
+    if len(walk) < 2:
+        raise ValidationError("walk must have at least one step")
+    if walk[0] != 0:
+        raise ValidationError(f"walk must start at 0, got {walk[0]}")
+    out: list[str] = []
+    for prev, cur in zip(walk[:-1], walk[1:]):
+        d = cur - prev
+        if d == 0:
+            raise ValidationError(f"zero step at position {prev} is not allowed")
+        plain, term = ("p", "P") if d > 0 else ("m", "M")
+        out.append(plain * (abs(d) - 1) + term)
+    return "".join(out)
+
+
+def word_decode(word: str) -> tuple[int, ...]:
+    """Inverse of word_code: rebuild the walk from 0, validating word structure."""
+    walk = [0]
+    run = 0
+    run_sign = 0
+    for ch in word:
+        if ch not in "pPmM":
+            raise ValidationError(f"invalid symbol {ch!r}; expected one of p, P, m, M")
+        sign = 1 if ch in "pP" else -1
+        if run and sign != run_sign:
+            raise ValidationError("sign change inside a step run")
+        run += 1
+        run_sign = sign
+        if ch in "PM":
+            walk.append(walk[-1] + sign * run)
+            run = 0
+            run_sign = 0
+    if run:
+        raise ValidationError("word ends inside a step (missing terminal symbol)")
+    return tuple(walk)
 
 
 @given(steps)
@@ -72,6 +121,22 @@ def test_word_code_round_trips(deltas):
 def test_word_decode_rejects_malformed_words(word):
     with pytest.raises(ValidationError):
         word_decode(word)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_word_code_injects_the_counted_walks(k):
+    # Every k-step walk of total length n <= 8 from 0, grouped by its end z.
+    words: dict[tuple[int, int], set[str]] = {}
+    for sizes in itertools.product(range(1, 9), repeat=k):
+        n = sum(sizes)
+        if n > 8:
+            continue
+        for signs in itertools.product((1, -1), repeat=k):
+            walk = (0, *itertools.accumulate(s * d for s, d in zip(signs, sizes)))
+            words.setdefault((walk[-1], n), set()).add(word_code(walk))
+    for (z, n), found in words.items():
+        assert len(found) == valid_tuple_count(z, k, n) <= tuple_count_bound(z, k, n)
+        assert all(len(w) == n for w in found)
 
 
 def lags(n):

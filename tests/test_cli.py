@@ -342,6 +342,30 @@ def test_streamed_sample_artifacts_keep_their_bytes(process, seed, fmt, tmp_path
     assert hashlib.sha256(stdout).hexdigest() == want
 
 
+# sha256 of the gamma table artifacts as written when each lag covariance
+# re-derived sigma2 and ``gamma decay`` mapped its lags on a thread pool.
+GAMMA_SHA256 = {
+    "gamma cov --hurst 0.75 --r 0.1":
+        "6e1e4aad09bd3836283120452da5954993ad40d1931f02271d4567a984220cef",
+    "gamma decay --hurst 0.75 --r 0.1":
+        "5528663a774c81b6c1346855d28854295d626a0ec805293f60c098b052c7c629",
+    "gamma modulus --hurst 0.75 --r 0.1":
+        "70738311670c728399317ba540d5eb10f62797d4c093f94b03aa252d0f57da5b",
+    "gamma modulus --hurst 0.25 --r 0.1":
+        "08647a9d1c9dbb7cc046e04a0dd48e8939dd4a90900bd89c2fade508cd2ebd12",
+    "gamma regbound --hurst 0.75 --r 0.1":
+        "57ead3bad31869cdf6dda47b60082762479adbdf7e2524a740d045fa25e6d48c",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GAMMA_SHA256))
+def test_gamma_artifacts_keep_their_bytes(command, tmp_path):
+    assert command in REQUIRED_ONLY
+    out = tmp_path / "gamma.json"
+    assert main(command.split() + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GAMMA_SHA256[command]
+
+
 @pytest.mark.parametrize("existing", [False, True])
 def test_a_render_error_leaves_no_partial_artifact(existing, tmp_path):
     out = tmp_path / "doc.json"
@@ -485,7 +509,8 @@ def test_non_finite_path_values_exit_3_and_write_nothing(bad, fmt, monkeypatch, 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_table_values_exit_3_and_write_nothing(bad, monkeypatch, tmp_path):
-    monkeypatch.setattr(cli, "gamma_cov", lambda cfg, i, d: bad if d == 2 else 1.0)
+    monkeypatch.setattr(cli, "gamma_cov",
+                        lambda cfg, n_lags: np.array([bad if d == 2 else 1.0 for d in range(n_lags)]))
     out = tmp_path / "cov.json"
     assert main(f"gamma cov --hurst 0.75 --r 0.1 --n 3 --out {out}".split()) == 3
     assert not out.exists()

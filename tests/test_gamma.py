@@ -13,7 +13,8 @@ kernel energy; two mpmath references guard that route independently:
 
 The algebraic variance identity through c1, the discrete-driver Monte Carlo
 oracle and the Monte Carlo pair sampler of the running observable are
-further independent routes.
+further independent routes.  The Monte Carlo oracle's blocks draw, bit for
+bit, what its former 20 000-row loop drew.
 """
 
 import math
@@ -25,15 +26,16 @@ import pytest
 from fbmkit.context import make_context, xi
 from fbmkit.errors import ValidationError
 from fbmkit.gamma import (
-    MC_CHUNK,
     MC_PER_DECADE,
     MC_U_MAX,
+    _MC_BLOCK_VALUES,
     GammaConfig,
     c_e,
     decay_bound_check,
     gamma_cov,
     gamma_cov_matrix,
     gamma_mc_implied_cov,
+    gamma_mc_weights,
     gammahat_modulus,
     reg_bound_constants,
     reg_gamhat_bound,
@@ -77,6 +79,8 @@ SPLIT_RATIOS = [0.1, 0.5, 0.9]
 SPLIT_LAGS = [0, 1, 3, 8, 40]
 SPLIT_WINDOWS = [2.0**-k for k in range(21)]
 SPLIT_TOL = 1e-12
+# Rows of driver noise per chunk of the Monte Carlo oracles below.
+ORACLE_CHUNK = 20_000
 
 
 def cfg_for(hurst, r, **kwargs):
@@ -197,10 +201,19 @@ def sample_gammahat_pair_mc(cfg, t, rng, n_paths):
         return np.diff(anti) / delta
 
     weights = np.stack([panel_avg(0.0), panel_avg(t)], axis=1)
+    return chunked_driver_draws(delta, weights, rng, n_paths)
+
+
+def chunked_driver_draws(delta, weights, rng, n_paths):
+    """Driver noise of variances ``delta`` times ``weights``, ORACLE_CHUNK rows at a time.
+
+    The former ``sample_gamma_mc`` loop, kept as the bit-for-bit oracle of
+    its blocks of a fixed number of values.
+    """
     sd = np.sqrt(delta)
-    out = np.empty((n_paths, 2))
-    for start in range(0, n_paths, MC_CHUNK):
-        stop = min(start + MC_CHUNK, n_paths)
+    out = np.empty((n_paths, weights.shape[1]))
+    for start in range(0, n_paths, ORACLE_CHUNK):
+        stop = min(start + ORACLE_CHUNK, n_paths)
         noise = rng.standard_normal((stop - start, delta.size)) * sd[None, :]
         out[start:stop] = noise @ weights
     return out
@@ -209,9 +222,9 @@ def sample_gammahat_pair_mc(cfg, t, rng, n_paths):
 class TestGammaCov:
     def test_frozen_lags(self):
         for (hurst, r), expected in GAMMA_COV_FROZEN.items():
-            cfg = cfg_for(hurst, r)
+            covs = gamma_cov(cfg_for(hurst, r), len(expected))
             for d, value in enumerate(expected):
-                assert gamma_cov(cfg, 0, d) == pytest.approx(value, rel=1e-11)
+                assert covs[d] == pytest.approx(value, rel=1e-11)
 
     def test_sigma2_frozen_and_identity(self):
         for hurst, expected in SIGMA2_FROZEN.items():
@@ -223,30 +236,32 @@ class TestGammaCov:
     def test_stationarity_and_two_scale_route(self):
         for hurst in QUAD_HURSTS:
             cfg = cfg_for(hurst, 0.5)
+            covs = gamma_cov(cfg, 7)
             for i, j in ((2, 5), (3, 3), (4, 1), (0, 6)):
-                lag_route = gamma_cov(cfg, i, j)
-                assert lag_route == gamma_cov(cfg, 0, abs(i - j))
+                lag_route = covs[abs(i - j)]
                 assert gamma_cov_quad(cfg, i, j) == pytest.approx(lag_route, rel=1e-13), hurst
 
     @pytest.mark.parametrize("hurst", SPLIT_HURSTS)
     def test_lags_match_split_reference(self, hurst):
         for r in SPLIT_RATIOS:
             cfg = cfg_for(hurst, r)
-            assert gamma_cov(cfg, 0, 0) == sigma2(cfg)
+            covs = gamma_cov(cfg, max(SPLIT_LAGS) + 1)
+            assert covs[0] == sigma2(cfg)
             for d in SPLIT_LAGS:
                 expected = gamma_cov_split(cfg, d)
-                assert gamma_cov(cfg, 0, d) == pytest.approx(expected, rel=SPLIT_TOL), (r, d)
+                assert covs[d] == pytest.approx(expected, rel=SPLIT_TOL), (r, d)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("hurst", [0.005, 0.75, 0.995])
     def test_deepest_lags_match_split_reference(self, hurst):
         # 0.1^300 is the last power of 0.1 above the 1e-300 scale guard.
         cfg = cfg_for(hurst, 0.1)
+        covs = gamma_cov(cfg, 301)
         for d in (295, 299, 300):
             expected = gamma_cov_split(cfg, d)
-            assert gamma_cov(cfg, 0, d) == pytest.approx(expected, rel=SPLIT_TOL), d
+            assert covs[d] == pytest.approx(expected, rel=SPLIT_TOL), d
         with pytest.raises(ValidationError):
-            gamma_cov(cfg, 0, 301)
+            gamma_cov(cfg, 302)
 
     def test_near_the_ends_returns_finite_values(self):
         # Near H = 0 and H = 1 the kernel is nearly non-integrable at 0 or
@@ -255,13 +270,21 @@ class TestGammaCov:
         grid = np.concatenate([np.arange(1, 10) * 0.005, np.arange(177, 200) * 0.005])
         for hurst in np.round(grid, 3):
             cfg = cfg_for(float(hurst), 0.1)
-            values = [gamma_cov(cfg, 0, d) for d in range(4)]
+            values = gamma_cov(cfg, 4)
             assert np.all(np.isfinite(values)), hurst
             assert values[0] == pytest.approx(sigma2_reference(cfg.ctx), rel=1e-12), hurst
 
+    def test_a_lag_does_not_depend_on_the_pass_length(self):
+        cfg = cfg_for(0.75, 0.1)
+        full = gamma_cov(cfg, 31).view(np.uint64)
+        for d in range(31):
+            assert gamma_cov(cfg, d + 1).view(np.uint64)[d] == full[d], d
+        with pytest.raises(ValidationError):
+            gamma_cov(cfg, 0)
+
     def test_brownian_field_vanishes(self):
         cfg = cfg_for(0.5, 0.5)
-        assert gamma_cov(cfg, 0, 3) == 0.0
+        assert np.all(gamma_cov(cfg, 4) == 0.0)
         assert sigma2(cfg) == 0.0
         assert sigma2_reference(cfg.ctx) == pytest.approx(0.0, abs=1e-12)
 
@@ -271,17 +294,11 @@ class TestGammaCov:
         cov = gamma_cov_matrix(cfg, n)
         mat = cov.matrix
         assert np.allclose(mat, mat.T, atol=0)
-        lags = np.array([gamma_cov(cfg, 0, d) for d in range(n)])
+        lags = gamma_cov(cfg, n)
         idx = np.arange(n)
         assert np.allclose(mat, lags[np.abs(idx[:, None] - idx[None, :])], atol=0)
         draws = cov.sample(make_rng(2), 4)
         assert draws.shape == (4, n)
-
-    def test_threads_do_not_change_values(self):
-        cfg = cfg_for(0.75, 0.3)
-        a = gamma_cov_matrix(cfg, 5, threads=1).matrix
-        b = gamma_cov_matrix(cfg, 5, threads=3).matrix
-        assert np.array_equal(a, b)
 
     def test_config_validation(self):
         ctx = make_context(0.75)
@@ -420,6 +437,20 @@ class TestMonteCarloOracle:
         se = float(diff_sq.std() / np.sqrt(diff_sq.size))
         exact = gammahat_modulus(cfg, t)
         assert abs(est - exact) <= 4.0 * se + 0.02 * exact
+
+    @pytest.mark.parametrize("r", [0.1, 0.5])
+    def test_blocks_draw_what_the_chunked_loop_drew(self, r):
+        # Criterion 8's configuration (H = 0.75, lags 0..5, 10^5 paths), and
+        # path counts around the block edges: one block short, exact and one
+        # over, up to two blocks and a row.
+        cfg = cfg_for(0.75, r)
+        delta, w = gamma_mc_weights(cfg, 5)
+        rows = _MC_BLOCK_VALUES // delta.size
+        for n_paths in (1, 7, rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows,
+                        2 * rows + 1, 100_000):
+            got = sample_gamma_mc(cfg, 5, make_rng(8), n_paths)
+            want = chunked_driver_draws(delta, w, make_rng(8), n_paths)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n_paths
 
     def test_mc_validation(self):
         cfg = cfg_for(0.75, 0.5)

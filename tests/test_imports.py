@@ -9,15 +9,16 @@ their imports are re-exports.
 No module under ``src/`` imports scipy, at module level or inside a
 function, and ``pyproject.toml`` lists only numpy and jsonschema as runtime
 dependencies; scipy stays in the ``test`` extra as an oracle.  ``gamma.py``
-sums its series in closed form and imports nothing from ``quadrature``;
-``drift.py`` takes exact path weights and imports only ``PATH_TOL`` from it,
-and no library module but ``quadrature.py`` names the panel helpers.
+sums its series in closed form and takes its lags in one serial pass, so it
+imports nothing from ``quadrature`` or ``rng``; ``drift.py`` takes exact path
+weights and imports only ``PATH_TOL`` from ``quadrature``, and no library
+module but ``quadrature.py`` names the panel helpers.
 
 ``cli.py`` imports only ``DEFAULT_SEED`` and ``run_all`` from ``acceptance``
 (the past window and the driver round trip live in ``drift``), and no
 library module imports an underscore name from ``acceptance``.  Only
-``experiments`` and ``gamma`` import ``parallel_map``: the almost-diagonal
-checks run on matrix stacks, not on a thread pool.
+``experiments`` imports ``parallel_map``: the almost-diagonal checks run on
+matrix stacks and the scale ladder's lags in one pass, not on a thread pool.
 
 ``cli`` is the one writer of artifact text: ``reports`` imports nothing from
 ``serialize``, and no library module but ``cli`` imports the streaming JSON
@@ -110,9 +111,9 @@ def test_the_scan_sees_relative_imports():
     assert {"quadrature", "context", "xi"} <= module_path_parts(source)
 
 
-def test_gamma_imports_nothing_from_quadrature():
+def test_gamma_imports_nothing_from_quadrature_or_rng():
     source = (ROOT / "src" / "fbmkit" / "gamma.py").read_text(encoding="utf-8")
-    assert "quadrature" not in module_path_parts(source)
+    assert not {"quadrature", "rng"} & module_path_parts(source)
 
 
 def names_imported_from(source: str, module: str) -> set[str]:
@@ -194,13 +195,13 @@ def test_runtime_dependencies_are_numpy_and_jsonschema():
     assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
 
 
-def test_only_experiments_and_gamma_import_parallel_map():
+def test_only_experiments_imports_parallel_map():
     importers = {
         path.name
         for path in (ROOT / "src").rglob("*.py")
         if names_imported_from(path.read_text(encoding="utf-8"), "rng") & {"parallel_map", "*"}
     }
-    assert importers == {"experiments.py", "gamma.py"}
+    assert importers == {"experiments.py"}
 
 
 def test_reports_imports_nothing_from_serialize():
