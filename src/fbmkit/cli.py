@@ -10,8 +10,8 @@ Conventions shared by all subcommands:
 
 - exit code 0 on success, 2 on validation (bad input) errors, 3 on accuracy
   errors (a window-truncation, route-agreement or factorization tolerance
-  that cannot be met, or a result that holds inf or nan, in which case
-  nothing is written);
+  that cannot be met, or a result past the float range or holding inf or
+  nan, in which case nothing is written);
   ``selftest`` exits 0 when every criterion that fails is a declared
   expected failure, and 1 on any other failure or on a pass of a declared
   one;

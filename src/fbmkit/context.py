@@ -122,9 +122,12 @@ def make_context(hurst: float) -> HurstContext:
         return HurstContext(hurst=hurst, eta=0.0, c1=1.0, c_h=1.0)
     # Mandelbrot & Van Ness (1968), SIAM Rev. 10.  sin(pi H) is taken at
     # min(H, 1 - H), where 1 - H is exact in floats, so c1 keeps full
-    # relative precision as H -> 1 and sin(pi H) -> 0.
+    # relative precision as H -> 1 and sin(pi H) -> 0.  Below H = 1e-150, where
+    # 2H sin(pi H) underflows, 2H Gamma(2H) is taken as Gamma(2H + 1).
+    sine = math.sin(math.pi * min(hurst, 1.0 - hurst))
     c1 = math.sqrt(
-        2.0 * hurst * math.sin(math.pi * min(hurst, 1.0 - hurst)) * math.gamma(2.0 * hurst)
+        sine * math.gamma(2.0 * hurst + 1.0) if hurst < 1.0e-150
+        else 2.0 * hurst * sine * math.gamma(2.0 * hurst)
     ) / math.gamma(hurst + 0.5)
     c_h = 1.0 / (math.gamma(eta + 1.0) * math.gamma(1.0 - eta))
     return HurstContext(hurst=hurst, eta=eta, c1=c1, c_h=c_h)

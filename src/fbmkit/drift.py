@@ -179,12 +179,12 @@ def inversion_grid(dt: float, u_deep: float = 600.0) -> np.ndarray:
     ``-10^INVERSION_E_MIN`` at the tip.  All times are strictly negative (the
     operators pin the origin themselves).  Raises
     :class:`~fbmkit.errors.ValidationError` unless
-    ``0 < dt <= INVERSION_SPAN < u_deep``.
+    ``10^INVERSION_E_MIN <= dt <= INVERSION_SPAN < u_deep`` (the tip's end).
     """
-    if not (0.0 < dt <= INVERSION_SPAN < u_deep < math.inf):
+    if not (10.0**INVERSION_E_MIN <= dt <= INVERSION_SPAN < u_deep < math.inf):
         raise ValidationError(
-            f"the past window needs 0 < dt <= {INVERSION_SPAN} < u_deep (--dt, --umax),"
-            f" got dt={dt}, u_deep={u_deep}"
+            f"the past window needs 0 < dt <= {INVERSION_SPAN} < u_deep (--dt, --umax) and"
+            f" dt >= {10.0**INVERSION_E_MIN:g}, got dt={dt}, u_deep={u_deep}"
         )
     n_uni = int(round(INVERSION_SPAN / dt))
     if n_uni * dt > INVERSION_SPAN:  # rounded up past the span: stay inside it

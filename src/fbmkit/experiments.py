@@ -29,6 +29,7 @@ Every report carries its wall time and creation time as volatile fields.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import queue
 import time
@@ -39,7 +40,7 @@ import numpy as np
 
 from .almostdiag import phi_functions
 from .context import HurstContext
-from .errors import ValidationError
+from .errors import AccuracyError, ValidationError
 from .fbm import levy_cov_matrix
 from .gamma import GammaConfig, decay_bound_check, gamma_cov_matrix, reg_bound_constants
 from .gaussian import CovMatrix
@@ -298,10 +299,9 @@ class ArbitrageConfig:
         if self.n_paths < 1:
             raise ValidationError(f"n_paths must be >= 1, got {self.n_paths}")
 
-    def thresholds(self, n: int | None = None) -> np.ndarray:
+    def thresholds(self) -> np.ndarray:
         """alpha * H^{-1/2} * (log i)_+^{1/2} for i in [0, n)."""
-        n = self.n if n is None else n
-        i = np.arange(n, dtype=float)
+        i = np.arange(self.n, dtype=float)
         logs = np.maximum(np.log(np.maximum(i, 1.0)), 0.0)
         return self.alpha / math.sqrt(self.ctx.hurst) * np.sqrt(logs)
 
@@ -507,7 +507,11 @@ def n_threshold(
     if not (0.0 < p_prime < p < 1.0):
         raise ValidationError(f"need 0 < p_prime < p < 1, got {p_prime}, {p}")
     gap = alpha - alpha_prime
-    return math.ceil((math.exp(hurst / (gap * gap)) + 1.0) / (p - p_prime))
+    try:
+        return math.ceil((math.exp(hurst / (gap * gap)) + 1.0) / (p - p_prime))
+    except (OverflowError, ZeroDivisionError):  # gap * gap may underflow to 0
+        raise AccuracyError(f"n_threshold: the depth exceeds the float range at alpha"
+                            f" - alpha_prime = {gap:.6g}") from None
 
 
 def union_bound_ledger(ctx: HurstContext, r: float, r_tilde: float, alpha: float,
@@ -518,10 +522,11 @@ def union_bound_ledger(ctx: HurstContext, r: float, r_tilde: float, alpha: float
     probability.  The remainder is the n-term union bound
     n * C_b * exp(-C_a (r/r_tilde)^{(2H∧1) n}) with the constants of
     ``reg_gamhat_bound``; the multiplier ceil(r_tilde^{-n}) is computed in
-    exact integer arithmetic.  The report flags the crossover depth where the
-    remainder starts to fall.  ``alpha`` and ``p``, the event family the
-    probabilities belong to, are range-checked and echoed in the config;
-    the report's seed is 0, as nothing is drawn.
+    exact integer arithmetic, and a value past the float range raises
+    :class:`~fbmkit.errors.AccuracyError`.  The report flags the crossover
+    depth where the remainder starts to fall.  ``alpha`` and ``p``, the event
+    family the probabilities belong to, are range-checked and echoed in the
+    config; the report's seed is 0, as nothing is drawn.
     """
     start = time.perf_counter()
     _check_event_family(r, alpha, p)
@@ -556,12 +561,19 @@ def union_bound_ledger(ctx: HurstContext, r: float, r_tilde: float, alpha: float
     )
     depths, multipliers, remainders, assembled = [], [], [], []
     for n, value in items:
-        mult = -(-frac.denominator**n // frac.numerator**n)  # ceil(r_tilde^-n)
-        rem = n * c_b * math.exp(-c_a * ratio ** (kappa * n))
-        try:
-            total = float(mult) * (value + rem)
-        except OverflowError:
-            total = math.inf
+        total = math.inf
+        # Past 2^1100 the multiplier is no float, and its exact integer would
+        # take n times the digits of r_tilde to find that out.
+        if n * -math.log2(r_tilde) <= 1100.0:
+            mult = -(-frac.denominator**n // frac.numerator**n)  # ceil(r_tilde^-n)
+            try:
+                rem = n * c_b * math.exp(-c_a * ratio ** (kappa * n))
+            except OverflowError:  # the power is past the float range: the limit
+                rem = 0.0
+            with contextlib.suppress(OverflowError):
+                total = float(mult) * (value + rem)
+        if not math.isfinite(total):
+            raise AccuracyError(f"union_bound_ledger: the bound at n = {n} exceeds the float range")
         depths.append(n)
         multipliers.append(int(mult))
         remainders.append(rem)

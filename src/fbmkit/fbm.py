@@ -16,12 +16,11 @@ Every covariance entry point rejects non-finite times (and ``dt``) with
 
 Samplers (all exact in law, deterministic given a Generator)
 -----------------------------------------------------------
-* :func:`sample_fgn` / :func:`sample_fbm_paths` — circulant-embedding
-  (spectral) sampler for fractional Gaussian noise, cumulatively summed to
-  fBm.  The embedding is nonnegative definite for every H in (0, 1)
-  (Perrin et al. 2002, IEEE Signal Process. Lett. 9), so there is no
-  fallback: an eigenvalue below ``-1e-9`` times the largest raises
-  :class:`~fbmkit.errors.AccuracyError`.
+* :func:`sample_fbm_paths` — circulant-embedding (spectral) sampler for
+  fractional Gaussian noise, cumulatively summed to fBm.  The embedding is
+  nonnegative definite for every H in (0, 1) (Perrin et al. 2002, IEEE
+  Signal Process. Lett. 9), so there is no fallback: an eigenvalue below
+  ``-1e-9`` times the largest raises :class:`~fbmkit.errors.AccuracyError`.
 * :func:`sample_levy_paths` — dense Cholesky sampler for the one-sided
   average.
 * :func:`sample_obm` — ordinary Brownian motion on a grid containing 0,
@@ -51,7 +50,6 @@ __all__ = [
     "fgn_autocov",
     "levy_cov",
     "levy_cov_matrix",
-    "sample_fgn",
     "sample_fbm_paths",
     "sample_levy_paths",
     "sample_obm",
@@ -100,7 +98,11 @@ def fgn_autocov(n_lags: int, hurst: float, dt: float = 1.0) -> np.ndarray:
         raise ValidationError(f"hurst must lie in (0, 1), got {hurst}")
     if not (0.0 < dt < math.inf):
         raise ValidationError(f"dt must be positive and finite, got {dt}")
-    return dt ** (2.0 * hurst) * _fgn_unit_autocov(np.arange(n_lags), hurst)
+    try:
+        scale = dt ** (2.0 * hurst)
+    except OverflowError:
+        raise ValidationError(f"--dt {dt} is too large: dt^(2H) exceeds the float range") from None
+    return scale * _fgn_unit_autocov(np.arange(n_lags), hurst)
 
 
 # Terms of the even binomial series in _fgn_unit_autocov.  From k = 2 on each
@@ -282,59 +284,6 @@ def _fgn_from_normals(lam: np.ndarray, normals: np.ndarray, n: int) -> np.ndarra
 _FGN_BLOCK = 2**16
 
 
-def _fgn_rows(
-    hurst: float,
-    n: int,
-    dt: float,
-    rng: np.random.Generator,
-    paths: int,
-    lead: int,
-) -> np.ndarray:
-    """A new ``(paths, lead + n)`` array with fGn samples in its last ``n`` columns.
-
-    The normals are drawn and transformed a block of rows at a time, in row
-    order, from ``rng``: a draw of shape ``(paths, M)`` fills C order, so
-    the blocks take the values a single draw would and give the same samples
-    bit for bit.  Each block goes straight into the result; the first
-    ``lead`` columns are left for the caller.
-    """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    if paths < 1:
-        raise ValidationError(f"paths must be >= 1, got {paths}")
-    gam = fgn_autocov(n, hurst, dt)
-    if n == 1:
-        m = 1
-    else:
-        lam = _fgn_eigenvalues(gam)
-        m = lam.size
-    out = np.empty((paths, lead + n))
-    rows = max(1, _FGN_BLOCK // m)
-    for lo in range(0, paths, rows):
-        normals = rng.standard_normal((min(rows, paths - lo), m))
-        if n == 1:
-            out[lo:lo + rows, lead:] = np.sqrt(gam[0]) * normals
-        else:
-            out[lo:lo + rows, lead:] = _fgn_from_normals(lam, normals, n)
-    return out
-
-
-def sample_fgn(
-    hurst: float,
-    n: int,
-    dt: float,
-    rng: np.random.Generator,
-    paths: int = 1,
-) -> np.ndarray:
-    """Sample ``paths`` fractional-Gaussian-noise vectors of length ``n``.
-
-    The rows are drawn in blocks of about ``2**16`` values from the one
-    stream ``rng``, in row order, so the result is the one a single draw of
-    every path would give, without that draw's transients.
-    """
-    return _fgn_rows(hurst, n, dt, rng, paths, lead=0)
-
-
 def sample_fbm_paths(
     hurst: float,
     n_steps: int,
@@ -342,8 +291,33 @@ def sample_fbm_paths(
     rng: np.random.Generator,
     paths: int = 1,
 ) -> np.ndarray:
-    """fBm path values on ``0, dt, ..., n_steps*dt``; shape ``(paths, n_steps+1)``."""
-    out = _fgn_rows(hurst, n_steps, dt, rng, paths, lead=1)
+    """fBm path values on ``0, dt, ..., n_steps*dt``; shape ``(paths, n_steps+1)``.
+
+    The fGn increments are drawn and transformed a block of rows of about
+    ``2**16`` normals at a time, in row order, from the one stream ``rng``: a
+    draw of shape ``(paths, M)`` fills C order, so the blocks take the values
+    a single draw would and give the same samples bit for bit, without that
+    draw's transients.  Each block goes straight into the result, which
+    then takes its ``cumsum`` in place.
+    """
+    if n_steps < 1:
+        raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
+    if paths < 1:
+        raise ValidationError(f"paths must be >= 1, got {paths}")
+    gam = fgn_autocov(n_steps, hurst, dt)
+    if n_steps == 1:
+        m = 1
+    else:
+        lam = _fgn_eigenvalues(gam)
+        m = lam.size
+    out = np.empty((paths, n_steps + 1))
+    rows = max(1, _FGN_BLOCK // m)
+    for lo in range(0, paths, rows):
+        normals = rng.standard_normal((min(rows, paths - lo), m))
+        if n_steps == 1:
+            out[lo:lo + rows, 1:] = np.sqrt(gam[0]) * normals
+        else:
+            out[lo:lo + rows, 1:] = _fgn_from_normals(lam, normals, n_steps)
     out[:, 0] = 0.0
     np.cumsum(out[:, 1:], axis=1, out=out[:, 1:])
     return out

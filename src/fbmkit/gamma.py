@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .context import HurstContext, xi
-from .errors import ValidationError
+from .errors import AccuracyError, ValidationError
 from .gaussian import CovMatrix
 from .subgauss import subgaussian_constants
 
@@ -310,7 +310,11 @@ def reg_bound_constants(cfg: GammaConfig) -> tuple[float, float]:
         raise ValidationError("sup tail bound degenerates at hurst = 1/2 (zero field, c_e = 0)")
     consts = subgaussian_constants(min(cfg.ctx.hurst, 0.5))
     c_a = consts.c_c / c_e(cfg)
-    c_b = max(consts.c_d, math.exp(c_a))
+    try:
+        c_b = max(consts.c_d, math.exp(c_a))
+    except OverflowError:  # c_e -> 0 as hurst -> 1/2
+        raise AccuracyError(f"sup tail bound: c_b = e^c_a exceeds the float range at"
+                            f" c_a = {c_a:.6g}") from None
     return c_a, c_b
 
 
@@ -329,7 +333,10 @@ def reg_gamhat_bound(
         raise ValidationError(f"T must be positive and finite, got {T}")
     c_a, c_b = constants
     t_eff = float(T) / cfg.scale(int(i))
-    return c_b * math.exp(-c_a * t_eff ** -min(2.0 * cfg.ctx.hurst, 1.0))
+    try:
+        return c_b * math.exp(-c_a * t_eff ** -min(2.0 * cfg.ctx.hurst, 1.0))
+    except OverflowError:  # the power is past the float range: the bound's limit
+        return 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -88,5 +88,7 @@ def subgaussian_bound(consts: SubGaussianConstants, x) -> np.ndarray | float:
     arr = np.asarray(x, dtype=float)
     if not np.all((arr >= 0.0) & (arr < np.inf)):
         raise ValidationError("tail bound is defined for finite x >= 0")
+    # exp(-c_c x^2) is 0 from x^2 = 1500 / c_c on; the cap keeps x * x finite.
+    arr = np.minimum(arr, math.sqrt(1500.0 / consts.c_c))
     out = consts.c_d * np.exp(-consts.c_c * arr * arr)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out

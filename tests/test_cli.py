@@ -6,9 +6,14 @@ up to the volatile ``wall_time`` and ``created_utc``.  ``selftest`` runs on
 a stubbed battery (the real one takes tens of seconds) to pin its exit code:
 0 when every failure is declared, 1 otherwise, and its artifact in both
 formats.  ``arbitrage ledger`` refuses each of its inputs out of range.
-A result holding inf or nan exits 3 and writes no artifact.  A negative
-``--seed``, a ``--threads`` or ``--paths`` below 1, or a count below its
-floor exits 2 and writes nothing on every subcommand that takes the flag.
+A result holding inf or nan exits 3 and writes no artifact.  Every finite
+input to ``arbitrage threshold``, ``arbitrage ledger``, ``gamma regbound``
+and ``bounds subgauss``, subnormals included, exits 0, 2 or 3 without a
+traceback; an input whose result leaves the float range exits 2 (refused,
+naming its flag) or 3 (not representable), or 0 where the limit is exact.
+A negative ``--seed``, a ``--threads`` or ``--paths`` below 1, or a count
+below its floor exits 2 and writes nothing on every subcommand that takes
+the flag.
 A ``--config`` file sets flags under the typed ones, and a key that is not a
 flag of the subcommand, a missing file or a missing path exits 2 and writes
 nothing.  Every subcommand with ``--threads`` writes the same artifact at
@@ -31,6 +36,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fbmkit import cli, gamma
 from fbmkit.acceptance import (
@@ -546,6 +553,69 @@ def test_non_finite_config_value_exits_2(tmp_path):
     argv = f"sample fbm --hurst 0.75 --n 4 --config {config} --out {out}".split()
     assert main(argv) == 2
     assert not out.exists()
+
+
+# Inputs whose result leaves the float range.  A refused input exits 2 with a
+# message naming its flag; a result that cannot be represented exits 3; both
+# write nothing.
+@pytest.mark.parametrize("command,code,message", [
+    (LEDGER.replace("4=0.44", "1100=0.1"), 3, "at n = 1100 exceeds the float range"),
+    (LEDGER.replace("0.05 --pan 4=0.44", "1e-300 --pan 4=0.1"), 3, "at n = 4 exceeds the float range"),
+    (LEDGER.replace("4=0.44", "1023=0.1"), 3, "at n = 1023 exceeds the float range"),
+    ("arbitrage threshold --hurst 0.75 --alpha 0.5 --alpha-prime 0.4999999 --p 0.5"
+     " --p-prime 0.4", 3, "alpha - alpha_prime = 1e-07"),
+    ("gamma regbound --hurst 0.5000001 --r 0.1", 3, "c_b = e^c_a exceeds the float range"),
+    ("sample fbm --hurst 0.75 --n 64 --dt 1e300", 2, "--dt"),
+    ("drift kernel --hurst 0.75 --dt 1e-300", 2, "--dt"),
+    ("invert --hurst 0.75 --dt 1e-300", 2, "--dt"),
+])
+def test_past_the_float_range_exits_2_or_3_and_writes_nothing(command, code, message,
+                                                               tmp_path, capsys):
+    out = tmp_path / "artifact.json"
+    assert main(command.split() + ["--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+# A tail bound whose exponent leaves the float range is exactly 0, its limit.
+@pytest.mark.parametrize("command,bound", [
+    ("gamma regbound --hurst 0.75 --r 0.1 --tmax 1e-310", 0),
+    ("bounds subgauss --theta 0.5 --x 1e200", [0]),
+    ("bounds subgauss --theta 0.0028177639 --x 1e154,1e200", [0, 0]),
+])
+def test_a_tail_past_the_float_range_is_0(command, bound, tmp_path):
+    out = tmp_path / "artifact.json"
+    assert main(command.split() + ["--out", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["values"]["bound"] == bound
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+# The unit interval, where most of these flags are in range, gets half the draws.
+FLAG_VALUE = st.one_of(st.floats(0.0, 1.0, allow_subnormal=True), FINITE)
+FLOAT_FLAGS = {
+    "arbitrage threshold": ("--hurst", "--alpha", "--alpha-prime", "--p", "--p-prime"),
+    "arbitrage ledger": ("--hurst", "--r", "--alpha", "--p", "--rtilde"),
+    "gamma regbound": ("--hurst", "--r", "--tmax"),
+    "bounds subgauss": ("--theta",),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLOAT_FLAGS))
+@given(data=st.data())
+def test_every_finite_input_exits_0_2_or_3(command, data):
+    argv = command.split()
+    # "--flag=value": a bare "-1e-05" would read as a flag.
+    argv += [f"{flag}={data.draw(FLAG_VALUE, label=flag)!r}" for flag in FLOAT_FLAGS[command]]
+    if command == "arbitrage ledger":
+        pairs = data.draw(st.lists(st.tuples(st.integers(1, 5000), FLAG_VALUE), min_size=1,
+                                   max_size=3), label="--pan")
+        argv.append("--pan=" + ",".join(f"{n}={v!r}" for n, v in pairs))
+    elif command == "gamma regbound":
+        argv.append(f"--i={data.draw(st.integers(0, 3000), label='--i')}")
+    elif command == "bounds subgauss":
+        xs = data.draw(st.lists(FLAG_VALUE, min_size=1, max_size=3), label="--x")
+        argv.append("--x=" + ",".join(map(repr, xs)))
+    assert main(argv + ["--out", os.devnull]) in (0, 2, 3)
 
 
 THRESHOLD = "arbitrage threshold --hurst 0.75 --alpha 0.5 --p 0.5 --p-prime 0.4"

@@ -82,6 +82,19 @@ def test_c1_matches_closed_form_across_the_hurst_range():
         assert make_context(hurst).c1 == pytest.approx(float(ref), rel=1.0e-14, abs=0.0), hurst
 
 
+@pytest.mark.parametrize("hurst", [5e-324, 2.2e-311, 1e-310, 2.7e-309, 3e-309, 1e-300,
+                                   9.9e-151, 1e-150, 1e-100])
+def test_c1_is_right_where_2h_sin_pi_h_underflows(hurst):
+    # Below H = 1e-150 2H sin(pi H) underflows (and below 2.8e-309 Gamma(2H)
+    # overflows), so 2H Gamma(2H) is taken as Gamma(2H + 1).  Below 7e-309
+    # sin(pi H) is subnormal and keeps fewer bits: at 5e-324 only one.
+    with mpmath.workdps(40):
+        h = mpmath.mpf(hurst)
+        ref = mpmath.sqrt(mpmath.sinpi(h) * mpmath.gamma(2 * h + 1)) / mpmath.gamma(h + 0.5)
+    rel = 0.5 if hurst == 5e-324 else 1.0e-12
+    assert make_context(hurst).c1 == pytest.approx(float(ref), rel=rel, abs=0.0)
+
+
 def test_brownian_case_is_exact():
     ctx = make_context(0.5)
     assert ctx.eta == 0.0

@@ -43,7 +43,6 @@ from fbmkit.fbm import (
     levy_cov,
     levy_cov_matrix,
     sample_fbm_paths,
-    sample_fgn,
     sample_levy_paths,
     sample_obm,
 )
@@ -441,7 +440,7 @@ class TestSamplers:
     def test_fgn_covariance(self, hurst):
         rng = make_rng(101)
         n, dt, paths = 8, 0.5, 20_000
-        x = sample_fgn(hurst, n, dt, rng, paths)
+        x = np.diff(sample_fbm_paths(hurst, n, dt, rng, paths), axis=1)
         assert x.shape == (paths, n)
         gam = fgn_autocov(n, hurst, dt)
         idx = np.arange(n)
@@ -450,7 +449,9 @@ class TestSamplers:
 
     def test_fgn_single_lag(self):
         rng = make_rng(7)
-        x = sample_fgn(0.75, 1, 0.5, rng, 50_000)
+        x = sample_fbm_paths(0.75, 1, 0.5, rng, 50_000)
+        assert np.all(x[:, 0] == 0.0)
+        x = x[:, 1:]
         var = float(np.mean(x**2))
         exact = fgn_autocov(1, 0.75, 0.5)[0]
         se = np.std(x.ravel() ** 2) / np.sqrt(x.size)
@@ -472,18 +473,12 @@ class TestSamplers:
     @pytest.mark.parametrize("hurst", [0.25, 0.5, 0.75])
     def test_blocked_draw_matches_the_one_shot_draw(self, paths_n, hurst):
         paths, n = paths_n
-        rng, ref_rng = make_rng(31), make_rng(31)
-        want = one_shot_fgn(hurst, n, 0.01, ref_rng, paths)
-        got = sample_fgn(hurst, n, 0.01, rng, paths)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        # repr spells out the Philox counter, key and buffer arrays in full.
-        assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
-
         rng, ref_rng = make_rng(32), make_rng(32)
         want = np.zeros((paths, n + 1))
         np.cumsum(one_shot_fgn(hurst, n, 0.01, ref_rng, paths), axis=1, out=want[:, 1:])
         got = sample_fbm_paths(hurst, n, 0.01, rng, paths)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # repr spells out the Philox counter, key and buffer arrays in full.
         assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
 
     def test_draw_holds_little_besides_its_result(self):
