@@ -15,6 +15,7 @@ the same seeds, which is how the per-criterion tests call it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import time
@@ -38,18 +39,11 @@ from .drift import (
 )
 from .errors import ValidationError
 from .experiments import ArbitrageConfig, LilConfig, a_n_probability, lil_statistic
-from .fbm import (
-    fbm_cov_matrix,
-    joint_wz_cov,
-    levy_cov_matrix,
-    sample_fbm_paths,
-    sample_levy_paths,
-    sample_obm,
-)
+from .fbm import FgnSampler, fbm_cov_matrix, joint_wz_cov, levy_cov_matrix, sample_obm
 from .gamma import GammaConfig, decay_bound_check, gamma_mc_implied_cov, sample_gamma_mc
-from .gaussian import CovMatrix, estimate_cov
+from .gaussian import CovMatrix, CrossMoments
 from .reports import utc_now
-from .rng import make_rng
+from .rng import draw_reduce, make_rng
 from .serialize import canonical_json_dumps
 from .subgauss import subgaussian_bound, subgaussian_constants
 
@@ -216,25 +210,20 @@ def _criterion_1(seed_seq, threads: int) -> tuple[bool, str, dict]:
     n_steps, n_paths = 64, 100_000
     dt = 1.0 / n_steps
     times = dt * np.arange(1, n_steps + 1)
-    rng = make_rng(seed_seq)
+    seeds = iter(seed_seq.spawn(4))
     metrics: dict = {}
     worst = 0.0
     for hurst in (0.25, 0.75):
-        ctx = make_context(hurst)
-        for label, sample, ref in (
-            (
-                "fbm",
-                lambda: sample_fbm_paths(hurst, n_steps, dt, rng, paths=n_paths),
-                fbm_cov_matrix(times, hurst),
-            ),
-            (
-                "levy",
-                lambda: sample_levy_paths(ctx, n_steps, dt, rng, paths=n_paths),
-                levy_cov_matrix(times, ctx),
-            ),
+        levy = levy_cov_matrix(times, make_context(hurst))
+        # Each 2^15-path chunk is reduced to moment sums as drawn (fGn summed to fBm in place).
+        for label, sampler, to_paths, ref in (
+            ("fbm", FgnSampler(hurst, n_steps, dt),
+             lambda x: np.cumsum(x, axis=1, out=x), fbm_cov_matrix(times, hurst)),
+            ("levy", CovMatrix(levy), lambda x: x, levy),
         ):
-            x = sample()[:, 1:]
-            emp, se = estimate_cov(x)
+            parts = draw_reduce(sampler, n_paths, next(seeds),
+                                lambda x: CrossMoments().add(to_paths(x)), threads)
+            emp, se = functools.reduce(CrossMoments.merge, parts).finish()
             z_max = float(np.max(np.abs(emp - ref) / se))
             metrics[f"zmax_{label}_h{hurst}"] = z_max
             worst = max(worst, z_max)
@@ -270,34 +259,23 @@ def _criterion_2(seed_seq, threads: int) -> tuple[bool, str, dict]:
         # Chunked product moments for the residual and the drift-omitted
         # control; the standard error of each covariance entry comes from the
         # empirical second moment of the same products.
-        sums = {k: 0.0 for k in ("rp", "rp2", "rr", "rr2", "fp", "fp2", "ff", "ff2")}
-        done = 0
-        while done < n_paths:
-            m = min(chunk, n_paths - done)
-            draw = cov.sample(rng, m)
+        moments = {tag: CrossMoments() for tag in ("rp", "rr", "fp", "ff")}
+        for done in range(0, n_paths, chunk):
+            draw = cov.sample(rng, min(chunk, n_paths - done))
             p, f = draw[:, :npast], draw[:, npast:]
             resid = f - p @ weights
             for tag, a, b in (("rp", resid, p), ("rr", resid, resid),
                               ("fp", f, p), ("ff", f, f)):
-                sums[tag] += a.T @ b
-                sums[tag + "2"] += (a * a).T @ (b * b)
-            done += m
+                moments[tag].add(a, b)
 
-        def blocks(tag: str) -> tuple[np.ndarray, np.ndarray]:
-            c = sums[tag] / n_paths
-            var = np.maximum(sums[tag + "2"] / n_paths - c**2, 1.0e-300)
-            return c, np.sqrt(var / n_paths)
+        def z_scores(cross: str, auto: str) -> tuple[float, float]:
+            (c, se), (a, se_a) = moments[cross].finish(), moments[auto].finish()
+            return (float(np.max(np.abs(c) / se)),
+                    float(np.max((np.abs(a - lev) - budget) / se_a)))
 
-        c_rp, se_rp = blocks("rp")
-        c_rr, se_rr = blocks("rr")
-        cross_z = float(np.max(np.abs(c_rp) / se_rp))
-        cov_excess = float(np.max((np.abs(c_rr - lev) - budget) / se_rr))
+        cross_z, cov_excess = z_scores("rp", "rr")
+        nc_cross_z, nc_cov_excess = z_scores("fp", "ff")
         ok_main = cross_z <= 4.0 and cov_excess <= 4.0
-
-        c_fp, se_fp = blocks("fp")
-        c_ff, se_ff = blocks("ff")
-        nc_cross_z = float(np.max(np.abs(c_fp) / se_fp))
-        nc_cov_excess = float(np.max((np.abs(c_ff - lev) - budget) / se_ff))
         nc_fails = nc_cross_z > 4.0 and nc_cov_excess > 4.0
 
         metrics[f"cross_zmax_h{hurst}"] = cross_z
@@ -495,8 +473,7 @@ def _criterion_8(seed_seq, threads: int) -> tuple[bool, str, dict]:
         exact_row = np.array([profile.sigma2 * profile.rho[d] for d in range(d_mc + 1)])
         implied = gamma_mc_implied_cov(cfg, d_mc)[0]
         deficit = float(np.max(np.abs(implied - exact_row)))
-        draws = sample_gamma_mc(cfg, d_mc, rng, n_mc)
-        emp, se = estimate_cov(draws)
+        emp, se = CrossMoments().add(sample_gamma_mc(cfg, d_mc, rng, n_mc)).finish()
         z_mc = float(np.max((np.abs(emp[0] - exact_row) - deficit) / se[0]))
         metrics[f"mc_zmax_r{r}"] = z_mc
         metrics[f"mc_deficit_r{r}"] = deficit

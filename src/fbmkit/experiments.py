@@ -16,13 +16,9 @@ Three families:
   explicit bound chain for the surrogate independent vector, the event-family
   comparison threshold, and the assembled union-bound bookkeeping.
 
-The two Monte Carlo families draw their paths through ``_map_sample_chunks``:
-2^15 paths per chunk, each chunk with its own stream and reduced on its own
-thread, so the thread count never changes the result.  Each running chunk
-draws into one reused buffer of dim x 2^15 floats (10.7 MB for ``lil`` at
-its default i_max = 40, 8.4 MB for ``arbitrage an-prob`` at n = 32), and the
-Cholesky factor is multiplied into it in place, so memory is bounded by
-the thread count, not by the number of paths.
+The two Monte Carlo families draw and reduce their paths through the engine
+:func:`fbmkit.rng.draw_reduce`, so the thread count never changes a report
+and memory is bounded by the thread count, not by the number of paths.
 
 Every report carries its wall time and creation time as volatile fields.
 """
@@ -31,7 +27,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import queue
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,7 +40,7 @@ from .fbm import levy_cov_matrix
 from .gamma import GammaConfig, decay_bound_check, gamma_cov_matrix, reg_bound_constants
 from .gaussian import CovMatrix
 from .reports import ExperimentReport, wilson_interval
-from .rng import parallel_map, spawn_streams
+from .rng import draw_reduce
 from .thick import ThickSet
 
 __all__ = [
@@ -64,50 +59,11 @@ __all__ = [
 # limit constant -1/sqrt(H): [limit - 0.35, limit + 0.6].
 LIL_BAND_OFFSETS = (-0.35, 0.6)
 
-# Paths per Monte Carlo chunk, for lil_statistic and a_n_probability alike.
-# A chunk's normals become its samples in place, in one reused buffer of
-# 0.26 MB per dimension: 8.4 MB at dim 32, 16.8 MB at the deepest
-# a_n_probability ladder (dim 64); the product adds one block of at most
-# 8191 columns (2.1 MB at dim 32).
-_CHUNK = 2**15
 # Width at which the bisection of max_feasible_epsilon stops.
 _EPS_BISECTION_TOL = 1.0e-12
 # Above this x, log Phi(-x) comes from the asymptotic series, well before
 # erfc(x / sqrt 2) underflows (near x = 37.5).
 _TAIL_SERIES_FROM = 30.0
-
-
-def _map_sample_chunks(cov: CovMatrix, n_paths: int, seed: int, reduce, threads: int) -> list:
-    """``reduce`` of ``n_paths`` draws of ``cov``, taken ``_CHUNK`` paths at a time.
-
-    Chunk k holds paths ``[k _CHUNK, (k+1) _CHUNK)`` and draws them from the
-    k-th stream spawned from ``seed``; the chunks run on ``threads`` threads
-    and their reductions come back in chunk order, so the result does not
-    depend on ``threads``.
-
-    Each chunk draws into one of ``min(threads, chunks)`` buffers, sized
-    for the first (largest) chunk and lent to one chunk at a time, so
-    ``reduce`` sees a view of a buffer that the next chunk overwrites: it
-    must return new arrays, never views of its argument.  The buffers are
-    allocated here, in the calling thread, because glibc keeps the blocks a
-    worker thread frees in that thread's arena, where later, larger arrays
-    do not fit.
-    """
-    n_chunks = math.ceil(n_paths / _CHUNK)
-    sizes = [min(_CHUNK, n_paths - k * _CHUNK) for k in range(n_chunks)]
-    streams = spawn_streams(seed, n_chunks)
-    buffers = queue.SimpleQueue()
-    for _ in range(min(max(threads, 1), n_chunks)):
-        buffers.put(np.empty(cov.dim * sizes[0]))
-
-    def run(k: int):
-        buf = buffers.get()
-        try:
-            return reduce(cov.sample(streams[k], sizes[k], out=buf))
-        finally:
-            buffers.put(buf)
-
-    return parallel_map(run, range(n_chunks), threads=threads)
 
 
 # ---------------------------------------------------------------------------
@@ -165,14 +121,10 @@ def lil_statistic(cfg: LilConfig, *, threads: int = 1) -> ExperimentReport:
     fraction of paths falling below the band.
 
     The normalised values are drawn directly from their exact covariance
-    (:func:`_lil_cov`).  Paths come ``_CHUNK`` = 2^15 at a time, one stream
-    per chunk (:func:`_map_sample_chunks`); each chunk is reduced on one of
-    ``threads`` threads to its minima up to each ladder depth, and the
-    chunks are joined in order, so the report does not depend on
-    ``threads``.  A chunk's samples are its buffer of (i_max+1) x 2^15
-    floats, 10.7 MB at the CLI's default i_max = 40; the reduction adds a
-    running-minimum row, one normalised row and a row of minima per depth,
-    0.26 MB each.
+    (:func:`_lil_cov`) by :func:`~fbmkit.rng.draw_reduce`, which reduces each
+    chunk of 2^15 paths to its minima up to each ladder depth.  A chunk's
+    buffer holds (i_max+1) x 2^15 floats, 10.7 MB at the CLI's default
+    i_max = 40; the reduction adds a few rows of 0.26 MB.
     """
     start = time.perf_counter()
     h = cfg.ctx.hurst
@@ -212,8 +164,8 @@ def lil_statistic(cfg: LilConfig, *, threads: int = 1) -> ExperimentReport:
             minima[c] = running
         return minima
 
-    per_chunk = _map_sample_chunks(CovMatrix(_lil_cov(cfg)), cfg.n_paths, cfg.seed,
-                                   reduce_chunk, threads)
+    per_chunk = draw_reduce(CovMatrix(_lil_cov(cfg)), cfg.n_paths, cfg.seed,
+                            reduce_chunk, threads)
     minima = np.concatenate(per_chunk, axis=1)
 
     limit = -1.0 / math.sqrt(h)
@@ -345,13 +297,10 @@ def a_n_probability(cfg: ArbitrageConfig, *, threads: int = 1) -> ExperimentRepo
     log P-hat / n and its trend.  Zero hits at some depth leave only the
     Wilson upper bound meaningful (value 0, ci_low 0).
 
-    Paths come ``_CHUNK`` = 2^15 at a time, one stream per chunk
-    (:func:`_map_sample_chunks`); each chunk is reduced on one of
-    ``threads`` threads to its prefix hit counts, which are summed in chunk
-    order, so the report does not depend on ``threads``.  A chunk's samples
-    are its buffer of n x 2^15 floats, 8.4 MB at n = 32 and 16.8 MB at the
-    largest n = 64; the reduction adds an n x 2^15 boolean array (1 MB at
-    n = 32).
+    :func:`~fbmkit.rng.draw_reduce` reduces each chunk of 2^15 paths to its
+    prefix hit counts, summed in chunk order.  A chunk's buffer holds
+    n x 2^15 floats, 8.4 MB at n = 32 and 16.8 MB at n = 64; the reduction
+    adds an n x 2^15 boolean array (1 MB at n = 32).
     """
     start = time.perf_counter()
     if cfg.n > 64:
@@ -366,7 +315,7 @@ def a_n_probability(cfg: ArbitrageConfig, *, threads: int = 1) -> ExperimentRepo
     def reduce_chunk(samples: np.ndarray) -> np.ndarray:
         return _prefix_hits(samples.T >= thr[:, None], needs)
 
-    per_chunk = _map_sample_chunks(cov, cfg.n_paths, cfg.seed, reduce_chunk, threads)
+    per_chunk = draw_reduce(cov, cfg.n_paths, cfg.seed, reduce_chunk, threads)
     hits = np.sum(np.stack(per_chunk, axis=0), axis=0)
 
     report = ExperimentReport(

@@ -11,16 +11,18 @@ Covariances
   as power series with scalar coefficients; no special-function library
   is needed.
 
-Every covariance entry point rejects non-finite times (and ``dt``) with
+Every covariance entry point rejects non-finite times (and ``dt``, or a
+``dt`` whose ``dt^(2H)`` leaves the normal floats) with
 :class:`~fbmkit.errors.ValidationError`.
 
 Samplers (all exact in law, deterministic given a Generator)
 -----------------------------------------------------------
-* :func:`sample_fbm_paths` — circulant-embedding (spectral) sampler for
-  fractional Gaussian noise, cumulatively summed to fBm.  The embedding is
-  nonnegative definite for every H in (0, 1) (Perrin et al. 2002, IEEE
-  Signal Process. Lett. 9), so there is no fallback: an eigenvalue below
-  ``-1e-9`` times the largest raises :class:`~fbmkit.errors.AccuracyError`.
+* :class:`FgnSampler` — circulant-embedding (spectral) sampler for
+  fractional Gaussian noise (Davies & Harte 1987, Biometrika 74), with
+  ``CovMatrix.sample``'s contract; :func:`sample_fbm_paths` sums it to fBm.
+  The embedding is nonnegative definite for every H in (0, 1) (Perrin et al.
+  2002, IEEE Signal Process. Lett. 9), so there is no fallback: an eigenvalue
+  below ``-1e-9`` times the largest raises :class:`~fbmkit.errors.AccuracyError`.
 * :func:`sample_levy_paths` — dense Cholesky sampler for the one-sided
   average.
 * :func:`sample_obm` — ordinary Brownian motion on a grid containing 0,
@@ -36,18 +38,20 @@ Driver and driven process
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 from numpy import fft
 
 from .context import HurstContext, pow0
 from .errors import AccuracyError, ValidationError
-from .gaussian import CovMatrix
+from .gaussian import CovMatrix, draw_buffer
 
 __all__ = [
     "fbm_cov",
     "fbm_cov_matrix",
     "fgn_autocov",
+    "FgnSampler",
     "levy_cov",
     "levy_cov_matrix",
     "sample_fbm_paths",
@@ -102,6 +106,8 @@ def fgn_autocov(n_lags: int, hurst: float, dt: float = 1.0) -> np.ndarray:
         scale = dt ** (2.0 * hurst)
     except OverflowError:
         raise ValidationError(f"--dt {dt} is too large: dt^(2H) exceeds the float range") from None
+    if scale < sys.float_info.min:  # 0 or subnormal: the draws would be zeros or lose digits
+        raise ValidationError(f"--dt {dt} is too small: dt^(2H) underflows the float range")
     return scale * _fgn_unit_autocov(np.arange(n_lags), hurst)
 
 
@@ -279,9 +285,40 @@ def _fgn_from_normals(lam: np.ndarray, normals: np.ndarray, n: int) -> np.ndarra
     return fft.irfft(v, n=m, axis=1, norm="forward")[:, :n]
 
 
-# Float64 values per block of rows in the fGn sampler: the normals and the
+# Float64 values per block of rows in the row samplers: the normals and the
 # transform of one block are the only arrays a draw holds besides its result.
 _FGN_BLOCK = 2**16
+
+
+def _fill_rows(rng: np.random.Generator, dest: np.ndarray, width: int, transform) -> np.ndarray:
+    """Fill the rows of ``dest``, strided or not, with ``transform`` of ``width`` normals each.
+
+    The normals are those of one ``(rows, width)`` draw, taken ``2**16`` or so at a time.
+    """
+    rows = max(1, _FGN_BLOCK // width)
+    for lo in range(0, dest.shape[0], rows):
+        dest[lo:lo + rows] = transform(rng.standard_normal((min(rows, dest.shape[0] - lo), width)))
+    return dest
+
+
+class FgnSampler:
+    """fGn increments over ``dim = n_steps`` steps of ``dt``; ``sample`` as in ``CovMatrix``.
+
+    Each path takes one row of ``M = 2 (n_steps - 1)`` normals (1 at one step).
+    """
+
+    def __init__(self, hurst: float, n_steps: int, dt: float) -> None:
+        gam = fgn_autocov(n_steps, hurst, dt)
+        self.dim = n_steps
+        if n_steps == 1:
+            root = math.sqrt(gam[0])
+            self._width, self._transform = 1, lambda z: root * z
+        else:
+            lam = _fgn_eigenvalues(gam)
+            self._width, self._transform = lam.size, lambda z: _fgn_from_normals(lam, z, n_steps)
+
+    def sample(self, rng: np.random.Generator, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        return _fill_rows(rng, draw_buffer(out, (n, self.dim)), self._width, self._transform)
 
 
 def sample_fbm_paths(
@@ -293,32 +330,15 @@ def sample_fbm_paths(
 ) -> np.ndarray:
     """fBm path values on ``0, dt, ..., n_steps*dt``; shape ``(paths, n_steps+1)``.
 
-    The fGn increments are drawn and transformed a block of rows of about
-    ``2**16`` normals at a time, in row order, from the one stream ``rng``: a
-    draw of shape ``(paths, M)`` fills C order, so the blocks take the values
-    a single draw would and give the same samples bit for bit, without that
-    draw's transients.  Each block goes straight into the result, which
-    then takes its ``cumsum`` in place.
+    The :class:`FgnSampler` rows come from the one stream ``rng`` in row
+    order, straight into the result behind its zero column, then summed in place.
     """
-    if n_steps < 1:
-        raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
     if paths < 1:
         raise ValidationError(f"paths must be >= 1, got {paths}")
-    gam = fgn_autocov(n_steps, hurst, dt)
-    if n_steps == 1:
-        m = 1
-    else:
-        lam = _fgn_eigenvalues(gam)
-        m = lam.size
+    sampler = FgnSampler(hurst, n_steps, dt)
     out = np.empty((paths, n_steps + 1))
-    rows = max(1, _FGN_BLOCK // m)
-    for lo in range(0, paths, rows):
-        normals = rng.standard_normal((min(rows, paths - lo), m))
-        if n_steps == 1:
-            out[lo:lo + rows, 1:] = np.sqrt(gam[0]) * normals
-        else:
-            out[lo:lo + rows, 1:] = _fgn_from_normals(lam, normals, n_steps)
     out[:, 0] = 0.0
+    _fill_rows(rng, out[:, 1:], sampler._width, sampler._transform)
     np.cumsum(out[:, 1:], axis=1, out=out[:, 1:])
     return out
 
@@ -339,6 +359,7 @@ def sample_levy_paths(
         raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
     if paths < 1:
         raise ValidationError(f"paths must be >= 1, got {paths}")
+    fgn_autocov(1, ctx.hurst, dt)  # refuses a dt whose dt^(2H) leaves the normal floats
     times = dt * np.arange(1, n_steps + 1)
     cov = CovMatrix(levy_cov_matrix(times, ctx))
     # The draw is (n_steps, paths) in C order: behind a row of zeros for
@@ -358,10 +379,9 @@ def sample_obm(
 ) -> np.ndarray:
     """Ordinary Brownian motion paths on the grid ``t0 + dt * k``, ``k = 0..n_steps``.
 
-    Returns shape ``(paths, n_steps + 1)``.  The increments are drawn a
-    block of rows of about ``2**16`` values at a time, in row order, so they
-    are those of one ``standard_normal((paths, n_steps))`` draw, without
-    its transients.  The grid must contain
+    Returns shape ``(paths, n_steps + 1)``.  The increments are those of one
+    ``standard_normal((paths, n_steps))`` draw, taken by :func:`_fill_rows`
+    without its transients.  The grid must contain
     ``t = 0``; that point gets the exact value 0, so for ``t0 < 0`` this
     produces two-sided paths anchored at the origin.
     """
@@ -378,11 +398,8 @@ def sample_obm(
     values = np.empty((paths, n_steps + 1))
     values[:, 0] = 0.0
     scale = np.sqrt(dt)
-    rows = max(1, _FGN_BLOCK // n_steps)
-    for lo in range(0, paths, rows):
-        incr = rng.standard_normal((min(rows, paths - lo), n_steps))
-        incr *= scale
-        np.cumsum(incr, axis=1, out=values[lo:lo + rows, 1:])
+    _fill_rows(rng, values[:, 1:], n_steps, lambda z: np.multiply(z, scale, out=z))
+    np.cumsum(values[:, 1:], axis=1, out=values[:, 1:])
     values -= values[:, [idx]]
     values[:, idx] = 0.0
     return values

@@ -62,8 +62,8 @@ import numpy as np
 
 from .context import HurstContext, xi
 from .errors import AccuracyError, ValidationError
-from .gaussian import CovMatrix
-from .subgauss import subgaussian_constants
+from .gaussian import CovMatrix, block_edges
+from .subgauss import THETA_MIN, subgaussian_constants
 
 __all__ = [
     "GammaConfig",
@@ -308,6 +308,9 @@ def reg_bound_constants(cfg: GammaConfig) -> tuple[float, float]:
     """(c_a, c_b) of the sup tail bound: c_a = c_c / c_e, c_b = max(c_d, e^c_a)."""
     if cfg.ctx.eta == 0.0:
         raise ValidationError("sup tail bound degenerates at hurst = 1/2 (zero field, c_e = 0)")
+    if cfg.ctx.hurst < THETA_MIN:
+        raise ValidationError(f"hurst must be at least {THETA_MIN} (c_d = exp(2/hurst)"
+                              f" overflows below it), got {cfg.ctx.hurst}")
     consts = subgaussian_constants(min(cfg.ctx.hurst, 0.5))
     c_a = consts.c_c / c_e(cfg)
     try:
@@ -404,9 +407,8 @@ def sample_gamma_mc(
     rows = max(1, _MC_BLOCK_VALUES // delta.size)
     # A short block's product can round differently (OpenBLAS 0.3.31 on
     # Haswell takes another kernel for products of at most 10^6
-    # multiply-adds), so the remainder joins the last block.
-    blocks = max(1, n_paths // rows)
-    edges = [k * rows for k in range(blocks)] + [n_paths]
+    # multiply-adds).
+    edges = block_edges(n_paths, rows)
     out = np.empty((n_paths, d_max + 1))
     for a, b in zip(edges, edges[1:]):
         noise = rng.standard_normal((b - a, delta.size))

@@ -5,9 +5,10 @@ factor: it wraps a symmetric positive semi-definite matrix with a Cholesky
 factor obtained through an escalating jitter ladder (semi-definite matrices
 arise legitimately here, e.g. any covariance pinned to zero at ``t = 0``),
 draws zero-mean Gaussian vectors with it and solves regression systems on
-it.  :func:`estimate_cov` returns the zero-mean empirical covariance and its
-entrywise Monte-Carlo standard errors, which the validation experiments use
-to build "within ``k`` standard errors" bands.
+it; its ``sample`` is the sampler contract of :func:`fbmkit.rng.draw_reduce`.
+:class:`CrossMoments` adds the cross moments of blocks of rows and finishes
+to the zero-mean empirical covariance and its entrywise Monte Carlo standard
+errors, which the acceptance criteria use as "within ``k`` SE" bands.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import AccuracyError, ValidationError
 __all__ = [
     "cholesky_with_jitter",
     "CovMatrix",
-    "estimate_cov",
+    "CrossMoments",
 ]
 
 _JITTER_LADDER = (0.0, 1.0e-12, 1.0e-10, 1.0e-8)
@@ -122,25 +123,12 @@ class CovMatrix:
         ``out``, a flat float64 array of at least ``dim * n_samples``
         elements, receives the draw in place of a new array.
         """
-        if n_samples < 1:
-            raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
-        shape = (self.dim, n_samples)
-        if out is None:
-            z = rng.standard_normal(shape)
-        else:
-            size = self.dim * n_samples
-            if out.dtype != np.float64 or out.ndim != 1 or out.size < size \
-                    or not out.flags.c_contiguous:
-                raise ValidationError(
-                    f"out must be a contiguous flat float64 array of >= {size} elements"
-                )
-            z = out[:size].reshape(shape)
-            rng.standard_normal(out=z)
+        z = draw_buffer(out, (self.dim, n_samples))
+        rng.standard_normal(out=z)
         # Narrower blocks can round differently from the one-shot product:
         # with OpenBLAS, blocks of 512 columns or fewer did at some n and
-        # 1024 or more did not, so the remainder joins the last block.
-        blocks = max(1, n_samples // _SAMPLE_BLOCK)
-        edges = [k * _SAMPLE_BLOCK for k in range(blocks)] + [n_samples]
+        # 1024 or more did not.
+        edges = block_edges(n_samples, _SAMPLE_BLOCK)
         for a, b in zip(edges, edges[1:]):
             z[:, a:b] = self.cholesky @ z[:, a:b]
         return z.T
@@ -168,18 +156,56 @@ class CovMatrix:
         return x
 
 
-def estimate_cov(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-mean empirical covariance of the rows of ``samples``, and its standard errors.
+def draw_buffer(out: np.ndarray | None, shape: tuple[int, int]) -> np.ndarray:
+    """A new C-ordered array of ``shape``, or a view of the head of the flat float64 ``out``."""
+    if min(shape) < 1:
+        raise ValidationError(f"a draw needs a positive shape, got {shape}")
+    if out is None:
+        return np.empty(shape)
+    size = shape[0] * shape[1]
+    if out.dtype != np.float64 or out.ndim != 1 or out.size < size or not out.flags.c_contiguous:
+        raise ValidationError(f"out must be a contiguous flat float64 array of >= {size} elements")
+    return out[:size].reshape(shape)
 
-    Returns ``(cov, se)``: ``cov = X.T @ X / N`` and entry ``(k, l)`` of
-    ``se`` is ``std(X_k * X_l) / sqrt(N)``, computed without materializing
-    the ``N x d x d`` product tensor.
+
+def block_edges(n: int, block: int) -> list[int]:
+    """Edges of blocks of ``block`` rows over ``range(n)``; the remainder joins the last block."""
+    blocks = max(1, n // block)
+    return [k * block for k in range(blocks)] + [n]
+
+
+class CrossMoments:
+    """Sums of ``a.T @ b`` and ``(a*a).T @ (b*b)`` over blocks of paired rows.
+
+    ``add(a)`` is ``add(a, a)`` with ``a`` squared once, so BLAS takes the
+    symmetric product for both sums.  ``finish`` gives ``(cov, se)``:
+    ``cov = sum a.T @ b / N`` and ``se[k, l] = std(a_k b_l) / sqrt(N)``.
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2 or samples.shape[0] < 2:
-        raise ValidationError("samples must be a 2-d array with >= 2 rows")
-    n = samples.shape[0]
-    cov = samples.T @ samples / n
-    sq = samples * samples
-    var = np.maximum(sq.T @ sq / n - cov**2, 0.0)
-    return cov, np.sqrt(var / n)
+
+    def __init__(self) -> None:
+        self.n = 0
+        self.cross = 0.0
+        self.square = 0.0
+
+    def add(self, a: np.ndarray, b: np.ndarray | None = None) -> CrossMoments:
+        if a.ndim != 2 or (b is not None and (b.ndim != 2 or b.shape[0] != a.shape[0])):
+            raise ValidationError("moment blocks must be 2-d arrays with equal row counts")
+        sq_a = a * a
+        sq_b = sq_a if b is None else b * b
+        self.n += a.shape[0]
+        self.cross = self.cross + a.T @ (a if b is None else b)
+        self.square = self.square + sq_a.T @ sq_b
+        return self
+
+    def merge(self, other: CrossMoments) -> CrossMoments:
+        self.n += other.n
+        self.cross = self.cross + other.cross
+        self.square = self.square + other.square
+        return self
+
+    def finish(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.n < 2:
+            raise ValidationError(f"moments need >= 2 rows, got {self.n}")
+        cov = self.cross / self.n
+        var = np.maximum(self.square / self.n - cov**2, 0.0)
+        return cov, np.sqrt(var / self.n)

@@ -566,6 +566,9 @@ def test_non_finite_config_value_exits_2(tmp_path):
      " --p-prime 0.4", 3, "alpha - alpha_prime = 1e-07"),
     ("gamma regbound --hurst 0.5000001 --r 0.1", 3, "c_b = e^c_a exceeds the float range"),
     ("sample fbm --hurst 0.75 --n 64 --dt 1e300", 2, "--dt"),
+    ("sample fbm --hurst 0.75 --n 4 --dt 1e-250", 2, "--dt"),
+    ("sample levy --hurst 0.75 --n 3 --dt 1e-250", 2, "--dt"),
+    ("gamma regbound --hurst 1e-300 --r 0.1", 2, "hurst"),
     ("drift kernel --hurst 0.75 --dt 1e-300", 2, "--dt"),
     ("invert --hurst 0.75 --dt 1e-300", 2, "--dt"),
 ])
@@ -575,6 +578,17 @@ def test_past_the_float_range_exits_2_or_3_and_writes_nothing(command, code, mes
     assert main(command.split() + ["--out", str(out)]) == code
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+# Just inside the range, dt^(2H) = 1e-300 still scales the draws: no zeros.
+@pytest.mark.parametrize("process", ["fbm", "levy"])
+def test_a_tiny_dt_inside_the_float_range_draws_nonzero_values(process, tmp_path):
+    out = tmp_path / "artifact.json"
+    argv = f"sample {process} --hurst 0.75 --n 4 --dt 1e-200 --paths 3 --out {out}".split()
+    assert main(argv) == 0
+    values = np.array(json.loads(out.read_text(encoding="utf-8"))["paths"])
+    assert values.shape == (3, 5) and np.all(values[:, 0] == 0.0)
+    assert np.all(values[:, 1:] != 0.0) and np.all(np.abs(values) < 1e-140)
 
 
 # A tail bound whose exponent leaves the float range is exactly 0, its limit.

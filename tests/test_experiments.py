@@ -10,22 +10,17 @@ that computed it before the closed form, and for symmetry and positive
 definiteness.  The prefix-count
 reduction of ``a_n_probability`` is checked against the cumulative-sum
 reduction it replaced, and its estimate of P(A_n) against an antithetic
-estimator on a symmetric square root of the same covariance.  Both
-experiments draw at most 2^15 paths per call of ``CovMatrix.sample`` and give
-the same report at any thread count, and ``lil_statistic`` gives the report
-it gave before it shared its chunking with ``a_n_probability``.  Their chunks
-draw into one reused buffer per thread, which no reduction's result shares
-memory with and which bounds their peak; the running minimum of
-``lil_statistic`` is checked against the minima of each chunk's whole
-normalised block.  The exact
+estimator on a symmetric square root of the same covariance.  The running
+minimum of ``lil_statistic`` is checked against the minima of each chunk's
+whole normalised block.  How both experiments draw (chunks, streams, lent
+buffers, thread independence and the pinned ``lil`` digest) is tested with
+the engine ``draw_reduce``, in ``tests/test_rng.py``.  The exact
 Gaussian product of the excess-count chain is checked against
 ``scipy.stats``, and its normal log-tail against ``scipy.special.log_ndtr``.
 """
 
-import hashlib
 import math
 import re
-import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -35,7 +30,6 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import log_ndtr
 
-from fbmkit import experiments
 from fbmkit.context import make_context
 from fbmkit.experiments import (
     ArbitrageConfig,
@@ -52,8 +46,7 @@ from fbmkit.fbm import _levy_integral
 from fbmkit.gamma import GammaConfig, gamma_cov_matrix
 from fbmkit.gaussian import CovMatrix, cholesky_with_jitter
 from fbmkit.quadrature import graded_breaks, integrate_checked
-from fbmkit.rng import make_rng, spawn_streams
-from fbmkit.serialize import canonical_json_dumps
+from fbmkit.rng import CHUNK, make_rng, spawn_streams
 from fbmkit.thick import ThickSet
 
 I_MAX = 40
@@ -232,56 +225,6 @@ def test_reports_carry_wall_time_and_creation_time():
         assert UTC.fullmatch(report.created_utc)
 
 
-# Paths per Monte Carlo chunk, fixed on memory grounds.
-CHUNK = 2**15
-# Digest of a lil_statistic report (volatile fields dropped) for H = 0.75,
-# r = 0.5, i_max = 12, 70000 paths, seed 5.  Frozen from the code before
-# lil_statistic shared its chunking with a_n_probability, and refrozen when
-# its covariance became the scaled one-sided covariance instead of the
-# four-block sum: the medians and their intervals moved in the last one or
-# two of their 17 digits, and no count below the band moved.
-LIL_DIGEST = "cd9059bd3991533ccded6be686c38ea8603349d55799a858450d4e1c34de06bb"
-
-
-def report_digest(report):
-    doc = report.as_dict()
-    del doc["wall_time"], doc["created_utc"]
-    return hashlib.sha256(canonical_json_dumps(doc).encode("utf-8")).hexdigest()
-
-
-def small_runs(n_paths):
-    """Both Monte Carlo experiments at a small depth, as ``threads -> report``."""
-    ctx = make_context(0.75)
-    lil = LilConfig(ctx, r=0.5, i_max=8, n_paths=n_paths, seed=3)
-    arb = ArbitrageConfig(ctx, r=0.1, alpha=0.5, p=0.5, n=8, n_paths=n_paths, seed=3)
-    return [lambda threads: lil_statistic(lil, threads=threads),
-            lambda threads: a_n_probability(arb, threads=threads)]
-
-
-def test_no_draw_exceeds_one_chunk(monkeypatch):
-    sizes = []
-    real = CovMatrix.sample
-    monkeypatch.setattr(CovMatrix, "sample",
-                        lambda self, rng, n, out=None: sizes.append(n) or real(self, rng, n, out=out))
-    n_paths = 3 * CHUNK - 1
-    for run in small_runs(n_paths):
-        sizes.clear()
-        run(2)
-        assert sorted(sizes) == [CHUNK - 1, CHUNK, CHUNK]
-
-
-@pytest.mark.parametrize("n_paths", [1, CHUNK, CHUNK + 1, 3 * CHUNK - 1])
-def test_reports_do_not_depend_on_threads(n_paths):
-    for run in small_runs(n_paths):
-        assert len({report_digest(run(threads)) for threads in (1, 2, 3)}) == 1
-
-
-def test_lil_report_is_unchanged_by_the_shared_chunking():
-    cfg = LilConfig(make_context(0.75), r=0.5, i_max=12, n_paths=70_000, seed=5)
-    for threads in (1, 2):
-        assert report_digest(lil_statistic(cfg, threads=threads)) == LIL_DIGEST
-
-
 def test_lil_minima_are_those_of_the_whole_normalised_block():
     # Oracle: each chunk's normalised rows stacked whole, minimised up to each
     # cap.  The index set skips (10, 24], so caps 10 and 20 end at the same
@@ -301,54 +244,6 @@ def test_lil_minima_are_those_of_the_whole_normalised_block():
     values = {e.name: e.value for e in report.estimates}
     for cap, parts in minima.items():
         assert values[f"median_min_imax_{cap}"] == float(np.median(np.concatenate(parts)))
-
-
-def test_reductions_share_no_memory_with_the_draw_buffers(monkeypatch):
-    buffers, results = [], []
-    real_sample, real_map = CovMatrix.sample, experiments.parallel_map
-
-    def sample(self, rng, n, out=None):
-        buffers.append(out)
-        return real_sample(self, rng, n, out=out)
-
-    def record(fn, items, threads=1):
-        got = real_map(fn, items, threads=threads)
-        results.extend(got)
-        return got
-
-    monkeypatch.setattr(CovMatrix, "sample", sample)
-    monkeypatch.setattr(experiments, "parallel_map", record)
-    for run in small_runs(3 * CHUNK - 1):
-        for threads in (1, 2):
-            buffers.clear()
-            results.clear()
-            run(threads)
-            # One buffer per thread, reused by the third chunk.
-            assert len(buffers) == 3 and len({id(b) for b in buffers}) == threads
-            assert not any(np.shares_memory(r, b) for r in results for b in buffers)
-
-
-@pytest.mark.parametrize("experiment", ["lil", "an_prob"])
-def test_monte_carlo_memory_is_one_buffer_per_thread(experiment):
-    # Four chunks on two threads: two dim x 2^15 buffers, plus 6 MiB for the
-    # product blocks, the per-chunk reductions and their join.  Without the
-    # reused buffers each thread held its normals, their product and (lil)
-    # a normalised copy: 42 MiB and 24-32 MiB here.
-    ctx = make_context(0.75)
-    if experiment == "lil":
-        cfg = LilConfig(ctx, r=0.5, i_max=40, n_paths=4 * CHUNK, seed=3)
-        run, dim = (lambda: lil_statistic(cfg, threads=2)), cfg.i_max + 1
-    else:
-        cfg = ArbitrageConfig(ctx, r=0.1, alpha=0.5, p=0.5, n=32, n_paths=4 * CHUNK, seed=3)
-        run, dim = (lambda: a_n_probability(cfg, threads=2)), cfg.n
-    run()  # caches warm
-    tracemalloc.start()
-    try:
-        run()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * dim * CHUNK * 8 + 6 * 2**20
 
 
 # The chain needs a small decay epsilon, hence the tiny scale ratio r.

@@ -13,7 +13,9 @@ real FFT that maps normals to fGn is checked against the full Hermitian
 complex FFT it replaced, on the same normals, and its circulant embedding
 is checked nonnegative definite from H = 1e-4 to 0.99999.  The sampler,
 which draws and transforms its paths in blocks of rows, is checked bit for
-bit against the one-shot draw of every path it replaced.
+bit against the one-shot draw of every path it replaced, through
+``sample_fbm_paths`` and through ``FgnSampler.sample``, the contract the
+Monte Carlo engine draws by.
 """
 
 import tracemalloc
@@ -38,6 +40,7 @@ from fbmkit.fbm import (
     fbm_cov,
     fbm_cov_matrix,
     _fgn_unit_autocov,
+    FgnSampler,
     fgn_autocov,
     joint_wz_cov,
     levy_cov,
@@ -46,7 +49,7 @@ from fbmkit.fbm import (
     sample_levy_paths,
     sample_obm,
 )
-from fbmkit.gaussian import CovMatrix, cholesky_with_jitter, estimate_cov
+from fbmkit.gaussian import CovMatrix, CrossMoments, cholesky_with_jitter
 from fbmkit.quadrature import graded_breaks, panel_nodes
 from fbmkit.rng import make_rng
 
@@ -172,7 +175,7 @@ def block_edges(n):
 
 
 def assert_cov_within_se(samples, exact, z=4.0, slack=0.0):
-    estimate, se = estimate_cov(samples)
+    estimate, se = CrossMoments().add(samples).finish()
     gap = np.abs(estimate - np.asarray(exact))
     bound = z * se + slack
     assert np.all(gap <= bound), (
@@ -480,6 +483,23 @@ class TestSamplers:
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         # repr spells out the Philox counter, key and buffer arrays in full.
         assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
+
+    @pytest.mark.parametrize("n", [1, 2, 100, 40000])
+    def test_fgn_sampler_keeps_the_covmatrix_sample_contract(self, n):
+        # dim, and sample(rng, k, out=flat buffer) returning (k, dim) in the
+        # buffer's head: the rows of the one-shot draw, bit for bit.
+        sampler = FgnSampler(0.3, n, 0.01)
+        paths = block_edges(n)[-1]
+        ref_rng, rng = make_rng(9), make_rng(9)
+        want = one_shot_fgn(0.3, n, 0.01, ref_rng, paths).view(np.uint64)
+        buf = np.full(n * paths + 2, np.nan)
+        got = sampler.sample(rng, paths, out=buf)
+        assert sampler.dim == n and got.shape == (paths, n) and np.shares_memory(got, buf)
+        assert np.array_equal(got.view(np.uint64), want) and np.isnan(buf[n * paths:]).all()
+        assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
+        assert np.array_equal(sampler.sample(make_rng(9), paths).view(np.uint64), want)
+        with pytest.raises(ValidationError, match="out must be"):
+            sampler.sample(make_rng(9), paths, out=np.empty(n * paths - 1))
 
     def test_draw_holds_little_besides_its_result(self):
         # numpy reports its buffers to tracemalloc.  The one-shot draw peaked

@@ -42,7 +42,7 @@ from fbmkit.gamma import (
     sample_gamma_mc,
     sigma2,
 )
-from fbmkit.gaussian import estimate_cov
+from fbmkit.gaussian import CrossMoments
 from fbmkit.quadrature import graded_breaks
 from fbmkit.rng import make_rng
 
@@ -418,7 +418,7 @@ class TestMonteCarloOracle:
         rng = make_rng(314)
         draws = sample_gamma_mc(cfg, d_max, rng, 30_000)
         implied = gamma_mc_implied_cov(cfg, d_max)
-        est, se = estimate_cov(draws)
+        est, se = CrossMoments().add(draws).finish()
         assert np.all(np.abs(est - implied) <= 4.0 * se)
         exact = gamma_cov_matrix(cfg, d_max + 1).matrix
         # The linear estimator is a conditional mean: its variance sits

@@ -1,7 +1,10 @@
 """Covariance sampling, regression solves, estimation, and binomial interval helpers.
 
 ``CovMatrix.solve`` is checked against ``scipy.linalg.cho_solve`` on the
-same factor, on the past windows the library regresses on.
+same factor, on the past windows the library regresses on.  The moment
+accumulator ``CrossMoments`` is checked against ``estimate_cov`` below, the
+full-array formula the library used before it reduced block by block, and
+against the hand-kept sums acceptance criterion 2 used, bit for bit.
 """
 
 import time
@@ -18,19 +21,32 @@ from fbmkit.cli import V_GRID_DEFAULT
 from fbmkit.drift import REGRESSION_MAX_POINTS, inversion_grid
 from fbmkit.errors import AccuracyError, ValidationError
 from fbmkit.fbm import fbm_cov, fbm_cov_matrix
-from fbmkit.gaussian import (
-    CovMatrix,
-    cholesky_with_jitter,
-    estimate_cov,
-)
+from fbmkit.gaussian import CovMatrix, CrossMoments, block_edges, cholesky_with_jitter
 from fbmkit.reports import wilson_interval
 from fbmkit.rng import make_rng
 
 
-def test_estimate_cov_is_the_zero_mean_formula():
+def estimate_cov(samples):
+    """Zero-mean empirical covariance of the rows of ``samples`` and its standard errors.
+
+    The oracle: ``cov = X.T @ X / N``, and entry ``(k, l)`` of ``se`` is
+    ``std(X_k * X_l) / sqrt(N)``, from the whole array at once.
+    """
+    n = samples.shape[0]
+    cov = samples.T @ samples / n
+    sq = samples * samples
+    var = np.maximum(sq.T @ sq / n - cov**2, 0.0)
+    return cov, np.sqrt(var / n)
+
+
+def moments_of(x):
+    return CrossMoments().add(x).finish()
+
+
+def test_moments_are_the_zero_mean_formula():
     x = np.array([[1.0, 2.0], [3.0, -1.0], [0.0, 1.0]])
     expected = x.T @ x / 3.0
-    assert np.allclose(estimate_cov(x)[0], expected, rtol=0.0, atol=0.0)
+    assert np.allclose(moments_of(x)[0], expected, rtol=0.0, atol=0.0)
 
 
 def test_cov_standard_errors_small_case():
@@ -38,14 +54,88 @@ def test_cov_standard_errors_small_case():
     n = 4
     prods = x[:, :, None] * x[:, None, :]
     expected = prods.std(axis=0) / np.sqrt(n)
-    assert np.allclose(estimate_cov(x)[1], expected, rtol=1.0e-12, atol=1.0e-15)
+    assert np.allclose(moments_of(x)[1], expected, rtol=1.0e-12, atol=1.0e-15)
 
 
 def test_sampling_reproduces_the_covariance():
     cov = np.array([[2.0, 0.6, 0.0], [0.6, 1.0, -0.3], [0.0, -0.3, 0.5]])
     draws = CovMatrix(cov).sample(make_rng(7), 40_000)
-    emp, se = estimate_cov(draws)
+    emp, se = moments_of(draws)
     assert np.all(np.abs(emp - cov) <= 4.0 * se)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_one_block_is_the_full_array_formula_bit_for_bit(order):
+    # Criterion 8 reduces its whole draw at once, as estimate_cov did.
+    x = np.asarray(make_rng(4).standard_normal((5000, 6)), order=order)
+    for got, want in zip(moments_of(x), estimate_cov(x)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("sizes", [[1, 1], [7, 993], [4096, 4096, 1808], [2**15, 2**15, 3000]])
+def test_blocks_added_or_merged_equal_the_full_array_oracle(sizes):
+    x = make_rng(sum(sizes)).standard_normal((sum(sizes), 9)) @ np.triu(np.ones((9, 9)))
+    want = estimate_cov(x)
+    edges = np.cumsum([0] + sizes)
+    added, merged = CrossMoments(), CrossMoments()
+    for a, b in zip(edges, edges[1:]):
+        added.add(x[a:b])
+        merged.merge(CrossMoments().add(x[a:b]))
+    assert added.n == merged.n == x.shape[0]
+    for acc in (added, merged):
+        for got, ref in zip(acc.finish(), want):
+            assert np.allclose(got, ref, rtol=1.0e-12, atol=1.0e-15 * np.abs(ref).max())
+
+
+def test_two_sided_moments_are_the_cross_formula():
+    a = make_rng(1).standard_normal((300, 4))
+    b = make_rng(2).standard_normal((300, 3)) + a[:, :3]
+    cov, se = CrossMoments().add(a[:100], b[:100]).add(a[100:], b[100:]).finish()
+    prods = a[:, :, None] * b[:, None, :]
+    assert np.allclose(cov, a.T @ b / 300, rtol=1.0e-13, atol=1.0e-15)
+    assert np.allclose(se, prods.std(axis=0) / np.sqrt(300), rtol=1.0e-10, atol=1.0e-15)
+
+
+def hand_kept_sums(pairs, n_paths):
+    """Criterion 2's former estimator: sums of a.T @ b and (a*a).T @ (b*b) per chunk."""
+    total, total2 = 0.0, 0.0
+    for a, b in pairs:
+        total += a.T @ b
+        total2 += (a * a).T @ (b * b)
+    c = total / n_paths
+    var = np.maximum(total2 / n_paths - c**2, 1.0e-300)
+    return c, np.sqrt(var / n_paths)
+
+
+def test_moments_match_criterion_2s_hand_kept_sums_bit_for_bit():
+    # Criterion 2's shapes: 5 chunks of 20 000 rows, a past of 48 columns and
+    # a future of 16, paired as (residual, past) and (residual, residual).
+    rng = make_rng(6)
+    chunks = [rng.standard_normal((20_000, 64)) for _ in range(5)]
+    for pick in (lambda d: (d[:, 48:], d[:, :48]), lambda d: (d[:, 48:], d[:, 48:])):
+        pairs = [pick(d) for d in chunks]
+        acc = CrossMoments()
+        for a, b in pairs:
+            acc.add(a, b)
+        for got, want in zip(acc.finish(), hand_kept_sums(pairs, 100_000)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_moments_refuse_too_few_rows_or_unpaired_blocks():
+    with pytest.raises(ValidationError, match=">= 2 rows"):
+        moments_of(np.ones((1, 3)))
+    with pytest.raises(ValidationError, match="equal row counts"):
+        CrossMoments().add(np.ones((3, 2)), np.ones((4, 2)))
+    with pytest.raises(ValidationError, match="2-d"):
+        CrossMoments().add(np.ones(3))
+
+
+@pytest.mark.parametrize("n,block,edges", [
+    (1, 4096, [0, 1]), (4095, 4096, [0, 4095]), (4096, 4096, [0, 4096]),
+    (8191, 4096, [0, 8191]), (8192, 4096, [0, 4096, 8192]), (12287, 4096, [0, 4096, 12287]), (12288, 4096, [0, 4096, 8192, 12288]),
+])
+def test_the_remainder_joins_the_last_block(n, block, edges):
+    assert block_edges(n, block) == edges
 
 
 def test_cholesky_handles_semidefinite_matrices():

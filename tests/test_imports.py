@@ -16,9 +16,11 @@ module but ``quadrature.py`` names the panel helpers.
 
 ``cli.py`` imports only ``DEFAULT_SEED`` and ``run_all`` from ``acceptance``
 (the past window and the driver round trip live in ``drift``), and no
-library module imports an underscore name from ``acceptance``.  Only
-``experiments`` imports ``parallel_map``: the almost-diagonal checks run on
-matrix stacks and the scale ladder's lags in one pass, not on a thread pool.
+library module imports an underscore name from ``acceptance``.  No module
+but ``rng`` imports ``parallel_map`` or ``spawn_streams``: Monte Carlo paths
+are drawn and reduced by the one engine, ``rng.draw_reduce``, and the
+almost-diagonal checks run on matrix stacks and the scale ladder's lags in
+one pass, not on a thread pool.
 
 ``cli`` is the one writer of artifact text: ``reports`` imports nothing from
 ``serialize``, and no library module but ``cli`` imports the streaming JSON
@@ -195,13 +197,14 @@ def test_runtime_dependencies_are_numpy_and_jsonschema():
     assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
 
 
-def test_only_experiments_imports_parallel_map():
-    importers = {
-        path.name
-        for path in (ROOT / "src").rglob("*.py")
-        if names_imported_from(path.read_text(encoding="utf-8"), "rng") & {"parallel_map", "*"}
-    }
-    assert importers == {"experiments.py"}
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in (ROOT / "src").rglob("*.py") if p.name != "rng.py"),
+    ids=lambda p: str(p.relative_to(ROOT)),
+)
+def test_no_module_but_rng_imports_the_pool_or_the_stream_spawner(path):
+    names = names_imported_from(path.read_text(encoding="utf-8"), "rng")
+    assert not names & {"parallel_map", "spawn_streams", "*"}
 
 
 def test_reports_imports_nothing_from_serialize():
