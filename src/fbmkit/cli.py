@@ -69,6 +69,7 @@ from .almostdiag import (
 )
 from .context import make_context
 from .drift import (
+    WINDOW_MAX_POINTS,
     DriftKernelSpec,
     drift_apply,
     drift_from_obm,
@@ -97,7 +98,7 @@ from .gamma import (
     sigma2,
 )
 from .gaussian import CovMatrix
-from .reports import ExperimentReport, validate_report
+from .reports import ExperimentReport, check_document, validate_report
 from .rng import make_rng
 from .serialize import _join_floats, canonical_json_dump, csv_cell
 from .subgauss import subgaussian_bound, subgaussian_constants
@@ -174,7 +175,21 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(allow_abbrev=False, **kwargs)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _command_words(argv: list[str]) -> list[str]:
+    """The leading command words of ``argv``: its tokens before the first that starts with ``-``."""
+    depth = next((i for i, tok in enumerate(argv) if tok.startswith("-")), len(argv))
+    return argv[:depth]
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The ``fbmkit`` parser: the whole command tree, or only the path ``argv`` names.
+
+    Every command is registered with its help, and a named group with all its
+    leaves, so usage lines, choices, ``--help`` and errors read the same
+    either way.  Without ``argv`` every leaf gets its arguments; with it, only
+    the leaf that its leading words (:func:`_command_words`) name does.
+    """
+    words = None if argv is None else _command_words(argv)
     parser = _Parser(
         prog="fbmkit",
         description="Fractional Brownian motion prediction, inversion, and bound toolkit.",
@@ -195,11 +210,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name: str, help_text: str, dest: str = "", leaves=()) -> dict:
+        """Register a command; return the parsers to fill, by name: itself, or its named leaves."""
+        p = sub.add_parser(name, help=help_text)
+        if words is not None and words[:1] != [name]:
+            return {}
+        if not leaves:
+            return {name: p}
+        leaf_sub = p.add_subparsers(dest=dest, required=True)
+        built = {leaf: leaf_sub.add_parser(leaf) for leaf in leaves}
+        return {leaf: lp for leaf, lp in built.items() if words is None or words[1:2] == [leaf]}
+
     # -- sample -------------------------------------------------------------
-    p_sample = sub.add_parser("sample", help="draw process paths on a uniform grid")
-    s_sub = p_sample.add_subparsers(dest="process", required=True)
-    for proc in ("fbm", "levy", "obm"):
-        sp = s_sub.add_parser(proc)
+    for proc, sp in command("sample", "draw process paths on a uniform grid",
+                            "process", ("fbm", "levy", "obm")).items():
         if proc != "obm":
             sp.add_argument("--hurst", type=_finite_float, required=True,
                             help="Hurst parameter in (0, 1)")
@@ -213,10 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(handler=_cmd_sample, process=proc)
 
     # -- drift --------------------------------------------------------------
-    p_drift = sub.add_parser("drift", help="conditional-mean prediction of the future")
-    d_sub = p_drift.add_subparsers(dest="route", required=True)
-    for route in ("kernel", "obm", "regression", "validate"):
-        dp = d_sub.add_parser(route)
+    for route, dp in command("drift", "conditional-mean prediction of the future",
+                             "route", ("kernel", "obm", "regression", "validate")).items():
         dp.add_argument("--hurst", type=_finite_float, required=True)
         dp.add_argument("--paths", type=positive, default=16 if route == "validate" else 4)
         dp.add_argument("--umax", type=_finite_float, default=1.0e7,
@@ -232,22 +254,20 @@ def build_parser() -> argparse.ArgumentParser:
         dp.set_defaults(handler=_cmd_drift, route=route)
 
     # -- invert ---------------------------------------------------------------
-    p_inv = sub.add_parser("invert", help="driver-recovery round trip")
-    p_inv.add_argument("--hurst", type=_finite_float, required=True)
-    p_inv.add_argument("--paths", type=positive, default=16)
-    p_inv.add_argument("--dt", type=_finite_float, default=1.0 / 512)
-    p_inv.add_argument("--umax", type=_finite_float, default=600.0,
-                       help="depth of the observed past window")
-    p_inv.add_argument("--tol", type=_finite_float, default=0.05,
-                       help="relative L2 gate on the recovered driver")
-    common(p_inv)
-    p_inv.set_defaults(handler=_cmd_invert)
+    for p_inv in command("invert", "driver-recovery round trip").values():
+        p_inv.add_argument("--hurst", type=_finite_float, required=True)
+        p_inv.add_argument("--paths", type=positive, default=16)
+        p_inv.add_argument("--dt", type=_finite_float, default=1.0 / 512)
+        p_inv.add_argument("--umax", type=_finite_float, default=600.0,
+                           help="depth of the observed past window")
+        p_inv.add_argument("--tol", type=_finite_float, default=0.05,
+                           help="relative L2 gate on the recovered driver")
+        common(p_inv)
+        p_inv.set_defaults(handler=_cmd_invert)
 
     # -- gamma ----------------------------------------------------------------
-    p_gamma = sub.add_parser("gamma", help="normalized increment field diagnostics")
-    g_sub = p_gamma.add_subparsers(dest="what", required=True)
-    for what in ("cov", "decay", "modulus", "regbound"):
-        gp = g_sub.add_parser(what)
+    for what, gp in command("gamma", "normalized increment field diagnostics",
+                            "what", ("cov", "decay", "modulus", "regbound")).items():
         gp.add_argument("--hurst", type=_finite_float, required=True)
         gp.add_argument("--r", type=_finite_float, required=True, help="scale ratio in (0, 1)")
         if what in ("cov", "decay"):
@@ -267,97 +287,97 @@ def build_parser() -> argparse.ArgumentParser:
         gp.set_defaults(handler=_cmd_gamma, what=what)
 
     # -- bounds -----------------------------------------------------------
-    p_bounds = sub.add_parser("bounds", help="deterministic bound verification")
-    b_sub = p_bounds.add_subparsers(dest="what", required=True)
+    bounds = command("bounds", "deterministic bound verification",
+                     "what", ("matrix", "subgauss", "thick", "hk-count"))
 
-    bp = b_sub.add_parser("matrix")
-    bp.add_argument("--n", type=_int_at_least(2), required=True, help="matrix dimension")
-    bp.add_argument("--eps", type=_finite_float, required=True, help="off-diagonal envelope")
-    bp.add_argument("--trials", type=_int_at_least(0), default=1000, help="random instances")
-    common(bp)
-    bp.set_defaults(handler=_cmd_bounds_matrix)
+    if bp := bounds.get("matrix"):
+        bp.add_argument("--n", type=_int_at_least(2), required=True, help="matrix dimension")
+        bp.add_argument("--eps", type=_finite_float, required=True, help="off-diagonal envelope")
+        bp.add_argument("--trials", type=_int_at_least(0), default=1000, help="random instances")
+        common(bp)
+        bp.set_defaults(handler=_cmd_bounds_matrix)
 
-    bp = b_sub.add_parser("subgauss")
-    bp.add_argument("--theta", type=_finite_float, required=True,
-                    help="Holder exponent in (0, 1]")
-    bp.add_argument("--x", default="1.0,2.0,3.0", help="comma-separated tail levels")
-    common(bp, seed=False)
-    bp.set_defaults(handler=_cmd_bounds_subgauss)
+    if bp := bounds.get("subgauss"):
+        bp.add_argument("--theta", type=_finite_float, required=True,
+                        help="Holder exponent in (0, 1]")
+        bp.add_argument("--x", default="1.0,2.0,3.0", help="comma-separated tail levels")
+        common(bp, seed=False)
+        bp.set_defaults(handler=_cmd_bounds_subgauss)
 
-    bp = b_sub.add_parser("thick")
-    bp.add_argument("--set", default="evens", dest="set_name",
-                    choices=("naturals", "evens", "multiples", "squares", "bernoulli"),
-                    help="index-set family")
-    bp.add_argument("--k", type=int, default=3, help="stride for --set multiples")
-    bp.add_argument("--density", type=_finite_float, default=0.5,
-                    help="density for --set bernoulli")
-    bp.add_argument("--n", type=_int_at_least(2), default=4096, help="prefix horizon")
-    common(bp)
-    bp.set_defaults(handler=_cmd_bounds_thick)
+    if bp := bounds.get("thick"):
+        bp.add_argument("--set", default="evens", dest="set_name",
+                        choices=("naturals", "evens", "multiples", "squares", "bernoulli"),
+                        help="index-set family")
+        bp.add_argument("--k", type=int, default=3, help="stride for --set multiples")
+        bp.add_argument("--density", type=_finite_float, default=0.5,
+                        help="density for --set bernoulli")
+        bp.add_argument("--n", type=_int_at_least(2), default=4096, help="prefix horizon")
+        common(bp)
+        bp.set_defaults(handler=_cmd_bounds_thick)
 
-    bp = b_sub.add_parser("hk-count")
-    bp.add_argument("--z", type=int, required=True, help="walk displacement")
-    bp.add_argument("--k", type=int, required=True, help="number of descents")
-    bp.add_argument("--n", type=int, required=True, help="walk length")
-    bp.add_argument("--eps", type=_finite_float,
-                    help="also evaluate the entry bound at this epsilon")
-    common(bp, seed=False)
-    bp.set_defaults(handler=_cmd_bounds_hk)
+    if bp := bounds.get("hk-count"):
+        bp.add_argument("--z", type=int, required=True, help="walk displacement")
+        bp.add_argument("--k", type=int, required=True, help="number of descents")
+        bp.add_argument("--n", type=int, required=True, help="walk length")
+        bp.add_argument("--eps", type=_finite_float,
+                        help="also evaluate the entry bound at this epsilon")
+        common(bp, seed=False)
+        bp.set_defaults(handler=_cmd_bounds_hk)
 
     # -- lil ---------------------------------------------------------------
-    p_lil = sub.add_parser("lil", help="running-minimum trend experiment")
-    p_lil.add_argument("--hurst", type=_finite_float, required=True)
-    p_lil.add_argument("--r", type=_finite_float, required=True)
-    p_lil.add_argument("--imax", type=int, default=40, help="deepest ladder index")
-    p_lil.add_argument("--paths", type=positive, default=2000)
-    p_lil.add_argument("--set", default=None, dest="set_name",
-                       choices=("naturals", "evens", "multiples", "squares", "bernoulli"),
-                       help="restrict the index ladder to a thick set")
-    p_lil.add_argument("--k", type=int, default=3, help="stride for --set multiples")
-    p_lil.add_argument("--density", type=_finite_float, default=0.5,
-                       help="density for --set bernoulli")
-    common(p_lil, threads=True)
-    p_lil.set_defaults(handler=_cmd_lil)
+    for p_lil in command("lil", "running-minimum trend experiment").values():
+        p_lil.add_argument("--hurst", type=_finite_float, required=True)
+        p_lil.add_argument("--r", type=_finite_float, required=True)
+        p_lil.add_argument("--imax", type=int, default=40, help="deepest ladder index")
+        p_lil.add_argument("--paths", type=positive, default=2000)
+        p_lil.add_argument("--set", default=None, dest="set_name",
+                           choices=("naturals", "evens", "multiples", "squares", "bernoulli"),
+                           help="restrict the index ladder to a thick set")
+        p_lil.add_argument("--k", type=int, default=3, help="stride for --set multiples")
+        p_lil.add_argument("--density", type=_finite_float, default=0.5,
+                           help="density for --set bernoulli")
+        common(p_lil, threads=True)
+        p_lil.set_defaults(handler=_cmd_lil)
 
     # -- arbitrage ----------------------------------------------------------
-    p_arb = sub.add_parser("arbitrage", help="excess-count event family experiments")
-    a_sub = p_arb.add_subparsers(dest="what", required=True)
+    arbitrage = command("arbitrage", "excess-count event family experiments",
+                        "what", ("an-prob", "ledger", "threshold"))
 
-    ap = a_sub.add_parser("an-prob")
-    ap.add_argument("--hurst", type=_finite_float, required=True)
-    ap.add_argument("--r", type=_finite_float, required=True)
-    ap.add_argument("--alpha", type=_finite_float, required=True)
-    ap.add_argument("--p", type=_finite_float, required=True)
-    ap.add_argument("--n", type=int, required=True, help="deepest event depth")
-    ap.add_argument("--paths", type=positive, default=100_000)
-    common(ap, threads=True)
-    ap.set_defaults(handler=_cmd_arbitrage_anprob)
+    if ap := arbitrage.get("an-prob"):
+        ap.add_argument("--hurst", type=_finite_float, required=True)
+        ap.add_argument("--r", type=_finite_float, required=True)
+        ap.add_argument("--alpha", type=_finite_float, required=True)
+        ap.add_argument("--p", type=_finite_float, required=True)
+        ap.add_argument("--n", type=int, required=True, help="deepest event depth")
+        ap.add_argument("--paths", type=positive, default=100_000)
+        common(ap, threads=True)
+        ap.set_defaults(handler=_cmd_arbitrage_anprob)
 
-    ap = a_sub.add_parser("ledger")
-    ap.add_argument("--hurst", type=_finite_float, required=True)
-    ap.add_argument("--r", type=_finite_float, required=True)
-    ap.add_argument("--alpha", type=_finite_float, required=True)
-    ap.add_argument("--p", type=_finite_float, required=True)
-    ap.add_argument("--rtilde", type=_finite_float, required=True,
-                    help="translation scale in (0, r)")
-    ap.add_argument("--pan", required=True,
-                    help="comma-separated n=P(A'_n) pairs, e.g. 4=0.44,8=0.0993")
-    common(ap, seed=False)
-    ap.set_defaults(handler=_cmd_arbitrage_ledger)
+    if ap := arbitrage.get("ledger"):
+        ap.add_argument("--hurst", type=_finite_float, required=True)
+        ap.add_argument("--r", type=_finite_float, required=True)
+        ap.add_argument("--alpha", type=_finite_float, required=True)
+        ap.add_argument("--p", type=_finite_float, required=True)
+        ap.add_argument("--rtilde", type=_finite_float, required=True,
+                        help="translation scale in (0, r)")
+        ap.add_argument("--pan", required=True,
+                        help="comma-separated n=P(A'_n) pairs, e.g. 4=0.44,8=0.0993")
+        common(ap, seed=False)
+        ap.set_defaults(handler=_cmd_arbitrage_ledger)
 
-    ap = a_sub.add_parser("threshold")
-    ap.add_argument("--hurst", type=_finite_float, required=True)
-    ap.add_argument("--alpha", type=_finite_float, required=True)
-    ap.add_argument("--alpha-prime", type=_finite_float, required=True)
-    ap.add_argument("--p", type=_finite_float, required=True)
-    ap.add_argument("--p-prime", type=_finite_float, required=True)
-    common(ap, seed=False)
-    ap.set_defaults(handler=_cmd_arbitrage_threshold)
+    if ap := arbitrage.get("threshold"):
+        ap.add_argument("--hurst", type=_finite_float, required=True)
+        ap.add_argument("--alpha", type=_finite_float, required=True)
+        ap.add_argument("--alpha-prime", type=_finite_float, required=True)
+        ap.add_argument("--p", type=_finite_float, required=True)
+        ap.add_argument("--p-prime", type=_finite_float, required=True)
+        common(ap, seed=False)
+        ap.set_defaults(handler=_cmd_arbitrage_threshold)
 
     # -- selftest -----------------------------------------------------------
-    p_self = sub.add_parser("selftest", help="run the full acceptance battery")
-    common(p_self, threads=True)
-    p_self.set_defaults(handler=_cmd_selftest, seed=DEFAULT_SEED)
+    for p_self in command("selftest", "run the full acceptance battery").values():
+        common(p_self, threads=True)
+        p_self.set_defaults(handler=_cmd_selftest, seed=DEFAULT_SEED)
 
     return parser
 
@@ -379,7 +399,7 @@ def _with_config(argv: list[str]) -> list[str]:
     path = pre.parse_known_args(argv)[0].config
     if path is None:
         return argv
-    depth = next((i for i, tok in enumerate(argv) if tok.startswith("-")), len(argv))
+    depth = len(_command_words(argv))
     extra: list[str] = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -532,7 +552,7 @@ def _path_doc(kind: str, config: dict, seed: int, times: np.ndarray,
         raise ValueError(f"{kind}: paths of shape {paths.shape} do not match "
                          f"times of shape {times.shape}")
     doc = {"kind": kind, "config": config, "seed": int(seed), "times": [], "paths": []}
-    jsonschema.validate(doc, PATH_SCHEMA)
+    check_document(doc, jsonschema.Draft202012Validator(PATH_SCHEMA))
     _require_finite(kind, [("times", times), ("paths", paths)])
     doc.update(times=times, paths=paths)
     return doc, partial(_path_csv, times, paths)
@@ -562,7 +582,7 @@ def _table_doc(kind: str, config: dict, values: dict,
     doc = {"kind": kind, "config": config, "values": values}
     if seed is not None:
         doc["seed"] = int(seed)
-    jsonschema.validate(doc, TABLE_SCHEMA)
+    check_document(doc, jsonschema.Draft202012Validator(TABLE_SCHEMA))
     _require_finite(kind, values.items())
     rows = [
         (name, idx, entry)
@@ -627,7 +647,7 @@ def _cmd_drift(args) -> int:
         raise ValidationError("--v times must be positive")
     # The graded tip near the origin resolves the prediction kernel's
     # singularity there; the geometric deep tail keeps the long memory cheap.
-    times = inversion_grid(args.dt, u_deep=args.umax)
+    times = inversion_grid(args.dt, u_deep=args.umax, max_points=WINDOW_MAX_POINTS)
     rng = make_rng(args.seed)
     config = {
         "route": args.route, "hurst": args.hurst, "umax": args.umax,
@@ -674,7 +694,7 @@ def _cmd_drift(args) -> int:
 
 def _cmd_invert(args) -> int:
     kspec = DriftKernelSpec(ctx=make_context(args.hurst))
-    times = inversion_grid(args.dt, u_deep=args.umax)
+    times = inversion_grid(args.dt, u_deep=args.umax, max_points=WINDOW_MAX_POINTS)
     w_rec, w_true, t_inv = driver_roundtrip(kspec, times, make_rng(args.seed), args.paths)
     rel = rel_l2(w_rec, w_true)
     scale = float(np.sqrt(np.mean(w_true**2)))
@@ -892,11 +912,11 @@ def _cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 def main(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_with_config(list(argv)))
+        argv = _with_config(list(argv))
+        args = build_parser(argv).parse_args(argv)
         return args.handler(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -121,6 +121,12 @@ __all__ = [
 
 REGRESSION_MAX_POINTS = 2048
 
+# Most times a past window the CLI builds may hold.  The window's
+# covariance, n x n float64, is 128 MiB at the cap, and drift validate's
+# joint one, 2n x 2n, 512 MiB, each held beside its Cholesky factor; a
+# finer --dt (or a deeper --umax) is refused before either is allocated.
+WINDOW_MAX_POINTS = 4096
+
 # Geometry of inversion_grid: the uniform window's length, the geometric
 # points per decade, and log10 of the innermost tip time's magnitude.
 INVERSION_SPAN = 2.0
@@ -171,7 +177,8 @@ def _future_times(v_grid) -> np.ndarray:
     return v_grid
 
 
-def inversion_grid(dt: float, u_deep: float = 600.0) -> np.ndarray:
+def inversion_grid(dt: float, u_deep: float = 600.0,
+                   max_points: int | None = None) -> np.ndarray:
     """Past observation times for the operators: deep geometric + uniform + graded tip.
 
     Uniform with spacing ``dt`` on ``[-INVERSION_SPAN, 0)``, geometric with
@@ -179,7 +186,9 @@ def inversion_grid(dt: float, u_deep: float = 600.0) -> np.ndarray:
     ``-10^INVERSION_E_MIN`` at the tip.  All times are strictly negative (the
     operators pin the origin themselves).  Raises
     :class:`~fbmkit.errors.ValidationError` unless
-    ``10^INVERSION_E_MIN <= dt <= INVERSION_SPAN < u_deep`` (the tip's end).
+    ``10^INVERSION_E_MIN <= dt <= INVERSION_SPAN < u_deep`` (the tip's end),
+    or, before allocating anything, if the window would hold more than
+    ``max_points`` times.
     """
     if not (10.0**INVERSION_E_MIN <= dt <= INVERSION_SPAN < u_deep < math.inf):
         raise ValidationError(
@@ -189,11 +198,16 @@ def inversion_grid(dt: float, u_deep: float = 600.0) -> np.ndarray:
     n_uni = int(round(INVERSION_SPAN / dt))
     if n_uni * dt > INVERSION_SPAN:  # rounded up past the span: stay inside it
         n_uni -= 1
-    uniform = -dt * np.arange(n_uni, 0, -1)
     e_dt = math.log10(dt)
     m = int(math.ceil((e_dt - INVERSION_E_MIN) * INVERSION_PER_DECADE))
-    tip = -(10.0 ** (e_dt - np.arange(1, m + 1) / INVERSION_PER_DECADE))
     md = int(math.ceil(math.log10(u_deep / INVERSION_SPAN) * INVERSION_PER_DECADE))
+    if max_points is not None and md + n_uni + m > max_points:
+        raise ValidationError(
+            f"the past window at dt={dt}, u_deep={u_deep} would hold {md + n_uni + m} times,"
+            f" more than {max_points}: raise --dt (or lower --umax)"
+        )
+    uniform = -dt * np.arange(n_uni, 0, -1)
+    tip = -(10.0 ** (e_dt - np.arange(1, m + 1) / INVERSION_PER_DECADE))
     deep = -INVERSION_SPAN * (u_deep / INVERSION_SPAN) ** (np.arange(md, 0, -1) / md)
     return np.concatenate([deep, uniform, tip])
 

@@ -23,16 +23,25 @@ an error partway through the stream leaves no file behind, and a path
 document's stream holds one row's text at a time.  An ``--out`` that is a
 symbolic link or a device keeps its type, and an existing artifact keeps its
 permission bits.
+The parser ``main`` builds from its argv parses like the whole tree: the
+same exit code, output and namespace on every leaf, every help text and each
+kind of bad argv; and it holds the arguments of its own leaf alone.  A past
+window of more than ``WINDOW_MAX_POINTS`` times exits 2, naming ``--dt``,
+before it is allocated; no required or benchmarked call reaches the cap.
 """
 
 import argparse
 import hashlib
+import importlib.util
+import io
 import json
 import math
 import os
 import re
 import stat
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,7 +57,13 @@ from fbmkit.acceptance import (
 )
 from fbmkit.cli import main
 from fbmkit.context import make_context
-from fbmkit.drift import DriftKernelSpec, driver_roundtrip, inversion_grid, rel_l2
+from fbmkit.drift import (
+    WINDOW_MAX_POINTS,
+    DriftKernelSpec,
+    driver_roundtrip,
+    inversion_grid,
+    rel_l2,
+)
 from fbmkit.errors import AccuracyError
 from fbmkit.fbm import sample_fbm_paths
 from fbmkit.reports import ExperimentReport
@@ -686,3 +701,125 @@ def test_invert_writes_the_rel_l2_of_the_driver_roundtrip(tmp_path):
     w_rec, w_true, t = driver_roundtrip(kspec, inversion_grid(1.0 / 512), make_rng(7), 4)
     assert values["rel_l2"] == rel_l2(w_rec, w_true)
     assert values["recovery_times"] == t.tolist()
+
+
+# -- the parser each call builds -------------------------------------------------
+
+def parse_through_main(argv, lazy):
+    """``main``'s exit code, stdout and stderr, and the namespaces it parsed.
+
+    With ``lazy`` the call builds the parser as ``main`` does, from its argv;
+    without, it builds the whole tree.  No handler runs: each parsed
+    namespace is recorded and a no-op handler stands in.
+    """
+    parsed = []
+    parse_args, build_parser = cli._Parser.parse_args, cli.build_parser
+
+    def recording_parse(self, args=None, namespace=None):
+        ns = parse_args(self, args, namespace)
+        parsed.append(dict(vars(ns)))
+        ns.handler = lambda _args: 0
+        return ns
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli._Parser, "parse_args", recording_parse)
+        if not lazy:
+            mp.setattr(cli, "build_parser", lambda argv=None: build_parser())
+        out, err = io.StringIO(), io.StringIO()
+        mp.setattr("sys.stdout", out)
+        mp.setattr("sys.stderr", err)
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue(), parsed
+
+
+def parser_corpus():
+    """Argvs that exercise every leaf, every help text and each way a parse fails."""
+    words = [w for w, _leaf in leaf_parsers(cli.build_parser())]
+    groups = sorted({w[:1] for w in words if len(w) > 1})
+    cov = ["gamma", "cov", "--hurst", "0.3", "--r", "0.1"]
+    return [
+        *(c.split() for c in REQUIRED_ONLY),
+        ["--help"],
+        *([*g, "--help"] for g in groups),
+        *([*w, "--help"] for w in words),
+        [],
+        ["bogus"],
+        ["gamma"],
+        ["gamma", "bogus"],
+        ["cov", "--hurst", "0.3"],
+        ["--hurst", "0.3", "gamma", "cov"],
+        cov + ["--bogus", "1"],
+        ["gamma", "cov", "--hur", "0.3", "--r", "0.1"],
+        ["gamma", "cov", "--r", "0.1"],
+        ["gamma", "cov", "--hurst", "0.3", "--r", "x"],
+        cov + ["--config", "good.cfg"],
+        cov + ["--config", "bad.cfg"],
+    ]
+
+
+@pytest.mark.parametrize("argv", parser_corpus(), ids=" ".join)
+def test_the_lazy_parser_parses_like_the_full_one(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "good.cfg").write_text("n = 4\n", encoding="utf-8")
+    (tmp_path / "bad.cfg").write_text("umax = 600\n", encoding="utf-8")
+    lazy = parse_through_main(argv, lazy=True)
+    assert lazy == parse_through_main(argv, lazy=False)
+    assert lazy[0] != 1 and (lazy[0] == 0 or lazy[2])
+
+
+# The structural twin of the set-up time the lazy parser saves: a call's parser
+# holds the arguments of its own leaf and of no other.
+def test_a_call_builds_the_arguments_of_its_leaf_alone():
+    parser = cli.build_parser(["gamma", "cov", "--hurst", "0.3"])
+    built = [words for words, leaf in leaf_parsers(parser)
+             if any(not isinstance(a, argparse._HelpAction) for a in leaf._actions)]
+    assert built == [("gamma", "cov")]
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(commands.choices) == ["sample", "drift", "invert", "gamma", "bounds", "lil",
+                                      "arbitrage", "selftest"]
+    for name, command in commands.choices.items():
+        groups = [a for a in command._actions if isinstance(a, argparse._SubParsersAction)]
+        if name == "gamma":
+            assert list(groups[0].choices) == ["cov", "decay", "modulus", "regbound"]
+        else:
+            assert groups == []
+
+
+WINDOW_COMMANDS = ["drift kernel", "drift obm", "drift regression", "drift validate", "invert"]
+
+
+# --dt 1e-4 asks for a window of about 20 000 times: a 3 GiB covariance.  It is
+# refused before even the window's own times are allocated.
+@pytest.mark.parametrize("command", WINDOW_COMMANDS)
+def test_a_window_past_the_point_cap_exits_2_before_allocating_it(command, tmp_path, capsys):
+    out = tmp_path / "artifact.json"
+    argv = f"{command} --hurst 0.75 --dt 1e-4 --out {out}".split()
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"more than {WINDOW_MAX_POINTS}: raise --dt" in err
+    assert peak < 8 * 20_000
+    assert not out.exists()
+
+
+def window_argvs():
+    """Every ``REQUIRED_ONLY`` call and every benchmarked call that builds a past window."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    argvs = [c.split() for c in REQUIRED_ONLY]
+    for workload in workloads.WORKLOADS.values():
+        argvs += [list(call.argv) for call in workload.calls(0)]
+    return [a for a in argvs if a[0] in ("drift", "invert")]
+
+
+@pytest.mark.parametrize("argv", window_argvs(), ids=" ".join)
+def test_every_required_and_benchmarked_window_is_under_the_cap(argv):
+    args = cli.build_parser(argv).parse_args(argv)
+    assert inversion_grid(args.dt, u_deep=args.umax).size <= WINDOW_MAX_POINTS

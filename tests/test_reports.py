@@ -1,15 +1,27 @@
-"""Experiment reports: the document, its schema, and the CSV twin the CLI writes."""
+"""Experiment reports: the document, its schema, and the CSV twin the CLI writes.
+
+Every artifact schema is a valid 2020-12 schema, and ``check_document``
+raises on a broken document the error ``jsonschema.validate`` raises.
+"""
 
 import csv
 import io
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 
-from fbmkit.cli import _report_doc
+from fbmkit.acceptance import ACCEPTANCE_SCHEMA
+from fbmkit.cli import PATH_SCHEMA, TABLE_SCHEMA, _report_doc
 from fbmkit.errors import ValidationError
-from fbmkit.reports import Estimate, ExperimentReport, validate_report
+from fbmkit.reports import (
+    REPORT_SCHEMA,
+    Estimate,
+    ExperimentReport,
+    check_document,
+    validate_report,
+)
 from fbmkit.serialize import canonical_json_dumps
 
 
@@ -89,3 +101,70 @@ def test_get_finds_an_estimate_and_raises_key_error_when_missing():
     assert report.get("p, with comma").value == 0.25
     with pytest.raises(KeyError):
         report.get("absent")
+
+
+SCHEMAS = {
+    "path": PATH_SCHEMA,
+    "table": TABLE_SCHEMA,
+    "report": REPORT_SCHEMA,
+    "acceptance": ACCEPTANCE_SCHEMA,
+}
+
+
+# check_document skips the metaschema check that jsonschema.validate runs on
+# every call, so each schema is checked here instead, with the validator
+# validate would pick (REPORT_SCHEMA names no "$schema": the latest draft).
+@pytest.mark.parametrize("name", SCHEMAS)
+def test_each_artifact_schema_is_a_valid_2020_12_schema(name):
+    schema = SCHEMAS[name]
+    assert jsonschema.validators.validator_for(schema) is jsonschema.Draft202012Validator
+    jsonschema.Draft202012Validator.check_schema(schema)
+
+
+PATH_DOC = {"kind": "sample_fbm", "config": {}, "seed": 0, "times": [0.0], "paths": [[0.0]]}
+TABLE_DOC = {"kind": "gamma_cov", "config": {}, "values": {"cov": [1.0, 0.5], "ok": True}}
+CRITERION = {"number": 1, "name": "c", "passed": True, "expected_failure": False,
+             "detail": "", "metrics": {}}
+ACCEPTANCE_DOC = {"kind": "acceptance", "seed": 0, "threads": 1, "criteria": [CRITERION]}
+
+
+def broken(doc, **changes):
+    """``doc`` with ``changes`` applied; a value of None drops the key."""
+    out = {**doc, **changes}
+    return {k: v for k, v in out.items() if v is not None}
+
+
+BROKEN = [
+    ("path", broken(PATH_DOC, paths=None)),
+    ("path", broken(PATH_DOC, extra=1)),
+    ("path", broken(PATH_DOC, times=[0.0, "1"])),
+    ("path", broken(PATH_DOC, seed=1.5, paths=[[0.0], 2.0])),
+    ("table", broken(TABLE_DOC, kind=None)),
+    ("table", broken(TABLE_DOC, values={"cov": {"a": 1}})),
+    ("table", broken(TABLE_DOC, values={"cov": [1.0, [2.0]]}, kind=3)),
+    ("report", broken(sample_report().as_dict(), kind="")),
+    ("report", broken(sample_report().as_dict(), estimates=[{"name": "x"}])),
+    ("report", broken(sample_report().as_dict(), trends={"t": [{}]}, wall_time=-1.0)),
+    ("acceptance", broken(ACCEPTANCE_DOC, kind="other")),
+    ("acceptance", broken(ACCEPTANCE_DOC, criteria=[])),
+    ("acceptance", broken(ACCEPTANCE_DOC, criteria=[{**CRITERION, "number": 12}], threads=0)),
+]
+
+
+@pytest.mark.parametrize("name,doc", BROKEN)
+def test_check_document_raises_what_validate_raises(name, doc):
+    schema = SCHEMAS[name]
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(doc, schema)
+    with pytest.raises(jsonschema.ValidationError) as got:
+        check_document(doc, jsonschema.Draft202012Validator(schema))
+    assert got.value.message == want.value.message
+    assert list(got.value.path) == list(want.value.path)
+
+
+@pytest.mark.parametrize("name,doc", [("path", PATH_DOC), ("table", TABLE_DOC),
+                                      ("report", sample_report().as_dict()),
+                                      ("acceptance", ACCEPTANCE_DOC)])
+def test_check_document_passes_a_good_document(name, doc):
+    jsonschema.validate(doc, SCHEMAS[name])
+    check_document(doc, jsonschema.Draft202012Validator(SCHEMAS[name]))
