@@ -187,9 +187,11 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     Every command is registered with its help, and a named group with all its
     leaves, so usage lines, choices, ``--help`` and errors read the same
     either way.  Without ``argv`` every leaf gets its arguments; with it, only
-    the leaf that its leading words (:func:`_command_words`) name does.
+    the leaf that its leading words (:func:`_command_words`) name does.  Words
+    that stop short of a leaf build every leaf below them, so an option typed
+    before the command or its leaf is parsed as by the whole tree.
     """
-    words = None if argv is None else _command_words(argv)
+    words = _command_words(argv or [])
     parser = _Parser(
         prog="fbmkit",
         description="Fractional Brownian motion prediction, inversion, and bound toolkit.",
@@ -213,13 +215,13 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     def command(name: str, help_text: str, dest: str = "", leaves=()) -> dict:
         """Register a command; return the parsers to fill, by name: itself, or its named leaves."""
         p = sub.add_parser(name, help=help_text)
-        if words is not None and words[:1] != [name]:
+        if words[:1] not in ([], [name]):
             return {}
         if not leaves:
             return {name: p}
         leaf_sub = p.add_subparsers(dest=dest, required=True)
         built = {leaf: leaf_sub.add_parser(leaf) for leaf in leaves}
-        return {leaf: lp for leaf, lp in built.items() if words is None or words[1:2] == [leaf]}
+        return {leaf: lp for leaf, lp in built.items() if words[1:2] in ([], [leaf])}
 
     # -- sample -------------------------------------------------------------
     for proc, sp in command("sample", "draw process paths on a uniform grid",
@@ -647,7 +649,7 @@ def _cmd_drift(args) -> int:
         raise ValidationError("--v times must be positive")
     # The graded tip near the origin resolves the prediction kernel's
     # singularity there; the geometric deep tail keeps the long memory cheap.
-    times = inversion_grid(args.dt, u_deep=args.umax, max_points=WINDOW_MAX_POINTS)
+    times = inversion_grid(args.dt, u_deep=args.umax)
     rng = make_rng(args.seed)
     config = {
         "route": args.route, "hurst": args.hurst, "umax": args.umax,
@@ -655,6 +657,12 @@ def _cmd_drift(args) -> int:
     }
 
     if args.route == "validate":
+        if 2 * times.size > WINDOW_MAX_POINTS:
+            raise ValidationError(
+                f"the joint covariance at dt={args.dt}, u_deep={args.umax} would have"
+                f" {2 * times.size} rows, more than {WINDOW_MAX_POINTS}:"
+                " raise --dt (or lower --umax)"
+            )
         draw = CovMatrix(joint_wz_cov(ctx, times, times)).sample(rng, args.paths)
         pred_k = drift_apply(kspec, times, draw[:, times.size :], v_grid)
         pred_w = drift_from_obm(kspec, times, draw[:, : times.size], v_grid)
@@ -694,7 +702,7 @@ def _cmd_drift(args) -> int:
 
 def _cmd_invert(args) -> int:
     kspec = DriftKernelSpec(ctx=make_context(args.hurst))
-    times = inversion_grid(args.dt, u_deep=args.umax, max_points=WINDOW_MAX_POINTS)
+    times = inversion_grid(args.dt, u_deep=args.umax)
     w_rec, w_true, t_inv = driver_roundtrip(kspec, times, make_rng(args.seed), args.paths)
     rel = rel_l2(w_rec, w_true)
     scale = float(np.sqrt(np.mean(w_true**2)))

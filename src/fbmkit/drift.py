@@ -121,11 +121,14 @@ __all__ = [
 
 REGRESSION_MAX_POINTS = 2048
 
-# Most times a past window the CLI builds may hold.  The window's
-# covariance, n x n float64, is 128 MiB at the cap, and drift validate's
-# joint one, 2n x 2n, 512 MiB, each held beside its Cholesky factor; a
-# finer --dt (or a deeper --umax) is refused before either is allocated.
-WINDOW_MAX_POINTS = 4096
+# Most rows of a covariance the CLI builds over a past window: n x n over the
+# window's n times, 2n x 2n for drift validate's joint one.  The budget is
+# 256 MiB for the float64 matrix; the call also holds its Cholesky factor and
+# one temporary of that size.  Peak RSS measured at one BLAS thread: drift
+# kernel 496 MiB at 4346 rows (--dt 2^-11); drift kernel, drift validate and
+# invert 838-843 MiB within two rows of the cap.  A finer --dt (or a deeper --umax)
+# is refused before the matrix is allocated.
+WINDOW_MAX_POINTS = math.isqrt(256 * 2**20 // 8)  # 5792
 
 # Geometry of inversion_grid: the uniform window's length, the geometric
 # points per decade, and log10 of the innermost tip time's magnitude.
@@ -177,8 +180,7 @@ def _future_times(v_grid) -> np.ndarray:
     return v_grid
 
 
-def inversion_grid(dt: float, u_deep: float = 600.0,
-                   max_points: int | None = None) -> np.ndarray:
+def inversion_grid(dt: float, u_deep: float = 600.0) -> np.ndarray:
     """Past observation times for the operators: deep geometric + uniform + graded tip.
 
     Uniform with spacing ``dt`` on ``[-INVERSION_SPAN, 0)``, geometric with
@@ -188,7 +190,7 @@ def inversion_grid(dt: float, u_deep: float = 600.0,
     :class:`~fbmkit.errors.ValidationError` unless
     ``10^INVERSION_E_MIN <= dt <= INVERSION_SPAN < u_deep`` (the tip's end),
     or, before allocating anything, if the window would hold more than
-    ``max_points`` times.
+    ``WINDOW_MAX_POINTS`` times.
     """
     if not (10.0**INVERSION_E_MIN <= dt <= INVERSION_SPAN < u_deep < math.inf):
         raise ValidationError(
@@ -201,10 +203,10 @@ def inversion_grid(dt: float, u_deep: float = 600.0,
     e_dt = math.log10(dt)
     m = int(math.ceil((e_dt - INVERSION_E_MIN) * INVERSION_PER_DECADE))
     md = int(math.ceil(math.log10(u_deep / INVERSION_SPAN) * INVERSION_PER_DECADE))
-    if max_points is not None and md + n_uni + m > max_points:
+    if md + n_uni + m > WINDOW_MAX_POINTS:
         raise ValidationError(
             f"the past window at dt={dt}, u_deep={u_deep} would hold {md + n_uni + m} times,"
-            f" more than {max_points}: raise --dt (or lower --umax)"
+            f" more than {WINDOW_MAX_POINTS}: raise --dt (or lower --umax)"
         )
     uniform = -dt * np.arange(n_uni, 0, -1)
     tip = -(10.0 ** (e_dt - np.arange(1, m + 1) / INVERSION_PER_DECADE))

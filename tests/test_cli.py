@@ -26,8 +26,9 @@ permission bits.
 The parser ``main`` builds from its argv parses like the whole tree: the
 same exit code, output and namespace on every leaf, every help text and each
 kind of bad argv; and it holds the arguments of its own leaf alone.  A past
-window of more than ``WINDOW_MAX_POINTS`` times exits 2, naming ``--dt``,
-before it is allocated; no required or benchmarked call reaches the cap.
+window of more than ``WINDOW_MAX_POINTS`` times (half as many for ``drift
+validate``'s joint covariance) exits 2, naming ``--dt``, before it is
+allocated; no required or benchmarked call reaches the cap.
 """
 
 import argparse
@@ -748,6 +749,9 @@ def parser_corpus():
         ["gamma", "bogus"],
         ["cov", "--hurst", "0.3"],
         ["--hurst", "0.3", "gamma", "cov"],
+        ["--hurst=0.3", "gamma", "cov", "--r", "0.1"],
+        ["gamma", "--hurst=0.3", "cov", "--r", "0.1"],
+        ["bounds", "--n=4", "matrix", "--eps", "0.1"],
         cov + ["--bogus", "1"],
         ["gamma", "cov", "--hur", "0.3", "--r", "0.1"],
         ["gamma", "cov", "--r", "0.1"],
@@ -789,11 +793,15 @@ WINDOW_COMMANDS = ["drift kernel", "drift obm", "drift regression", "drift valid
 
 
 # --dt 1e-4 asks for a window of about 20 000 times: a 3 GiB covariance.  It is
-# refused before even the window's own times are allocated.
-@pytest.mark.parametrize("command", WINDOW_COMMANDS)
-def test_a_window_past_the_point_cap_exits_2_before_allocating_it(command, tmp_path, capsys):
+# refused before even the window's own times are allocated.  The 4346 times at
+# --dt 2^-11 are under the cap, but drift validate's joint covariance would have
+# twice as many rows, 604 MB; it is refused before that matrix is built.
+@pytest.mark.parametrize("command,dt", [*((c, 1e-4) for c in WINDOW_COMMANDS),
+                                        ("drift validate", 2.0**-11)])
+def test_a_window_past_the_point_cap_exits_2_before_allocating_it(command, dt, tmp_path,
+                                                                  capsys):
     out = tmp_path / "artifact.json"
-    argv = f"{command} --hurst 0.75 --dt 1e-4 --out {out}".split()
+    argv = f"{command} --hurst 0.75 --dt {dt} --out {out}".split()
     tracemalloc.start()
     try:
         code = main(argv)
@@ -822,4 +830,5 @@ def window_argvs():
 @pytest.mark.parametrize("argv", window_argvs(), ids=" ".join)
 def test_every_required_and_benchmarked_window_is_under_the_cap(argv):
     args = cli.build_parser(argv).parse_args(argv)
-    assert inversion_grid(args.dt, u_deep=args.umax).size <= WINDOW_MAX_POINTS
+    rows = inversion_grid(args.dt, u_deep=args.umax).size
+    assert rows * (2 if argv[:2] == ["drift", "validate"] else 1) <= WINDOW_MAX_POINTS

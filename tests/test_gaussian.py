@@ -274,7 +274,7 @@ def regression_grid(name):
     v_default = np.array([float(v) for v in V_GRID_DEFAULT.split(",")])
     if name == "drift-regression-default":
         return inversion_grid(1.0 / 128, u_deep=1.0e7), v_default
-    # A window at dt 2^-11 (4346 times) thinned to the cap on regression points.
+    # drift regression at --dt 2^-11 hits the cap on regression points.
     times = inversion_grid(2.0**-11, u_deep=1.0e7)
     pick = np.round(np.linspace(0, times.size - 1, REGRESSION_MAX_POINTS)).astype(int)
     return times[pick], v_default
