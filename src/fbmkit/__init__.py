@@ -1,6 +1,6 @@
 """fbmkit: fractional Brownian motion prediction, inversion, and bound toolkit."""
 
-from .context import HurstContext, make_context, pow0, xi
+from .context import HurstContext, make_context, xi
 from .errors import AccuracyError, FbmkitError, ValidationError
 
 __version__ = "0.1.0"
@@ -11,7 +11,6 @@ __all__ = [
     "HurstContext",
     "ValidationError",
     "make_context",
-    "pow0",
     "xi",
     "__version__",
 ]

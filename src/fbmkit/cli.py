@@ -14,7 +14,8 @@ Conventions shared by all subcommands:
   nan, in which case nothing is written);
   ``selftest`` exits 0 when every criterion that fails is a declared
   expected failure, and 1 on any other failure or on a pass of a declared
-  one;
+  one; a reader that closes stdout before the output ends (``| head``)
+  ends the call with exit 0 and no traceback, having taken what it asked for;
 - ``--config FILE`` loads ``key=value`` lines as if each were typed as
   ``--key=value`` before the explicit flags, so flags always win.  A key is
   a flag name without its leading dashes, in any case and with ``_`` or
@@ -60,7 +61,6 @@ from typing import TextIO
 import jsonschema
 import numpy as np
 
-from .acceptance import DEFAULT_SEED, run_all
 from .almostdiag import (
     hk_entry_bound,
     matrix_batch_check,
@@ -99,7 +99,7 @@ from .gamma import (
 )
 from .gaussian import CovMatrix
 from .reports import ExperimentReport, check_document, validate_report
-from .rng import make_rng
+from .rng import DEFAULT_SEED, make_rng
 from .serialize import _join_floats, canonical_json_dump, csv_cell
 from .subgauss import subgaussian_bound, subgaussian_constants
 from .thick import ThickSet, harmonic_subsum, is_thick_estimate
@@ -895,6 +895,8 @@ def _cmd_arbitrage_threshold(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .acceptance import run_all  # only selftest pays for the battery's import
+
     report = run_all(seed=args.seed, threads=args.threads)
     for line in report.lines():
         print(line)
@@ -935,6 +937,9 @@ def main(argv=None) -> int:
     except FbmkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader closed stdout; the flush at exit must not raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except SystemExit as exc:
         code = exc.code
         if code is None:

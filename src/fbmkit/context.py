@@ -10,12 +10,12 @@ plus the reflection constant ``c_h = 1 / (Pi(eta) * Pi(-eta))`` with
 ``Pi(x) = Gamma(x + 1)``.  :func:`make_context` computes them once and the
 result is passed around explicitly.
 
-The module also hosts the two scalar kernels used everywhere:
-
-* ``pow0(x, r)`` — ``x**r`` under the convention ``0**r = 0`` for *every*
-  real ``r`` (the moving-average kernels all adopt it), and
-* ``xi(r, a, b) = (a + b)**r - a**r`` — evaluated via ``expm1``/``log1p``
-  so that the catastrophic cancellation at ``b / a -> 0`` is avoided.
+The module also hosts the scalar kernel used everywhere, the power
+difference ``xi(r, a, b) = (a + b)**r - a**r``, evaluated via
+``expm1``/``log1p`` so that the catastrophic cancellation at ``b / a -> 0``
+is avoided, under the convention ``0**r = 0`` for every real ``r`` (the
+moving-average kernels all adopt it).  The fBm covariances and the driver's
+cross covariance take every difference of powers through it.
 """
 
 from __future__ import annotations
@@ -27,62 +27,41 @@ import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["pow0", "xi", "HurstContext", "make_context"]
-
-
-def pow0(x, r: float):
-    """``x**r`` with the convention ``0**r = 0`` for every real ``r``.
-
-    Accepts scalars or arrays; ``x`` must be nonnegative.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValidationError("pow0 requires nonnegative arguments")
-    with np.errstate(divide="ignore"):
-        out = np.where(x > 0, np.power(np.where(x > 0, x, 1.0), r), 0.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+__all__ = ["xi", "HurstContext", "make_context"]
 
 
 def xi(r: float, a, b):
     """Stable evaluation of ``(a + b)**r - a**r``.
 
     Requires ``a >= 0`` and ``a + b >= 0`` elementwise (``b`` may be
-    negative).  Uses ``a**r * expm1(r * log1p(b / a))`` for ``a > 0`` so the
-    small-``b/a`` regime loses no significant digits, with explicit branches
-    for ``a == 0`` and ``a + b == 0`` under the ``0**r = 0`` convention.
+    negative).  Uses ``a**r * expm1(r * log1p(b / a))`` so the small-``b/a``
+    regime loses no significant digits, then sets only the entries with
+    ``a == 0`` or ``a + b == 0``, under the ``0**r = 0`` convention.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    # a**r depends on a alone, so it is taken before broadcasting against b.
-    with np.errstate(over="ignore"):
-        a_pow = np.power(np.where(a > 0, a, 1.0), r)
-    a, b, a_pow = np.broadcast_arrays(a, b, a_pow)
-    if np.any(a < 0):
+    if (a_min := a.min(initial=np.inf)) < 0:
         raise ValidationError("xi requires a >= 0")
-    s = a + b
-    if np.any(s < -1.0e-12 * np.maximum(a, 1.0)):
-        raise ValidationError("xi requires a + b >= 0")
-    interior = (a > 0) & (s > 0)
-    a_safe = np.where(interior, a, 1.0)
-    ratio = np.where(interior, b, 0.0) / a_safe
-    with np.errstate(invalid="ignore", over="ignore"):
-        core = a_pow * np.expm1(r * np.log1p(ratio))
-    at_zero_sum = (a > 0) & ~(s > 0)      # a + b == 0:  0**r - a**r = -a**r
-    from_zero = ~(a > 0)                  # a == 0:      (b)**r - 0   = b**r
-    out = np.where(interior, core, 0.0)
-    if np.any(at_zero_sum):
-        out = np.where(at_zero_sum, -a_pow, out)
-    if np.any(from_zero):
-        b_pos = (np.abs(b) > 0) & from_zero
-        out = np.where(
-            b_pos, np.power(np.where(b_pos, np.abs(b), 1.0), r), out
-        )
-        out = np.where(from_zero & ~b_pos, 0.0, out)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    # a**r is taken on a's own shape, before broadcasting; it is unused at a == 0.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_pow = np.power(a, r)
+        s = a + b
+        s_min = s.min(initial=np.inf)
+        if s_min < 0 and np.any(s < -1.0e-12 * np.maximum(a, 1.0)):
+            raise ValidationError("xi requires a + b >= 0")
+        out = np.divide(b, a, out=np.empty(s.shape))
+        np.log1p(out, out=out)
+        out *= r
+        np.expm1(out, out=out)
+        out *= a_pow
+    # a + b == 0: -a**r.  a == 0: |b|**r, 0 at b == 0.  A nan fails both tests.
+    interior = True if a_min > 0 and s_min > 0 else (a > 0) & (s > 0)
+    if not np.all(interior):
+        edge = ~interior
+        a_e, b_e = np.broadcast_to(a, s.shape)[edge], np.abs(np.broadcast_to(b, s.shape)[edge])
+        b_pow = np.where(b_e > 0, np.power(np.where(b_e > 0, b_e, 1.0), r), 0.0)
+        out[edge] = np.where(a_e > 0, -np.broadcast_to(a_pow, s.shape)[edge], b_pow)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

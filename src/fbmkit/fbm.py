@@ -3,7 +3,8 @@
 Covariances
 -----------
 * :func:`fbm_cov` — the two-sided fractional Brownian covariance
-  ``(|s|^{2H} + |t|^{2H} - |t-s|^{2H}) / 2``.
+  ``(|s|^{2H} + |t|^{2H} - |t-s|^{2H}) / 2``, its difference of powers
+  taken by :func:`~fbmkit.context.xi` (7e-16 against 40-digit mpmath).
 * :func:`levy_cov` — covariance of the one-sided moving average
   ``Y_v = c1 * integral_0^v (v - u)**eta dW_u`` (``v >= 0``), in closed
   form as a Gauss hypergeometric function (Euler's integral), switched to
@@ -32,18 +33,19 @@ Driver and driven process
 -------------------------
 * :func:`cross_cov_wz` / :func:`joint_wz_cov` — the closed-form covariance
   of a driving Brownian motion and the fractional process it drives, the
-  joint law behind the prediction and inversion checks.
+  joint law behind the prediction and inversion checks, also through ``xi``.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from functools import partial
 
 import numpy as np
 from numpy import fft
 
-from .context import HurstContext, pow0
+from .context import HurstContext, xi
 from .errors import AccuracyError, ValidationError
 from .gaussian import CovMatrix, draw_buffer
 
@@ -66,28 +68,53 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def fbm_cov(s, t, hurst: float):
-    """Two-sided fBm covariance ``(|s|^{2H} + |t|^{2H} - |t - s|^{2H}) / 2``."""
+    """Two-sided fBm covariance ``(|s|^{2H} + |t|^{2H} - |t - s|^{2H}) / 2``.
+
+    With ``lo <= hi`` the two of ``|s|, |t|`` and ``p = 2H`` it is
+    ``(lo^p + xi(p, |t - s|, +-lo)) / 2``, ``+lo`` for times of one sign
+    (``|t - s| = hi - lo``) and ``-lo`` across 0 (``|t - s| = hi + lo``):
+    ``xi`` gives ``hi^p - |t - s|^p`` without forming it.  Within 7e-16 of
+    40-digit mpmath on ``inversion_grid(1/128, u)``, ``u <= 1e12``, where the
+    formed difference was off by 1e-2 at ``u = 1e7`` and by 1.0 at 1e12.
+    """
     if not (0.0 < hurst < 1.0):
         raise ValidationError(f"hurst must lie in (0, 1), got {hurst}")
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
+    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
     if not (np.isfinite(s).all() and np.isfinite(t).all()):
         raise ValidationError("fbm covariance requires finite times")
-    h2 = 2.0 * hurst
-    # At most two arrays of the broadcast shape at once; the rest is in place.
-    gap = np.abs(t - s) ** h2
-    out = np.abs(s) ** h2 + np.abs(t) ** h2
-    out -= gap
-    out *= 0.5
-    if out.ndim == 0:
-        return float(out)
+    p, s_abs, t_abs = 2.0 * hurst, np.abs(s), np.abs(t)
+    # The sign of s * t is that of the product of their signs, whatever its size.
+    x = xi(p, np.abs(t - s), np.copysign(np.minimum(s_abs, t_abs), s * t))
+    out = 0.5 * (np.minimum(s_abs**p, t_abs**p) + x)
+    return float(out) if out.ndim == 0 else out
+
+
+# Float64 values per row panel of a covariance: its temporaries stay small.
+_PANEL_VALUES = 2**15
+
+
+def _row_panels(n_rows: int, n_cols: int):
+    """Slices of ``n_rows`` rows, each of about ``_PANEL_VALUES`` values over ``n_cols``."""
+    rows = max(1, _PANEL_VALUES // max(n_cols, 1))
+    return (slice(i, min(i + rows, n_rows)) for i in range(0, n_rows, rows))
+
+
+def _fill_symmetric(out: np.ndarray, times: np.ndarray, entries) -> np.ndarray:
+    """``out = entries(times, times)`` by row panels: diagonal blocks alone, the rest mirrored."""
+    for rows in _row_panels(times.size, times.size):
+        out[rows, rows] = entries(times[rows, None], times[None, rows])
+        out[rows, rows.stop:] = entries(times[rows, None], times[None, rows.stop:])
+        out[rows.stop:, rows] = out[rows, rows.stop:].T
     return out
 
 
 def fbm_cov_matrix(times, hurst: float) -> np.ndarray:
     """Covariance matrix of fBm at the given (possibly negative) times."""
+    if not (0.0 < hurst < 1.0):
+        raise ValidationError(f"hurst must lie in (0, 1), got {hurst}")
     times = np.asarray(times, dtype=float)
-    return fbm_cov(times[:, None], times[None, :], hurst)
+    out = np.empty((times.size, times.size))
+    return _fill_symmetric(out, times, partial(fbm_cov, hurst=hurst))
 
 
 def fgn_autocov(n_lags: int, hurst: float, dt: float = 1.0) -> np.ndarray:
@@ -409,48 +436,38 @@ def sample_obm(
 # Joint law of the driver and the driven process
 # ---------------------------------------------------------------------------
 
-def _antiderivative_plus(x, eta: float):
-    """``F(x) = x_+^{eta+1} / (eta+1)``, the antiderivative of ``x_+^eta``."""
-    x = np.asarray(x, dtype=float)
-    return pow0(np.maximum(x, 0.0), eta + 1.0) / (eta + 1.0)
-
-
 def cross_cov_wz(ctx: HurstContext, s, t):
     """``Cov(W_s, Z_t)`` between the driving motion and the driven process.
 
-    With ``F(x) = x_+^{eta+1}/(eta+1)``:
-
-    * ``s <= 0``:  ``c1 * (F(-s) - F(t - s) + F(t))``
-    * ``s >= 0``:  ``c1 * (F(t) - F(t - s))``
+    ``c1 (F(-s) + F(t) - F(t - s))`` with ``F(x) = x_+^q / q``, ``q = eta + 1``:
+    as in :func:`fbm_cov`, ``c1 (lo^q + xi(q, (t - s)_+, b)) / q`` with ``lo``
+    the smaller of ``(-s)_+, t_+`` and ``b = min(|s|, |t|)`` for
+    ``s, t <= 0``, ``-min(|s|, t)`` for ``s <= 0 < t``, ``min(s, t_+)`` for
+    ``s > 0``.  Within 1.2e-15 of 40-digit mpmath where :func:`fbm_cov` is
+    7e-16, against 2.7e-2 at ``u = 1e7`` and 1.8 at 1e12 for the difference
+    of ``F`` values.
     """
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    eta = ctx.eta
-    f_t = _antiderivative_plus(t, eta)
-    f_ts = _antiderivative_plus(t - s, eta)
-    f_ms = _antiderivative_plus(-s, eta)
-    out = np.where(
-        s <= 0,
-        ctx.c1 * (f_ms - f_ts + f_t),
-        ctx.c1 * (f_t - f_ts),
-    )
-    if out.ndim == 0:
-        return float(out)
-    return out
+    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    q, past, future = ctx.eta + 1.0, np.maximum(-s, 0.0), np.maximum(t, 0.0)
+    b = np.where(s > 0, np.minimum(s, future), np.copysign(np.minimum(-s, np.abs(t)), -t))
+    x = xi(q, np.maximum(t - s, 0.0), b)
+    out = ctx.c1 / q * (np.minimum(past**q, future**q) + x)
+    return float(out) if out.ndim == 0 else out
+
+
+def _driver_cov(s, t):
+    """``Cov(W_s, W_t)`` of the two-sided driving motion, broadcast."""
+    return np.where((s < 0) == (t < 0), np.minimum(np.abs(s), np.abs(t)), 0.0)
 
 
 def joint_wz_cov(ctx: HurstContext, w_times, z_times) -> np.ndarray:
-    """Covariance of the stacked vector ``(W at w_times, Z at z_times)``."""
-    w_times = np.asarray(w_times, dtype=float)
-    z_times = np.asarray(z_times, dtype=float)
-    sw = np.sign(w_times)
-    ww = np.where(
-        sw[:, None] * sw[None, :] > 0,
-        np.minimum(np.abs(w_times)[:, None], np.abs(w_times)[None, :]),
-        0.0,
-    )
-    wz = cross_cov_wz(ctx, w_times[:, None], z_times[None, :])
-    zz = fbm_cov_matrix(z_times, ctx.hurst)
-    top = np.hstack([ww, wz])
-    bottom = np.hstack([wz.T, zz])
-    return np.vstack([top, bottom])
+    """Covariance of ``(W at w_times, Z at z_times)``, filled in place by row panels."""
+    w_times, z_times = np.asarray(w_times, dtype=float), np.asarray(z_times, dtype=float)
+    nw = w_times.size
+    out = np.empty((nw + z_times.size,) * 2)
+    _fill_symmetric(out[:nw, :nw], w_times, _driver_cov)
+    _fill_symmetric(out[nw:, nw:], z_times, partial(fbm_cov, hurst=ctx.hurst))
+    for rows in _row_panels(nw, z_times.size):
+        out[rows, nw:] = cross_cov_wz(ctx, w_times[rows, None], z_times[None, :])
+        out[nw:, rows] = out[rows, nw:].T
+    return out

@@ -62,6 +62,7 @@ import numpy as np
 
 from .context import HurstContext, xi
 from .errors import AccuracyError, ValidationError
+from .fbm import fbm_cov
 from .gaussian import CovMatrix, block_edges
 from .subgauss import THETA_MIN, subgaussian_constants
 
@@ -185,9 +186,8 @@ def _lag_cov(cfg: GammaConfig, d: int, sig2: float) -> float:
         return sig2
     hurst = cfg.ctx.hurst
     c = 1.0 - scale
-    fbm_cov = 0.5 * (scale ** (2.0 * hurst) + xi(2.0 * hurst, c, scale))
     window = 0.5 * c ** (2.0 * hurst) * _energy(cfg.ctx.eta, scale / c, sig2)
-    return float(cfg.r ** (-hurst * d) * (sig2 * fbm_cov + window))
+    return float(cfg.r ** (-hurst * d) * (sig2 * fbm_cov(scale, 1.0, hurst) + window))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-__all__ = ["make_rng", "spawn_streams", "parallel_map", "draw_reduce"]
+__all__ = ["DEFAULT_SEED", "make_rng", "spawn_streams", "parallel_map", "draw_reduce"]
+
+# Pre-registered master seed of the acceptance battery.  Every Monte Carlo
+# subclause was designed against its tolerance budget before this seed was
+# fixed; the seed is part of the published acceptance configuration, not a knob.
+DEFAULT_SEED = 20260815
 
 # Paths per chunk of draw_reduce: a lent buffer holds 0.26 MB per dimension.
 CHUNK = 2**15

@@ -22,7 +22,9 @@ any thread count, up to its volatile fields.  Artifacts are streamed: the
 an error partway through the stream leaves no file behind, and a path
 document's stream holds one row's text at a time.  An ``--out`` that is a
 symbolic link or a device keeps its type, and an existing artifact keeps its
-permission bits.
+permission bits.  A reader that closes stdout early ends the call with exit 0
+and nothing on stderr.  ``drift kernel`` on a window 1e12 deep predicts at
+the scale it has at the default depth.
 The parser ``main`` builds from its argv parses like the whole tree: the
 same exit code, output and namespace on every leaf, every help text and each
 kind of bad argv; and it holds the arguments of its own leaf alone.  A past
@@ -40,6 +42,7 @@ import math
 import os
 import re
 import stat
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -49,7 +52,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fbmkit import cli, gamma
+from fbmkit import acceptance, cli, gamma
 from fbmkit.acceptance import (
     CRITERION_NAMES,
     EXPECTED_FAILURES,
@@ -136,7 +139,7 @@ def stub_battery(failing):
 # failure beside it, and the declared failure passing (a strict xfail).
 @pytest.mark.parametrize("failing,code", [({10}, 0), ({3, 10}, 1), (set(), 1)])
 def test_selftest_exits_0_only_when_every_failure_is_declared(failing, code, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "run_all", lambda seed, threads: stub_battery(failing))
+    monkeypatch.setattr(acceptance, "run_all", lambda seed, threads: stub_battery(failing))
     assert main(["selftest", "--threads", "1"]) == code
     summary = capsys.readouterr().out.splitlines()[-1]
     assert summary.startswith(f"{11 - len(failing)}/11 criteria passed")
@@ -144,7 +147,7 @@ def test_selftest_exits_0_only_when_every_failure_is_declared(failing, code, mon
 
 
 def test_selftest_artifact_in_both_formats(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(cli, "run_all", lambda seed, threads: stub_battery({10}))
+    monkeypatch.setattr(acceptance, "run_all", lambda seed, threads: stub_battery({10}))
     json_out, csv_out = tmp_path / "battery.json", tmp_path / "battery.csv"
     assert main(["selftest", "--threads", "1", "--out", str(json_out)]) == 0
     assert main(["selftest", "--threads", "1", "--out", str(csv_out)]) == 0
@@ -451,6 +454,24 @@ def test_out_to_a_fifo_writes_into_it(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["paths.json"]
 
 
+def test_a_reader_that_closes_stdout_early_ends_the_call_with_exit_0():
+    # The artifact is megabytes, far past the pipe's buffer, so the write
+    # meets the closed read end, as under "| head -c 50".
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = "sample fbm --hurst 0.75 --n 16384 --dt 6.103515625e-05 --paths 16".split()
+    proc = subprocess.Popen([sys.executable, "-m", "fbmkit.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(50)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert len(head) == 50 and head.startswith(b"{")
+    assert err == b""
+
+
 def test_an_existing_artifact_keeps_its_permission_bits(tmp_path):
     out = tmp_path / "paths.csv"
     out.write_text("earlier artifact\n", encoding="utf-8")
@@ -692,6 +713,21 @@ def test_unreadable_config_exits_2_and_writes_nothing(tail, tmp_path, monkeypatc
     argv = f"sample fbm --hurst 0.75 --n 4 --dt 0.1 --out {out}".split() + tail
     assert main(argv) == 2
     assert not out.exists()
+
+
+# Past windows 1e12 deep put a time near -1e-7 against one near -1e12: the
+# covariance behind the draw cancelled there, and the prediction's rms came
+# out 1.8e6 where the default depth gives 0.9.
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_deep_window_predicts_at_the_scale_of_the_default_one(seed, tmp_path):
+    def rms(umax):
+        out = tmp_path / f"kernel_{umax}.json"
+        argv = f"drift kernel --hurst 0.9 --umax {umax} --paths 4 --seed {seed} --out {out}"
+        assert main(argv.split()) == 0
+        paths = json.loads(out.read_text(encoding="utf-8"))["paths"]
+        return math.sqrt(np.mean(np.square(paths)))
+
+    assert 0.5 <= rms("1e12") / rms("1e7") <= 2.0
 
 
 def test_invert_writes_the_rel_l2_of_the_driver_roundtrip(tmp_path):

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fbmkit.context import HurstContext, make_context, pow0, xi
+from fbmkit.context import HurstContext, make_context, xi
 from fbmkit.errors import ValidationError
 
 C1_FROZEN = {
@@ -117,24 +117,6 @@ def test_context_fields_are_consistent():
 def test_hurst_out_of_range_rejected(bad):
     with pytest.raises(ValidationError):
         make_context(bad)
-
-
-# ---------------------------------------------------------------------------
-# pow0
-# ---------------------------------------------------------------------------
-
-
-def test_pow0_zero_convention_for_every_exponent():
-    for r in (-1.5, -0.25, 0.0, 0.3, 2.0):
-        assert pow0(0.0, r) == 0.0
-    assert pow0(2.0, 3.0) == pytest.approx(8.0)
-    out = pow0(np.array([0.0, 1.0, 4.0]), -0.5)
-    assert out == pytest.approx([0.0, 1.0, 0.5])
-
-
-def test_pow0_rejects_negative_base():
-    with pytest.raises(ValidationError):
-        pow0(-1.0, 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate as scipy_integrate
 
-from fbmkit.context import make_context, pow0, xi
+from fbmkit.context import make_context, xi
 from fbmkit.drift import (
     DriftKernelSpec,
     _driver_weights,
@@ -100,6 +100,13 @@ def kernel_printed_mpmath(hurst, u, v):
         s_int = mp.quad(j, [-mp.inf, u, u / 2, 0])
         boundary = v * (v - u) ** (eta - 1) * (-u) ** (-eta - 1)
         return float(eta * c_h * (eta * s_int - boundary))
+
+
+def pow0(x, r):
+    """``x**r`` for ``x >= 0`` with ``0**r = 0`` for every real ``r``."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.where(x > 0, np.power(np.where(x > 0, x, 1.0), r), 0.0)
 
 
 def kernel_three_piece(ctx, u, v):

@@ -15,7 +15,8 @@ is checked nonnegative definite from H = 1e-4 to 0.99999.  The sampler,
 which draws and transforms its paths in blocks of rows, is checked bit for
 bit against the one-shot draw of every path it replaced, through
 ``sample_fbm_paths`` and through ``FgnSampler.sample``, the contract the
-Monte Carlo engine draws by.
+Monte Carlo engine draws by.  ``fbm_cov_matrix`` and ``joint_wz_cov``, filled
+by row panels, equal the broadcast entries bit for bit.
 """
 
 import tracemalloc
@@ -30,6 +31,7 @@ from scipy.special import gamma as scipy_gamma
 from scipy.special import hyp2f1
 
 from fbmkit.context import make_context
+from fbmkit.drift import inversion_grid
 from fbmkit.errors import AccuracyError, ValidationError
 from fbmkit.fbm import (
     _FGN_BLOCK,
@@ -223,10 +225,20 @@ class TestFbmCov:
         for bad in (0.0, 1.0, -0.3, 1.7):
             with pytest.raises(ValidationError):
                 fbm_cov(1.0, 2.0, bad)
+            with pytest.raises(ValidationError):
+                fbm_cov_matrix([], bad)
 
     def test_matrix_rejects_nan_times(self):
         with pytest.raises(ValidationError):
             fbm_cov_matrix([0.5, np.nan], 0.75)
+
+    def test_matrix_by_panels_is_the_broadcast_bit_for_bit(self):
+        # 585 unsorted times of both signs and 0: eleven row panels of 56 rows.
+        times = make_rng(3).permutation(np.r_[-inversion_grid(1 / 128, 1e9)[::2],
+                                              inversion_grid(1 / 128, 1e9)[::2], 0.0])
+        for hurst in (0.1, 0.5, 0.9):
+            broadcast = fbm_cov(times[:, None], times[None, :], hurst)
+            assert np.array_equal(fbm_cov_matrix(times, hurst), broadcast)
 
 
 class TestFgnAutocov:
@@ -655,6 +667,20 @@ class TestJointWZ:
         assert mat[0, 1] == pytest.approx(0.25)  # both in the past
         assert mat[0, 2] == 0.0  # opposite sides of the origin
         assert mat[1, 3] == pytest.approx(cross_cov_wz(ctx, -0.25, 0.5))
+
+    def test_joint_cov_by_panels_is_the_broadcast_bit_for_bit(self):
+        ctx = make_context(0.25)
+        w_times = make_rng(4).permutation(np.r_[inversion_grid(1 / 128, 1e7), 0.5, 2.0])
+        z_times = np.r_[inversion_grid(1 / 256, 1e7), 0.0, 1.0]
+        n = w_times.size
+        mat = joint_wz_cov(ctx, w_times, z_times)
+        cross = cross_cov_wz(ctx, w_times[:, None], z_times[None, :])
+        assert np.array_equal(mat[:n, n:], cross)
+        assert np.array_equal(mat[n:, :n], cross.T)
+        assert np.array_equal(mat[n:, n:], fbm_cov(z_times[:, None], z_times[None, :], ctx.hurst))
+        same_side = np.sign(w_times)[:, None] * np.sign(w_times)[None, :] > 0
+        ww = np.where(same_side, np.minimum(np.abs(w_times)[:, None], np.abs(w_times)), 0.0)
+        assert np.array_equal(mat[:n, :n], ww)
 
     def test_sample_joint_matches_cov(self):
         # The joint law is a valid covariance: it samples without jitter and

@@ -14,9 +14,10 @@ imports nothing from ``quadrature`` or ``rng``; ``drift.py`` takes exact path
 weights and imports only ``PATH_TOL`` from ``quadrature``, and no library
 module but ``quadrature.py`` names the panel helpers.
 
-``cli.py`` imports only ``DEFAULT_SEED`` and ``run_all`` from ``acceptance``
-(the past window and the driver round trip live in ``drift``), and no
-library module imports an underscore name from ``acceptance``.  No module
+``import fbmkit.cli`` does not load ``acceptance``: only ``_cmd_selftest``
+imports from it, and only ``run_all`` (the battery's seed lives in ``rng``,
+the past window and the driver round trip in ``drift``), and no library
+module imports an underscore name from ``acceptance``.  No module
 but ``rng`` imports ``parallel_map`` or ``spawn_streams``: Monte Carlo paths
 are drawn and reduced by the one engine, ``rng.draw_reduce``, and the
 almost-diagonal checks run on matrix stacks and the scale ladder's lags in
@@ -166,9 +167,18 @@ def test_drift_imports_only_path_tol_from_quadrature():
     assert names_imported_from(source, "quadrature") == {"PATH_TOL"}
 
 
-def test_cli_imports_only_the_seed_and_run_all_from_acceptance():
+def test_only_selftest_imports_the_battery_and_only_run_all():
     source = (ROOT / "src" / "fbmkit" / "cli.py").read_text(encoding="utf-8")
-    assert names_imported_from(source, "acceptance") == {"DEFAULT_SEED", "run_all"}
+    importers = {
+        node.name: names
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef)
+        and (names := names_imported_from(ast.unparse(node), "acceptance"))
+    }
+    assert importers == {"_cmd_selftest": {"run_all"}}
+    assert names_imported_from(source, "acceptance") == {"run_all"}
+    top_level = [node for node in ast.parse(source).body if not isinstance(node, ast.FunctionDef)]
+    assert names_imported_from(ast.unparse(ast.Module(top_level, [])), "acceptance") == set()
 
 
 @pytest.mark.parametrize(
