@@ -567,15 +567,13 @@ RUNTIME_LIMITS = {1: 60.0, 2: 300.0, 5: 60.0, 6: 30.0, 10: 600.0}
 def run_criterion(number: int, seed: int = DEFAULT_SEED, threads: int = 1) -> CriterionResult:
     """Run one of criteria 1-10 in isolation (same seeds as ``run_all``).
 
-    Criterion 11 compares two whole batteries, so only ``run_all`` runs it.
+    Criterion ``k`` draws from ``SeedSequence(seed).spawn(10)[k - 1]``, the
+    same child on every call.  Criterion 11 compares two whole batteries, so
+    only ``run_all`` runs it.
     """
     if number not in _CRITERIA:
         raise ValidationError(f"criterion number must be in 1..10, got {number}")
-    children = np.random.SeedSequence(seed).spawn(10)
-    return _execute(number, children[number - 1], threads)
-
-
-def _execute(number: int, seed_seq, threads: int) -> CriterionResult:
+    seed_seq = np.random.SeedSequence(seed).spawn(10)[number - 1]
     start = time.perf_counter()
     passed, detail, metrics = _CRITERIA[number](seed_seq, threads)
     runtime = time.perf_counter() - start
@@ -595,11 +593,7 @@ def _execute(number: int, seed_seq, threads: int) -> CriterionResult:
 
 
 def _battery(seed: int, threads: int) -> list[CriterionResult]:
-    children = np.random.SeedSequence(seed).spawn(10)
-    return [
-        _execute(number, children[number - 1], threads)
-        for number in sorted(_CRITERIA)
-    ]
+    return [run_criterion(number, seed, threads) for number in sorted(_CRITERIA)]
 
 
 def _canonical_bytes(results: list[CriterionResult], seed: int) -> bytes:

@@ -4,7 +4,9 @@ Subcommands mirror the library modules: ``sample`` (fbm | levy | obm),
 ``drift`` (kernel | obm | regression | validate), ``invert``, ``gamma``
 (cov | decay | modulus | regbound), ``bounds`` (matrix | subgauss | thick |
 hk-count), ``lil``, ``arbitrage`` (an-prob | ledger | threshold), and
-``selftest`` (the full acceptance battery).
+``selftest`` (the full acceptance battery).  The command tree is one table,
+``_COMMANDS``: each command's help and leaves, and each leaf's handler and
+flags; :func:`build_parser` is a loop over it.
 
 Conventions shared by all subcommands:
 
@@ -56,7 +58,7 @@ import sys
 from collections.abc import Callable
 from dataclasses import asdict
 from functools import partial
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 import jsonschema
 import numpy as np
@@ -157,231 +159,6 @@ V_GRID_DEFAULT = (
     "0.125,0.25,0.375,0.5,0.625,0.75,0.875,1.0,"
     "1.125,1.25,1.375,1.5,1.625,1.75,1.875,2.0"
 )
-
-
-# ---------------------------------------------------------------------------
-# Parser construction
-# ---------------------------------------------------------------------------
-
-class _Parser(argparse.ArgumentParser):
-    """An argument parser that takes no abbreviated flag, and makes its subparsers alike.
-
-    ``add_subparsers`` builds subparsers of the parser's own class, so the
-    whole command tree refuses ``--hur`` for ``--hurst``, on the command
-    line and as a ``--config`` key.
-    """
-
-    def __init__(self, **kwargs) -> None:
-        super().__init__(allow_abbrev=False, **kwargs)
-
-
-def _command_words(argv: list[str]) -> list[str]:
-    """The leading command words of ``argv``: its tokens before the first that starts with ``-``."""
-    depth = next((i for i, tok in enumerate(argv) if tok.startswith("-")), len(argv))
-    return argv[:depth]
-
-
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The ``fbmkit`` parser: the whole command tree, or only the path ``argv`` names.
-
-    Every command is registered with its help, and a named group with all its
-    leaves, so usage lines, choices, ``--help`` and errors read the same
-    either way.  Without ``argv`` every leaf gets its arguments; with it, only
-    the leaf that its leading words (:func:`_command_words`) name does.  Words
-    that stop short of a leaf build every leaf below them, so an option typed
-    before the command or its leaf is parsed as by the whole tree.
-    """
-    words = _command_words(argv or [])
-    parser = _Parser(
-        prog="fbmkit",
-        description="Fractional Brownian motion prediction, inversion, and bound toolkit.",
-    )
-    positive = _int_at_least(1)
-
-    def common(p, *, seed: bool = True, threads: bool = False) -> None:
-        p.add_argument("--config", help="key=value file merged under the flags (flags win)")
-        p.add_argument("--out", help="output path (relative paths resolve under FBMKIT_OUT_DIR)")
-        p.add_argument("--format", choices=("json", "csv"),
-                       help="artifact format; default json, or csv when --out ends in .csv")
-        if seed:
-            p.add_argument("--seed", type=_int_at_least(0), default=0,
-                           help="64-bit reproducibility seed")
-        if threads:
-            p.add_argument("--threads", type=positive, default=os.cpu_count() or 1,
-                           help="worker threads (results are thread-count independent)")
-
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, help_text: str, dest: str = "", leaves=()) -> dict:
-        """Register a command; return the parsers to fill, by name: itself, or its named leaves."""
-        p = sub.add_parser(name, help=help_text)
-        if words[:1] not in ([], [name]):
-            return {}
-        if not leaves:
-            return {name: p}
-        leaf_sub = p.add_subparsers(dest=dest, required=True)
-        built = {leaf: leaf_sub.add_parser(leaf) for leaf in leaves}
-        return {leaf: lp for leaf, lp in built.items() if words[1:2] in ([], [leaf])}
-
-    # -- sample -------------------------------------------------------------
-    for proc, sp in command("sample", "draw process paths on a uniform grid",
-                            "process", ("fbm", "levy", "obm")).items():
-        if proc != "obm":
-            sp.add_argument("--hurst", type=_finite_float, required=True,
-                            help="Hurst parameter in (0, 1)")
-        sp.add_argument("--n", type=positive, required=True, help="number of grid steps")
-        sp.add_argument("--dt", type=_finite_float, required=True, help="grid spacing")
-        sp.add_argument("--paths", type=positive, default=1, help="number of independent paths")
-        if proc == "obm":
-            sp.add_argument("--t0", type=_finite_float, default=0.0,
-                            help="grid start time (nonpositive multiple of dt)")
-        common(sp)
-        sp.set_defaults(handler=_cmd_sample, process=proc)
-
-    # -- drift --------------------------------------------------------------
-    for route, dp in command("drift", "conditional-mean prediction of the future",
-                             "route", ("kernel", "obm", "regression", "validate")).items():
-        dp.add_argument("--hurst", type=_finite_float, required=True)
-        dp.add_argument("--paths", type=positive, default=16 if route == "validate" else 4)
-        dp.add_argument("--umax", type=_finite_float, default=1.0e7,
-                        help="depth of the sampled past window")
-        dp.add_argument("--dt", type=_finite_float, default=1.0 / 128,
-                        help="uniform spacing of the recent past")
-        dp.add_argument("--v", default=V_GRID_DEFAULT,
-                        help="comma-separated future times to predict at")
-        if route == "validate":
-            dp.add_argument("--tol", type=_finite_float, default=0.05,
-                            help="relative L2 gate between the two prediction routes")
-        common(dp)
-        dp.set_defaults(handler=_cmd_drift, route=route)
-
-    # -- invert ---------------------------------------------------------------
-    for p_inv in command("invert", "driver-recovery round trip").values():
-        p_inv.add_argument("--hurst", type=_finite_float, required=True)
-        p_inv.add_argument("--paths", type=positive, default=16)
-        p_inv.add_argument("--dt", type=_finite_float, default=1.0 / 512)
-        p_inv.add_argument("--umax", type=_finite_float, default=600.0,
-                           help="depth of the observed past window")
-        p_inv.add_argument("--tol", type=_finite_float, default=0.05,
-                           help="relative L2 gate on the recovered driver")
-        common(p_inv)
-        p_inv.set_defaults(handler=_cmd_invert)
-
-    # -- gamma ----------------------------------------------------------------
-    for what, gp in command("gamma", "normalized increment field diagnostics",
-                            "what", ("cov", "decay", "modulus", "regbound")).items():
-        gp.add_argument("--hurst", type=_finite_float, required=True)
-        gp.add_argument("--r", type=_finite_float, required=True, help="scale ratio in (0, 1)")
-        if what in ("cov", "decay"):
-            # decay fits its constant over lags 1..n, so it needs one.
-            gp.add_argument("--n", type=_int_at_least(0 if what == "cov" else 1), default=30,
-                            help="largest lag")
-        if what == "modulus":
-            gp.add_argument("--t", default="0.015625,0.03125,0.0625,0.125,0.25,0.5,1.0",
-                            help="comma-separated window lengths")
-        if what == "regbound":
-            gp.add_argument("--i", type=int, default=0, help="ladder index")
-            gp.add_argument("--tmax", type=_finite_float, default=1.0, help="window length")
-        if what == "decay":
-            gp.add_argument("--threads", type=positive, default=1,
-                            help="no effect: the lags are one serial pass; still accepted")
-        common(gp, seed=False)
-        gp.set_defaults(handler=_cmd_gamma, what=what)
-
-    # -- bounds -----------------------------------------------------------
-    bounds = command("bounds", "deterministic bound verification",
-                     "what", ("matrix", "subgauss", "thick", "hk-count"))
-
-    if bp := bounds.get("matrix"):
-        bp.add_argument("--n", type=_int_at_least(2), required=True, help="matrix dimension")
-        bp.add_argument("--eps", type=_finite_float, required=True, help="off-diagonal envelope")
-        bp.add_argument("--trials", type=_int_at_least(0), default=1000, help="random instances")
-        common(bp)
-        bp.set_defaults(handler=_cmd_bounds_matrix)
-
-    if bp := bounds.get("subgauss"):
-        bp.add_argument("--theta", type=_finite_float, required=True,
-                        help="Holder exponent in (0, 1]")
-        bp.add_argument("--x", default="1.0,2.0,3.0", help="comma-separated tail levels")
-        common(bp, seed=False)
-        bp.set_defaults(handler=_cmd_bounds_subgauss)
-
-    if bp := bounds.get("thick"):
-        bp.add_argument("--set", default="evens", dest="set_name",
-                        choices=("naturals", "evens", "multiples", "squares", "bernoulli"),
-                        help="index-set family")
-        bp.add_argument("--k", type=int, default=3, help="stride for --set multiples")
-        bp.add_argument("--density", type=_finite_float, default=0.5,
-                        help="density for --set bernoulli")
-        bp.add_argument("--n", type=_int_at_least(2), default=4096, help="prefix horizon")
-        common(bp)
-        bp.set_defaults(handler=_cmd_bounds_thick)
-
-    if bp := bounds.get("hk-count"):
-        bp.add_argument("--z", type=int, required=True, help="walk displacement")
-        bp.add_argument("--k", type=int, required=True, help="number of descents")
-        bp.add_argument("--n", type=int, required=True, help="walk length")
-        bp.add_argument("--eps", type=_finite_float,
-                        help="also evaluate the entry bound at this epsilon")
-        common(bp, seed=False)
-        bp.set_defaults(handler=_cmd_bounds_hk)
-
-    # -- lil ---------------------------------------------------------------
-    for p_lil in command("lil", "running-minimum trend experiment").values():
-        p_lil.add_argument("--hurst", type=_finite_float, required=True)
-        p_lil.add_argument("--r", type=_finite_float, required=True)
-        p_lil.add_argument("--imax", type=int, default=40, help="deepest ladder index")
-        p_lil.add_argument("--paths", type=positive, default=2000)
-        p_lil.add_argument("--set", default=None, dest="set_name",
-                           choices=("naturals", "evens", "multiples", "squares", "bernoulli"),
-                           help="restrict the index ladder to a thick set")
-        p_lil.add_argument("--k", type=int, default=3, help="stride for --set multiples")
-        p_lil.add_argument("--density", type=_finite_float, default=0.5,
-                           help="density for --set bernoulli")
-        common(p_lil, threads=True)
-        p_lil.set_defaults(handler=_cmd_lil)
-
-    # -- arbitrage ----------------------------------------------------------
-    arbitrage = command("arbitrage", "excess-count event family experiments",
-                        "what", ("an-prob", "ledger", "threshold"))
-
-    if ap := arbitrage.get("an-prob"):
-        ap.add_argument("--hurst", type=_finite_float, required=True)
-        ap.add_argument("--r", type=_finite_float, required=True)
-        ap.add_argument("--alpha", type=_finite_float, required=True)
-        ap.add_argument("--p", type=_finite_float, required=True)
-        ap.add_argument("--n", type=int, required=True, help="deepest event depth")
-        ap.add_argument("--paths", type=positive, default=100_000)
-        common(ap, threads=True)
-        ap.set_defaults(handler=_cmd_arbitrage_anprob)
-
-    if ap := arbitrage.get("ledger"):
-        ap.add_argument("--hurst", type=_finite_float, required=True)
-        ap.add_argument("--r", type=_finite_float, required=True)
-        ap.add_argument("--alpha", type=_finite_float, required=True)
-        ap.add_argument("--p", type=_finite_float, required=True)
-        ap.add_argument("--rtilde", type=_finite_float, required=True,
-                        help="translation scale in (0, r)")
-        ap.add_argument("--pan", required=True,
-                        help="comma-separated n=P(A'_n) pairs, e.g. 4=0.44,8=0.0993")
-        common(ap, seed=False)
-        ap.set_defaults(handler=_cmd_arbitrage_ledger)
-
-    if ap := arbitrage.get("threshold"):
-        ap.add_argument("--hurst", type=_finite_float, required=True)
-        ap.add_argument("--alpha", type=_finite_float, required=True)
-        ap.add_argument("--alpha-prime", type=_finite_float, required=True)
-        ap.add_argument("--p", type=_finite_float, required=True)
-        ap.add_argument("--p-prime", type=_finite_float, required=True)
-        common(ap, seed=False)
-        ap.set_defaults(handler=_cmd_arbitrage_threshold)
-
-    # -- selftest -----------------------------------------------------------
-    for p_self in command("selftest", "run the full acceptance battery").values():
-        common(p_self, threads=True)
-        p_self.set_defaults(handler=_cmd_selftest, seed=DEFAULT_SEED)
-
-    return parser
 
 
 # ---------------------------------------------------------------------------
@@ -915,6 +692,222 @@ def _cmd_selftest(args) -> int:
         rows = [[c[key] for key in columns] for c in doc["criteria"]]
         _emit(args, doc, lambda fh: _write_rows(fh, ",".join(columns), rows))
     return 1 if surprises else 0
+
+
+# ---------------------------------------------------------------------------
+# The command table and the parser built from it
+# ---------------------------------------------------------------------------
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that takes no abbreviated flag, and makes its subparsers alike.
+
+    ``add_subparsers`` builds subparsers of the parser's own class, so the
+    whole command tree refuses ``--hur`` for ``--hurst``, on the command
+    line and as a ``--config`` key.
+    """
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
+def _command_words(argv: list[str]) -> list[str]:
+    """The leading command words of ``argv``: its tokens before the first that starts with ``-``."""
+    depth = next((i for i, tok in enumerate(argv) if tok.startswith("-")), len(argv))
+    return argv[:depth]
+
+
+def _flag(name: str, **kwargs) -> tuple[str, dict]:
+    """A flag spec: the flag and its ``add_argument`` keywords."""
+    return name, kwargs
+
+
+class _Leaf(NamedTuple):
+    """A leaf: its handler, its own flags in help order, its ``--seed`` default
+    (None for no ``--seed``) and whether it takes ``--threads``."""
+
+    handler: Callable[[argparse.Namespace], int]
+    flags: tuple[tuple[str, dict], ...] = ()
+    seed: int | None = 0
+    threads: bool = False
+
+
+_POSITIVE = _int_at_least(1)
+_SETS = ("naturals", "evens", "multiples", "squares", "bernoulli")
+
+# Flag specs that several leaves share.
+_HURST = _flag("--hurst", type=_finite_float, required=True)
+_R = _flag("--r", type=_finite_float, required=True)
+_ALPHA = _flag("--alpha", type=_finite_float, required=True)
+_P = _flag("--p", type=_finite_float, required=True)
+_STRIDE = _flag("--k", type=int, default=3, help="stride for --set multiples")
+_DENSITY = _flag("--density", type=_finite_float, default=0.5, help="density for --set bernoulli")
+_GRID = (
+    _flag("--n", type=_POSITIVE, required=True, help="number of grid steps"),
+    _flag("--dt", type=_finite_float, required=True, help="grid spacing"),
+    _flag("--paths", type=_POSITIVE, default=1, help="number of independent paths"),
+)
+_SAMPLE = (_flag("--hurst", type=_finite_float, required=True, help="Hurst parameter in (0, 1)"),
+           *_GRID)
+_WINDOW = (
+    _flag("--umax", type=_finite_float, default=1.0e7, help="depth of the sampled past window"),
+    _flag("--dt", type=_finite_float, default=1.0 / 128, help="uniform spacing of the recent past"),
+    _flag("--v", default=V_GRID_DEFAULT, help="comma-separated future times to predict at"),
+)
+_DRIFT = (_HURST, _flag("--paths", type=_POSITIVE, default=4), *_WINDOW)
+_GAMMA = (_HURST, _flag("--r", type=_finite_float, required=True, help="scale ratio in (0, 1)"))
+
+# Each command: its help, the dest of its leaf word, and its leaves.  A command
+# that is its own leaf has dest None and its one leaf under the key None.
+_COMMANDS: dict[str, tuple[str, str | None, dict[str | None, _Leaf]]] = {
+    "sample": ("draw process paths on a uniform grid", "process", {
+        "fbm": _Leaf(_cmd_sample, _SAMPLE),
+        "levy": _Leaf(_cmd_sample, _SAMPLE),
+        "obm": _Leaf(_cmd_sample, (*_GRID, _flag(
+            "--t0", type=_finite_float, default=0.0,
+            help="grid start time (nonpositive multiple of dt)"))),
+    }),
+    "drift": ("conditional-mean prediction of the future", "route", {
+        "kernel": _Leaf(_cmd_drift, _DRIFT),
+        "obm": _Leaf(_cmd_drift, _DRIFT),
+        "regression": _Leaf(_cmd_drift, _DRIFT),
+        "validate": _Leaf(_cmd_drift, (
+            _HURST, _flag("--paths", type=_POSITIVE, default=16), *_WINDOW,
+            _flag("--tol", type=_finite_float, default=0.05,
+                  help="relative L2 gate between the two prediction routes"),
+        )),
+    }),
+    "invert": ("driver-recovery round trip", None, {None: _Leaf(_cmd_invert, (
+        _HURST,
+        _flag("--paths", type=_POSITIVE, default=16),
+        _flag("--dt", type=_finite_float, default=1.0 / 512),
+        _flag("--umax", type=_finite_float, default=600.0,
+              help="depth of the observed past window"),
+        _flag("--tol", type=_finite_float, default=0.05,
+              help="relative L2 gate on the recovered driver"),
+    ))}),
+    "gamma": ("normalized increment field diagnostics", "what", {
+        "cov": _Leaf(_cmd_gamma, (
+            *_GAMMA, _flag("--n", type=_int_at_least(0), default=30, help="largest lag"),
+        ), seed=None),
+        # decay fits its constant over lags 1..n, so it needs one.
+        "decay": _Leaf(_cmd_gamma, (
+            *_GAMMA,
+            _flag("--n", type=_POSITIVE, default=30, help="largest lag"),
+            _flag("--threads", type=_POSITIVE, default=1,
+                  help="no effect: the lags are one serial pass; still accepted"),
+        ), seed=None),
+        "modulus": _Leaf(_cmd_gamma, (*_GAMMA, _flag(
+            "--t", default="0.015625,0.03125,0.0625,0.125,0.25,0.5,1.0",
+            help="comma-separated window lengths")), seed=None),
+        "regbound": _Leaf(_cmd_gamma, (
+            *_GAMMA,
+            _flag("--i", type=int, default=0, help="ladder index"),
+            _flag("--tmax", type=_finite_float, default=1.0, help="window length"),
+        ), seed=None),
+    }),
+    "bounds": ("deterministic bound verification", "what", {
+        "matrix": _Leaf(_cmd_bounds_matrix, (
+            _flag("--n", type=_int_at_least(2), required=True, help="matrix dimension"),
+            _flag("--eps", type=_finite_float, required=True, help="off-diagonal envelope"),
+            _flag("--trials", type=_int_at_least(0), default=1000, help="random instances"),
+        )),
+        "subgauss": _Leaf(_cmd_bounds_subgauss, (
+            _flag("--theta", type=_finite_float, required=True, help="Holder exponent in (0, 1]"),
+            _flag("--x", default="1.0,2.0,3.0", help="comma-separated tail levels"),
+        ), seed=None),
+        "thick": _Leaf(_cmd_bounds_thick, (
+            _flag("--set", default="evens", dest="set_name", choices=_SETS,
+                  help="index-set family"),
+            _STRIDE,
+            _DENSITY,
+            _flag("--n", type=_int_at_least(2), default=4096, help="prefix horizon"),
+        )),
+        "hk-count": _Leaf(_cmd_bounds_hk, (
+            _flag("--z", type=int, required=True, help="walk displacement"),
+            _flag("--k", type=int, required=True, help="number of descents"),
+            _flag("--n", type=int, required=True, help="walk length"),
+            _flag("--eps", type=_finite_float,
+                  help="also evaluate the entry bound at this epsilon"),
+        ), seed=None),
+    }),
+    "lil": ("running-minimum trend experiment", None, {None: _Leaf(_cmd_lil, (
+        _HURST,
+        _R,
+        _flag("--imax", type=int, default=40, help="deepest ladder index"),
+        _flag("--paths", type=_POSITIVE, default=2000),
+        _flag("--set", default=None, dest="set_name", choices=_SETS,
+              help="restrict the index ladder to a thick set"),
+        _STRIDE,
+        _DENSITY,
+    ), threads=True)}),
+    "arbitrage": ("excess-count event family experiments", "what", {
+        "an-prob": _Leaf(_cmd_arbitrage_anprob, (
+            _HURST, _R, _ALPHA, _P,
+            _flag("--n", type=int, required=True, help="deepest event depth"),
+            _flag("--paths", type=_POSITIVE, default=100_000),
+        ), threads=True),
+        "ledger": _Leaf(_cmd_arbitrage_ledger, (
+            _HURST, _R, _ALPHA, _P,
+            _flag("--rtilde", type=_finite_float, required=True,
+                  help="translation scale in (0, r)"),
+            _flag("--pan", required=True,
+                  help="comma-separated n=P(A'_n) pairs, e.g. 4=0.44,8=0.0993"),
+        ), seed=None),
+        "threshold": _Leaf(_cmd_arbitrage_threshold, (
+            _HURST, _ALPHA, _flag("--alpha-prime", type=_finite_float, required=True),
+            _P, _flag("--p-prime", type=_finite_float, required=True),
+        ), seed=None),
+    }),
+    "selftest": ("run the full acceptance battery", None, {
+        None: _Leaf(_cmd_selftest, seed=DEFAULT_SEED, threads=True),
+    }),
+}
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The ``fbmkit`` parser: the whole command tree, or only the path ``argv`` names.
+
+    Every command of ``_COMMANDS`` is registered with its help, and a named
+    group with all its leaves, so usage lines, choices, ``--help`` and errors
+    read the same either way.  Without ``argv`` every leaf gets its arguments;
+    with it, only the leaf that its leading words (:func:`_command_words`)
+    name does.  Words that stop short of a leaf build every leaf below them,
+    so an option typed before the command or its leaf is parsed as by the
+    whole tree.
+    """
+    words = _command_words(argv or [])
+    parser = _Parser(
+        prog="fbmkit",
+        description="Fractional Brownian motion prediction, inversion, and bound toolkit.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, dest, leaves) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        if words[:1] not in ([], [name]):
+            continue
+        if dest is None:
+            built = {None: command}
+        else:
+            group = command.add_subparsers(dest=dest, required=True)
+            built = {leaf: group.add_parser(leaf) for leaf in leaves}
+            built = {leaf: p for leaf, p in built.items() if words[1:2] in ([], [leaf])}
+        for leaf, p in built.items():
+            spec = leaves[leaf]
+            for flag, kwargs in spec.flags:
+                p.add_argument(flag, **kwargs)
+            p.add_argument("--config", help="key=value file merged under the flags (flags win)")
+            p.add_argument("--out",
+                           help="output path (relative paths resolve under FBMKIT_OUT_DIR)")
+            p.add_argument("--format", choices=("json", "csv"),
+                           help="artifact format; default json, or csv when --out ends in .csv")
+            if spec.seed is not None:
+                p.add_argument("--seed", type=_int_at_least(0), default=spec.seed,
+                               help="64-bit reproducibility seed")
+            if spec.threads:
+                p.add_argument("--threads", type=_POSITIVE, default=os.cpu_count() or 1,
+                               help="worker threads (results are thread-count independent)")
+            p.set_defaults(handler=spec.handler)
+    return parser
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,8 @@ def xi(r: float, a, b):
     Requires ``a >= 0`` and ``a + b >= 0`` elementwise (``b`` may be
     negative).  Uses ``a**r * expm1(r * log1p(b / a))`` so the small-``b/a``
     regime loses no significant digits, then sets only the entries with
-    ``a == 0`` or ``a + b == 0``, under the ``0**r = 0`` convention.
+    ``a == 0`` or ``a + b <= 0``, under the ``0**r = 0`` convention; a nan
+    entry stays nan.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -54,10 +55,10 @@ def xi(r: float, a, b):
         out *= r
         np.expm1(out, out=out)
         out *= a_pow
-    # a + b == 0: -a**r.  a == 0: |b|**r, 0 at b == 0.  A nan fails both tests.
-    interior = True if a_min > 0 and s_min > 0 else (a > 0) & (s > 0)
-    if not np.all(interior):
-        edge = ~interior
+    # a + b == 0: -a**r.  a == 0: |b|**r, 0 at b == 0.  A nan is in neither
+    # set, so it passes through.
+    if not (a_min > 0 and s_min > 0):
+        edge = (a == 0) | (s <= 0)
         a_e, b_e = np.broadcast_to(a, s.shape)[edge], np.abs(np.broadcast_to(b, s.shape)[edge])
         b_pow = np.where(b_e > 0, np.power(np.where(b_e > 0, b_e, 1.0), r), 0.0)
         out[edge] = np.where(a_e > 0, -np.broadcast_to(a_pow, s.shape)[edge], b_pow)

@@ -448,6 +448,8 @@ def cross_cov_wz(ctx: HurstContext, s, t):
     of ``F`` values.
     """
     s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    if not (np.isfinite(s).all() and np.isfinite(t).all()):
+        raise ValidationError("driver cross covariance requires finite times")
     q, past, future = ctx.eta + 1.0, np.maximum(-s, 0.0), np.maximum(t, 0.0)
     b = np.where(s > 0, np.minimum(s, future), np.copysign(np.minimum(-s, np.abs(t)), -t))
     x = xi(q, np.maximum(t - s, 0.0), b)

@@ -1,6 +1,7 @@
 """Command-line behaviour: defaults, exit codes and reproducible artifacts.
 
-Every subcommand runs with only its required flags, in JSON and in CSV;
+Every subcommand runs with only its required flags, in JSON and in CSV, and
+every leaf of the command tree but ``selftest`` has such a call;
 what it writes to stdout ends in one newline and is what ``--out`` writes,
 up to the volatile ``wall_time`` and ``created_utc``.  ``selftest`` runs on
 a stubbed battery (the real one takes tens of seconds) to pin its exit code:
@@ -170,6 +171,14 @@ def leaf_parsers(parser, words=()):
         yield from leaf_parsers(child, words + (name,))
 
 
+def test_every_leaf_but_selftest_has_a_required_only_call():
+    # So test_defaults_are_a_valid_invocation checks every leaf's artifact;
+    # selftest has its stub tests above.
+    leaves = {words for words, _leaf in leaf_parsers(cli.build_parser())}
+    called = {tuple(cli._command_words(c.split())) for c in REQUIRED_ONLY}
+    assert called == leaves - {("selftest",)}
+
+
 def invocations_taking(flag):
     """A valid invocation of every subcommand that takes ``flag``."""
     valid = [c.split() for c in REQUIRED_ONLY] + [["selftest"]]
@@ -226,10 +235,12 @@ def test_validation_error_exits_2(capsys):
 
 
 def test_accuracy_error_exits_3(monkeypatch, capsys):
-    def refuse(args):
+    def refuse(thick_set):
         raise AccuracyError("budget not met", estimate=1.0, budget=0.5)
 
-    monkeypatch.setattr(cli, "_cmd_bounds_thick", refuse)
+    # The command table binds each handler at import, so the error is raised
+    # from a name the bounds thick handler calls.
+    monkeypatch.setattr(cli, "is_thick_estimate", refuse)
     assert main(["bounds", "thick"]) == 3
     assert capsys.readouterr().err.startswith("accuracy error:")
 

@@ -9,6 +9,7 @@ The oracle for ``xi`` is its defining formula ``(a + b)**r - a**r`` evaluated
 in mpmath from the same float inputs.  Float subtraction cannot serve as the
 oracle: it cancels when ``|r * log1p(b / a)|`` is small, i.e. for tiny ``r``
 or tiny ``b / a``, and then has fewer correct digits than ``xi`` itself.
+A nan passed to ``xi`` comes out as nan.
 """
 
 import math
@@ -174,6 +175,12 @@ def test_xi_zero_branches():
     assert xi(0.5, 0.0, 0.0) == 0.0
     # a + b == 0: 0^r - a^r = -a^r
     assert xi(0.5, 4.0, -4.0) == pytest.approx(-2.0)
+
+
+def test_xi_passes_nan_through():
+    # A nan is neither a == 0 nor a + b <= 0, so no edge fix-up replaces it.
+    assert math.isnan(xi(0.5, np.nan, 4.0))
+    assert math.isnan(xi(0.5, 1.0, np.nan))
 
 
 def test_xi_validates_signs():

@@ -16,7 +16,8 @@ which draws and transforms its paths in blocks of rows, is checked bit for
 bit against the one-shot draw of every path it replaced, through
 ``sample_fbm_paths`` and through ``FgnSampler.sample``, the contract the
 Monte Carlo engine draws by.  ``fbm_cov_matrix`` and ``joint_wz_cov``, filled
-by row panels, equal the broadcast entries bit for bit.
+by row panels, equal the broadcast entries bit for bit, and the driver's
+cross covariance refuses non-finite times as ``fbm_cov`` does.
 """
 
 import tracemalloc
@@ -667,6 +668,15 @@ class TestJointWZ:
         assert mat[0, 1] == pytest.approx(0.25)  # both in the past
         assert mat[0, 2] == 0.0  # opposite sides of the origin
         assert mat[1, 3] == pytest.approx(cross_cov_wz(ctx, -0.25, 0.5))
+
+    def test_cross_cov_refuses_non_finite_times(self):
+        ctx = make_context(0.75)
+        with pytest.raises(ValidationError, match="finite times"):
+            cross_cov_wz(ctx, np.nan, 1.0)
+        with pytest.raises(ValidationError, match="finite times"):
+            cross_cov_wz(ctx, -1.0, np.inf)
+        with pytest.raises(ValidationError, match="finite times"):
+            joint_wz_cov(ctx, [np.nan, -1.0], [-0.5])
 
     def test_joint_cov_by_panels_is_the_broadcast_bit_for_bit(self):
         ctx = make_context(0.25)

@@ -31,9 +31,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fbmkit"
 CLI_ROOTS = {("cli", "main"), ("cli", "build_parser")}
 
 ALLOWLIST = {
-    # The entry of the per-criterion tests in test_acceptance.py, one
-    # criterion at a time; the CLI runs the whole battery through run_all.
-    ("acceptance", "run_criterion"),
     # The proof's bound chain, waiting on a CLI path or its deletion (ROADMAP
     # Direction 6).  It reaches max_feasible_epsilon, _log_normal_tail and
     # PhiFunctions.all_finite.

@@ -1,7 +1,9 @@
 """Experiment reports: the document, its schema, and the CSV twin the CLI writes.
 
 Every artifact schema is a valid 2020-12 schema, and ``check_document``
-raises on a broken document the error ``jsonschema.validate`` raises.
+raises on a broken document the error ``jsonschema.validate`` raises.  The
+95% Wilson interval's exact coverage, averaged over p, is within a point of
+95% at n = 20, 100 and 1000.
 """
 
 import csv
@@ -11,6 +13,7 @@ import json
 import jsonschema
 import numpy as np
 import pytest
+from scipy import stats
 
 from fbmkit.acceptance import ACCEPTANCE_SCHEMA
 from fbmkit.cli import PATH_SCHEMA, TABLE_SCHEMA, _report_doc
@@ -21,6 +24,7 @@ from fbmkit.reports import (
     ExperimentReport,
     check_document,
     validate_report,
+    wilson_interval,
 )
 from fbmkit.serialize import canonical_json_dumps
 
@@ -168,3 +172,19 @@ def test_check_document_raises_what_validate_raises(name, doc):
 def test_check_document_passes_a_good_document(name, doc):
     jsonschema.validate(doc, SCHEMAS[name])
     check_document(doc, jsonschema.Draft202012Validator(SCHEMAS[name]))
+
+
+# Exact coverage of the 95% Wilson interval at p: the binomial mass of the
+# hit counts whose interval holds p, a finite sum with no seed.  Averaged over
+# p = 0.001, ..., 0.999 it reads 0.9532, 0.9510 and 0.9498 at n = 20, 100 and
+# 1000; the minimum (0.85, 0.90, 0.92) is reported, not gated, as the Wilson
+# interval's coverage dips below its level near p = 0 and 1.  With z = 1.5 in
+# place of 1.96 the mean falls to about 0.87.
+@pytest.mark.parametrize("n", [20, 100, 1000])
+def test_wilson_interval_covers_95_percent_on_average(n, record_property):
+    lo, hi = np.array([wilson_interval(k, n) for k in range(n + 1)]).T
+    p = np.arange(1, 1000)[:, None] / 1000
+    pmf = stats.binom.pmf(np.arange(n + 1), n, p)
+    coverage = np.sum(pmf, axis=1, where=(lo <= p) & (p <= hi))
+    record_property("min_coverage", float(coverage.min()))
+    assert 0.94 <= coverage.mean() <= 0.96, (coverage.mean(), coverage.min())
