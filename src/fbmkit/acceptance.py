@@ -37,7 +37,7 @@ from .drift import (
     regression_weights,
     rel_l2,
 )
-from .errors import ValidationError
+from .errors import FbmkitError, ValidationError
 from .experiments import ArbitrageConfig, LilConfig, a_n_probability, lil_statistic
 from .fbm import FgnSampler, fbm_cov_matrix, joint_wz_cov, levy_cov_matrix, sample_obm
 from .gamma import GammaConfig, decay_bound_check, gamma_mc_implied_cov, sample_gamma_mc
@@ -569,13 +569,21 @@ def run_criterion(number: int, seed: int = DEFAULT_SEED, threads: int = 1) -> Cr
 
     Criterion ``k`` draws from ``SeedSequence(seed).spawn(10)[k - 1]``, the
     same child on every call.  Criterion 11 compares two whole batteries, so
-    only ``run_all`` runs it.
+    only ``run_all`` runs it.  A criterion that raises an ``FbmkitError``
+    is reported as failed, with ``raised <Type>: <message>`` as its detail,
+    and never as an expected failure.
     """
     if number not in _CRITERIA:
         raise ValidationError(f"criterion number must be in 1..10, got {number}")
     seed_seq = np.random.SeedSequence(seed).spawn(10)[number - 1]
+    expected = number in EXPECTED_FAILURES
     start = time.perf_counter()
-    passed, detail, metrics = _CRITERIA[number](seed_seq, threads)
+    try:
+        passed, detail, metrics = _CRITERIA[number](seed_seq, threads)
+    except FbmkitError as exc:
+        # A criterion that cannot finish fails, and not in the declared way.
+        passed, detail, metrics = False, f"raised {type(exc).__name__}: {exc}", {}
+        expected = False
     runtime = time.perf_counter() - start
     limit = RUNTIME_LIMITS.get(number)
     if limit is not None and runtime > limit:
@@ -587,7 +595,7 @@ def run_criterion(number: int, seed: int = DEFAULT_SEED, threads: int = 1) -> Cr
         passed=passed,
         detail=detail,
         runtime=runtime,
-        expected_failure=number in EXPECTED_FAILURES,
+        expected_failure=expected,
         metrics=metrics,
     )
 

@@ -99,7 +99,7 @@ from .gamma import (
     reg_gamhat_bound,
     sigma2,
 )
-from .gaussian import CovMatrix
+from .gaussian import MAX_ARRAY_VALUES, CovMatrix
 from .reports import ExperimentReport, check_document, validate_report
 from .rng import DEFAULT_SEED, make_rng
 from .serialize import _join_floats, canonical_json_dump, csv_cell
@@ -256,7 +256,9 @@ def _emit(args, doc: dict, render_csv: _Render) -> None:
     ``--out``, and ends in one newline.  A regular file at ``--out`` (or
     none yet) is written through a temporary sibling that replaces it only
     when complete, keeping an existing file's permission bits; on any error
-    the temporary file is removed and ``--out`` is left as it was.
+    the temporary file is removed and ``--out`` is left as it was.  An
+    ``OSError`` on the file (``--out`` a directory, or under a regular file)
+    is a ``ValidationError``, ``cannot write --out ...``.
     """
     out = _resolve_out(args.out)
     fmt = args.format or ("csv" if (out or "").endswith(".csv") else "json")
@@ -264,6 +266,14 @@ def _emit(args, doc: dict, render_csv: _Render) -> None:
     if out is None:
         render(sys.stdout)
         return
+    try:
+        _write_file(out, render)
+    except OSError as exc:
+        raise ValidationError(f"cannot write --out {args.out}: {exc}") from exc
+
+
+def _write_file(out: str, render: _Render) -> None:
+    """Render to the file at ``out`` as :func:`_emit` describes."""
     directory = os.path.dirname(out)
     if directory:
         os.makedirs(directory, exist_ok=True)
@@ -398,6 +408,16 @@ def _report_doc(report: ExperimentReport) -> tuple[dict, _Render]:
 # ---------------------------------------------------------------------------
 
 def _cmd_sample(args) -> int:
+    # The largest float64 array of the draw, refused before it is allocated:
+    # the paths, the n x n covariance of a Levy draw, or the complex spectrum
+    # of the fGn draw's circulant embedding, 2n - 2 values.
+    size, asked = args.paths * (args.n + 1), f"--n {args.n} and --paths {args.paths} ask for paths"
+    if args.process == "levy" and args.n**2 > size:
+        size, asked = args.n**2, f"--n {args.n} asks for a covariance"
+    elif args.process == "fbm" and 4 * (args.n - 1) > size:
+        size, asked = 4 * (args.n - 1), f"--n {args.n} asks for an fGn spectrum"
+    if size > MAX_ARRAY_VALUES:
+        raise ValidationError(f"{asked} of {size} float64 values, more than {MAX_ARRAY_VALUES} (256 MiB)")
     rng = make_rng(args.seed)
     config = {"process": args.process, "n": args.n, "dt": args.dt, "paths": args.paths}
     if args.process == "fbm":

@@ -100,7 +100,7 @@ import numpy as np
 from .context import HurstContext, xi
 from .errors import AccuracyError, ValidationError
 from .fbm import _hyp2f1_unit_b, fbm_cov, fbm_cov_matrix, joint_wz_cov
-from .gaussian import CovMatrix
+from .gaussian import MAX_ARRAY_VALUES, CovMatrix
 from .quadrature import PATH_TOL
 
 __all__ = [
@@ -123,12 +123,12 @@ REGRESSION_MAX_POINTS = 2048
 
 # Most rows of a covariance the CLI builds over a past window: n x n over the
 # window's n times, 2n x 2n for drift validate's joint one.  The budget is
-# 256 MiB for the float64 matrix; the call also holds its Cholesky factor and
+# MAX_ARRAY_VALUES (256 MiB) for the matrix; the call also holds its Cholesky factor and
 # one temporary of that size.  Peak RSS measured at one BLAS thread: drift
 # kernel 496 MiB at 4346 rows (--dt 2^-11); drift kernel, drift validate and
 # invert 838-843 MiB within two rows of the cap.  A finer --dt (or a deeper --umax)
 # is refused before the matrix is allocated.
-WINDOW_MAX_POINTS = math.isqrt(256 * 2**20 // 8)  # 5792
+WINDOW_MAX_POINTS = math.isqrt(MAX_ARRAY_VALUES)  # 5792
 
 # Geometry of inversion_grid: the uniform window's length, the geometric
 # points per decade, and log10 of the innermost tip time's magnitude.

@@ -25,6 +25,10 @@ __all__ = [
     "CrossMoments",
 ]
 
+# The most float64 values one array of a CLI call may hold: 2**25, 256 MiB.
+# Requests past it are refused before anything of their size is allocated.
+MAX_ARRAY_VALUES = 256 * 2**20 // 8
+
 _JITTER_LADDER = (0.0, 1.0e-12, 1.0e-10, 1.0e-8)
 # Rows per panel of the symmetry check in cholesky_with_jitter.
 _PANEL = 128

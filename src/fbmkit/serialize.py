@@ -24,11 +24,24 @@ straight to their joined text with numpy, with the bytes of
 ``k = floor(log10|x|)`` and multiplies ``|x|`` by ``10**(16 - k)``, held as
 a double-double built per call from Python ints, with Dekker's exact
 product, so the 17 digits ``D`` and the fraction left below them are known
-to within 1e-13 of a unit of the last digit; ``D`` is rounded to nearest.
-The digits are written two at a time, from a table of digit pairs, into one
-fixed row of cells per element.  The point, the trailing-zero stripping and
-``%g``'s switch to scientific notation (outside ``-4 <= k < 17``) are set
-per element, unused cells hold NUL, and one ``bytes.translate`` drops them.
+to within 1e-13 of a unit of the last digit; ``D`` is rounded to nearest
+(:func:`_digits`).  Each element's text is then laid out in one fixed row
+of cells, read eight at a time as uint64 words (:func:`_cells`):
+
+- word 0 holds the sign and, in fixed notation below one, the "0." and up
+  to three zeros, from a 5 x 2 table by prefix and sign, and the leading
+  digit, written directly;
+- words 1-4 hold the other 16 digits, four to a word from a table of
+  10**4 words, each digit with the cell after it for the point.  Trailing
+  zeros after the point are masked off, from the last word back while
+  whole words go, and the point goes into its cell;
+- ``%g``'s exponent (outside ``-4 <= k < 17``) follows in five cells, then
+  ``sep``, or ``end`` after the last value of a row.
+
+Unused cells hold NUL, and one ``bytes.translate`` drops them.  The two
+stages free their temporaries in turn, so a piece peaks at about half the
+memory of doing both in one frame: freed heap past glibc's trim threshold
+goes back to the system, and the next piece would fault its pages in again.
 An element goes to :func:`format_float` itself where that rounding could
 be wrong or the table does not reach:
 
@@ -95,19 +108,35 @@ def csv_cell(value) -> str:
 
 
 
-# "a\0b\0" for each pair of digits ab, as a uint32 in the machine's byte
-# order, so that writing one into a uint32 view of a row puts the bytes in
-# text order on any machine.
-_PAIRS = np.frombuffer(
-    bytes(c for i in range(100) for c in (48 + i // 10, 0, 48 + i % 10, 0)), dtype=np.uint32
-)
-_PAIRS.flags.writeable = False
+# "a\0b\0c\0d\0" for each group of four digits abcd, in order: the digits as
+# little-endian uint16s, read as one uint64 in the machine's byte order, so
+# that writing one into a uint64 view of a row puts the bytes in text order on
+# any machine.  The NUL after each digit is its point cell.
+_QUADS = (np.arange(10**4, dtype="<u2")[:, None] // np.array([1000, 100, 10, 1], "<u2") % 10
+          + 48).astype("<u2", copy=False).view(np.uint64)[:, 0]
+_QUADS.flags.writeable = False
 
-# The cells of one element in _join_floats: the sign (0), "0." and up to
-# three zeros (1-5), the leading digit (6), then each digit's point cell and
-# the next digit (7-39; digit i at 6 + 2i), the exponent "e+XXX" (40-44) and
-# the separator or row end (45).  Cells 4-39 are nine uint32s.
-_LEAD, _EXP, _SEP, _CELLS = 6, 40, 45, 48
+# The trailing zeros of each group of four digits (four for 0000), and masks
+# that keep the first 0-4 digits of a group, with their point cells.
+_TZ = (np.arange(10**4, dtype=np.uint16)[:, None] % np.array([10, 100, 1000, 10000], np.uint16)
+       == 0).sum(axis=1, dtype=np.uint8)
+_TZ.flags.writeable = False
+_KEEP = np.frombuffer(b"".join(b"\xff" * 2 * c + b"\0" * (8 - 2 * c) for c in range(5)), np.uint64)
+
+# Cells 0-7 of an element, by prefix (row) and sign (column): the sign, then
+# the "0." and up to three zeros of fixed notation below one, the row being
+# -k, or nothing (row 0), and NUL where the leading digit and its point go.
+_PREFIX = np.frombuffer(b"".join(
+    sign + prefix + b"\0\0"
+    for prefix in (b"\0\0\0\0\0", b"0.\0\0\0", b"0.0\0\0", b"0.00\0", b"0.000")
+    for sign in (b"\0", b"-")
+), np.uint64).reshape(5, 2)
+
+# The cells of one element in _cells, as 8-cell words: the sign, prefix,
+# leading digit (6) and its point cell (word 0), four groups of four digits,
+# each digit i at 6 + 2i with its point cell after it (words 1-4), the
+# exponent "e+XXX" (40-44), then the separator, or the row end, from 45.
+_LEAD, _EXP, _SEP = 6, 40, 45
 
 
 def _pow10(s: int) -> tuple[float, float]:
@@ -125,29 +154,29 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, a - hi
 
 
-def _join_floats(values: np.ndarray, sep: str = ",", end: str = "") -> str:
-    """:func:`format_float` of each element of a float64 array, joined.
+def _digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The exponents and 17 digits of each element of ``x``, and which are exact.
 
-    The rows of a 2-d array (a 1-d array is one row) are written in order,
-    ``sep`` between the values of a row and ``end`` (one character, or
-    none) after each row.  The module docstring describes the method.
+    Returns ``ks``, the values of ``k = floor(log10|x|)`` from the least to
+    the greatest present, ``kk``, each element's index into ``ks``, the
+    digits ``d`` as an int64 in ``[10**16, 10**17)`` and ``fast``, false
+    where :func:`format_float` must render the element instead (``d`` then
+    holds a placeholder).
     """
-    v = np.atleast_2d(values)
-    width = v.shape[1]
-    x = v.ravel()
-    n = x.size
     a = np.abs(x)
     fast = (a >= 1e-280) & (a <= 1e280)
     a[~fast] = 1.0
     k = np.floor(np.log10(a)).astype(np.int64)
     k0 = int(k.min())
-    hi, lo = np.array([_pow10(16 - j) for j in range(k0, int(k.max()) + 1)]).T
-    hi, lo = hi[k - k0], lo[k - k0]
+    ks = np.arange(k0, int(k.max()) + 1)
+    kk = k - k0
+    hi, lo = np.array([_pow10(16 - j) for j in ks.tolist()]).T
+    h_hi, h_lo = _split(hi)
+    hi, lo, h_hi, h_lo = hi.take(kk), lo.take(kk), h_hi.take(kk), h_lo.take(kk)
     # |x| * 10**(16 - k) = p + c: p = a * hi rounded, and c the rest, from
     # the exact error of that product plus a * lo.
     p = a * hi
     a_hi, a_lo = _split(a)
-    h_hi, h_lo = _split(hi)
     c = ((a_hi * h_hi - p) + a_hi * h_lo + a_lo * h_hi) + a_lo * h_lo + a * lo
     p_int = np.floor(p)
     c += p - p_int
@@ -160,65 +189,91 @@ def _join_floats(values: np.ndarray, sep: str = ",", end: str = "") -> str:
     fast &= (d >= 10**16) & (np.abs(c - 0.5) > 1e-6)
     d += c > 0.5
     fast &= d < 10**17
-    d[~fast] = 10**16
-    fixed = (k >= -4) & (k < 17)
-    # Index of the digit the point follows; -1 when it comes before them all.
-    point = np.where(fixed, np.where(k >= 0, k, -1), 0)
+    d[~fast] = 10**16 + 1  # any 17 digits not ending in 0
+    return ks, kk, d, fast
 
-    # The leading digit, then eight pairs of digits, as indices of _PAIRS.
-    pairs = np.empty((9, n), np.intp)
+
+def _cells(x: np.ndarray, width: int, sep: str, end: str) -> tuple[bytes, list[float]]:
+    """The text of ``x`` as rows of cells, NUL where no character is, and its fallbacks.
+
+    The rows are ``x``'s elements, ``width`` to a row of text.  Each
+    element that :func:`format_float` renders keeps only its separator and
+    a marker, \\x01, at which its text goes in; they are the values listed.
+    """
+    ks, kk, d, fast = _digits(x)
+    fixed = (ks >= -4) & (ks < 17)
+    # Index of the digit the point follows; -1 when it comes before them all.
+    point_k = np.where(fixed, np.where(ks >= 0, ks, -1), 0)
+    point = point_k.take(kk)
+
+    n = x.size
+    cells = -(-(_SEP + len(sep)) // 8) * 8
+    out = np.empty((n, cells), np.uint8)
+    out_words = out.view(np.uint64)
+    out_words[:, 0] = _PREFIX.take(2 * np.where(fixed & (ks < 0), -ks, 0).take(kk) + np.signbit(x))
+    # The leading digit, then four groups of four digits as their cells.
     top = d // 10**8
-    pairs[0] = top // 10**8
-    low = d - top * 10**8
-    top -= pairs[0] * 10**8
-    for row, part in ((1, top.astype(np.uint32)), (5, low.astype(np.uint32))):
-        upper = part // 10000
-        for half in (upper, part - upper * 10000):
-            pairs[row] = half // 100
-            pairs[row + 1] = half - pairs[row] * 100
-            row += 2
-    out = np.zeros((n, _CELLS), np.uint8)
-    out.view(np.uint32)[:, _LEAD // 4:_EXP // 4] = _PAIRS.take(pairs).T
-    out[:, _LEAD - 2] = 0  # the "0" of the leading digit's pair
-    out[:, 0] = np.where(np.signbit(x), ord("-"), 0)
-    out[:, _SEP] = ord(",")
-    out[width - 1::width, _SEP] = ord(end) if end else 0
-    flat = out.reshape(-1)
-    # Trailing zeros after the point go, the last digit first; the digits
-    # before the point stay.
-    rows = np.flatnonzero(pairs[8] % 10 == 0)
-    for i in range(16, 0, -1):
-        rows = rows[(flat[rows * _CELLS + _LEAD + 2 * i] == ord("0")) & (point[rows] < i)]
+    low = (d - top * 10**8).astype(np.uint32)
+    top = top.astype(np.uint32)
+    lead = top // 10**8
+    out[:, _LEAD] = lead + 48
+    top -= lead * 10**8
+    upper, lower = top // 10**4, low // 10**4
+    groups = (upper, top - upper * 10**4, lower, low - lower * 10**4)
+    for col, g in enumerate(groups, 1):
+        out_words[:, col] = _QUADS.take(g)
+    # Trailing zeros after the point go, a group at a time from the last one
+    # while whole groups go; the digits before the point stay.
+    rows = np.flatnonzero(groups[3] % 10 == 0)
+    for i in range(3, -1, -1):
+        keep = np.minimum(np.maximum(4 - _TZ.take(groups[i][rows]), point[rows] - 4 * i), 4)
+        out_words[rows, i + 1] &= _KEEP.take(keep)
+        rows = rows[keep == 0]
         if not rows.size:
             break
-        flat[rows * _CELLS + _LEAD + 2 * i] = 0
-    rows = np.flatnonzero((point >= 0) & (point < 16))
-    rows = rows[flat[rows * _CELLS + _LEAD + 2 + 2 * point[rows]] != 0]
-    flat[rows * _CELLS + _LEAD + 1 + 2 * point[rows]] = ord(".")
-    rows = np.flatnonzero(fixed & (k < 0))
-    out[rows, 1:_LEAD] = np.where(np.arange(5) <= -k[rows, None],
-                                  np.frombuffer(b"0.000", np.uint8), 0)
-    rows = np.flatnonzero(~fixed)
-    e = k[rows]
-    mag = np.abs(e)
-    out[rows, _EXP:_SEP] = np.stack([
-        np.full_like(e, ord("e")), np.where(e < 0, ord("-"), ord("+")),
-        np.where(mag >= 100, ord("0") + mag // 100, 0),
-        ord("0") + mag // 10 % 10, ord("0") + mag % 10,
-    ], axis=1)
-    # Fallback elements keep only their separator and a marker, \x01, at
-    # which their text goes in.
+    # The words from the exponent's on: NUL, then sep, or end at a row end.
+    tail_sep, tail_end = (
+        np.frombuffer((b"\0" * (_SEP - _EXP) + s.encode()).ljust(cells - _EXP, b"\0"), np.uint64)
+        for s in (sep, end))
+    for col, (s, e) in enumerate(zip(tail_sep, tail_end), _EXP // 8):
+        out_words[:, col] = s
+        out_words[width - 1::width, col] = e
+    flat = out.reshape(-1)
+    rows = np.flatnonzero(((point_k >= 0) & (point_k < 16)).take(kk))
+    rows = rows[flat[rows * cells + _LEAD + 2 + 2 * point[rows]] != 0]
+    flat[rows * cells + _LEAD + 1 + 2 * point[rows]] = ord(".")
+    if not fixed.all():
+        rows = np.flatnonzero(~fixed.take(kk))
+        e = ks.take(kk[rows])
+        mag = np.abs(e)
+        out[rows, _EXP:_SEP] = np.stack([
+            np.full_like(e, ord("e")), np.where(e < 0, ord("-"), ord("+")),
+            np.where(mag >= 100, ord("0") + mag // 100, 0),
+            ord("0") + mag // 10 % 10, ord("0") + mag % 10,
+        ], axis=1)
     slow = np.flatnonzero(~fast)
     out[slow, :_SEP] = 0
     out[slow, 0] = 1
-    text = out.tobytes().translate(None, b"\0").decode("ascii")
-    if slow.size:
+    return out.tobytes(), x[slow].tolist()
+
+
+def _join_floats(values: np.ndarray, sep: str = ",", end: str = "") -> str:
+    """:func:`format_float` of each element of a float64 array, joined.
+
+    The rows of a 2-d array (a 1-d array is one row) are written in order,
+    ``sep`` between the values of a row and ``end`` (one character, or
+    none) after each row.  The module docstring describes the method.
+    """
+    v = np.atleast_2d(values)
+    cells, fallbacks = _cells(v.ravel(), v.shape[1], sep, end)
+    text = cells.translate(None, b"\0").decode("ascii")
+    if fallbacks:
         parts = text.split("\x01")
         pieces = [parts[0]]
-        for value, rest in zip(x[slow].tolist(), parts[1:]):
+        for value, rest in zip(fallbacks, parts[1:]):
             pieces += (format_float(value), rest)
         text = "".join(pieces)
-    return text if sep == "," else text.replace(",", sep)
+    return text
 
 
 # Floats per text piece of an innermost row in _emit_floats.

@@ -10,7 +10,9 @@ batteries at different thread counts, compared byte for byte) is left to
 
 import pytest
 
+from fbmkit import acceptance
 from fbmkit.acceptance import CRITERION_NAMES, run_criterion
+from fbmkit.errors import AccuracyError
 
 CRITERIA = [
     pytest.param(
@@ -28,3 +30,15 @@ def test_criterion_passes(number):
     result = run_criterion(number)
     assert result.number == number
     assert result.passed, result.detail
+
+
+@pytest.mark.parametrize("number", [3, 10])
+def test_a_criterion_that_raises_reports_an_unexpected_failure(number, monkeypatch):
+    def raises(seed_seq, threads):
+        raise AccuracyError("budget exceeded")
+
+    monkeypatch.setitem(acceptance._CRITERIA, number, raises)
+    result = run_criterion(number)
+    assert (result.passed, result.expected_failure) == (False, False)
+    assert result.detail == "raised AccuracyError: budget exceeded"
+    assert result.metrics == {}

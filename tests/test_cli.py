@@ -69,7 +69,8 @@ from fbmkit.drift import (
     inversion_grid,
     rel_l2,
 )
-from fbmkit.errors import AccuracyError
+from fbmkit.errors import AccuracyError, ValidationError
+from fbmkit.gaussian import MAX_ARRAY_VALUES
 from fbmkit.fbm import sample_fbm_paths
 from fbmkit.reports import ExperimentReport
 from fbmkit.rng import make_rng
@@ -418,6 +419,47 @@ def test_a_render_error_leaves_no_partial_artifact(existing, tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == (["doc.json"] if existing else [])
     if existing:
         assert out.read_text(encoding="utf-8") == "earlier artifact\n"
+
+
+def test_an_oserror_while_writing_removes_the_temporary_file(tmp_path):
+    out = tmp_path / "doc.csv"
+
+    def render(fh):
+        fh.write("t,value\n")
+        raise OSError(28, "No space left on device")
+
+    with pytest.raises(ValidationError, match="cannot write --out .*No space left on device"):
+        cli._emit(argparse.Namespace(out=str(out), format=None), {}, render)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_out_that_cannot_be_written_exits_2(tmp_path, capsys):
+    argv = "gamma cov --hurst 0.75 --r 0.1 --n 4 --out".split()
+    (tmp_path / "file").write_text("earlier\n", encoding="utf-8")
+    for out in (tmp_path, tmp_path / "file" / "x.json"):
+        assert main(argv + [str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write --out {out}: ") and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert (tmp_path / "file").read_text(encoding="utf-8") == "earlier\n"
+
+
+# Each asks for an array numpy itself refuses at once, so a missing check
+# fails the test without allocating.
+@pytest.mark.parametrize("argv,asked", [
+    ("sample fbm --hurst 0.75 --n 10000000000000000000 --dt 0.001",
+     "--n 10000000000000000000 asks for an fGn spectrum of 39999999999999999996"),
+    ("sample obm --n 10000000000000000000 --dt 0.001",
+     "--n 10000000000000000000 and --paths 1 ask for paths of 10000000000000000001"),
+    ("sample obm --n 8 --paths 10000000000000000000 --dt 0.001",
+     "--n 8 and --paths 10000000000000000000 ask for paths of 90000000000000000000"),
+    ("sample levy --hurst 0.25 --n 100000000 --dt 0.001",
+     "--n 100000000 asks for a covariance of 10000000000000000"),
+])
+def test_an_oversized_sample_exits_2_before_allocating(argv, asked, capsys):
+    assert main(argv.split()) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {asked} float64 values, more than {MAX_ARRAY_VALUES} (256 MiB)\n"
 
 
 SMALL_SAMPLE = "sample fbm --hurst 0.75 --n 8 --dt 0.125 --seed 3".split()

@@ -131,11 +131,15 @@ def test_the_edge_table_holds_what_it_names():
         assert format(x, ".17g").startswith("1e")
 
 
+# The separators the CLI passes: CSV's, and JSON's at each depth it writes.
+SEPARATORS = [","] + [",\n" + " " * pad for pad in (2, 4, 6, 8)]
+
+
+@pytest.mark.parametrize("sep", SEPARATORS)
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_kernel_matches_format_on_the_edge_table(sign):
+def test_kernel_matches_format_on_the_edge_table(sign, sep):
     values = sign * EDGES
-    assert _join_floats(values) == joined(values)
-    assert _join_floats(values, ",\n    ") == joined(values, ",\n    ")
+    assert _join_floats(values, sep) == joined(values, sep)
 
 
 @given(hnp.arrays(np.uint64, st.integers(1, 40)))
@@ -158,7 +162,8 @@ def test_kernel_matches_format_on_random_bits_and_magnitudes():
         assert _join_floats(values) == joined(values)
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (3, 1), (7, 17), (64, 65)])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (3, 1), (7, 17), (64, 65)]
+                         + [(9, width) for width in range(1, 18)])
 def test_rows_end_with_the_row_end(shape):
     values = np.random.default_rng(shape[1]).standard_normal(shape).cumsum(axis=1)
     values[:, 0] = 0.0
@@ -182,6 +187,7 @@ def test_random_path_values_take_the_fast_path(monkeypatch):
     assert len(fallbacks) < 1e-3 * values.size
 
 
-def test_the_pair_table_is_read_only():
+@pytest.mark.parametrize("table", ["_QUADS", "_TZ", "_KEEP", "_PREFIX"])
+def test_the_kernel_tables_are_read_only(table):
     with pytest.raises(ValueError):
-        serialize._PAIRS[0] = 0
+        getattr(serialize, table)[0] = 0
