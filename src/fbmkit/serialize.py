@@ -108,18 +108,28 @@ def csv_cell(value) -> str:
 
 
 
-# "a\0b\0c\0d\0" for each group of four digits abcd, in order: the digits as
-# little-endian uint16s, read as one uint64 in the machine's byte order, so
-# that writing one into a uint64 view of a row puts the bytes in text order on
-# any machine.  The NUL after each digit is its point cell.
-_QUADS = (np.arange(10**4, dtype="<u2")[:, None] // np.array([1000, 100, 10, 1], "<u2") % 10
-          + 48).astype("<u2", copy=False).view(np.uint64)[:, 0]
-_QUADS.flags.writeable = False
+def _group_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The text and the trailing zeros of each group of four digits, 0000 to 9999.
 
-# The trailing zeros of each group of four digits (four for 0000), and masks
-# that keep the first 0-4 digits of a group, with their point cells.
-_TZ = (np.arange(10**4, dtype=np.uint16)[:, None] % np.array([10, 100, 1000, 10000], np.uint16)
-       == 0).sum(axis=1, dtype=np.uint8)
+    The text of ``abcd`` is "a\\0b\\0c\\0d\\0": the digits as little-endian
+    uint16s, read as one uint64 in the machine's byte order, so that writing
+    it into a uint64 view of a row puts the bytes in text order on any
+    machine.  The NUL after each digit is its point cell.  The digits a-d
+    lie on axes 0-3, so that broadcasting runs over the groups in order.
+    """
+    chars = np.arange(48, 58, dtype="<u2")
+    axes = [(10,) + (1,) * i for i in (3, 2, 1, 0)]
+    text = np.stack(np.broadcast_arrays(*(chars.reshape(shape) for shape in axes)), axis=-1)
+    trailing = np.zeros(1, np.uint8)
+    for shape in axes:
+        trailing = (chars == 48).astype(np.uint8).reshape(shape) * (1 + trailing)
+    return text.astype("<u2", copy=False).view(np.uint64).ravel(), trailing.ravel()
+
+
+# The text and trailing zeros (four for 0000) of each group of four digits,
+# and masks that keep the first 0-4 digits of a group, with their point cells.
+_QUADS, _TZ = _group_tables()
+_QUADS.flags.writeable = False
 _TZ.flags.writeable = False
 _KEEP = np.frombuffer(b"".join(b"\xff" * 2 * c + b"\0" * (8 - 2 * c) for c in range(5)), np.uint64)
 
