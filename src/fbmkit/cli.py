@@ -409,8 +409,8 @@ def _report_doc(report: ExperimentReport) -> tuple[dict, _Render]:
 
 def _cmd_sample(args) -> int:
     # The largest float64 array of the draw, refused before it is allocated:
-    # the paths, the n x n covariance of a Levy draw, or the complex spectrum
-    # of the fGn draw's circulant embedding, 2n - 2 values.
+    # the paths, the n x n covariance of a Levy draw, or the complex FFT of
+    # the fGn draw's circulant embedding, 2n - 2 complex values.
     size, asked = args.paths * (args.n + 1), f"--n {args.n} and --paths {args.paths} ask for paths"
     if args.process == "levy" and args.n**2 > size:
         size, asked = args.n**2, f"--n {args.n} asks for a covariance"

@@ -29,14 +29,15 @@ to within 1e-13 of a unit of the last digit; ``D`` is rounded to nearest
 of cells, read eight at a time as uint64 words (:func:`_cells`):
 
 - word 0 holds the sign and, in fixed notation below one, the "0." and up
-  to three zeros, from a 5 x 2 table by prefix and sign, and the leading
-  digit, written directly;
+  to three zeros, or else the point after the leading digit where it goes
+  there, from a 6 x 2 table by prefix and sign, and the leading digit,
+  written directly;
 - words 1-4 hold the other 16 digits, four to a word from a table of
   10**4 words, each digit with the cell after it for the point.  Trailing
   zeros after the point are masked off, from the last word back while
-  whole words go, and the point goes into its cell;
+  whole words go, and a point after a later digit goes into its cell;
 - ``%g``'s exponent (outside ``-4 <= k < 17``) follows in five cells, then
-  ``sep``, or ``end`` after the last value of a row.
+  ``sep``, or ``end`` after the last value of a row, from a table by k.
 
 Unused cells hold NUL, and one ``bytes.translate`` drops them.  The two
 stages free their temporaries in turn, so a piece peaks at about half the
@@ -133,14 +134,16 @@ _QUADS.flags.writeable = False
 _TZ.flags.writeable = False
 _KEEP = np.frombuffer(b"".join(b"\xff" * 2 * c + b"\0" * (8 - 2 * c) for c in range(5)), np.uint64)
 
-# Cells 0-7 of an element, by prefix (row) and sign (column): the sign, then
-# the "0." and up to three zeros of fixed notation below one, the row being
-# -k, or nothing (row 0), and NUL where the leading digit and its point go.
+# Cells 0-7 of an element, by prefix (row) and sign (column): the sign, the
+# "0." and up to three zeros of fixed notation below one (rows 1-4, the row
+# being -k), NUL where the leading digit goes, then the cell after it: NUL,
+# or the point (row 5) where the point follows the leading digit.
 _PREFIX = np.frombuffer(b"".join(
-    sign + prefix + b"\0\0"
-    for prefix in (b"\0\0\0\0\0", b"0.\0\0\0", b"0.0\0\0", b"0.00\0", b"0.000")
+    sign + prefix + b"\0" + point
+    for prefix, point in [(b"\0\0\0\0\0", b"\0"), (b"0.\0\0\0", b"\0"), (b"0.0\0\0", b"\0"),
+                          (b"0.00\0", b"\0"), (b"0.000", b"\0"), (b"\0\0\0\0\0", b".")]
     for sign in (b"\0", b"-")
-), np.uint64).reshape(5, 2)
+), np.uint64).reshape(6, 2)
 
 # The cells of one element in _cells, as 8-cell words: the sign, prefix,
 # leading digit (6) and its point cell (word 0), four groups of four digits,
@@ -215,12 +218,13 @@ def _cells(x: np.ndarray, width: int, sep: str, end: str) -> tuple[bytes, list[f
     # Index of the digit the point follows; -1 when it comes before them all.
     point_k = np.where(fixed, np.where(ks >= 0, ks, -1), 0)
     point = point_k.take(kk)
+    prefix_k = np.where(point_k == 0, 5, np.where(fixed & (ks < 0), -ks, 0))
 
     n = x.size
     cells = -(-(_SEP + len(sep)) // 8) * 8
     out = np.empty((n, cells), np.uint8)
     out_words = out.view(np.uint64)
-    out_words[:, 0] = _PREFIX.take(2 * np.where(fixed & (ks < 0), -ks, 0).take(kk) + np.signbit(x))
+    out_words[:, 0] = _PREFIX.take(2 * prefix_k.take(kk) + np.signbit(x))
     # The leading digit, then four groups of four digits as their cells.
     top = d // 10**8
     low = (d - top * 10**8).astype(np.uint32)
@@ -233,7 +237,8 @@ def _cells(x: np.ndarray, width: int, sep: str, end: str) -> tuple[bytes, list[f
     for col, g in enumerate(groups, 1):
         out_words[:, col] = _QUADS.take(g)
     # Trailing zeros after the point go, a group at a time from the last one
-    # while whole groups go; the digits before the point stay.
+    # while whole groups go, and the point with them; the digits before the
+    # point stay.
     rows = np.flatnonzero(groups[3] % 10 == 0)
     for i in range(3, -1, -1):
         keep = np.minimum(np.maximum(4 - _TZ.take(groups[i][rows]), point[rows] - 4 * i), 4)
@@ -241,26 +246,21 @@ def _cells(x: np.ndarray, width: int, sep: str, end: str) -> tuple[bytes, list[f
         rows = rows[keep == 0]
         if not rows.size:
             break
-    # The words from the exponent's on: NUL, then sep, or end at a row end.
-    tail_sep, tail_end = (
-        np.frombuffer((b"\0" * (_SEP - _EXP) + s.encode()).ljust(cells - _EXP, b"\0"), np.uint64)
-        for s in (sep, end))
-    for col, (s, e) in enumerate(zip(tail_sep, tail_end), _EXP // 8):
-        out_words[:, col] = s
-        out_words[width - 1::width, col] = e
+    out[rows, _LEAD + 1] = 0
+    # A point after a later digit, where a digit follows it.
     flat = out.reshape(-1)
-    rows = np.flatnonzero(((point_k >= 0) & (point_k < 16)).take(kk))
+    rows = np.flatnonzero(((point_k >= 1) & (point_k < 16)).take(kk))
     rows = rows[flat[rows * cells + _LEAD + 2 + 2 * point[rows]] != 0]
     flat[rows * cells + _LEAD + 1 + 2 * point[rows]] = ord(".")
-    if not fixed.all():
-        rows = np.flatnonzero(~fixed.take(kk))
-        e = ks.take(kk[rows])
-        mag = np.abs(e)
-        out[rows, _EXP:_SEP] = np.stack([
-            np.full_like(e, ord("e")), np.where(e < 0, ord("-"), ord("+")),
-            np.where(mag >= 100, ord("0") + mag // 100, 0),
-            ord("0") + mag // 10 % 10, ord("0") + mag % 10,
-        ], axis=1)
+    # The words from the exponent's on, by k: %g's exponent, or NUL in fixed
+    # notation, then sep, or end after the last value of a row.
+    exponents = [b"" if f else b"e%+03d" % k for k, f in zip(ks.tolist(), fixed.tolist())]
+    for tail, at in ((sep, slice(None)), (end, slice(width - 1, None, width))):
+        words = np.frombuffer(b"".join(
+            (e.ljust(_SEP - _EXP, b"\0") + tail.encode()).ljust(cells - _EXP, b"\0") for e in exponents
+        ), np.uint64).reshape(len(exponents), -1)
+        for col, column in enumerate(words.T, _EXP // 8):
+            out_words[at, col] = column.take(kk[at])
     slow = np.flatnonzero(~fast)
     out[slow, :_SEP] = 0
     out[slow, 0] = 1

@@ -140,6 +140,8 @@ SEPARATORS = [","] + [",\n" + " " * pad for pad in (2, 4, 6, 8)]
 def test_kernel_matches_format_on_the_edge_table(sign, sep):
     values = sign * EDGES
     assert _join_floats(values, sep) == joined(values, sep)
+    rows = values[:values.size // 7 * 7].reshape(-1, 7)
+    assert _join_floats(rows, sep, "\n") == joined(rows, sep, "\n")
 
 
 @given(hnp.arrays(np.uint64, st.integers(1, 40)))
