@@ -417,7 +417,8 @@ def _cmd_sample(args) -> int:
     elif args.process == "fbm" and 4 * (args.n - 1) > size:
         size, asked = 4 * (args.n - 1), f"--n {args.n} asks for an fGn spectrum"
     if size > MAX_ARRAY_VALUES:
-        raise ValidationError(f"{asked} of {size} float64 values, more than {MAX_ARRAY_VALUES} (256 MiB)")
+        raise ValidationError(
+            f"{asked} of {size} float64 values, more than {MAX_ARRAY_VALUES} (256 MiB)")
     rng = make_rng(args.seed)
     config = {"process": args.process, "n": args.n, "dt": args.dt, "paths": args.paths}
     if args.process == "fbm":

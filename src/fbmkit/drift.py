@@ -123,11 +123,11 @@ REGRESSION_MAX_POINTS = 2048
 
 # Most rows of a covariance the CLI builds over a past window: n x n over the
 # window's n times, 2n x 2n for drift validate's joint one.  The budget is
-# MAX_ARRAY_VALUES (256 MiB) for the matrix; the call also holds its Cholesky factor and
-# one temporary of that size.  Peak RSS measured at one BLAS thread: drift
-# kernel 496 MiB at 4346 rows (--dt 2^-11); drift kernel, drift validate and
-# invert 838-843 MiB within two rows of the cap.  A finer --dt (or a deeper --umax)
-# is refused before the matrix is allocated.
+# MAX_ARRAY_VALUES (256 MiB) for the matrix; the call also holds its Cholesky
+# factor and one temporary of that size.  Peak RSS measured at one BLAS
+# thread: drift kernel 496 MiB at 4346 rows (--dt 2^-11); drift kernel, drift
+# validate and invert 838-843 MiB within two rows of the cap.  A finer --dt
+# (or a deeper --umax) is refused before the matrix is allocated.
 WINDOW_MAX_POINTS = math.isqrt(MAX_ARRAY_VALUES)  # 5792
 
 # Geometry of inversion_grid: the uniform window's length, the geometric

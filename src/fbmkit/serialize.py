@@ -168,7 +168,7 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The exponents and 17 digits of each element of ``x``, and which are exact.
+    """The exponent and 17 digits of each element of ``x``, and whether they are exact.
 
     Returns ``ks``, the values of ``k = floor(log10|x|)`` from the least to
     the greatest present, ``kk``, each element's index into ``ks``, the
@@ -218,6 +218,8 @@ def _cells(x: np.ndarray, width: int, sep: str, end: str) -> tuple[bytes, list[f
     # Index of the digit the point follows; -1 when it comes before them all.
     point_k = np.where(fixed, np.where(ks >= 0, ks, -1), 0)
     point = point_k.take(kk)
+    # The _PREFIX row: the point after the leading digit, "0." and -k - 1
+    # zeros, or nothing.
     prefix_k = np.where(point_k == 0, 5, np.where(fixed & (ks < 0), -ks, 0))
 
     n = x.size
@@ -257,7 +259,8 @@ def _cells(x: np.ndarray, width: int, sep: str, end: str) -> tuple[bytes, list[f
     exponents = [b"" if f else b"e%+03d" % k for k, f in zip(ks.tolist(), fixed.tolist())]
     for tail, at in ((sep, slice(None)), (end, slice(width - 1, None, width))):
         words = np.frombuffer(b"".join(
-            (e.ljust(_SEP - _EXP, b"\0") + tail.encode()).ljust(cells - _EXP, b"\0") for e in exponents
+            (e.ljust(_SEP - _EXP, b"\0") + tail.encode()).ljust(cells - _EXP, b"\0")
+            for e in exponents
         ), np.uint64).reshape(len(exponents), -1)
         for col, column in enumerate(words.T, _EXP // 8):
             out_words[at, col] = column.take(kk[at])

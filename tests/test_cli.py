@@ -70,8 +70,8 @@ from fbmkit.drift import (
     rel_l2,
 )
 from fbmkit.errors import AccuracyError, ValidationError
-from fbmkit.gaussian import MAX_ARRAY_VALUES
 from fbmkit.fbm import sample_fbm_paths
+from fbmkit.gaussian import MAX_ARRAY_VALUES
 from fbmkit.reports import ExperimentReport
 from fbmkit.rng import make_rng
 
