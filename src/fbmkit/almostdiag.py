@@ -18,9 +18,9 @@ radius each factor is +inf.
 
 The bounds are checked on stacks of matrices of shape ``(k, n, n)``: one
 stacked ``slogdet`` and ``inv``, and the margins by broadcasting.  A batch
-of random instances is drawn and checked a block of at most
-``_BLOCK_ENTRIES`` matrix entries at a time, so its memory does not grow
-with the number of trials.
+of random instances is drawn and checked a row panel of matrices at a
+time (``gaussian._row_panels``), so its memory does not grow with the
+number of trials.
 
 Entry bounds for powers of ``H`` come from a walk-counting argument: any
 contribution to ``(H^k)_ij`` is a k-step walk on Z from i to j with nonzero
@@ -46,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .gaussian import _row_panels
 
 __all__ = [
     "PhiFunctions",
@@ -65,8 +66,6 @@ _INF = float("inf")
 SLACK = 1.0e-9
 # Last term index m summed in hk_entry_bound; a bound on the rest is added.
 HK_TERMS = 60
-# Matrix entries in one block of random instances: 2 MiB of floats.
-_BLOCK_ENTRIES = 2**18
 # Terms of the phi_g and phi_i series; each falls by 1/4 or more, 4^-60 < 2^-110.
 _SERIES_TERMS = 60
 
@@ -313,10 +312,10 @@ def matrix_batch_check(n: int, eps: float, trials: int, rng: np.random.Generator
     """Check ``trials`` random instances plus the adversarial ones at (n, eps).
 
     A random instance has unit diagonal and a_ij uniform in
-    [-eps^|i-j|, eps^|i-j|].  They are drawn and checked in blocks of at most
-    ``_BLOCK_ENTRIES`` entries, each block one ``rng.uniform`` draw in row
-    order: the stream is read as by drawing the matrices one at a time, so
-    the block size never changes the report.
+    [-eps^|i-j|, eps^|i-j|].  They are drawn and checked a panel of
+    matrices at a time, each panel one ``rng.uniform`` draw in row order:
+    the stream is read as by drawing the matrices one at a time, so the
+    panel size never changes the report.
     """
     if trials < 0:
         raise ValidationError(f"trials must be >= 0, got {trials}")
@@ -324,10 +323,9 @@ def matrix_batch_check(n: int, eps: float, trials: int, rng: np.random.Generator
         raise ValidationError(f"n must be >= 1, got {n}")
     envelope = float(eps) ** _lags(n)
     idx = np.arange(n)
-    block = max(1, _BLOCK_ENTRIES // (n * n))
     reports = []
-    for start in range(0, trials, block):
-        a = rng.uniform(-1.0, 1.0, size=(min(block, trials - start), n, n)) * envelope
+    for rows in _row_panels(trials, n * n):
+        a = rng.uniform(-1.0, 1.0, size=(rows.stop - rows.start, n, n)) * envelope
         a[:, idx, idx] = 1.0
         reports.append(matrix_bounds_check(a, eps))
     reports.append(matrix_bounds_check(adversarial_matrices(n, eps), eps))

@@ -102,7 +102,7 @@ from .gamma import (
 from .gaussian import MAX_ARRAY_VALUES, CovMatrix
 from .reports import ExperimentReport, check_document, validate_report
 from .rng import DEFAULT_SEED, make_rng
-from .serialize import _join_floats, canonical_json_dump, csv_cell
+from .serialize import _ROW_PIECE, _join_floats, canonical_json_dump, csv_cell
 from .subgauss import subgaussian_bound, subgaussian_constants
 from .thick import ThickSet, harmonic_subsum, is_thick_estimate
 
@@ -144,13 +144,6 @@ TABLE_SCHEMA = {
     },
 }
 
-# Cells of path CSV per block of rows (240 rows at 16 paths), each block
-# rendered at once by serialize._join_floats, a numpy kernel with
-# format_float's bytes; near-ties at the 17th digit, zeros, |x| outside
-# [1e-280, 1e280], inf and nan go to format_float itself.  The block bounds
-# the text and temporaries alive at once, whatever the number of paths.
-_CSV_BLOCK_CELLS = 2**12
-
 # Writes a CSV artifact's text to an open text file on demand, so only the
 # requested format is rendered, and a piece at a time where it is long.
 _Render = Callable[[TextIO], None]
@@ -173,6 +166,8 @@ def _with_config(argv: list[str]) -> list[str]:
     line, coming later, wins.  The ``=`` form keeps a value from reading as
     a flag, and a flag that takes no value (``help``) from taking one.
     """
+    if not any(a == "--config" or a.startswith("--config=") for a in argv):
+        return argv
     pre = _Parser(prog="fbmkit", add_help=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
@@ -354,8 +349,8 @@ def _path_csv(times: np.ndarray, paths: np.ndarray, fh: TextIO) -> None:
         f"path{k}" for k in range(n_paths)
     )
     fh.write(header + "\n")
-    width = n_paths + 1
-    rows = max(1, _CSV_BLOCK_CELLS // width)
+    # A block of rows is one text piece, of about _ROW_PIECE cells.
+    rows = max(1, _ROW_PIECE // (n_paths + 1))
     for lo in range(0, times.size, rows):
         hi = lo + rows
         fh.write(_join_floats(np.column_stack([times[lo:hi], paths[:, lo:hi].T]), end="\n"))

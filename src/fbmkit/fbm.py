@@ -47,7 +47,7 @@ from numpy import fft
 
 from .context import HurstContext, xi
 from .errors import AccuracyError, ValidationError
-from .gaussian import CovMatrix, draw_buffer
+from .gaussian import CovMatrix, _row_panels, draw_buffer
 
 __all__ = [
     "fbm_cov",
@@ -89,21 +89,13 @@ def fbm_cov(s, t, hurst: float):
     return float(out) if out.ndim == 0 else out
 
 
-# Float64 values per row panel of a covariance: its temporaries stay small.
-_PANEL_VALUES = 2**15
-
-
-def _row_panels(n_rows: int, n_cols: int):
-    """Slices of ``n_rows`` rows, each of about ``_PANEL_VALUES`` values over ``n_cols``."""
-    rows = max(1, _PANEL_VALUES // max(n_cols, 1))
-    return (slice(i, min(i + rows, n_rows)) for i in range(0, n_rows, rows))
-
-
 def _fill_symmetric(out: np.ndarray, times: np.ndarray, entries) -> np.ndarray:
-    """``out = entries(times, times)`` by row panels: diagonal blocks alone, the rest mirrored."""
+    """``out = entries(times, times)`` by row panels, each from its diagonal on, mirrored below.
+
+    ``entries`` must be symmetric in its two arguments bit for bit.
+    """
     for rows in _row_panels(times.size, times.size):
-        out[rows, rows] = entries(times[rows, None], times[None, rows])
-        out[rows, rows.stop:] = entries(times[rows, None], times[None, rows.stop:])
+        out[rows, rows.start:] = entries(times[rows, None], times[None, rows.start:])
         out[rows.stop:, rows] = out[rows, rows.stop:].T
     return out
 
@@ -266,16 +258,10 @@ def levy_cov_matrix(times, ctx: HurstContext) -> np.ndarray:
         raise ValidationError("one-sided moving average requires times >= 0")
     if np.any(np.diff(times) <= 0):
         raise ValidationError("times must be strictly increasing")
-    # Blocks of rows keep the temporaries a small fraction of the matrix.
-    # _levy_integral sees only min and max of its two times, so it is
-    # symmetric bit for bit: each block is evaluated from its diagonal on
-    # and mirrored below it.
+    # _levy_integral is symmetric bit for bit, as it sees only min and max of
+    # its times; its series' term counts follow each panel's largest ratio.
     out = np.empty((times.size, times.size))
-    for i in range(0, times.size, 128):
-        block = _levy_integral(ctx, times[i:i + 128, None], times[None, i:])
-        out[i:i + 128, i:] = block
-        out[i:, i:i + 128] = block.T
-    return out
+    return _fill_symmetric(out, times, partial(_levy_integral, ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -300,31 +286,31 @@ def _fgn_from_normals(lam: np.ndarray, normals: np.ndarray, n: int) -> np.ndarra
 
     The real part of the FFT of a Hermitian spectrum ``w`` is the unscaled
     inverse real FFT of its half ``conj(w[:M/2+1])``, so only that half is
-    filled: the imaginary normals enter with the opposite sign.
+    filled, in place: the imaginary normals enter with the opposite sign.
     """
     m = lam.size
     half = m // 2
     v = np.empty((normals.shape[0], half + 1), dtype=complex)
-    v[:, 0] = np.sqrt(lam[0] / m) * normals[:, 0]
-    v[:, half] = np.sqrt(lam[half] / m) * normals[:, 1]
+    re, im = v.real, v.imag
     amp = np.sqrt(lam[1:half] / (2.0 * m))
-    v[:, 1:half] = amp * (normals[:, 2 : 1 + half] - 1j * normals[:, 1 + half : m])
+    np.multiply(normals[:, 2 : 1 + half], amp, out=re[:, 1:half])
+    np.multiply(normals[:, 1 + half : m], -amp, out=im[:, 1:half])
+    np.multiply(normals[:, 0], np.sqrt(lam[0] / m), out=re[:, 0])
+    np.multiply(normals[:, 1], np.sqrt(lam[half] / m), out=re[:, half])
+    im[:, [0, half]] = 0.0
     return fft.irfft(v, n=m, axis=1, norm="forward")[:, :n]
-
-
-# Float64 values per block of rows in the row samplers: the normals and the
-# transform of one block are the only arrays a draw holds besides its result.
-_FGN_BLOCK = 2**16
 
 
 def _fill_rows(rng: np.random.Generator, dest: np.ndarray, width: int, transform) -> np.ndarray:
     """Fill the rows of ``dest``, strided or not, with ``transform`` of ``width`` normals each.
 
-    The normals are those of one ``(rows, width)`` draw, taken ``2**16`` or so at a time.
+    The normals are those of one ``(rows, width)`` draw, taken a row panel
+    at a time into one reused buffer.
     """
-    rows = max(1, _FGN_BLOCK // width)
-    for lo in range(0, dest.shape[0], rows):
-        dest[lo:lo + rows] = transform(rng.standard_normal((min(rows, dest.shape[0] - lo), width)))
+    panels = list(_row_panels(dest.shape[0], width))
+    normals = np.empty((panels[0].stop, width))
+    for rows in panels:
+        dest[rows] = transform(rng.standard_normal(out=normals[: rows.stop - rows.start]))
     return dest
 
 

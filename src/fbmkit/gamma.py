@@ -94,7 +94,8 @@ _SERIES_N = np.arange(1.0, 73.0)
 MC_PER_DECADE = 48
 MC_U_MAX = 1.0e6
 MC_X_MIN_FACTOR = 1.0e-3
-# Driver-noise values per block of sample_gamma_mc (8 MiB of floats).
+# Driver-noise values per block of sample_gamma_mc (8 MiB of floats).  It
+# fixes bytes: OpenBLAS rounds the products of short blocks differently.
 _MC_BLOCK_VALUES = 2**20
 
 

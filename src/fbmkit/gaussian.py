@@ -9,6 +9,10 @@ it; its ``sample`` is the sampler contract of :func:`fbmkit.rng.draw_reduce`.
 :class:`CrossMoments` adds the cross moments of blocks of rows and finishes
 to the zero-mean empirical covariance and its entrywise Monte Carlo standard
 errors, which the acceptance criteria use as "within ``k`` SE" bands.
+
+The two memory budgets live here: ``MAX_ARRAY_VALUES``, the largest array,
+and ``_PANEL_VALUES``, the largest temporary of a dense pass.  Every such
+pass whose block size cannot change a byte walks :func:`_row_panels`.
 """
 
 from __future__ import annotations
@@ -29,9 +33,17 @@ __all__ = [
 # Requests past it are refused before anything of their size is allocated.
 MAX_ARRAY_VALUES = 256 * 2**20 // 8
 
+# The most float64 values of one temporary of a dense pass: 2**15, 256 KiB.
+_PANEL_VALUES = 2**15
+
+
+def _row_panels(n_rows: int, n_cols: int):
+    """Slices of ``n_rows`` rows, each of about ``_PANEL_VALUES`` values over ``n_cols``."""
+    rows = max(1, _PANEL_VALUES // max(n_cols, 1))
+    return (slice(i, min(i + rows, n_rows)) for i in range(0, n_rows, rows))
+
+
 _JITTER_LADDER = (0.0, 1.0e-12, 1.0e-10, 1.0e-8)
-# Rows per panel of the symmetry check in cholesky_with_jitter.
-_PANEL = 128
 
 
 def cholesky_with_jitter(matrix: np.ndarray) -> tuple[np.ndarray, float]:
@@ -52,15 +64,13 @@ def cholesky_with_jitter(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     if not (np.isfinite(high) and np.isfinite(low)):
         raise ValidationError("covariance matrix must be finite")
     tol = 1.0e-10 * max(1.0, high, -low)
-    # Panel [a, b) of rows against its mirror, from the diagonal on: every
-    # pair (i, j) is compared once, in the panel of min(i, j), and no
-    # temporary holds more than _PANEL rows.
-    for a in range(0, matrix.shape[0], _PANEL):
-        b = a + _PANEL
-        gap = matrix[a:b, a:] - matrix[a:, a:b].T
+    # A row panel against its mirror, from the diagonal on: every pair
+    # (i, j) is compared once, in the panel of min(i, j).
+    dim = matrix.shape[0]
+    for rows in _row_panels(dim, dim):
+        gap = matrix[rows, rows.start:] - matrix[rows.start:, rows].T
         if np.abs(gap, out=gap).max(initial=0.0) > tol:
             raise ValidationError("covariance matrix must be symmetric")
-    dim = matrix.shape[0]
     scale = float(np.trace(matrix)) / dim if dim else 0.0
     if scale <= 0:
         scale = 1.0
@@ -78,11 +88,12 @@ def cholesky_with_jitter(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     )
 
 
-# Columns per block of the in-place product in CovMatrix.sample.
+# Columns per block of the in-place product in CovMatrix.sample; it fixes
+# bytes, as OpenBLAS rounds products of fewer columns differently.
 _SAMPLE_BLOCK = 4096
 
-# Rows per block of the substitutions in :meth:`CovMatrix.solve`: each
-# diagonal block is solved densely, the rest is matrix products.
+# Rows per block of the substitutions in :meth:`CovMatrix.solve`; it fixes
+# bytes, as OpenBLAS rounds products of other shapes differently.
 _SOLVE_BLOCK = 64
 
 

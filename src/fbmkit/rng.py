@@ -26,6 +26,7 @@ __all__ = ["DEFAULT_SEED", "make_rng", "spawn_streams", "parallel_map", "draw_re
 DEFAULT_SEED = 20260815
 
 # Paths per chunk of draw_reduce: a lent buffer holds 0.26 MB per dimension.
+# It fixes the streams, one per chunk, and so every Monte Carlo result.
 CHUNK = 2**15
 
 

@@ -289,7 +289,8 @@ def _join_floats(values: np.ndarray, sep: str = ",", end: str = "") -> str:
     return text
 
 
-# Floats per text piece of an innermost row in _emit_floats.
+# Floats per text piece of the kernel: of an innermost row in _emit_floats,
+# and of a block of path CSV rows in cli.
 _ROW_PIECE = 2**12
 
 

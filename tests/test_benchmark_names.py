@@ -7,22 +7,32 @@ per-layer metric that BENCHMARK.json names has no such span.  Its workloads
 also import a few package names directly.  These checks put a rename or a
 deletion of those names in front of the tier-1 suite, which does not run
 ``perfbench``'s own tests.
+
+The tracer wraps only the modules loaded at set-up (``import fbmkit.cli``
+and ``build_parser()``), so every module a per-layer name points to must
+be loaded by then: a module the CLI came to import only inside a function
+would fail the traced run with a ``BenchError``, and fails here first.
 """
 
 import ast
 import importlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fbmkit
 from fbmkit.context import make_context
 from fbmkit.drift import DriftKernelSpec, drift_kernel_value
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = str(Path(fbmkit.__file__).resolve().parents[1])
 
 
 def _traced_layers():
@@ -59,6 +69,22 @@ def test_traced_layer_exists(module, function):
     assert function in mod.__all__
     obj = getattr(mod, function)
     assert inspect.isfunction(obj) and obj.__module__ == mod.__name__
+
+
+def test_set_up_loads_every_traced_module():
+    script = (
+        "import sys, fbmkit.cli\n"
+        "fbmkit.cli.build_parser()\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('fbmkit.'))))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    wanted = {f"fbmkit.{module}" for module, _ in _traced_layers()}
+    assert wanted <= loaded, sorted(wanted - loaded)
 
 
 @pytest.mark.parametrize("module,name", _perfbench_imports())

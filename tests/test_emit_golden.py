@@ -19,7 +19,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fbmkit.cli import _CSV_BLOCK_CELLS, _emit, _path_doc
+from fbmkit.cli import _emit, _path_doc
 from fbmkit.serialize import _ROW_PIECE, canonical_json_dump, canonical_json_dumps, format_float
 
 SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2e-308,
@@ -164,10 +164,10 @@ def test_a_row_longer_than_one_piece_keeps_its_bytes(length):
 
 @pytest.mark.parametrize("n_paths", [1, 2, 17, 64])
 def test_csv_blocks_around_the_block_size_keep_their_bytes(n_paths):
-    # Path CSV is rendered _CSV_BLOCK_CELLS // (n_paths + 1) rows per block;
+    # Path CSV is rendered _ROW_PIECE // (n_paths + 1) rows per block;
     # one block short, exact, one row over and two blocks and a row must
     # join to the per-element text, and the last row ends in a newline.
-    rows = max(1, _CSV_BLOCK_CELLS // (n_paths + 1))
+    rows = max(1, _ROW_PIECE // (n_paths + 1))
     for n_times in (rows - 1, rows, rows + 1, 2 * rows + 1):
         times = np.arange(n_times) * 2.0**-14
         paths = np.random.default_rng(n_times).standard_normal((n_paths, n_times)).cumsum(axis=1)

@@ -35,7 +35,6 @@ from fbmkit.context import make_context
 from fbmkit.drift import inversion_grid
 from fbmkit.errors import AccuracyError, ValidationError
 from fbmkit.fbm import (
-    _FGN_BLOCK,
     _fgn_eigenvalues,
     _fgn_from_normals,
     _levy_integral,
@@ -52,7 +51,13 @@ from fbmkit.fbm import (
     sample_levy_paths,
     sample_obm,
 )
-from fbmkit.gaussian import CovMatrix, CrossMoments, cholesky_with_jitter
+from fbmkit.gaussian import (
+    _PANEL_VALUES,
+    CovMatrix,
+    CrossMoments,
+    _row_panels,
+    cholesky_with_jitter,
+)
 from fbmkit.quadrature import graded_breaks, panel_nodes
 from fbmkit.rng import make_rng
 
@@ -172,8 +177,8 @@ def one_shot_fgn(hurst, n, dt, rng, paths):
 
 
 def block_edges(n):
-    """Path counts around the sampler's block of rows for paths of ``n`` steps."""
-    rows = max(1, _FGN_BLOCK // (1 if n == 1 else 2 * (n - 1)))
+    """Path counts around the sampler's panel of rows for paths of ``n`` steps."""
+    rows = max(1, _PANEL_VALUES // (1 if n == 1 else 2 * (n - 1)))
     return sorted({p for p in (1, rows - 1, rows, rows + 1, 3 * rows + 2) if p >= 1})
 
 
@@ -399,13 +404,23 @@ class TestLevyCov:
     @pytest.mark.parametrize("hurst", [0.1, 0.25, 0.75])
     @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])
     def test_matrix_mirrors_the_upper_triangle_bit_for_bit(self, hurst, n):
-        # Only blocks on and above the diagonal are evaluated; the mirrored
-        # lower part must equal the full broadcast evaluation exactly.
+        # Only row panels from the diagonal on are evaluated, each in one
+        # call; the mirrored lower part must equal that evaluation exactly.
+        # The series take their term counts from a call's largest ratio, so
+        # the whole matrix is the full broadcast evaluation bit for bit when
+        # it is one panel, and within 1e-14 relative of it when it is more.
         ctx = make_context(hurst)
         times = np.cumsum(make_rng(n).uniform(0.01, 1.0, n))
-        full = _levy_integral(ctx, times[:, None], times[None, :])
         mat = levy_cov_matrix(times, ctx)
-        assert np.array_equal(mat.view(np.uint64), full.view(np.uint64))
+        assert np.array_equal(mat.view(np.uint64), mat.T.view(np.uint64))
+        panels = list(_row_panels(n, n))
+        for rows in panels:
+            strip = _levy_integral(ctx, times[rows, None], times[None, rows.start:])
+            assert np.array_equal(mat[rows, rows.start:].view(np.uint64), strip.view(np.uint64))
+        full = _levy_integral(ctx, times[:, None], times[None, :])
+        if len(panels) == 1:
+            assert np.array_equal(mat.view(np.uint64), full.view(np.uint64))
+        assert np.max(np.abs(mat - full) / np.abs(full)) <= 1.0e-14
 
     def test_validation(self):
         ctx = make_context(0.75)

@@ -21,7 +21,13 @@ from fbmkit.cli import V_GRID_DEFAULT
 from fbmkit.drift import REGRESSION_MAX_POINTS, inversion_grid
 from fbmkit.errors import AccuracyError, ValidationError
 from fbmkit.fbm import fbm_cov, fbm_cov_matrix
-from fbmkit.gaussian import CovMatrix, CrossMoments, block_edges, cholesky_with_jitter
+from fbmkit.gaussian import (
+    _PANEL_VALUES,
+    CovMatrix,
+    CrossMoments,
+    block_edges,
+    cholesky_with_jitter,
+)
 from fbmkit.reports import wilson_interval
 from fbmkit.rng import make_rng
 
@@ -181,10 +187,16 @@ def test_cholesky_symmetry_tolerance(scale):
 
 
 
-@pytest.mark.parametrize("where", [(140, 290), (290, 140), (0, 299), (299, 0), (255, 256), (128, 127)])
+# Rows per panel of the symmetry check at dim 300.
+_ROWS_300 = _PANEL_VALUES // 300
+
+
+@pytest.mark.parametrize("where", [(140, 290), (290, 140), (0, 299), (299, 0),
+                                   (2 * _ROWS_300 - 1, 2 * _ROWS_300), (_ROWS_300, _ROWS_300 - 1)])
 def test_cholesky_checks_symmetry_in_every_panel(where):
-    # The check runs over panels of 128 rows from the diagonal on; an
-    # asymmetric pair is caught whichever triangle and panel it falls in.
+    # The check runs over row panels from the diagonal on; an asymmetric
+    # pair is caught whichever triangle and panel it falls in, and on
+    # either side of a panel's edge.
     cov = fbm_cov_matrix(np.linspace(0.01, 3.0, 300), 0.7)
     bad = cov.copy()
     bad[where] += 1.0e-6
