@@ -21,7 +21,6 @@ import math
 import time
 from dataclasses import dataclass, field
 
-import jsonschema
 import numpy as np
 
 from .almostdiag import matrix_batch_check, tuple_count_bound, valid_tuple_count
@@ -42,7 +41,7 @@ from .experiments import ArbitrageConfig, LilConfig, a_n_probability, lil_statis
 from .fbm import FgnSampler, fbm_cov_matrix, joint_wz_cov, levy_cov_matrix, sample_obm
 from .gamma import GammaConfig, decay_bound_check, gamma_mc_implied_cov, sample_gamma_mc
 from .gaussian import CovMatrix, CrossMoments
-from .reports import check_document, utc_now
+from .reports import check_document, jsonschema, utc_now
 from .rng import DEFAULT_SEED, draw_reduce, make_rng
 from .serialize import canonical_json_dumps
 from .subgauss import subgaussian_bound, subgaussian_constants
@@ -180,7 +179,7 @@ ACCEPTANCE_SCHEMA = {
 def validate_acceptance(doc: dict) -> None:
     """Schema-check an acceptance report document."""
     try:
-        check_document(doc, jsonschema.Draft202012Validator(ACCEPTANCE_SCHEMA))
+        check_document(doc, ACCEPTANCE_SCHEMA)
     except jsonschema.ValidationError as exc:
         raise ValidationError(f"acceptance report schema violation: {exc.message}")
 

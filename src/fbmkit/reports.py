@@ -8,15 +8,24 @@ the volatile wall time and timestamp, which the experiment fills in with
 :meth:`ExperimentReport.stamp`.  This module renders no text: the CLI
 writes the document as canonical JSON, or as its flat CSV twin for
 plotting, in ``cli._emit``.
+
+Every artifact document, report or not, passes :func:`check_document`
+against its schema.  A short walk over the keywords the artifact schemas
+use decides validity, so a run that writes good documents never executes
+jsonschema: the module-level ``jsonschema`` is bound lazily and runs on
+first use, which is building the error of a violation.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import numbers
+import sys
 import time
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
-import jsonschema
 import numpy as np
 
 from .errors import ValidationError
@@ -33,6 +42,22 @@ __all__ = [
 
 # Standard normal quantile of the two-sided 95% intervals.
 _Z95 = 1.96
+
+
+def _lazy_module(name: str):
+    """The module ``name``, whose code runs on its first attribute access."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# About 60 ms of import and 4 MB of memory, paid only to report a violation.
+jsonschema = _lazy_module("jsonschema")
 
 
 def utc_now() -> str:
@@ -143,16 +168,103 @@ def _plain(obj):
     raise ValidationError(f"cannot echo config value of type {type(obj).__name__}")
 
 
-def check_document(doc: dict, validator) -> None:
-    """Raise the error ``jsonschema.validate`` would raise for ``doc``, if any.
+def check_document(doc: dict, schema: dict) -> None:
+    """Raise the error ``jsonschema.validate(doc, schema)`` would raise, if any.
 
-    ``validator`` is ``jsonschema.Draft202012Validator(schema)``, built per
-    call.  ``validate`` also runs ``check_schema``, ten times the cost of the
-    document's check; the schemas are constants, checked by the tests.
+    Validity is decided by a walk with jsonschema's Draft 2020-12 semantics
+    for the keywords the artifact schemas use (:data:`_KEYWORDS`); any other
+    keyword raises ``ValueError``, so a schema cannot outgrow the walk
+    unnoticed.  Only on a violation is ``Draft202012Validator(schema)``
+    built, and its best-matching error raised, so the message and path are
+    jsonschema's own; should jsonschema find no error, the two disagree and
+    ``RuntimeError`` is raised.  ``validate`` also runs ``check_schema``;
+    the schemas are constants, checked by the tests.
     """
-    error = jsonschema.exceptions.best_match(validator.iter_errors(doc))
-    if error is not None:
-        raise error
+    _check_keywords(schema)
+    if _fits(doc, schema):
+        return
+    error = jsonschema.exceptions.best_match(
+        jsonschema.Draft202012Validator(schema).iter_errors(doc))
+    if error is None:
+        raise RuntimeError("check_document: the walk rejects a document that "
+                           "jsonschema's Draft202012Validator accepts")
+    raise error
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, numbers.Number) and not isinstance(x, bool)
+
+
+# jsonschema's 2020-12 type checks: a bool is no number, an integral float
+# is an integer, and only a dict is an object and only a list an array.
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "null": lambda x: x is None,
+    "number": _is_number,
+    "integer": lambda x: ((isinstance(x, int) and not isinstance(x, bool))
+                          or (isinstance(x, float) and x.is_integer())),
+}
+
+
+def _equal(one, two) -> bool:
+    """Equality as ``const`` takes it in jsonschema: a bool equals only itself."""
+    if one is two:
+        return True
+    if isinstance(one, str) or isinstance(two, str):
+        return one == two
+    if isinstance(one, Sequence) and isinstance(two, Sequence):
+        return len(one) == len(two) and all(map(_equal, one, two))
+    if isinstance(one, Mapping) and isinstance(two, Mapping):
+        return len(one) == len(two) and all(
+            key in two and _equal(value, two[key]) for key, value in one.items())
+    return not isinstance(one, bool) and not isinstance(two, bool) and one == two
+
+
+# Each keyword the walk knows, as ``holds(doc, value, schema)``.  As in
+# jsonschema, a keyword about objects, arrays, strings or numbers holds for
+# a document of any other type.
+_KEYWORDS = {
+    "$schema": lambda doc, value, schema: True,  # the check is always 2020-12's
+    "type": lambda doc, value, schema: any(
+        _TYPES[t](doc) for t in ([value] if isinstance(value, str) else value)),
+    "const": lambda doc, value, schema: _equal(doc, value),
+    "required": lambda doc, value, schema: (
+        not isinstance(doc, dict) or all(key in doc for key in value)),
+    "properties": lambda doc, value, schema: not isinstance(doc, dict) or all(
+        _fits(doc[key], sub) for key, sub in value.items() if key in doc),
+    "additionalProperties": lambda doc, value, schema: not isinstance(doc, dict) or all(
+        _fits(doc[key], value) for key in doc if key not in schema.get("properties", {})),
+    "items": lambda doc, value, schema: (
+        not isinstance(doc, list) or all(_fits(item, value) for item in doc)),
+    "minItems": lambda doc, value, schema: not isinstance(doc, list) or len(doc) >= value,
+    "minLength": lambda doc, value, schema: not isinstance(doc, str) or len(doc) >= value,
+    "minimum": lambda doc, value, schema: not _is_number(doc) or not doc < value,
+    "maximum": lambda doc, value, schema: not _is_number(doc) or not doc > value,
+}
+
+
+def _fits(doc, schema) -> bool:
+    """Whether ``doc`` is valid against ``schema`` (a dict or a boolean schema)."""
+    if isinstance(schema, bool):
+        return schema
+    return all(_KEYWORDS[key](doc, value, schema) for key, value in schema.items())
+
+
+def _check_keywords(schema) -> None:
+    """Raise ValueError if ``schema`` or a subschema holds a keyword the walk does not know."""
+    if isinstance(schema, bool):
+        return
+    for key, value in schema.items():
+        if key not in _KEYWORDS:
+            raise ValueError(f"check_document does not know the schema keyword {key!r}")
+        if key == "properties":
+            for sub in value.values():
+                _check_keywords(sub)
+        elif key in ("additionalProperties", "items"):
+            _check_keywords(value)
 
 
 REPORT_SCHEMA = {
@@ -194,6 +306,6 @@ REPORT_SCHEMA = {
 def validate_report(doc: dict) -> None:
     """Raise ValidationError if the document violates the report schema."""
     try:
-        check_document(doc, jsonschema.Draft202012Validator(REPORT_SCHEMA))
+        check_document(doc, REPORT_SCHEMA)
     except jsonschema.ValidationError as exc:
         raise ValidationError(f"report schema violation: {exc.message}") from exc

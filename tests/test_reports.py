@@ -1,20 +1,27 @@
 """Experiment reports: the document, its schema, and the CSV twin the CLI writes.
 
 Every artifact schema is a valid 2020-12 schema, and ``check_document``
-raises on a broken document the error ``jsonschema.validate`` raises.  The
-95% Wilson interval's exact coverage, averaged over p, is within a point of
-95% at n = 20, 100 and 1000.
+raises on a broken document the error ``jsonschema.validate`` raises.  Its
+walk decides validity as ``Draft202012Validator.is_valid`` does, over
+mutated documents of each schema, and refuses a keyword it does not know.
+The 95% Wilson interval's exact coverage, averaged over p, is within a point
+of 95% at n = 20, 100 and 1000.
 """
 
+import copy
 import csv
 import io
 import json
+import math
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from fbmkit import reports
 from fbmkit.acceptance import ACCEPTANCE_SCHEMA
 from fbmkit.cli import PATH_SCHEMA, TABLE_SCHEMA, _report_doc
 from fbmkit.errors import ValidationError
@@ -161,17 +168,123 @@ def test_check_document_raises_what_validate_raises(name, doc):
     with pytest.raises(jsonschema.ValidationError) as want:
         jsonschema.validate(doc, schema)
     with pytest.raises(jsonschema.ValidationError) as got:
-        check_document(doc, jsonschema.Draft202012Validator(schema))
+        check_document(doc, schema)
     assert got.value.message == want.value.message
     assert list(got.value.path) == list(want.value.path)
 
 
+# Good documents with every optional field and nested values: the bases
+# the walk's oracle test mutates.
+GOOD = {
+    "path": {**PATH_DOC, "times": [0.0, 0.5], "paths": [[0.0, 1.0], [2.0, -1.0]]},
+    "table": {**TABLE_DOC, "seed": 3, "values": {"cov": [1.0, 0.5], "n": 4, "ok": True,
+                                                 "label": "x", "none": None}},
+    "report": sample_report().stamp(0.0).as_dict(),
+    "acceptance": {**ACCEPTANCE_DOC, "created_utc": "",
+                   "criteria": [{**CRITERION, "runtime": 0.5, "metrics": {"z": 1.5, "ok": False}},
+                                {**CRITERION, "number": 11}]},
+}
+
+
 @pytest.mark.parametrize("name,doc", [("path", PATH_DOC), ("table", TABLE_DOC),
                                       ("report", sample_report().as_dict()),
-                                      ("acceptance", ACCEPTANCE_DOC)])
+                                      ("acceptance", ACCEPTANCE_DOC), *GOOD.items()])
 def test_check_document_passes_a_good_document(name, doc):
     jsonschema.validate(doc, SCHEMAS[name])
-    check_document(doc, jsonschema.Draft202012Validator(SCHEMAS[name]))
+    check_document(doc, SCHEMAS[name])
+
+
+# Stand-ins for any value: every JSON type, integral and fractional floats,
+# non-finite floats, nested arrays, and numbers at and past the schemas'
+# minimum and maximum (0 for counts and times, 1 and 11 for a criterion).
+VALUES = [True, False, 0, 1, -1, 11, 12, 0.0, -0.0, 1.0, 11.0, 0.5, 11.5, -0.5,
+          math.nan, math.inf, -math.inf, None, "", "x", "acceptance",
+          [], [1.0], [[1.0]], [1.0, "a", None, True], [{}], {}, {"a": 1.0}, {"a": [2]}]
+KEYS = sorted({"extra", *(key for doc in GOOD.values() for key in doc),
+               *REPORT_SCHEMA["properties"]["estimates"]["items"]["properties"],
+               *CRITERION, "runtime"})
+
+
+def places(node):
+    """Every ``(container, key)`` inside ``node``, at any depth."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        return []
+    return [place for key, value in items for place in [(node, key), *places(value)]]
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` with one to three keys dropped or added, or values swapped."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        spots = places(doc)
+        value = copy.deepcopy(draw(st.sampled_from(VALUES)))
+        action = draw(st.sampled_from(["swap", "drop", "add"] if spots else ["add"]))
+        if action == "add":
+            into = draw(st.sampled_from([doc, *(c[k] for c, k in spots
+                                                if isinstance(c[k], (dict, list)))]))
+            if isinstance(into, dict):
+                into[draw(st.sampled_from(KEYS))] = value
+            else:
+                into.append(value)
+            continue
+        container, key = draw(st.sampled_from(spots))
+        if action == "swap":
+            container[key] = value
+        else:
+            del container[key]
+    return doc
+
+
+@pytest.mark.parametrize("name", SCHEMAS)
+@settings(max_examples=200)
+@given(data=st.data())
+def test_the_walk_decides_validity_as_jsonschema_does(name, data):
+    schema = SCHEMAS[name]
+    doc = data.draw(mutated(GOOD[name]))
+    assert reports._fits(doc, schema) == jsonschema.Draft202012Validator(schema).is_valid(doc)
+
+
+# One keyword at a time, so each rule is met by every kind of value: a bool
+# is no number, an integral float is an integer, nan passes a bound and inf
+# does not, and ``const`` tells a bool from 0 and 1.
+KEYWORD_SCHEMAS = [
+    *({"type": t} for t in ["object", "array", "string", "boolean", "null", "number", "integer"]),
+    {"type": ["number", "string", "boolean", "null", "array"]},
+    *({"const": value} for value in VALUES),
+    {"minimum": 0}, {"minimum": 1}, {"maximum": 11}, {"minItems": 1}, {"minLength": 1},
+    {"required": ["a"]}, {"properties": {"a": {"type": "number"}}},
+    {"additionalProperties": False}, {"additionalProperties": {"type": "array"}},
+    {"properties": {"a": True}, "additionalProperties": False},
+    {"items": {"type": "number"}}, {"items": {"items": {"type": "integer"}}},
+]
+
+
+@pytest.mark.parametrize("schema", KEYWORD_SCHEMAS, ids=repr)
+def test_each_keyword_decides_as_jsonschema_does(schema):
+    validator = jsonschema.Draft202012Validator(schema)
+    for doc in VALUES:
+        assert reports._fits(doc, schema) == validator.is_valid(doc), doc
+
+
+@pytest.mark.parametrize("schema", [
+    {**TABLE_SCHEMA, "maxProperties": 3},
+    {"type": "object", "properties": {"a": {"type": "string", "pattern": "^x"}}},
+    {"type": "array", "items": {"type": "object", "additionalProperties": {"enum": [1]}}},
+])
+def test_the_walk_refuses_a_keyword_it_does_not_know(schema):
+    with pytest.raises(ValueError, match="does not know the schema keyword"):
+        check_document({}, schema)
+
+
+def test_a_walk_that_rejects_a_valid_document_raises(monkeypatch):
+    monkeypatch.setattr(reports, "_fits", lambda doc, schema: False)
+    with pytest.raises(RuntimeError, match="jsonschema's Draft202012Validator accepts"):
+        check_document(PATH_DOC, PATH_SCHEMA)
 
 
 # Exact coverage of the 95% Wilson interval at p: the binomial mass of the
