@@ -281,19 +281,17 @@ def _fgn_eigenvalues(gam: np.ndarray) -> np.ndarray:
     return np.clip(lam, 0.0, None)
 
 
-def _fgn_from_normals(lam: np.ndarray, normals: np.ndarray, n: int,
-                      spectrum: np.ndarray) -> np.ndarray:
+def _fgn_from_normals(lam: np.ndarray, normals: np.ndarray, n: int) -> np.ndarray:
     """Map iid standard normals ``(paths, M)`` to fGn samples ``(paths, n)``.
 
     The real part of the FFT of a Hermitian spectrum ``w`` is the unscaled
     inverse real FFT of its half ``conj(w[:M/2+1])``, so only that half is
-    filled, into the leading rows of the complex ``spectrum``: the imaginary
-    normals enter with the opposite sign.  The inverse FFT is written over
-    ``normals``.
+    filled, in place: the imaginary normals enter with the opposite sign.
+    The inverse FFT is written over ``normals``.
     """
     m = lam.size
     half = m // 2
-    v = spectrum[: normals.shape[0]]
+    v = np.empty((normals.shape[0], half + 1), dtype=complex)
     re, im = v.real, v.imag
     amp = np.sqrt(lam[1:half] / (2.0 * m))
     np.multiply(normals[:, 2 : 1 + half], amp, out=re[:, 1:half])
@@ -304,19 +302,14 @@ def _fgn_from_normals(lam: np.ndarray, normals: np.ndarray, n: int,
     return fft.irfft(v, n=m, axis=1, norm="forward", out=normals)[:, :n]
 
 
-def _fill_rows(rng: np.random.Generator, dest: np.ndarray, width: int,
-               transform_for) -> np.ndarray:
-    """Fill the rows of ``dest``, strided or not, with a transform of ``width`` normals each.
+def _fill_rows(rng: np.random.Generator, dest: np.ndarray, width: int, transform) -> np.ndarray:
+    """Fill the rows of ``dest``, strided or not, with ``transform`` of ``width`` normals each.
 
     The normals are those of one ``(rows, width)`` draw, taken a row panel
-    at a time into one reused buffer.  ``transform_for(rows)`` returns the
-    transform of a panel of at most ``rows`` rows; it is called once per
-    call, so scratch that the transform reuses is made per call, never
-    shared by threads that share a sampler.
+    at a time into one reused buffer.
     """
     panels = list(_row_panels(dest.shape[0], width))
     normals = np.empty((panels[0].stop, width))
-    transform = transform_for(panels[0].stop)
     for rows in panels:
         dest[rows] = transform(rng.standard_normal(out=normals[: rows.stop - rows.start]))
     return dest
@@ -333,16 +326,13 @@ class FgnSampler:
         self.dim = n_steps
         if n_steps == 1:
             root = math.sqrt(gam[0])
-            self._width, self._transform_for = 1, lambda rows: lambda z: root * z
+            self._width, self._transform = 1, lambda z: root * z
         else:
             lam = _fgn_eigenvalues(gam)
-            self._width = lam.size
-            self._transform_for = lambda rows: partial(
-                _fgn_from_normals, lam, n=n_steps,
-                spectrum=np.empty((rows, lam.size // 2 + 1), dtype=complex))
+            self._width, self._transform = lam.size, lambda z: _fgn_from_normals(lam, z, n_steps)
 
     def sample(self, rng: np.random.Generator, n: int, out: np.ndarray | None = None) -> np.ndarray:
-        return _fill_rows(rng, draw_buffer(out, (n, self.dim)), self._width, self._transform_for)
+        return _fill_rows(rng, draw_buffer(out, (n, self.dim)), self._width, self._transform)
 
 
 def sample_fbm_paths(
@@ -362,7 +352,7 @@ def sample_fbm_paths(
     sampler = FgnSampler(hurst, n_steps, dt)
     out = np.empty((paths, n_steps + 1))
     out[:, 0] = 0.0
-    _fill_rows(rng, out[:, 1:], sampler._width, sampler._transform_for)
+    _fill_rows(rng, out[:, 1:], sampler._width, sampler._transform)
     np.cumsum(out[:, 1:], axis=1, out=out[:, 1:])
     return out
 
@@ -422,7 +412,7 @@ def sample_obm(
     values = np.empty((paths, n_steps + 1))
     values[:, 0] = 0.0
     scale = np.sqrt(dt)
-    _fill_rows(rng, values[:, 1:], n_steps, lambda rows: lambda z: np.multiply(z, scale, out=z))
+    _fill_rows(rng, values[:, 1:], n_steps, lambda z: np.multiply(z, scale, out=z))
     np.cumsum(values[:, 1:], axis=1, out=values[:, 1:])
     values -= values[:, [idx]]
     values[:, idx] = 0.0

@@ -297,10 +297,8 @@ _ROW_PIECE = 2**12
 def _emit_floats(arr: np.ndarray, indent: int) -> Iterator[str]:
     """Bulk route of :func:`_emit` for a float64 array of one or more dimensions.
 
-    An innermost row is rendered in ``ceil(n / _ROW_PIECE)`` pieces of
-    near-equal length, so only one piece's text and temporaries are alive at
-    once, however long the row, and no piece pays the kernel's fixed cost
-    for a few floats (a row of 4 * 4096 + 1 is five pieces of 3276 or 3277).
+    An innermost row is rendered ``_ROW_PIECE`` floats per piece, so only
+    one piece's text and temporaries are alive at once, however long the row.
     """
     if arr.shape[0] == 0:
         yield "[]"
@@ -310,13 +308,10 @@ def _emit_floats(arr: np.ndarray, indent: int) -> Iterator[str]:
     if arr.ndim == 1:
         sep = ",\n" + pad_in
         yield "[\n" + pad_in
-        n = arr.shape[0]
-        pieces = -(-n // _ROW_PIECE)
-        bounds = [n * k // pieces for k in range(pieces + 1)]
-        for a, b in zip(bounds, bounds[1:]):
+        for a in range(0, arr.shape[0], _ROW_PIECE):
             if a:
                 yield sep
-            yield _join_floats(arr[a:b], sep)
+            yield _join_floats(arr[a:a + _ROW_PIECE], sep)
         yield "\n" + pad + "]"
         return
     yield "[\n"

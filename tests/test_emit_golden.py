@@ -19,15 +19,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fbmkit import serialize
 from fbmkit.cli import _emit, _path_doc
-from fbmkit.serialize import (
-    _ROW_PIECE,
-    _join_floats,
-    canonical_json_dump,
-    canonical_json_dumps,
-    format_float,
-)
+from fbmkit.serialize import _ROW_PIECE, canonical_json_dump, canonical_json_dumps, format_float
 
 SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2e-308,
            1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e22, 1e16]
@@ -167,24 +160,6 @@ def test_a_row_longer_than_one_piece_keeps_its_bytes(length):
     row[-1] = np.inf
     doc = {"row": row, "rows": np.stack([row, -row]), "times": row[::-1]}
     assert written(lambda fh: canonical_json_dump(doc, fh)) == oracle_dumps(doc)
-
-
-@pytest.mark.parametrize("length", [_ROW_PIECE - 1, _ROW_PIECE, _ROW_PIECE + 1,
-                                    4 * _ROW_PIECE + 1])
-def test_a_row_is_split_into_near_equal_pieces(length, monkeypatch):
-    # ceil(length / _ROW_PIECE) pieces, none longer than _ROW_PIECE and none
-    # shorter than the others by more than one float, so no one-float piece.
-    sizes = []
-
-    def join(values, *args):
-        sizes.append(values.size)
-        return _join_floats(values, *args)
-
-    monkeypatch.setattr(serialize, "_join_floats", join)
-    canonical_json_dumps({"row": np.linspace(0.0, 1.0, length)})
-    assert sum(sizes) == length
-    assert len(sizes) == -(-length // _ROW_PIECE)
-    assert max(sizes) <= _ROW_PIECE and max(sizes) - min(sizes) <= 1
 
 
 @pytest.mark.parametrize("n_paths", [1, 2, 17, 64])

@@ -173,8 +173,7 @@ def one_shot_fgn(hurst, n, dt, rng, paths):
     if n == 1:
         return np.sqrt(gam[0]) * rng.standard_normal((paths, 1))
     lam = _fgn_eigenvalues(gam)
-    spectrum = np.empty((paths, lam.size // 2 + 1), dtype=complex)
-    return _fgn_from_normals(lam, rng.standard_normal((paths, lam.size)), n, spectrum)
+    return _fgn_from_normals(lam, rng.standard_normal((paths, lam.size)), n)
 
 
 def block_edges(n):
@@ -453,8 +452,7 @@ class TestSamplers:
         assert lam.size == 2 * (n - 1)
         normals = make_rng(n).standard_normal((16, lam.size))
         want = fgn_from_normals_full_fft(lam, normals, n)
-        # The transform writes its inverse FFT over the normals.
-        got = _fgn_from_normals(lam, normals, n, np.empty((16, n), dtype=complex))
+        got = _fgn_from_normals(lam, normals, n)  # writes over the normals
         assert got.shape == want.shape == (16, n)
         assert np.max(np.abs(got - want)) <= 2.0e-15 * np.max(np.abs(want))
 

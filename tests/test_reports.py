@@ -3,7 +3,8 @@
 Every artifact schema is a valid 2020-12 schema, and ``check_document``
 raises on a broken document the error ``jsonschema.validate`` raises.  Its
 walk decides validity as ``Draft202012Validator.is_valid`` does, over
-mutated documents of each schema, and refuses a keyword it does not know.
+mutated documents of each schema, and refuses a keyword it does not know;
+the artifact schemas hold none.
 The 95% Wilson interval's exact coverage, averaged over p, is within a point
 of 95% at n = 20, 100 and 1000.
 """
@@ -251,11 +252,11 @@ def test_the_walk_decides_validity_as_jsonschema_does(name, data):
 
 # One keyword at a time, so each rule is met by every kind of value: a bool
 # is no number, an integral float is an integer, nan passes a bound and inf
-# does not, and ``const`` tells a bool from 0 and 1.
+# does not, and a string ``const`` equals only that string.
 KEYWORD_SCHEMAS = [
     *({"type": t} for t in ["object", "array", "string", "boolean", "null", "number", "integer"]),
     {"type": ["number", "string", "boolean", "null", "array"]},
-    *({"const": value} for value in VALUES),
+    *({"const": value} for value in VALUES if isinstance(value, str)),
     {"minimum": 0}, {"minimum": 1}, {"maximum": 11}, {"minItems": 1}, {"minLength": 1},
     {"required": ["a"]}, {"properties": {"a": {"type": "number"}}},
     {"additionalProperties": False}, {"additionalProperties": {"type": "array"}},
@@ -271,14 +272,33 @@ def test_each_keyword_decides_as_jsonschema_does(schema):
         assert reports._fits(doc, schema) == validator.is_valid(doc), doc
 
 
-@pytest.mark.parametrize("schema", [
-    {**TABLE_SCHEMA, "maxProperties": 3},
-    {"type": "object", "properties": {"a": {"type": "string", "pattern": "^x"}}},
-    {"type": "array", "items": {"type": "object", "additionalProperties": {"enum": [1]}}},
+def subschemas(schema):
+    """``schema`` and every schema the walk can reach inside it."""
+    if isinstance(schema, bool):
+        return []
+    inner = [*schema.get("properties", {}).values(),
+             *(schema[key] for key in ("additionalProperties", "items") if key in schema)]
+    return [schema, *(sub for node in inner for sub in subschemas(node))]
+
+
+# The walk meets only the keywords on a document's path, so a keyword it
+# does not know must be kept out of every branch, reached or not.
+@pytest.mark.parametrize("name", SCHEMAS)
+def test_each_artifact_schema_holds_only_keywords_the_walk_knows(name):
+    for schema in subschemas(SCHEMAS[name]):
+        assert set(schema) <= set(reports._KEYWORDS), schema
+        assert isinstance(schema.get("const", ""), str), schema
+
+
+@pytest.mark.parametrize("schema,doc", [
+    ({**TABLE_SCHEMA, "maxProperties": 3}, TABLE_DOC),
+    ({"type": "object", "properties": {"a": {"type": "string", "pattern": "^x"}}}, {"a": "y"}),
+    ({"type": "array", "items": {"type": "object", "additionalProperties": {"enum": [1]}}},
+     [{"b": 2}]),
 ])
-def test_the_walk_refuses_a_keyword_it_does_not_know(schema):
-    with pytest.raises(ValueError, match="does not know the schema keyword"):
-        check_document({}, schema)
+def test_the_walk_refuses_a_keyword_it_meets_and_does_not_know(schema, doc):
+    with pytest.raises(KeyError):
+        check_document(doc, schema)
 
 
 def test_a_walk_that_rejects_a_valid_document_raises(monkeypatch):
