@@ -212,7 +212,7 @@ def _criterion_1(seed_seq, threads: int) -> tuple[bool, str, dict]:
         for label, sampler, to_paths, ref in (
             ("fbm", FgnSampler(hurst, n_steps, dt),
              lambda x: np.cumsum(x, axis=1, out=x), fbm_cov_matrix(times, hurst)),
-            ("levy", CovMatrix(levy), lambda x: x, levy),
+            ("levy", CovMatrix(levy.copy()), lambda x: x, levy),
         ):
             parts = draw_reduce(sampler, n_paths, next(seeds),
                                 lambda x: CrossMoments().add(to_paths(x)), threads)

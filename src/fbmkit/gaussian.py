@@ -1,8 +1,8 @@
 """Dense Gaussian sampling, regression solves and covariance estimation.
 
 :class:`CovMatrix` is the one place that factors a covariance and uses the
-factor: it wraps a symmetric positive semi-definite matrix with a Cholesky
-factor obtained through an escalating jitter ladder (semi-definite matrices
+factor: it keeps the Cholesky factor of a symmetric positive semi-definite
+matrix, obtained through an escalating jitter ladder (semi-definite matrices
 arise legitimately here, e.g. any covariance pinned to zero at ``t = 0``),
 draws zero-mean Gaussian vectors with it and solves regression systems on
 it; its ``sample`` is the sampler contract of :func:`fbmkit.rng.draw_reduce`.
@@ -10,14 +10,22 @@ it; its ``sample`` is the sampler contract of :func:`fbmkit.rng.draw_reduce`.
 to the zero-mean empirical covariance and its entrywise Monte Carlo standard
 errors, which the acceptance criteria use as "within ``k`` SE" bands.
 
+The factor works in place: :func:`cholesky_with_jitter` overwrites the
+matrix it is given with ``L``, so a caller that needs the matrix afterwards
+passes a copy.  Factoring an n x n matrix holds the matrix, one block row
+of ``_CHOLESKY_BLOCK x n`` values and a few blocks; ``np.linalg.cholesky``
+on the whole matrix would hold three n x n arrays (the input, its Fortran
+copy and the output).
+
 The two memory budgets live here: ``MAX_ARRAY_VALUES``, the largest array,
 and ``_PANEL_VALUES``, the largest temporary of a dense pass.  Every such
 pass whose block size cannot change a byte walks :func:`_row_panels`.
+Three block sizes do change bytes, so they are constants that the budget
+does not set: ``_CHOLESKY_BLOCK`` (the factor's diagonal blocks),
+``_SAMPLE_BLOCK`` and ``_SOLVE_BLOCK``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,17 +53,25 @@ def _row_panels(n_rows: int, n_cols: int):
 
 _JITTER_LADDER = (0.0, 1.0e-12, 1.0e-10, 1.0e-8)
 
+# Rows of the diagonal blocks of the in-place factor; it fixes bytes.  A
+# matrix of at most this dim is one LAPACK call, bit for bit
+# np.linalg.cholesky; a larger one rounds by these blocks.
+_CHOLESKY_BLOCK = 128
+
 
 def cholesky_with_jitter(matrix: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor, adding ``jitter * trace/dim`` to the diagonal if needed.
+    """Lower Cholesky factor in place, adding ``jitter * trace/dim`` to the diagonal if needed.
 
     Returns ``(L, jitter_used)`` where ``jitter_used`` is the relative jitter
-    level that succeeded.  Raises :class:`ValidationError` if the matrix is
-    not square, has a non-finite entry, or is asymmetric by more than
+    level that succeeded.  ``L`` is ``matrix`` itself, overwritten, when that
+    is a writeable C-ordered float64 array, and a factored copy otherwise.
+    Raises :class:`ValidationError`, with ``matrix`` untouched, if the matrix
+    is not square, has a non-finite entry, or is asymmetric by more than
     ``1e-10 * max(1, max |A|)``, and :class:`AccuracyError` if the whole
-    ladder fails.
+    ladder fails, with ``matrix`` restored from its diagonal and strict upper
+    triangle.  The factor reads the lower triangle only.
     """
-    matrix = np.asarray(matrix, dtype=float)
+    matrix = np.require(matrix, dtype=float, requirements="CW")
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValidationError("covariance matrix must be square")
     # max and min propagate NaN, and any inf lands in one of them.
@@ -74,18 +90,72 @@ def cholesky_with_jitter(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     scale = float(np.trace(matrix)) / dim if dim else 0.0
     if scale <= 0:
         scale = 1.0
+    # The strict upper triangle keeps the matrix until a factor succeeds:
+    # with the diagonal saved here, it restores the matrix after a failure.
+    diagonal = matrix.diagonal().copy()
     for jitter in _JITTER_LADDER:
+        if jitter:
+            np.fill_diagonal(matrix, diagonal + jitter * scale)
         try:
-            bumped = matrix if jitter == 0.0 else matrix + (jitter * scale) * np.eye(dim)
-            return np.linalg.cholesky(bumped), jitter
+            _factor_lower(matrix)
         except np.linalg.LinAlgError:
+            _mirror_upper(matrix)
+            np.fill_diagonal(matrix, diagonal)
             continue
+        for rows, lower in _diagonal_blocks(dim):
+            matrix[rows, rows.stop:] = 0.0
+            np.copyto(matrix[rows, rows], 0.0, where=~lower)
+        return matrix, jitter
     raise AccuracyError(
         "covariance matrix is not positive semi-definite within jitter ladder "
         f"{_JITTER_LADDER}",
         estimate=None,
         budget=_JITTER_LADDER[-1],
     )
+
+
+def _diagonal_blocks(dim: int):
+    """``(rows, lower)`` per diagonal block: its rows and the mask of its lower triangle."""
+    tri = np.tri(_CHOLESKY_BLOCK, dtype=bool)
+    for start in range(0, dim, _CHOLESKY_BLOCK):
+        rows = slice(start, min(start + _CHOLESKY_BLOCK, dim))
+        yield rows, tri[: rows.stop - start, : rows.stop - start]
+
+
+def _factor_lower(a: np.ndarray) -> None:
+    """Overwrite the lower triangle of ``a`` with its Cholesky factor, by blocks.
+
+    Right-looking: each diagonal block is factored by ``np.linalg.cholesky``
+    (which reads its lower triangle only), the panel below it is multiplied
+    by the transposed inverse of that factor, and the trailing lower
+    triangle is updated a block of rows at a time.  The strict upper
+    triangle is never written.  Besides ``a``, one block row of the trailing
+    update (``_CHOLESKY_BLOCK x dim`` values) and a few blocks are held.
+    Raises ``np.linalg.LinAlgError`` where a diagonal block is not positive
+    definite.
+    """
+    blocks = list(_diagonal_blocks(a.shape[0]))
+    for k, (cols, lower) in enumerate(blocks):
+        factor = np.linalg.cholesky(a[cols, cols])
+        np.copyto(a[cols, cols], factor, where=lower)
+        trailing = blocks[k + 1:]
+        inv_t = np.linalg.inv(factor).T if trailing else None
+        for rows, lower_r in trailing:
+            panel = a[rows, cols]
+            panel[...] = panel @ inv_t
+            update = panel @ a[cols.stop:rows.stop, cols].T
+            left = rows.start - cols.stop
+            a[rows, cols.stop:rows.start] -= update[:, :left]
+            np.subtract(a[rows, rows], update[:, left:], out=a[rows, rows], where=lower_r)
+            del update  # before the next block row's is allocated
+
+
+def _mirror_upper(a: np.ndarray) -> None:
+    """Copy the strict upper triangle of ``a`` onto its strict lower triangle, by blocks."""
+    for rows, lower in _diagonal_blocks(a.shape[0]):
+        a[rows, : rows.start] = a[: rows.start, rows].T
+        square = a[rows, rows]
+        np.copyto(square, square.T, where=lower)
 
 
 # Columns per block of the in-place product in CovMatrix.sample; it fixes
@@ -97,29 +167,24 @@ _SAMPLE_BLOCK = 4096
 _SOLVE_BLOCK = 64
 
 
-@dataclass(frozen=True)
 class CovMatrix:
-    """A covariance matrix with its Cholesky factor, for sampling and solving.
+    """The Cholesky factor of a covariance matrix, for sampling and solving.
 
-    ``cholesky`` is the lower factor ``L`` of ``matrix``, with the relative
-    diagonal ``jitter`` that :func:`cholesky_with_jitter` needed added
-    first; both are computed here, never passed in.
+    ``CovMatrix(matrix)`` factors ``matrix`` by :func:`cholesky_with_jitter`,
+    in place when it is a writeable C-ordered float64 array: the caller's
+    array becomes ``cholesky``, the lower factor ``L`` of the matrix with
+    the relative diagonal ``jitter`` that the factor needed added first.  Only
+    the factor is kept.
     """
 
-    matrix: np.ndarray = field(repr=False)
-    cholesky: np.ndarray = field(init=False, repr=False)
-    jitter: float = field(init=False)
+    __slots__ = ("cholesky", "jitter")
 
-    def __post_init__(self) -> None:
-        matrix = np.asarray(self.matrix, dtype=float)
-        factor, jitter = cholesky_with_jitter(matrix)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "cholesky", factor)
-        object.__setattr__(self, "jitter", jitter)
+    def __init__(self, matrix: np.ndarray) -> None:
+        self.cholesky, self.jitter = cholesky_with_jitter(matrix)
 
     @property
     def dim(self) -> int:
-        return int(self.matrix.shape[0])
+        return int(self.cholesky.shape[0])
 
     def sample(
         self, rng: np.random.Generator, n_samples: int, out: np.ndarray | None = None

@@ -281,7 +281,7 @@ class TestRegression:
         v_grid = np.array([0.25, 0.5, 1.0])
         cov = conditional_future_cov(hurst, past_times, v_grid)
         assert np.allclose(cov, cov.T, atol=1e-12)
-        _, jitter = cholesky_with_jitter(cov)
+        _, jitter = cholesky_with_jitter(cov.copy())
         assert jitter <= 1e-8
         # Conditioning can only reduce marginal variance.
         assert np.all(np.diag(cov) <= v_grid ** (2 * hurst) + 1e-12)
@@ -336,7 +336,7 @@ class TestDriftRoutes:
         joint = joint_wz_cov(ctx, times, v_grid)
         nw = times.size
         ww, wz = joint[:nw, :nw], joint[:nw, nw:]
-        factor, _ = cholesky_with_jitter(ww)
+        factor, _ = cholesky_with_jitter(ww.copy())
         draws = (factor @ make_rng(812).standard_normal((nw, 8))).T
         weights = np.linalg.solve(ww, wz)
         pred_d = np.empty((draws.shape[0], v_grid.size))

@@ -43,7 +43,7 @@ from fbmkit.experiments import (
     union_bound_ledger,
 )
 from fbmkit.fbm import _levy_integral
-from fbmkit.gamma import GammaConfig, gamma_cov_matrix
+from fbmkit.gamma import GammaConfig, gamma_cov
 from fbmkit.gaussian import CovMatrix, cholesky_with_jitter
 from fbmkit.quadrature import graded_breaks, integrate_checked
 from fbmkit.rng import CHUNK, make_rng, spawn_streams
@@ -290,7 +290,8 @@ def a_n_probability_dual(cfg, seed):
     stream of ``(pairs, n)`` normals, and the event evaluated on each pair
     ``+z, -z``; the error is that of the pair means.
     """
-    cov = gamma_cov_matrix(GammaConfig(cfg.ctx, cfg.r), cfg.n).matrix
+    idx = np.arange(cfg.n)
+    cov = gamma_cov(GammaConfig(cfg.ctx, cfg.r), cfg.n)[np.abs(idx[:, None] - idx[None, :])]
     vals, vecs = np.linalg.eigh(cov)
     root = (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
     z = make_rng(seed).standard_normal((cfg.n_paths, cfg.n)) @ root

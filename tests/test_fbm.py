@@ -714,7 +714,7 @@ class TestJointWZ:
         w_times = np.array([-1.0, 0.5])
         z_times = np.array([0.5, 1.5])
         exact = joint_wz_cov(ctx, w_times, z_times)
-        _, jitter = cholesky_with_jitter(exact)
+        _, jitter = cholesky_with_jitter(exact.copy())
         assert jitter == 0.0
-        stacked = CovMatrix(exact).sample(make_rng(909), 20_000)
+        stacked = CovMatrix(exact.copy()).sample(make_rng(909), 20_000)
         assert_cov_within_se(stacked, exact, slack=1e-12)

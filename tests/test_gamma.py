@@ -87,6 +87,12 @@ def cfg_for(hurst, r, **kwargs):
     return GammaConfig(ctx=make_context(hurst), r=r, **kwargs)
 
 
+def toeplitz_cov(cfg, n):
+    """The n x n covariance ``gamma_cov_matrix`` factors: lag ``|i - j|`` at ``(i, j)``."""
+    idx = np.arange(n)
+    return gamma_cov(cfg, n)[np.abs(idx[:, None] - idx[None, :])]
+
+
 def _xi_mp(eta, a, b):
     return (a + b) ** eta - a**eta
 
@@ -292,11 +298,8 @@ class TestGammaCov:
         cfg = cfg_for(0.75, 0.5)
         n = 6
         cov = gamma_cov_matrix(cfg, n)
-        mat = cov.matrix
-        assert np.allclose(mat, mat.T, atol=0)
-        lags = gamma_cov(cfg, n)
-        idx = np.arange(n)
-        assert np.allclose(mat, lags[np.abs(idx[:, None] - idx[None, :])], atol=0)
+        # n is below the factor's block: one LAPACK call on the Toeplitz matrix.
+        assert np.array_equal(cov.cholesky, np.linalg.cholesky(toeplitz_cov(cfg, n)))
         draws = cov.sample(make_rng(2), 4)
         assert draws.shape == (4, n)
 
@@ -420,7 +423,7 @@ class TestMonteCarloOracle:
         implied = gamma_mc_implied_cov(cfg, d_max)
         est, se = CrossMoments().add(draws).finish()
         assert np.all(np.abs(est - implied) <= 4.0 * se)
-        exact = gamma_cov_matrix(cfg, d_max + 1).matrix
+        exact = toeplitz_cov(cfg, d_max + 1)
         # The linear estimator is a conditional mean: its variance sits
         # below the exact one, and the discretization deficit is small.
         deficit = exact - implied

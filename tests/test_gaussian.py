@@ -1,5 +1,8 @@
-"""Covariance sampling, regression solves, estimation, and binomial interval helpers.
+"""Covariance factors, sampling, regression solves, estimation, and binomial interval helpers.
 
+The in-place blocked factor of ``cholesky_with_jitter`` is checked against
+LAPACK's ``np.linalg.cholesky`` (bit for bit up to one block, by backward
+error beyond) on the matrices the CLI factors at its default windows.
 ``CovMatrix.solve`` is checked against ``scipy.linalg.cho_solve`` on the
 same factor, on the past windows the library regresses on.  The moment
 accumulator ``CrossMoments`` is checked against ``estimate_cov`` below, the
@@ -8,6 +11,7 @@ against the hand-kept sums acceptance criterion 2 used, bit for bit.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,10 +22,13 @@ from scipy.stats import binomtest
 
 from fbmkit.acceptance import _exp_grid_neg
 from fbmkit.cli import V_GRID_DEFAULT
+from fbmkit.context import make_context
 from fbmkit.drift import REGRESSION_MAX_POINTS, inversion_grid
 from fbmkit.errors import AccuracyError, ValidationError
-from fbmkit.fbm import fbm_cov, fbm_cov_matrix
+from fbmkit.fbm import fbm_cov, fbm_cov_matrix, joint_wz_cov
 from fbmkit.gaussian import (
+    _CHOLESKY_BLOCK,
+    _JITTER_LADDER,
     _PANEL_VALUES,
     CovMatrix,
     CrossMoments,
@@ -65,7 +72,7 @@ def test_cov_standard_errors_small_case():
 
 def test_sampling_reproduces_the_covariance():
     cov = np.array([[2.0, 0.6, 0.0], [0.6, 1.0, -0.3], [0.0, -0.3, 0.5]])
-    draws = CovMatrix(cov).sample(make_rng(7), 40_000)
+    draws = CovMatrix(cov.copy()).sample(make_rng(7), 40_000)
     emp, se = moments_of(draws)
     assert np.all(np.abs(emp - cov) <= 4.0 * se)
 
@@ -147,7 +154,7 @@ def test_the_remainder_joins_the_last_block(n, block, edges):
 def test_cholesky_handles_semidefinite_matrices():
     # covariance pinned to zero in the first coordinate: genuinely singular
     cov = np.array([[0.0, 0.0], [0.0, 1.0]])
-    factor, jitter = cholesky_with_jitter(cov)
+    factor, jitter = cholesky_with_jitter(cov.copy())
     assert jitter <= 1.0e-10
     assert np.allclose(factor @ factor.T, cov, atol=1.0e-9)
 
@@ -220,17 +227,145 @@ def test_cholesky_tolerance_scales_with_a_negative_largest_entry():
     with pytest.raises(AccuracyError):
         cholesky_with_jitter(off)
 
+
+def lapack_ladder(matrix):
+    """The factor as LAPACK alone gives it: ``np.linalg.cholesky`` up the jitter ladder."""
+    dim = matrix.shape[0]
+    scale = float(np.trace(matrix)) / dim
+    for jitter in _JITTER_LADDER:
+        try:
+            return np.linalg.cholesky(matrix + (jitter * scale) * np.eye(dim)), jitter
+        except np.linalg.LinAlgError:
+            continue
+    raise AssertionError("the jitter ladder fails")
+
+
+def backward_error(factor, matrix):
+    return np.abs(factor @ factor.T - matrix).max() / np.abs(matrix).max()
+
+
+def factored_window(name, hurst):
+    """A matrix the CLI factors at its default window, or at the regression cap."""
+    ctx = make_context(hurst)
+    drift_past = inversion_grid(1.0 / 128, u_deep=1.0e7)  # drift's --dt and --umax defaults
+    if name == "drift":  # the kernel and regression routes
+        return fbm_cov_matrix(drift_past, hurst)
+    if name == "drift-validate":
+        return joint_wz_cov(ctx, drift_past, drift_past)
+    if name == "invert":  # invert's defaults; driver_roundtrip's recovery times
+        past = inversion_grid(1.0 / 512, u_deep=600.0)
+        t = np.array([past[np.argmin(np.abs(past - ti))] for ti in -np.linspace(1.0, 1.0 / 16, 16)])
+        return joint_wz_cov(ctx, t, past)
+    return fbm_cov_matrix(regression_grid("cap-2048")[0], hurst)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 64, _CHOLESKY_BLOCK - 1, _CHOLESKY_BLOCK])
+def test_the_factor_is_lapacks_bit_for_bit_up_to_one_block(dim):
+    a = np.random.default_rng(dim).standard_normal((dim, dim))
+    for matrix in (a @ a.T + dim * np.eye(dim), fbm_cov_matrix(np.linspace(0.01, 2.0, dim), 0.3)):
+        want = np.linalg.cholesky(matrix)
+        work = matrix.copy()
+        got, jitter = cholesky_with_jitter(work)
+        assert got is work and jitter == 0.0
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_the_factor_copies_an_array_it_cannot_overwrite():
+    matrix = fbm_cov_matrix(np.linspace(0.1, 1.0, 200), 0.6)
+    want, _ = cholesky_with_jitter(matrix.copy())
+    fortran, frozen = np.asfortranarray(matrix), matrix.copy()
+    frozen.flags.writeable = False
+    for arg in (fortran, frozen, matrix.tolist()):
+        got, _ = cholesky_with_jitter(arg)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(fortran, matrix) and np.array_equal(frozen, matrix)
+    cov = CovMatrix(matrix)
+    assert cov.cholesky is matrix and cov.dim == 200
+
+
+@pytest.mark.parametrize("hurst", [0.1, 0.25, 0.75, 0.9])
+@pytest.mark.parametrize("window", ["drift", "invert", "regression-cap"])
+def test_the_blocked_factor_is_as_accurate_as_lapack(window, hurst):
+    matrix = factored_window(window, hurst)
+    assert matrix.shape[0] > _CHOLESKY_BLOCK
+    lapack = np.linalg.cholesky(matrix)
+    ours, jitter = cholesky_with_jitter(matrix.copy())
+    assert jitter == 0.0
+    assert backward_error(ours, matrix) <= 4.0 * backward_error(lapack, matrix)
+
+
+@pytest.mark.parametrize("hurst", [0.1, 0.25, 0.75, 0.9])
+def test_the_blocked_factor_is_as_accurate_as_lapack_on_the_joint_validate_window(hurst):
+    # drift validate's 1070-row (W, Z) matrix: at H = 0.75 LAPACK's
+    # max |LL^T - A| is 1/64 of an ulp of max |A|, as its recursive split
+    # falls on the W/Z boundary and its trailing product sums as the check's
+    # own product does; the blocked factor's is one ulp.  So the entries are
+    # compared in correlation units, |LL^T - A|_ij / sqrt(A_ii A_jj).
+    matrix = factored_window("drift-validate", hurst)
+    scale = np.sqrt(np.diag(matrix))
+
+    def error(factor):
+        return (np.abs(factor @ factor.T - matrix) / scale[:, None] / scale[None, :]).max()
+
+    ours, jitter = cholesky_with_jitter(matrix.copy())
+    assert jitter == 0.0
+    assert error(ours) <= 4.0 * error(np.linalg.cholesky(matrix))
+
+
+@pytest.mark.parametrize("dim", [51, _CHOLESKY_BLOCK + 1, 301])
+def test_a_pinned_matrix_takes_lapacks_jitter_step(dim):
+    # fBm's variance at t = 0 is zero: the matrix is singular at its middle
+    # row, which lies past the first block at the larger dims.
+    matrix = fbm_cov_matrix(np.linspace(-1.0, 1.0, dim), 0.7)
+    assert matrix[dim // 2, dim // 2] == 0.0
+    want, step = lapack_ladder(matrix)
+    got, jitter = cholesky_with_jitter(matrix.copy())
+    assert jitter == step > 0.0
+    if dim <= _CHOLESKY_BLOCK:
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    else:
+        bumped = matrix + (jitter * np.trace(matrix) / dim) * np.eye(dim)
+        assert backward_error(got, bumped) <= 4.0 * backward_error(want, bumped)
+
+
+@pytest.mark.parametrize("dim", [40, 300])
+def test_a_failed_ladder_leaves_the_matrix_as_it_was(dim):
+    # The last diagonal entry is negative: the factor fails in the last
+    # block, after every earlier block has overwritten its lower triangle.
+    x = np.random.default_rng(dim).standard_normal((dim, dim))
+    matrix = x @ x.T + np.eye(dim)
+    matrix = (matrix + matrix.T) / 2.0
+    matrix[-1, -1] = -1.0
+    work = matrix.copy()
+    with pytest.raises(AccuracyError):
+        cholesky_with_jitter(work)
+    assert np.array_equal(work.view(np.uint64), matrix.view(np.uint64))
+
+
+def test_factoring_inverts_window_allocates_under_a_quarter_of_the_matrix():
+    # np.linalg.cholesky on the whole matrix allocates a new n x n factor
+    # (and a Fortran copy that tracemalloc does not see).
+    matrix = factored_window("invert", 0.25)
+    assert matrix.shape == (1203, 1203)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cholesky_with_jitter(matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < matrix.nbytes / 4
+
+
 def test_covmatrix_sampling_is_chunk_invariant():
-    cov = np.eye(3)
-    whole = CovMatrix(cov).sample(make_rng(3), 10)
+    cov = CovMatrix(np.eye(3))
+    whole = cov.sample(make_rng(3), 10)
     rng = make_rng(3)
-    parts = np.vstack([CovMatrix(cov).sample(rng, 4), CovMatrix(cov).sample(rng, 6)])
+    parts = np.vstack([cov.sample(rng, 4), cov.sample(rng, 6)])
     # sample() fixes the draw shape as (dim, n), so chunked draws differ from
     # one big draw -- but each chunk individually is deterministic
     again = make_rng(3)
-    parts2 = np.vstack(
-        [CovMatrix(cov).sample(again, 4), CovMatrix(cov).sample(again, 6)]
-    )
+    parts2 = np.vstack([cov.sample(again, 4), cov.sample(again, 6)])
     assert np.array_equal(parts, parts2)
     assert whole.shape == (10, 3)
 
@@ -238,7 +373,7 @@ def test_covmatrix_sampling_is_chunk_invariant():
 def test_covmatrix_sample_is_the_factor_times_one_normal_block():
     # The draw every sampling route makes; artifacts depend on its bytes.
     cov = fbm_cov_matrix(np.linspace(0.1, 1.0, 7), 0.3)
-    factor, _ = cholesky_with_jitter(cov)
+    factor, _ = cholesky_with_jitter(cov.copy())
     expected = (factor @ make_rng(11).standard_normal((7, 5))).T
     assert np.array_equal(CovMatrix(cov).sample(make_rng(11), 5), expected)
 
@@ -317,26 +452,28 @@ def test_solve_matches_cho_solve_on_the_regression_windows(name, hurst):
 
 
 def test_solve_is_no_slower_than_cho_solve_at_the_regression_cap():
+    # Alternating pairs, gated on the median of the per-pair ratios: a load
+    # spike on the machine slows a pair or two, not the median.
     cov, cpv = regression_system("cap-2048", 0.75)
 
-    def best(solve):
-        times = []
-        for _ in range(5):
-            start = time.perf_counter()
-            solve()
-            times.append(time.perf_counter() - start)
-        return min(times)
+    def seconds(solve):
+        start = time.perf_counter()
+        solve()
+        return time.perf_counter() - start
 
-    ours = best(lambda: cov.solve(cpv))
-    scipy_time = best(lambda: cho_solve((cov.cholesky, True), cpv))
-    assert ours <= scipy_time, f"solve {ours:.4f} s, cho_solve {scipy_time:.4f} s"
+    ratios = sorted(
+        seconds(lambda: cov.solve(cpv)) / seconds(lambda: cho_solve((cov.cholesky, True), cpv))
+        for _ in range(21)
+    )
+    assert ratios[10] <= 1.0, f"median ratio solve / cho_solve {ratios[10]:.3f} over 21 pairs"
 
 
 def test_solve_takes_a_vector_and_checks_the_shape():
-    cov = CovMatrix(np.array([[4.0, 2.0], [2.0, 3.0]]))
+    matrix = np.array([[4.0, 2.0], [2.0, 3.0]])
+    cov = CovMatrix(matrix.copy())
     x = cov.solve(np.array([2.0, 1.0]))
     assert x.shape == (2,)
-    assert np.allclose(cov.matrix @ x, [2.0, 1.0], rtol=0.0, atol=1e-15)
+    assert np.allclose(matrix @ x, [2.0, 1.0], rtol=0.0, atol=1e-15)
     for bad in (np.ones(3), np.ones((3, 1)), np.ones((2, 1, 1))):
         with pytest.raises(ValidationError):
             cov.solve(bad)

@@ -5,7 +5,8 @@ block size cannot change a byte: the covariance fills, the fGn and OBM row
 draws, the almost-diagonal batches and the symmetry check of
 ``cholesky_with_jitter``.  With the budget cut to 64 values (one row per
 panel at most sizes here, a short last panel at the others) each of them
-must give the default's result bit for bit.  The one-sided covariance is the
+must give the default's result bit for bit.  The factor itself runs by the
+fixed ``gaussian._CHOLESKY_BLOCK``, so its bytes never read the budget.  The one-sided covariance is the
 exception the budget allows: its series take their term counts from a
 panel's largest ratio, so it stays within 1e-14 relative, not bit for bit.
 """
@@ -41,6 +42,9 @@ CALLS = {
     "sample_fbm_paths_one_step": lambda: sample_fbm_paths(0.25, 1, 0.01, make_rng(5), paths=130),
     "sample_obm": lambda: sample_obm(50, 0.1, make_rng(6), t0=-2.0, paths=5),
     "FgnSampler.sample": lambda: FgnSampler(0.3, 64, 0.01).sample(make_rng(7), 9),
+    "cholesky_with_jitter": lambda: cholesky_with_jitter(
+        fbm_cov_matrix(np.linspace(0.01, 3.0, 300), 0.7)
+    )[0],
 }
 
 
@@ -80,7 +84,7 @@ def test_the_symmetry_check_reaches_the_last_panel(budget, monkeypatch):
     # (7, 9) is compared only in the short last panel.
     monkeypatch.setattr(gaussian, "_PANEL_VALUES", budget)
     cov = fbm_cov_matrix(np.linspace(0.1, 1.0, 10), 0.6)
-    assert cholesky_with_jitter(cov)[1] == 0.0
+    assert cholesky_with_jitter(cov.copy())[1] == 0.0
     cov[9, 7] += 1.0e-6
     with pytest.raises(ValidationError, match="symmetric"):
         cholesky_with_jitter(cov)

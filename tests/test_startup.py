@@ -8,7 +8,8 @@ schema violation: ``reports.check_document`` decides validity with its own
 walk, so the lazily bound module never runs on a good document.  Besides
 the benchmarked calls, ``drift regression`` and ``arbitrage ledger`` leave
 both unloaded too.  The numpy submodules the package uses are imported with
-it, so the first call does not pay for them.  A fresh interpreter is
+it, so the first call does not pay for them; ``numpy.ma`` (about 10 ms) is
+not one of them, and no call loads it.  A fresh interpreter is
 needed: the test session itself has scipy and jsonschema loaded.
 """
 
@@ -40,7 +41,8 @@ OTHER_CALLS = [
     "arbitrage ledger --hurst 0.75 --r 0.1 --alpha 0.5 --p 0.5 --rtilde 0.05"
     " --pan 4=0.44,8=0.0993",
 ]
-WATCHED = ("numpy.random", "numpy.fft", "numpy.polynomial", "scipy", "jsonschema.validators")
+WATCHED = ("numpy.random", "numpy.fft", "numpy.polynomial", "numpy.ma", "scipy",
+           "jsonschema.validators")
 
 SCRIPT = """
 import json, sys
@@ -80,3 +82,4 @@ def test_cli_starts_and_runs_the_benchmarked_calls_without_scipy(tmp_path):
     for loaded in report["after_lean"] + report["after_other"]:
         assert "scipy" not in loaded
         assert "jsonschema.validators" not in loaded
+        assert "numpy.ma" not in loaded
