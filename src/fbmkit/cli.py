@@ -44,8 +44,8 @@ Conventions shared by all subcommands:
   fields (``created_utc``, ``wall_time``, ``runtime``, ``threads``), as long
   as the BLAS library runs on the same number of threads: a factorization or
   product on more BLAS threads may round differently (``drift validate
-  --hurst 0.75 --seed 7`` writes ``rel_l2`` 0.0166771610564351 on one
-  OpenBLAS thread and 0.01667716105638497 on two).
+  --hurst 0.75 --seed 7`` writes ``rel_l2`` 0.016677138252593142 on one
+  OpenBLAS thread and 0.016677138252557063 on two).
 """
 
 from __future__ import annotations
@@ -100,8 +100,8 @@ from .gamma import (
     sigma2,
 )
 from .gaussian import MAX_ARRAY_VALUES, CovMatrix
-from .reports import ExperimentReport, check_document, validate_report
-from .rng import DEFAULT_SEED, make_rng
+from .reports import ExperimentReport
+from .rng import CHUNK, DEFAULT_SEED, make_rng
 from .serialize import _ROW_PIECE, _join_floats, canonical_json_dump, csv_cell
 from .subgauss import subgaussian_bound, subgaussian_constants
 from .thick import ThickSet, harmonic_subsum, is_thick_estimate
@@ -327,9 +327,8 @@ def _path_doc(kind: str, config: dict, seed: int, times: np.ndarray,
               paths: np.ndarray) -> tuple[dict, _Render]:
     """Check a path artifact and return its document and CSV renderer.
 
-    The schema validates the document with empty arrays; the arrays are
-    checked with numpy (float64, ``times`` 1-D, one ``paths`` row per path
-    with one value per time, all finite).
+    The arrays are checked with numpy: float64, ``times`` 1-D, one ``paths``
+    row per path with one value per time, all finite.
     """
     times, paths = np.asarray(times), np.atleast_2d(paths)
     if times.dtype != np.float64 or paths.dtype != np.float64:
@@ -338,10 +337,8 @@ def _path_doc(kind: str, config: dict, seed: int, times: np.ndarray,
     if times.ndim != 1 or paths.ndim != 2 or paths.shape[1] != times.size:
         raise ValueError(f"{kind}: paths of shape {paths.shape} do not match "
                          f"times of shape {times.shape}")
-    doc = {"kind": kind, "config": config, "seed": int(seed), "times": [], "paths": []}
-    check_document(doc, PATH_SCHEMA)
     _require_finite(kind, [("times", times), ("paths", paths)])
-    doc.update(times=times, paths=paths)
+    doc = {"kind": kind, "config": config, "seed": int(seed), "times": times, "paths": paths}
     return doc, partial(_path_csv, times, paths)
 
 
@@ -369,7 +366,6 @@ def _table_doc(kind: str, config: dict, values: dict,
     doc = {"kind": kind, "config": config, "values": values}
     if seed is not None:
         doc["seed"] = int(seed)
-    check_document(doc, TABLE_SCHEMA)
     _require_finite(kind, values.items())
     rows = [
         (name, idx, entry)
@@ -386,7 +382,6 @@ def _report_doc(report: ExperimentReport) -> tuple[dict, _Render]:
     one per entry of each trend, in sorted order, with blank interval cells.
     """
     doc = report.as_dict()
-    validate_report(doc)
     _require_finite(report.kind, [
         *((e["name"], [e["value"], e["ci_low"], e["ci_high"]]) for e in doc["estimates"]),
         *doc["trends"].items(),
@@ -405,6 +400,25 @@ def _report_doc(report: ExperimentReport) -> tuple[dict, _Render]:
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
+def _refuse_values(size: int, asked: str) -> None:
+    """Refuse an array of more than ``MAX_ARRAY_VALUES`` floats before it is allocated.
+
+    ``asked`` names the flags and the array: ``--n 8 asks for a covariance``.
+    """
+    if size > MAX_ARRAY_VALUES:
+        raise ValidationError(
+            f"{asked} of {size} float64 values, more than {MAX_ARRAY_VALUES} (256 MiB)")
+
+
+def _refuse_joint_rows(args, rows: int) -> None:
+    """Refuse a joint W/Z covariance of more than ``WINDOW_MAX_POINTS`` rows before it is built."""
+    if rows > WINDOW_MAX_POINTS:
+        raise ValidationError(
+            f"the joint covariance at dt={args.dt}, u_deep={args.umax} would have"
+            f" {rows} rows, more than {WINDOW_MAX_POINTS}: raise --dt (or lower --umax)"
+        )
+
+
 def _cmd_sample(args) -> int:
     # The largest float64 array of the draw, refused before it is allocated:
     # the paths, the n x n covariance of a Levy draw, or the complex FFT of
@@ -414,9 +428,7 @@ def _cmd_sample(args) -> int:
         size, asked = args.n**2, f"--n {args.n} asks for a covariance"
     elif args.process == "fbm" and 4 * (args.n - 1) > size:
         size, asked = 4 * (args.n - 1), f"--n {args.n} asks for an fGn spectrum"
-    if size > MAX_ARRAY_VALUES:
-        raise ValidationError(
-            f"{asked} of {size} float64 values, more than {MAX_ARRAY_VALUES} (256 MiB)")
+    _refuse_values(size, asked)
     rng = make_rng(args.seed)
     config = {"process": args.process, "n": args.n, "dt": args.dt, "paths": args.paths}
     if args.process == "fbm":
@@ -453,12 +465,7 @@ def _cmd_drift(args) -> int:
     }
 
     if args.route == "validate":
-        if 2 * times.size > WINDOW_MAX_POINTS:
-            raise ValidationError(
-                f"the joint covariance at dt={args.dt}, u_deep={args.umax} would have"
-                f" {2 * times.size} rows, more than {WINDOW_MAX_POINTS}:"
-                " raise --dt (or lower --umax)"
-            )
+        _refuse_joint_rows(args, 2 * times.size)
         draw = CovMatrix(joint_wz_cov(ctx, times, times)).sample(rng, args.paths)
         pred_k = drift_apply(kspec, times, draw[:, times.size :], v_grid)
         pred_w = drift_from_obm(kspec, times, draw[:, : times.size], v_grid)
@@ -499,6 +506,7 @@ def _cmd_drift(args) -> int:
 def _cmd_invert(args) -> int:
     kspec = DriftKernelSpec(ctx=make_context(args.hurst))
     times = inversion_grid(args.dt, u_deep=args.umax)
+    _refuse_joint_rows(args, times.size + 16)  # the window and the 16 recovery times
     w_rec, w_true, t_inv = driver_roundtrip(kspec, times, make_rng(args.seed), args.paths)
     rel = rel_l2(w_rec, w_true)
     scale = float(np.sqrt(np.mean(w_true**2)))
@@ -567,6 +575,7 @@ def _cmd_gamma(args) -> int:
 
 
 def _cmd_bounds_matrix(args) -> int:
+    _refuse_values(3 * args.n**2, f"--n {args.n} asks for an adversarial stack")
     rng = make_rng(args.seed)
     report = matrix_batch_check(args.n, args.eps, args.trials, rng)
     config = {"n": args.n, "eps": args.eps, "trials": args.trials}
@@ -630,6 +639,14 @@ def _cmd_bounds_hk(args) -> int:
 
 
 def _cmd_lil(args) -> int:
+    # The covariance of the imax + 1 ladder values, or the chunk buffer each
+    # thread draws into, whichever is larger.
+    rows = args.imax + 1
+    size, asked = rows * min(args.paths, CHUNK), (
+        f"--imax {args.imax} and --paths {args.paths} ask for a chunk buffer")
+    if rows**2 > size:
+        size, asked = rows**2, f"--imax {args.imax} asks for a covariance"
+    _refuse_values(size, asked)
     ctx = make_context(args.hurst)
     thick = None
     if args.set_name is not None:

@@ -2,25 +2,25 @@
 
 An :class:`ExperimentReport` bundles a config echo, the RNG seed, named
 estimates with confidence intervals, and trend arrays.  Its document
-(:meth:`ExperimentReport.as_dict`, checked against :data:`REPORT_SCHEMA`)
-holds plain types only, so identical runs build identical documents up to
-the volatile wall time and timestamp, which the experiment fills in with
-:meth:`ExperimentReport.stamp`.  This module renders no text: the CLI
-writes the document as canonical JSON, or as its flat CSV twin for
-plotting, in ``cli._emit``.
+(:meth:`ExperimentReport.as_dict`) holds plain types only, so identical
+runs build identical documents up to the volatile wall time and timestamp,
+which the experiment fills in with :meth:`ExperimentReport.stamp`.  This
+module renders no text: the CLI writes the document as canonical JSON, or
+as its flat CSV twin for plotting, in ``cli._emit``.
 
-Every artifact document, report or not, passes :func:`check_document`
-against its schema.  A short walk over the keywords the artifact schemas
-use decides validity, so a run that writes good documents never executes
-jsonschema: the module-level ``jsonschema`` is bound lazily and runs on
-first use, which is building the error of a violation.
+Every artifact document is schema-shaped by construction: kinds are
+literals, seeds and counts go through ``int``, config echoes and trends
+through ``_plain``, which refuses any other type, and an :class:`Estimate`
+refuses an inverted interval.  :data:`REPORT_SCHEMA` and the CLI's and the
+battery's schemas are the published contract of those documents; the
+tests validate real artifacts against them with jsonschema, which the
+library itself never runs.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import math
-import numbers
 import sys
 import time
 from dataclasses import dataclass, field
@@ -33,9 +33,7 @@ __all__ = [
     "Estimate",
     "ExperimentReport",
     "REPORT_SCHEMA",
-    "check_document",
     "utc_now",
-    "validate_report",
     "wilson_interval",
 ]
 
@@ -55,7 +53,9 @@ def _lazy_module(name: str):
     return module
 
 
-# About 60 ms of import and 4 MB of memory, paid only to report a violation.
+# No library code reads it, so its ~60 ms import runs only under perfbench
+# --trace 1, which wraps jsonschema.validate as seen from here
+# (reports.schema_validate).
 jsonschema = _lazy_module("jsonschema")
 
 
@@ -167,79 +167,6 @@ def _plain(obj):
     raise ValidationError(f"cannot echo config value of type {type(obj).__name__}")
 
 
-def check_document(doc: dict, schema: dict) -> None:
-    """Raise the error ``jsonschema.validate(doc, schema)`` would raise, if any.
-
-    Validity is decided by a walk with jsonschema's Draft 2020-12 semantics
-    for the keywords the artifact schemas use (:data:`_KEYWORDS`); a keyword
-    the walk meets and does not know raises ``KeyError``, and the tests
-    check that the artifact schemas hold no other keyword at any depth.
-    Only on a violation is ``Draft202012Validator(schema)`` built, and its
-    best-matching error raised, so the message and path are jsonschema's
-    own; should jsonschema find no error, the two disagree and
-    ``RuntimeError`` is raised.  ``validate`` also runs ``check_schema``;
-    the schemas are constants, checked by the tests.
-    """
-    if _fits(doc, schema):
-        return
-    error = jsonschema.exceptions.best_match(
-        jsonschema.Draft202012Validator(schema).iter_errors(doc))
-    if error is None:
-        raise RuntimeError("check_document: the walk rejects a document that "
-                           "jsonschema's Draft202012Validator accepts")
-    raise error
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, numbers.Number) and not isinstance(x, bool)
-
-
-# jsonschema's 2020-12 type checks: a bool is no number, an integral float
-# is an integer, and only a dict is an object and only a list an array.
-_TYPES = {
-    "object": lambda x: isinstance(x, dict),
-    "array": lambda x: isinstance(x, list),
-    "string": lambda x: isinstance(x, str),
-    "boolean": lambda x: isinstance(x, bool),
-    "null": lambda x: x is None,
-    "number": _is_number,
-    "integer": lambda x: ((isinstance(x, int) and not isinstance(x, bool))
-                          or (isinstance(x, float) and x.is_integer())),
-}
-
-
-# Each keyword the walk knows, as ``holds(doc, value, schema)``.  As in
-# jsonschema, a keyword about objects, arrays, strings or numbers holds for
-# a document of any other type.
-_KEYWORDS = {
-    "$schema": lambda doc, value, schema: True,  # the check is always 2020-12's
-    "type": lambda doc, value, schema: any(
-        _TYPES[t](doc) for t in ([value] if isinstance(value, str) else value)),
-    # jsonschema's ``equal`` is ``==`` when either side is a string, and the
-    # artifact schemas' only ``const`` values are strings.
-    "const": lambda doc, value, schema: doc == value,
-    "required": lambda doc, value, schema: (
-        not isinstance(doc, dict) or all(key in doc for key in value)),
-    "properties": lambda doc, value, schema: not isinstance(doc, dict) or all(
-        _fits(doc[key], sub) for key, sub in value.items() if key in doc),
-    "additionalProperties": lambda doc, value, schema: not isinstance(doc, dict) or all(
-        _fits(doc[key], value) for key in doc if key not in schema.get("properties", {})),
-    "items": lambda doc, value, schema: (
-        not isinstance(doc, list) or all(_fits(item, value) for item in doc)),
-    "minItems": lambda doc, value, schema: not isinstance(doc, list) or len(doc) >= value,
-    "minLength": lambda doc, value, schema: not isinstance(doc, str) or len(doc) >= value,
-    "minimum": lambda doc, value, schema: not _is_number(doc) or not doc < value,
-    "maximum": lambda doc, value, schema: not _is_number(doc) or not doc > value,
-}
-
-
-def _fits(doc, schema) -> bool:
-    """Whether ``doc`` is valid against ``schema`` (a dict or a boolean schema)."""
-    if isinstance(schema, bool):
-        return schema
-    return all(_KEYWORDS[key](doc, value, schema) for key, value in schema.items())
-
-
 REPORT_SCHEMA = {
     "type": "object",
     "required": ["kind", "config", "seed", "estimates", "trends"],
@@ -275,10 +202,3 @@ REPORT_SCHEMA = {
     "additionalProperties": False,
 }
 
-
-def validate_report(doc: dict) -> None:
-    """Raise ValidationError if the document violates the report schema."""
-    try:
-        check_document(doc, REPORT_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ValidationError(f"report schema violation: {exc.message}") from exc

@@ -3,15 +3,18 @@
 Every subcommand runs with only its required flags, in JSON and in CSV, and
 every leaf of the command tree but ``selftest`` has such a call;
 what it writes to stdout ends in one newline and is what ``--out`` writes,
-up to the volatile ``wall_time`` and ``created_utc``.  ``selftest`` runs on
-a stubbed battery (the real one takes tens of seconds) to pin its exit code:
-0 when every failure is declared, 1 otherwise, and its artifact in both
-formats.  ``arbitrage ledger`` refuses each of its inputs out of range.
+up to the volatile ``wall_time`` and ``created_utc``, and its JSON artifact
+is valid against the schema of its kind (path, table or report).
+``selftest`` runs on a stubbed battery (the real one takes tens of seconds)
+to pin its exit code: 0 when every failure is declared, 1 otherwise, and its
+artifact in both formats, valid against ``ACCEPTANCE_SCHEMA``.
+``arbitrage ledger`` refuses each of its inputs out of range.
 A result holding inf or nan exits 3 and writes no artifact.  Every finite
 input to ``arbitrage threshold``, ``arbitrage ledger``, ``gamma regbound``
 and ``bounds subgauss``, subnormals included, exits 0, 2 or 3 without a
-traceback; an input whose result leaves the float range exits 2 (refused,
-naming its flag) or 3 (not representable), or 0 where the limit is exact.
+traceback, and an artifact it writes is valid against its schema; an input
+whose result leaves the float range exits 2 (refused, naming its flag) or 3
+(not representable), or 0 where the limit is exact.
 A negative ``--seed``, a ``--threads`` or ``--paths`` below 1, or a count
 below its floor exits 2 and writes nothing on every subcommand that takes
 the flag.
@@ -30,11 +33,14 @@ The parser ``main`` builds from its argv parses like the whole tree: the
 same exit code, output and namespace on every leaf, every help text and each
 kind of bad argv; and it holds the arguments of its own leaf alone.  A past
 window of more than ``WINDOW_MAX_POINTS`` times (half as many for ``drift
-validate``'s joint covariance) exits 2, naming ``--dt``, before it is
-allocated; no required or benchmarked call reaches the cap.
+validate``'s joint covariance, 16 fewer for ``invert``'s) exits 2, naming
+``--dt``, before it is allocated; no required or benchmarked call reaches
+the cap.  So does a ``sample``, ``lil`` or ``bounds matrix`` call whose
+largest array would pass ``MAX_ARRAY_VALUES``, naming its flags.
 """
 
 import argparse
+import contextlib
 import hashlib
 import importlib.util
 import io
@@ -48,6 +54,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given
@@ -55,12 +62,13 @@ from hypothesis import strategies as st
 
 from fbmkit import acceptance, cli, gamma
 from fbmkit.acceptance import (
+    ACCEPTANCE_SCHEMA,
     CRITERION_NAMES,
     EXPECTED_FAILURES,
     AcceptanceReport,
     CriterionResult,
 )
-from fbmkit.cli import main
+from fbmkit.cli import PATH_SCHEMA, TABLE_SCHEMA, main
 from fbmkit.context import make_context
 from fbmkit.drift import (
     WINDOW_MAX_POINTS,
@@ -72,7 +80,7 @@ from fbmkit.drift import (
 from fbmkit.errors import AccuracyError, ValidationError
 from fbmkit.fbm import sample_fbm_paths
 from fbmkit.gaussian import MAX_ARRAY_VALUES
-from fbmkit.reports import ExperimentReport
+from fbmkit.reports import REPORT_SCHEMA, ExperimentReport
 from fbmkit.rng import make_rng
 
 REQUIRED_ONLY = [
@@ -112,6 +120,17 @@ REQUIRED_ONLY = [
 # The volatile values of a report document, blanked to compare two runs.
 STAMPS = re.compile(r'("(?:wall_time|created_utc)": )[^,\n]*')
 
+# The schema of each kind of artifact but selftest's, told by the key only
+# that kind of document holds.
+SCHEMA_BY_KEY = {"paths": PATH_SCHEMA, "values": TABLE_SCHEMA, "estimates": REPORT_SCHEMA}
+
+
+def assert_schema_shaped(text: str) -> None:
+    """Validate a JSON artifact against the schema of its kind: path, table or report."""
+    doc = json.loads(text)
+    (schema,) = (SCHEMA_BY_KEY[key] for key in SCHEMA_BY_KEY if key in doc)
+    jsonschema.Draft202012Validator(schema).validate(doc)
+
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("command", REQUIRED_ONLY)
@@ -125,6 +144,8 @@ def test_defaults_are_a_valid_invocation(command, fmt, tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == 0
     written = out.read_text(encoding="utf-8")
     assert STAMPS.sub(r"\1", captured.out) == STAMPS.sub(r"\1", written)
+    if fmt == "json":
+        assert_schema_shaped(written)
 
 
 def stub_battery(failing):
@@ -154,6 +175,7 @@ def test_selftest_artifact_in_both_formats(monkeypatch, tmp_path, capsys):
     assert main(["selftest", "--threads", "1", "--out", str(json_out)]) == 0
     assert main(["selftest", "--threads", "1", "--out", str(csv_out)]) == 0
     doc = json.loads(json_out.read_text(encoding="utf-8"))
+    jsonschema.Draft202012Validator(ACCEPTANCE_SCHEMA).validate(doc)
     assert doc["kind"] == "acceptance"
     assert [c["passed"] for c in doc["criteria"]] == [k != 10 for k in range(1, 12)]
     lines = csv_out.read_text(encoding="utf-8").splitlines()
@@ -462,6 +484,35 @@ def test_an_oversized_sample_exits_2_before_allocating(argv, asked, capsys):
     assert err == f"error: {asked} float64 values, more than {MAX_ARRAY_VALUES} (256 MiB)\n"
 
 
+# Unrefused, each would allocate 270-340 MB: a lil chunk buffer of 1301 x 2^15
+# values, a lil covariance of 6001^2, or bounds matrix's adversarial stack of
+# 3 x 3400^2.  The stubbed computations fail the test, rather than allocate, if
+# the refusal is missing.
+@pytest.mark.parametrize("argv,asked", [
+    ("lil --hurst 0.75 --r 0.6 --imax 1300 --paths 100000",
+     "--imax 1300 and --paths 100000 ask for a chunk buffer of 42631168"),
+    ("lil --hurst 0.75 --r 0.999 --imax 6000", "--imax 6000 asks for a covariance of 36012001"),
+    ("bounds matrix --n 3400 --eps 0.1", "--n 3400 asks for an adversarial stack of 34680000"),
+])
+def test_an_oversized_lil_or_matrix_check_exits_2_before_allocating(argv, asked, monkeypatch,
+                                                                     capsys):
+    def unrefused(*args, **kwargs):
+        pytest.fail(f"{argv} was not refused")
+
+    monkeypatch.setattr(cli, "lil_statistic", unrefused)
+    monkeypatch.setattr(cli, "matrix_batch_check", unrefused)
+    tracemalloc.start()
+    try:
+        code = main(argv.split())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {asked} float64 values, more than {MAX_ARRAY_VALUES} (256 MiB)\n"
+    assert peak < 8 * 20_000
+
+
 SMALL_SAMPLE = "sample fbm --hurst 0.75 --n 8 --dt 0.125 --seed 3".split()
 
 
@@ -719,7 +770,12 @@ def test_every_finite_input_exits_0_2_or_3(command, data):
     elif command == "bounds subgauss":
         xs = data.draw(st.lists(FLAG_VALUE, min_size=1, max_size=3), label="--x")
         argv.append("--x=" + ",".join(map(repr, xs)))
-    assert main(argv + ["--out", os.devnull]) in (0, 2, 3)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert_schema_shaped(out.getvalue())
 
 
 THRESHOLD = "arbitrage threshold --hurst 0.75 --alpha 0.5 --p 0.5 --p-prime 0.4"
@@ -884,11 +940,17 @@ WINDOW_COMMANDS = ["drift kernel", "drift obm", "drift regression", "drift valid
 # --dt 1e-4 asks for a window of about 20 000 times: a 3 GiB covariance.  It is
 # refused before even the window's own times are allocated.  The 4346 times at
 # --dt 2^-11 are under the cap, but drift validate's joint covariance would have
-# twice as many rows, 604 MB; it is refused before that matrix is built.
-@pytest.mark.parametrize("command,dt", [*((c, 1e-4) for c in WINDOW_COMMANDS),
-                                        ("drift validate", 2.0**-11)])
-def test_a_window_past_the_point_cap_exits_2_before_allocating_it(command, dt, tmp_path,
-                                                                  capsys):
+# twice as many rows, 604 MB; it is refused before that matrix is built.  So is
+# invert's at --dt 0.000355, 268 MB: 5779 times are under the cap, and the 16
+# recovery times take the joint rows past it.  Building those 5779 times peaks
+# at 136 KB by itself, so that call gets twice the others' budget.
+@pytest.mark.parametrize("command,dt,peak_max", [
+    *(pytest.param(c, 1e-4, 8 * 20_000, id=f"{c}-0.0001") for c in WINDOW_COMMANDS),
+    pytest.param("drift validate", 2.0**-11, 8 * 20_000, id="drift validate-0.00048828125"),
+    pytest.param("invert", 0.000355, 8 * 40_000, id="invert-0.000355"),
+])
+def test_a_window_past_the_point_cap_exits_2_before_allocating_it(command, dt, peak_max,
+                                                                  tmp_path, capsys):
     out = tmp_path / "artifact.json"
     argv = f"{command} --hurst 0.75 --dt {dt} --out {out}".split()
     tracemalloc.start()
@@ -900,7 +962,7 @@ def test_a_window_past_the_point_cap_exits_2_before_allocating_it(command, dt, t
     assert code == 2
     err = capsys.readouterr().err
     assert f"more than {WINDOW_MAX_POINTS}: raise --dt" in err
-    assert peak < 8 * 20_000
+    assert peak < peak_max
     assert not out.exists()
 
 
@@ -920,4 +982,8 @@ def window_argvs():
 def test_every_required_and_benchmarked_window_is_under_the_cap(argv):
     args = cli.build_parser(argv).parse_args(argv)
     rows = inversion_grid(args.dt, u_deep=args.umax).size
-    assert rows * (2 if argv[:2] == ["drift", "validate"] else 1) <= WINDOW_MAX_POINTS
+    if argv[:2] == ["drift", "validate"]:
+        rows *= 2
+    elif argv[0] == "invert":
+        rows += 16
+    assert rows <= WINDOW_MAX_POINTS

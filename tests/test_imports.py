@@ -8,9 +8,13 @@ their imports are re-exports.
 
 No module under ``src/`` imports scipy, at module level or inside a
 function, and ``pyproject.toml`` lists only numpy and jsonschema as runtime
-dependencies; scipy stays in the ``test`` extra as an oracle.  ``gamma.py``
-sums its series in closed form and takes its lags in one serial pass, so it
-imports nothing from ``quadrature`` or ``rng``; ``drift.py`` takes exact path
+dependencies; scipy stays in the ``test`` extra as an oracle.  No library
+code runs jsonschema: artifacts are schema-shaped by construction and the
+tests validate them against their schemas, but the lazy module-level
+``jsonschema`` bindings of ``reports`` and ``cli`` stay, as the names that
+``perfbench --trace 1`` wraps.  ``gamma.py`` sums its series in closed form
+and takes its lags in one serial pass, so it imports nothing from
+``quadrature`` or ``rng``; ``drift.py`` takes exact path
 weights and imports only ``PATH_TOL`` from ``quadrature``, and no library
 module but ``quadrature.py`` names the panel helpers.
 

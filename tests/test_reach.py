@@ -32,7 +32,7 @@ CLI_ROOTS = {("cli", "main"), ("cli", "build_parser")}
 
 ALLOWLIST = {
     # The proof's bound chain, waiting on a CLI path or its deletion (ROADMAP
-    # Direction 6).  It reaches max_feasible_epsilon, _log_normal_tail and
+    # Direction 8).  It reaches max_feasible_epsilon, _log_normal_tail and
     # PhiFunctions.all_finite.
     ("experiments", "product_tail_chain"),
 }

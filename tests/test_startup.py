@@ -3,9 +3,9 @@
 scipy's import costs about a quarter second, twice the work of a small CLI
 call, and no library route needs it: the regression solve runs on the
 Cholesky factor in numpy, and the normal log-tail comes from ``math.erfc``.
-jsonschema's costs about 60 ms and 4 MB, and is needed only to report a
-schema violation: ``reports.check_document`` decides validity with its own
-walk, so the lazily bound module never runs on a good document.  Besides
+jsonschema's costs about 60 ms and 4 MB, and no library code runs it:
+artifacts are schema-shaped by construction, and the tests validate them
+against their schemas, so the lazily bound module never runs.  Besides
 the benchmarked calls, ``drift regression`` and ``arbitrage ledger`` leave
 both unloaded too.  The numpy submodules the package uses are imported with
 it, so the first call does not pay for them; ``numpy.ma`` (about 10 ms) is
