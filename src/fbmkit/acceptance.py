@@ -28,17 +28,16 @@ from .context import make_context
 from .drift import (
     DriftKernelSpec,
     conditional_future_cov,
-    drift_apply,
-    drift_from_obm,
     driver_roundtrip,
     inversion_grid,
     pipiras_taqqu_invert,
+    prediction_routes,
     regression_weights,
     rel_l2,
 )
 from .errors import FbmkitError, ValidationError
 from .experiments import ArbitrageConfig, LilConfig, a_n_probability, lil_statistic
-from .fbm import FgnSampler, fbm_cov_matrix, joint_wz_cov, levy_cov_matrix, sample_obm
+from .fbm import FgnSampler, fbm_cov_matrix, levy_cov_matrix, sample_obm
 from .gamma import GammaConfig, decay_bound_check, gamma_mc_implied_cov, sample_gamma_mc
 from .gaussian import CovMatrix, CrossMoments
 from .reports import utc_now
@@ -282,25 +281,19 @@ def _criterion_2(seed_seq, threads: int) -> tuple[bool, str, dict]:
 # ---------------------------------------------------------------------------
 
 def _criterion_3(seed_seq, threads: int) -> tuple[bool, str, dict]:
-    hurst, n_paths = 0.75, 100
-    ctx = make_context(hurst)
-    kspec = DriftKernelSpec(ctx=ctx)
+    n_paths = 100
+    kspec = DriftKernelSpec(ctx=make_context(0.75))
     v_grid = np.linspace(0.125, 2.0, 16)
     per_decade = 48
     fine_neg = _exp_grid_neg(-7.0, 9.0, per_decade)
-    rng = make_rng(seed_seq)
-    draw = CovMatrix(joint_wz_cov(ctx, fine_neg, fine_neg)).sample(rng, n_paths)
-    w_fine, z_fine = draw[:, : fine_neg.size], draw[:, fine_neg.size :]
 
-    # Default grid: every second exponent, truncated two decades shallower.
+    # Both routes on two windows of one joint draw on the fine grid.  The
+    # default window: every second exponent, truncated two decades shallower.
     exps = np.round(np.log10(-fine_neg) * per_decade).astype(int)
     default_mask = (exps % 2 == 0) & (-fine_neg <= 1.0e7 * (1 + 1e-9))
-    errors = {}
-    for label, mask in (("default", default_mask),
-                        ("refined", np.ones(fine_neg.size, dtype=bool))):
-        pred_kernel = drift_apply(kspec, fine_neg[mask], z_fine[:, mask], v_grid)
-        pred_driver = drift_from_obm(kspec, fine_neg[mask], w_fine[:, mask], v_grid)
-        errors[label] = rel_l2(pred_kernel, pred_driver)
+    windows = (default_mask, np.ones(fine_neg.size, dtype=bool))
+    preds = prediction_routes(kspec, fine_neg, v_grid, make_rng(seed_seq), n_paths, windows)
+    errors = {label: rel_l2(*pair) for label, pair in zip(("default", "refined"), preds)}
 
     passed = (
         errors["default"] < 0.05

@@ -34,10 +34,11 @@ representation recovering the driving Brownian motion:
   ``W_t * c1 / c_h = eta * integral_{-inf}^t xi_{-eta-1}(t-s, -t) (Z_s - Z_t) ds
   + eta * integral_t^0 (-s)^{-eta-1} Z_s ds + (-t)^{-eta} Z_t``.
 
-* :func:`driver_roundtrip` — draws the driver and the process jointly and
-  recovers the one from the other: the check of :func:`pipiras_taqqu_invert`
-  that ``fbmkit invert`` and acceptance criterion 4 both run, scored by
-  :func:`rel_l2`.
+* :func:`prediction_routes` and :func:`driver_roundtrip` — the checks that
+  ``fbmkit drift validate`` and ``fbmkit invert`` run, and acceptance
+  criteria 3 and 4 with them, scored by :func:`rel_l2`: the kernel route
+  against the driver route on one joint draw of driver and process, and the
+  driver recovered from the process against the driver drawn with it.
 
 Operators on sampled paths
 --------------------------
@@ -70,6 +71,16 @@ included, every weight is within 2e-12 of its row's largest.  The
 truncation estimates that raise :class:`~fbmkit.errors.AccuracyError` run
 once per call, before any weights are built.
 
+Route checks on linear images
+-----------------------------
+Every route is a weight matrix ``A`` applied to a sampled past ``x``, and
+the checks read nothing of a draw of the joint law of ``(W, Z)`` but such
+images.  For ``x ~ N(0, C)``, ``A x ~ N(0, A C A^T)``, so the checks draw
+the images from that ``k x k`` covariance (``k`` = 32 for the CLI's 16
+times per route), which :func:`~fbmkit.fbm.joint_wz_image_cov` builds by
+row panels in ``O(N^2 k)``, against ``O(N^3)`` to factor ``C`` over the
+``N`` window times.  Nothing here forms or factors ``C`` itself.
+
 The kernel in closed form
 -------------------------
 The printed ``K`` is elementary (Gripenberg & Norros 1996, J. Appl. Prob.
@@ -99,7 +110,7 @@ import numpy as np
 
 from .context import HurstContext, xi
 from .errors import AccuracyError, ValidationError
-from .fbm import _hyp2f1_unit_b, fbm_cov, fbm_cov_matrix, joint_wz_cov
+from .fbm import _hyp2f1_unit_b, fbm_cov, fbm_cov_matrix, joint_wz_image_cov
 from .gaussian import MAX_ARRAY_VALUES, CovMatrix
 from .quadrature import PATH_TOL
 
@@ -116,17 +127,18 @@ __all__ = [
     "invert_tail_sd",
     "inversion_grid",
     "rel_l2",
+    "prediction_routes",
     "driver_roundtrip",
 ]
 
 REGRESSION_MAX_POINTS = 2048
 
-# Most rows of a covariance the CLI builds over a past window: n x n over the
-# window's n times, 2n x 2n for drift validate's joint one.  The budget is
-# MAX_ARRAY_VALUES (256 MiB) for the matrix, which becomes its own Cholesky
-# factor in place.  Peak RSS measured at one BLAS thread within two rows of
-# the cap: drift kernel and drift validate 301 MiB, invert 302 MiB.  A finer
-# --dt (or a deeper --umax) is refused before the matrix is allocated.
+# Most times of a past window: drift kernel and drift regression draw the
+# path on it from its n x n covariance.  The budget is MAX_ARRAY_VALUES
+# (256 MiB) for the matrix, which becomes its own Cholesky factor in place.
+# Peak RSS measured at one BLAS thread within two rows of the cap: drift
+# kernel 301 MiB.  A finer --dt (or a deeper --umax) is refused before the
+# matrix is allocated.  drift validate and invert never build that matrix.
 WINDOW_MAX_POINTS = math.isqrt(MAX_ARRAY_VALUES)  # 5792
 
 # Geometry of inversion_grid: the uniform window's length, the geometric
@@ -344,18 +356,14 @@ def drift_tail_sd(kspec: DriftKernelSpec, v: float, u_max: float) -> float:
     return abs(k_edge) * u_max ** (1.0 + ctx.hurst) / (1.0 - ctx.hurst)
 
 
-def drift_apply(kspec: DriftKernelSpec, times, values, v_grid) -> np.ndarray:
-    """Apply the prediction operator to a past trajectory of the process.
+def _kernel_operator(kspec: DriftKernelSpec, times: np.ndarray, v_grid: np.ndarray) -> np.ndarray:
+    """Weights ``(nv, n + 1)`` of :func:`drift_apply` on pinned ``times``, after its tail check.
 
-    ``values`` is the observed past of the *driven* process at the negative
-    ``times``, one path or a batch; returns the conditional-mean prediction
-    at each ``v > 0`` in ``v_grid``, shape ``(nv,)`` or ``(paths, nv)``.
+    At ``eta = 0`` the kernel vanishes and so do the weights.
     """
-    times, values = _pinned_past(times, values)
-    v_grid = _future_times(v_grid)
     ctx = kspec.ctx
     if ctx.eta == 0.0:
-        return np.zeros(values.shape[:-1] + v_grid.shape)
+        return np.zeros((v_grid.size, times.size))
     u_max = -times[0]
     worst_v = float(v_grid.max())
     tail = drift_tail_sd(kspec, worst_v, u_max)
@@ -367,22 +375,29 @@ def drift_apply(kspec: DriftKernelSpec, times, values, v_grid) -> np.ndarray:
             estimate=tail,
             budget=budget,
         )
-    return values @ _kernel_weights(ctx, times, v_grid).T
+    return _kernel_weights(ctx, times, v_grid)
 
 
-def drift_from_obm(kspec: DriftKernelSpec, times, values, v_grid) -> np.ndarray:
-    """Prediction expressed through the past of the *driving* Brownian motion.
+def drift_apply(kspec: DriftKernelSpec, times, values, v_grid) -> np.ndarray:
+    """Apply the prediction operator to a past trajectory of the process.
 
-    ``(D X)_v = eta c1 integral_{t0}^0 xi_{eta-1}(-s, v) W_s ds`` for each
-    ``v`` in ``v_grid``; ``values`` are the driver at the negative ``times``,
-    one path or a batch, and the result has shape ``(nv,)`` or ``(paths, nv)``.
+    ``values`` is the observed past of the *driven* process at the negative
+    ``times``, one path or a batch; returns the conditional-mean prediction
+    at each ``v > 0`` in ``v_grid``, shape ``(nv,)`` or ``(paths, nv)``.
     """
     times, values = _pinned_past(times, values)
-    v_grid = _future_times(v_grid)
+    return values @ _kernel_operator(kspec, times, _future_times(v_grid)).T
+
+
+def _driver_operator(kspec: DriftKernelSpec, times: np.ndarray, v_grid: np.ndarray) -> np.ndarray:
+    """Weights ``(nv, n + 1)`` of :func:`drift_from_obm` on pinned ``times``, after its tail check.
+
+    At ``eta = 0`` the weights vanish.
+    """
     ctx = kspec.ctx
     eta = ctx.eta
     if eta == 0.0:
-        return np.zeros(values.shape[:-1] + v_grid.shape)
+        return np.zeros((v_grid.size, times.size))
     u_max = -times[0]
     worst_v = float(v_grid.max())
     tail = (
@@ -402,7 +417,18 @@ def drift_from_obm(kspec: DriftKernelSpec, times, values, v_grid) -> np.ndarray:
             estimate=tail,
             budget=budget,
         )
-    return values @ _driver_weights(ctx, times, v_grid).T
+    return _driver_weights(ctx, times, v_grid)
+
+
+def drift_from_obm(kspec: DriftKernelSpec, times, values, v_grid) -> np.ndarray:
+    """Prediction expressed through the past of the *driving* Brownian motion.
+
+    ``(D X)_v = eta c1 integral_{t0}^0 xi_{eta-1}(-s, v) W_s ds`` for each
+    ``v`` in ``v_grid``; ``values`` are the driver at the negative ``times``,
+    one path or a batch, and the result has shape ``(nv,)`` or ``(paths, nv)``.
+    """
+    times, values = _pinned_past(times, values)
+    return values @ _driver_operator(kspec, times, _future_times(v_grid)).T
 
 
 # ---------------------------------------------------------------------------
@@ -511,12 +537,51 @@ def _inversion_weights(ctx: HurstContext, times: np.ndarray, t_arr: np.ndarray) 
             )[:-1]
             row[:below.size] = w_deep
             z_t -= w_deep.sum()
-        j = min(np.searchsorted(times, ti, side="right") - 1, times.size - 2)
-        share = (ti - times[j]) / (times[j + 1] - times[j])
+        j, share = _bracket(times, ti)
         row[j] += (1.0 - share) * z_t
         row[j + 1] += share * z_t
     weights *= ctx.c_h / ctx.c1
     return weights
+
+
+def _interpolation_weights(times: np.ndarray, t_arr: np.ndarray) -> np.ndarray:
+    """Weights ``(nt, n + 1)`` of the linear interpolant of the pinned ``times`` at each ``t``."""
+    weights = np.zeros((t_arr.size, times.size))
+    for row, ti in zip(weights, t_arr):
+        j, share = _bracket(times, ti)
+        row[j], row[j + 1] = 1.0 - share, share
+    return weights
+
+
+def _bracket(times: np.ndarray, ti: float) -> tuple[int, float]:
+    """``(j, share)``: ``ti`` lies in ``[times[j], times[j + 1]]``, ``share`` of the way along."""
+    j = min(np.searchsorted(times, ti, side="right") - 1, times.size - 2)
+    return j, (ti - times[j]) / (times[j + 1] - times[j])
+
+
+def _inversion_operator(kspec: DriftKernelSpec, times: np.ndarray, t_arr: np.ndarray) -> np.ndarray:
+    """Weights ``(nt, n + 1)`` of :func:`pipiras_taqqu_invert` on pinned ``times``, after its checks.
+
+    At ``eta = 0`` the driver is the process: the weights interpolate it.
+    """
+    if not np.all(np.isfinite(t_arr) & (t_arr <= 0) & (t_arr >= times[0])):
+        raise ValidationError("inversion times t must be finite and lie in [t0, 0]")
+    ctx = kspec.ctx
+    if ctx.eta == 0.0:
+        return _interpolation_weights(times, t_arr)
+    u_max = -times[0]
+    worst = float(np.abs(t_arr).max())
+    if worst > 0:
+        tail = invert_tail_sd(ctx, worst, u_max)
+        budget = PATH_TOL * np.sqrt(worst)
+        if tail > budget:
+            raise AccuracyError(
+                f"observation window [{times[0]}, 0] too short for inversion "
+                f"at t={-worst}: tail sd bound {tail:.3e} exceeds {budget:.3e}",
+                estimate=tail,
+                budget=budget,
+            )
+    return _inversion_weights(ctx, times, t_arr)
 
 
 def pipiras_taqqu_invert(kspec: DriftKernelSpec, times, values, t) -> np.ndarray:
@@ -533,39 +598,22 @@ def pipiras_taqqu_invert(kspec: DriftKernelSpec, times, values, t) -> np.ndarray
     ``F1 = (-s)^{-eta}`` above ``t`` and ``F1 = xi_{-eta}(t-s, -t)`` below it,
     where the node ``t`` carries ``Z_t - Z_t = 0``, so the weights stay
     finite where ``integral xi_{-eta-1}`` alone diverges (``eta > 0``).
-    At ``eta = 0`` the driver equals the process and is returned exactly.
+    At ``eta = 0`` the driver equals the process and is returned exactly,
+    as ``np.interp`` gives its interpolant.
     """
     times, values = _pinned_past(times, values)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if not np.all(np.isfinite(t_arr) & (t_arr <= 0) & (t_arr >= times[0])):
-        raise ValidationError("inversion times t must be finite and lie in [t0, 0]")
-    scalar = np.ndim(t) == 0
-    ctx = kspec.ctx
-    eta = ctx.eta
-    if eta == 0.0:
+    weights = _inversion_operator(kspec, times, t_arr)
+    if kspec.ctx.eta == 0.0:  # the same interpolant, rounded as np.interp rounds it
         rows = [np.interp(t_arr, times, row) for row in values.reshape(-1, times.size)]
         out = np.reshape(rows, values.shape[:-1] + t_arr.shape)
-        return out[..., 0] if scalar else out
-
-    u_max = -times[0]
-    worst = float(np.abs(t_arr).max())
-    if worst > 0:
-        tail = invert_tail_sd(ctx, worst, u_max)
-        budget = PATH_TOL * np.sqrt(worst)
-        if tail > budget:
-            raise AccuracyError(
-                f"observation window [{times[0]}, 0] too short for inversion "
-                f"at t={-worst}: tail sd bound {tail:.3e} exceeds {budget:.3e}",
-                estimate=tail,
-                budget=budget,
-            )
-
-    out = values @ _inversion_weights(ctx, times, t_arr).T
-    return out[..., 0] if scalar else out
+    else:
+        out = values @ weights.T
+    return out[..., 0] if np.ndim(t) == 0 else out
 
 
 # ---------------------------------------------------------------------------
-# The driver round trip
+# The route checks on joint draws of driver and driven process
 # ---------------------------------------------------------------------------
 
 def rel_l2(a: np.ndarray, b: np.ndarray) -> float:
@@ -580,20 +628,68 @@ def rel_l2(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(np.mean((a - b) ** 2)) / scale)
 
 
+def _draw_images(
+    ctx: HurstContext, w_times, w_weights, z_times, z_weights, rng: np.random.Generator, paths: int
+) -> np.ndarray:
+    """``paths`` draws of ``(w_weights @ W, z_weights @ Z)`` for ``(W, Z)`` of the joint law.
+
+    The images are drawn from their own covariance,
+    :func:`~fbmkit.fbm.joint_wz_image_cov`, one row of the result
+    ``(paths, kw + kz)`` per draw.  A zero covariance (both prediction
+    routes at ``H = 1/2``) gives exact zeros, where the jitter ladder would
+    draw noise.
+    """
+    cov = joint_wz_image_cov(ctx, w_times, w_weights, z_times, z_weights)
+    if not cov.any():
+        return np.zeros((paths, cov.shape[0]))
+    return CovMatrix(cov).sample(rng, paths)
+
+
+def prediction_routes(
+    kspec: DriftKernelSpec, times, v_grid, rng: np.random.Generator, paths: int, windows=None
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Predict by the kernel route and by the driver route from one joint draw of the past.
+
+    ``W`` and ``Z`` are drawn jointly on the past window ``times``.  For each
+    of ``windows``, boolean masks over ``times`` (by default the whole
+    window), :func:`drift_apply` reads ``Z`` and :func:`drift_from_obm`
+    reads ``W`` at the masked times.  Returns one ``(kernel, driver)`` pair
+    of ``(paths, nv)`` predictions per window.  Both tail checks run on
+    every window before anything is drawn.  The predictions are linear
+    images of the draw, so they are drawn from their own covariance
+    (:func:`_draw_images`), and the window's is never formed.
+    """
+    times = _pinned_past(times, times)[0][:-1]
+    v_grid = _future_times(v_grid)
+    windows = [np.ones(times.size, dtype=bool)] if windows is None else windows
+    nv = v_grid.size
+    blocks = [slice(k * nv, (k + 1) * nv) for k in range(len(windows))]
+    driver, kernel = np.zeros((2, len(windows) * nv, times.size))
+    for rows, mask in zip(blocks, windows):
+        sub = _pinned_past(times[mask], times[mask])[0]
+        kernel[rows, mask] = _kernel_operator(kspec, sub, v_grid)[:, :-1]
+        driver[rows, mask] = _driver_operator(kspec, sub, v_grid)[:, :-1]
+    draw = _draw_images(kspec.ctx, times, driver, times, kernel, rng, paths)
+    driver_draw, kernel_draw = draw[:, :driver.shape[0]], draw[:, driver.shape[0]:]
+    return [(kernel_draw[:, rows], driver_draw[:, rows]) for rows in blocks]
+
+
 def driver_roundtrip(
     kspec: DriftKernelSpec, times, rng: np.random.Generator, paths: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw ``W`` and ``Z`` jointly, then recover ``W`` from the past of ``Z``.
 
     The recovery times -1, -15/16, ..., -1/16 snap to their nearest sample of
-    the past window ``times``; ``paths`` draws of ``W`` there and ``Z`` on
-    ``times`` come from one factor of :func:`~fbmkit.fbm.joint_wz_cov`.
-    Returns ``(recovered, true, t)``: the driver from
-    :func:`pipiras_taqqu_invert` and the drawn driver, each of shape
+    the past window ``times``.  The drawn driver there and the driver that
+    :func:`pipiras_taqqu_invert` recovers from ``Z`` on ``times`` are linear
+    images of one joint draw, so they are drawn from their own 32 x 32
+    covariance (:func:`_draw_images`), after the inversion's checks.
+    Returns ``(recovered, true, t)``, each of the first two of shape
     ``(paths, 16)``, and the snapped times.
     """
-    _pinned_past(times, times)  # refuse a bad window before drawing
-    times = np.asarray(times, dtype=float)
+    pinned = _pinned_past(times, times)[0]
+    times = pinned[:-1]
     t = np.array([times[np.argmin(np.abs(times - ti))] for ti in -np.linspace(1.0, 1.0 / 16, 16)])
-    draw = CovMatrix(joint_wz_cov(kspec.ctx, t, times)).sample(rng, paths)
-    return pipiras_taqqu_invert(kspec, times, draw[:, t.size:], t), draw[:, : t.size], t
+    weights = _inversion_operator(kspec, pinned, t)[:, :-1]
+    draw = _draw_images(kspec.ctx, t, np.eye(t.size), times, weights, rng, paths)
+    return draw[:, t.size:], draw[:, :t.size], t

@@ -38,7 +38,7 @@ from .context import HurstContext
 from .errors import AccuracyError, ValidationError
 from .fbm import levy_cov_matrix
 from .gamma import GammaConfig, decay_bound_check, gamma_cov_matrix, reg_bound_constants
-from .gaussian import CovMatrix
+from .gaussian import CovMatrix, _row_panels
 from .reports import ExperimentReport, wilson_interval
 from .rng import draw_reduce
 from .thick import ThickSet
@@ -104,11 +104,25 @@ def _lil_cov(cfg: LilConfig) -> np.ndarray:
 
     The one-sided covariance at the ladder times r^i (taken in increasing
     order) divided by r^{H i} r^{H j}.  It is well conditioned (cond 33 at
-    H = 1/2), so its Cholesky factor needs no jitter.
+    H = 1/2), so its Cholesky factor needs no jitter.  The division runs in
+    place a row panel at a time, and both axes are reversed by moves, each
+    row reversed into its mirror row: past what ``levy_cov_matrix`` holds,
+    the call adds one panel and one row, not a second matrix.
     """
     times = cfg.r ** np.arange(cfg.i_max + 1, dtype=float)
     scale = times**cfg.ctx.hurst
-    return levy_cov_matrix(times[::-1], cfg.ctx)[::-1, ::-1] / np.outer(scale, scale)
+    out = levy_cov_matrix(times[::-1], cfg.ctx)
+    rev = scale[::-1]
+    n = rev.size
+    for rows in _row_panels(n, n):
+        out[rows] /= rev[rows, None] * rev[None, :]
+    row = np.empty(n)
+    for i in range((n + 1) // 2):
+        j = n - 1 - i
+        row[:] = out[i, ::-1]
+        out[i] = out[j, ::-1]
+        out[j] = row
+    return out
 
 
 def lil_statistic(cfg: LilConfig, *, threads: int = 1) -> ExperimentReport:

@@ -31,9 +31,11 @@ Samplers (all exact in law, deterministic given a Generator)
 
 Driver and driven process
 -------------------------
-* :func:`cross_cov_wz` / :func:`joint_wz_cov` — the closed-form covariance
-  of a driving Brownian motion and the fractional process it drives, the
-  joint law behind the prediction and inversion checks, also through ``xi``.
+* :func:`cross_cov_wz` — the closed-form covariance of a driving Brownian
+  motion and the fractional process it drives, also through ``xi``.
+* :func:`joint_wz_image_cov` — the covariance of fixed linear images of a
+  draw of that joint law, the law behind the prediction and inversion
+  checks, built by row panels without the joint matrix.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ __all__ = [
     "sample_fbm_paths",
     "sample_levy_paths",
     "sample_obm",
-    "joint_wz_cov",
+    "joint_wz_image_cov",
 ]
 
 
@@ -89,14 +91,35 @@ def fbm_cov(s, t, hurst: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _fill_symmetric(out: np.ndarray, times: np.ndarray, entries) -> np.ndarray:
-    """``out = entries(times, times)`` by row panels, each from its diagonal on, mirrored below.
+def _symmetric_panels(times: np.ndarray, entries):
+    """``(rows, block)``: ``entries(times, times)`` by row panels, each block from its diagonal on.
 
-    ``entries`` must be symmetric in its two arguments bit for bit.
+    ``entries`` must be symmetric in its two arguments bit for bit, so the
+    blocks hold every entry of the matrix once, its mirror aside.
     """
     for rows in _row_panels(times.size, times.size):
-        out[rows, rows.start:] = entries(times[rows, None], times[None, rows.start:])
+        yield rows, entries(times[rows, None], times[None, rows.start:])
+
+
+def _fill_symmetric(out: np.ndarray, times: np.ndarray, entries) -> np.ndarray:
+    """``out = entries(times, times)`` from :func:`_symmetric_panels`, mirrored below."""
+    for rows, block in _symmetric_panels(times, entries):
+        out[rows, rows.start:] = block
         out[rows.stop:, rows] = out[rows, rows.stop:].T
+    return out
+
+
+def _symmetric_product(times: np.ndarray, entries, weights: np.ndarray) -> np.ndarray:
+    """``entries(times, times) @ weights.T`` from :func:`_symmetric_panels`, never the matrix.
+
+    Each block adds to its own rows and, right of its diagonal square, to
+    the rows of its mirror.
+    """
+    out = np.zeros((times.size, weights.shape[0]))
+    w_t = weights.T
+    for rows, block in _symmetric_panels(times, entries):
+        out[rows] += block @ w_t[rows.start:]
+        out[rows.stop:] += block[:, rows.stop - rows.start:].T @ w_t[rows]
     return out
 
 
@@ -449,14 +472,27 @@ def _driver_cov(s, t):
     return np.where((s < 0) == (t < 0), np.minimum(np.abs(s), np.abs(t)), 0.0)
 
 
-def joint_wz_cov(ctx: HurstContext, w_times, z_times) -> np.ndarray:
-    """Covariance of ``(W at w_times, Z at z_times)``, filled in place by row panels."""
+def joint_wz_image_cov(ctx: HurstContext, w_times, w_weights, z_times, z_weights) -> np.ndarray:
+    """``A C A^T``: ``C`` the covariance of ``(W at w_times, Z at z_times)``, ``A`` the weights.
+
+    ``A`` is block diagonal, ``w_weights`` on ``W`` and ``z_weights`` on
+    ``Z``.  The images ``A x`` of a draw ``x`` of the joint law are Gaussian
+    with this covariance, the ``w_weights`` rows first.  ``C`` is never
+    formed: its three blocks are walked by row panels as
+    :func:`_fill_symmetric` walks them, each entry evaluated once, into
+    ``C A^T`` (of its cross block only the ``W`` rows are needed), so the
+    call holds ``O((nw + nz) k)`` values for ``k`` images and one panel.
+    The result is symmetric bit for bit.
+    """
     w_times, z_times = np.asarray(w_times, dtype=float), np.asarray(z_times, dtype=float)
-    nw = w_times.size
-    out = np.empty((nw + z_times.size,) * 2)
-    _fill_symmetric(out[:nw, :nw], w_times, _driver_cov)
-    _fill_symmetric(out[nw:, nw:], z_times, partial(fbm_cov, hurst=ctx.hurst))
-    for rows in _row_panels(nw, z_times.size):
-        out[rows, nw:] = cross_cov_wz(ctx, w_times[rows, None], z_times[None, :])
-        out[nw:, rows] = out[rows, nw:].T
-    return out
+    kw = w_weights.shape[0]
+    out = np.empty((kw + z_weights.shape[0],) * 2)
+    out[:kw, :kw] = w_weights @ _symmetric_product(w_times, _driver_cov, w_weights)
+    zz = _symmetric_product(z_times, partial(fbm_cov, hurst=ctx.hurst), z_weights)
+    out[kw:, kw:] = z_weights @ zz
+    cross = np.empty((w_times.size, z_weights.shape[0]))
+    for rows in _row_panels(w_times.size, z_times.size):
+        cross[rows] = cross_cov_wz(ctx, w_times[rows, None], z_times[None, :]) @ z_weights.T
+    out[:kw, kw:] = w_weights @ cross
+    out[kw:, :kw] = out[:kw, kw:].T
+    return 0.5 * (out + out.T)

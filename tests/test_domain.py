@@ -10,7 +10,8 @@ innermost and four deepest times and every 16th between; each time also
 enters with its sign flipped, so every sign case of each formula is met:
 times of one sign and on opposite sides of 0 for :func:`fbm_cov`, and
 ``s, t <= 0``, ``s <= 0 < t`` and ``s > 0`` for :func:`cross_cov_wz`.
-:func:`joint_wz_cov` is checked block by block against the same references
+:func:`joint_wz_image_cov` with identity weights, which is the joint
+covariance itself, is checked block by block against the same references
 (the driver block against ``min(|s|, |t|)`` for times of one sign, 0
 otherwise).  The budget is 1e-13 relative, entry by entry; an exact zero
 must come out as zero.  The reference takes the float ``c1`` and
@@ -25,7 +26,7 @@ import pytest
 
 from fbmkit.context import make_context
 from fbmkit.drift import inversion_grid
-from fbmkit.fbm import cross_cov_wz, fbm_cov, joint_wz_cov
+from fbmkit.fbm import cross_cov_wz, fbm_cov, joint_wz_image_cov
 
 BUDGET = 1.0e-13
 
@@ -77,7 +78,8 @@ def test_covariances_match_mpmath_at_tip_deep_pairs(hurst, u_deep):
     zz, wz, ww = references(ctx, times)
     s, t = times[:, None], times[None, :]
     n = times.size
-    joint = joint_wz_cov(ctx, times, times)
+    eye = np.eye(times.size)
+    joint = joint_wz_image_cov(ctx, times, eye, times, eye)
     errors = {
         "fbm_cov": worst_error(fbm_cov(s, t, hurst), zz),
         "cross_cov_wz": worst_error(cross_cov_wz(ctx, s, t), wz),

@@ -25,6 +25,7 @@ from scipy import integrate as scipy_integrate
 from fbmkit.context import make_context, xi
 from fbmkit.drift import (
     DriftKernelSpec,
+    _draw_images,
     _driver_weights,
     _inversion_weights,
     _kernel_weights,
@@ -34,17 +35,22 @@ from fbmkit.drift import (
     drift_kernel_value,
     drift_regression,
     drift_tail_sd,
+    driver_roundtrip,
     inversion_grid,
     invert_tail_sd,
     pipiras_taqqu_invert,
+    prediction_routes,
     regression_weights,
     rel_l2,
 )
 from fbmkit.errors import AccuracyError, ValidationError
-from fbmkit.fbm import fbm_cov, fbm_cov_matrix, joint_wz_cov, levy_cov_matrix
+from fbmkit.fbm import fbm_cov, fbm_cov_matrix, joint_wz_image_cov, levy_cov_matrix
 from fbmkit.gaussian import cholesky_with_jitter
 from fbmkit.quadrature import graded_breaks, panel_nodes
 from fbmkit.rng import make_rng
+
+from dense_joint import joint_wz_cov
+from test_fbm import assert_cov_within_se, route_images
 
 # Gauss-Legendre order of the panel oracles below.
 PATH_NODES = 8
@@ -887,3 +893,47 @@ class TestBatchedOperators:
             for bad, match in bad_times:
                 with pytest.raises(ValidationError, match=match):
                     call(bad, rows)
+
+
+class TestRouteImages:
+    """The route checks draw their linear images of the joint law, never the window."""
+
+    @pytest.mark.parametrize("name,hurst", [("drift validate", 0.75), ("invert", 0.25)])
+    def test_image_draws_have_the_image_covariance(self, name, hurst):
+        ctx = make_context(hurst)
+        images = route_images(name, hurst)
+        exact = joint_wz_image_cov(ctx, *images)
+        draws = _draw_images(ctx, *images, make_rng(31), 20_000)
+        # drift validate's images are rank-deficient to rounding; the factor
+        # adds 1e-12 of their mean variance to the diagonal.
+        slack = 1.0e-12 * np.trace(exact) / exact.shape[0]
+        assert_cov_within_se(draws, exact, slack=slack)
+
+    def test_zero_images_draw_exact_zeros(self):
+        # At H = 1/2 both prediction routes are zero maps.
+        kspec = DriftKernelSpec(ctx=make_context(0.5))
+        [(kernel, driver)] = prediction_routes(
+            kspec, inversion_grid(1.0 / 128, 1.0e7), np.linspace(0.125, 2.0, 16), make_rng(3), 5)
+        assert kernel.shape == driver.shape == (5, 16)
+        assert not kernel.any() and not driver.any()
+
+    def test_each_window_reads_the_same_draw(self):
+        kspec = DriftKernelSpec(ctx=make_context(0.75))
+        times, v_grid = inversion_grid(1.0 / 128, 1.0e7), np.array([0.5, 1.0])
+        coarse = np.arange(times.size) % 2 == 0
+        pairs = prediction_routes(kspec, times, v_grid, make_rng(5), 400,
+                                  [coarse, np.ones(times.size, dtype=bool)])
+        assert [(k.shape, d.shape) for k, d in pairs] == [((400, 2), (400, 2))] * 2
+        (k0, d0), (k1, d1) = pairs
+        # Independent draws would stand sqrt(2) apart.
+        assert max(rel_l2(k0, d0), rel_l2(k1, d1), rel_l2(k0, k1), rel_l2(d0, d1)) < 0.1
+
+    def test_tail_checks_run_before_anything_is_drawn(self):
+        kspec = DriftKernelSpec(ctx=make_context(0.75))
+        rng = make_rng(6)
+        short = exp_past_grid(2.0, per_decade=8)
+        with pytest.raises(AccuracyError):
+            prediction_routes(kspec, short, [1.0], rng, 4)
+        with pytest.raises(AccuracyError):
+            driver_roundtrip(kspec, short, rng, 4)
+        assert rng.standard_normal() == make_rng(6).standard_normal()

@@ -7,7 +7,8 @@ That block matrix is checked entry by entry against 40-digit mpmath
 quadrature of the two block integrals (the recent window over ``(r, 1)`` and
 the deep past over ``(0, r)``), against the graded Gauss-Legendre quadrature
 that computed it before the closed form, and for symmetry and positive
-definiteness.  The prefix-count
+definiteness.  The covariance is scaled and reversed in place: bit for bit
+the whole-array formula it replaced, with no second matrix held.  The prefix-count
 reduction of ``a_n_probability`` is checked against the cumulative-sum
 reduction it replaced, and its estimate of P(A_n) against an antithetic
 estimator on a symmetric square root of the same covariance.  The running
@@ -21,6 +22,7 @@ Gaussian product of the excess-count chain is checked against
 
 import math
 import re
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -42,7 +44,7 @@ from fbmkit.experiments import (
     product_tail_chain,
     union_bound_ledger,
 )
-from fbmkit.fbm import _levy_integral
+from fbmkit.fbm import _levy_integral, levy_cov_matrix
 from fbmkit.gamma import GammaConfig, gamma_cov
 from fbmkit.gaussian import CovMatrix, cholesky_with_jitter
 from fbmkit.quadrature import graded_breaks, integrate_checked
@@ -191,6 +193,40 @@ def test_sampled_cov_is_the_summed_blocks_and_factors_without_jitter(hurst, r):
     assert np.all(np.abs(cov - ref) <= 5e-14 * np.abs(ref))
     _, jitter = cholesky_with_jitter(cov)
     assert jitter == 0.0
+
+
+def lil_cov_whole(cfg):
+    """The covariance ``_lil_cov`` gave when it divided and reversed whole arrays."""
+    times = cfg.r ** np.arange(cfg.i_max + 1, dtype=float)
+    scale = times**cfg.ctx.hurst
+    return levy_cov_matrix(times[::-1], cfg.ctx)[::-1, ::-1] / np.outer(scale, scale)
+
+
+@pytest.mark.parametrize("hurst,r,i_max", [(0.75, 0.99, 600), (0.3, 0.5, 40), (0.6, 0.9, 41)])
+def test_lil_cov_in_place_is_the_whole_array_formula_bit_for_bit(hurst, r, i_max):
+    cfg = LilConfig(make_context(hurst), r=r, i_max=i_max, n_paths=1, seed=0)
+    got, want = _lil_cov(cfg), lil_cov_whole(cfg)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_lil_cov_holds_no_second_matrix():
+    # levy_cov_matrix holds its matrix and its panels' temporaries; the
+    # division and the reversal add a panel and a row after those are freed
+    # (measured: 11 KB more, against 3.2 MB more for the whole-array formula).
+    cfg = LilConfig(make_context(0.75), r=0.99, i_max=600, n_paths=1, seed=0)
+    times = cfg.r ** np.arange(cfg.i_max + 1, dtype=float)
+
+    def peak(build):
+        tracemalloc.start()
+        try:
+            build()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    levy_peak = peak(lambda: levy_cov_matrix(times[::-1], cfg.ctx))
+    assert peak(lambda: _lil_cov(cfg)) <= levy_peak + 8 * 8 * times.size
 
 
 def cumsum_hits(above, needs):

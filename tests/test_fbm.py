@@ -15,9 +15,13 @@ is checked nonnegative definite from H = 1e-4 to 0.99999.  The sampler,
 which draws and transforms its paths in blocks of rows, is checked bit for
 bit against the one-shot draw of every path it replaced, through
 ``sample_fbm_paths`` and through ``FgnSampler.sample``, the contract the
-Monte Carlo engine draws by.  ``fbm_cov_matrix`` and ``joint_wz_cov``, filled
-by row panels, equal the broadcast entries bit for bit, and the driver's
-cross covariance refuses non-finite times as ``fbm_cov`` does.
+Monte Carlo engine draws by.  ``fbm_cov_matrix`` and the joint covariance of
+driver and process, filled by row panels, equal the broadcast entries bit
+for bit, and the driver's cross covariance refuses non-finite times as
+``fbm_cov`` does.  The covariance of linear images of the joint law, built
+by row panels, is the dense product ``A @ C @ A.T`` (``tests/dense_joint.py``)
+to rounding, on the route checks' default windows, and evaluates each
+covariance entry once.
 """
 
 import tracemalloc
@@ -31,8 +35,9 @@ from scipy import integrate as scipy_integrate
 from scipy.special import gamma as scipy_gamma
 from scipy.special import hyp2f1
 
+from fbmkit import fbm
 from fbmkit.context import make_context
-from fbmkit.drift import inversion_grid
+from fbmkit.drift import _driver_weights, _inversion_weights, _kernel_weights, inversion_grid
 from fbmkit.errors import AccuracyError, ValidationError
 from fbmkit.fbm import (
     _fgn_eigenvalues,
@@ -44,7 +49,7 @@ from fbmkit.fbm import (
     _fgn_unit_autocov,
     FgnSampler,
     fgn_autocov,
-    joint_wz_cov,
+    joint_wz_image_cov,
     levy_cov,
     levy_cov_matrix,
     sample_fbm_paths,
@@ -60,6 +65,8 @@ from fbmkit.gaussian import (
 )
 from fbmkit.quadrature import graded_breaks, panel_nodes
 from fbmkit.rng import make_rng
+
+from dense_joint import joint_wz_cov
 
 # Reference values for the one-sided moving-average covariance
 # c1(H)^2 * integral_0^{s ^ t} (s-u)^eta (t-u)^eta du, computed with
@@ -674,7 +681,7 @@ class TestJointWZ:
         ctx = make_context(0.75)
         w_times = np.array([-1.0, -0.25, 0.5])
         z_times = np.array([0.5, 1.0])
-        mat = joint_wz_cov(ctx, w_times, z_times)
+        mat = joint_cov(ctx, w_times, z_times)
         assert mat.shape == (5, 5)
         assert np.allclose(mat, mat.T)
         assert np.allclose(
@@ -691,14 +698,15 @@ class TestJointWZ:
         with pytest.raises(ValidationError, match="finite times"):
             cross_cov_wz(ctx, -1.0, np.inf)
         with pytest.raises(ValidationError, match="finite times"):
-            joint_wz_cov(ctx, [np.nan, -1.0], [-0.5])
+            joint_cov(ctx, [np.nan, -1.0], [-0.5])
 
     def test_joint_cov_by_panels_is_the_broadcast_bit_for_bit(self):
         ctx = make_context(0.25)
         w_times = make_rng(4).permutation(np.r_[inversion_grid(1 / 128, 1e7), 0.5, 2.0])
         z_times = np.r_[inversion_grid(1 / 256, 1e7), 0.0, 1.0]
         n = w_times.size
-        mat = joint_wz_cov(ctx, w_times, z_times)
+        mat = joint_cov(ctx, w_times, z_times)
+        assert np.array_equal(mat, joint_wz_cov(ctx, w_times, z_times))
         cross = cross_cov_wz(ctx, w_times[:, None], z_times[None, :])
         assert np.array_equal(mat[:n, n:], cross)
         assert np.array_equal(mat[n:, :n], cross.T)
@@ -713,8 +721,76 @@ class TestJointWZ:
         ctx = make_context(0.75)
         w_times = np.array([-1.0, 0.5])
         z_times = np.array([0.5, 1.5])
-        exact = joint_wz_cov(ctx, w_times, z_times)
+        exact = joint_cov(ctx, w_times, z_times)
         _, jitter = cholesky_with_jitter(exact.copy())
         assert jitter == 0.0
         stacked = CovMatrix(exact.copy()).sample(make_rng(909), 20_000)
         assert_cov_within_se(stacked, exact, slack=1e-12)
+
+
+def joint_cov(ctx, w_times, z_times):
+    """The joint covariance itself: its images under the identity."""
+    return joint_wz_image_cov(ctx, w_times, np.eye(np.size(w_times)),
+                              z_times, np.eye(np.size(z_times)))
+
+
+def route_images(name, hurst):
+    """``(w_times, w_weights, z_times, z_weights)`` of a CLI route check at its default window.
+
+    ``drift validate`` reads the driver route on ``W`` and the kernel route
+    on ``Z``, both on the drift window; ``invert`` reads ``W`` at its 16
+    recovery times and the inversion of ``Z`` on its window.  The weights
+    come straight from their builders, past the tail checks that refuse
+    ``drift validate`` at ``H = 0.9``.
+    """
+    ctx = make_context(hurst)
+    if name == "drift validate":
+        times, v_grid = inversion_grid(1.0 / 128, u_deep=1.0e7), np.linspace(0.125, 2.0, 16)
+        pinned = np.append(times, 0.0)
+        return (times, _driver_weights(ctx, pinned, v_grid)[:, :-1],
+                times, _kernel_weights(ctx, pinned, v_grid)[:, :-1])
+    times = inversion_grid(1.0 / 512, u_deep=600.0)
+    t = np.array([times[np.argmin(np.abs(times - ti))] for ti in -np.linspace(1.0, 1.0 / 16, 16)])
+    return t, np.eye(16), times, _inversion_weights(ctx, np.append(times, 0.0), t)[:, :-1]
+
+
+class TestJointImages:
+    @pytest.mark.parametrize("hurst", [0.1, 0.25, 0.75, 0.9])
+    @pytest.mark.parametrize("name", ["drift validate", "invert"])
+    def test_the_panel_product_is_the_dense_one(self, name, hurst):
+        # A C A^T against A @ C @ A.T with C broadcast whole.  Where the
+        # routes' sums cancel, a product can only promise its error against
+        # the size of its terms, |A| |C| |A|^T: at H = 0.9 invert's is
+        # 2.5e-13 of max |A C A^T|, and the dense product is 5e-14 from an
+        # extended-precision one there.  The worst here is 2.7e-15.
+        ctx = make_context(hurst)
+        w_times, a_w, z_times, a_z = route_images(name, hurst)
+        got = joint_wz_image_cov(ctx, w_times, a_w, z_times, a_z)
+        a = np.zeros((a_w.shape[0] + a_z.shape[0], w_times.size + z_times.size))
+        a[:a_w.shape[0], :w_times.size], a[a_w.shape[0]:, w_times.size:] = a_w, a_z
+        dense = joint_wz_cov(ctx, w_times, z_times)
+        terms = np.abs(a) @ np.abs(dense) @ np.abs(a).T
+        assert np.array_equal(got, got.T)
+        assert np.max(np.abs(got - a @ dense @ a.T)) <= 1.0e-13 * terms.max()
+
+    def test_it_evaluates_each_entry_once(self, monkeypatch):
+        # As the dense fill does: each symmetric block by row panels from its
+        # diagonal on, and the cross block whole.
+        sizes = {"fbm_cov": 0, "cross_cov_wz": 0}
+
+        def counted(entries):
+            def wrapped(*args, **kwargs):
+                out = entries(*args, **kwargs)
+                sizes[entries.__name__] += np.size(out)
+                return out
+            return wrapped
+
+        for entries in (fbm.fbm_cov, fbm.cross_cov_wz):
+            monkeypatch.setattr(fbm, entries.__name__, counted(entries))
+        w_times, a_w, z_times, a_z = route_images("invert", 0.25)
+        joint_wz_image_cov(make_context(0.25), w_times, a_w, z_times, a_z)
+        n = z_times.size
+        assert sizes == {
+            "fbm_cov": sum((p.stop - p.start) * (n - p.start) for p in _row_panels(n, n)),
+            "cross_cov_wz": w_times.size * n,
+        }

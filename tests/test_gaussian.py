@@ -2,7 +2,9 @@
 
 The in-place blocked factor of ``cholesky_with_jitter`` is checked against
 LAPACK's ``np.linalg.cholesky`` (bit for bit up to one block, by backward
-error beyond) on the matrices the CLI factors at its default windows.
+error beyond) on the matrices the CLI factors at its default windows, and on
+the joint (W, Z) covariances of the ``drift validate`` and ``invert``
+windows, which it no longer factors.
 ``CovMatrix.solve`` is checked against ``scipy.linalg.cho_solve`` on the
 same factor, on the past windows the library regresses on.  The moment
 accumulator ``CrossMoments`` is checked against ``estimate_cov`` below, the
@@ -25,7 +27,7 @@ from fbmkit.cli import V_GRID_DEFAULT
 from fbmkit.context import make_context
 from fbmkit.drift import REGRESSION_MAX_POINTS, inversion_grid
 from fbmkit.errors import AccuracyError, ValidationError
-from fbmkit.fbm import fbm_cov, fbm_cov_matrix, joint_wz_cov
+from fbmkit.fbm import fbm_cov, fbm_cov_matrix
 from fbmkit.gaussian import (
     _CHOLESKY_BLOCK,
     _JITTER_LADDER,
@@ -37,6 +39,8 @@ from fbmkit.gaussian import (
 )
 from fbmkit.reports import wilson_interval
 from fbmkit.rng import make_rng
+
+from dense_joint import joint_wz_cov
 
 
 def estimate_cov(samples):
@@ -245,7 +249,13 @@ def backward_error(factor, matrix):
 
 
 def factored_window(name, hurst):
-    """A matrix the CLI factors at its default window, or at the regression cap."""
+    """A matrix the CLI factors at its default window, or at the regression cap.
+
+    ``drift-validate`` and ``invert`` are the joint (W, Z) covariances of
+    those calls' default windows.  The CLI no longer factors them: it draws
+    their routes' images from a 32 x 32 covariance.  They stay here as
+    accuracy cases for the factor, a joint matrix with a block boundary.
+    """
     ctx = make_context(hurst)
     drift_past = inversion_grid(1.0 / 128, u_deep=1.0e7)  # drift's --dt and --umax defaults
     if name == "drift":  # the kernel and regression routes
@@ -296,11 +306,12 @@ def test_the_blocked_factor_is_as_accurate_as_lapack(window, hurst):
 
 @pytest.mark.parametrize("hurst", [0.1, 0.25, 0.75, 0.9])
 def test_the_blocked_factor_is_as_accurate_as_lapack_on_the_joint_validate_window(hurst):
-    # drift validate's 1070-row (W, Z) matrix: at H = 0.75 LAPACK's
-    # max |LL^T - A| is 1/64 of an ulp of max |A|, as its recursive split
-    # falls on the W/Z boundary and its trailing product sums as the check's
-    # own product does; the blocked factor's is one ulp.  So the entries are
-    # compared in correlation units, |LL^T - A|_ij / sqrt(A_ii A_jj).
+    # drift validate's 1070-row (W, Z) matrix at its default window: at
+    # H = 0.75 LAPACK's max |LL^T - A| is 1/64 of an ulp of max |A|, as its
+    # recursive split falls on the W/Z boundary and its trailing product sums
+    # as the check's own product does; the blocked factor's is one ulp.  So
+    # the entries are compared in correlation units, |LL^T - A|_ij /
+    # sqrt(A_ii A_jj).
     matrix = factored_window("drift-validate", hurst)
     scale = np.sqrt(np.diag(matrix))
 
@@ -343,8 +354,9 @@ def test_a_failed_ladder_leaves_the_matrix_as_it_was(dim):
 
 
 def test_factoring_inverts_window_allocates_under_a_quarter_of_the_matrix():
-    # np.linalg.cholesky on the whole matrix allocates a new n x n factor
-    # (and a Fortran copy that tracemalloc does not see).
+    # The joint matrix of invert's default window.  np.linalg.cholesky on
+    # the whole matrix allocates a new n x n factor (and a Fortran copy that
+    # tracemalloc does not see).
     matrix = factored_window("invert", 0.25)
     assert matrix.shape == (1203, 1203)
     tracemalloc.start()

@@ -5,10 +5,13 @@ block size cannot change a byte: the covariance fills, the fGn and OBM row
 draws, the almost-diagonal batches and the symmetry check of
 ``cholesky_with_jitter``.  With the budget cut to 64 values (one row per
 panel at most sizes here, a short last panel at the others) each of them
-must give the default's result bit for bit.  The factor itself runs by the
-fixed ``gaussian._CHOLESKY_BLOCK``, so its bytes never read the budget.  The one-sided covariance is the
-exception the budget allows: its series take their term counts from a
-panel's largest ratio, so it stays within 1e-14 relative, not bit for bit.
+must give the default's result bit for bit.  The covariance of linear images
+sums its panels' products, so it does so with identity weights (its images
+are the covariance entries) and stays within rounding with others.  The
+factor itself runs by the fixed ``gaussian._CHOLESKY_BLOCK``, so its bytes
+never read the budget.  The one-sided covariance is the exception the budget
+allows: its series take their term counts from a panel's largest ratio, so
+it stays within 1e-14 relative, not bit for bit.
 """
 
 from dataclasses import astuple
@@ -23,7 +26,7 @@ from fbmkit.errors import ValidationError
 from fbmkit.fbm import (
     FgnSampler,
     fbm_cov_matrix,
-    joint_wz_cov,
+    joint_wz_image_cov,
     levy_cov_matrix,
     sample_fbm_paths,
     sample_obm,
@@ -35,8 +38,9 @@ SMALL = 64
 
 CALLS = {
     "fbm_cov_matrix": lambda: fbm_cov_matrix(np.linspace(-1.5, 2.0, 50), 0.3),
-    "joint_wz_cov": lambda: joint_wz_cov(
-        make_context(0.7), np.linspace(-2.0, -0.1, 20), np.linspace(-1.0, 3.0, 30)
+    "joint_wz_image_cov": lambda: joint_wz_image_cov(
+        make_context(0.7), np.linspace(-2.0, -0.1, 20), np.eye(20),
+        np.linspace(-1.0, 3.0, 30), np.eye(30),
     ),
     "sample_fbm_paths": lambda: sample_fbm_paths(0.75, 100, 0.01, make_rng(5), paths=7),
     "sample_fbm_paths_one_step": lambda: sample_fbm_paths(0.25, 1, 0.01, make_rng(5), paths=130),
@@ -88,3 +92,14 @@ def test_the_symmetry_check_reaches_the_last_panel(budget, monkeypatch):
     cov[9, 7] += 1.0e-6
     with pytest.raises(ValidationError, match="symmetric"):
         cholesky_with_jitter(cov)
+
+
+def test_a_small_budget_keeps_the_image_covariance_close(monkeypatch):
+    ctx, rng = make_context(0.3), np.random.default_rng(9)
+    w_times, z_times = np.linspace(-2.0, -0.1, 20), np.linspace(-1.0, 3.0, 30)
+    images = (w_times, rng.standard_normal((3, 20)), z_times, rng.standard_normal((4, 30)))
+    want = joint_wz_image_cov(ctx, *images)
+    monkeypatch.setattr(gaussian, "_PANEL_VALUES", SMALL)
+    got = joint_wz_image_cov(ctx, *images)
+    assert np.array_equal(got, got.T)
+    assert np.max(np.abs(got - want)) <= 1.0e-14 * np.abs(want).max()
