@@ -53,7 +53,7 @@ __all__ = [
     "phi_functions",
     "phi_n_of",
     "matrix_bounds_check",
-    "adversarial_matrices",
+    "adversarial_matrix",
     "matrix_batch_check",
     "BatchReport",
     "hk_entry_bound",
@@ -293,18 +293,22 @@ def matrix_bounds_check(matrices, eps: float) -> BatchReport:
     )
 
 
-def adversarial_matrices(n: int, eps: float) -> np.ndarray:
-    """Three extreme instances saturating |a_ij| = eps^|i-j|, as a (3, n, n) stack.
+def adversarial_matrix(n: int, eps: float, kind: int) -> np.ndarray:
+    """One of three extreme instances saturating |a_ij| = eps^|i-j|, with unit diagonal.
 
-    All-positive entries, alternating sign by lag, and alternating sign by
-    index parity; each has unit diagonal.
+    ``kind`` 0 has all-positive entries, 1 alternates sign by lag and 2 by
+    index parity.
     """
     idx = np.arange(n)
     lag = _lags(n)
-    signs = np.stack([np.ones_like(lag), (-1.0) ** lag,
-                      (-1.0) ** (idx[:, None] + idx[None, :]).astype(float)])
-    out = float(eps) ** lag * signs
-    out[:, idx, idx] = 1.0
+    out = float(eps) ** lag
+    if kind == 1:
+        out *= (-1.0) ** lag
+    elif kind == 2:
+        out *= (-1.0) ** (idx[:, None] + idx[None, :]).astype(float)
+    elif kind != 0:
+        raise ValidationError(f"kind must be 0, 1 or 2, got {kind}")
+    out[idx, idx] = 1.0
     return out
 
 
@@ -315,7 +319,9 @@ def matrix_batch_check(n: int, eps: float, trials: int, rng: np.random.Generator
     [-eps^|i-j|, eps^|i-j|].  They are drawn and checked a panel of
     matrices at a time, each panel one ``rng.uniform`` draw in row order:
     the stream is read as by drawing the matrices one at a time, so the
-    panel size never changes the report.
+    panel size never changes the report.  The adversarial instances are
+    built and checked one at a time, so a call at ``n`` holds a few ``n x n``
+    arrays, not their ``(3, n, n)`` stack and its temporaries.
     """
     if trials < 0:
         raise ValidationError(f"trials must be >= 0, got {trials}")
@@ -328,7 +334,7 @@ def matrix_batch_check(n: int, eps: float, trials: int, rng: np.random.Generator
         a = rng.uniform(-1.0, 1.0, size=(rows.stop - rows.start, n, n)) * envelope
         a[:, idx, idx] = 1.0
         reports.append(matrix_bounds_check(a, eps))
-    reports.append(matrix_bounds_check(adversarial_matrices(n, eps), eps))
+    reports.extend(matrix_bounds_check(adversarial_matrix(n, eps, kind), eps) for kind in range(3))
     return BatchReport(
         n=n,
         eps=eps,

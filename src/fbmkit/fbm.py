@@ -35,7 +35,11 @@ Driver and driven process
   motion and the fractional process it drives, also through ``xi``.
 * :func:`joint_wz_image_cov` — the covariance of fixed linear images of a
   draw of that joint law, the law behind the prediction and inversion
-  checks, built by row panels without the joint matrix.
+  checks, built by row panels without the joint matrix.  Where ``t <= s``
+  the cross covariance has no power difference, ``c1 ((-s)_+^q + t_+^q) / q``
+  (Mandelbrot & Van Ness 1968, SIAM Rev. 10), so the walk fills those
+  columns of each panel in closed form; for ascending times, as every
+  library caller passes, that is about half of a square cross block.
 """
 
 from __future__ import annotations
@@ -78,6 +82,8 @@ def fbm_cov(s, t, hurst: float):
     ``xi`` gives ``hi^p - |t - s|^p`` without forming it.  Within 7e-16 of
     40-digit mpmath on ``inversion_grid(1/128, u)``, ``u <= 1e12``, where the
     formed difference was off by 1e-2 at ``u = 1e7`` and by 1.0 at 1e12.
+    When all of ``s`` and all of ``t`` have one sign (as in every past
+    window), ``lo`` is taken unsigned: the sign of ``s * t`` is not formed.
     """
     if not (0.0 < hurst < 1.0):
         raise ValidationError(f"hurst must lie in (0, 1), got {hurst}")
@@ -85,9 +91,15 @@ def fbm_cov(s, t, hurst: float):
     if not (np.isfinite(s).all() and np.isfinite(t).all()):
         raise ValidationError("fbm covariance requires finite times")
     p, s_abs, t_abs = 2.0 * hurst, np.abs(s), np.abs(t)
-    # The sign of s * t is that of the product of their signs, whatever its size.
-    x = xi(p, np.abs(t - s), np.copysign(np.minimum(s_abs, t_abs), s * t))
-    out = 0.5 * (np.minimum(s_abs**p, t_abs**p) + x)
+    lo = np.minimum(s_abs, t_abs)
+    # Checked on the operands' own shapes.  Across 0 the sign of s * t is
+    # that of the product of their signs, whatever its size.
+    if not ((s.min(initial=0.0) >= 0 and t.min(initial=0.0) >= 0)
+            or (s.max(initial=0.0) <= 0 and t.max(initial=0.0) <= 0)):
+        lo = np.copysign(lo, s * t)
+    out = np.asarray(xi(p, np.abs(t - s), lo))
+    out += np.minimum(s_abs**p, t_abs**p)
+    out *= 0.5
     return float(out) if out.ndim == 0 else out
 
 
@@ -483,6 +495,13 @@ def joint_wz_image_cov(ctx: HurstContext, w_times, w_weights, z_times, z_weights
     ``C A^T`` (of its cross block only the ``W`` rows are needed), so the
     call holds ``O((nw + nz) k)`` values for ``k`` images and one panel.
     The result is symmetric bit for bit.
+
+    In a cross panel the leading columns with ``t`` at or below every ``s``
+    of the panel have ``(t - s)_+ = 0``: they are filled with
+    ``c1 ((-s)_+^q + t_+^q) / q``, the bits :func:`cross_cov_wz` gives
+    there, and only the rest go through ``xi``.  Any order of times is
+    right; ascending ``z_times`` and ``w_times`` (every library caller's)
+    make the leading run every such column.
     """
     w_times, z_times = np.asarray(w_times, dtype=float), np.asarray(z_times, dtype=float)
     kw = w_weights.shape[0]
@@ -491,8 +510,18 @@ def joint_wz_image_cov(ctx: HurstContext, w_times, w_weights, z_times, z_weights
     zz = _symmetric_product(z_times, partial(fbm_cov, hurst=ctx.hurst), z_weights)
     out[kw:, kw:] = z_weights @ zz
     cross = np.empty((w_times.size, z_weights.shape[0]))
+    q = ctx.eta + 1.0
+    c1_q, future_q = ctx.c1 / q, np.maximum(z_times, 0.0) ** q
     for rows in _row_panels(w_times.size, z_times.size):
-        cross[rows] = cross_cov_wz(ctx, w_times[rows, None], z_times[None, :]) @ z_weights.T
+        s = w_times[rows, None]
+        # A nan in s leaves no column later; cross_cov_wz still refuses it.
+        later = z_times > s.min()
+        j = int(later.argmax()) if later.any() else z_times.size
+        panel = np.empty((s.size, z_times.size))
+        np.add(np.maximum(-s, 0.0) ** q, future_q[:j], out=panel[:, :j])
+        panel[:, :j] *= c1_q
+        panel[:, j:] = cross_cov_wz(ctx, s, z_times[None, j:])
+        cross[rows] = panel @ z_weights.T
     out[:kw, kw:] = w_weights @ cross
     out[kw:, :kw] = out[:kw, kw:].T
     return 0.5 * (out + out.T)

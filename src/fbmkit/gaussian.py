@@ -126,11 +126,15 @@ def _factor_lower(a: np.ndarray) -> None:
     """Overwrite the lower triangle of ``a`` with its Cholesky factor, by blocks.
 
     Right-looking: each diagonal block is factored by ``np.linalg.cholesky``
-    (which reads its lower triangle only), the panel below it is multiplied
-    by the transposed inverse of that factor, and the trailing lower
-    triangle is updated a block of rows at a time.  The strict upper
-    triangle is never written.  Besides ``a``, one block row of the trailing
-    update (``_CHOLESKY_BLOCK x dim`` values) and a few blocks are held.
+    (which reads its lower triangle only), the panel below it is solved
+    against that factor ``L11``, and the trailing lower triangle is updated
+    a block of rows at a time.  The solve is a product with ``inv(L11)^T``
+    plus one step of iterative refinement by the same product: the product
+    alone leaves a backward error of about ``cond(L11)`` ulps (3.1e-15 of
+    max |A| on a pinned fBm matrix, against LAPACK's 5.6e-16), the refined
+    solve that of a triangular solve.  The strict upper triangle is never
+    written.  Besides ``a``, one block row of the trailing update
+    (``_CHOLESKY_BLOCK x dim`` values) and a few blocks are held.
     Raises ``np.linalg.LinAlgError`` where a diagonal block is not positive
     definite.
     """
@@ -142,7 +146,9 @@ def _factor_lower(a: np.ndarray) -> None:
         inv_t = np.linalg.inv(factor).T if trailing else None
         for rows, lower_r in trailing:
             panel = a[rows, cols]
-            panel[...] = panel @ inv_t
+            solved = panel @ inv_t
+            solved += (panel - solved @ factor.T) @ inv_t
+            panel[...] = solved
             update = panel @ a[cols.stop:rows.stop, cols].T
             left = rows.start - cols.stop
             a[rows, cols.stop:rows.start] -= update[:, :left]

@@ -8,18 +8,20 @@ distinct words, never more than the bound.
 The determinant and inverse-entry bounds must hold on every matrix of the
 hypothesis class (unit diagonal, ``|a_ij| <= eps^|i-j|``) for every eps below
 ``max_feasible_epsilon()``, including the three instances that saturate the
-envelope; a matrix outside the class is refused.  The stacked check gives
-the margins of a per-matrix oracle (one ``slogdet`` and one ``inv`` per
-matrix) bit for bit, on any stack and in any block size.  The phi_g and
-phi_i factors behind them are checked against their closed forms in mpmath,
-down to eps where eps^2 underflows.  ``hk_entry_bound`` is at least the
-exact sum of 1500 terms of its series, and +inf where the series diverges.
-These bounds, the sub-Gaussian tail bound and the regularity bound of the
-increment field refuse inf and nan.
+envelope; a matrix outside the class is refused.  A batch checks those
+three one at a time, within three times their stack in memory.  The stacked
+check gives the margins of a per-matrix oracle (one ``slogdet`` and one
+``inv`` per matrix) bit for bit, on any stack and in any block size.  The
+phi_g and phi_i factors behind them are checked against their closed forms
+in mpmath, down to eps where eps^2 underflows.  ``hk_entry_bound`` is at
+least the exact sum of 1500 terms of its series, and +inf where the series
+diverges.  These bounds, the sub-Gaussian tail bound and the regularity
+bound of the increment field refuse inf and nan.
 """
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -31,7 +33,7 @@ from hypothesis import strategies as st
 from fbmkit.almostdiag import (
     HK_TERMS,
     SLACK,
-    adversarial_matrices,
+    adversarial_matrix,
     hk_entry_bound,
     matrix_batch_check,
     matrix_bounds_check,
@@ -168,6 +170,11 @@ def oracle_margins(matrix, eps):
     return det, float(off_gap.min()), diag, norm1
 
 
+def adversarial_matrices(n, eps):
+    """The three adversarial instances as a (3, n, n) stack."""
+    return np.stack([adversarial_matrix(n, eps, kind) for kind in range(3)])
+
+
 def assert_matches_oracle(report, matrices, eps):
     rows = np.array([oracle_margins(m, eps) for m in matrices]).reshape(-1, 4)
     assert report.checked == len(rows)
@@ -205,6 +212,39 @@ def test_batch_check_is_the_oracle_on_one_draw(n, eps, trials):
                                adversarial_matrices(n, eps)])
     assert_matches_oracle(report, matrices, eps)
     assert (report.n, report.eps, report.violations) == (n, eps, 0)
+
+
+def test_a_batch_checks_its_adversarial_matrices_one_at_a_time():
+    # bounds matrix --n 600 --eps 0.1 --trials 10 held 46.7 MiB with the
+    # three adversarial matrices checked as one stack; each alone holds no
+    # more than three times that stack, 3 * 3n^2 floats.
+    n, eps = 600, 0.1
+    tracemalloc.start()
+    try:
+        report = matrix_batch_check(n, eps, 10, make_rng(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * (3 * n * n * 8)
+    # The report of the stacked check, from the same draw.
+    stacked = [matrix_bounds_check(random_stack(10, n, eps, make_rng(5)), eps),
+               matrix_bounds_check(adversarial_matrices(n, eps), eps)]
+    assert report.checked == 13 and report.violations == sum(r.violations for r in stacked)
+    for field, pick in (("min_det_margin", min), ("min_offdiag_margin", min),
+                        ("min_diag_margin", min), ("max_norm1_h", max)):
+        assert getattr(report, field) == pick(getattr(r, field) for r in stacked)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_the_adversarial_matrices_saturate_the_envelope(n):
+    lag = lags(n)
+    idx = np.arange(n)
+    signs = np.stack([np.ones_like(lag), (-1.0) ** lag, (-1.0) ** (idx[:, None] + idx).astype(float)])
+    want = 0.3 ** lag * signs
+    want[:, idx, idx] = 1.0
+    assert adversarial_matrices(n, 0.3).tobytes() == want.tobytes()
+    with pytest.raises(ValidationError, match="kind"):
+        adversarial_matrix(n, 0.3, 3)
 
 
 @given(st.integers(2, 40), epsilons, st.data())

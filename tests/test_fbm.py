@@ -21,7 +21,10 @@ for bit, and the driver's cross covariance refuses non-finite times as
 ``fbm_cov`` does.  The covariance of linear images of the joint law, built
 by row panels, is the dense product ``A @ C @ A.T`` (``tests/dense_joint.py``)
 to rounding, on the route checks' default windows, and evaluates each
-covariance entry once.
+covariance entry once.  It fills the cross entries with ``t <= s`` in closed
+form and takes ``fbm_cov`` unsigned for times of one sign; both keep the
+bits of the walk that sent every entry through ``xi`` with its sign
+(``dense_joint.walked_image_cov``).
 """
 
 import tracemalloc
@@ -35,7 +38,7 @@ from scipy import integrate as scipy_integrate
 from scipy.special import gamma as scipy_gamma
 from scipy.special import hyp2f1
 
-from fbmkit import fbm
+from fbmkit import fbm, gaussian
 from fbmkit.context import make_context
 from fbmkit.drift import _driver_weights, _inversion_weights, _kernel_weights, inversion_grid
 from fbmkit.errors import AccuracyError, ValidationError
@@ -66,7 +69,7 @@ from fbmkit.gaussian import (
 from fbmkit.quadrature import graded_breaks, panel_nodes
 from fbmkit.rng import make_rng
 
-from dense_joint import joint_wz_cov
+from dense_joint import joint_wz_cov, signed_fbm_cov, walked_image_cov
 
 # Reference values for the one-sided moving-average covariance
 # c1(H)^2 * integral_0^{s ^ t} (s-u)^eta (t-u)^eta du, computed with
@@ -244,6 +247,25 @@ class TestFbmCov:
     def test_matrix_rejects_nan_times(self):
         with pytest.raises(ValidationError):
             fbm_cov_matrix([0.5, np.nan], 0.75)
+
+    @pytest.mark.parametrize("hurst", [0.1, 0.5, 0.75, 0.9])
+    @pytest.mark.parametrize("signs", ["past", "future", "past-future", "mixed-mixed", "zeros"])
+    def test_one_sign_keeps_the_bits_of_the_signed_path(self, signs, hurst):
+        # The unsigned path for operands of one sign against the path that
+        # signs every entry by s * t; -0.0 and 0.0 count as both signs.
+        grid = np.r_[inversion_grid(1 / 128, 1e9)[::7], -0.0, 0.0]
+        s, t = {
+            "past": (-np.abs(grid), -np.abs(grid)),
+            "future": (np.abs(grid), np.abs(grid)[::-1]),
+            "past-future": (-np.abs(grid), np.abs(grid)),
+            "mixed-mixed": (np.r_[grid, -grid], np.r_[-grid, grid]),
+            "zeros": (np.array([-0.0, 0.0]), np.array([0.0, -0.0, 1.0])),
+        }[signs]
+        for a, b in ((s[:, None], t[None, :]), (t[:, None], s[None, :]), (s[3:4, None], t)):
+            got, want = fbm_cov(a, b, hurst), signed_fbm_cov(a, b, hurst)
+            assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+        assert fbm_cov(-0.0, 2.0, hurst) == signed_fbm_cov(-0.0, 2.0, hurst) == 0.0
+        assert fbm_cov(-1.5, -0.5, hurst) == signed_fbm_cov(-1.5, -0.5, hurst)
 
     def test_matrix_by_panels_is_the_broadcast_bit_for_bit(self):
         # 585 unsorted times of both signs and 0: eleven row panels of 56 rows.
@@ -773,9 +795,34 @@ class TestJointImages:
         assert np.array_equal(got, got.T)
         assert np.max(np.abs(got - a @ dense @ a.T)) <= 1.0e-13 * terms.max()
 
+    @pytest.mark.parametrize("hurst", [0.1, 0.25, 0.75, 0.9])
+    @pytest.mark.parametrize("name", ["drift validate", "invert"])
+    def test_the_walk_keeps_the_bits_of_the_full_walk(self, name, hurst):
+        ctx = make_context(hurst)
+        images = route_images(name, hurst)
+        got = joint_wz_image_cov(ctx, *images)
+        assert got.view(np.uint64).tobytes() == walked_image_cov(ctx, *images).view(np.uint64).tobytes()
+
+    @pytest.mark.parametrize("hurst", [0.1, 0.25, 0.5, 0.75, 0.9])
+    @pytest.mark.parametrize("budget", [64, _PANEL_VALUES])
+    def test_the_closed_form_cross_entries_are_cross_cov_wzs(self, hurst, budget, monkeypatch):
+        # Ascending times of both signs with 0, so the closed-form columns
+        # of each panel run through its diagonal t == s and meet every sign
+        # case; with identity weights the images are the entries.
+        monkeypatch.setattr(gaussian, "_PANEL_VALUES", budget)
+        ctx = make_context(hurst)
+        grid = inversion_grid(1 / 64, 1e7)[::3]
+        times = np.r_[grid, 0.0, -grid[::-1]]
+        n = times.size
+        got = joint_wz_image_cov(ctx, times, np.eye(n), times, np.eye(n))[:n, n:]
+        want = cross_cov_wz(ctx, times[:, None], times[None, :])
+        # The identity product can only turn a -0.0 into 0.0.
+        assert (got + 0.0).view(np.uint64).tobytes() == (want + 0.0).view(np.uint64).tobytes()
+
     def test_it_evaluates_each_entry_once(self, monkeypatch):
         # As the dense fill does: each symmetric block by row panels from its
-        # diagonal on, and the cross block whole.
+        # diagonal on.  Of each cross panel, cross_cov_wz takes only the
+        # columns after those at or below every time of the panel.
         sizes = {"fbm_cov": 0, "cross_cov_wz": 0}
 
         def counted(entries):
@@ -787,10 +834,18 @@ class TestJointImages:
 
         for entries in (fbm.fbm_cov, fbm.cross_cov_wz):
             monkeypatch.setattr(fbm, entries.__name__, counted(entries))
-        w_times, a_w, z_times, a_z = route_images("invert", 0.25)
-        joint_wz_image_cov(make_context(0.25), w_times, a_w, z_times, a_z)
-        n = z_times.size
-        assert sizes == {
-            "fbm_cov": sum((p.stop - p.start) * (n - p.start) for p in _row_panels(n, n)),
-            "cross_cov_wz": w_times.size * n,
-        }
+        for name in ("invert", "drift validate"):
+            sizes.update(fbm_cov=0, cross_cov_wz=0)
+            w_times, a_w, z_times, a_z = route_images(name, 0.25)
+            joint_wz_image_cov(make_context(0.25), w_times, a_w, z_times, a_z)
+            n = z_times.size
+            later = [(p.stop - p.start) * np.count_nonzero(z_times > w_times[p].min())
+                     for p in _row_panels(w_times.size, n)]
+            assert sizes == {
+                "fbm_cov": sum((p.stop - p.start) * (n - p.start) for p in _row_panels(n, n)),
+                "cross_cov_wz": sum(later),
+            }
+            # The closed form takes every t <= -1 at invert's recovery times
+            # (48% of its window) and all but the panels' diagonal squares of
+            # the lower half of drift validate's square block (45%).
+            assert 1.0 - sum(later) / (w_times.size * n) > 0.44

@@ -4,7 +4,8 @@ The in-place blocked factor of ``cholesky_with_jitter`` is checked against
 LAPACK's ``np.linalg.cholesky`` (bit for bit up to one block, by backward
 error beyond) on the matrices the CLI factors at its default windows, and on
 the joint (W, Z) covariances of the ``drift validate`` and ``invert``
-windows, which it no longer factors.
+windows, which it no longer factors.  Those accuracy cases run again in a
+child interpreter with BLAS pinned to one thread, as the benchmark runs.
 ``CovMatrix.solve`` is checked against ``scipy.linalg.cho_solve`` on the
 same factor, on the past windows the library regresses on.  The moment
 accumulator ``CrossMoments`` is checked against ``estimate_cov`` below, the
@@ -12,8 +13,12 @@ full-array formula the library used before it reduced block by block, and
 against the hand-kept sums acceptance criterion 2 used, bit for bit.
 """
 
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -337,6 +342,29 @@ def test_a_pinned_matrix_takes_lapacks_jitter_step(dim):
     else:
         bumped = matrix + (jitter * np.trace(matrix) / dim) * np.eye(dim)
         assert backward_error(got, bumped) <= 4.0 * backward_error(want, bumped)
+
+
+FACTOR_ACCURACY_CASES = (
+    "test_the_factor_is_lapacks_bit_for_bit_up_to_one_block"
+    " or test_the_blocked_factor_is_as_accurate_as_lapack"
+    " or test_a_pinned_matrix_takes_lapacks_jitter_step"
+)
+
+
+def test_the_factor_accuracy_cases_pass_at_one_blas_thread():
+    # The benchmark pins BLAS to one thread, and OpenBLAS rounds its
+    # products by thread count, so the accuracy cases run again in a child
+    # interpreter under that pin, whatever this one runs at.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
+         "-k", FACTOR_ACCURACY_CASES],
+        env=env, cwd=root, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-4000:]
+    assert " passed" in proc.stdout and "deselected" in proc.stdout
 
 
 @pytest.mark.parametrize("dim", [40, 300])
