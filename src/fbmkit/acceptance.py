@@ -2,11 +2,14 @@
 
 Each criterion exercises one load-bearing claim of the library against an
 independent route (closed form, regression oracle, joint-law sampling,
-exhaustive enumeration, or Monte Carlo with pinned tolerances).  The battery
-is deterministic: one master seed fans out to per-criterion seed sequences,
-every sampler consumes a single logical stream (or per-chunk streams), and
-criterion 11 re-runs the first ten at a different thread count and demands
-byte-identical canonical reports.
+exhaustive enumeration, or Monte Carlo with pinned tolerances).  Where the
+library has the claim in closed form the criterion draws nothing: criteria 2
+(the conditional decomposition) and 8 (the scale ladder's covariance) check
+identities to a rounding bound and gaps that fall along a ladder of ever
+finer windows or grids.  The battery is deterministic: one master seed fans
+out to per-criterion seed sequences, every sampler consumes a single logical
+stream (or per-chunk streams), and criterion 11 re-runs the first ten at a
+different thread count and demands byte-identical canonical reports.
 
 ``run_all`` runs the battery, criterion 11 included, for the CLI
 ``selftest`` subcommand; ``run_criterion`` runs one of criteria 1-10 with
@@ -37,8 +40,8 @@ from .drift import (
 )
 from .errors import FbmkitError, ValidationError
 from .experiments import ArbitrageConfig, LilConfig, a_n_probability, lil_statistic
-from .fbm import FgnSampler, fbm_cov_matrix, levy_cov_matrix, sample_obm
-from .gamma import GammaConfig, decay_bound_check, gamma_mc_implied_cov, sample_gamma_mc
+from .fbm import FgnSampler, fbm_cov, fbm_cov_matrix, levy_cov_matrix, sample_obm
+from .gamma import GammaConfig, decay_bound_check, gamma_cov, gamma_mc_implied_cov
 from .gaussian import CovMatrix, CrossMoments
 from .reports import utc_now
 from .rng import DEFAULT_SEED, draw_reduce, make_rng
@@ -218,60 +221,56 @@ def _criterion_1(seed_seq, threads: int) -> tuple[bool, str, dict]:
 # 2. Conditional decomposition: drift prediction + one-sided noise
 # ---------------------------------------------------------------------------
 
-# The cross-z gate is a maximum over 16 x 241 and 16 x 337 correlated
-# z-scores, so 4 is a tight gate: on the fresh seeds SeedSequence(2000..2009)
-# 2 of 10 runs fail it (cross z 4.04 and 4.07), while criterion 1 passed 12 of
-# 12 on SeedSequence(1000..1011).  The pass at the pinned seed rests on this
-# stream: a change that re-draws this criterion must keep its draws.
+# Points per decade of criterion 2's past windows: each rung halves the spacing.
+_C2_LADDER = (12, 24, 48, 96)
+# Each rung of a ladder must cut the gap to at most this fraction of the last.
+_LADDER_FALL = 0.75
+
+
+def _worst_fall(gaps: list[float]) -> float:
+    """The largest ratio of a gap to the one before it along a ladder."""
+    return max(b / a for a, b in zip(gaps, gaps[1:]))
+
+
 def _criterion_2(seed_seq, threads: int) -> tuple[bool, str, dict]:
+    # With W the regression weights, the future is the drift W^T p plus a
+    # residual: Cov(residual, past) = C_pf - C_pp W is 0 up to rounding, and
+    # Cov(residual) = C_ff - C_pf^T W (conditional_future_cov) tends to the
+    # one-sided covariance as the window refines, while the drift-omitted
+    # control C_ff stays far from it.
     v_grid = np.linspace(0.125, 2.0, 16)
-    n_paths, chunk = 100_000, 20_000
-    rng = make_rng(seed_seq)
     metrics: dict = {}
     all_ok = True
     for hurst, e_hi in ((0.25, 3.0), (0.75, 7.0)):
-        ctx = make_context(hurst)
-        past_times = _exp_grid_neg(-7.0, e_hi, 24)
-        lev = levy_cov_matrix(v_grid, ctx)
-        budget = float(np.abs(conditional_future_cov(hurst, past_times, v_grid) - lev).max())
-        weights = regression_weights(hurst, past_times, v_grid)
-        cov = CovMatrix(fbm_cov_matrix(np.concatenate([past_times, v_grid]), hurst))
-        npast = past_times.size
+        lev = levy_cov_matrix(v_grid, make_context(hurst))
+        c_ff = fbm_cov_matrix(v_grid, hurst)
+        orth, budgets = 0.0, []
+        for per_decade in _C2_LADDER:
+            past = _exp_grid_neg(-7.0, e_hi, per_decade)
+            c_pf = fbm_cov(past[:, None], v_grid[None, :], hurst)
+            weights = regression_weights(hurst, past, v_grid)
+            cross = c_pf - fbm_cov_matrix(past, hurst) @ weights
+            orth = max(orth, float(np.abs(cross).max() / np.abs(c_pf).max()))
+            residual = conditional_future_cov(hurst, past, v_grid)
+            budgets.append(float(np.abs(residual - lev).max()))
+        fall = _worst_fall(budgets)
+        control = float(np.abs(c_ff - lev).max())
+        ratio = control / max(budgets)
 
-        # Chunked product moments for the residual and the drift-omitted
-        # control; the standard error of each covariance entry comes from the
-        # empirical second moment of the same products.
-        moments = {tag: CrossMoments() for tag in ("rp", "rr", "fp", "ff")}
-        for done in range(0, n_paths, chunk):
-            draw = cov.sample(rng, min(chunk, n_paths - done))
-            p, f = draw[:, :npast], draw[:, npast:]
-            resid = f - p @ weights
-            for tag, a, b in (("rp", resid, p), ("rr", resid, resid),
-                              ("fp", f, p), ("ff", f, f)):
-                moments[tag].add(a, b)
-
-        def z_scores(cross: str, auto: str) -> tuple[float, float]:
-            (c, se), (a, se_a) = moments[cross].finish(), moments[auto].finish()
-            return (float(np.max(np.abs(c) / se)),
-                    float(np.max((np.abs(a - lev) - budget) / se_a)))
-
-        cross_z, cov_excess = z_scores("rp", "rr")
-        nc_cross_z, nc_cov_excess = z_scores("fp", "ff")
-        ok_main = cross_z <= 4.0 and cov_excess <= 4.0
-        nc_fails = nc_cross_z > 4.0 and nc_cov_excess > 4.0
-
-        metrics[f"cross_zmax_h{hurst}"] = cross_z
-        metrics[f"cov_excess_zmax_h{hurst}"] = cov_excess
-        metrics[f"budget_h{hurst}"] = budget
-        metrics[f"control_cross_zmax_h{hurst}"] = nc_cross_z
-        metrics[f"control_cov_excess_zmax_h{hurst}"] = nc_cov_excess
-        all_ok = all_ok and ok_main and nc_fails
+        metrics[f"orthogonality_h{hurst}"] = orth
+        metrics[f"budget_h{hurst}"] = budgets[-1]
+        metrics[f"budget_fall_h{hurst}"] = fall
+        metrics[f"control_h{hurst}"] = control
+        metrics[f"control_ratio_h{hurst}"] = ratio
+        all_ok = all_ok and orth <= 1.0e-12 and fall <= _LADDER_FALL and ratio >= 100.0
     detail = (
-        f"cross z {_f(metrics['cross_zmax_h0.25'])}/{_f(metrics['cross_zmax_h0.75'])},"
-        f" cov excess z {_f(metrics['cov_excess_zmax_h0.25'])}/"
-        f"{_f(metrics['cov_excess_zmax_h0.75'])} (gate 4);"
-        f" control z {_f(metrics['control_cross_zmax_h0.25'])}/"
-        f"{_f(metrics['control_cross_zmax_h0.75'])} (must exceed 4)"
+        f"orthogonality {_f(metrics['orthogonality_h0.25'])}/"
+        f"{_f(metrics['orthogonality_h0.75'])} (gate 1e-12);"
+        f" budget {_f(metrics['budget_h0.25'])}/{_f(metrics['budget_h0.75'])}"
+        f" at {_C2_LADDER[-1]} per decade, worst rung ratio"
+        f" {_f(metrics['budget_fall_h0.25'])}/{_f(metrics['budget_fall_h0.75'])}"
+        f" (gate {_LADDER_FALL}); control {_f(metrics['control_ratio_h0.25'])}/"
+        f"{_f(metrics['control_ratio_h0.75'])} budgets (must exceed 100)"
     )
     return all_ok, detail, metrics
 
@@ -431,11 +430,18 @@ def _criterion_7(seed_seq, threads: int) -> tuple[bool, str, dict]:
 # 8. Covariance decay of the normalized increment field
 # ---------------------------------------------------------------------------
 
+# Rungs of criterion 8's driver grid, (far end, points per decade).  Both
+# grow: at a fixed far end the truncated tail, of relative size
+# ~u_max^(2H-2), stops the gap from falling.
+_C8_LADDER = ((1.0e6, 48), (1.0e8, 96), (1.0e10, 192), (1.0e12, 384))
+
+
 def _criterion_8(seed_seq, threads: int) -> tuple[bool, str, dict]:
     ctx = make_context(0.75)
-    d_mc, n_mc = 5, 100_000
-    rng = make_rng(seed_seq)
+    d_max = 5
+    lags = np.abs(np.subtract.outer(np.arange(d_max + 1), np.arange(d_max + 1)))
     metrics: dict = {}
+    finest = {}
     ok = True
     for r in (0.1, 0.5):
         cfg = GammaConfig(ctx, r)
@@ -444,20 +450,28 @@ def _criterion_8(seed_seq, threads: int) -> tuple[bool, str, dict]:
         metrics[f"trend_slope_r{r}"] = profile.trend_slope
         ok = ok and profile.trend_ok
 
-        # Independent Monte Carlo route: discrete-driver estimator whose own
-        # implied covariance quantifies the (tiny) discretization deficit.
-        exact_row = np.array([profile.sigma2 * profile.rho[d] for d in range(d_mc + 1)])
-        implied = gamma_mc_implied_cov(cfg, d_mc)[0]
-        deficit = float(np.max(np.abs(implied - exact_row)))
-        emp, se = CrossMoments().add(sample_gamma_mc(cfg, d_mc, rng, n_mc)).finish()
-        z_mc = float(np.max((np.abs(emp[0] - exact_row) - deficit) / se[0]))
-        metrics[f"mc_zmax_r{r}"] = z_mc
-        metrics[f"mc_deficit_r{r}"] = deficit
-        ok = ok and z_mc <= 4.0
+        # Independent route: the discrete-driver conditional mean, whose
+        # covariance sits below the series one in the PSD order by a gap
+        # that closes along the ladder of driver grids.
+        series = gamma_cov(cfg, d_max + 1)[lags]
+        gaps, margin = [], math.inf
+        for u_max, per_decade in _C8_LADDER:
+            gap = (series - gamma_mc_implied_cov(cfg, d_max, u_max, per_decade)) / series[0, 0]
+            gaps.append(float(np.abs(gap).max()))
+            margin = min(margin, float(np.linalg.eigvalsh(gap)[0]))
+        fall = _worst_fall(gaps)
+        metrics[f"psd_margin_r{r}"] = margin
+        metrics[f"gap_fall_r{r}"] = fall
+        finest[r] = gaps[-1]
+        ok = ok and margin > 0.0 and fall <= _LADDER_FALL
     detail = (
         f"decay envelope saturates at c_f {_f(metrics['cf_fit_r0.1'])}"
         f"/{_f(metrics['cf_fit_r0.5'])} (r=0.1/0.5);"
-        f" MC z {_f(metrics['mc_zmax_r0.1'])}/{_f(metrics['mc_zmax_r0.5'])} (gate 4)"
+        f" series less discrete-driver covariance at the finest grid"
+        f" {_f(finest[0.1])}/{_f(finest[0.5])} of sigma2, smallest eigenvalue"
+        f" {_f(metrics['psd_margin_r0.1'])}/{_f(metrics['psd_margin_r0.5'])} (must exceed 0),"
+        f" worst rung ratio {_f(metrics['gap_fall_r0.1'])}/{_f(metrics['gap_fall_r0.5'])}"
+        f" (gate {_LADDER_FALL})"
     )
     return ok, detail, metrics
 

@@ -51,6 +51,11 @@ with S(t) = 2 t^(2 hurst) + xi_{2 hurst}(1-t, t) - xi_{2 hurst}(1, t), that is
 ``gamma_cov`` is the one lag route, read by ``decay_bound_check``,
 ``gamma_cov_matrix`` and ``gamma cov``: sigma2 once, then each lag's closed
 form serially (tens of microseconds a lag, less than a thread pool costs).
+``gamma_mc_implied_cov`` is an independent route to the same covariance
+with nothing drawn: the covariance, a finite sum, of the conditional mean of
+the ladder given the driver's increments on a geometric grid.  It sits
+below ``gamma_cov`` in the PSD order, by a gap that closes as the grid
+refines and deepens; acceptance criterion 8 checks both on a ladder of grids.
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ import numpy as np
 from .context import HurstContext, xi
 from .errors import AccuracyError, ValidationError
 from .fbm import fbm_cov
-from .gaussian import CovMatrix, block_edges
+from .gaussian import CovMatrix
 from .subgauss import THETA_MIN, subgaussian_constants
 
 __all__ = [
@@ -79,7 +84,6 @@ __all__ = [
     "gamma_cov_matrix",
     "gamma_mc_weights",
     "gamma_mc_implied_cov",
-    "sample_gamma_mc",
 ]
 
 # Depth of the dyadic grid t = 2^-k, k = 1..C_E_LEVELS, that defines c_e.
@@ -88,15 +92,12 @@ C_E_LEVELS = 20
 # exceeds 1/2 and term n is at most about n^2 2^-n times the first, so the
 # truncated sums are complete to 1e-18.
 _SERIES_N = np.arange(1.0, 73.0)
-# Driver grid of the discrete-driver Monte Carlo oracle: geometric points per
-# decade of x, its far end, and its near end as a fraction of the smallest
-# ladder scale.
+# Default driver grid of the discrete-driver route: geometric points per
+# decade of x and its far end (the first rung of acceptance criterion 8's
+# ladder), and its near end as a fraction of the smallest ladder scale.
 MC_PER_DECADE = 48
 MC_U_MAX = 1.0e6
 MC_X_MIN_FACTOR = 1.0e-3
-# Driver-noise values per block of sample_gamma_mc (8 MiB of floats).  It
-# fixes bytes: OpenBLAS rounds the products of short blocks differently.
-_MC_BLOCK_VALUES = 2**20
 
 
 @dataclass(frozen=True)
@@ -332,7 +333,7 @@ def reg_gamhat_bound(
 
 
 # ---------------------------------------------------------------------------
-# Exact ladder sampling and Monte Carlo cross-checks
+# Exact ladder covariance and the discrete-driver route
 # ---------------------------------------------------------------------------
 
 
@@ -343,20 +344,22 @@ def gamma_cov_matrix(cfg: GammaConfig, n: int) -> CovMatrix:
     return CovMatrix(covs[np.abs(idx[:, None] - idx[None, :])])
 
 
-def gamma_mc_weights(cfg: GammaConfig, d_max: int) -> tuple[np.ndarray, np.ndarray]:
+def gamma_mc_weights(
+    cfg: GammaConfig, d_max: int, u_max: float = MC_U_MAX, per_decade: int = MC_PER_DECADE
+) -> tuple[np.ndarray, np.ndarray]:
     """Panel widths and per-scale mean kernel weights for the driver grid.
 
     The driver increments live on a geometric grid of x = (distance into the
-    past) with ``MC_PER_DECADE`` points per decade from
-    ``MC_X_MIN_FACTOR * r^d_max`` to ``MC_U_MAX``; each weight is the exact panel average of the kernel
-    xi_eta(x, r^i), from the closed-form antiderivative
-    xi_{eta+1}(x, b) / (eta + 1).  The resulting linear estimator is the
-    conditional mean of G_i given the discrete increments.
+    past) with ``per_decade`` points per decade from
+    ``MC_X_MIN_FACTOR * r^d_max`` to ``u_max``; each weight is the exact
+    panel average of the kernel xi_eta(x, r^i), from the closed-form
+    antiderivative xi_{eta+1}(x, b) / (eta + 1).  The resulting linear
+    estimator is the conditional mean of G_i given the discrete increments.
     """
     eta = cfg.ctx.eta
     x_min = MC_X_MIN_FACTOR * cfg.scale(d_max)
-    n_pts = int(math.ceil(math.log10(MC_U_MAX / x_min) * MC_PER_DECADE)) + 1
-    grid = np.concatenate([[0.0], np.geomspace(x_min, MC_U_MAX, n_pts)])
+    n_pts = int(math.ceil(math.log10(u_max / x_min) * per_decade)) + 1
+    grid = np.concatenate([[0.0], np.geomspace(x_min, u_max, n_pts)])
     delta = np.diff(grid)
     scales = cfg.r ** np.arange(d_max + 1, dtype=float)
     # antiderivative of xi_eta(., b) evaluated on the grid, per scale
@@ -366,41 +369,14 @@ def gamma_mc_weights(cfg: GammaConfig, d_max: int) -> tuple[np.ndarray, np.ndarr
     return delta, avg * norm[None, :]
 
 
-def gamma_mc_implied_cov(cfg: GammaConfig, d_max: int) -> np.ndarray:
-    """Covariance the discrete-driver estimator actually has (deterministic).
-
-    Always below the exact covariance in the PSD order; the gap is the
-    discretization deficit of the Monte Carlo oracle.
-    """
-    delta, w = gamma_mc_weights(cfg, d_max)
-    return (w * delta[:, None]).T @ w
-
-
-def sample_gamma_mc(
-    cfg: GammaConfig,
-    d_max: int,
-    rng: np.random.Generator,
-    n_paths: int,
+def gamma_mc_implied_cov(
+    cfg: GammaConfig, d_max: int, u_max: float = MC_U_MAX, per_decade: int = MC_PER_DECADE
 ) -> np.ndarray:
-    """Monte Carlo draws of (G_0, ..., G_{d_max}) from discrete driver noise.
+    """Covariance of the discrete-driver estimator of (G_0, ..., G_{d_max}).
 
-    Independent of the series + Cholesky route: each path draws Gaussian
-    driver increments on the geometric grid and applies the panel-average
-    kernel weights.  The noise comes from the one stream in row order, a
-    block of about ``_MC_BLOCK_VALUES`` values at a time, scaled in place.
+    A conditional mean, so it sits below the exact covariance in the PSD
+    order; the gap is the grid's discretization and truncation deficit, and
+    it closes as ``per_decade`` and ``u_max`` grow together.
     """
-    if n_paths < 1:
-        raise ValidationError(f"n_paths must be >= 1, got {n_paths}")
-    delta, w = gamma_mc_weights(cfg, d_max)
-    sd = np.sqrt(delta)
-    rows = max(1, _MC_BLOCK_VALUES // delta.size)
-    # A short block's product can round differently (OpenBLAS 0.3.31 on
-    # Haswell takes another kernel for products of at most 10^6
-    # multiply-adds).
-    edges = block_edges(n_paths, rows)
-    out = np.empty((n_paths, d_max + 1))
-    for a, b in zip(edges, edges[1:]):
-        noise = rng.standard_normal((b - a, delta.size))
-        noise *= sd
-        out[a:b] = noise @ w
-    return out
+    delta, w = gamma_mc_weights(cfg, d_max, u_max, per_decade)
+    return (w * delta[:, None]).T @ w

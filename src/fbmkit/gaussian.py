@@ -8,7 +8,7 @@ draws zero-mean Gaussian vectors with it and solves regression systems on
 it; its ``sample`` is the sampler contract of :func:`fbmkit.rng.draw_reduce`.
 :class:`CrossMoments` adds the cross moments of blocks of rows and finishes
 to the zero-mean empirical covariance and its entrywise Monte Carlo standard
-errors, which the acceptance criteria use as "within ``k`` SE" bands.
+errors, which acceptance criterion 1 uses as "within ``k`` SE" bands.
 
 The factor works in place: :func:`cholesky_with_jitter` overwrites the
 matrix it is given with ``L``, so a caller that needs the matrix afterwards
@@ -261,11 +261,11 @@ def block_edges(n: int, block: int) -> list[int]:
 
 
 class CrossMoments:
-    """Sums of ``a.T @ b`` and ``(a*a).T @ (b*b)`` over blocks of paired rows.
+    """Sums of ``a.T @ a`` and ``(a*a).T @ (a*a)`` over blocks of rows.
 
-    ``add(a)`` is ``add(a, a)`` with ``a`` squared once, so BLAS takes the
-    symmetric product for both sums.  ``finish`` gives ``(cov, se)``:
-    ``cov = sum a.T @ b / N`` and ``se[k, l] = std(a_k b_l) / sqrt(N)``.
+    Each sum is one symmetric BLAS product per block.  ``finish`` gives
+    ``(cov, se)``: ``cov = sum a.T @ a / N`` and
+    ``se[k, l] = std(a_k a_l) / sqrt(N)``.
     """
 
     def __init__(self) -> None:
@@ -273,14 +273,13 @@ class CrossMoments:
         self.cross = 0.0
         self.square = 0.0
 
-    def add(self, a: np.ndarray, b: np.ndarray | None = None) -> CrossMoments:
-        if a.ndim != 2 or (b is not None and (b.ndim != 2 or b.shape[0] != a.shape[0])):
-            raise ValidationError("moment blocks must be 2-d arrays with equal row counts")
-        sq_a = a * a
-        sq_b = sq_a if b is None else b * b
+    def add(self, a: np.ndarray) -> CrossMoments:
+        if a.ndim != 2:
+            raise ValidationError("moment blocks must be 2-d arrays")
+        sq = a * a
         self.n += a.shape[0]
-        self.cross = self.cross + a.T @ (a if b is None else b)
-        self.square = self.square + sq_a.T @ sq_b
+        self.cross = self.cross + a.T @ a
+        self.square = self.square + sq.T @ sq
         return self
 
     def merge(self, other: CrossMoments) -> CrossMoments:

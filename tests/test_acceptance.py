@@ -1,7 +1,8 @@
 """The acceptance battery, one numbered criterion per test.
 
 Each criterion runs through ``run_criterion`` with the battery's own seed,
-so it draws exactly what ``run_all`` draws.  Criterion 10 checks a
+so it draws exactly what ``run_all`` draws; criteria 2 and 8 check closed
+forms and draw nothing, which is pinned below.  Criterion 10 checks a
 decay-rate trend that the pinned parameter point does not satisfy at finite
 depth; it is kept literal and must keep failing.  Criterion 11 (two full
 batteries at different thread counts, compared byte for byte) is left to
@@ -42,3 +43,13 @@ def test_a_criterion_that_raises_reports_an_unexpected_failure(number, monkeypat
     assert (result.passed, result.expected_failure) == (False, False)
     assert result.detail == "raised AccuracyError: budget exceeded"
     assert result.metrics == {}
+
+
+@pytest.mark.parametrize("number", [2, 8])
+def test_a_closed_form_criterion_draws_nothing(number, monkeypatch):
+    def no_generator(*args, **kwargs):
+        raise AssertionError(f"criterion {number} asked for a generator")
+
+    monkeypatch.setattr(acceptance, "make_rng", no_generator)
+    result = run_criterion(number)
+    assert result.passed, result.detail

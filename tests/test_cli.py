@@ -487,15 +487,16 @@ def test_an_oversized_sample_exits_2_before_allocating(argv, asked, capsys):
     assert err == f"error: {asked} float64 values, more than {MAX_ARRAY_VALUES} (256 MiB)\n"
 
 
-# Unrefused, each would allocate 270-340 MB: a lil chunk buffer of 1301 x 2^15
-# values, a lil covariance of 6001^2, or bounds matrix's adversarial stack of
-# 3 x 3400^2.  The stubbed computations fail the test, rather than allocate, if
+# Unrefused, each would allocate 270-650 MB: a lil chunk buffer of 1301 x 2^15
+# values, a lil covariance of 6001^2, or bounds matrix's seven working arrays
+# of 3400^2.  The stubbed computations fail the test, rather than allocate, if
 # the refusal is missing.
 @pytest.mark.parametrize("argv,asked", [
     ("lil --hurst 0.75 --r 0.6 --imax 1300 --paths 100000",
      "--imax 1300 and --paths 100000 ask for a chunk buffer of 42631168"),
     ("lil --hurst 0.75 --r 0.999 --imax 6000", "--imax 6000 asks for a covariance of 36012001"),
-    ("bounds matrix --n 3400 --eps 0.1", "--n 3400 asks for an adversarial stack of 34680000"),
+    ("bounds matrix --n 3400 --eps 0.1", "--n 3400 asks for seven n x n working arrays of 80920000"),
+    ("bounds matrix --n 2190 --eps 0.1", "--n 2190 asks for seven n x n working arrays of 33572700"),
 ])
 def test_an_oversized_lil_or_matrix_check_exits_2_before_allocating(argv, asked, monkeypatch,
                                                                      capsys):

@@ -13,17 +13,22 @@ times of one sign and on opposite sides of 0 for :func:`fbm_cov`, and
 :func:`joint_wz_image_cov` with identity weights, which is the joint
 covariance itself, is checked block by block against the same references
 (the driver block against ``min(|s|, |t|)`` for times of one sign, 0
-otherwise).  The budget is 1e-13 relative, entry by entry; an exact zero
+otherwise), on the window as built and sorted ascending.  Sorted, as every
+library caller passes its times, and walked in panels of one row, the cross
+block takes its closed form at every column at or below the row's time.  The budget is 1e-13 relative, entry by entry; an exact zero
 must come out as zero.  The reference takes the float ``c1`` and
 ``eta + 1`` of :func:`make_context` as exact, so it checks the formulas,
 not the constants (at ``u = 1e12`` an ulp of ``eta + 1`` alone moves
 ``u^{eta+1}`` by 3e-15).
 """
 
+import functools
+
 import mpmath
 import numpy as np
 import pytest
 
+from fbmkit import gaussian
 from fbmkit.context import make_context
 from fbmkit.drift import inversion_grid
 from fbmkit.fbm import cross_cov_wz, fbm_cov, joint_wz_image_cov
@@ -70,12 +75,28 @@ def worst_error(got: np.ndarray, ref: np.ndarray) -> float:
     return float(np.max(np.abs(got[~zero] / ref[~zero] - 1.0), initial=0.0))
 
 
-@pytest.mark.parametrize("u_deep", [600.0, 1.0e7, 1.0e12])
-@pytest.mark.parametrize("hurst", [0.1, 0.25, 0.75, 0.9])
-def test_covariances_match_mpmath_at_tip_deep_pairs(hurst, u_deep):
-    ctx = make_context(hurst)
+@functools.cache
+def window_and_references(hurst: float, u_deep: float):
+    """The thinned window of ``u_deep`` and its three references, computed once."""
     times = thinned_window(u_deep)
-    zz, wz, ww = references(ctx, times)
+    return (times, *references(make_context(hurst), times))
+
+
+@pytest.mark.parametrize("u_deep,ascending", [
+    *(pytest.param(u, False, id=str(u)) for u in (600.0, 1.0e7, 1.0e12)),
+    *(pytest.param(u, True, id=f"{u}-sorted") for u in (600.0, 1.0e7, 1.0e12)),
+])
+@pytest.mark.parametrize("hurst", [0.1, 0.25, 0.75, 0.9])
+def test_covariances_match_mpmath_at_tip_deep_pairs(hurst, u_deep, ascending, monkeypatch):
+    ctx = make_context(hurst)
+    times, zz, wz, ww = window_and_references(hurst, u_deep)
+    if ascending:
+        order = np.argsort(times)
+        times = times[order]
+        zz, wz, ww = (ref[np.ix_(order, order)] for ref in (zz, wz, ww))
+        # Panels of one row, as a long window has few: each row's columns at
+        # or below its time are then the closed form.
+        monkeypatch.setattr(gaussian, "_PANEL_VALUES", times.size)
     s, t = times[:, None], times[None, :]
     n = times.size
     eye = np.eye(times.size)
