@@ -30,7 +30,6 @@ from .almostdiag import matrix_batch_check, tuple_count_bound, valid_tuple_count
 from .context import make_context
 from .drift import (
     DriftKernelSpec,
-    conditional_future_cov,
     driver_roundtrip,
     inversion_grid,
     pipiras_taqqu_invert,
@@ -235,9 +234,9 @@ def _worst_fall(gaps: list[float]) -> float:
 def _criterion_2(seed_seq, threads: int) -> tuple[bool, str, dict]:
     # With W the regression weights, the future is the drift W^T p plus a
     # residual: Cov(residual, past) = C_pf - C_pp W is 0 up to rounding, and
-    # Cov(residual) = C_ff - C_pf^T W (conditional_future_cov) tends to the
-    # one-sided covariance as the window refines, while the drift-omitted
-    # control C_ff stays far from it.
+    # Cov(residual) = C_ff - C_pf^T W tends to the one-sided covariance as
+    # the window refines, while the drift-omitted control C_ff stays far
+    # from it.  Both come from the one factor of C_pp that W takes.
     v_grid = np.linspace(0.125, 2.0, 16)
     metrics: dict = {}
     all_ok = True
@@ -251,7 +250,7 @@ def _criterion_2(seed_seq, threads: int) -> tuple[bool, str, dict]:
             weights = regression_weights(hurst, past, v_grid)
             cross = c_pf - fbm_cov_matrix(past, hurst) @ weights
             orth = max(orth, float(np.abs(cross).max() / np.abs(c_pf).max()))
-            residual = conditional_future_cov(hurst, past, v_grid)
+            residual = c_ff - c_pf.T @ weights
             budgets.append(float(np.abs(residual - lev).max()))
         fall = _worst_fall(budgets)
         control = float(np.abs(c_ff - lev).max())

@@ -8,6 +8,15 @@ hk-count), ``lil``, ``arbitrage`` (an-prob | ledger | threshold), and
 ``_COMMANDS``: each command's help and leaves, and each leaf's handler and
 flags; :func:`build_parser` is a loop over it.
 
+The modules that ``perfbench --trace 1`` wraps are imported here, at start,
+since it wraps only what is loaded then.  What no such module needs is
+imported by the leaf that runs it: ``selftest`` imports
+:mod:`fbmkit.acceptance`, ``bounds matrix`` and ``bounds hk-count``
+:mod:`fbmkit.almostdiag`, ``bounds subgauss`` :mod:`fbmkit.subgauss`, and
+``bounds thick`` and ``lil --set`` :mod:`fbmkit.thick`.  ``gamma regbound``
+and ``arbitrage ledger`` load :mod:`fbmkit.subgauss` through
+:func:`fbmkit.gamma.reg_bound_constants`.
+
 Conventions shared by all subcommands:
 
 - exit code 0 on success, 2 on validation (bad input) errors, 3 on accuracy
@@ -59,19 +68,12 @@ import os
 import stat
 import sys
 from collections.abc import Callable
-from dataclasses import asdict
 from functools import partial
 from typing import NamedTuple, TextIO
 
 import numpy as np
 
 from . import reports
-from .almostdiag import (
-    hk_entry_bound,
-    matrix_batch_check,
-    tuple_count_bound,
-    valid_tuple_count,
-)
 from .context import make_context
 from .drift import (
     DriftKernelSpec,
@@ -106,8 +108,6 @@ from .gaussian import MAX_ARRAY_VALUES, CovMatrix
 from .reports import ExperimentReport
 from .rng import CHUNK, DEFAULT_SEED, make_rng
 from .serialize import _ROW_PIECE, _join_floats, canonical_json_dump, csv_cell
-from .subgauss import subgaussian_bound, subgaussian_constants
-from .thick import ThickSet, harmonic_subsum, is_thick_estimate
 
 __all__ = ["main", "build_parser", "PATH_SCHEMA", "TABLE_SCHEMA"]
 
@@ -568,6 +568,10 @@ def _cmd_bounds_matrix(args) -> int:
     # and inverse, and the margins' temporaries (tracemalloc, 1000 trials:
     # 5.08 MiB at n = 300 and 19.51 MiB at n = 600, a slope of 7.00 n^2).
     _refuse_values(7 * args.n**2, f"--n {args.n} asks for seven n x n working arrays")
+    from dataclasses import asdict
+
+    from .almostdiag import matrix_batch_check
+
     rng = make_rng(args.seed)
     report = matrix_batch_check(args.n, args.eps, args.trials, rng)
     config = {"n": args.n, "eps": args.eps, "trials": args.trials}
@@ -576,6 +580,8 @@ def _cmd_bounds_matrix(args) -> int:
 
 
 def _cmd_bounds_subgauss(args) -> int:
+    from .subgauss import subgaussian_bound, subgaussian_constants
+
     consts = subgaussian_constants(args.theta)
     x_vals = _floats(args.x)
     values = {
@@ -590,7 +596,9 @@ def _cmd_bounds_subgauss(args) -> int:
     return 0
 
 
-def _make_thick_set(name: str, n: int, k: int, density: float, seed: int) -> ThickSet:
+def _make_thick_set(name: str, n: int, k: int, density: float, seed: int):
+    from .thick import ThickSet
+
     if name == "naturals":
         return ThickSet.naturals(n)
     if name == "evens":
@@ -603,6 +611,8 @@ def _make_thick_set(name: str, n: int, k: int, density: float, seed: int) -> Thi
 
 
 def _cmd_bounds_thick(args) -> int:
+    from .thick import harmonic_subsum, is_thick_estimate
+
     ts = _make_thick_set(args.set_name, args.n, args.k, args.density, args.seed)
     trend = is_thick_estimate(ts)
     values = {
@@ -619,6 +629,8 @@ def _cmd_bounds_thick(args) -> int:
 
 
 def _cmd_bounds_hk(args) -> int:
+    from .almostdiag import hk_entry_bound, tuple_count_bound, valid_tuple_count
+
     count = valid_tuple_count(args.z, args.k, args.n)
     bound = tuple_count_bound(args.z, args.k, args.n)
     values = {"count": count, "bound": bound, "ok": count <= bound}

@@ -21,7 +21,6 @@ cross covariance take every difference of powers through it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,7 +64,6 @@ def xi(r: float, a, b):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
 class HurstContext:
     """Constants attached to a Hurst index ``H``.
 
@@ -85,10 +83,10 @@ class HurstContext:
         in the inverse representation recovering the driving noise.
     """
 
-    hurst: float
-    eta: float
-    c1: float
-    c_h: float
+    __slots__ = ("hurst", "eta", "c1", "c_h")
+
+    def __init__(self, hurst: float, eta: float, c1: float, c_h: float) -> None:
+        self.hurst, self.eta, self.c1, self.c_h = hurst, eta, c1, c_h
 
 
 def make_context(hurst: float) -> HurstContext:

@@ -2,7 +2,7 @@
 
 Given the past trajectory ``(X_u)_{u <= 0}`` of the process (pinned to 0 at
 time 0), the conditional mean of the future is a linear functional of the
-past.  This module provides four independent routes to it plus the inverse
+past.  This module provides three independent routes to it plus the inverse
 representation recovering the driving Brownian motion:
 
 * :func:`drift_apply` — the explicit integral operator
@@ -23,10 +23,6 @@ representation recovering the driving Brownian motion:
 
 * :func:`drift_regression` — finite-dimensional Gaussian regression onto the
   observed past values (the brute-force oracle; no kernel knowledge).
-
-* :func:`conditional_future_cov` — covariance of the future *residual*
-  after regression on a finite past grid; converges to the one-sided
-  moving-average covariance as the grid refines.
 
 * :func:`pipiras_taqqu_invert` — recovers the driver at ``t <= 0`` from the
   past of the driven process:
@@ -104,7 +100,6 @@ factors, so it keeps full relative precision for every ``v / (-u)``, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,7 +117,6 @@ __all__ = [
     "drift_from_obm",
     "drift_regression",
     "regression_weights",
-    "conditional_future_cov",
     "pipiras_taqqu_invert",
     "invert_tail_sd",
     "inversion_grid",
@@ -148,11 +142,13 @@ INVERSION_PER_DECADE = 24
 INVERSION_E_MIN = -7.0
 
 
-@dataclass(frozen=True)
 class DriftKernelSpec:
     """Prediction-kernel configuration: the Hurst context."""
 
-    ctx: HurstContext
+    __slots__ = ("ctx",)
+
+    def __init__(self, ctx: HurstContext) -> None:
+        self.ctx = ctx
 
 
 def _pinned_past(times, values) -> tuple[np.ndarray, np.ndarray]:
@@ -470,21 +466,6 @@ def drift_regression(hurst: float, times, values, v_grid) -> np.ndarray:
     idx = _regression_samples(times.size - 1)
     weights = regression_weights(hurst, times[idx], v_grid)
     return values[..., idx] @ weights
-
-
-def conditional_future_cov(hurst: float, past_times, v_grid) -> np.ndarray:
-    """Covariance of the future residual after regression on a finite past.
-
-    ``Cvv - Cvp Cpp^{-1} Cpv``; as the past observation grid refines and
-    lengthens, this converges to the one-sided moving-average covariance
-    (compare :func:`fbmkit.fbm.levy_cov_matrix`).
-    """
-    past_times = np.asarray(past_times, dtype=float)
-    v_grid = np.atleast_1d(np.asarray(v_grid, dtype=float))
-    weights = regression_weights(hurst, past_times, v_grid)
-    cpv = fbm_cov(past_times[:, None], v_grid[None, :], hurst)
-    cvv = fbm_cov_matrix(v_grid, hurst)
-    return cvv - cpv.T @ weights
 
 
 # ---------------------------------------------------------------------------

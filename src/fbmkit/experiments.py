@@ -21,6 +21,12 @@ The two Monte Carlo families draw and reduce their paths through the engine
 and memory is bounded by the thread count, not by the number of paths.
 
 Every report carries its wall time and creation time as volatile fields.
+
+The bound pipeline imports what only it uses when it runs:
+:func:`max_feasible_epsilon` and :func:`product_tail_chain` take
+:mod:`fbmkit.almostdiag`, and :func:`union_bound_ledger` takes
+:mod:`fractions`, so importing this module, as the CLI does at start,
+loads neither.
 """
 
 from __future__ import annotations
@@ -28,12 +34,10 @@ from __future__ import annotations
 import contextlib
 import math
 import time
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .almostdiag import phi_functions
 from .context import HurstContext
 from .errors import AccuracyError, ValidationError
 from .fbm import levy_cov_matrix
@@ -41,7 +45,9 @@ from .gamma import GammaConfig, decay_bound_check, gamma_cov_matrix, reg_bound_c
 from .gaussian import CovMatrix, _row_panels
 from .reports import ExperimentReport, wilson_interval
 from .rng import draw_reduce
-from .thick import ThickSet
+
+if TYPE_CHECKING:
+    from .thick import ThickSet
 
 __all__ = [
     "LIL_BAND_OFFSETS",
@@ -71,32 +77,25 @@ _TAIL_SERIES_FROM = 30.0
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class LilConfig:
     """Running-minimum experiment: context, ratio, depth, index set, sampling."""
 
-    ctx: HurstContext
-    r: float
-    i_max: int
-    n_paths: int
-    seed: int
-    thick_set: ThickSet | None = None
+    __slots__ = ("ctx", "r", "i_max", "n_paths", "seed", "thick_set")
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.r < 1.0):
-            raise ValidationError(f"r must lie in (0, 1), got {self.r}")
-        if self.i_max < 2:
-            raise ValidationError(f"i_max must be >= 2, got {self.i_max}")
-        if self.r**self.i_max < 1.0e-300:
-            raise ValidationError(
-                f"scale r^{self.i_max} underflows for r={self.r}"
-            )
-        if self.n_paths < 1:
-            raise ValidationError(f"n_paths must be >= 1, got {self.n_paths}")
-        if self.thick_set is not None and len(self.thick_set) < self.i_max + 1:
-            raise ValidationError(
-                "thick_set prefix must cover indices up to i_max"
-            )
+    def __init__(self, ctx: HurstContext, r: float, i_max: int, n_paths: int, seed: int,
+                 thick_set: ThickSet | None = None) -> None:
+        if not (0.0 < r < 1.0):
+            raise ValidationError(f"r must lie in (0, 1), got {r}")
+        if i_max < 2:
+            raise ValidationError(f"i_max must be >= 2, got {i_max}")
+        if r**i_max < 1.0e-300:
+            raise ValidationError(f"scale r^{i_max} underflows for r={r}")
+        if n_paths < 1:
+            raise ValidationError(f"n_paths must be >= 1, got {n_paths}")
+        if thick_set is not None and len(thick_set) < i_max + 1:
+            raise ValidationError("thick_set prefix must cover indices up to i_max")
+        self.ctx, self.r, self.i_max, self.n_paths = ctx, r, i_max, n_paths
+        self.seed, self.thick_set = seed, thick_set
 
 
 def _lil_cov(cfg: LilConfig) -> np.ndarray:
@@ -251,24 +250,20 @@ def _check_event_family(r: float, alpha: float, p: float) -> None:
         raise ValidationError(f"p must lie in (0, 1), got {p}")
 
 
-@dataclass(frozen=True)
 class ArbitrageConfig:
     """Excess-count event family: thresholds alpha, count fraction p, depth n."""
 
-    ctx: HurstContext
-    r: float
-    alpha: float
-    p: float
-    n: int
-    n_paths: int
-    seed: int
+    __slots__ = ("ctx", "r", "alpha", "p", "n", "n_paths", "seed")
 
-    def __post_init__(self) -> None:
-        _check_event_family(self.r, self.alpha, self.p)
-        if self.n < 1:
-            raise ValidationError(f"n must be >= 1, got {self.n}")
-        if self.n_paths < 1:
-            raise ValidationError(f"n_paths must be >= 1, got {self.n_paths}")
+    def __init__(self, ctx: HurstContext, r: float, alpha: float, p: float, n: int,
+                 n_paths: int, seed: int) -> None:
+        _check_event_family(r, alpha, p)
+        if n < 1:
+            raise ValidationError(f"n must be >= 1, got {n}")
+        if n_paths < 1:
+            raise ValidationError(f"n_paths must be >= 1, got {n_paths}")
+        self.ctx, self.r, self.alpha, self.p = ctx, r, alpha, p
+        self.n, self.n_paths, self.seed = n, n_paths, seed
 
     def thresholds(self) -> np.ndarray:
         """alpha * H^{-1/2} * (log i)_+^{1/2} for i in [0, n)."""
@@ -377,6 +372,8 @@ def a_n_probability(cfg: ArbitrageConfig, *, threads: int = 1) -> ExperimentRepo
 
 def max_feasible_epsilon() -> float:
     """Largest epsilon with all almost-diagonal constants finite (bisection)."""
+    from .almostdiag import phi_functions
+
     lo, hi = 0.0, 0.25
     while hi - lo > _EPS_BISECTION_TOL:
         mid = 0.5 * (lo + hi)
@@ -431,6 +428,8 @@ def product_tail_chain(cfg: ArbitrageConfig, index_set) -> dict:
         raise ValidationError(
             f"index set has {len(idx)} elements; chain requires >= ceil(p n) = {need}"
         )
+    from .almostdiag import phi_functions
+
     profile = decay_bound_check(GammaConfig(cfg.ctx, cfg.r), max(cfg.n - 1, 1))
     eps = profile.epsilon
     phis = phi_functions(eps)
@@ -496,6 +495,8 @@ def union_bound_ledger(ctx: HurstContext, r: float, r_tilde: float, alpha: float
     family the probabilities belong to, are range-checked and echoed in the
     config; the report's seed is 0, as nothing is drawn.
     """
+    from fractions import Fraction
+
     start = time.perf_counter()
     _check_event_family(r, alpha, p)
     if not (0.0 < r_tilde < r):

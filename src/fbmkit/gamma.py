@@ -56,12 +56,15 @@ with nothing drawn: the covariance, a finite sum, of the conditional mean of
 the ladder given the driver's increments on a geometric grid.  It sits
 below ``gamma_cov`` in the PSD order, by a gap that closes as the grid
 refines and deepens; acceptance criterion 8 checks both on a ladder of grids.
+
+:func:`reg_bound_constants` imports the sub-Gaussian constants of
+:mod:`fbmkit.subgauss` when it runs, so importing this module (as the CLI
+does at start) does not load that one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,7 +72,6 @@ from .context import HurstContext, xi
 from .errors import AccuracyError, ValidationError
 from .fbm import fbm_cov
 from .gaussian import CovMatrix
-from .subgauss import THETA_MIN, subgaussian_constants
 
 __all__ = [
     "GammaConfig",
@@ -100,16 +102,15 @@ MC_U_MAX = 1.0e6
 MC_X_MIN_FACTOR = 1.0e-3
 
 
-@dataclass(frozen=True)
 class GammaConfig:
     """Scale-ladder configuration: context and ratio r."""
 
-    ctx: HurstContext
-    r: float
+    __slots__ = ("ctx", "r")
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.r < 1.0):
-            raise ValidationError(f"r must lie in (0, 1), got {self.r}")
+    def __init__(self, ctx: HurstContext, r: float) -> None:
+        if not (0.0 < r < 1.0):
+            raise ValidationError(f"r must lie in (0, 1), got {r}")
+        self.ctx, self.r = ctx, r
 
     def scale(self, i: int) -> float:
         """r^i, guarded against underflow."""
@@ -192,22 +193,22 @@ def _lag_cov(cfg: GammaConfig, d: int, sig2: float) -> float:
     return float(cfg.r ** (-hurst * d) * (sig2 * fbm_cov(scale, 1.0, hurst) + window))
 
 
-@dataclass(frozen=True)
 class GammaCovariance:
-    """Covariance profile of the ladder: variance, correlations, decay fit."""
+    """Covariance profile of the ladder: variance, correlations, decay fit.
 
-    sigma2: float
-    rho: np.ndarray
-    cf_fit: float
-    qs: np.ndarray  # |cov(d)| * r^(-(1/2-|eta|) d)
-    trend_slope: float
-    trend_ok: bool
+    ``qs`` is the normalized profile |cov(d)| * r^(-(1/2-|eta|) d).
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ("sigma2", "rho", "cf_fit", "qs", "trend_slope", "trend_ok")
+
+    def __init__(self, sigma2: float, rho: np.ndarray, cf_fit: float, qs: np.ndarray,
+                 trend_slope: float, trend_ok: bool) -> None:
         # rho[0] = 1 and the fitted envelope hold by construction in
         # decay_bound_check; a correlation past 1 can come from roundoff.
-        if np.any(np.abs(self.rho) > 1.0 + 1.0e-9):
+        if np.any(np.abs(rho) > 1.0 + 1.0e-9):
             raise ValidationError("correlations must lie in [-1, 1]")
+        self.sigma2, self.rho, self.cf_fit, self.qs = sigma2, rho, cf_fit, qs
+        self.trend_slope, self.trend_ok = trend_slope, trend_ok
 
     @property
     def epsilon(self) -> float:
@@ -296,6 +297,8 @@ def c_e(cfg: GammaConfig) -> float:
 
 def reg_bound_constants(cfg: GammaConfig) -> tuple[float, float]:
     """(c_a, c_b) of the sup tail bound: c_a = c_c / c_e, c_b = max(c_d, e^c_a)."""
+    from .subgauss import THETA_MIN, subgaussian_constants
+
     if cfg.ctx.eta == 0.0:
         raise ValidationError("sup tail bound degenerates at hurst = 1/2 (zero field, c_e = 0)")
     if cfg.ctx.hurst < THETA_MIN:

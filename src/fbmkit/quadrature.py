@@ -5,7 +5,9 @@ take exact hat-function weights, and the gamma ladder and the Levy
 covariance sum closed-form series.  :mod:`fbmkit.drift` imports only
 ``PATH_TOL`` from here.  The module stays because the benchmark traces
 ``panel_nodes``, ``graded_breaks`` and ``integrate_checked`` by name, and
-the tests integrate reference integrals with them.  The design is built
+the tests integrate reference integrals with them.  ``panel_nodes``
+imports ``leggauss`` when it runs, so the import of ``drift`` at the CLI's
+start does not load ``numpy.polynomial``.  The design is built
 around integrands with power-law endpoint singularities:
 
 * ``graded_breaks`` produces geometrically refined panels toward a singular
@@ -20,7 +22,6 @@ around integrands with power-law endpoint singularities:
 from __future__ import annotations
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import AccuracyError, ValidationError
 
@@ -67,6 +68,8 @@ def panel_nodes(breaks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     widths = np.diff(breaks)
     if np.any(widths <= 0):
         raise ValidationError("breaks must be strictly increasing")
+    from numpy.polynomial.legendre import leggauss
+
     x, w = leggauss(n)
     mid = 0.5 * (breaks[1:] + breaks[:-1])
     half = 0.5 * widths

@@ -23,7 +23,6 @@ import importlib.util
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,21 +78,17 @@ def wilson_interval(hits: int, n: int) -> tuple[float, float]:
     return min(max(0.0, center - half), phat), max(min(1.0, center + half), phat)
 
 
-@dataclass(frozen=True)
 class Estimate:
     """A named scalar estimate with a confidence interval."""
 
-    name: str
-    value: float
-    ci_low: float
-    ci_high: float
-    n_samples: int
+    __slots__ = ("name", "value", "ci_low", "ci_high", "n_samples")
 
-    def __post_init__(self) -> None:
-        if not (self.ci_low <= self.ci_high):
-            raise ValidationError(
-                f"estimate {self.name!r}: ci_low {self.ci_low} > ci_high {self.ci_high}"
-            )
+    def __init__(self, name: str, value: float, ci_low: float, ci_high: float,
+                 n_samples: int) -> None:
+        if not (ci_low <= ci_high):
+            raise ValidationError(f"estimate {name!r}: ci_low {ci_low} > ci_high {ci_high}")
+        self.name, self.value, self.ci_low, self.ci_high = name, value, ci_low, ci_high
+        self.n_samples = n_samples
 
     def as_dict(self) -> dict:
         return {
@@ -105,17 +100,18 @@ class Estimate:
         }
 
 
-@dataclass
 class ExperimentReport:
     """Config echo + seed + estimates + trend arrays, as one plain document."""
 
-    kind: str
-    config: dict
-    seed: int
-    estimates: list[Estimate] = field(default_factory=list)
-    trends: dict = field(default_factory=dict)
-    wall_time: float = 0.0
-    created_utc: str = ""
+    __slots__ = ("kind", "config", "seed", "estimates", "trends", "wall_time", "created_utc")
+
+    def __init__(self, kind: str, config: dict, seed: int,
+                 estimates: list[Estimate] | None = None, trends: dict | None = None,
+                 wall_time: float = 0.0, created_utc: str = "") -> None:
+        self.kind, self.config, self.seed = kind, config, seed
+        self.estimates = [] if estimates is None else estimates
+        self.trends = {} if trends is None else trends
+        self.wall_time, self.created_utc = wall_time, created_utc
 
     def add(self, name: str, value: float, ci_low: float, ci_high: float,
             n_samples: int) -> None:

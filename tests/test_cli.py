@@ -63,7 +63,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fbmkit import acceptance, cli, gamma
+from fbmkit import acceptance, almostdiag, cli, gamma, thick
 from fbmkit.acceptance import (
     ACCEPTANCE_SCHEMA,
     CRITERION_NAMES,
@@ -264,9 +264,9 @@ def test_accuracy_error_exits_3(monkeypatch, capsys):
     def refuse(thick_set):
         raise AccuracyError("budget not met", estimate=1.0, budget=0.5)
 
-    # The command table binds each handler at import, so the error is raised
-    # from a name the bounds thick handler calls.
-    monkeypatch.setattr(cli, "is_thick_estimate", refuse)
+    # The bounds thick handler imports is_thick_estimate from its module
+    # when it runs, so the stub there is what it calls.
+    monkeypatch.setattr(thick, "is_thick_estimate", refuse)
     assert main(["bounds", "thick"]) == 3
     assert capsys.readouterr().err.startswith("accuracy error:")
 
@@ -504,7 +504,7 @@ def test_an_oversized_lil_or_matrix_check_exits_2_before_allocating(argv, asked,
         pytest.fail(f"{argv} was not refused")
 
     monkeypatch.setattr(cli, "lil_statistic", unrefused)
-    monkeypatch.setattr(cli, "matrix_batch_check", unrefused)
+    monkeypatch.setattr(almostdiag, "matrix_batch_check", unrefused)
     tracemalloc.start()
     try:
         code = main(argv.split())

@@ -29,7 +29,6 @@ from fbmkit.drift import (
     _driver_weights,
     _inversion_weights,
     _kernel_weights,
-    conditional_future_cov,
     drift_apply,
     drift_from_obm,
     drift_kernel_value,
@@ -50,6 +49,7 @@ from fbmkit.quadrature import graded_breaks, panel_nodes
 from fbmkit.rng import make_rng
 
 from dense_joint import joint_wz_cov
+from residual_cov import conditional_future_cov
 from test_fbm import assert_cov_within_se, route_images
 
 # Gauss-Legendre order of the panel oracles below.
