@@ -49,11 +49,7 @@ def xi(r: float, a, b):
         s_min = s.min(initial=np.inf)
         if s_min < 0 and np.any(s < -1.0e-12 * np.maximum(a, 1.0)):
             raise ValidationError("xi requires a + b >= 0")
-        out = np.divide(b, a, out=np.empty(s.shape))
-        np.log1p(out, out=out)
-        out *= r
-        np.expm1(out, out=out)
-        out *= a_pow
+        out = _xi_scaled(r, a, b, a_pow, np.empty(s.shape))
     # a + b == 0: -a**r.  a == 0: |b|**r, 0 at b == 0.  A nan is in neither
     # set, so it passes through.
     if not (a_min > 0 and s_min > 0):
@@ -62,6 +58,18 @@ def xi(r: float, a, b):
         b_pow = np.where(b_e > 0, np.power(np.where(b_e > 0, b_e, 1.0), r), 0.0)
         out[edge] = np.where(a_e > 0, -np.broadcast_to(a_pow, s.shape)[edge], b_pow)
     return float(out) if out.ndim == 0 else out
+
+
+def _xi_scaled(r: float, a, b, a_pow, out: np.ndarray) -> np.ndarray:
+    """``a_pow * expm1(r * log1p(b / a))`` into ``out``: :func:`xi` without its checks or edge path.
+
+    ``out`` may be ``a`` itself.  Callers set the floating-point error state.
+    """
+    np.divide(b, a, out=out)
+    np.log1p(out, out=out)
+    np.multiply(out, r, out=out)
+    np.expm1(out, out=out)
+    return np.multiply(out, a_pow, out=out)
 
 
 class HurstContext:

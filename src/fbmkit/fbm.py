@@ -40,6 +40,8 @@ Driver and driven process
   (Mandelbrot & Van Ness 1968, SIAM Rev. 10), so the walk fills those
   columns of each panel in closed form; for ascending times, as every
   library caller passes, that is about half of a square cross block.
+  Past windows, every library caller's, take panel kernels that write into
+  one workspace per call, with the generic walk's bytes.
 """
 
 from __future__ import annotations
@@ -51,9 +53,9 @@ from functools import partial
 import numpy as np
 from numpy import fft
 
-from .context import HurstContext, xi
+from .context import HurstContext, _xi_scaled, xi
 from .errors import AccuracyError, ValidationError
-from .gaussian import CovMatrix, _row_panels, draw_buffer
+from .gaussian import CovMatrix, _panel_workspace, _row_panels, draw_buffer
 
 __all__ = [
     "fbm_cov",
@@ -121,17 +123,20 @@ def _fill_symmetric(out: np.ndarray, times: np.ndarray, entries) -> np.ndarray:
     return out
 
 
-def _symmetric_product(times: np.ndarray, entries, weights: np.ndarray) -> np.ndarray:
-    """``entries(times, times) @ weights.T`` from :func:`_symmetric_panels`, never the matrix.
+def _summed_panels(panels, n: int, weights: np.ndarray) -> np.ndarray:
+    """``M @ weights.T`` for the symmetric ``n x n`` matrix ``M`` of the ``(rows, block)`` panels.
 
-    Each block adds to its own rows and, right of its diagonal square, to
-    the rows of its mirror.
+    Each block holds its rows of ``M`` from its diagonal on.  It adds to its
+    own rows and, right of its diagonal square, to the rows of its mirror;
+    both products go into one ``(n, k)`` buffer.
     """
-    out = np.zeros((times.size, weights.shape[0]))
+    out = np.zeros((n, weights.shape[0]))
+    product = np.empty_like(out)
     w_t = weights.T
-    for rows, block in _symmetric_panels(times, entries):
-        out[rows] += block @ w_t[rows.start:]
-        out[rows.stop:] += block[:, rows.stop - rows.start:].T @ w_t[rows]
+    for rows, block in panels:
+        r = rows.stop - rows.start
+        out[rows] += np.matmul(block, w_t[rows.start:], out=product[:r])
+        out[rows.stop:] += np.matmul(block[:, r:].T, w_t[rows], out=product[: n - rows.stop])
     return out
 
 
@@ -500,16 +505,45 @@ def joint_wz_image_cov(ctx: HurstContext, w_times, w_weights, z_times, z_weights
     of the panel have ``(t - s)_+ = 0``: they are filled with
     ``c1 ((-s)_+^q + t_+^q) / q``, the bits :func:`cross_cov_wz` gives
     there, and only the rest go through ``xi``.  Any order of times is
-    right; ascending ``z_times`` and ``w_times`` (every library caller's)
-    make the leading run every such column.
+    right; ascending ``z_times`` and ``w_times`` make the leading run every
+    such column.
+
+    Past windows, as every library caller passes (``z_times`` strictly
+    ascending, ``w_times`` ascending with ties allowed, all finite and below
+    0), take the panel kernels ``_past_*_panels``, which know each
+    entry's branch from where its column falls.  They write every panel
+    into two buffers of one panel each and every product into one ``(n, k)``
+    buffer per block, all allocated once per call, where the generic walk
+    makes each panel's temporaries afresh (see :mod:`fbmkit.gaussian` on
+    what that costs).  They run ``xi``'s and :func:`fbm_cov`'s ufuncs on the
+    same panels, so they give the generic walk's bytes.  Any other times
+    (either sign, unsorted, non-finite) take the generic walk.
     """
     w_times, z_times = np.asarray(w_times, dtype=float), np.asarray(z_times, dtype=float)
+    if _past_windows(w_times, z_times):
+        # Generators of (rows, block) whose blocks share one workspace: each
+        # block is used before the next is drawn.
+        work = _panel_workspace(max(w_times.size, z_times.size))
+        ww, zz = _past_w_panels(w_times, work), _past_z_panels(z_times, ctx.hurst, work)
+        cross = _past_cross_panels(ctx, w_times, z_times, work)
+    else:
+        ww = _symmetric_panels(w_times, _driver_cov)
+        zz = _symmetric_panels(z_times, partial(fbm_cov, hurst=ctx.hurst))
+        cross = _cross_panels(ctx, w_times, z_times)
     kw = w_weights.shape[0]
     out = np.empty((kw + z_weights.shape[0],) * 2)
-    out[:kw, :kw] = w_weights @ _symmetric_product(w_times, _driver_cov, w_weights)
-    zz = _symmetric_product(z_times, partial(fbm_cov, hurst=ctx.hurst), z_weights)
-    out[kw:, kw:] = z_weights @ zz
-    cross = np.empty((w_times.size, z_weights.shape[0]))
+    out[:kw, :kw] = w_weights @ _summed_panels(ww, w_times.size, w_weights)
+    out[kw:, kw:] = z_weights @ _summed_panels(zz, z_times.size, z_weights)
+    cross_z = np.empty((w_times.size, z_weights.shape[0]))
+    for rows, panel in cross:
+        np.matmul(panel, z_weights.T, out=cross_z[rows])
+    out[:kw, kw:] = w_weights @ cross_z
+    out[kw:, :kw] = out[:kw, kw:].T
+    return 0.5 * (out + out.T)
+
+
+def _cross_panels(ctx: HurstContext, w_times: np.ndarray, z_times: np.ndarray):
+    """``(rows, cross_cov_wz(w_times[rows], z_times))`` by row panels, for any times."""
     q = ctx.eta + 1.0
     c1_q, future_q = ctx.c1 / q, np.maximum(z_times, 0.0) ** q
     for rows in _row_panels(w_times.size, z_times.size):
@@ -521,7 +555,89 @@ def joint_wz_image_cov(ctx: HurstContext, w_times, w_weights, z_times, z_weights
         np.add(np.maximum(-s, 0.0) ** q, future_q[:j], out=panel[:, :j])
         panel[:, :j] *= c1_q
         panel[:, j:] = cross_cov_wz(ctx, s, z_times[None, j:])
-        cross[rows] = panel @ z_weights.T
-    out[:kw, kw:] = w_weights @ cross
-    out[kw:, :kw] = out[:kw, kw:].T
-    return 0.5 * (out + out.T)
+        yield rows, panel
+
+
+# ---------------------------------------------------------------------------
+# Past windows: panel kernels into one workspace
+# ---------------------------------------------------------------------------
+
+def _past_windows(w_times: np.ndarray, z_times: np.ndarray) -> bool:
+    """Whether ``w_times`` ascend (ties allowed) and ``z_times`` strictly, finite and below 0."""
+    return (w_times.ndim == z_times.ndim == 1 and w_times.size > 0 and z_times.size > 0
+            and bool(np.isfinite(w_times[0]) and np.isfinite(z_times[0]))
+            and bool(w_times[-1] < 0 and z_times[-1] < 0)
+            and bool((np.diff(w_times) >= 0).all() and (np.diff(z_times) > 0).all()))
+
+
+def _views(work: np.ndarray, rows: slice, n_cols: int):
+    """Two C-ordered ``(rows, n_cols)`` views, one at the head of each buffer of ``work``."""
+    size = (rows.stop - rows.start) * n_cols
+    return (b[:size].reshape(-1, n_cols) for b in work)
+
+
+def _past_w_panels(times: np.ndarray, work: np.ndarray):
+    """:func:`_driver_cov` panels: ``min(|s|, |t|)`` is ``-max(s, t)`` below 0."""
+    for rows in _row_panels(times.size, times.size):
+        block, _ = _views(work, rows, times.size - rows.start)
+        np.maximum(times[rows, None], times[None, rows.start:], out=block)
+        yield rows, np.negative(block, out=block)
+
+
+def _past_z_panels(times: np.ndarray, hurst: float, work: np.ndarray):
+    """:func:`fbm_cov` panels of a past window, by its and ``xi``'s ufuncs.
+
+    Right of the diagonal ``t > s``, so ``fbm_cov`` is ``(xi(2H, t - s, -t)
+    + min(|s|^{2H}, |t|^{2H})) / 2`` with ``xi``'s edge path on no entry.  The diagonal is
+    ``xi``'s edge value ``np.power(|s|, 2H)`` plus ``|s|**2H``, halved: the
+    two powers need not round alike (``**`` takes ``sqrt`` at ``H = 1/4``).
+    Below the diagonal the square is its mirror, as ``fbm_cov`` is
+    symmetric bit for bit; what the ufuncs leave there is overwritten.
+    """
+    p, n = 2.0 * hurst, times.size
+    neg = -times
+    powers = neg**p
+    diagonal = np.power(neg, p)
+    diagonal += powers
+    diagonal *= 0.5
+    below = np.tri(next(_row_panels(n, n)).stop, k=-1, dtype=bool)
+    for rows in _row_panels(n, n):
+        block, scratch = _views(work, rows, n - rows.start)
+        cols = slice(rows.start, None)
+        np.subtract(times[None, cols], times[rows, None], out=block)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # as in xi
+            _xi_scaled(p, block, neg[None, cols], np.power(block, p, out=scratch), block)
+        np.minimum(powers[rows, None], powers[None, cols], out=scratch)
+        block += scratch
+        block *= 0.5
+        r = rows.stop - rows.start
+        square = block[:, :r]
+        np.copyto(square, square.T, where=below[:r, :r])
+        np.fill_diagonal(square, diagonal[rows])
+        yield rows, block
+
+
+def _past_cross_panels(ctx: HurstContext, w_times: np.ndarray, z_times: np.ndarray,
+                       work: np.ndarray):
+    """:func:`_cross_panels` of past windows: columns by where ``t`` falls among the panel's ``s``.
+
+    At or below every ``s`` the closed form ``c1 (-s)^q / q``; above every
+    ``s`` :func:`cross_cov_wz`'s ufuncs, ``c1 / q * xi(q, t - s, -t)`` with
+    ``xi``'s edge path on no entry; between, :func:`cross_cov_wz` itself.
+    """
+    q = ctx.eta + 1.0
+    c1_q, past_q = ctx.c1 / q, (-w_times) ** q
+    neg = -z_times
+    for rows in _row_panels(w_times.size, z_times.size):
+        s = w_times[rows, None]
+        low, high = np.searchsorted(z_times, (s[0, 0], s[-1, 0]), side="right")
+        block, scratch = _views(work, rows, z_times.size)
+        np.multiply(past_q[rows, None], c1_q, out=block[:, :low])
+        block[:, low:high] = cross_cov_wz(ctx, s, z_times[None, low:high])
+        later = block[:, high:]
+        np.subtract(z_times[None, high:], s, out=later)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # as in xi
+            later_q = np.power(later, q, out=scratch[:, high:])
+            _xi_scaled(q, later, neg[None, high:], later_q, later)
+        later *= c1_q
+        yield rows, block

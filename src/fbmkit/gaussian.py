@@ -23,6 +23,21 @@ pass whose block size cannot change a byte walks :func:`_row_panels`.
 Three block sizes do change bytes, so they are constants that the budget
 does not set: ``_CHOLESKY_BLOCK`` (the factor's diagonal blocks),
 ``_SAMPLE_BLOCK`` and ``_SOLVE_BLOCK``.
+
+A hot loop over panels allocates its panel-sized buffers once and writes
+into them (``out=``).  A freed 256 KiB temporary goes back to the OS:
+glibc maps a block above its mmap threshold (128 KiB at start, raised to
+the size of the largest mapped block freed since) afresh, and trims the
+heap top once more than twice that threshold lies free there.  A process
+that has freed no multi-MB block keeps both at a few hundred KiB, so each
+panel's fresh temporaries fault their pages in again, at about 1.6 µs a
+page on a 2-vCPU VM (Linux, glibc, one BLAS thread).  On ``drift
+validate``'s default window (535 times) the walk of
+:func:`~fbmkit.fbm.joint_wz_image_cov` with fresh temporaries per panel
+took 1,440 minor faults and 12.4–13.1 ms per call in a fresh interpreter,
+and 10.4 ms without faults in one whose thresholds an earlier free had
+raised; its past kernels, which reuse one workspace, take 0–112 faults and
+8.1–8.4 ms.
 """
 
 from __future__ import annotations
@@ -49,6 +64,11 @@ def _row_panels(n_rows: int, n_cols: int):
     """Slices of ``n_rows`` rows, each of about ``_PANEL_VALUES`` values over ``n_cols``."""
     rows = max(1, _PANEL_VALUES // max(n_cols, 1))
     return (slice(i, min(i + rows, n_rows)) for i in range(0, n_rows, rows))
+
+
+def _panel_workspace(n_cols: int) -> np.ndarray:
+    """Two buffers, each of room for any panel of :func:`_row_panels` over at most ``n_cols``."""
+    return np.empty((2, max(_PANEL_VALUES, n_cols)))
 
 
 _JITTER_LADDER = (0.0, 1.0e-12, 1.0e-10, 1.0e-8)

@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from fbmkit.context import xi
-from fbmkit.fbm import _driver_cov, _symmetric_product, cross_cov_wz, fbm_cov
+from fbmkit.fbm import _driver_cov, _summed_panels, _symmetric_panels, cross_cov_wz, fbm_cov
 from fbmkit.gaussian import _row_panels
 
 
@@ -48,9 +48,10 @@ def walked_image_cov(ctx, w_times, w_weights, z_times, z_weights) -> np.ndarray:
     w_times, z_times = np.asarray(w_times, dtype=float), np.asarray(z_times, dtype=float)
     kw = w_weights.shape[0]
     out = np.empty((kw + z_weights.shape[0],) * 2)
-    out[:kw, :kw] = w_weights @ _symmetric_product(w_times, _driver_cov, w_weights)
-    zz = _symmetric_product(z_times, partial(signed_fbm_cov, hurst=ctx.hurst), z_weights)
-    out[kw:, kw:] = z_weights @ zz
+    ww = _symmetric_panels(w_times, _driver_cov)
+    out[:kw, :kw] = w_weights @ _summed_panels(ww, w_times.size, w_weights)
+    zz = _symmetric_panels(z_times, partial(signed_fbm_cov, hurst=ctx.hurst))
+    out[kw:, kw:] = z_weights @ _summed_panels(zz, z_times.size, z_weights)
     cross = np.empty((w_times.size, z_weights.shape[0]))
     for rows in _row_panels(w_times.size, z_times.size):
         cross[rows] = cross_cov_wz(ctx, w_times[rows, None], z_times[None, :]) @ z_weights.T

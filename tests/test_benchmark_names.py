@@ -21,21 +21,16 @@ import ast
 import importlib
 import inspect
 import json
-import os
-import subprocess
-import sys
 import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import fbmkit
 from fbmkit.context import make_context
 from fbmkit.drift import DriftKernelSpec, drift_kernel_value
 
 ROOT = Path(__file__).resolve().parents[1]
-SRC = str(Path(fbmkit.__file__).resolve().parents[1])
 
 
 def _traced_layers():
@@ -74,16 +69,13 @@ def test_traced_layer_exists(module, function):
     assert inspect.isfunction(obj) and obj.__module__ == mod.__name__
 
 
-def test_set_up_loads_every_traced_module():
+def test_set_up_loads_every_traced_module(run_fresh):
     script = (
         "import sys, fbmkit.cli\n"
         "fbmkit.cli.build_parser()\n"
         "print(' '.join(sorted(m for m in sys.modules if m.startswith('fbmkit.'))))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
+    proc = run_fresh(script, timeout=120)
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     wanted = {f"fbmkit.{module}" for module, _ in _traced_layers()}

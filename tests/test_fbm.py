@@ -24,10 +24,15 @@ to rounding, on the route checks' default windows, and evaluates each
 covariance entry once.  It fills the cross entries with ``t <= s`` in closed
 form and takes ``fbm_cov`` unsigned for times of one sign; both keep the
 bits of the walk that sent every entry through ``xi`` with its sign
-(``dense_joint.walked_image_cov``).
+(``dense_joint.walked_image_cov``), and so do the kernels that past windows
+take, which reuse one workspace: in a fresh interpreter a repeated call on
+``drift validate``'s window faults in fewer than 400 pages.
 """
 
+import functools
+import sys
 import tracemalloc
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -38,7 +43,7 @@ from scipy import integrate as scipy_integrate
 from scipy.special import gamma as scipy_gamma
 from scipy.special import hyp2f1
 
-from fbmkit import fbm, gaussian
+from fbmkit import acceptance, drift, fbm, gaussian
 from fbmkit.context import make_context
 from fbmkit.drift import _driver_weights, _inversion_weights, _kernel_weights, inversion_grid
 from fbmkit.errors import AccuracyError, ValidationError
@@ -757,23 +762,49 @@ def joint_cov(ctx, w_times, z_times):
 
 
 def route_images(name, hurst):
-    """``(w_times, w_weights, z_times, z_weights)`` of a CLI route check at its default window.
+    """``(w_times, w_weights, z_times, z_weights)`` of a route check at its window.
 
     ``drift validate`` reads the driver route on ``W`` and the kernel route
     on ``Z``, both on the drift window; ``invert`` reads ``W`` at its 16
-    recovery times and the inversion of ``Z`` on its window.  The weights
-    come straight from their builders, past the tail checks that refuse
-    ``drift validate`` at ``H = 0.9``.
+    recovery times and the inversion of ``Z`` on its window.  A name may
+    carry the window's ``--umax`` or ``--dt``.  The weights come straight
+    from their builders, past the tail checks that refuse ``drift validate``
+    at ``H = 0.9``; at ``H = 1/2``, where the drift weights vanish, the
+    drift window takes seeded normal weights.  ``criterion 3`` is the
+    images of that criterion's two-window draw (at its ``H = 3/4``).
     """
+    if name == "criterion 3":
+        return criterion_3_images()
+    command, *flags = name.split(" --")
+    window = dict(flag.split() for flag in flags)
     ctx = make_context(hurst)
-    if name == "drift validate":
-        times, v_grid = inversion_grid(1.0 / 128, u_deep=1.0e7), np.linspace(0.125, 2.0, 16)
-        pinned = np.append(times, 0.0)
+    if command == "drift validate":
+        times = inversion_grid(float(window.get("dt", 1.0 / 128)),
+                               u_deep=float(window.get("umax", 1.0e7)))
+        v_grid, pinned = np.linspace(0.125, 2.0, 16), np.append(times, 0.0)
+        if ctx.eta == 0.0:
+            draw = make_rng(3).standard_normal((2, 16, times.size))
+            return times, draw[0], times, draw[1]
         return (times, _driver_weights(ctx, pinned, v_grid)[:, :-1],
                 times, _kernel_weights(ctx, pinned, v_grid)[:, :-1])
-    times = inversion_grid(1.0 / 512, u_deep=600.0)
+    times = inversion_grid(float(window.get("dt", 1.0 / 512)),
+                           u_deep=float(window.get("umax", 600.0)))
     t = np.array([times[np.argmin(np.abs(times - ti))] for ti in -np.linspace(1.0, 1.0 / 16, 16)])
     return t, np.eye(16), times, _inversion_weights(ctx, np.append(times, 0.0), t)[:, :-1]
+
+
+@functools.cache
+def criterion_3_images():
+    """The images criterion 3 draws, caught on their way to ``joint_wz_image_cov``."""
+    caught = []
+
+    def catch(*args):
+        caught.append(args[1:])
+        raise LookupError
+
+    with mock.patch.object(drift, "joint_wz_image_cov", catch), pytest.raises(LookupError):
+        acceptance._criterion_3(0, 1)
+    return caught[0]
 
 
 class TestJointImages:
@@ -795,9 +826,12 @@ class TestJointImages:
         assert np.array_equal(got, got.T)
         assert np.max(np.abs(got - a @ dense @ a.T)) <= 1.0e-13 * terms.max()
 
-    @pytest.mark.parametrize("hurst", [0.1, 0.25, 0.75, 0.9])
-    @pytest.mark.parametrize("name", ["drift validate", "invert"])
+    @pytest.mark.parametrize("hurst", [0.1, 0.25, 0.5, 0.75, 0.9])
+    @pytest.mark.parametrize("name", ["drift validate", "invert", "drift validate --umax 1e12",
+                                      "invert --dt 0.25", "criterion 3"])
     def test_the_walk_keeps_the_bits_of_the_full_walk(self, name, hurst):
+        # Past windows all, so the past kernels; invert --dt 0.25 snaps its
+        # recovery times together and criterion 3's masks leave zero columns.
         ctx = make_context(hurst)
         images = route_images(name, hurst)
         got = joint_wz_image_cov(ctx, *images)
@@ -821,31 +855,72 @@ class TestJointImages:
 
     def test_it_evaluates_each_entry_once(self, monkeypatch):
         # As the dense fill does: each symmetric block by row panels from its
-        # diagonal on.  Of each cross panel, cross_cov_wz takes only the
-        # columns after those at or below every time of the panel.
-        sizes = {"fbm_cov": 0, "cross_cov_wz": 0}
+        # diagonal on.  Of each cross panel of past windows the columns at or
+        # below every time of the panel are the closed form, those above
+        # every time go through xi's ufuncs (_xi_scaled), and only those
+        # between through cross_cov_wz; the generic walk sends all but the
+        # first through it.
+        sizes = {}
 
-        def counted(entries):
+        def counted(name, entries):
             def wrapped(*args, **kwargs):
                 out = entries(*args, **kwargs)
-                sizes[entries.__name__] += np.size(out)
+                key = name if name != "_xi_scaled" else f"xi {args[0]}"
+                sizes[key] = sizes.get(key, 0) + np.size(out)
                 return out
             return wrapped
 
-        for entries in (fbm.fbm_cov, fbm.cross_cov_wz):
-            monkeypatch.setattr(fbm, entries.__name__, counted(entries))
+        for name in ("fbm_cov", "cross_cov_wz", "_xi_scaled"):
+            monkeypatch.setattr(fbm, name, counted(name, getattr(fbm, name)))
+        ctx, p, q = make_context(0.25), 0.5, 0.75
+
+        def cross_columns(w_times, z_times, first, last):
+            return sum((r.stop - r.start) * np.count_nonzero((z_times > first(w_times[r]))
+                                                             & (z_times <= last(w_times[r])))
+                       for r in _row_panels(w_times.size, z_times.size))
+
+        def upper(n):
+            return sum((r.stop - r.start) * (n - r.start) for r in _row_panels(n, n))
+
         for name in ("invert", "drift validate"):
-            sizes.update(fbm_cov=0, cross_cov_wz=0)
+            sizes.clear()
             w_times, a_w, z_times, a_z = route_images(name, 0.25)
-            joint_wz_image_cov(make_context(0.25), w_times, a_w, z_times, a_z)
-            n = z_times.size
-            later = [(p.stop - p.start) * np.count_nonzero(z_times > w_times[p].min())
-                     for p in _row_panels(w_times.size, n)]
-            assert sizes == {
-                "fbm_cov": sum((p.stop - p.start) * (n - p.start) for p in _row_panels(n, n)),
-                "cross_cov_wz": sum(later),
-            }
+            joint_wz_image_cov(ctx, w_times, a_w, z_times, a_z)
+            between = cross_columns(w_times, z_times, np.min, np.max)
+            above = cross_columns(w_times, z_times, np.max, lambda s: np.inf)
+            assert sizes == {f"xi {p}": upper(z_times.size), f"xi {q}": above,
+                             "cross_cov_wz": between}
             # The closed form takes every t <= -1 at invert's recovery times
             # (48% of its window) and all but the panels' diagonal squares of
             # the lower half of drift validate's square block (45%).
-            assert 1.0 - sum(later) / (w_times.size * n) > 0.44
+            assert 1.0 - (between + above) / (w_times.size * z_times.size) > 0.44
+
+        # A window of both signs takes the generic walk.
+        sizes.clear()
+        grid = inversion_grid(1 / 64, 1e5)[::3]
+        times = np.r_[grid, 0.5, 2.0]
+        weights = make_rng(2).standard_normal((4, times.size))
+        joint_wz_image_cov(ctx, times, weights, times, weights)
+        assert sizes == {"fbm_cov": upper(times.size),
+                         "cross_cov_wz": cross_columns(times, times, np.min, lambda s: np.inf)}
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
+    def test_a_repeated_walk_faults_in_its_workspace_once(self, run_fresh, tmp_path):
+        # The past kernels write every panel into one workspace per call:
+        # a repeat on drift validate's default window faults in about 100
+        # pages, where the walk with fresh temporaries per panel took 1,562.
+        np.savez(tmp_path / "images.npz", *route_images("drift validate", 0.75))
+        script = (
+            "import resource, numpy as np\n"
+            "from fbmkit.context import make_context\n"
+            "from fbmkit.fbm import joint_wz_image_cov\n"
+            f"images = list(np.load({str(tmp_path / 'images.npz')!r}).values())\n"
+            "ctx = make_context(0.75)\n"
+            "joint_wz_image_cov(ctx, *images)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "joint_wz_image_cov(ctx, *images)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        proc = run_fresh(script, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 400

@@ -24,15 +24,8 @@ needed: the test session itself has scipy and jsonschema loaded.
 """
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
-import fbmkit
 from test_benchmark_names import _traced_layers
-
-SRC = str(Path(fbmkit.__file__).resolve().parents[1])
 
 # One small call of each subcommand the perfbench workloads run.
 LEAN_CALLS = [
@@ -90,15 +83,10 @@ print(json.dumps(report))
 """
 
 
-def test_cli_starts_and_runs_the_benchmarked_calls_without_scipy(tmp_path):
-    env = dict(os.environ, FBMKIT_OUT_DIR=str(tmp_path))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+def test_cli_starts_and_runs_the_benchmarked_calls_without_scipy(tmp_path, run_fresh):
     prelude = (f"WATCHED = {WATCHED!r}\nLEAN = {LEAN_CALLS!r}\nOTHER = {OTHER_CALLS!r}\n"
                f"LEAF = {LEAF_CALLS!r}\n")
-    proc = subprocess.run(
-        [sys.executable, "-c", prelude + SCRIPT],
-        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300,
-    )
+    proc = run_fresh(prelude + SCRIPT, env={"FBMKIT_OUT_DIR": str(tmp_path)}, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report["startup"] == ["numpy.random", "numpy.fft"]
