@@ -53,7 +53,7 @@ Conventions shared by all subcommands:
   fields (``created_utc``, ``wall_time``, ``runtime``, ``threads``), as long
   as the BLAS library runs on the same number of threads: a factorization or
   product on more BLAS threads may round differently (``selftest``'s
-  criteria 2, 3 and 8 do).  ``drift validate`` and ``invert`` factor no
+  criteria 2 and 3 do).  ``drift validate`` and ``invert`` factor no
   more than a 32 x 32 covariance, and write the same bytes on one and on
   two OpenBLAS threads: at ``--seed 7``, ``drift validate --hurst 0.75``
   writes ``rel_l2`` 0.01679502145859892 and ``invert --hurst 0.25``
@@ -69,6 +69,7 @@ import stat
 import sys
 from collections.abc import Callable
 from functools import partial
+from types import SimpleNamespace
 from typing import NamedTuple, TextIO
 
 import numpy as np
@@ -448,6 +449,11 @@ def _cmd_drift(args) -> int:
     v_grid = _floats(args.v)
     if np.any(v_grid <= 0):
         raise ValidationError("--v times must be positive")
+    with np.errstate(over="ignore"):
+        too_large = v_grid[np.isinf(v_grid ** (2.0 * args.hurst))]
+    if too_large.size:
+        raise ValidationError(f"--v {float(too_large[0])} is too large:"
+                              " v^(2H) exceeds the float range")
     # The graded tip near the origin resolves the prediction kernel's
     # singularity there; the geometric deep tail keeps the long memory cheap.
     times = inversion_grid(args.dt, u_deep=args.umax)
@@ -738,16 +744,30 @@ def _cmd_selftest(args) -> int:
 # The command table and the parser built from it
 # ---------------------------------------------------------------------------
 
+def _reads_as_floats(token: str) -> bool:
+    """Whether ``token`` is floats in any spelling joined by commas (``-2e-3``, ``-1,2``)."""
+    try:
+        for piece in token.split(","):
+            float(piece)
+    except ValueError:
+        return False
+    return True
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser that takes no abbreviated flag, and makes its subparsers alike.
 
     ``add_subparsers`` builds subparsers of the parser's own class, so the
     whole command tree refuses ``--hur`` for ``--hurst``, on the command
-    line and as a ``--config`` key.
+    line and as a ``--config`` key.  A negative number in any float
+    spelling, or a comma list of floats that starts with one, is a value,
+    not a flag: argparse's own test takes ``-0.002`` but not ``-2e-3``.
     """
 
     def __init__(self, **kwargs) -> None:
         super().__init__(allow_abbrev=False, **kwargs)
+        # argparse's test for a token that is a negative number, not a flag.
+        self._negative_number_matcher = SimpleNamespace(match=_reads_as_floats)
 
 
 def _command_words(argv: list[str]) -> list[str]:

@@ -34,14 +34,13 @@ Driver and driven process
 * :func:`cross_cov_wz` — the closed-form covariance of a driving Brownian
   motion and the fractional process it drives, also through ``xi``.
 * :func:`joint_wz_image_cov` — the covariance of fixed linear images of a
-  draw of that joint law, the law behind the prediction and inversion
-  checks, built by row panels without the joint matrix.  Where ``t <= s``
-  the cross covariance has no power difference, ``c1 ((-s)_+^q + t_+^q) / q``
-  (Mandelbrot & Van Ness 1968, SIAM Rev. 10), so the walk fills those
-  columns of each panel in closed form; for ascending times, as every
-  library caller passes, that is about half of a square cross block.
-  Past windows, every library caller's, take panel kernels that write into
-  one workspace per call, with the generic walk's bytes.
+  draw of that joint law on past windows, the law behind the prediction
+  and inversion checks, built by row panels without the joint matrix.
+  Where ``t <= s < 0`` the cross covariance has no power difference,
+  ``c1 (-s)^q / q`` (Mandelbrot & Van Ness 1968, SIAM Rev. 10), so the walk
+  fills those columns of each panel in closed form, about half of a square
+  cross block.  Its panel kernels write into one workspace per call and
+  give the bytes of :func:`fbm_cov` and :func:`cross_cov_wz` entry by entry.
 """
 
 from __future__ import annotations
@@ -105,20 +104,14 @@ def fbm_cov(s, t, hurst: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _symmetric_panels(times: np.ndarray, entries):
-    """``(rows, block)``: ``entries(times, times)`` by row panels, each block from its diagonal on.
+def _fill_symmetric(out: np.ndarray, times: np.ndarray, entries) -> np.ndarray:
+    """``out = entries(times, times)`` by row panels, each from its diagonal on, mirrored below.
 
     ``entries`` must be symmetric in its two arguments bit for bit, so the
-    blocks hold every entry of the matrix once, its mirror aside.
+    panels hold every entry of the matrix once, its mirror aside.
     """
     for rows in _row_panels(times.size, times.size):
-        yield rows, entries(times[rows, None], times[None, rows.start:])
-
-
-def _fill_symmetric(out: np.ndarray, times: np.ndarray, entries) -> np.ndarray:
-    """``out = entries(times, times)`` from :func:`_symmetric_panels`, mirrored below."""
-    for rows, block in _symmetric_panels(times, entries):
-        out[rows, rows.start:] = block
+        out[rows, rows.start:] = entries(times[rows, None], times[None, rows.start:])
         out[rows.stop:, rows] = out[rows, rows.stop:].T
     return out
 
@@ -484,52 +477,46 @@ def cross_cov_wz(ctx: HurstContext, s, t):
     return float(out) if out.ndim == 0 else out
 
 
-def _driver_cov(s, t):
-    """``Cov(W_s, W_t)`` of the two-sided driving motion, broadcast."""
-    return np.where((s < 0) == (t < 0), np.minimum(np.abs(s), np.abs(t)), 0.0)
-
-
 def joint_wz_image_cov(ctx: HurstContext, w_times, w_weights, z_times, z_weights) -> np.ndarray:
     """``A C A^T``: ``C`` the covariance of ``(W at w_times, Z at z_times)``, ``A`` the weights.
 
     ``A`` is block diagonal, ``w_weights`` on ``W`` and ``z_weights`` on
     ``Z``.  The images ``A x`` of a draw ``x`` of the joint law are Gaussian
-    with this covariance, the ``w_weights`` rows first.  ``C`` is never
-    formed: its three blocks are walked by row panels as
+    with this covariance, the ``w_weights`` rows first.  The times are past
+    windows, as the route checks pass them: ``w_times`` ascending with ties
+    allowed, ``z_times`` strictly ascending, neither empty, all finite and
+    below 0.  Any other times raise :class:`~fbmkit.errors.ValidationError`.
+
+    ``C`` is never formed: its three blocks are walked by row panels as
     :func:`_fill_symmetric` walks them, each entry evaluated once, into
     ``C A^T`` (of its cross block only the ``W`` rows are needed), so the
     call holds ``O((nw + nz) k)`` values for ``k`` images and one panel.
-    The result is symmetric bit for bit.
-
-    In a cross panel the leading columns with ``t`` at or below every ``s``
-    of the panel have ``(t - s)_+ = 0``: they are filled with
-    ``c1 ((-s)_+^q + t_+^q) / q``, the bits :func:`cross_cov_wz` gives
-    there, and only the rest go through ``xi``.  Any order of times is
-    right; ascending ``z_times`` and ``w_times`` make the leading run every
-    such column.
-
-    Past windows, as every library caller passes (``z_times`` strictly
-    ascending, ``w_times`` ascending with ties allowed, all finite and below
-    0), take the panel kernels ``_past_*_panels``, which know each
-    entry's branch from where its column falls.  They write every panel
-    into two buffers of one panel each and every product into one ``(n, k)``
-    buffer per block, all allocated once per call, where the generic walk
-    makes each panel's temporaries afresh (see :mod:`fbmkit.gaussian` on
-    what that costs).  They run ``xi``'s and :func:`fbm_cov`'s ufuncs on the
-    same panels, so they give the generic walk's bytes.  Any other times
-    (either sign, unsorted, non-finite) take the generic walk.
+    The result is symmetric bit for bit.  The panel kernels
+    ``_past_*_panels`` know each entry's branch from where its column
+    falls: in a cross panel the leading columns, with ``t`` at or below
+    every ``s`` of the panel, have ``(t - s)_+ = 0`` and are filled with
+    ``c1 (-s)^q / q``, the bits :func:`cross_cov_wz` gives there.  They
+    write every panel into two buffers of one panel each and every product
+    into one ``(n, k)`` buffer per block, all allocated once per call (see
+    :mod:`fbmkit.gaussian` on why).  They run ``xi``'s and
+    :func:`fbm_cov`'s ufuncs on the same panels, so they give the bytes of
+    the walk that takes every entry from :func:`fbm_cov` and
+    :func:`cross_cov_wz`.
     """
     w_times, z_times = np.asarray(w_times, dtype=float), np.asarray(z_times, dtype=float)
-    if _past_windows(w_times, z_times):
-        # Generators of (rows, block) whose blocks share one workspace: each
-        # block is used before the next is drawn.
-        work = _panel_workspace(max(w_times.size, z_times.size))
-        ww, zz = _past_w_panels(w_times, work), _past_z_panels(z_times, ctx.hurst, work)
-        cross = _past_cross_panels(ctx, w_times, z_times, work)
-    else:
-        ww = _symmetric_panels(w_times, _driver_cov)
-        zz = _symmetric_panels(z_times, partial(fbm_cov, hurst=ctx.hurst))
-        cross = _cross_panels(ctx, w_times, z_times)
+    # Finite at the first time, below 0 at the last, ascending between (a nan
+    # breaks the order).
+    if not (w_times.ndim == z_times.ndim == 1 and w_times.size and z_times.size
+            and np.isfinite(w_times[0]) and np.isfinite(z_times[0])
+            and w_times[-1] < 0 and z_times[-1] < 0
+            and (np.diff(w_times) >= 0).all() and (np.diff(z_times) > 0).all()):
+        raise ValidationError("joint images take past windows: w_times ascending, z_times strictly"
+                              " ascending, neither empty, all finite and below 0")
+    # Generators of (rows, block) whose blocks share one workspace: each
+    # block is used before the next is drawn.
+    work = _panel_workspace(max(w_times.size, z_times.size))
+    ww, zz = _past_w_panels(w_times, work), _past_z_panels(z_times, ctx.hurst, work)
+    cross = _past_cross_panels(ctx, w_times, z_times, work)
     kw = w_weights.shape[0]
     out = np.empty((kw + z_weights.shape[0],) * 2)
     out[:kw, :kw] = w_weights @ _summed_panels(ww, w_times.size, w_weights)
@@ -542,34 +529,6 @@ def joint_wz_image_cov(ctx: HurstContext, w_times, w_weights, z_times, z_weights
     return 0.5 * (out + out.T)
 
 
-def _cross_panels(ctx: HurstContext, w_times: np.ndarray, z_times: np.ndarray):
-    """``(rows, cross_cov_wz(w_times[rows], z_times))`` by row panels, for any times."""
-    q = ctx.eta + 1.0
-    c1_q, future_q = ctx.c1 / q, np.maximum(z_times, 0.0) ** q
-    for rows in _row_panels(w_times.size, z_times.size):
-        s = w_times[rows, None]
-        # A nan in s leaves no column later; cross_cov_wz still refuses it.
-        later = z_times > s.min()
-        j = int(later.argmax()) if later.any() else z_times.size
-        panel = np.empty((s.size, z_times.size))
-        np.add(np.maximum(-s, 0.0) ** q, future_q[:j], out=panel[:, :j])
-        panel[:, :j] *= c1_q
-        panel[:, j:] = cross_cov_wz(ctx, s, z_times[None, j:])
-        yield rows, panel
-
-
-# ---------------------------------------------------------------------------
-# Past windows: panel kernels into one workspace
-# ---------------------------------------------------------------------------
-
-def _past_windows(w_times: np.ndarray, z_times: np.ndarray) -> bool:
-    """Whether ``w_times`` ascend (ties allowed) and ``z_times`` strictly, finite and below 0."""
-    return (w_times.ndim == z_times.ndim == 1 and w_times.size > 0 and z_times.size > 0
-            and bool(np.isfinite(w_times[0]) and np.isfinite(z_times[0]))
-            and bool(w_times[-1] < 0 and z_times[-1] < 0)
-            and bool((np.diff(w_times) >= 0).all() and (np.diff(z_times) > 0).all()))
-
-
 def _views(work: np.ndarray, rows: slice, n_cols: int):
     """Two C-ordered ``(rows, n_cols)`` views, one at the head of each buffer of ``work``."""
     size = (rows.stop - rows.start) * n_cols
@@ -577,7 +536,7 @@ def _views(work: np.ndarray, rows: slice, n_cols: int):
 
 
 def _past_w_panels(times: np.ndarray, work: np.ndarray):
-    """:func:`_driver_cov` panels: ``min(|s|, |t|)`` is ``-max(s, t)`` below 0."""
+    """Driver panels ``Cov(W_s, W_t) = min(|s|, |t|)``, which is ``-max(s, t)`` below 0."""
     for rows in _row_panels(times.size, times.size):
         block, _ = _views(work, rows, times.size - rows.start)
         np.maximum(times[rows, None], times[None, rows.start:], out=block)
@@ -619,7 +578,7 @@ def _past_z_panels(times: np.ndarray, hurst: float, work: np.ndarray):
 
 def _past_cross_panels(ctx: HurstContext, w_times: np.ndarray, z_times: np.ndarray,
                        work: np.ndarray):
-    """:func:`_cross_panels` of past windows: columns by where ``t`` falls among the panel's ``s``.
+    """:func:`cross_cov_wz` panels, columns by where ``t`` falls among the panel's ``s``.
 
     At or below every ``s`` the closed form ``c1 (-s)^q / q``; above every
     ``s`` :func:`cross_cov_wz`'s ufuncs, ``c1 / q * xi(q, t - s, -t)`` with

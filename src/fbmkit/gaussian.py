@@ -32,12 +32,12 @@ heap top once more than twice that threshold lies free there.  A process
 that has freed no multi-MB block keeps both at a few hundred KiB, so each
 panel's fresh temporaries fault their pages in again, at about 1.6 µs a
 page on a 2-vCPU VM (Linux, glibc, one BLAS thread).  On ``drift
-validate``'s default window (535 times) the walk of
-:func:`~fbmkit.fbm.joint_wz_image_cov` with fresh temporaries per panel
-took 1,440 minor faults and 12.4–13.1 ms per call in a fresh interpreter,
-and 10.4 ms without faults in one whose thresholds an earlier free had
-raised; its past kernels, which reuse one workspace, take 0–112 faults and
-8.1–8.4 ms.
+validate``'s default window (535 times),
+:func:`~fbmkit.fbm.joint_wz_image_cov` took 1,440 minor faults and
+12.4–13.1 ms per call in a fresh interpreter when it made each panel's
+temporaries afresh, and 10.4 ms without faults in one whose thresholds an
+earlier free had raised; its panel kernels, which reuse one workspace,
+take 0–112 faults and 8.1–8.4 ms.
 """
 
 from __future__ import annotations

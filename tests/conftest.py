@@ -37,10 +37,13 @@ def _run_fresh(script: str, *, env=None, cwd=None, timeout: float = 300):
     """Run ``script`` in a fresh interpreter on this package's sources, one BLAS thread.
 
     The test session has scipy, jsonschema and its own heap state loaded, so
-    start-up, import and allocation checks run here.  ``env`` adds to the
-    session's environment; stdout and stderr are captured as text.
+    start-up, import and allocation checks run here.  A ``RuntimeWarning``
+    is an error there, as ``pyproject.toml``'s ``filterwarnings`` makes it in
+    the session.  ``env`` adds to the session's environment; stdout and
+    stderr are captured as text.
     """
-    full = dict(os.environ, **(env or {}), OPENBLAS_NUM_THREADS="1")
+    full = dict(os.environ, **(env or {}), OPENBLAS_NUM_THREADS="1",
+                PYTHONWARNINGS="error::RuntimeWarning")
     full["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, full.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", script], env=full, cwd=cwd,
                           capture_output=True, text=True, timeout=timeout)

@@ -6,10 +6,12 @@ by row panels.  Here ``C`` is broadcast whole from the entry formulas, so
 ``A @ C @ A.T`` is an independent route to that product, and a Cholesky
 factor of ``C`` an independent route to the joint draws.
 
-:func:`walked_image_cov` is the library's panel walk as it stood before it
-skipped any work: every cross entry goes through :func:`cross_cov_wz` and
-every ``fbm_cov`` entry takes the sign of ``s * t``
-(:func:`signed_fbm_cov`).  The library's walk must give its bytes.
+:func:`walked_image_cov` walks the same row panels as the library but
+takes every entry from its formula for any times: every driver entry from
+:func:`driver_cov`, every cross entry from :func:`cross_cov_wz` and every
+``fbm_cov`` entry with the sign of ``s * t`` (:func:`signed_fbm_cov`).  The
+library's panel kernels, which run only on past windows and pick each
+entry's branch from where its column falls, must give its bytes there.
 """
 
 from functools import partial
@@ -17,8 +19,13 @@ from functools import partial
 import numpy as np
 
 from fbmkit.context import xi
-from fbmkit.fbm import _driver_cov, _summed_panels, _symmetric_panels, cross_cov_wz, fbm_cov
+from fbmkit.fbm import _summed_panels, cross_cov_wz, fbm_cov
 from fbmkit.gaussian import _row_panels
+
+
+def driver_cov(s, t):
+    """``Cov(W_s, W_t)`` of the two-sided driving motion, broadcast."""
+    return np.where((s < 0) == (t < 0), np.minimum(np.abs(s), np.abs(t)), 0.0)
 
 
 def joint_wz_cov(ctx, w_times, z_times) -> np.ndarray:
@@ -26,8 +33,7 @@ def joint_wz_cov(ctx, w_times, z_times) -> np.ndarray:
     w, z = np.asarray(w_times, dtype=float), np.asarray(z_times, dtype=float)
     nw = w.size
     out = np.empty((nw + z.size,) * 2)
-    same_side = (w[:, None] < 0) == (w[None, :] < 0)
-    out[:nw, :nw] = np.where(same_side, np.minimum(np.abs(w)[:, None], np.abs(w)[None, :]), 0.0)
+    out[:nw, :nw] = driver_cov(w[:, None], w[None, :])
     out[nw:, nw:] = fbm_cov(z[:, None], z[None, :], ctx.hurst)
     out[:nw, nw:] = cross_cov_wz(ctx, w[:, None], z[None, :])
     out[nw:, :nw] = out[:nw, nw:].T
@@ -43,14 +49,20 @@ def signed_fbm_cov(s, t, hurst):
     return float(out) if out.ndim == 0 else out
 
 
+def symmetric_panels(times: np.ndarray, entries):
+    """``(rows, block)``: ``entries(times, times)`` by row panels, each from its diagonal on."""
+    for rows in _row_panels(times.size, times.size):
+        yield rows, entries(times[rows, None], times[None, rows.start:])
+
+
 def walked_image_cov(ctx, w_times, w_weights, z_times, z_weights) -> np.ndarray:
     """``A C A^T`` walked by row panels, each entry of ``C`` by its full formula."""
     w_times, z_times = np.asarray(w_times, dtype=float), np.asarray(z_times, dtype=float)
     kw = w_weights.shape[0]
     out = np.empty((kw + z_weights.shape[0],) * 2)
-    ww = _symmetric_panels(w_times, _driver_cov)
+    ww = symmetric_panels(w_times, driver_cov)
     out[:kw, :kw] = w_weights @ _summed_panels(ww, w_times.size, w_weights)
-    zz = _symmetric_panels(z_times, partial(signed_fbm_cov, hurst=ctx.hurst))
+    zz = symmetric_panels(z_times, partial(signed_fbm_cov, hurst=ctx.hurst))
     out[kw:, kw:] = z_weights @ _summed_panels(zz, z_times.size, z_weights)
     cross = np.empty((w_times.size, z_weights.shape[0]))
     for rows in _row_panels(w_times.size, z_times.size):

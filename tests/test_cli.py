@@ -12,7 +12,9 @@ artifact in both formats, valid against ``ACCEPTANCE_SCHEMA``.
 A result holding inf or nan exits 3 and writes no artifact.  Every finite
 input to ``arbitrage threshold``, ``arbitrage ledger``, ``gamma regbound``
 and ``bounds subgauss``, subnormals included, exits 0, 2 or 3 without a
-traceback, and an artifact it writes is valid against its schema; an input
+traceback, and an artifact it writes is valid against its schema, whether
+a flag and its value are one token (``--x=-1e-05``) or two (``--x -1e-05``):
+a negative value in any float spelling is a value, not a flag.  An input
 whose result leaves the float range exits 2 (refused, naming its flag) or 3
 (not representable), or 0 where the limit is exact.
 A negative ``--seed``, a ``--threads`` or ``--paths`` below 1, or a count
@@ -716,6 +718,10 @@ def test_non_finite_config_value_exits_2(tmp_path):
     ("gamma regbound --hurst 1e-300 --r 0.1", 2, "hurst"),
     ("drift kernel --hurst 0.75 --dt 1e-300", 2, "--dt"),
     ("invert --hurst 0.75 --dt 1e-300", 2, "--dt"),
+    ("drift kernel --hurst 0.75 --v 1e300", 2, "--v 1e+300 is too large"),
+    ("drift regression --hurst 0.9 --v 0.5,1e300", 2, "--v 1e+300 is too large"),
+    ("drift validate --hurst 0.9 --v 1e300", 2, "--v 1e+300 is too large"),
+    ("drift obm --hurst 0.75 --v 1e300", 2, "--v 1e+300 is too large"),
 ])
 def test_past_the_float_range_exits_2_or_3_and_writes_nothing(command, code, message,
                                                                tmp_path, capsys):
@@ -759,27 +765,43 @@ FLOAT_FLAGS = {
 }
 
 
+def run_main(argv: list[str]) -> tuple[int, str, str]:
+    """``main(argv)``'s exit code and what it wrote to stdout and to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 @pytest.mark.parametrize("command", sorted(FLOAT_FLAGS))
 @given(data=st.data())
 def test_every_finite_input_exits_0_2_or_3(command, data):
-    argv = command.split()
-    # "--flag=value": a bare "-1e-05" would read as a flag.
-    argv += [f"{flag}={data.draw(FLAG_VALUE, label=flag)!r}" for flag in FLOAT_FLAGS[command]]
+    flags = [(flag, repr(data.draw(FLAG_VALUE, label=flag))) for flag in FLOAT_FLAGS[command]]
     if command == "arbitrage ledger":
         pairs = data.draw(st.lists(st.tuples(st.integers(1, 5000), FLAG_VALUE), min_size=1,
                                    max_size=3), label="--pan")
-        argv.append("--pan=" + ",".join(f"{n}={v!r}" for n, v in pairs))
+        flags.append(("--pan", ",".join(f"{n}={v!r}" for n, v in pairs)))
     elif command == "gamma regbound":
-        argv.append(f"--i={data.draw(st.integers(0, 3000), label='--i')}")
+        flags.append(("--i", str(data.draw(st.integers(0, 3000), label="--i"))))
     elif command == "bounds subgauss":
         xs = data.draw(st.lists(FLAG_VALUE, min_size=1, max_size=3), label="--x")
-        argv.append("--x=" + ",".join(map(repr, xs)))
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
+        flags.append(("--x", ",".join(map(repr, xs))))
+    joined = run_main(command.split() + [f"{flag}={value}" for flag, value in flags])
+    code, out, _ = joined
     assert code in (0, 2, 3)
     if code == 0:
-        assert_schema_shaped(out.getvalue())
+        assert_schema_shaped(out)
+    # Bare, "--x -1e-05,0.5" is the value "--x=-1e-05,0.5" is: the same code,
+    # output and messages.
+    assert run_main(command.split() + [tok for flag in flags for tok in flag]) == joined
+
+
+# argparse's own test reads "-2e-3" as a flag; every float spelling is a value.
+@pytest.mark.parametrize("t0", ["-2e-3", "-2E-3", "-.2e-2", "-0.2e-2", "-0.002", "-2.e-3"])
+def test_a_negative_value_in_any_float_spelling_is_a_value(t0):
+    joined = run_main(["sample", "obm", "--n", "4", "--dt", "1e-3", "--t0=-0.002"])
+    assert joined[0] == 0
+    assert run_main(["sample", "obm", "--n", "4", "--dt", "1e-3", "--t0", t0]) == joined
 
 
 THRESHOLD = "arbitrage threshold --hurst 0.75 --alpha 0.5 --p 0.5 --p-prime 0.4"

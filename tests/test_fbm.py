@@ -15,18 +15,19 @@ is checked nonnegative definite from H = 1e-4 to 0.99999.  The sampler,
 which draws and transforms its paths in blocks of rows, is checked bit for
 bit against the one-shot draw of every path it replaced, through
 ``sample_fbm_paths`` and through ``FgnSampler.sample``, the contract the
-Monte Carlo engine draws by.  ``fbm_cov_matrix`` and the joint covariance of
-driver and process, filled by row panels, equal the broadcast entries bit
-for bit, and the driver's cross covariance refuses non-finite times as
-``fbm_cov`` does.  The covariance of linear images of the joint law, built
-by row panels, is the dense product ``A @ C @ A.T`` (``tests/dense_joint.py``)
-to rounding, on the route checks' default windows, and evaluates each
-covariance entry once.  It fills the cross entries with ``t <= s`` in closed
-form and takes ``fbm_cov`` unsigned for times of one sign; both keep the
-bits of the walk that sent every entry through ``xi`` with its sign
-(``dense_joint.walked_image_cov``), and so do the kernels that past windows
-take, which reuse one workspace: in a fresh interpreter a repeated call on
-``drift validate``'s window faults in fewer than 400 pages.
+Monte Carlo engine draws by.  ``fbm_cov_matrix``, and the joint covariance
+of driver and process on past windows, filled by row panels, equal the
+broadcast entries bit for bit; the driver's cross covariance refuses
+non-finite times as ``fbm_cov`` does, and the joint covariance refuses any
+window but a past one.  The covariance of linear images of the joint law,
+built by row panels, is the dense product ``A @ C @ A.T``
+(``tests/dense_joint.py``) to rounding, on the route checks' default
+windows, and evaluates each covariance entry once.  Its kernels fill the
+cross entries with ``t <= s`` in closed form and take ``fbm_cov`` unsigned;
+they keep the bits of the walk that sends every entry through ``xi`` with
+its sign (``dense_joint.walked_image_cov``) and reuse one workspace: in a
+fresh interpreter a repeated call on ``drift validate``'s window faults in
+fewer than 400 pages.
 """
 
 import functools
@@ -706,17 +707,16 @@ class TestJointWZ:
 
     def test_joint_cov_blocks(self):
         ctx = make_context(0.75)
-        w_times = np.array([-1.0, -0.25, 0.5])
-        z_times = np.array([0.5, 1.0])
+        w_times = np.array([-1.0, -0.25, -0.25])
+        z_times = np.array([-0.5, -0.125])
         mat = joint_cov(ctx, w_times, z_times)
         assert mat.shape == (5, 5)
-        assert np.allclose(mat, mat.T)
+        assert np.array_equal(mat, mat.T)
         assert np.allclose(
             mat[3:, 3:], fbm_cov_matrix(z_times, ctx.hurst)
         )
-        assert mat[0, 1] == pytest.approx(0.25)  # both in the past
-        assert mat[0, 2] == 0.0  # opposite sides of the origin
-        assert mat[1, 3] == pytest.approx(cross_cov_wz(ctx, -0.25, 0.5))
+        assert mat[0, 1] == 0.25 and mat[1, 2] == 0.25  # min(|s|, |t|), ties too
+        assert mat[1, 3] == pytest.approx(cross_cov_wz(ctx, -0.25, -0.5))
 
     def test_cross_cov_refuses_non_finite_times(self):
         ctx = make_context(0.75)
@@ -724,13 +724,30 @@ class TestJointWZ:
             cross_cov_wz(ctx, np.nan, 1.0)
         with pytest.raises(ValidationError, match="finite times"):
             cross_cov_wz(ctx, -1.0, np.inf)
-        with pytest.raises(ValidationError, match="finite times"):
-            joint_cov(ctx, [np.nan, -1.0], [-0.5])
+
+    @pytest.mark.parametrize("w_times,z_times", [
+        pytest.param([-1.0, 0.5], [-0.5], id="w of both signs"),
+        pytest.param([-1.0], [-0.5, 0.5], id="z of both signs"),
+        pytest.param([-1.0], [-0.5, 0.0], id="z at 0"),
+        pytest.param([-0.25, -1.0], [-0.5], id="w descending"),
+        pytest.param([-1.0], [-0.25, -0.5], id="z descending"),
+        pytest.param([-1.0], [-0.5, -0.5], id="z tied"),
+        pytest.param([np.nan, -1.0], [-0.5], id="w nan"),
+        pytest.param([-1.0], [-0.5, np.nan, -0.25], id="z nan"),
+        pytest.param([-np.inf, -1.0], [-0.5], id="w -inf"),
+        pytest.param([-1.0], [-0.5, np.inf], id="z inf"),
+        pytest.param([], [-0.5], id="w empty"),
+        pytest.param([-1.0], [], id="z empty"),
+    ])
+    def test_joint_images_refuse_all_but_past_windows(self, w_times, z_times):
+        with pytest.raises(ValidationError, match="past windows"):
+            joint_cov(make_context(0.75), w_times, z_times)
 
     def test_joint_cov_by_panels_is_the_broadcast_bit_for_bit(self):
+        # Past windows, the driver's with ties.
         ctx = make_context(0.25)
-        w_times = make_rng(4).permutation(np.r_[inversion_grid(1 / 128, 1e7), 0.5, 2.0])
-        z_times = np.r_[inversion_grid(1 / 256, 1e7), 0.0, 1.0]
+        w_times = np.sort(make_rng(4).choice(inversion_grid(1 / 128, 1e7), 400))
+        z_times = inversion_grid(1 / 256, 1e7)
         n = w_times.size
         mat = joint_cov(ctx, w_times, z_times)
         assert np.array_equal(mat, joint_wz_cov(ctx, w_times, z_times))
@@ -738,16 +755,14 @@ class TestJointWZ:
         assert np.array_equal(mat[:n, n:], cross)
         assert np.array_equal(mat[n:, :n], cross.T)
         assert np.array_equal(mat[n:, n:], fbm_cov(z_times[:, None], z_times[None, :], ctx.hurst))
-        same_side = np.sign(w_times)[:, None] * np.sign(w_times)[None, :] > 0
-        ww = np.where(same_side, np.minimum(np.abs(w_times)[:, None], np.abs(w_times)), 0.0)
-        assert np.array_equal(mat[:n, :n], ww)
+        assert np.array_equal(mat[:n, :n], np.minimum(np.abs(w_times)[:, None], np.abs(w_times)))
 
     def test_sample_joint_matches_cov(self):
         # The joint law is a valid covariance: it samples without jitter and
-        # the draws reproduce it.  (Both processes are pinned at time 0.)
+        # the draws reproduce it.
         ctx = make_context(0.75)
-        w_times = np.array([-1.0, 0.5])
-        z_times = np.array([0.5, 1.5])
+        w_times = np.array([-1.0, -0.5])
+        z_times = np.array([-1.5, -0.5])
         exact = joint_cov(ctx, w_times, z_times)
         _, jitter = cholesky_with_jitter(exact.copy())
         assert jitter == 0.0
@@ -840,13 +855,13 @@ class TestJointImages:
     @pytest.mark.parametrize("hurst", [0.1, 0.25, 0.5, 0.75, 0.9])
     @pytest.mark.parametrize("budget", [64, _PANEL_VALUES])
     def test_the_closed_form_cross_entries_are_cross_cov_wzs(self, hurst, budget, monkeypatch):
-        # Ascending times of both signs with 0, so the closed-form columns
-        # of each panel run through its diagonal t == s and meet every sign
-        # case; with identity weights the images are the entries.
+        # A past window: at one row per panel (64) the closed-form columns
+        # of each row run through its diagonal t == s, at the default budget
+        # up to its panel's first time.  With identity weights the images are
+        # the entries.
         monkeypatch.setattr(gaussian, "_PANEL_VALUES", budget)
         ctx = make_context(hurst)
-        grid = inversion_grid(1 / 64, 1e7)[::3]
-        times = np.r_[grid, 0.0, -grid[::-1]]
+        times = inversion_grid(1 / 64, 1e7)[::3]
         n = times.size
         got = joint_wz_image_cov(ctx, times, np.eye(n), times, np.eye(n))[:n, n:]
         want = cross_cov_wz(ctx, times[:, None], times[None, :])
@@ -858,8 +873,7 @@ class TestJointImages:
         # diagonal on.  Of each cross panel of past windows the columns at or
         # below every time of the panel are the closed form, those above
         # every time go through xi's ufuncs (_xi_scaled), and only those
-        # between through cross_cov_wz; the generic walk sends all but the
-        # first through it.
+        # between through cross_cov_wz.  No entry goes through fbm_cov.
         sizes = {}
 
         def counted(name, entries):
@@ -894,15 +908,6 @@ class TestJointImages:
             # (48% of its window) and all but the panels' diagonal squares of
             # the lower half of drift validate's square block (45%).
             assert 1.0 - (between + above) / (w_times.size * z_times.size) > 0.44
-
-        # A window of both signs takes the generic walk.
-        sizes.clear()
-        grid = inversion_grid(1 / 64, 1e5)[::3]
-        times = np.r_[grid, 0.5, 2.0]
-        weights = make_rng(2).standard_normal((4, times.size))
-        joint_wz_image_cov(ctx, times, weights, times, weights)
-        assert sizes == {"fbm_cov": upper(times.size),
-                         "cross_cov_wz": cross_columns(times, times, np.min, lambda s: np.inf)}
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
     def test_a_repeated_walk_faults_in_its_workspace_once(self, run_fresh, tmp_path):

@@ -6,12 +6,13 @@ draws, the almost-diagonal batches and the symmetry check of
 ``cholesky_with_jitter``.  With the budget cut to 64 values (one row per
 panel at most sizes here, a short last panel at the others) each of them
 must give the default's result bit for bit.  The covariance of linear images
-sums its panels' products, so it does so with identity weights (its images
-are the covariance entries) and stays within rounding with others.  The
-factor itself runs by the fixed ``gaussian._CHOLESKY_BLOCK``, so its bytes
-never read the budget.  The one-sided covariance is the exception the budget
-allows: its series take their term counts from a panel's largest ratio, so
-it stays within 1e-14 relative, not bit for bit.
+of past windows sums its panels' products, so it does so with identity
+weights (its images are the covariance entries) and stays within rounding
+with others; its driver window holds tied times.  The factor itself runs by
+the fixed ``gaussian._CHOLESKY_BLOCK``, so its bytes never read the budget.
+The one-sided covariance is the exception the budget allows: its series take
+their term counts from a panel's largest ratio, so it stays within 1e-14
+relative, not bit for bit.
 """
 
 from dataclasses import astuple
@@ -35,12 +36,14 @@ from fbmkit.gaussian import cholesky_with_jitter
 from fbmkit.rng import make_rng
 
 SMALL = 64
+# Past windows, the only ones joint_wz_image_cov takes; the driver's tied.
+PAST_W = np.repeat(np.linspace(-2.0, -0.1, 10), 2)
+PAST_Z = np.linspace(-3.0, -0.05, 30)
 
 CALLS = {
     "fbm_cov_matrix": lambda: fbm_cov_matrix(np.linspace(-1.5, 2.0, 50), 0.3),
     "joint_wz_image_cov": lambda: joint_wz_image_cov(
-        make_context(0.7), np.linspace(-2.0, -0.1, 20), np.eye(20),
-        np.linspace(-1.0, 3.0, 30), np.eye(30),
+        make_context(0.7), PAST_W, np.eye(20), PAST_Z, np.eye(30),
     ),
     "sample_fbm_paths": lambda: sample_fbm_paths(0.75, 100, 0.01, make_rng(5), paths=7),
     "sample_fbm_paths_one_step": lambda: sample_fbm_paths(0.25, 1, 0.01, make_rng(5), paths=130),
@@ -96,8 +99,7 @@ def test_the_symmetry_check_reaches_the_last_panel(budget, monkeypatch):
 
 def test_a_small_budget_keeps_the_image_covariance_close(monkeypatch):
     ctx, rng = make_context(0.3), np.random.default_rng(9)
-    w_times, z_times = np.linspace(-2.0, -0.1, 20), np.linspace(-1.0, 3.0, 30)
-    images = (w_times, rng.standard_normal((3, 20)), z_times, rng.standard_normal((4, 30)))
+    images = (PAST_W, rng.standard_normal((3, 20)), PAST_Z, rng.standard_normal((4, 30)))
     want = joint_wz_image_cov(ctx, *images)
     monkeypatch.setattr(gaussian, "_PANEL_VALUES", SMALL)
     got = joint_wz_image_cov(ctx, *images)
